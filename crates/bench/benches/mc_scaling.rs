@@ -1,20 +1,19 @@
 //! Benchmarks Monte Carlo STA scaling with sample count: the naive
-//! per-sample `analyze` engine vs the compiled scalar evaluator vs the
-//! batched SoA evaluator, all pinned to one thread so the comparison
-//! isolates the per-sample cost.
+//! per-sample `analyze` oracle vs the batched SoA evaluator, both pinned
+//! to one thread so the comparison isolates the per-sample cost.
 //!
 //! Uses the in-tree timing harness (`postopc_bench::timing`); criterion is
 //! not available offline. Alongside the human table, the comparison is
 //! written to `BENCH_sta.json` in the same schema the `repro -- t6` run
 //! emits, so perf trajectories can be diffed by tooling. Every row also
-//! checks the engines bit-identical on `worst_slacks_ps` and aborts on a
+//! checks the engine bit-identical to the oracle and aborts on a
 //! mismatch — a perf number from a wrong engine is worse than none.
 
 use postopc::{extract_gates, ExtractionConfig, OpcMode, TagSet};
 use postopc_bench::json::{write_sta_rows, StaBenchRow};
 use postopc_bench::timing::time;
 use postopc_device::ProcessParams;
-use postopc_sta::{statistical, McEngine, MonteCarloConfig, TimingModel};
+use postopc_sta::{statistical, MonteCarloConfig, TimingModel};
 
 fn main() {
     // The T6 workload: composite design at 70% utilization, top-40 paths
@@ -37,10 +36,10 @@ fn main() {
     let compiled_sta = model.compile().expect("compile");
 
     let mut rows: Vec<StaBenchRow> = Vec::new();
-    println!("mc_scaling: T6 composite 70%, single thread, naive vs compiled vs batched");
+    println!("mc_scaling: T6 composite 70%, single thread, naive vs batched");
     println!(
-        "{:>8} {:>11} {:>12} {:>9} {:>11} {:>9} {:>10}",
-        "samples", "naive (s)", "compiled (s)", "speedup", "batched (s)", "speedup", "identical"
+        "{:>8} {:>11} {:>11} {:>9} {:>10}",
+        "samples", "naive (s)", "batched (s)", "speedup", "identical"
     );
     for samples in [250usize, 1000, 2000] {
         let mc = MonteCarloConfig {
@@ -48,33 +47,20 @@ fn main() {
             sigma_nm: 1.5,
             seed: 17,
             threads: Some(1),
-            engine: McEngine::Scalar,
             ..MonteCarloConfig::default()
-        };
-        let batched_mc = MonteCarloConfig {
-            engine: McEngine::Batched,
-            ..mc.clone()
         };
         let (naive, naive_s) = time(|| {
             statistical::run_reference(&model, Some(&out.annotation), &mc).expect("naive MC")
         });
-        let (compiled, compiled_s) = time(|| {
-            statistical::run_with(&compiled_sta, Some(&out.annotation), &mc).expect("compiled MC")
-        });
         let (batched, batched_s) = time(|| {
-            statistical::run_with(&compiled_sta, Some(&out.annotation), &batched_mc)
-                .expect("batched MC")
+            statistical::run_with(&compiled_sta, Some(&out.annotation), &mc).expect("batched MC")
         });
-        let identical = naive == compiled;
         let batched_identical = naive == batched;
-        let speedup = naive_s / compiled_s.max(1e-9);
         let batched_speedup = naive_s / batched_s.max(1e-9);
         println!(
-            "{samples:>8} {naive_s:>11.3} {compiled_s:>12.3} {speedup:>8.1}x \
-             {batched_s:>11.3} {batched_speedup:>8.1}x {:>10}",
-            identical && batched_identical
+            "{samples:>8} {naive_s:>11.3} {batched_s:>11.3} {batched_speedup:>8.1}x \
+             {batched_identical:>10}"
         );
-        let scalar_stats = compiled.cache_stats();
         let batched_stats = batched.cache_stats();
         rows.push(StaBenchRow {
             design: "T6 composite 70%".to_string(),
@@ -88,16 +74,6 @@ fn main() {
         });
         rows.push(StaBenchRow {
             design: "T6 composite 70%".to_string(),
-            engine: "compiled".to_string(),
-            samples,
-            wall_s: compiled_s,
-            speedup,
-            identical,
-            shift_hits: scalar_stats.hits,
-            shift_misses: scalar_stats.misses,
-        });
-        rows.push(StaBenchRow {
-            design: "T6 composite 70%".to_string(),
             engine: "batched".to_string(),
             samples,
             wall_s: batched_s,
@@ -106,7 +82,6 @@ fn main() {
             shift_hits: batched_stats.hits + batched_stats.shared_hits,
             shift_misses: batched_stats.misses,
         });
-        assert!(identical, "scalar engine diverged at {samples} samples");
         assert!(
             batched_identical,
             "batched engine diverged at {samples} samples"

@@ -1,18 +1,17 @@
 //! Batched Monte Carlo gates for the CI script (`scripts/check.sh`,
 //! stage `mc_batch`). Exits 1 when an invariant breaks:
 //!
-//! 1. **Engine parity** — on a small adder, the batched SoA engine, the
-//!    scalar compiled engine and the naive per-sample `analyze` reference
-//!    must produce bit-identical distributions for every sampling scheme,
-//!    at sample counts covering every lane remainder class (full batches,
-//!    a partial tail, fewer samples than one batch).
-//! 2. **Warm/cold identity** — a batched run against a prewarmed shared
-//!    shift cache must equal the scalar run that characterizes every
-//!    `(cell, bin)` cold, and the prewarm must actually serve lookups
-//!    (`shared_hits > 0`, `prewarmed > 0`).
-//! 3. **Convergence** — on the T6 evaluation workload, antithetic and
-//!    stratified sampling at 500 samples must both match plain sampling
-//!    at 2000 samples on mean absolute error of the *mean* worst slack
+//! 1. **Engine parity** — on a small adder, the batched SoA engine and
+//!    the naive per-sample `analyze` reference must produce bit-identical
+//!    distributions for plain and antithetic sampling, at sample counts
+//!    covering every lane remainder class (full batches, a partial tail,
+//!    fewer samples than one batch).
+//! 2. **Table coverage** — every (gate, lane) lookup of every batch is
+//!    served by the prewarmed shift table (`shared_hits == gates × padded
+//!    samples`, `prewarmed > 0`, no hits or misses elsewhere).
+//! 3. **Convergence** — on the T6 evaluation workload, antithetic
+//!    sampling at 500 samples must match plain sampling at 2000 samples
+//!    on mean absolute error of the *mean* worst slack
 //!    (the variance-reduction claim: matched accuracy at 4x fewer
 //!    samples; measured margin is over an order of magnitude). The
 //!    1%-quantile errors are printed alongside but not gated: marginal
@@ -24,14 +23,14 @@ use postopc::{extract_gates, ExtractionConfig, OpcMode, TagSet};
 use postopc_bench::OrExit;
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, TechRules};
-use postopc_sta::{statistical, McEngine, MonteCarloConfig, Sampling, TimingModel, LANES};
+use postopc_sta::{statistical, MonteCarloConfig, Sampling, TimingModel, LANES};
 
 /// A variance-reduced scheme at 500 samples may exceed plain@2000's mean
 /// absolute error of the mean worst slack by at most this factor. The
-/// measured errors on the T6 workload are ~0.03 ps (antithetic and
-/// stratified @500) against ~0.5 ps (plain @2000), so the gate passes
-/// with more than an order of magnitude of headroom and trips only if a
-/// scheme stops reducing variance at all.
+/// measured errors on the T6 workload are ~0.03 ps (antithetic @500)
+/// against ~0.5 ps (plain @2000), so the gate passes with more than an
+/// order of magnitude of headroom and trips only if the scheme stops
+/// reducing variance at all.
 const CONVERGENCE_RATIO: f64 = 1.25;
 
 fn main() {
@@ -41,8 +40,8 @@ fn main() {
     }
 }
 
-/// Gates 1 and 2: cross-engine bit-parity over sampling schemes and lane
-/// remainders, plus warm-cache effectiveness. Returns `true` on failure.
+/// Gates 1 and 2: engine-vs-oracle bit-parity over sampling schemes and
+/// lane remainders, plus shift-table coverage. Returns `true` on failure.
 fn parity_gates() -> bool {
     let design = Design::compile(
         generate::ripple_carry_adder(6).or_exit("netlist"),
@@ -55,38 +54,33 @@ fn parity_gates() -> bool {
     // LANES - 1 exercises the sub-batch path, 3 * LANES + 3 a partial
     // tail after full batches, 4 * LANES the exact-multiple path.
     let counts = [LANES - 1, 3 * LANES + 3, 4 * LANES];
-    for sampling in [Sampling::Plain, Sampling::Antithetic, Sampling::Stratified] {
+    let samplings = [Sampling::Plain, Sampling::Antithetic];
+    for sampling in samplings {
         for samples in counts {
-            let scalar_cfg = MonteCarloConfig {
+            let cfg = MonteCarloConfig {
                 samples,
                 sigma_nm: 1.5,
                 seed: 23,
                 sampling,
-                engine: McEngine::Scalar,
                 ..MonteCarloConfig::default()
             };
-            let batched_cfg = MonteCarloConfig {
-                engine: McEngine::Batched,
-                ..scalar_cfg.clone()
-            };
-            let naive = statistical::run_reference(&model, None, &scalar_cfg).or_exit("naive MC");
-            let scalar = statistical::run_with(&compiled, None, &scalar_cfg).or_exit("scalar MC");
-            let batched =
-                statistical::run_with(&compiled, None, &batched_cfg).or_exit("batched MC");
-            if scalar != naive {
-                eprintln!("FAIL: scalar != naive ({sampling:?}, {samples} samples)");
-                failed = true;
-            }
+            let naive = statistical::run_reference(&model, None, &cfg).or_exit("naive MC");
+            let batched = statistical::run_with(&compiled, None, &cfg).or_exit("batched MC");
             if batched != naive {
                 eprintln!("FAIL: batched != naive ({sampling:?}, {samples} samples)");
                 failed = true;
             }
             let stats = batched.cache_stats();
-            if stats.prewarmed == 0 || stats.shared_hits == 0 {
+            let lookups = (design.netlist().gate_count() * samples.div_ceil(LANES) * LANES) as u64;
+            if stats.prewarmed == 0
+                || stats.shared_hits != lookups
+                || stats.hits != 0
+                || stats.misses != 0
+            {
                 eprintln!(
-                    "FAIL: warm cache unused ({sampling:?}, {samples} samples): \
-                     prewarmed={} shared_hits={}",
-                    stats.prewarmed, stats.shared_hits
+                    "FAIL: lookups not all served by the shift table ({sampling:?}, {samples} \
+                     samples): prewarmed={} shared_hits={} (expected {lookups}) hits={} misses={}",
+                    stats.prewarmed, stats.shared_hits, stats.hits, stats.misses
                 );
                 failed = true;
             }
@@ -94,8 +88,9 @@ fn parity_gates() -> bool {
     }
     if !failed {
         println!(
-            "mc_batch parity: batched == scalar == naive across {} configs (warm cache live)",
-            3 * counts.len()
+            "mc_batch parity: batched == naive across {} configs, every lookup served by the \
+             shift table",
+            samplings.len() * counts.len()
         );
     }
     failed
@@ -128,11 +123,7 @@ fn convergence_gate() -> bool {
         Some(&out.annotation),
         &base,
         16_384,
-        &[
-            (Sampling::Plain, 2000),
-            (Sampling::Antithetic, 500),
-            (Sampling::Stratified, 500),
-        ],
+        &[(Sampling::Plain, 2000), (Sampling::Antithetic, 500)],
         &[1, 2, 3, 4, 5],
     )
     .or_exit("convergence study");
@@ -164,7 +155,7 @@ fn convergence_gate() -> bool {
     }
     if !failed {
         println!(
-            "mc_batch convergence: antithetic and stratified @500 match plain @2000 \
+            "mc_batch convergence: antithetic @500 matches plain @2000 \
              on the mean worst slack (4x fewer samples, ratio <= {CONVERGENCE_RATIO})"
         );
     }

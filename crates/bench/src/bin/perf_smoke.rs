@@ -15,8 +15,9 @@
 //!    shows up far above it.
 //! 2. The compiled STA evaluator must match the naive `analyze` path bit
 //!    for bit on a small adder: drawn, corner-annotated, and a short
-//!    Monte Carlo run, all through ONE shared `CompiledSta` + scratch
-//!    (the compile-once flow shape).
+//!    Monte Carlo run per sampling scheme against the `run_reference`
+//!    oracle, all through ONE shared `CompiledSta` + scratch (the
+//!    compile-once flow shape).
 //!
 //! **`--bench-regression`** — re-measures the headline engine speedups at
 //! the recorded workload scale and fails if any drops below a floor
@@ -31,8 +32,7 @@ use postopc_bench::OrExit;
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use postopc_sta::{
-    analyze_corner, corner_annotation, statistical, Corner, McEngine, MonteCarloConfig, Sampling,
-    TimingModel,
+    analyze_corner, corner_annotation, statistical, Corner, MonteCarloConfig, Sampling, TimingModel,
 };
 
 /// Pool wall time may exceed serial by at most this factor.
@@ -81,13 +81,6 @@ const BENCH_FLOORS: &[BenchFloor] = &[
         design: "uniform inv farm 240",
         engine: "cache + pool",
         samples: None,
-        fraction: 0.6,
-    },
-    BenchFloor {
-        file: "BENCH_sta.json",
-        design: "T6 composite 70%",
-        engine: "compiled",
-        samples: Some(250),
         fraction: 0.6,
     },
     BenchFloor {
@@ -202,55 +195,39 @@ fn parity_gates() -> bool {
         failed = true;
     }
 
-    let mc = MonteCarloConfig {
-        samples: 20,
-        sigma_nm: 1.5,
-        seed: 5,
-        threads: None,
-        engine: McEngine::Scalar,
-        ..MonteCarloConfig::default()
-    };
-    let mc_compiled = statistical::run_with(&compiled, Some(&ann), &mc).or_exit("compiled MC");
-    let mc_naive = statistical::run_reference(&model, Some(&ann), &mc).or_exit("naive MC");
-    if mc_compiled != mc_naive {
-        eprintln!("perf_smoke: FAIL - compiled Monte Carlo differs from naive engine");
-        failed = true;
-    }
-    // The batched SoA engine must agree bit for bit too, for every
-    // sampling scheme (same streams, different evaluation shape). The
-    // tail-IS row runs with the control variate attached so the weight
-    // and control accumulators are parity-checked as well.
+    // Monte Carlo: the batched SoA engine against the naive oracle, for
+    // every sampling scheme (same streams, different evaluation shape).
+    // The tail-IS row runs with the control variate attached so the
+    // weight and control accumulators are parity-checked as well.
     for sampling in [
         Sampling::Plain,
         Sampling::Antithetic,
-        Sampling::Stratified,
         Sampling::TailIs {
             tilt: postopc_bench::TAIL_TILT,
         },
     ] {
-        let scalar_cfg = MonteCarloConfig {
+        let mc = MonteCarloConfig {
+            samples: 20,
+            sigma_nm: 1.5,
+            seed: 5,
+            threads: None,
             sampling,
             control_variate: matches!(sampling, Sampling::TailIs { .. }),
-            engine: McEngine::Scalar,
-            ..mc.clone()
         };
-        let batched_cfg = MonteCarloConfig {
-            engine: McEngine::Batched,
-            ..scalar_cfg.clone()
-        };
-        let scalar = statistical::run_with(&compiled, Some(&ann), &scalar_cfg).or_exit("scalar MC");
-        let batched =
-            statistical::run_with(&compiled, Some(&ann), &batched_cfg).or_exit("batched MC");
-        if scalar != batched {
-            eprintln!("perf_smoke: FAIL - batched Monte Carlo differs from scalar ({sampling:?})");
+        let batched = statistical::run_with(&compiled, Some(&ann), &mc).or_exit("batched MC");
+        let naive = statistical::run_reference(&model, Some(&ann), &mc).or_exit("naive MC");
+        if batched != naive {
+            eprintln!("perf_smoke: FAIL - batched Monte Carlo differs from naive ({sampling:?})");
             failed = true;
         }
     }
 
     if !failed {
         println!("perf_smoke: PASS - pooled engine at parity or better, outcomes bit-identical");
-        println!("perf_smoke: PASS - compiled STA bit-identical to naive (drawn, corner, MC)");
-        println!("perf_smoke: PASS - batched STA bit-identical to scalar (all samplings)");
+        println!(
+            "perf_smoke: PASS - compiled STA bit-identical to naive (drawn, corner, MC for \
+             every sampling)"
+        );
     }
     failed
 }
@@ -376,7 +353,7 @@ fn bench_regression() -> bool {
     failed |= check_floor(&BENCH_FLOORS[2], baseline_s / pooled_s.max(1e-9));
 
     // STA: the mc_scaling 250-sample row — naive per-sample analyze vs the
-    // compiled evaluator on the T6 composite workload, one thread.
+    // batched evaluator on the T6 composite workload, one thread.
     let design = postopc_bench::evaluation_design(11);
     let probe = TimingModel::new(&design, ProcessParams::n90(), 1_000_000.0).or_exit("probe model");
     let clock = probe
@@ -396,29 +373,19 @@ fn bench_regression() -> bool {
         sigma_nm: 1.5,
         seed: 17,
         threads: Some(1),
-        engine: McEngine::Scalar,
         ..MonteCarloConfig::default()
-    };
-    let batched_mc = MonteCarloConfig {
-        engine: McEngine::Batched,
-        ..mc.clone()
     };
     let (naive_mc, naive_s) = postopc_bench::timing::time(|| {
         statistical::run_reference(&model, Some(&out.annotation), &mc).or_exit("naive MC")
     });
-    let (compiled_mc, compiled_s) = postopc_bench::timing::time(|| {
-        statistical::run_with(&compiled_sta, Some(&out.annotation), &mc).or_exit("compiled MC")
-    });
     let (batched_run, batched_s) = postopc_bench::timing::time(|| {
-        statistical::run_with(&compiled_sta, Some(&out.annotation), &batched_mc)
-            .or_exit("batched MC")
+        statistical::run_with(&compiled_sta, Some(&out.annotation), &mc).or_exit("batched MC")
     });
-    if naive_mc != compiled_mc || naive_mc != batched_run {
+    if naive_mc != batched_run {
         eprintln!("perf_smoke: FAIL - engines diverged during the bench-regression run");
         failed = true;
     }
-    failed |= check_floor(&BENCH_FLOORS[3], naive_s / compiled_s.max(1e-9));
-    failed |= check_floor(&BENCH_FLOORS[4], naive_s / batched_s.max(1e-9));
+    failed |= check_floor(&BENCH_FLOORS[3], naive_s / batched_s.max(1e-9));
 
     // STA accuracy: the schema-v3 rows of BENCH_sta.json — the sampling
     // convergence study on the same compiled T6 workload. Every fresh

@@ -4,9 +4,9 @@
 //! 1. **Engine parity and thread invariance** — on a small adder, an
 //!    importance-sampled run with the control variate attached
 //!    (`Sampling::TailIs` + `control_variate`) must be bit-identical
-//!    across the naive per-sample `analyze` reference, the scalar
-//!    compiled engine and the batched SoA engine, at sample counts
-//!    covering every lane remainder class — and a run with `threads:
+//!    between the batched SoA engine and the naive per-sample `analyze`
+//!    reference, at sample counts covering every lane remainder class —
+//!    and a run with `threads:
 //!    None` (which resolves `POSTOPC_THREADS`) must equal the
 //!    single-thread run bit for bit. `check.sh` runs this binary under
 //!    `POSTOPC_THREADS=1,2,4`, so a pass across the matrix proves the
@@ -30,9 +30,7 @@ use postopc::{extract_gates, ExtractionConfig, OpcMode, TagSet};
 use postopc_bench::OrExit;
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, TechRules};
-use postopc_sta::{
-    statistical, McEngine, MonteCarloConfig, MonteCarloResult, Sampling, TimingModel, LANES,
-};
+use postopc_sta::{statistical, MonteCarloConfig, MonteCarloResult, Sampling, TimingModel, LANES};
 
 /// Default slow-corner tilt budget of the gated runs — the value the
 /// `postopc serve --sampling tail` CLI defaults to and the accuracy
@@ -63,7 +61,7 @@ fn rca_model() -> (Design, f64) {
     (design, 900.0)
 }
 
-/// Gate 1: cross-engine bit-parity of tail-IS + control variate over
+/// Gate 1: engine-vs-oracle bit-parity of tail-IS + control variate over
 /// lane remainders, plus thread invariance under the ambient
 /// `POSTOPC_THREADS`. Returns `true` on failure.
 fn parity_gates() -> bool {
@@ -75,26 +73,16 @@ fn parity_gates() -> bool {
     // tail after full batches, 4 * LANES the exact-multiple path.
     let counts = [LANES - 1, 3 * LANES + 3, 4 * LANES];
     for samples in counts {
-        let scalar_cfg = MonteCarloConfig {
+        let batched_cfg = MonteCarloConfig {
             samples,
             sigma_nm: 1.5,
             seed: 23,
             sampling: Sampling::TailIs { tilt: TILT },
             control_variate: true,
-            engine: McEngine::Scalar,
             ..MonteCarloConfig::default()
         };
-        let batched_cfg = MonteCarloConfig {
-            engine: McEngine::Batched,
-            ..scalar_cfg.clone()
-        };
-        let naive = statistical::run_reference(&model, None, &scalar_cfg).or_exit("naive MC");
-        let scalar = statistical::run_with(&compiled, None, &scalar_cfg).or_exit("scalar MC");
+        let naive = statistical::run_reference(&model, None, &batched_cfg).or_exit("naive MC");
         let batched = statistical::run_with(&compiled, None, &batched_cfg).or_exit("batched MC");
-        if scalar != naive {
-            eprintln!("FAIL: scalar != naive (tail-IS + CV, {samples} samples)");
-            failed = true;
-        }
         if batched != naive {
             eprintln!("FAIL: batched != naive (tail-IS + CV, {samples} samples)");
             failed = true;
@@ -134,7 +122,7 @@ fn parity_gates() -> bool {
     }
     if !failed {
         println!(
-            "tail parity: batched == scalar == naive, thread-invariant across {} configs \
+            "tail parity: batched == naive, thread-invariant across {} configs \
              (POSTOPC_THREADS={})",
             counts.len(),
             std::env::var("POSTOPC_THREADS").unwrap_or_else(|_| "unset".to_string())

@@ -366,7 +366,7 @@ pub fn f5() -> String {
 /// Returns the human-readable report plus the STA engine-comparison rows
 /// and the sampling-accuracy rows for the machine-readable
 /// `BENCH_sta.json` artifact (schema v3: naive per-sample `analyze` vs
-/// the compiled evaluator at the same N = 2000, plus the convergence
+/// the batched evaluator at the same N = 2000, plus the convergence
 /// errors of plain / antithetic / tail-IS sampling).
 pub fn t6() -> (
     String,
@@ -376,7 +376,7 @@ pub fn t6() -> (
     let design = crate::evaluation_design(11);
     let model = model_with_margin(&design, 0.10);
     // One compiled evaluator serves the drawn pass, the corner sweep and
-    // the compiled Monte Carlo run (compile-once-per-flow).
+    // the batched Monte Carlo run (compile-once-per-flow).
     let compiled = model.compile().expect("compile");
     let mut scratch = compiled.scratch();
     let drawn = compiled.evaluate(&mut scratch, None).expect("drawn timing");
@@ -387,38 +387,27 @@ pub fn t6() -> (
     let corners = Corner::classic_set(6.0);
     let reports = analyze_corners_with(&compiled, &mut scratch, &corners).expect("corners");
     let (ff, ss) = (&reports[0], &reports[2]);
-    // Monte Carlo around the extracted systematic values, both engines on
-    // one thread for an apples-to-apples wall-clock comparison (the
-    // compiled engine's timed region excludes the flow-level compile,
-    // which real flows amortize across every analysis).
+    // Monte Carlo around the extracted systematic values, engine and
+    // oracle on one thread for an apples-to-apples wall-clock comparison
+    // (the engine's timed region excludes the flow-level compile, which
+    // real flows amortize across every analysis).
     let mc_config = MonteCarloConfig {
         samples: 2000,
         sigma_nm: 1.5,
         seed: 17,
         threads: Some(1),
-        engine: postopc_sta::McEngine::Scalar,
         ..MonteCarloConfig::default()
     };
-    let batched_config = MonteCarloConfig {
-        engine: postopc_sta::McEngine::Batched,
-        ..mc_config.clone()
-    };
-    let (mc, compiled_s) = crate::timing::time(|| {
+    let (mc, batched_s) = crate::timing::time(|| {
         statistical::run_with(&compiled, Some(&out.annotation), &mc_config).expect("monte carlo")
-    });
-    let (batched, batched_s) = crate::timing::time(|| {
-        statistical::run_with(&compiled, Some(&out.annotation), &batched_config)
-            .expect("batched monte carlo")
     });
     let (naive, naive_s) = crate::timing::time(|| {
         statistical::run_reference(&model, Some(&out.annotation), &mc_config)
             .expect("naive monte carlo")
     });
-    let identical = mc == naive;
-    let batched_identical = batched == naive;
+    let batched_identical = mc == naive;
     let q99_delay = model.clock_ps() - mc.worst_slack_quantile_ps(0.01);
-    let scalar_stats = mc.cache_stats();
-    let batched_stats = batched.cache_stats();
+    let batched_stats = mc.cache_stats();
     let bench_rows = vec![
         crate::json::StaBenchRow {
             design: "T6 composite 70%".into(),
@@ -429,16 +418,6 @@ pub fn t6() -> (
             identical: true,
             shift_hits: 0,
             shift_misses: 0,
-        },
-        crate::json::StaBenchRow {
-            design: "T6 composite 70%".into(),
-            engine: "compiled".into(),
-            samples: mc_config.samples,
-            wall_s: compiled_s,
-            speedup: naive_s / compiled_s.max(1e-9),
-            identical,
-            shift_hits: scalar_stats.hits,
-            shift_misses: scalar_stats.misses,
         },
         crate::json::StaBenchRow {
             design: "T6 composite 70%".into(),
@@ -494,11 +473,6 @@ pub fn t6() -> (
         }
     ));
     text.push_str(&format!(
-        "engine check: compiled vs naive bit-identical over {} samples -> {}\n",
-        mc_config.samples,
-        if identical { "HOLDS" } else { "VIOLATED" }
-    ));
-    text.push_str(&format!(
         "engine check: batched vs naive bit-identical over {} samples -> {}\n",
         mc_config.samples,
         if batched_identical {
@@ -508,19 +482,13 @@ pub fn t6() -> (
         }
     ));
     text.push_str(&format!(
-        "engine speedup (1 thread): naive {naive_s:.2} s -> compiled {compiled_s:.2} s \
-         ({:.1}x) -> batched {batched_s:.2} s ({:.1}x)\n",
-        naive_s / compiled_s.max(1e-9),
+        "engine speedup (1 thread): naive {naive_s:.2} s -> batched {batched_s:.2} s \
+         ({:.1}x)\n",
         naive_s / batched_s.max(1e-9)
     ));
     text.push_str(&format!(
-        "shift cache: scalar {} hits / {} misses; batched {} prewarmed, {} shared hits, \
-         {} misses\n",
-        scalar_stats.hits,
-        scalar_stats.misses,
-        batched_stats.prewarmed,
-        batched_stats.shared_hits,
-        batched_stats.misses
+        "shift table: batched {} prewarmed, {} shared hits, {} misses\n",
+        batched_stats.prewarmed, batched_stats.shared_hits, batched_stats.misses
     ));
     // Schema-v3 accuracy section: the sampling-scheme convergence study
     // (tail-IS at 500 samples vs plain at 2000 on the deep quantiles).

@@ -3,8 +3,8 @@
 //!
 //! A [`WarmArtifact`] captures everything a warm timing session would
 //! otherwise have to recompute — the post-OPC [`CdAnnotation`], the
-//! characterization-cache entries, the Monte Carlo shift-cache entries
-//! and the extraction [`ContextStore`] — in an in-tree, versioned binary
+//! characterization-cache entries and the extraction [`ContextStore`] —
+//! in an in-tree, versioned binary
 //! format (no external serialization dependency, so the offline build
 //! stays intact). Every float is stored as its exact bit pattern, so a
 //! loaded artifact replays timing **bit-identically** to the fresh
@@ -16,8 +16,9 @@
 //! magic      8 bytes   b"POCWARM1"
 //! version    u32 LE    bumped on any layout change
 //! hash       u64 LE    content hash of (layout, process, clock, flow config)
-//! sections   ...       annotation, char entries, shift entries, store,
-//!                      optional surrogate model (since version 2)
+//! sections   ...       annotation, char entries, store, optional
+//!                      surrogate model (since version 2; version 3
+//!                      dropped the Monte Carlo shift-entry section)
 //! checksum   u64 LE    FNV-1a over every preceding byte
 //! ```
 //!
@@ -51,8 +52,10 @@ use std::path::Path;
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"POCWARM1";
 
 /// Current artifact format version; readers reject any other.
-/// Version 2 added the optional surrogate-model section.
-pub const ARTIFACT_VERSION: u32 = 2;
+/// Version 2 added the optional surrogate-model section; version 3
+/// removed the Monte Carlo shift-entry section (Monte Carlo runs build
+/// their shift table per run, so it was always empty).
+pub const ARTIFACT_VERSION: u32 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -114,9 +117,6 @@ pub struct WarmArtifact {
     /// Exported characterization-cache entries
     /// ([`postopc_sta::CharacterizationCache::export`]).
     pub char_entries: Vec<CharCacheEntry>,
-    /// Exported per-worker shift-cache entries
-    /// ([`postopc_sta::StaScratch::export_shift_entries`]).
-    pub shift_entries: Vec<(u64, CellTiming)>,
     /// Retained distinct litho contexts for incremental re-extraction.
     pub context_store: ContextStore,
     /// Trained CD-surrogate state, when the compile ran with the
@@ -142,11 +142,6 @@ impl WarmArtifact {
                 encode_record(r, &mut out);
             }
             encode_cell_timing(&entry.timing, &mut out);
-        }
-        put_u64(&mut out, self.shift_entries.len() as u64);
-        for (key, timing) in &self.shift_entries {
-            put_u64(&mut out, *key);
-            encode_cell_timing(timing, &mut out);
         }
         self.context_store.encode_into(&mut out);
         match &self.surrogate {
@@ -210,12 +205,6 @@ impl WarmArtifact {
                 timing,
             });
         }
-        let n_shift = take_u64(body, &mut cursor)?;
-        let mut shift_entries = Vec::with_capacity(n_shift.min(1 << 20) as usize);
-        for _ in 0..n_shift {
-            let key = take_u64(body, &mut cursor)?;
-            shift_entries.push((key, decode_cell_timing(body, &mut cursor)?));
-        }
         let context_store = ContextStore::decode_from(body, &mut cursor)?;
         let surrogate = match body.get(cursor).copied() {
             Some(0) => {
@@ -237,7 +226,6 @@ impl WarmArtifact {
             content_hash,
             annotation,
             char_entries,
-            shift_entries,
             context_store,
             surrogate,
         })
@@ -567,7 +555,6 @@ mod tests {
             content_hash: content_hash(&d, &cfg),
             annotation: out.annotation,
             char_entries: scratch.cache().export(),
-            shift_entries: scratch.export_shift_entries(),
             context_store: store,
             surrogate: None,
         }
@@ -583,7 +570,6 @@ mod tests {
         assert_eq!(loaded.content_hash, artifact.content_hash);
         assert_eq!(loaded.annotation, artifact.annotation);
         assert_eq!(loaded.char_entries, artifact.char_entries);
-        assert_eq!(loaded.shift_entries, artifact.shift_entries);
         assert_eq!(loaded.context_store.len(), artifact.context_store.len());
         // And the round trip is a fixed point.
         assert_eq!(loaded.to_bytes(), bytes);

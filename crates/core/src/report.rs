@@ -125,7 +125,6 @@ fn summarize_outcome(outcome: &crate::QueryOutcome) -> (&'static str, String) {
             let scheme = match mc.sampling() {
                 postopc_sta::Sampling::Plain => String::new(),
                 postopc_sta::Sampling::Antithetic => " [antithetic]".into(),
-                postopc_sta::Sampling::Stratified => " [stratified]".into(),
                 postopc_sta::Sampling::TailIs { tilt } => {
                     format!(" [tail-IS tilt {tilt:.2}]")
                 }
@@ -205,13 +204,6 @@ pub fn render_serve_report(report: &crate::ServeReport) -> String {
         })
         .collect();
     let mut out = render_table("warm service queries", &["#", "query", "answer"], &rows);
-    for (i, budgeted) in report.outcomes.iter().enumerate() {
-        if let Some(crate::QueryOutcome::MonteCarlo(mc)) = budgeted.outcome() {
-            if let Some(caveat) = mc.tail_quantile_caveat(0.01) {
-                out.push_str(&format!("warning (query {}): {caveat}\n", i + 1));
-            }
-        }
-    }
     match (report.warm, report.cold_reason) {
         (true, _) | (false, None) => {}
         (false, Some(crate::ColdReason::Missing)) => {

@@ -322,7 +322,6 @@ impl<'m> TimingSession<'m> {
         for entry in &artifact.char_entries {
             scratch.cache_mut().absorb(entry);
         }
-        scratch.absorb_shift_entries(&artifact.shift_entries);
         let drawn = compiled.evaluate(&mut scratch, None)?;
         let tags = match config.selection {
             Selection::All => TagSet::all(design),
@@ -365,7 +364,6 @@ impl<'m> TimingSession<'m> {
             content_hash: content_hash(self.compiled.model().design(), &self.config),
             annotation: self.annotation.clone(),
             char_entries: self.scratch.cache().export(),
-            shift_entries: self.scratch.export_shift_entries(),
             context_store: self.store.clone(),
             surrogate: self.surrogate.clone(),
         }

@@ -91,7 +91,6 @@ fn tiny_artifact() -> WarmArtifact {
             records: vec![record],
             timing: sample_timing(),
         }],
-        shift_entries: vec![(42, sample_timing())],
         context_store: ContextStore::new(),
         surrogate: None,
     }

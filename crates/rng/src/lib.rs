@@ -308,9 +308,9 @@ const D: [f64; 4] = [
 /// interval, far cheaper than a Box–Muller transform (one uniform, no
 /// trigonometry). This is the inverse-CDF kernel behind every Monte Carlo
 /// sampling scheme in the workspace — plain and antithetic draws invert an
-/// unconstrained uniform, stratified draws invert a uniform confined to
-/// one stratum, and importance-sampled (tilted) streams shift its output
-/// by a per-gate mean and replay the identical bits when reweighting.
+/// unconstrained uniform, and importance-sampled (tilted) streams shift
+/// its output by a per-gate mean and replay the identical bits when
+/// reweighting.
 #[must_use]
 pub fn normal_quantile(p: f64) -> f64 {
     if p < NORMAL_QUANTILE_P_LOW {

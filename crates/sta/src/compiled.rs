@@ -21,7 +21,7 @@ use postopc_device::Wire;
 use postopc_layout::{GateId, GateKind, NetId};
 use std::collections::HashMap;
 
-/// Samples evaluated per gate visit by [`CompiledSta::evaluate_shifted_batch`].
+/// Samples the Monte Carlo evaluator processes per gate visit.
 ///
 /// Lane state is stored as `[f64; LANES]` arrays (structure-of-arrays per
 /// net/gate), so the per-lane loops compile to straight-line vector code in
@@ -70,57 +70,42 @@ fn timing_bits_eq(a: &CellTiming, b: &CellTiming) -> bool {
 /// Summary of one evaluated sample — the quantities Monte Carlo keeps,
 /// produced without materializing a full [`TimingReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleTiming {
+pub(crate) struct SampleTiming {
     /// Worst endpoint slack, in ps.
-    pub worst_slack_ps: f64,
+    pub(crate) worst_slack_ps: f64,
     /// Critical path delay (clock − worst slack), in ps.
-    pub critical_delay_ps: f64,
+    pub(crate) critical_delay_ps: f64,
     /// Total static leakage, in µA.
-    pub leakage_ua: f64,
+    pub(crate) leakage_ua: f64,
 }
 
 /// Per-gate sensitivities produced by [`CompiledSta::gate_sensitivities`]
 /// — the inputs tail-targeted (importance-sampled) Monte Carlo derives
 /// its per-gate tilt from.
 #[derive(Debug, Clone)]
-pub struct GateSensitivity {
+pub(crate) struct GateSensitivity {
     /// Worst endpoint slack of the zero-shift baseline, in ps.
-    pub worst_slack_ps: f64,
+    pub(crate) worst_slack_ps: f64,
     /// Slack of each gate's output net (`required − arrival`;
     /// `INFINITY` when no endpoint constrains the net), in ps.
-    pub slack_ps: Vec<f64>,
+    pub(crate) slack_ps: Vec<f64>,
     /// Central-difference derivative of each gate's stage delay with
     /// respect to a uniform channel-length shift, in ps per nm.
-    pub ddelay_dl_ps_per_nm: Vec<f64>,
+    pub(crate) ddelay_dl_ps_per_nm: Vec<f64>,
 }
 
 /// The per-gate base ensembles of a Monte Carlo run, deduplicated into
-/// distinct cells — built once per run by [`CompiledSta::sample_cells`]
-/// and consumed by [`CompiledSta::evaluate_shifted`].
+/// distinct cells — built once per run by [`CompiledSta::sample_cells`].
 ///
 /// Gates whose `(GateKind, base transistor records)` match bit for bit
 /// share one slot, so a uniform length shift applied to either produces
-/// the identical `CellTiming` — the invariant the shift cache keys on.
+/// the identical `CellTiming` — the invariant the shift table keys on.
 #[derive(Debug)]
-pub struct SampleCells {
-    /// Gate index → slot in `cells`.
-    cell_of_gate: Vec<u32>,
+pub(crate) struct SampleCells {
+    /// Gate index → slot in `cells` (the cell axis of the shift table).
+    pub(crate) cell_of_gate: Vec<u32>,
     /// Distinct `(kind, base records)` ensembles, first-seen order.
-    cells: Vec<(GateKind, Vec<TransistorCd>)>,
-}
-
-impl SampleCells {
-    /// Number of distinct cells the gates collapsed to.
-    pub fn distinct(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Cell slot of each gate, indexed by gate (the key space of the
-    /// shift caches — samplers scan this to enumerate `(cell, bin)` pairs
-    /// worth prewarming).
-    pub fn cell_of_gate(&self) -> &[u32] {
-        &self.cell_of_gate
-    }
+    pub(crate) cells: Vec<(GateKind, Vec<TransistorCd>)>,
 }
 
 /// The compiled, annotation-invariant form of a [`TimingModel`].
@@ -164,8 +149,8 @@ pub struct CompiledSta<'m> {
     net_driver: Vec<u32>,
 }
 
-/// Reusable per-worker evaluation state: propagation buffers, a record
-/// staging buffer, and a characterization cache.
+/// Reusable per-worker evaluation state: propagation buffers and a
+/// characterization cache.
 ///
 /// Created by [`CompiledSta::scratch`] (sized for that design) and passed
 /// mutably to every evaluation; contents are dead between calls, so one
@@ -184,15 +169,10 @@ pub struct StaScratch {
     worst_by_net: Vec<f64>,
     /// Nets touched in `worst_by_net`, for sparse reset.
     touched: Vec<NetId>,
-    /// Per-gate record staging buffer for sample fills.
-    records: Vec<TransistorCd>,
     cache: CharacterizationCache,
-    shift_cache: ShiftTimingCache,
-    /// Per-(gate, lane) tagged timing indices of the current batch
-    /// (`gate * LANES + lane`; see `LANE_LOCAL_BIT` / `LANE_OVERFLOW_BIT`).
+    /// Per-(gate, lane) shift-table indices of the current batch
+    /// (`gate * LANES + lane`).
     lane_timing_idx: Vec<u32>,
-    /// Batch-local timings characterized past the local-cache cap.
-    lane_overflow: Vec<CellTiming>,
     /// Per-net lane-parallel propagation state (SoA: one `[f64; LANES]`
     /// row per net/gate, so lane loops autovectorize).
     lane_sink_cap: Vec<[f64; LANES]>,
@@ -222,251 +202,25 @@ impl StaScratch {
         &self.cache
     }
 
-    /// Entries in the `(cell, shift-bin)` cache of the Monte Carlo fast
-    /// path ([`CompiledSta::evaluate_shifted`]).
-    pub fn shift_cache_len(&self) -> usize {
-        self.shift_cache.store.len()
-    }
-
-    /// Hits of the `(cell, shift-bin)` cache.
-    pub fn shift_cache_hits(&self) -> u64 {
-        self.shift_cache.hits
-    }
-
-    /// Misses of the `(cell, shift-bin)` cache (device-model evaluations).
-    pub fn shift_cache_misses(&self) -> u64 {
-        self.shift_cache.misses
-    }
-
-    /// Lookups served by a caller-supplied [`SharedShiftCache`] (prewarmed
-    /// entries never probe the local cache, so they are counted apart).
-    pub fn shift_cache_shared_hits(&self) -> u64 {
-        self.shift_cache.shared_hits
-    }
-
-    /// Insertions the `(cell, shift-bin)` cache refused because it was at
-    /// its entry cap ([`SHIFT_CACHE_CAP_DEFAULT`] or the
-    /// [`SHIFT_CACHE_CAP_ENV`] override) — those shifts were characterized
-    /// without being memoized.
-    pub fn shift_cache_rejected(&self) -> u64 {
-        self.shift_cache.rejected
-    }
-
-    /// The entry cap of the `(cell, shift-bin)` cache, resolved when this
-    /// scratch was created.
-    pub fn shift_cache_cap(&self) -> usize {
-        self.shift_cache.cap
-    }
-
-    /// Snapshot of the `(cell, shift-bin)` cache, sorted by packed key —
-    /// the serialization view the warm-artifact store persists. Keys are
-    /// `(cell << 32) | bin` against the [`SampleCells`] dedup of the run
-    /// that filled the cache, so entries only transfer between runs whose
-    /// base ensembles (and hence cell slots) match — exactly the
-    /// invariant a content-addressed artifact guarantees.
-    pub fn export_shift_entries(&self) -> Vec<(u64, CellTiming)> {
-        let mut out = Vec::with_capacity(self.shift_cache.store.len());
-        for (&key, &idx) in self.shift_cache.keys.iter().zip(&self.shift_cache.slot_idx) {
-            if key != SHIFT_EMPTY {
-                out.push((key, self.shift_cache.store[idx as usize]));
-            }
-        }
-        out.sort_unstable_by_key(|&(key, _)| key);
-        out
-    }
-
-    /// Re-memoizes previously exported `(cell, shift-bin)` entries.
-    /// Entries already present are left alone; entries past the cap are
-    /// dropped (and counted as rejected). Because a hit replays exact
-    /// bits, absorbing entries can only skip device-model calls — it can
-    /// never change a result.
-    pub fn absorb_shift_entries(&mut self, entries: &[(u64, CellTiming)]) {
-        for &(key, timing) in entries {
-            if key == SHIFT_EMPTY {
-                continue;
-            }
-            self.shift_cache.insert(key, timing);
-        }
-    }
-
     /// Mutable access to the characterization cache (artifact absorb path).
     pub fn cache_mut(&mut self) -> &mut CharacterizationCache {
         &mut self.cache
     }
 }
 
-/// Tag bit marking a lane timing index as pointing into the scratch's
-/// local shift-cache store rather than the shared prewarmed cache.
-const LANE_LOCAL_BIT: u32 = 1 << 31;
-/// Tag bit (alongside `LANE_LOCAL_BIT`) for the batch-local overflow
-/// staging area used once the local cache hits its entry cap.
-const LANE_OVERFLOW_BIT: u32 = 1 << 30;
-/// Mask extracting the store index from a tagged lane timing index.
-const LANE_IDX_MASK: u32 = LANE_OVERFLOW_BIT - 1;
-
-/// Resolves a tagged per-lane timing index against the three possible
-/// stores (shared prewarmed cache, local shift cache, batch overflow).
-#[inline]
-fn lane_timing<'a>(
-    shared: &'a [CellTiming],
-    local: &'a [CellTiming],
-    overflow: &'a [CellTiming],
-    tagged: u32,
-) -> &'a CellTiming {
-    if tagged & LANE_LOCAL_BIT == 0 {
-        &shared[tagged as usize]
-    } else if tagged & LANE_OVERFLOW_BIT != 0 {
-        &overflow[(tagged & LANE_IDX_MASK) as usize]
-    } else {
-        &local[(tagged & LANE_IDX_MASK) as usize]
-    }
-}
-
-/// Slot marker for an empty `ShiftTimingCache` bucket. Real keys are
-/// `(cell << 32) | bin` with `cell` a dense index far below `u32::MAX`,
-/// so they can never collide with the marker.
-const SHIFT_EMPTY: u64 = u64::MAX;
-
-/// Default entry cap of the shift cache: bounded by
-/// `distinct cells × occupied shift bins`, which stays far below this for
-/// real designs; the cap only guards against pathological workloads.
-/// Overridable per process via [`SHIFT_CACHE_CAP_ENV`].
-pub const SHIFT_CACHE_CAP_DEFAULT: usize = 1 << 18;
-
-/// Environment variable overriding the shift-cache entry cap (positive
-/// integer; unset, empty or unparsable values fall back to
-/// [`SHIFT_CACHE_CAP_DEFAULT`]). Read when a scratch is created, following
-/// the `POSTOPC_THREADS` precedent.
-pub const SHIFT_CACHE_CAP_ENV: &str = "POSTOPC_SHIFT_CACHE_CAP";
-
-/// Open-addressed `(cell, shift-bin) → CellTiming` map — the Monte Carlo
-/// characterization cache. The key is two small integers packed into a
-/// `u64`, so a lookup is one multiply-shift hash and a short linear probe:
-/// orders of magnitude cheaper than hashing a transistor ensemble, which
-/// is what makes the per-sample hot loop allocation- and hash-free.
-///
-/// Values live in an append-only `store` and the slot array holds `u32`
-/// indices into it: a rehash moves 12 bytes per entry instead of a whole
-/// [`CellTiming`], and the batched evaluator can stage per-lane *indices*
-/// (4 bytes each) instead of copying ~400-byte timings per gate visit.
-#[derive(Debug)]
-struct ShiftTimingCache {
-    /// Power-of-two slot array; `SHIFT_EMPTY` marks free slots.
-    keys: Vec<u64>,
-    /// `store` index of the same slot (garbage where the key is empty).
-    slot_idx: Vec<u32>,
-    /// Cached timings in insertion order.
-    store: Vec<CellTiming>,
-    /// Entry cap resolved at construction (env override or default).
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    /// Hits served by a caller-supplied [`SharedShiftCache`] instead of
-    /// this local map (counted here so the scratch owns all counters).
-    shared_hits: u64,
-    /// Insertions refused because the store was at its cap.
-    rejected: u64,
-}
-
-impl ShiftTimingCache {
-    fn new() -> ShiftTimingCache {
-        let slots = 1024;
-        ShiftTimingCache {
-            keys: vec![SHIFT_EMPTY; slots],
-            slot_idx: vec![0; slots],
-            store: Vec::new(),
-            cap: crate::liberty::env_cache_cap(SHIFT_CACHE_CAP_ENV, SHIFT_CACHE_CAP_DEFAULT),
-            hits: 0,
-            misses: 0,
-            shared_hits: 0,
-            rejected: 0,
-        }
-    }
-
-    /// SplitMix64 finalizer: full-avalanche integer hash.
-    fn hash(mut x: u64) -> u64 {
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// Index into `store` of the cached timing for `key`, if present.
-    fn get(&mut self, key: u64) -> Option<u32> {
-        debug_assert_ne!(key, SHIFT_EMPTY);
-        let mask = self.keys.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.hits += 1;
-                return Some(self.slot_idx[i]);
-            }
-            if k == SHIFT_EMPTY {
-                self.misses += 1;
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts `val` under `key`, returning its `store` index; `None` past
-    /// the cap (the value is then characterized without memoizing).
-    fn insert(&mut self, key: u64, val: CellTiming) -> Option<u32> {
-        if self.store.len() >= self.cap {
-            self.rejected += 1;
-            return None;
-        }
-        if (self.store.len() + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        while self.keys[i] != SHIFT_EMPTY {
-            if self.keys[i] == key {
-                return Some(self.slot_idx[i]); // double-insert is a no-op
-            }
-            i = (i + 1) & mask;
-        }
-        let idx = self.store.len() as u32;
-        self.store.push(val);
-        self.keys[i] = key;
-        self.slot_idx[i] = idx;
-        Some(idx)
-    }
-
-    fn grow(&mut self) {
-        let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![SHIFT_EMPTY; new_slots]);
-        let old_idx = std::mem::replace(&mut self.slot_idx, vec![0; new_slots]);
-        let mask = new_slots - 1;
-        for (key, idx) in old_keys.into_iter().zip(old_idx) {
-            if key == SHIFT_EMPTY {
-                continue;
-            }
-            let mut i = Self::hash(key) as usize & mask;
-            while self.keys[i] != SHIFT_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.keys[i] = key;
-            self.slot_idx[i] = idx;
-        }
-    }
-}
-
-/// A read-only `(cell, shift-bin) → CellTiming` table built once by
-/// [`CompiledSta::prewarm_shift_cache`] and shared by reference across
-/// Monte Carlo workers.
+/// The read-only `(cell, shift-bin) → CellTiming` table of one Monte
+/// Carlo run, built once by [`CompiledSta::shift_table`] and shared by
+/// reference across workers — the only place the batched evaluator reads
+/// cell timings from.
 ///
 /// Storage is a dense 2-D direct-index map (`cells × bin span`), so a probe
 /// is one bounds check and two loads — no hashing at all. Entries are
-/// characterized by the same staging + device-model path a cold
-/// [`ShiftTimingCache`] miss runs, so a shared hit replays exactly the bits
-/// a cold evaluation would compute (warm/cold bit-identity, proven by the
+/// characterized by [`CompiledSta::characterize_shift`], the record shift
+/// the naive reference applies, so every lookup replays exactly the bits
+/// a per-sample characterization would compute (proven by the
 /// `batched_parity` tests).
 #[derive(Debug)]
-pub struct SharedShiftCache {
+pub(crate) struct ShiftTable {
     /// Smallest prewarmed bin (row offset of the dense table).
     min_bin: i32,
     /// Dense bin-range width (`max_bin - min_bin + 1`; 0 when empty).
@@ -483,9 +237,9 @@ pub struct SharedShiftCache {
     cap: Vec<f64>,
 }
 
-impl SharedShiftCache {
+impl ShiftTable {
     /// Number of prewarmed `(cell, bin)` entries.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.store.len()
     }
 
@@ -581,11 +335,8 @@ impl<'m> CompiledSta<'m> {
             endpoint_required: Vec::new(),
             worst_by_net: vec![f64::INFINITY; n_nets],
             touched: Vec::new(),
-            records: Vec::new(),
             cache: CharacterizationCache::new(),
-            shift_cache: ShiftTimingCache::new(),
             lane_timing_idx: vec![0; n_gates * LANES],
-            lane_overflow: Vec::new(),
             lane_sink_cap: vec![[0.0; LANES]; n_nets],
             lane_input_cap: vec![[0.0; LANES]; n_gates],
             lane_slews: vec![[0.0; LANES]; n_nets],
@@ -601,13 +352,13 @@ impl<'m> CompiledSta<'m> {
 
     /// Deduplicates per-gate base ensembles (`bases[gi]` = systematic
     /// records of gate `gi`) into distinct `(kind, records)` cells for
-    /// [`Self::evaluate_shifted`]. Two gates share a cell only when their
-    /// kind and every record match bit for bit.
+    /// the shift table. Two gates share a cell only when their kind and
+    /// every record match bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `bases` does not cover every gate of the design.
-    pub fn sample_cells(&self, bases: &[Vec<TransistorCd>]) -> SampleCells {
+    pub(crate) fn sample_cells(&self, bases: &[Vec<TransistorCd>]) -> SampleCells {
         let netlist = self.model.design().netlist();
         assert_eq!(bases.len(), netlist.gate_count(), "one base set per gate");
         let mut seen: HashMap<(GateKind, Vec<u64>), u32> = HashMap::new();
@@ -887,194 +638,71 @@ impl<'m> CompiledSta<'m> {
         ))
     }
 
-    /// The Monte Carlo hot path: evaluates one sample whose per-gate CD
-    /// records are produced by `fill` (called once per gate, in gate
-    /// order, with an empty staging buffer to extend). Every gate is
-    /// treated as annotated and nets stay drawn — exactly the shape of a
-    /// sampled [`CdAnnotation`] covering all gates — and only a summary is
-    /// returned, so the evaluation allocates nothing after warm-up.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors for non-physical filled dimensions.
-    pub fn evaluate_sample<F>(&self, scratch: &mut StaScratch, mut fill: F) -> Result<SampleTiming>
-    where
-        F: FnMut(usize, &mut Vec<TransistorCd>),
-    {
-        let netlist = self.model.design().netlist();
-        scratch.timings.clear();
-        let mut leakage = 0.0;
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            scratch.records.clear();
-            fill(gi, &mut scratch.records);
-            let timing = self.model.library().annotated_timing_cached(
-                &mut scratch.cache,
-                gate.kind,
-                &scratch.records,
-            )?;
-            leakage += timing.leakage_ua;
-            scratch.timings.push(timing);
-        }
-        self.propagate(scratch, None)?;
-        // Worst slack is the minimum over endpoint entries — the same
-        // value `analyze` reads off the head of its sorted slack list.
-        let worst_slack_ps = scratch
-            .endpoint_required
-            .iter()
-            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
-            .fold(f64::INFINITY, f64::min);
-        Ok(SampleTiming {
-            worst_slack_ps,
-            critical_delay_ps: self.model.clock_ps() - worst_slack_ps,
-            leakage_ua: leakage,
-        })
-    }
-
-    /// The Monte Carlo fastest path: evaluates one sample whose per-gate
-    /// CDs are the gate's base ensemble (see [`Self::sample_cells`])
-    /// uniformly shifted by `shift_of(gi)` — called once per gate in gate
-    /// order, returning the `(grid bin, shift nm)` pair produced by the
-    /// sampler's quantizer. The shift must be a pure function of the bin
-    /// (the bin is the cache identity of the shift).
-    ///
-    /// Characterization is memoized per `(cell, bin)` in the scratch's
-    /// integer-keyed shift cache: because a cell's gates share base
-    /// records bit for bit and the shift value is a pure function of the
-    /// bin, a hit replays exactly the bits a miss would compute. Records
-    /// are only materialized on a miss, so a warm sample runs the device
-    /// model zero times and allocates nothing. A prewarmed
-    /// [`SharedShiftCache`] (see [`Self::prewarm_shift_cache`]) is probed
-    /// first when supplied; its entries were characterized by the same
-    /// path, so results are bit-identical with or without it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors for non-physical shifted dimensions.
-    pub fn evaluate_shifted<F>(
-        &self,
-        scratch: &mut StaScratch,
-        cells: &SampleCells,
-        shared: Option<&SharedShiftCache>,
-        mut shift_of: F,
-    ) -> Result<SampleTiming>
-    where
-        F: FnMut(usize) -> (i32, f64),
-    {
-        scratch.timings.clear();
-        let mut leakage = 0.0;
-        for (gi, &cell) in cells.cell_of_gate.iter().enumerate() {
-            let (bin, shift) = shift_of(gi);
-            let shared_hit = shared.and_then(|s| s.get(cell, bin).map(|i| (s, i)));
-            let timing = if let Some((s, i)) = shared_hit {
-                scratch.shift_cache.shared_hits += 1;
-                s.store[i as usize]
-            } else {
-                let key = (u64::from(cell) << 32) | u64::from(bin as u32);
-                match scratch.shift_cache.get(key) {
-                    Some(i) => scratch.shift_cache.store[i as usize],
-                    None => {
-                        let t = self.characterize_shift(cells, cell, shift, scratch)?;
-                        scratch.shift_cache.insert(key, t);
-                        t
-                    }
-                }
-            };
-            leakage += timing.leakage_ua;
-            scratch.timings.push(timing);
-        }
-        self.propagate(scratch, None)?;
-        let worst_slack_ps = scratch
-            .endpoint_required
-            .iter()
-            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
-            .fold(f64::INFINITY, f64::min);
-        Ok(SampleTiming {
-            worst_slack_ps,
-            critical_delay_ps: self.model.clock_ps() - worst_slack_ps,
-            leakage_ua: leakage,
-        })
-    }
-
-    /// Characterizes one `(cell, shift)` ensemble through the scratch's
-    /// record staging buffer — the single code path behind local shift-
-    /// cache misses, shared-cache prewarming and the batched evaluator, so
-    /// every consumer computes identical bits for identical inputs.
-    fn characterize_shift(
-        &self,
-        cells: &SampleCells,
-        cell: u32,
-        shift: f64,
-        scratch: &mut StaScratch,
-    ) -> Result<CellTiming> {
+    /// Characterizes cell `cell` with every channel length shifted by
+    /// `shift` nm (clamped at 1 nm, as the naive reference clamps) — the
+    /// single code path behind the shift table and the sensitivity pass,
+    /// so both compute identical bits for identical inputs.
+    fn characterize_shift(&self, cells: &SampleCells, cell: u32, shift: f64) -> Result<CellTiming> {
         let (kind, base) = &cells.cells[cell as usize];
-        scratch.records.clear();
-        scratch.records.extend_from_slice(base);
-        for r in scratch.records.iter_mut() {
+        let mut records = base.clone();
+        for r in &mut records {
             r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
             r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
         }
-        self.model
-            .library()
-            .annotated_timing(*kind, &scratch.records)
+        self.model.library().annotated_timing(*kind, &records)
     }
 
-    /// Characterizes every `(cell, bin)` pair of `keys` once, in parallel,
-    /// into a read-only [`SharedShiftCache`] that Monte Carlo workers
-    /// share by reference — the per-worker caches then start warm instead
-    /// of each re-running the device model for the same bins.
-    ///
-    /// `shift_of_bin` maps a grid bin to its shift in nm and must be the
-    /// same pure function the evaluation-time sampler uses (for the
-    /// `sigma / 16` grid: `bin as f64 * step`). Duplicate keys are
-    /// deduplicated; the build is deterministic for any thread count.
+    /// Builds the [`ShiftTable`] of a run: scans the gate-major bin
+    /// `blocks` (`block[gate * LANES + lane]`) for the distinct `(cell,
+    /// bin)` pairs they hold and characterizes each exactly once, in
+    /// parallel, at shift `bin * step_nm` — the shift the sampler's
+    /// quantizer pairs with that bin. The build is deterministic for any
+    /// thread count.
     ///
     /// # Errors
     ///
     /// Propagates device errors for non-physical shifted dimensions.
-    pub fn prewarm_shift_cache<F>(
+    pub(crate) fn shift_table<'b, I>(
         &self,
         cells: &SampleCells,
-        keys: &[(u32, i32)],
+        blocks: I,
+        step_nm: f64,
         threads: usize,
-        shift_of_bin: F,
-    ) -> Result<SharedShiftCache>
+    ) -> Result<ShiftTable>
     where
-        F: Fn(i32) -> f64 + Sync,
+        I: Iterator<Item = &'b [i32]> + Clone,
     {
-        let mut sorted: Vec<(u32, i32)> = keys.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.is_empty() {
-            return Ok(SharedShiftCache {
-                min_bin: 0,
-                span: 0,
-                idx: Vec::new(),
-                store: Vec::new(),
-                leak: Vec::new(),
-                cap: Vec::new(),
-            });
+        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+        for &bin in blocks.clone().flatten() {
+            lo = lo.min(bin);
+            hi = hi.max(bin);
         }
-        let min_bin = sorted.iter().map(|&(_, b)| b).min().unwrap_or(0);
-        let max_bin = sorted.iter().map(|&(_, b)| b).max().unwrap_or(0);
-        let store = postopc_parallel::try_par_map(threads, &sorted, |_, &(cell, bin)| {
-            let (kind, base) = &cells.cells[cell as usize];
-            let shift = shift_of_bin(bin);
-            let mut records = base.clone();
-            for r in records.iter_mut() {
-                r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
-                r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
-            }
-            self.model.library().annotated_timing(*kind, &records)
-        })?;
-        let span = (max_bin - min_bin) as usize + 1;
+        let span = (i64::from(hi) - i64::from(lo) + 1).max(0) as usize;
+        // Mark every occurring `(cell, bin)` slot, then number the marked
+        // slots in slot order — `(cell, bin)` order, so no sort is needed.
         let mut idx = vec![u32::MAX; cells.cells.len() * span];
-        for (i, &(cell, bin)) in sorted.iter().enumerate() {
-            idx[cell as usize * span + (bin - min_bin) as usize] = i as u32;
+        for block in blocks {
+            for (&cell, lanes) in cells.cell_of_gate.iter().zip(block.chunks_exact(LANES)) {
+                for &bin in lanes {
+                    idx[cell as usize * span + (bin - lo) as usize] = 0;
+                }
+            }
         }
+        let mut slots = Vec::new();
+        for (slot, i) in idx.iter_mut().enumerate() {
+            if *i != u32::MAX {
+                *i = slots.len() as u32;
+                slots.push(slot);
+            }
+        }
+        let store = postopc_parallel::try_par_map(threads, &slots, |_, &slot| {
+            let bin = lo + (slot % span) as i32;
+            self.characterize_shift(cells, (slot / span) as u32, f64::from(bin) * step_nm)
+        })?;
         let leak = store.iter().map(|t| t.leakage_ua).collect();
         let cap = store.iter().map(|t| t.input_cap_ff).collect();
-        Ok(SharedShiftCache {
-            min_bin,
+        Ok(ShiftTable {
+            min_bin: lo,
             span,
             idx,
             store,
@@ -1083,102 +711,67 @@ impl<'m> CompiledSta<'m> {
         })
     }
 
-    /// The batched Monte Carlo hot path: evaluates [`LANES`] samples per
-    /// gate visit. `shift_of(lane, gi)` supplies the `(grid bin, shift)`
-    /// of gate `gi` in lane `lane` — called in gate-major order (all lanes
-    /// of gate 0, then gate 1, …) so lane fills stay cache-local.
+    /// The Monte Carlo hot path: evaluates [`LANES`] samples per gate
+    /// visit. `bins[gi * LANES + lane]` is the shift-grid bin of gate `gi`
+    /// in lane `lane` (gate-major, so one gate's lanes are contiguous), and
+    /// every cell timing is read from `table`.
     ///
-    /// Per lane, every float operation mirrors [`Self::evaluate_shifted`]
-    /// exactly (same fold orders, same table lookups, same endpoint
-    /// accumulation), so each returned [`SampleTiming`] is bit-identical
-    /// to a scalar evaluation of the same shift stream — the contract the
+    /// Per lane, every float operation mirrors the naive
+    /// [`TimingModel::analyze`] of the same shifted annotation (same fold
+    /// orders, same table lookups, same endpoint accumulation), so each
+    /// returned [`SampleTiming`] is bit-identical to it — the contract the
     /// `batched_parity` suite enforces. The propagation state is laid out
     /// as `[f64; LANES]` rows (structure-of-arrays), so the per-lane loops
     /// autovectorize in release builds, and timings are staged as 4-byte
-    /// indices into the shift caches instead of being copied per gate.
-    /// The backward required-time relaxation is skipped entirely: a sample
-    /// summary only reads endpoint required times and arrivals, which are
-    /// fixed before that pass runs.
+    /// table indices instead of being copied per gate. The backward
+    /// required-time relaxation is skipped entirely: a sample summary only
+    /// reads endpoint required times and arrivals, which are fixed before
+    /// that pass runs.
     ///
     /// Callers with fewer than [`LANES`] live samples pad the tail lanes
-    /// by repeating a live sample's stream and discard the padded results
+    /// by repeating a live sample's bins and discard the padded results
     /// (every lane is always evaluated).
     ///
     /// # Errors
     ///
-    /// Propagates device errors for non-physical shifted dimensions.
-    pub fn evaluate_shifted_batch<F>(
+    /// [`StaError::InvalidMonteCarlo`] if a `(cell, bin)` pair is missing
+    /// from `table` — impossible when the table was built from these bins.
+    pub(crate) fn evaluate_shifted_batch(
         &self,
         scratch: &mut StaScratch,
         cells: &SampleCells,
-        shared: Option<&SharedShiftCache>,
-        mut shift_of: F,
-    ) -> Result<[SampleTiming; LANES]>
-    where
-        F: FnMut(usize, usize) -> (i32, f64),
-    {
+        table: &ShiftTable,
+        bins: &[i32],
+    ) -> Result<[SampleTiming; LANES]> {
         let clock_ps = self.model.clock_ps();
         let mut leakage = [0.0f64; LANES];
-        // Phase 1 — resolve every (gate, lane) timing to a tagged store
-        // index, characterizing misses through the shared scalar path.
-        // Leakage accumulates here in gate order, matching the scalar
-        // engine's accumulation order per lane.
-        scratch.lane_overflow.clear();
-        for (gi, &cell) in cells.cell_of_gate.iter().enumerate() {
-            // `lane` feeds `shift_of` and three lane-indexed arrays; an
-            // iterator over any one of them would obscure that.
-            #[allow(clippy::needless_range_loop)]
-            for lane in 0..LANES {
-                let (bin, shift) = shift_of(lane, gi);
-                // Hot path first: a prewarmed run resolves every lookup
-                // here, reading leakage and input cap from the shared
-                // cache's dense 8-byte side rows instead of dragging the
-                // full `CellTiming` through the cache (the values are
-                // copies of the same store fields — same bits).
-                if let Some((s, i)) = shared.and_then(|s| s.get(cell, bin).map(|i| (s, i))) {
-                    scratch.shift_cache.shared_hits += 1;
-                    debug_assert_eq!(i & (LANE_LOCAL_BIT | LANE_OVERFLOW_BIT), 0);
-                    leakage[lane] += s.leak[i as usize];
-                    scratch.lane_input_cap[gi][lane] = s.cap[i as usize];
-                    scratch.lane_timing_idx[gi * LANES + lane] = i;
-                    continue;
-                }
-                let key = (u64::from(cell) << 32) | u64::from(bin as u32);
-                let tagged = match scratch.shift_cache.get(key) {
-                    Some(i) => i | LANE_LOCAL_BIT,
-                    None => {
-                        let t = self.characterize_shift(cells, cell, shift, scratch)?;
-                        match scratch.shift_cache.insert(key, t) {
-                            Some(i) => i | LANE_LOCAL_BIT,
-                            None => {
-                                // Past the local cap: stage in the
-                                // batch-local overflow area.
-                                scratch.lane_overflow.push(t);
-                                (scratch.lane_overflow.len() - 1) as u32
-                                    | LANE_LOCAL_BIT
-                                    | LANE_OVERFLOW_BIT
-                            }
-                        }
-                    }
-                };
-                let t = lane_timing(
-                    &[],
-                    &scratch.shift_cache.store,
-                    &scratch.lane_overflow,
-                    tagged,
-                );
-                leakage[lane] += t.leakage_ua;
-                let cap = t.input_cap_ff;
-                scratch.lane_input_cap[gi][lane] = cap;
-                scratch.lane_timing_idx[gi * LANES + lane] = tagged;
+        // Phase 1 — resolve every (gate, lane) timing to a table index.
+        // Leakage accumulates here in gate order, matching the reference's
+        // accumulation order per lane, and is read (like the input cap)
+        // from the table's dense 8-byte side rows instead of dragging the
+        // full `CellTiming` through the cache (same bits: copies of the
+        // same store fields).
+        for (gi, (&cell, lanes)) in cells
+            .cell_of_gate
+            .iter()
+            .zip(bins.chunks_exact(LANES))
+            .enumerate()
+        {
+            for (lane, &bin) in lanes.iter().enumerate() {
+                let i = table.get(cell, bin).ok_or_else(|| {
+                    StaError::InvalidMonteCarlo(format!(
+                        "shift bin {bin} of cell {cell} is missing from the shift table"
+                    ))
+                })?;
+                leakage[lane] += table.leak[i as usize];
+                scratch.lane_input_cap[gi][lane] = table.cap[i as usize];
+                scratch.lane_timing_idx[gi * LANES + lane] = i;
             }
         }
 
         // Phase 2 — lane-parallel propagation. Split-borrow the scratch so
-        // the timing stores stay readable while lane arrays mutate.
+        // the staged indices stay readable while lane arrays mutate.
         let StaScratch {
-            ref shift_cache,
-            ref lane_overflow,
             ref lane_timing_idx,
             ref lane_input_cap,
             ref mut lane_sink_cap,
@@ -1187,14 +780,13 @@ impl<'m> CompiledSta<'m> {
             ref mut lane_endpoint_required,
             ..
         } = *scratch;
-        let shared_store: &[CellTiming] = shared.map_or(&[], |s| &s.store);
-        let local_store = &shift_cache.store;
+        let timing =
+            |gi: usize, lane: usize| &table.store[lane_timing_idx[gi * LANES + lane] as usize];
         let netlist = self.model.design().netlist();
 
-        // Sink loads (gate order, one add per input per lane — the scalar
-        // pass order, so partial sums agree bit for bit). The caps were
-        // staged per gate while the lane timings resolved above, so this
-        // pass never re-resolves a tagged index.
+        // Sink loads (gate order, one add per input per lane — the
+        // reference's order, so partial sums agree bit for bit). The caps
+        // were staged per gate while the lane timings resolved above.
         for row in lane_sink_cap.iter_mut() {
             *row = [0.0; LANES];
         }
@@ -1211,7 +803,7 @@ impl<'m> CompiledSta<'m> {
         // Delays, output slews and forward arrivals fused into a single
         // topological walk: a gate's input slews *and* input arrivals are
         // both final before the walk reaches it, so folding arrivals here
-        // performs exactly the float ops of the scalar engine's split
+        // performs exactly the float ops of the reference's split
         // delay/arrival passes — one traversal and one per-gate delay
         // store/reload cheaper, and each lane timing resolves once.
         for row in lane_slews.iter_mut() {
@@ -1223,14 +815,7 @@ impl<'m> CompiledSta<'m> {
         for &gid in netlist.topological_order() {
             let gate = netlist.gate(gid);
             let gi = gid.0 as usize;
-            let ts: [&CellTiming; LANES] = std::array::from_fn(|l| {
-                lane_timing(
-                    shared_store,
-                    local_store,
-                    lane_overflow,
-                    lane_timing_idx[gi * LANES + l],
-                )
-            });
+            let ts: [&CellTiming; LANES] = std::array::from_fn(|l| timing(gi, l));
             let (slew_in, worst_in) = if gate.kind.is_sequential() {
                 ([CLOCK_SLEW_PS; LANES], [0.0; LANES])
             } else {
@@ -1269,7 +854,7 @@ impl<'m> CompiledSta<'m> {
             lane_arrivals[out] = arrivals;
         }
 
-        // Endpoint required times in the scalar push order (primary
+        // Endpoint required times in the reference's push order (primary
         // outputs, then sequential gates in index order). The backward
         // relaxation over internal nets is omitted: the sample summary
         // below never reads it.
@@ -1278,26 +863,14 @@ impl<'m> CompiledSta<'m> {
             lane_endpoint_required.push((po, [clock_ps; LANES]));
         }
         for (gi, gate) in netlist.gates().iter().enumerate() {
-            let t0 = lane_timing(
-                shared_store,
-                local_store,
-                lane_overflow,
-                lane_timing_idx[gi * LANES],
-            );
-            if t0.sequential.is_none() {
+            if timing(gi, 0).sequential.is_none() {
                 continue;
             }
             // Sequential-ness is a property of the cell kind, so every
             // lane of a gate agrees on it; setup times still vary per bin.
             let mut req = [clock_ps; LANES];
             for (l, r) in req.iter_mut().enumerate() {
-                let t = lane_timing(
-                    shared_store,
-                    local_store,
-                    lane_overflow,
-                    lane_timing_idx[gi * LANES + l],
-                );
-                if let Some(seq) = &t.sequential {
+                if let Some(seq) = &timing(gi, l).sequential {
                     *r = clock_ps - seq.setup_ps;
                 }
             }
@@ -1443,30 +1016,43 @@ impl<'m> CompiledSta<'m> {
     ///   through neighbour input caps is second-order and ignored — the
     ///   derivative seeds a sampling tilt, not a timing result.
     ///
-    /// The device model runs twice per *distinct cell* (±`step_nm`), not
-    /// per gate, so the pass costs about two corner characterizations.
-    /// Everything is computed serially in gate order from deterministic
-    /// inputs, so the result is identical for any thread count.
+    /// The device model runs three times per *distinct cell* (zero and
+    /// ±`step_nm` shifts), not per gate, so the pass costs about three
+    /// corner characterizations. Everything is computed serially in gate
+    /// order from deterministic inputs, so the result is identical for
+    /// any thread count.
     ///
     /// # Errors
     ///
     /// Propagates device errors for non-physical shifted dimensions.
-    pub fn gate_sensitivities(
+    pub(crate) fn gate_sensitivities(
         &self,
         scratch: &mut StaScratch,
         cells: &SampleCells,
         step_nm: f64,
     ) -> Result<GateSensitivity> {
-        let baseline = self.evaluate_shifted(scratch, cells, None, |_| (0, 0.0))?;
-
-        // ±step characterizations, once per distinct cell.
+        // Zero and ±step characterizations, once per distinct cell.
         let n_cells = cells.cells.len();
+        let mut zero = Vec::with_capacity(n_cells);
         let mut plus = Vec::with_capacity(n_cells);
         let mut minus = Vec::with_capacity(n_cells);
         for cell in 0..n_cells as u32 {
-            plus.push(self.characterize_shift(cells, cell, step_nm, scratch)?);
-            minus.push(self.characterize_shift(cells, cell, -step_nm, scratch)?);
+            zero.push(self.characterize_shift(cells, cell, 0.0)?);
+            plus.push(self.characterize_shift(cells, cell, step_nm)?);
+            minus.push(self.characterize_shift(cells, cell, -step_nm)?);
         }
+
+        // The zero-shift baseline: full propagation, backward pass included.
+        scratch.timings.clear();
+        scratch
+            .timings
+            .extend(cells.cell_of_gate.iter().map(|&cell| zero[cell as usize]));
+        self.propagate(scratch, None)?;
+        let worst_slack_ps = scratch
+            .endpoint_required
+            .iter()
+            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
+            .fold(f64::INFINITY, f64::min);
 
         let netlist = self.model.design().netlist();
         let n_gates = netlist.gate_count();
@@ -1500,7 +1086,7 @@ impl<'m> CompiledSta<'m> {
             ddelay.push((stage_delay(&plus[cell]) - stage_delay(&minus[cell])) / (2.0 * step_nm));
         }
         Ok(GateSensitivity {
-            worst_slack_ps: baseline.worst_slack_ps,
+            worst_slack_ps,
             slack_ps,
             ddelay_dl_ps_per_nm: ddelay,
         })
@@ -1537,6 +1123,7 @@ impl<'m> CompiledSta<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotate::GateAnnotation;
     use postopc_device::ProcessParams;
     use postopc_layout::{generate, Design, TechRules};
 
@@ -1564,80 +1151,78 @@ mod tests {
         assert_eq!(first, again);
     }
 
-    #[test]
-    fn sample_summary_matches_full_report() {
-        let d = design();
-        let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let compiled = model.compile().expect("compile");
-        let mut scratch = compiled.scratch();
-        let delta = 2.5;
-        let ann = crate::corners::corner_annotation(&model, delta);
-        let report = compiled.evaluate(&mut scratch, Some(&ann)).expect("report");
-        let sample = compiled
-            .evaluate_sample(&mut scratch, |gi, records| {
-                records.extend_from_slice(compiled.base_records(GateId(gi as u32)));
-                for r in records.iter_mut() {
-                    r.l_delay_nm = (r.l_delay_nm + delta).max(1.0);
-                    r.l_leakage_nm = (r.l_leakage_nm + delta).max(1.0);
-                }
-            })
-            .expect("sample");
-        assert_eq!(sample.worst_slack_ps, report.worst_slack_ps());
-        assert_eq!(sample.critical_delay_ps, report.critical_delay_ps());
-        assert_eq!(sample.leakage_ua, report.leakage_ua());
+    /// Every gate annotated with its drawn records shifted by `shift_of(gi)`
+    /// nm — the annotation the naive reference builds for one sample.
+    fn shifted_annotation(
+        compiled: &CompiledSta<'_>,
+        shift_of: impl Fn(usize) -> f64,
+    ) -> CdAnnotation {
+        let mut ann = CdAnnotation::new();
+        for gi in 0..compiled.base_records.len() {
+            let shift = shift_of(gi);
+            let transistors = compiled.base_records[gi]
+                .iter()
+                .map(|r| TransistorCd {
+                    l_delay_nm: (r.l_delay_nm + shift).max(1.0),
+                    l_leakage_nm: (r.l_leakage_nm + shift).max(1.0),
+                    ..*r
+                })
+                .collect();
+            ann.set_gate(GateId(gi as u32), GateAnnotation { transistors });
+        }
+        ann
     }
 
     #[test]
-    fn shifted_evaluation_matches_record_fill_and_dedupes() {
+    fn batch_lanes_match_full_evaluation() {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let compiled = model.compile().expect("compile");
-        let bases: Vec<Vec<_>> = d
-            .netlist()
-            .gates()
+        let n = d.netlist().gate_count();
+        let cells = compiled.sample_cells(&compiled.base_records);
+        // Identical cells collapse: far fewer distinct ensembles than gates.
+        assert!(cells.cells.len() < n);
+        // A gate- and lane-dependent repeating pattern of grid bins.
+        let step = 0.25;
+        let bins: Vec<i32> = (0..n * LANES).map(|i| ((i * 7) % 9) as i32 - 4).collect();
+        let table = compiled
+            .shift_table(&cells, std::iter::once(&bins[..]), step, 2)
+            .expect("table");
+        // One entry per distinct (cell, bin) the block holds.
+        let mut keys: Vec<(u32, i32)> = bins
             .iter()
             .enumerate()
-            .map(|(gi, _)| compiled.base_records(GateId(gi as u32)).to_vec())
+            .map(|(i, &bin)| (cells.cell_of_gate[i / LANES], bin))
             .collect();
-        let cells = compiled.sample_cells(&bases);
-        // Identical cells collapse: far fewer distinct ensembles than gates.
-        assert!(cells.distinct() < d.netlist().gate_count());
-        // A gate-dependent but repeating shift pattern, as bins on a grid.
-        let step = 0.25;
-        let shift_of = |gi: usize| {
-            let bin = (gi % 5) as i32 - 2;
-            (bin, f64::from(bin) * step)
-        };
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(table.entries(), keys.len());
         let mut scratch = compiled.scratch();
-        let shifted = compiled
-            .evaluate_shifted(&mut scratch, &cells, None, shift_of)
-            .expect("shifted");
-        // The generic record-fill path on the same shifts must agree
-        // exactly (the shift cache replays the bits a fill computes).
-        let filled = compiled
-            .evaluate_sample(&mut scratch, |gi, records| {
-                let (_, shift) = shift_of(gi);
-                records.extend_from_slice(&bases[gi]);
-                for r in records.iter_mut() {
-                    r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
-                    r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
-                }
-            })
-            .expect("filled");
-        assert_eq!(shifted, filled);
-        // Re-running warm hits for every gate and learns nothing new.
-        let entries = scratch.shift_cache_len();
-        let hits = scratch.shift_cache_hits();
-        let again = compiled
-            .evaluate_shifted(&mut scratch, &cells, None, shift_of)
-            .expect("again");
-        assert_eq!(again, shifted);
-        assert_eq!(scratch.shift_cache_len(), entries);
-        assert_eq!(
-            scratch.shift_cache_hits(),
-            hits + d.netlist().gate_count() as u64
-        );
-        assert!(scratch.shift_cache_misses() > 0);
+        let lanes = compiled
+            .evaluate_shifted_batch(&mut scratch, &cells, &table, &bins)
+            .expect("batch");
+        // Each lane is a full evaluation of its shifted annotation, bit
+        // for bit.
+        for (lane, sample) in lanes.iter().enumerate() {
+            let ann = shifted_annotation(&compiled, |gi| f64::from(bins[gi * LANES + lane]) * step);
+            let report = compiled.evaluate(&mut scratch, Some(&ann)).expect("report");
+            assert_eq!(
+                sample.worst_slack_ps.to_bits(),
+                report.worst_slack_ps().to_bits()
+            );
+            assert_eq!(
+                sample.critical_delay_ps.to_bits(),
+                report.critical_delay_ps().to_bits()
+            );
+            assert_eq!(sample.leakage_ua.to_bits(), report.leakage_ua().to_bits());
+        }
+        // A bin the table was not built for is a typed error.
+        let mut foreign = bins.clone();
+        foreign[0] = 99;
+        assert!(matches!(
+            compiled.evaluate_shifted_batch(&mut scratch, &cells, &table, &foreign),
+            Err(StaError::InvalidMonteCarlo(_))
+        ));
     }
 
     #[test]
@@ -1645,13 +1230,12 @@ mod tests {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let compiled = model.compile().expect("compile");
+        let ann = shifted_annotation(&compiled, |_| 0.0);
         let mut scratch = compiled.scratch();
         for _ in 0..3 {
             compiled
-                .evaluate_sample(&mut scratch, |gi, records| {
-                    records.extend_from_slice(compiled.base_records(GateId(gi as u32)));
-                })
-                .expect("sample");
+                .evaluate(&mut scratch, Some(&ann))
+                .expect("evaluate");
         }
         // Drawn records per gate collapse to one entry per distinct cell.
         let cache = scratch.cache();
@@ -1734,10 +1318,7 @@ mod tests {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let compiled = model.compile().expect("compile");
-        let bases: Vec<Vec<_>> = (0..d.netlist().gate_count())
-            .map(|gi| compiled.base_records(GateId(gi as u32)).to_vec())
-            .collect();
-        let cells = compiled.sample_cells(&bases);
+        let cells = compiled.sample_cells(&compiled.base_records);
         let mut scratch = compiled.scratch();
         let report = compiled.evaluate(&mut scratch, None).expect("report");
         let sens = compiled
@@ -1746,8 +1327,11 @@ mod tests {
         let n = d.netlist().gate_count();
         assert_eq!(sens.slack_ps.len(), n);
         assert_eq!(sens.ddelay_dl_ps_per_nm.len(), n);
-        // The baseline of the pass is the drawn analysis.
-        assert_eq!(sens.worst_slack_ps, report.worst_slack_ps());
+        // The baseline of the pass is the drawn analysis, bit for bit.
+        assert_eq!(
+            sens.worst_slack_ps.to_bits(),
+            report.worst_slack_ps().to_bits()
+        );
         // Net slacks are bounded below by the worst endpoint slack, and
         // the worst path's driver attains it.
         let min = sens.slack_ps.iter().copied().fold(f64::INFINITY, f64::min);

@@ -48,10 +48,7 @@ pub mod quantile;
 pub mod statistical;
 
 pub use annotate::{CdAnnotation, GateAnnotation, NetAnnotation, TransistorCd};
-pub use compiled::{
-    CompiledSta, GateSensitivity, SampleCells, SampleTiming, SharedShiftCache, StaScratch, LANES,
-    SHIFT_CACHE_CAP_DEFAULT, SHIFT_CACHE_CAP_ENV,
-};
+pub use compiled::{CompiledSta, StaScratch, LANES};
 pub use corners::{
     analyze_corner, analyze_corners, analyze_corners_with, corner_annotation, Corner,
 };
@@ -64,5 +61,5 @@ pub use liberty::{
 };
 pub use paths::k_worst_paths;
 pub use statistical::{
-    ConvergencePoint, McEngine, MonteCarloConfig, MonteCarloResult, Sampling, ShiftCacheStats,
+    ConvergencePoint, MonteCarloConfig, MonteCarloResult, Sampling, ShiftCacheStats,
 };

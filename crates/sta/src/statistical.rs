@@ -7,26 +7,25 @@
 //! bound.
 //!
 //! [`run`] evaluates samples through the compiled evaluator
-//! ([`crate::CompiledSta`]); the default [`McEngine::Batched`] engine
-//! processes [`LANES`](crate::LANES) samples per gate visit over a shift
-//! cache prewarmed once and shared read-only across workers, and is
-//! bit-identical to the scalar engine and to [`run_reference`] (one
-//! [`TimingModel::analyze`] per sample) for the same sample stream.
+//! ([`crate::CompiledSta`]) along one path: draw every sample's per-gate
+//! shift bins, characterize each distinct `(cell, bin)` once into a dense
+//! table shared read-only across workers, then evaluate
+//! [`LANES`](crate::LANES) samples per gate visit against that table. It
+//! is bit-identical to [`run_reference`] (one [`TimingModel::analyze`]
+//! per sample), the oracle, for the same sample stream.
 //!
-//! Four [`Sampling`] schemes share one inverse-CDF sampler (the Acklam
-//! inverse normal CDF now lives in [`postopc_rng`], next to the streams
-//! it inverts): plain independent draws, antithetic pairing (sample
+//! Three [`Sampling`] schemes share one inverse-CDF sampler (the Acklam
+//! inverse normal CDF lives in [`postopc_rng`], next to the streams it
+//! inverts): plain independent draws, antithetic pairing (sample
 //! `2p + 1` negates the normals of sample `2p`, cancelling odd error
-//! terms), stratified Latin-hypercube sampling (each gate's `n` draws
-//! occupy all `n` equiprobable strata exactly once, in a per-gate
-//! deterministic random order), and tail-targeted importance sampling
+//! terms), and tail-targeted importance sampling
 //! ([`Sampling::TailIs`]: per-gate draws tilted toward the slow corner
 //! along a criticality-weighted sensitivity direction, with exact
 //! per-sample log-likelihood-ratio reweighting and self-normalized
 //! weighted estimation). A linearized first-order control variate
-//! ([`MonteCarloConfig::control_variate`]) composes with every scheme
-//! and both engines. All are deterministic given the config and
-//! thread-count invariant, via per-sample seed splitting.
+//! ([`MonteCarloConfig::control_variate`]) composes with every scheme.
+//! All are deterministic given the config and thread-count invariant, via
+//! per-sample seed splitting.
 
 use crate::annotate::{CdAnnotation, GateAnnotation, TransistorCd};
 use crate::compiled::{CompiledSta, SampleCells, LANES};
@@ -50,20 +49,11 @@ pub enum Sampling {
     /// error terms of the pair cancel, shrinking the variance of smooth
     /// statistics at the same sample count.
     Antithetic,
-    /// Stratified (Latin-hypercube) sampling: for a run of `n` samples,
-    /// each gate's `n` normal draws are produced by inverting one uniform
-    /// jitter inside each of the `n` equiprobable strata of the normal
-    /// CDF, visited in a per-gate deterministic random order. Every
-    /// marginal is sampled with near-zero stratum imbalance, which
-    /// collapses the variance of quantile estimates — of the *mean* and
-    /// central quantiles; deep-tail order statistics stay biased low at
-    /// small `n` (see [`MonteCarloResult::tail_quantile_caveat`]).
-    Stratified,
     /// Tail-targeted importance sampling: every gate's draw distribution
     /// is shifted from `N(0, 1)` to `N(μ_g, 1)`, where the per-gate means
     /// `μ_g` point along the criticality-weighted slack-sensitivity
     /// direction (one extra backward pass over the compiled model, see
-    /// [`crate::CompiledSta::gate_sensitivities`]) with
+    /// `CompiledSta::gate_sensitivities`) with
     /// `Σ μ_g² = tilt²` — so `tilt` is both the slow-corner push in
     /// z-units and the standard deviation of the per-sample
     /// log-likelihood ratio (the weight-degeneracy budget). Each sample
@@ -81,18 +71,6 @@ pub enum Sampling {
     },
 }
 
-/// Which evaluation engine a Monte Carlo run uses. Both are bit-identical
-/// for the same config; the batched engine is several times faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum McEngine {
-    /// One sample per gate visit ([`CompiledSta::evaluate_shifted`]).
-    Scalar,
-    /// [`LANES`](crate::LANES) samples per gate visit over a prewarmed
-    /// shared shift cache ([`CompiledSta::evaluate_shifted_batch`]).
-    #[default]
-    Batched,
-}
-
 /// Monte Carlo configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloConfig {
@@ -107,8 +85,6 @@ pub struct MonteCarloConfig {
     pub threads: Option<usize>,
     /// Variance-reduction scheme for the per-gate shift draws.
     pub sampling: Sampling,
-    /// Evaluation engine (bit-identical either way; batched is faster).
-    pub engine: McEngine,
     /// Attach the linearized first-order worst slack (sensitivity
     /// gradient dot sampled shifts) as a control variate: it is exactly
     /// integrable against the nominal normal (`E[C] = 0`), and the
@@ -116,7 +92,7 @@ pub struct MonteCarloConfig {
     /// from the run itself, so
     /// [`MonteCarloResult::cv_adjusted_mean_worst_slack_ps`] subtracts
     /// the linear part of the sampling noise. Composes with every
-    /// [`Sampling`] scheme and both engines.
+    /// [`Sampling`] scheme.
     pub control_variate: bool,
 }
 
@@ -128,35 +104,28 @@ impl Default for MonteCarloConfig {
             seed: 1,
             threads: None,
             sampling: Sampling::Plain,
-            engine: McEngine::Batched,
             control_variate: false,
         }
     }
 }
 
-/// Shift-cache behaviour of one Monte Carlo run, summed over workers.
+/// Shift-table counters of one Monte Carlo run.
 ///
-/// Diagnostic only: totals depend on how samples were partitioned across
-/// per-worker caches, so they may vary with the thread count even though
-/// the sampled results never do (hence excluded from result equality).
+/// Diagnostic only, hence excluded from result equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShiftCacheStats {
-    /// Per-worker `(cell, bin)` cache hits.
+    /// Per-worker cache hits: always 0, since every lookup reads the
+    /// prewarmed table (counted in [`Self::shared_hits`]).
     pub hits: u64,
-    /// Per-worker cache misses (each ran the device model once).
+    /// Device-model runs during evaluation: always 0, since every
+    /// `(cell, bin)` a run draws is characterized before evaluation.
     pub misses: u64,
-    /// Lookups served by the prewarmed shared cache.
+    /// Lookups served by the prewarmed table: one per (gate, lane) of
+    /// every evaluated batch, padded tail lanes included.
     pub shared_hits: u64,
-    /// Entries characterized once into the shared cache before sampling
-    /// (0 for engines that skip prewarming).
+    /// Entries characterized once into the table before evaluation (0
+    /// for the reference engine, which builds no table).
     pub prewarmed: u64,
-    /// Insertions refused because a per-worker cache was at its
-    /// configured capacity (`POSTOPC_SHIFT_CACHE_CAP`); those lookups
-    /// re-run the device model on every recurrence instead of caching.
-    pub rejected: u64,
-    /// Entries resident across per-worker caches when the run finished —
-    /// against the cap, this says how close the run came to rejecting.
-    pub occupancy: u64,
 }
 
 /// Distribution summary of a Monte Carlo run.
@@ -177,17 +146,15 @@ pub struct MonteCarloResult {
     /// Per-sample control-variate values in ps (the linearized
     /// first-order worst slack); empty when the run had no CV.
     control_ps: Vec<f64>,
-    /// Sampling scheme that produced the run — lets consumers fence
-    /// scheme-specific caveats (see [`Self::tail_quantile_caveat`]).
+    /// Sampling scheme that produced the run.
     sampling: Sampling,
     cache_stats: ShiftCacheStats,
 }
 
 /// Result equality is over the sampled distributions and the attached
 /// estimator state (importance weights, control-variate values), in
-/// sample order. [`ShiftCacheStats`] is a scheduling-dependent
-/// diagnostic, so two bit-identical runs on different thread counts
-/// still compare equal.
+/// sample order. [`ShiftCacheStats`] is a diagnostic, so a run and its
+/// [`run_reference`] oracle still compare equal.
 impl PartialEq for MonteCarloResult {
     fn eq(&self, other: &Self) -> bool {
         self.worst_slacks_ps == other.worst_slacks_ps
@@ -270,8 +237,8 @@ impl MonteCarloResult {
         self
     }
 
-    /// Shift-cache counters of the run that produced this result (zeros
-    /// for the naive reference engine, which has no shift cache).
+    /// Shift-table counters of the run that produced this result (zeros
+    /// for the naive reference engine, which has no shift table).
     pub fn cache_stats(&self) -> ShiftCacheStats {
         self.cache_stats
     }
@@ -376,19 +343,6 @@ impl MonteCarloResult {
             .sqrt()
     }
 
-    /// The documented caveat, if any, of asking this run for the `q`
-    /// tail quantile. Stratified-LHS runs estimate deep-tail order
-    /// statistics (`q` outside `0.05..=0.95`) biased low at small `n`
-    /// (EXPERIMENTS.md caveat 7) — callers rendering reports surface
-    /// this string next to the number; [`Sampling::TailIs`] is the
-    /// estimator built for those quantiles.
-    pub fn tail_quantile_caveat(&self, q: f64) -> Option<&'static str> {
-        (matches!(self.sampling, Sampling::Stratified) && !(0.05..=0.95).contains(&q)).then_some(
-            "stratified-LHS deep-tail quantiles are biased low at small n \
-             (EXPERIMENTS.md caveat 7); use Sampling::TailIs for tail estimates",
-        )
-    }
-
     /// The `q`-quantile (0..=1) of the worst-slack distribution, in ps.
     ///
     /// Estimated by linear interpolation between order statistics
@@ -431,14 +385,15 @@ impl MonteCarloResult {
             .collect()
     }
 
-    /// Mean critical delay, in ps.
+    /// Mean critical delay, in ps — the self-normalized weighted mean for
+    /// importance-sampled runs, like every other mean.
     pub fn mean_critical_delay_ps(&self) -> f64 {
-        mean(&self.critical_delays_ps)
+        self.weighted_mean(&self.critical_delays_ps)
     }
 
-    /// Mean leakage, in µA.
+    /// Mean leakage, in µA (weighted for importance-sampled runs).
     pub fn mean_leakage_ua(&self) -> f64 {
-        mean(&self.leakages_ua)
+        self.weighted_mean(&self.leakages_ua)
     }
 }
 
@@ -531,15 +486,13 @@ fn base_records(
 /// [`SHIFT_BINS_PER_SIGMA`]) so characterization memoizes per
 /// `(cell, grid bin)` instead of running once per gate per sample.
 ///
-/// The design is compiled once. The default [`McEngine::Batched`] engine
-/// first draws the whole run's shift bins, prewarms every distinct
-/// `(cell, bin)` into a read-only [`crate::SharedShiftCache`] shared
-/// across workers, then evaluates [`LANES`](crate::LANES) samples per gate
-/// visit; the scalar engine evaluates one sample at a time against
-/// per-worker caches. Each sample derives its own RNG stream from
-/// `(seed, sample index)` (pair index for antithetic sampling), so results
-/// are bit-identical across engines, [`run_reference`], and any thread
-/// count.
+/// The design is compiled once, the whole run's shift bins are drawn,
+/// every distinct `(cell, bin)` is characterized once into a read-only
+/// table shared across workers, and [`LANES`](crate::LANES) samples are
+/// evaluated per gate visit against it. Each sample derives its own RNG
+/// stream from `(seed, sample index)` (pair index for antithetic
+/// sampling), so results are bit-identical to [`run_reference`] and to
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -569,41 +522,82 @@ pub fn run_with(
     config: &MonteCarloConfig,
 ) -> Result<MonteCarloResult> {
     validate(config)?;
-    let model = compiled.model();
-    let bases = base_records(model, systematic);
+    let bases = base_records(compiled.model(), systematic);
     let cells = compiled.sample_cells(&bases);
     let threads = postopc_parallel::effective_threads(config.threads);
-    let plan = stratified_plan(config, bases.len());
     let tilt = tilt_plan(compiled, &cells, config)?;
-    let sampler = ShiftSampler {
-        sigma_nm: config.sigma_nm,
-        seed: config.seed,
-        sampling: config.sampling,
-        plan: plan.as_ref(),
-        mu: tilt_mu(config, tilt.as_ref()),
-        cv: tilt_cv(config, tilt.as_ref()),
+    let sampler = ShiftSampler::new(config, tilt.as_ref());
+    let n = config.samples;
+    let n_gates = cells.cell_of_gate.len();
+
+    // Phase 1 — sampling: one bin block per LANES-wide batch, already in
+    // the gate-major `block[gate * LANES + lane]` layout the evaluation
+    // hot loop reads — the lockstep lane fill writes it directly.
+    let batch_indices: Vec<usize> = (0..n.div_ceil(LANES)).collect();
+    let blocks: Vec<BinBlock> = postopc_parallel::par_map_init(
+        threads,
+        &batch_indices,
+        FillBuffers::default,
+        |buf, _, &batch| {
+            let mut block = BinBlock {
+                bins: vec![0i32; n_gates * LANES],
+                logw: [0.0; LANES],
+                cv: [0.0; LANES],
+            };
+            sampler.fill_bins_block(
+                batch * LANES,
+                n,
+                buf,
+                &mut block.bins,
+                &mut block.logw,
+                &mut block.cv,
+            );
+            block
+        },
+    );
+
+    // Phase 2 — the shift table: every distinct (cell, bin) of the whole
+    // run, characterized exactly once.
+    let table = compiled.shift_table(
+        &cells,
+        blocks.iter().map(|block| block.bins.as_slice()),
+        shift_step(config.sigma_nm),
+        threads,
+    )?;
+
+    // Phase 3 — evaluation: contiguous LANES-wide batches in input order.
+    // Tail lanes past the last sample repeat the final sample's bins and
+    // are discarded (the kernel always evaluates every lane).
+    let summaries = postopc_parallel::try_par_map_batched_init(
+        threads,
+        n,
+        LANES,
+        || compiled.scratch(),
+        |scratch, range| {
+            let block = &blocks[range.start / LANES].bins;
+            let lanes = compiled.evaluate_shifted_batch(scratch, &cells, &table, block)?;
+            Ok::<_, StaError>(range.clone().map(|s| lanes[s - range.start]).collect())
+        },
+    )?;
+    let stats = ShiftCacheStats {
+        // Every (gate, lane) of every batch read the table; a miss would
+        // have failed the run.
+        shared_hits: (n_gates * LANES * blocks.len()) as u64,
+        prewarmed: table.entries() as u64,
+        ..ShiftCacheStats::default()
     };
-    match config.engine {
-        McEngine::Scalar => run_scalar(compiled, &cells, &sampler, config, threads),
-        McEngine::Batched => run_batched(compiled, &cells, &sampler, config, threads),
+    let mut worst = Vec::with_capacity(n);
+    let mut delays = Vec::with_capacity(n);
+    let mut leaks = Vec::with_capacity(n);
+    for s in summaries {
+        worst.push(s.worst_slack_ps);
+        delays.push(s.critical_delay_ps);
+        leaks.push(s.leakage_ua);
     }
-}
-
-/// The per-gate proposal means of an importance-sampled config (`None`
-/// for every other scheme).
-fn tilt_mu<'a>(config: &MonteCarloConfig, tilt: Option<&'a TiltPlan>) -> Option<&'a [f64]> {
-    match (config.sampling, tilt) {
-        (Sampling::TailIs { .. }, Some(t)) => Some(&t.mu),
-        _ => None,
-    }
-}
-
-/// The per-gate control-variate coefficients of a CV-enabled config.
-fn tilt_cv<'a>(config: &MonteCarloConfig, tilt: Option<&'a TiltPlan>) -> Option<&'a [f64]> {
-    match (config.control_variate, tilt) {
-        (true, Some(t)) => Some(&t.a),
-        _ => None,
-    }
+    let logw: Vec<f64> = (0..n).map(|s| blocks[s / LANES].logw[s % LANES]).collect();
+    let cv: Vec<f64> = (0..n).map(|s| blocks[s / LANES].cv[s % LANES]).collect();
+    let result = MonteCarloResult::new(worst, delays, leaks).with_cache_stats(stats);
+    Ok(finish(config, result, &logw, cv))
 }
 
 /// The per-gate tilt direction of a run: proposal means `mu` (z-units,
@@ -624,7 +618,7 @@ struct TiltPlan {
 /// and/or control variate): one zero-shift baseline evaluation plus two
 /// characterizations per distinct cell
 /// ([`CompiledSta::gate_sensitivities`]), computed serially once per run
-/// so every worker and engine shares bit-identical `mu`/`a`.
+/// so every worker — and the reference — shares bit-identical `mu`/`a`.
 fn tilt_plan(
     compiled: &CompiledSta<'_>,
     cells: &SampleCells,
@@ -677,8 +671,9 @@ fn tilt_plan(
 
 /// One gate's contribution to a sample's log-likelihood ratio against the
 /// nominal density, `log φ(z) − log φ(z − μ)` for the *post-tilt* draw
-/// `z`. Shared verbatim by the scalar stream and the batched block fill —
-/// bit-identical accumulation is what makes the engines agree.
+/// `z`. Shared verbatim by the streaming sampler and the block fill —
+/// bit-identical accumulation is what makes the engine and the reference
+/// agree.
 #[inline]
 fn logw_term(mu: f64, z: f64) -> f64 {
     0.5 * mu * mu - mu * z
@@ -709,211 +704,7 @@ fn finish(
     result
 }
 
-/// The scalar engine: one [`CompiledSta::evaluate_shifted`] per sample,
-/// per-worker shift caches, no prewarm.
-fn run_scalar(
-    compiled: &CompiledSta<'_>,
-    cells: &SampleCells,
-    sampler: &ShiftSampler<'_>,
-    config: &MonteCarloConfig,
-    threads: usize,
-) -> Result<MonteCarloResult> {
-    let sample_indices: Vec<u64> = (0..config.samples as u64).collect();
-    let summaries = postopc_parallel::try_par_map_init(
-        threads,
-        &sample_indices,
-        || compiled.scratch(),
-        |scratch, _, &sample| {
-            let before = (
-                scratch.shift_cache_hits(),
-                scratch.shift_cache_misses(),
-                scratch.shift_cache_rejected(),
-                scratch.shift_cache_len() as u64,
-            );
-            let mut stream = sampler.stream(sample);
-            let timing = compiled
-                .evaluate_shifted(scratch, cells, None, |gi| sampler.shift(&mut stream, gi))?;
-            Ok::<_, StaError>((
-                timing,
-                stream.logw,
-                stream.cv,
-                scratch.shift_cache_hits() - before.0,
-                scratch.shift_cache_misses() - before.1,
-                scratch.shift_cache_rejected() - before.2,
-                scratch.shift_cache_len() as u64 - before.3,
-            ))
-        },
-    )?;
-    let mut stats = ShiftCacheStats::default();
-    let mut worst = Vec::with_capacity(config.samples);
-    let mut delays = Vec::with_capacity(config.samples);
-    let mut leaks = Vec::with_capacity(config.samples);
-    let mut logw = Vec::with_capacity(config.samples);
-    let mut cv = Vec::with_capacity(config.samples);
-    for (s, lw, c, hits, misses, rejected, grown) in summaries {
-        worst.push(s.worst_slack_ps);
-        delays.push(s.critical_delay_ps);
-        leaks.push(s.leakage_ua);
-        logw.push(lw);
-        cv.push(c);
-        stats.hits += hits;
-        stats.misses += misses;
-        stats.rejected += rejected;
-        // Per-worker cache sizes only grow, so summing the per-sample
-        // growth telescopes to the final resident total across workers.
-        stats.occupancy += grown;
-    }
-    let result = MonteCarloResult::new(worst, delays, leaks).with_cache_stats(stats);
-    Ok(finish(config, result, &logw, cv))
-}
-
-/// The batched engine: draw the whole run's shift bins once, prewarm
-/// every distinct `(cell, bin)` into a shared read-only cache, then
-/// evaluate [`LANES`] samples per gate visit. Bit-identical to the scalar
-/// engine because the bins come from the same per-sample streams and the
-/// batched evaluator mirrors the scalar float-operation order per lane.
-fn run_batched(
-    compiled: &CompiledSta<'_>,
-    cells: &SampleCells,
-    sampler: &ShiftSampler<'_>,
-    config: &MonteCarloConfig,
-    threads: usize,
-) -> Result<MonteCarloResult> {
-    let n = config.samples;
-    let n_gates = cells.cell_of_gate().len();
-    let step = shift_step(config.sigma_nm);
-
-    // Phase 1 — sampling: every sample's per-gate shift bins, drawn from
-    // the same streams the scalar engine consumes, then transposed to
-    // gate-major layout (`bins[g * n + s]`) so one gate's lane reads are
-    // contiguous in the evaluation hot loop.
-    // One bin block per LANES-wide batch, already in the gate-major
-    // `block[gate * LANES + lane]` layout the evaluation hot loop reads —
-    // the lockstep lane fill writes it directly, no transpose pass.
-    let batch_indices: Vec<usize> = (0..n.div_ceil(LANES)).collect();
-    let blocks: Vec<BinBlock> = postopc_parallel::par_map_init(
-        threads,
-        &batch_indices,
-        FillBuffers::default,
-        |buf, _, &batch| {
-            let mut block = BinBlock {
-                bins: vec![0i32; n_gates * LANES],
-                logw: [0.0; LANES],
-                cv: [0.0; LANES],
-            };
-            sampler.fill_bins_block(
-                batch * LANES,
-                n,
-                buf,
-                &mut block.bins,
-                &mut block.logw,
-                &mut block.cv,
-            );
-            block
-        },
-    );
-
-    // Phase 2 — prewarm: enumerate the distinct (cell, bin) pairs of the
-    // whole run (dense presence bitmap over the observed bin range) and
-    // characterize each exactly once into the shared cache.
-    let shared = {
-        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
-        for block in &blocks {
-            for &b in &block.bins {
-                lo = lo.min(b);
-                hi = hi.max(b);
-            }
-        }
-        let span = if blocks.is_empty() {
-            0
-        } else {
-            (hi - lo) as usize + 1
-        };
-        let mut seen = vec![false; cells.distinct() * span];
-        let mut keys: Vec<(u32, i32)> = Vec::new();
-        for block in &blocks {
-            for (gi, lanes) in block.bins.chunks_exact(LANES).enumerate() {
-                let cell = cells.cell_of_gate()[gi];
-                for &bin in lanes {
-                    let slot = cell as usize * span + (bin - lo) as usize;
-                    if !seen[slot] {
-                        seen[slot] = true;
-                        keys.push((cell, bin));
-                    }
-                }
-            }
-        }
-        compiled.prewarm_shift_cache(cells, &keys, threads, |bin| f64::from(bin) * step)?
-    };
-
-    // Phase 3 — evaluation: contiguous LANES-wide batches in input order.
-    // Tail lanes past the last sample repeat the final sample's stream and
-    // are discarded (the kernel always evaluates every lane).
-    let summaries = postopc_parallel::try_par_map_batched_init(
-        threads,
-        n,
-        LANES,
-        || compiled.scratch(),
-        |scratch, range| {
-            let before = (
-                scratch.shift_cache_hits(),
-                scratch.shift_cache_misses(),
-                scratch.shift_cache_shared_hits(),
-                scratch.shift_cache_rejected(),
-                scratch.shift_cache_len() as u64,
-            );
-            let block = &blocks[range.start / LANES].bins;
-            let lanes =
-                compiled.evaluate_shifted_batch(scratch, cells, Some(&shared), |lane, gi| {
-                    let bin = block[gi * LANES + lane];
-                    (bin, f64::from(bin) * step)
-                })?;
-            let deltas = (
-                scratch.shift_cache_hits() - before.0,
-                scratch.shift_cache_misses() - before.1,
-                scratch.shift_cache_shared_hits() - before.2,
-                scratch.shift_cache_rejected() - before.3,
-                scratch.shift_cache_len() as u64 - before.4,
-            );
-            Ok::<_, StaError>(
-                range
-                    .clone()
-                    .map(|s| {
-                        let d = if s == range.start {
-                            deltas
-                        } else {
-                            (0, 0, 0, 0, 0)
-                        };
-                        (lanes[s - range.start], d)
-                    })
-                    .collect(),
-            )
-        },
-    )?;
-    let mut stats = ShiftCacheStats {
-        prewarmed: shared.entries() as u64,
-        ..ShiftCacheStats::default()
-    };
-    let mut worst = Vec::with_capacity(n);
-    let mut delays = Vec::with_capacity(n);
-    let mut leaks = Vec::with_capacity(n);
-    for (s, (hits, misses, shared_hits, rejected, grown)) in summaries {
-        worst.push(s.worst_slack_ps);
-        delays.push(s.critical_delay_ps);
-        leaks.push(s.leakage_ua);
-        stats.hits += hits;
-        stats.misses += misses;
-        stats.shared_hits += shared_hits;
-        stats.rejected += rejected;
-        stats.occupancy += grown;
-    }
-    let logw: Vec<f64> = (0..n).map(|s| blocks[s / LANES].logw[s % LANES]).collect();
-    let cv: Vec<f64> = (0..n).map(|s| blocks[s / LANES].cv[s % LANES]).collect();
-    let result = MonteCarloResult::new(worst, delays, leaks).with_cache_stats(stats);
-    Ok(finish(config, result, &logw, cv))
-}
-
-/// One [`LANES`]-wide batch of the batched engine's sampling phase: the
+/// One [`LANES`]-wide batch of the sampling phase: the
 /// gate-major shift bins plus each lane's accumulated log-likelihood
 /// ratio and control-variate value (both 0 for schemes that carry
 /// neither).
@@ -927,10 +718,9 @@ struct BinBlock {
 /// fresh annotation HashMap, wires, characterization and report vectors —
 /// per sample.
 ///
-/// Retained as the reference implementation the compiled engines ([`run`])
-/// are benchmarked against and proven bit-identical to; use [`run`]
-/// everywhere else. Consumes the same per-sample streams as the compiled
-/// engines for every [`Sampling`] scheme.
+/// The oracle [`run`] is benchmarked against and proven bit-identical to;
+/// use [`run`] everywhere else. Consumes the same per-sample streams as
+/// [`run`] for every [`Sampling`] scheme.
 ///
 /// # Errors
 ///
@@ -943,21 +733,13 @@ pub fn run_reference(
 ) -> Result<MonteCarloResult> {
     validate(config)?;
     let bases = base_records(model, systematic);
-    let plan = stratified_plan(config, bases.len());
     // The tilt plan reads sensitivities off the compiled evaluator —
     // compile one here just for the plan (it is deterministic, so the
-    // reference sees bit-identical `mu`/`a` to the compiled engines).
+    // reference sees bit-identical `mu`/`a` to [`run`]).
     let compiled = model.compile()?;
     let cells = compiled.sample_cells(&bases);
     let tilt = tilt_plan(&compiled, &cells, config)?;
-    let sampler = ShiftSampler {
-        sigma_nm: config.sigma_nm,
-        seed: config.seed,
-        sampling: config.sampling,
-        plan: plan.as_ref(),
-        mu: tilt_mu(config, tilt.as_ref()),
-        cv: tilt_cv(config, tilt.as_ref()),
-    };
+    let sampler = ShiftSampler::new(config, tilt.as_ref());
     let sample_indices: Vec<u64> = (0..config.samples as u64).collect();
     let threads = postopc_parallel::effective_threads(config.threads);
     let reports = postopc_parallel::try_par_map(threads, &sample_indices, |_, &sample| {
@@ -1021,11 +803,10 @@ pub struct ConvergencePoint {
     /// ps — the deep-tail statistic [`Sampling::TailIs`] targets.
     pub q001_abs_err_ps: f64,
     /// Mean absolute mean-worst-slack error vs the reference, ps. The
-    /// statistic antithetic and stratified sampling actually collapse:
-    /// their per-gate coverage guarantees cancel the leading error terms
-    /// of *smooth* estimators, while a deep tail order statistic of the
-    /// max-type worst slack keeps most of its sampling noise (see the
-    /// `mc_batch` benchmark table).
+    /// statistic antithetic sampling actually collapses: pairing cancels
+    /// the leading error terms of *smooth* estimators, while a deep tail
+    /// order statistic of the max-type worst slack keeps most of its
+    /// sampling noise (see the `mc_batch` benchmark table).
     pub mean_abs_err_ps: f64,
     /// Mean wall clock of one run at this point, in seconds.
     pub mean_wall_s: f64,
@@ -1040,7 +821,7 @@ pub struct ConvergencePoint {
 /// table.
 ///
 /// `reference_samples` should be several times the largest point (the
-/// reference uses plain sampling, the batched engine and `base.seed`).
+/// reference uses plain sampling and `base.seed`).
 ///
 /// # Errors
 ///
@@ -1059,7 +840,6 @@ pub fn convergence_study(
         &MonteCarloConfig {
             samples: reference_samples,
             sampling: Sampling::Plain,
-            engine: McEngine::Batched,
             ..base.clone()
         },
     )?;
@@ -1117,9 +897,9 @@ fn shift_step(sigma_nm: f64) -> f64 {
 }
 
 /// Quantizes a raw shift (nm) to the grid: returns the grid bin and the
-/// shift `bin * step` exactly — the bin is the cache identity of the
+/// shift `bin * step` exactly — the bin is the table identity of the
 /// shift, and `bin as f64 * step` reproduces the shift bit for bit (the
-/// batched engine stores only bins and rebuilds shifts that way).
+/// shift table stores only bins and rebuilds shifts that way).
 fn quantize(raw_nm: f64, sigma_nm: f64) -> (i32, f64) {
     if sigma_nm == 0.0 {
         return (0, 0.0);
@@ -1131,8 +911,8 @@ fn quantize(raw_nm: f64, sigma_nm: f64) -> (i32, f64) {
 
 /// The bin of a raw shift given the precomputed inverse step
 /// (`SHIFT_BINS_PER_SIGMA / sigma`). Rounds half-to-even — a single
-/// rounding instruction, so the batched bin fill vectorizes — and is the
-/// one rounding rule every engine shares (ties sit exactly between two
+/// rounding instruction, so the block fill vectorizes — and is the one
+/// rounding rule both sampler paths share (ties sit exactly between two
 /// grid points; either neighbour is an equally valid discretization, it
 /// only has to be the *same* one everywhere).
 #[inline]
@@ -1140,48 +920,16 @@ fn quantize_bin(raw_nm: f64, inv_step: f64) -> i32 {
     (raw_nm * inv_step).round_ties_even() as i32
 }
 
-/// Per-gate stratum permutations of a stratified run: gate `g`'s draw for
-/// sample `s` lands in stratum `perm[g * n + s]`, a Fisher–Yates shuffle
-/// of `0..n` seeded from the config seed and the gate index — independent
-/// of the sample index, so any worker reproduces it.
-struct StratifiedPlan {
-    n: usize,
-    perm: Vec<u32>,
-}
-
-/// Seed salt separating the per-gate permutation streams from the
-/// per-sample jitter streams.
-const STRATA_SEED_SALT: u64 = 0x5354_5241_5441_u64;
-
-/// Builds the stratified plan when the config asks for it.
-fn stratified_plan(config: &MonteCarloConfig, n_gates: usize) -> Option<StratifiedPlan> {
-    if config.sampling != Sampling::Stratified {
-        return None;
-    }
-    let n = config.samples;
-    let mut perm = Vec::with_capacity(n_gates * n);
-    for g in 0..n_gates {
-        let mut rng = StdRng::seed_from_u64(split_seed(config.seed ^ STRATA_SEED_SALT, g as u64));
-        let base = perm.len();
-        perm.extend(0..n as u32);
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            perm.swap(base + i, base + j);
-        }
-    }
-    Some(StratifiedPlan { n, perm })
-}
-
-/// The per-gate CD shift sampler shared by every engine. One instance per
-/// run; [`Self::stream`] derives a sample's deterministic stream and
-/// [`Self::shift`] draws that sample's per-gate shifts from it in gate
-/// order. All schemes consume exactly one uniform per gate, mapped
-/// through the inverse normal CDF.
+/// The per-gate CD shift sampler shared by [`run`] and [`run_reference`].
+/// One instance per run; [`Self::stream`] derives a sample's
+/// deterministic stream and [`Self::shift`] draws that sample's per-gate
+/// shifts from it in gate order, while [`Self::fill_bins_block`] draws
+/// [`LANES`] samples' bins at once. Every scheme consumes exactly one
+/// uniform per gate, mapped through the inverse normal CDF.
 struct ShiftSampler<'a> {
     sigma_nm: f64,
     seed: u64,
     sampling: Sampling,
-    plan: Option<&'a StratifiedPlan>,
     /// Per-gate proposal means of an importance-sampled run, z-units
     /// ([`TiltPlan::mu`]); `None` for nominal-density schemes.
     mu: Option<&'a [f64]>,
@@ -1195,8 +943,6 @@ struct SampleStream {
     rng: StdRng,
     /// Negate the normal draws (odd half of an antithetic pair).
     negate: bool,
-    /// Sample index (stratum column of a stratified run).
-    sample: usize,
     /// Accumulated log-likelihood ratio vs the nominal density (0 unless
     /// importance sampling).
     logw: f64,
@@ -1204,19 +950,37 @@ struct SampleStream {
     cv: f64,
 }
 
-impl ShiftSampler<'_> {
-    /// The deterministic stream of sample `sample`: seeded from the pair
-    /// index for antithetic sampling (both halves replay one stream), the
-    /// sample index otherwise.
-    fn stream(&self, sample: u64) -> SampleStream {
-        let (stream_index, negate) = match self.sampling {
+impl<'a> ShiftSampler<'a> {
+    /// The sampler of `config`, reading the proposal means and the CV
+    /// coefficients off `tilt` when the config asks for them.
+    fn new(config: &MonteCarloConfig, tilt: Option<&'a TiltPlan>) -> ShiftSampler<'a> {
+        let tail = matches!(config.sampling, Sampling::TailIs { .. });
+        ShiftSampler {
+            sigma_nm: config.sigma_nm,
+            seed: config.seed,
+            sampling: config.sampling,
+            mu: tilt.filter(|_| tail).map(|t| t.mu.as_slice()),
+            cv: tilt
+                .filter(|_| config.control_variate)
+                .map(|t| t.a.as_slice()),
+        }
+    }
+
+    /// The stream index and negation of sample `sample`: antithetic pairs
+    /// share the pair index's stream, the odd half negated.
+    fn stream_of(&self, sample: u64) -> (u64, bool) {
+        match self.sampling {
             Sampling::Antithetic => (sample >> 1, sample & 1 == 1),
-            Sampling::Plain | Sampling::Stratified | Sampling::TailIs { .. } => (sample, false),
-        };
+            Sampling::Plain | Sampling::TailIs { .. } => (sample, false),
+        }
+    }
+
+    /// The deterministic stream of sample `sample`.
+    fn stream(&self, sample: u64) -> SampleStream {
+        let (stream_index, negate) = self.stream_of(sample);
         SampleStream {
             rng: StdRng::seed_from_u64(split_seed(self.seed, stream_index)),
             negate,
-            sample: sample as usize,
             logw: 0.0,
             cv: 0.0,
         }
@@ -1227,16 +991,7 @@ impl ShiftSampler<'_> {
     /// stream's log-likelihood ratio and control-variate value as a side
     /// effect.
     fn shift(&self, stream: &mut SampleStream, gate: usize) -> (i32, f64) {
-        let u = match (self.sampling, self.plan) {
-            (Sampling::Stratified, Some(plan)) => {
-                // Latin hypercube: the jitter picks a point inside the
-                // stratum this (gate, sample) pair owns.
-                let jitter: f64 = stream.rng.random_range(0.0..1.0);
-                let stratum = f64::from(plan.perm[gate * plan.n + stream.sample]);
-                ((stratum + jitter) / plan.n as f64).max(f64::EPSILON)
-            }
-            _ => stream.rng.random_range(f64::EPSILON..1.0),
-        };
+        let u = stream.rng.random_range(f64::EPSILON..1.0);
         let mut z = normal_quantile(u);
         if stream.negate {
             z = -z;
@@ -1286,41 +1041,19 @@ impl ShiftSampler<'_> {
         }
         let n_gates = block.len() / LANES;
         let last = n_samples - 1;
-        let mut samples = [0usize; LANES];
         let mut negate = [false; LANES];
         let mut seeds = [0u64; LANES];
         for l in 0..LANES {
-            let sample = (first + l).min(last);
-            samples[l] = sample;
-            let (stream_index, neg) = match self.sampling {
-                Sampling::Antithetic => ((sample as u64) >> 1, sample & 1 == 1),
-                Sampling::Plain | Sampling::Stratified | Sampling::TailIs { .. } => {
-                    (sample as u64, false)
-                }
-            };
+            let (stream_index, neg) = self.stream_of((first + l).min(last) as u64);
             negate[l] = neg;
             seeds[l] = split_seed(self.seed, stream_index);
         }
         let mut rng: LaneRng<LANES> = LaneRng::seed_from(seeds);
         buf.p.resize(block.len(), 0.0);
-        match (self.sampling, self.plan) {
-            (Sampling::Stratified, Some(plan)) => {
-                for (gate, row) in buf.p.chunks_exact_mut(LANES).enumerate().take(n_gates) {
-                    let raws = rng.next_u64s();
-                    for l in 0..LANES {
-                        let jitter = unit_range_f64(raws[l], 0.0, 1.0);
-                        let stratum = f64::from(plan.perm[gate * plan.n + samples[l]]);
-                        row[l] = ((stratum + jitter) / plan.n as f64).max(f64::EPSILON);
-                    }
-                }
-            }
-            _ => {
-                for row in buf.p.chunks_exact_mut(LANES).take(n_gates) {
-                    let raws = rng.next_u64s();
-                    for l in 0..LANES {
-                        row[l] = unit_range_f64(raws[l], f64::EPSILON, 1.0);
-                    }
-                }
+        for row in buf.p.chunks_exact_mut(LANES) {
+            let raws = rng.next_u64s();
+            for l in 0..LANES {
+                row[l] = unit_range_f64(raws[l], f64::EPSILON, 1.0);
             }
         }
         buf.tails.clear();
@@ -1337,10 +1070,10 @@ impl ShiftSampler<'_> {
         }
         // Importance tilt and control variate ride the z buffer before
         // quantization, per accumulator in gate order — each lane's sums
-        // add the exact [`logw_term`]/[`cv_term`] sequence the scalar
-        // stream adds, so the accumulators agree bit for bit. The tilt
+        // add the exact [`logw_term`]/[`cv_term`] sequence the streaming
+        // sampler adds, so the accumulators agree bit for bit. The tilt
         // only exists for [`Sampling::TailIs`], which never negates, so
-        // adding `mu` to the pre-negation rows matches the scalar's
+        // adding `mu` to the pre-negation rows matches the stream's
         // post-negation add.
         if let Some(mu_all) = self.mu {
             for (gate, row) in buf.p.chunks_exact_mut(LANES).enumerate().take(n_gates) {
@@ -1355,9 +1088,9 @@ impl ShiftSampler<'_> {
             for (gate, row) in buf.p.chunks_exact(LANES).enumerate().take(n_gates) {
                 let a = a_all[gate];
                 for l in 0..LANES {
-                    // The scalar stream sees the post-negation z; rows
-                    // hold the pre-negation value, so flip explicitly
-                    // (exact IEEE sign flip, same bits as the scalar's).
+                    // The stream sees the post-negation z; rows hold the
+                    // pre-negation value, so flip explicitly (exact IEEE
+                    // sign flip, same bits as the stream's).
                     let z = if negate[l] { -row[l] } else { row[l] };
                     cv[l] += cv_term(a, z);
                 }
@@ -1365,7 +1098,7 @@ impl ShiftSampler<'_> {
         }
         if self.sigma_nm == 0.0 {
             // Accumulators were still needed; the bins all collapse to 0
-            // (`quantize` at zero sigma), matching the scalar path.
+            // (`quantize` at zero sigma), matching the streaming path.
             block.fill(0);
             return;
         }
@@ -1440,7 +1173,6 @@ mod tests {
         for sampling in [
             Sampling::Plain,
             Sampling::Antithetic,
-            Sampling::Stratified,
             Sampling::TailIs { tilt: 1.0 },
         ] {
             let cfg = MonteCarloConfig {
@@ -1464,61 +1196,24 @@ mod tests {
         for sampling in [
             Sampling::Plain,
             Sampling::Antithetic,
-            Sampling::Stratified,
             Sampling::TailIs { tilt: 1.0 },
         ] {
-            for engine in [McEngine::Scalar, McEngine::Batched] {
-                let base = MonteCarloConfig {
-                    samples: 24,
-                    sigma_nm: 2.0,
-                    seed: 5,
-                    threads: Some(1),
-                    sampling,
-                    engine,
-                    control_variate: true,
-                };
-                let one = run(&m, None, &base).expect("mc");
-                for threads in [2, 4, 7] {
-                    let cfg = MonteCarloConfig {
-                        threads: Some(threads),
-                        ..base.clone()
-                    };
-                    let many = run(&m, None, &cfg).expect("mc");
-                    assert_eq!(one, many, "threads = {threads}, {sampling:?}, {engine:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engines_agree_for_every_sampling() {
-        let d = design();
-        let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        for sampling in [
-            Sampling::Plain,
-            Sampling::Antithetic,
-            Sampling::Stratified,
-            Sampling::TailIs { tilt: 1.2 },
-        ] {
-            // Samples chosen to leave a partial tail batch.
-            let scalar = MonteCarloConfig {
-                samples: LANES * 2 + 3,
-                sigma_nm: 1.5,
-                seed: 11,
+            let base = MonteCarloConfig {
+                samples: 24,
+                sigma_nm: 2.0,
+                seed: 5,
+                threads: Some(1),
                 sampling,
-                engine: McEngine::Scalar,
                 control_variate: true,
-                ..Default::default()
             };
-            let batched = MonteCarloConfig {
-                engine: McEngine::Batched,
-                ..scalar.clone()
-            };
-            let a = run(&m, None, &scalar).expect("scalar");
-            let b = run(&m, None, &batched).expect("batched");
-            assert_eq!(a, b, "{sampling:?}");
-            for (x, y) in a.worst_slacks_ps().iter().zip(b.worst_slacks_ps()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{sampling:?}");
+            let one = run(&m, None, &base).expect("mc");
+            for threads in [2, 4, 7] {
+                let cfg = MonteCarloConfig {
+                    threads: Some(threads),
+                    ..base.clone()
+                };
+                let many = run(&m, None, &cfg).expect("mc");
+                assert_eq!(one, many, "threads = {threads}, {sampling:?}");
             }
         }
     }
@@ -1527,21 +1222,18 @@ mod tests {
     fn zero_sigma_collapses_to_nominal() {
         let d = design();
         let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        for engine in [McEngine::Scalar, McEngine::Batched] {
-            let cfg = MonteCarloConfig {
-                samples: 5,
-                sigma_nm: 0.0,
-                seed: 1,
-                engine,
-                ..Default::default()
-            };
-            let mc = run(&m, None, &cfg).expect("mc");
-            let nominal = m.analyze(None).expect("nominal");
-            for &s in mc.worst_slacks_ps() {
-                assert!((s - nominal.worst_slack_ps()).abs() < 1e-9);
-            }
-            assert!(mc.std_worst_slack_ps() < 1e-12);
+        let cfg = MonteCarloConfig {
+            samples: 5,
+            sigma_nm: 0.0,
+            seed: 1,
+            ..Default::default()
+        };
+        let mc = run(&m, None, &cfg).expect("mc");
+        let nominal = m.analyze(None).expect("nominal");
+        for &s in mc.worst_slacks_ps() {
+            assert!((s - nominal.worst_slack_ps()).abs() < 1e-9);
         }
+        assert!(mc.std_worst_slack_ps() < 1e-12);
     }
 
     #[test]
@@ -1617,9 +1309,6 @@ mod tests {
 
     #[test]
     fn antithetic_pairs_mirror_each_other() {
-        let d = design();
-        let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let compiled = m.compile().expect("compile");
         let cfg = MonteCarloConfig {
             samples: 8,
             sigma_nm: 2.0,
@@ -1627,15 +1316,7 @@ mod tests {
             sampling: Sampling::Antithetic,
             ..Default::default()
         };
-        let plan = stratified_plan(&cfg, 4);
-        let sampler = ShiftSampler {
-            sigma_nm: cfg.sigma_nm,
-            seed: cfg.seed,
-            sampling: cfg.sampling,
-            plan: plan.as_ref(),
-            mu: None,
-            cv: None,
-        };
+        let sampler = ShiftSampler::new(&cfg, None);
         let mut even = sampler.stream(4);
         let mut odd = sampler.stream(5);
         for gate in 0..10 {
@@ -1644,72 +1325,96 @@ mod tests {
             assert_eq!(be, -bo, "gate {gate}");
             assert_eq!(se, -so, "gate {gate}");
         }
-        // And the variance of the pair means is below the plain one on
-        // an actual run (weak sanity bound, not a tight statistics test).
-        let _ = compiled;
     }
 
     #[test]
-    fn stratified_covers_every_stratum_once() {
-        let cfg = MonteCarloConfig {
-            samples: 16,
-            sigma_nm: 2.0,
-            seed: 33,
-            sampling: Sampling::Stratified,
-            ..Default::default()
-        };
-        let n_gates = 5;
-        let plan = stratified_plan(&cfg, n_gates).expect("stratified plan");
-        assert_eq!(plan.perm.len(), n_gates * cfg.samples);
-        for g in 0..n_gates {
-            let mut strata: Vec<u32> = plan.perm[g * cfg.samples..(g + 1) * cfg.samples].to_vec();
-            strata.sort_unstable();
-            let expect: Vec<u32> = (0..cfg.samples as u32).collect();
-            assert_eq!(strata, expect, "gate {g} must cover all strata");
+    fn block_fill_matches_streaming_shifts() {
+        // The block fill must reproduce the streaming sampler bit for bit
+        // (bins, log weights, control values) — the stream is what the
+        // reference consumes, the block what `run` evaluates. Two full
+        // batches plus a partial tail batch, whose padded lanes replay the
+        // last live sample.
+        let n_gates = 37;
+        let mu: Vec<f64> = (0..n_gates).map(|g| 0.05 * g as f64 - 0.6).collect();
+        let a: Vec<f64> = (0..n_gates).map(|g| 2.5 - 0.3 * g as f64).collect();
+        let n_samples = 2 * LANES + 3;
+        let mut buf = FillBuffers::default();
+        for sampling in [
+            Sampling::Plain,
+            Sampling::Antithetic,
+            Sampling::TailIs { tilt: 1.2 },
+        ] {
+            for control in [false, true] {
+                for sigma_nm in [1.5, 0.0] {
+                    let sampler = ShiftSampler {
+                        sigma_nm,
+                        seed: 29,
+                        sampling,
+                        mu: matches!(sampling, Sampling::TailIs { .. }).then_some(mu.as_slice()),
+                        cv: control.then_some(a.as_slice()),
+                    };
+                    let label = format!("{sampling:?} cv={control} sigma={sigma_nm}");
+                    for first in (0..n_samples).step_by(LANES) {
+                        let mut bins = vec![0i32; n_gates * LANES];
+                        let mut logw = [0.0; LANES];
+                        let mut cv = [0.0; LANES];
+                        sampler.fill_bins_block(
+                            first, n_samples, &mut buf, &mut bins, &mut logw, &mut cv,
+                        );
+                        for lane in 0..LANES {
+                            let sample = (first + lane).min(n_samples - 1);
+                            let mut stream = sampler.stream(sample as u64);
+                            for gate in 0..n_gates {
+                                let (bin, shift) = sampler.shift(&mut stream, gate);
+                                assert_eq!(
+                                    bins[gate * LANES + lane],
+                                    bin,
+                                    "{label} sample {sample} gate {gate}"
+                                );
+                                // The table rebuilds the shift from the bin.
+                                let rebuilt = f64::from(bin) * shift_step(sigma_nm);
+                                assert_eq!(rebuilt.to_bits(), shift.to_bits(), "{label}");
+                            }
+                            assert_eq!(
+                                logw[lane].to_bits(),
+                                stream.logw.to_bits(),
+                                "{label} sample {sample}"
+                            );
+                            assert_eq!(
+                                cv[lane].to_bits(),
+                                stream.cv.to_bits(),
+                                "{label} sample {sample}"
+                            );
+                        }
+                    }
+                }
+            }
         }
-        // Distinct gates get distinct permutations (overwhelmingly likely;
-        // equality would mean the per-gate seeding collapsed).
-        assert_ne!(
-            plan.perm[0..cfg.samples],
-            plan.perm[cfg.samples..2 * cfg.samples]
-        );
     }
 
     #[test]
-    fn batched_reports_cache_stats() {
+    fn reports_table_stats() {
         let d = design();
         let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let cfg = MonteCarloConfig {
             samples: 40,
             sigma_nm: 2.0,
             seed: 7,
-            engine: McEngine::Batched,
             ..Default::default()
         };
         let mc = run(&m, None, &cfg).expect("mc");
         let stats = mc.cache_stats();
         // Every (cell, bin) of the run is prewarmed, so the hot loop never
-        // misses and every lookup lands in the shared cache.
+        // misses and every lookup lands in the table.
         assert!(stats.prewarmed > 0);
-        assert_eq!(stats.misses, 0);
+        assert_eq!((stats.hits, stats.misses), (0, 0));
         assert_eq!(
             stats.shared_hits,
             (d.netlist().gate_count() * 40_usize.div_ceil(LANES) * LANES) as u64
         );
-        // The scalar engine reports per-worker cache traffic instead.
-        let scalar = run(
-            &m,
-            None,
-            &MonteCarloConfig {
-                engine: McEngine::Scalar,
-                ..cfg
-            },
-        )
-        .expect("mc");
-        let s = scalar.cache_stats();
-        assert_eq!(s.prewarmed, 0);
-        assert_eq!(s.shared_hits, 0);
-        assert!(s.hits > 0 && s.misses > 0);
+        // The oracle builds no table.
+        let reference = run_reference(&m, None, &cfg).expect("reference");
+        assert_eq!(reference.cache_stats(), ShiftCacheStats::default());
     }
 
     #[test]
@@ -1784,6 +1489,21 @@ mod tests {
         // The tilt pushes samples toward the slow corner: the proposal's
         // raw (unweighted) mean worst slack sits below the nominal one.
         assert!(mean(tail.worst_slacks_ps()) < plain.mean_worst_slack_ps());
+        // Every mean is weighted: critical delay is clock − worst slack
+        // per sample, so its mean is clock − the mean worst slack.
+        let from_slack = 800.0 - tail.mean_worst_slack_ps();
+        assert!(
+            (tail.mean_critical_delay_ps() - from_slack).abs() < 1e-9,
+            "{} vs {from_slack}",
+            tail.mean_critical_delay_ps()
+        );
+        let leakage: f64 = tail
+            .weights()
+            .iter()
+            .zip(tail.leakages_ua())
+            .map(|(w, l)| w * l)
+            .sum();
+        assert_eq!(tail.mean_leakage_ua(), leakage);
     }
 
     #[test]
@@ -1841,23 +1561,6 @@ mod tests {
             cv_err < raw_err,
             "CV-adjusted error {cv_err} should beat raw {raw_err}"
         );
-    }
-
-    #[test]
-    fn tail_caveat_fences_stratified_deep_quantiles() {
-        let r = MonteCarloResult::new(vec![1.0, 2.0], vec![0.0; 2], vec![0.0; 2]);
-        assert!(
-            r.tail_quantile_caveat(0.01).is_none(),
-            "plain has no caveat"
-        );
-        let s = MonteCarloResult::new(vec![1.0, 2.0], vec![0.0; 2], vec![0.0; 2])
-            .with_sampling(Sampling::Stratified);
-        assert!(s.tail_quantile_caveat(0.01).is_some());
-        assert!(s.tail_quantile_caveat(0.001).is_some());
-        assert!(s.tail_quantile_caveat(0.5).is_none(), "central is fine");
-        let t = MonteCarloResult::new(vec![1.0, 2.0], vec![0.0; 2], vec![0.0; 2])
-            .with_sampling(Sampling::TailIs { tilt: 1.0 });
-        assert!(t.tail_quantile_caveat(0.01).is_none(), "IS is the fix");
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Batched-engine parity tests: the SoA lane evaluator
-//! (`McEngine::Batched`) must be **bit-identical** to the scalar compiled
-//! engine and to the naive `run_reference` path for every sampling scheme,
-//! every lane remainder (partial tail batches), annotated and drawn
-//! systematics, any thread count, and warm or cold shift caches.
+//! Monte Carlo parity tests: the batched SoA lane evaluator behind
+//! `statistical::run` must be **bit-identical** to the naive
+//! `run_reference` oracle for every sampling scheme, every lane remainder
+//! (partial tail batches), annotated and drawn systematics, any thread
+//! count, and seeded random designs.
 
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, TechRules};
-use postopc_sta::{
-    corner_annotation, statistical, McEngine, MonteCarloConfig, Sampling, TimingModel, LANES,
-};
+use postopc_rng::rngs::StdRng;
+use postopc_rng::{RngExt, SeedableRng};
+use postopc_sta::{corner_annotation, statistical, MonteCarloConfig, Sampling, TimingModel, LANES};
 
 fn rca_design() -> Design {
     Design::compile(
@@ -28,19 +28,18 @@ fn registered_design() -> Design {
     .expect("design")
 }
 
-const ALL_SAMPLINGS: [Sampling; 4] = [
+const ALL_SAMPLINGS: [Sampling; 3] = [
     Sampling::Plain,
     Sampling::Antithetic,
-    Sampling::Stratified,
     Sampling::TailIs { tilt: 1.0 },
 ];
 
 #[test]
 fn every_lane_remainder_is_bit_identical() {
     // Sample counts covering each tail-batch size 1..LANES (plus the full
-    // batch), on drawn and annotated systematics. The batched engine pads
-    // tail lanes by repeating the last live sample; none of that padding
-    // may leak into results.
+    // batch), on drawn and annotated systematics. The batched evaluator
+    // pads tail lanes by repeating the last live sample; none of that
+    // padding may leak into results.
     let design = rca_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
     let systematic = corner_annotation(&model, -1.5);
@@ -50,17 +49,12 @@ fn every_lane_remainder_is_bit_identical() {
                 samples: LANES + remainder.max(1),
                 sigma_nm: 1.5,
                 seed: 17,
-                engine: McEngine::Scalar,
                 ..MonteCarloConfig::default()
             };
-            let batched_cfg = MonteCarloConfig {
-                engine: McEngine::Batched,
-                ..cfg.clone()
-            };
-            let scalar = statistical::run(&model, systematic, &cfg).expect("scalar mc");
-            let batched = statistical::run(&model, systematic, &batched_cfg).expect("batched mc");
-            assert_eq!(scalar, batched, "remainder {remainder}");
-            for (a, b) in scalar
+            let naive = statistical::run_reference(&model, systematic, &cfg).expect("naive mc");
+            let batched = statistical::run(&model, systematic, &cfg).expect("batched mc");
+            assert_eq!(naive, batched, "remainder {remainder}");
+            for (a, b) in naive
                 .worst_slacks_ps()
                 .iter()
                 .zip(batched.worst_slacks_ps())
@@ -73,9 +67,8 @@ fn every_lane_remainder_is_bit_identical() {
 
 #[test]
 fn batched_matches_naive_reference_for_every_sampling() {
-    // Transitive closure of the parity chain: batched == scalar == naive
-    // analyze, per sampling scheme, on a registered design (sequential
-    // endpoints) with a systematic annotation.
+    // Per sampling scheme, on a registered design (sequential endpoints)
+    // with a systematic annotation.
     let design = registered_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
     let systematic = corner_annotation(&model, -1.5);
@@ -85,7 +78,6 @@ fn batched_matches_naive_reference_for_every_sampling() {
             sigma_nm: 1.5,
             seed: 23,
             sampling,
-            engine: McEngine::Batched,
             ..MonteCarloConfig::default()
         };
         let batched = statistical::run(&model, Some(&systematic), &cfg).expect("batched mc");
@@ -103,42 +95,30 @@ fn batched_matches_naive_reference_for_every_sampling() {
 
 #[test]
 fn variance_reduced_samplers_are_thread_count_invariant() {
-    // Antithetic pair streams and stratified plans are derived from the
-    // config alone (seed splitting per sample / per gate), so the worker
-    // partition must never show up in the results — across an uneven
-    // thread matrix, for both engines.
+    // Antithetic pair streams and tilted streams are derived from the
+    // config alone (seed splitting per sample), so the worker partition
+    // must never show up in the results — across an uneven thread matrix.
     let design = registered_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
-    for sampling in [
-        Sampling::Antithetic,
-        Sampling::Stratified,
-        Sampling::TailIs { tilt: 1.2 },
-    ] {
-        for engine in [McEngine::Scalar, McEngine::Batched] {
-            let base = MonteCarloConfig {
-                samples: 3 * LANES + 5,
-                sigma_nm: 2.0,
-                seed: 31,
-                threads: Some(1),
-                sampling,
-                engine,
-                control_variate: true,
+    for sampling in [Sampling::Antithetic, Sampling::TailIs { tilt: 1.2 }] {
+        let base = MonteCarloConfig {
+            samples: 3 * LANES + 5,
+            sigma_nm: 2.0,
+            seed: 31,
+            threads: Some(1),
+            sampling,
+            control_variate: true,
+        };
+        let one = statistical::run(&model, None, &base).expect("mc");
+        for threads in [2, 3, 4, 7] {
+            let cfg = MonteCarloConfig {
+                threads: Some(threads),
+                ..base.clone()
             };
-            let one = statistical::run(&model, None, &base).expect("mc");
-            for threads in [2, 3, 4, 7] {
-                let cfg = MonteCarloConfig {
-                    threads: Some(threads),
-                    ..base.clone()
-                };
-                let many = statistical::run(&model, None, &cfg).expect("mc");
-                assert_eq!(one, many, "{sampling:?} {engine:?} threads {threads}");
-                for (a, b) in one.worst_slacks_ps().iter().zip(many.worst_slacks_ps()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{sampling:?} {engine:?} threads {threads}"
-                    );
-                }
+            let many = statistical::run(&model, None, &cfg).expect("mc");
+            assert_eq!(one, many, "{sampling:?} threads {threads}");
+            for (a, b) in one.worst_slacks_ps().iter().zip(many.worst_slacks_ps()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{sampling:?} threads {threads}");
             }
         }
     }
@@ -176,135 +156,62 @@ fn antithetic_reduces_mean_estimator_variance() {
 }
 
 #[test]
-fn warm_and_cold_caches_are_bit_identical() {
-    // Direct-API proof that the prewarmed shared cache changes nothing:
-    // the same sample stream evaluated (a) scalar with a cold per-scratch
-    // cache, (b) scalar against the prewarmed shared cache, and (c)
-    // batched against the shared cache must agree bit for bit — shift
-    // characterization is a pure function of (cell, bin), wherever it ran.
-    let design = registered_design();
-    let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
-    let compiled = model.compile().expect("compile");
-    let bases: Vec<_> = design
-        .netlist()
-        .gates()
-        .iter()
-        .map(|g| model.library().drawn_transistors(g.kind, g.drive).to_vec())
-        .collect();
-    let cells = compiled.sample_cells(&bases);
-    let n_gates = bases.len();
-    // A deterministic, repeating shift pattern over a handful of bins.
-    let step = 1.5 / 16.0;
-    let bin_of = |sample: usize, gi: usize| ((sample * 7 + gi * 3) % 9) as i32 - 4;
-    let keys: Vec<(u32, i32)> = (0..LANES)
-        .flat_map(|s| {
-            let cell_of_gate = cells.cell_of_gate();
-            (0..n_gates)
-                .map(move |gi| (cell_of_gate[gi], bin_of(s, gi)))
-                .collect::<Vec<_>>()
+fn random_designs_match_reference() {
+    // Seeded random differential: random layered logic, random sample
+    // counts covering every lane remainder, random sigma and systematic
+    // shift, every scheme with and without the control variate, on one
+    // and three worker threads — `run` must equal the oracle bit for bit.
+    let mut rng = StdRng::seed_from_u64(0x5eed_ba7c);
+    for remainder in 0..LANES {
+        let gates = rng.random_range(20..90usize);
+        let netlist = generate::random_logic(&generate::RandomLogicSpec {
+            gates,
+            inputs: rng.random_range(4..16usize),
+            depth_bias: rng.random_range(1.0..3.0),
+            seed: rng.random_range(0..u64::MAX),
         })
-        .collect();
-    let shared = compiled
-        .prewarm_shift_cache(&cells, &keys, 2, |bin| f64::from(bin) * step)
-        .expect("prewarm");
-    assert!(shared.entries() > 0);
-
-    let mut cold = Vec::new();
-    let mut scratch = compiled.scratch();
-    for s in 0..LANES {
-        let t = compiled
-            .evaluate_shifted(&mut scratch, &cells, None, |gi| {
-                let bin = bin_of(s, gi);
-                (bin, f64::from(bin) * step)
-            })
-            .expect("cold scalar");
-        cold.push(t);
+        .expect("netlist");
+        let design = Design::compile(netlist, TechRules::n90()).expect("design");
+        let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
+        let delta = rng.random_range(-2.0..2.0);
+        let annotation = corner_annotation(&model, delta);
+        let systematic = (remainder % 2 == 1).then_some(&annotation);
+        let samples = LANES * rng.random_range(0..4usize) + remainder;
+        let samples = if samples == 0 { LANES } else { samples };
+        let sigma_nm = rng.random_range(0.25..3.0);
+        let tilt = rng.random_range(0.5..1.5);
+        for sampling in [
+            Sampling::Plain,
+            Sampling::Antithetic,
+            Sampling::TailIs { tilt },
+        ] {
+            for control_variate in [false, true] {
+                for threads in [1, 3] {
+                    let cfg = MonteCarloConfig {
+                        samples,
+                        sigma_nm,
+                        seed: rng.random_range(0..u64::MAX),
+                        threads: Some(threads),
+                        sampling,
+                        control_variate,
+                    };
+                    let label = format!(
+                        "{gates} gates, {samples} samples, sigma {sigma_nm:.3}, \
+                         {sampling:?}, cv {control_variate}, {threads} threads"
+                    );
+                    let batched = statistical::run(&model, systematic, &cfg).expect("mc");
+                    let naive =
+                        statistical::run_reference(&model, systematic, &cfg).expect("naive");
+                    assert_eq!(batched, naive, "{label}");
+                    for (a, b) in batched
+                        .worst_slacks_ps()
+                        .iter()
+                        .zip(naive.worst_slacks_ps())
+                    {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+                    }
+                }
+            }
+        }
     }
-    assert!(
-        scratch.shift_cache_misses() > 0,
-        "cold path must characterize"
-    );
-    assert_eq!(scratch.shift_cache_shared_hits(), 0);
-
-    let mut warm_scratch = compiled.scratch();
-    for (s, cold_t) in cold.iter().enumerate() {
-        let warm = compiled
-            .evaluate_shifted(&mut warm_scratch, &cells, Some(&shared), |gi| {
-                let bin = bin_of(s, gi);
-                (bin, f64::from(bin) * step)
-            })
-            .expect("warm scalar");
-        assert_eq!(
-            warm.worst_slack_ps.to_bits(),
-            cold_t.worst_slack_ps.to_bits()
-        );
-        assert_eq!(
-            warm.critical_delay_ps.to_bits(),
-            cold_t.critical_delay_ps.to_bits()
-        );
-        assert_eq!(warm.leakage_ua.to_bits(), cold_t.leakage_ua.to_bits());
-    }
-    assert_eq!(
-        warm_scratch.shift_cache_misses(),
-        0,
-        "every lookup must land in the prewarmed cache"
-    );
-    assert!(warm_scratch.shift_cache_shared_hits() > 0);
-
-    let mut batch_scratch = compiled.scratch();
-    let lanes = compiled
-        .evaluate_shifted_batch(&mut batch_scratch, &cells, Some(&shared), |lane, gi| {
-            let bin = bin_of(lane, gi);
-            (bin, f64::from(bin) * step)
-        })
-        .expect("warm batch");
-    for (lane, cold_t) in cold.iter().enumerate() {
-        assert_eq!(
-            lanes[lane].worst_slack_ps.to_bits(),
-            cold_t.worst_slack_ps.to_bits(),
-            "lane {lane}"
-        );
-        assert_eq!(
-            lanes[lane].leakage_ua.to_bits(),
-            cold_t.leakage_ua.to_bits(),
-            "lane {lane}"
-        );
-    }
-}
-
-#[test]
-fn stratified_tightens_quantile_convergence_on_small_runs() {
-    // The payoff claim, at test scale: stratified LHS at HALF the samples
-    // estimates the 1%-quantile at least as well as plain sampling
-    // (checked against a large plain reference over fixed seeds, so the
-    // comparison is deterministic). On this small design the tail still
-    // benefits; at full scale it does not — the mc_batch CI gate holds
-    // the variance-reduced schemes to plain @2000 on the *mean* worst
-    // slack instead, where the collapse is orders of magnitude.
-    let design = rca_design();
-    let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
-    let compiled = model.compile().expect("compile");
-    let base = MonteCarloConfig {
-        sigma_nm: 2.0,
-        seed: 99,
-        ..MonteCarloConfig::default()
-    };
-    let points = [(Sampling::Plain, 256), (Sampling::Stratified, 128)];
-    let study = statistical::convergence_study(
-        &compiled,
-        None,
-        &base,
-        16384,
-        &points,
-        &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-    )
-    .expect("study");
-    let plain = &study[0];
-    let stratified = &study[1];
-    assert!(
-        stratified.q01_abs_err_ps <= plain.q01_abs_err_ps * 1.1,
-        "stratified @128 ({:.3} ps) should match plain @256 ({:.3} ps)",
-        stratified.q01_abs_err_ps,
-        plain.q01_abs_err_ps
-    );
 }

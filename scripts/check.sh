@@ -31,15 +31,19 @@
 #   build      tier-1: cargo build --release
 #   test       tier-1: cargo test -q
 #   wstest     cargo test --workspace -q
-#   smoke      perf_smoke parity gates (ambient thread count)
+#   smoke      perf_smoke parity gates (ambient thread count): pooled
+#              extraction vs serial, compiled STA and Monte Carlo vs the
+#              naive references
 #   threads    perf_smoke parity gates under POSTOPC_THREADS=1,2,4
 #   faults     fault_smoke: seeded injection, quarantine determinism gates
-#   mc_batch   mc_batch_smoke: batched-engine parity, warm shared shift
-#              cache, variance-reduction convergence gates
+#   mc_batch   mc_batch_smoke: Monte Carlo engine vs run_reference parity,
+#              every lookup served by the prewarmed shift table,
+#              variance-reduction convergence gate
 #   tail       tail_smoke under POSTOPC_THREADS=1,2,4: tail-IS + control
-#              variate engine/thread bit-parity, weight normalization,
-#              CV exactness on a linear model, and the deep-tail claim
-#              (tail-IS@500 q01 error <= plain@2000 on the T6 study)
+#              variate engine-vs-oracle and thread bit-parity, weight
+#              normalization, CV exactness on a linear model, and the
+#              deep-tail claim (tail-IS@500 q01 error <= plain@2000 on
+#              the T6 study)
 #   serve      serve_smoke: cold-vs-warm artifact bit parity, typed bad-
 #              artifact errors, incremental-vs-full ECO bit parity, and
 #              the warm-query speedup floor
@@ -251,15 +255,16 @@ stage threads thread_matrix
 # across the thread matrix, and trip the budget past the cap.
 stage faults cargo run --release -p postopc-bench --bin fault_smoke
 
-# Batched Monte Carlo smoke: cross-engine bit-parity over sampling
-# schemes and lane remainders, warm shared-cache effectiveness, and the
-# variance-reduction convergence gate (antithetic/stratified @500 vs
-# plain @2000 on the mean worst slack).
+# Batched Monte Carlo smoke: bit-parity with the naive run_reference
+# oracle over sampling schemes and lane remainders, every (gate, lane)
+# lookup served by the prewarmed shift table, and the variance-reduction
+# convergence gate (antithetic @500 vs plain @2000 on the mean worst
+# slack).
 stage mc_batch cargo run --release -p postopc-bench --bin mc_batch_smoke
 
 # Tail-targeted Monte Carlo smoke, across the same thread matrix as the
 # parity gates: importance sampling + control variate must stay
-# bit-identical for every engine and POSTOPC_THREADS in {1,2,4}, weights
+# bit-identical to the naive oracle for POSTOPC_THREADS in {1,2,4}, weights
 # must self-normalize, the control variate must be exact on a pure
 # linear model, and tail-IS@500 must estimate the 1%-quantile at least
 # as well as plain@2000 on the T6 convergence study.
