@@ -17,7 +17,9 @@
 //!    for bit on a small adder: drawn, corner-annotated, and a short
 //!    Monte Carlo run per sampling scheme against the `run_reference`
 //!    oracle, all through ONE shared `CompiledSta` + scratch (the
-//!    compile-once flow shape).
+//!    compile-once flow shape). The corner-sweep API (`analyze_corner`,
+//!    which shifts each distinct cell once instead of building the
+//!    annotation) is held to the same `analyze` oracle.
 //!
 //! **`--bench-regression`** — re-measures the headline engine speedups at
 //! the recorded workload scale and fails if any drops below a floor
@@ -186,7 +188,12 @@ fn parity_gates() -> bool {
         delta_l_nm: 6.0,
     };
     let ann = corner_annotation(&model, corner.delta_l_nm);
-    let corner_naive = analyze_corner(&model, &corner).or_exit("naive corner");
+    let corner_naive = model.analyze(Some(&ann)).or_exit("naive corner");
+    let corner_sweep = analyze_corner(&model, &corner).or_exit("corner sweep");
+    if corner_sweep != corner_naive {
+        eprintln!("perf_smoke: FAIL - corner sweep report differs from naive analyze");
+        failed = true;
+    }
     let corner_compiled = compiled
         .evaluate(&mut scratch, Some(&ann))
         .or_exit("compiled corner");

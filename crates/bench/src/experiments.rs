@@ -383,7 +383,7 @@ pub fn t6() -> (
     let tags = TagSet::from_critical_paths(&design, &drawn, 40);
     let out = extract_gates(&design, &config(OpcMode::Rule), &tags).expect("extraction");
     // Traditional corners: uniform ±3σ CD guardband (shared compiled model
-    // + characterization cache across the set).
+    // and scratch; each corner characterizes each distinct cell once).
     let corners = Corner::classic_set(6.0);
     let reports = analyze_corners_with(&compiled, &mut scratch, &corners).expect("corners");
     let (ff, ss) = (&reports[0], &reports[2]);

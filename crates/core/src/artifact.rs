@@ -3,12 +3,13 @@
 //!
 //! A [`WarmArtifact`] captures everything a warm timing session would
 //! otherwise have to recompute — the post-OPC [`CdAnnotation`], the
-//! characterization-cache entries and the extraction [`ContextStore`] —
-//! in an in-tree, versioned binary
-//! format (no external serialization dependency, so the offline build
-//! stays intact). Every float is stored as its exact bit pattern, so a
-//! loaded artifact replays timing **bit-identically** to the fresh
-//! compile that produced it.
+//! tagged gates it covers and the extraction [`ContextStore`] — in an
+//! in-tree, versioned binary format (no external serialization
+//! dependency, so the offline build stays intact). Every float is stored
+//! as its exact bit pattern, so a loaded artifact replays timing
+//! **bit-identically** to the fresh compile that produced it. Cell
+//! characterization is not stored: a restore re-characterizes the
+//! annotated gates.
 //!
 //! # Format
 //!
@@ -16,36 +17,33 @@
 //! magic      8 bytes   b"POCWARM1"
 //! version    u32 LE    bumped on any layout change
 //! hash       u64 LE    content hash of (layout, process, clock, flow config)
-//! sections   ...       annotation, char entries, store, optional
-//!                      surrogate model (since version 2; version 3
-//!                      dropped the Monte Carlo shift-entry section)
+//! sections   ...       annotation, tag ids, store, optional surrogate
+//!                      model (version 4)
 //! checksum   u64 LE    FNV-1a over every preceding byte
 //! ```
 //!
 //! All sections are length-prefixed little-endian; loading validates the
 //! magic, version and checksum and length-checks every read, returning a
-//! typed [`FlowError::Artifact`] — never panicking — on any malformed
-//! input. The **invalidation key** is the content hash: it digests the
-//! design's netlist, transistor sites and die, the process parameters,
-//! the clock, the gate-selection policy, the wire-extraction config and
-//! the extraction configuration *minus* fields that cannot change
-//! results (thread count, context-cache toggle, fault policy/injection —
-//! all bit-identical by construction; likewise `report_paths`, which
-//! only shapes the printed comparison). A consumer compares
-//! [`content_hash`] of its current inputs against the stored hash and
-//! falls back to a cold compile on mismatch.
+//! typed [`FlowError::Artifact`](crate::FlowError::Artifact) — never
+//! panicking — on any malformed input. The **invalidation key** is the
+//! content hash: it digests the design's netlist, transistor sites and
+//! die, the process parameters, the clock, the gate-selection policy, the
+//! wire-extraction config and the extraction configuration *minus*
+//! fields that cannot change results (thread count, context-cache
+//! toggle, fault policy/injection — all bit-identical by construction;
+//! likewise `report_paths`, which only shapes the printed comparison). A
+//! consumer compares [`content_hash`] of its current inputs against the
+//! stored hash and falls back to a cold compile on mismatch.
 
 use crate::durable::ArtifactIo;
 use crate::error::{ArtifactError, Result};
 use crate::extract::{artifact_err, put_u64, take_u64, ContextStore};
 use crate::fault::FaultPolicy;
 use crate::flow::FlowConfig;
+use crate::tags::TagSet;
 use postopc_device::MosKind;
-use postopc_layout::{Design, GateId, GateKind, NetId};
-use postopc_sta::{
-    CdAnnotation, CellTiming, CharCacheEntry, GateAnnotation, NetAnnotation, NldmTable,
-    SequentialTiming, TransistorCd, NLDM_LOAD_PTS, NLDM_SLEW_PTS,
-};
+use postopc_layout::{Design, GateId, NetId};
+use postopc_sta::{CdAnnotation, GateAnnotation, NetAnnotation, TransistorCd};
 use std::path::Path;
 
 /// Magic bytes identifying a warm-timing artifact.
@@ -54,8 +52,9 @@ pub const ARTIFACT_MAGIC: [u8; 8] = *b"POCWARM1";
 /// Current artifact format version; readers reject any other.
 /// Version 2 added the optional surrogate-model section; version 3
 /// removed the Monte Carlo shift-entry section (Monte Carlo runs build
-/// their shift table per run, so it was always empty).
-pub const ARTIFACT_VERSION: u32 = 3;
+/// their shift table per run, so it was always empty); version 4 replaced
+/// the characterization-entry section with the session's tag ids.
+pub const ARTIFACT_VERSION: u32 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -114,9 +113,9 @@ pub struct WarmArtifact {
     pub content_hash: u64,
     /// The post-OPC extraction annotation.
     pub annotation: CdAnnotation,
-    /// Exported characterization-cache entries
-    /// ([`postopc_sta::CharacterizationCache::export`]).
-    pub char_entries: Vec<CharCacheEntry>,
+    /// The tagged gates the annotation covers (after an ECO, the ECO's
+    /// tag set rather than the config's selection).
+    pub tags: TagSet,
     /// Retained distinct litho contexts for incremental re-extraction.
     pub context_store: ContextStore,
     /// Trained CD-surrogate state, when the compile ran with the
@@ -134,14 +133,10 @@ impl WarmArtifact {
         out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         put_u64(&mut out, self.content_hash);
         encode_annotation(&self.annotation, &mut out);
-        put_u64(&mut out, self.char_entries.len() as u64);
-        for entry in &self.char_entries {
-            out.push(gate_kind_tag(entry.kind));
-            put_u64(&mut out, entry.records.len() as u64);
-            for r in &entry.records {
-                encode_record(r, &mut out);
-            }
-            encode_cell_timing(&entry.timing, &mut out);
+        let tags = self.tags.sorted();
+        put_u64(&mut out, tags.len() as u64);
+        for gate in tags {
+            put_u64(&mut out, u64::from(gate.0));
         }
         self.context_store.encode_into(&mut out);
         match &self.surrogate {
@@ -160,9 +155,9 @@ impl WarmArtifact {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Artifact`] on bad magic, unsupported version,
-    /// checksum mismatch, truncation or any corrupt field — loading
-    /// never panics on malformed input.
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact) on bad magic,
+    /// unsupported version, checksum mismatch, truncation or any corrupt
+    /// field — loading never panics on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<WarmArtifact> {
         let header = ARTIFACT_MAGIC.len() + 4 + 8;
         if bytes.len() < header + 8 {
@@ -189,22 +184,7 @@ impl WarmArtifact {
         }
         let content_hash = take_u64(body, &mut cursor)?;
         let annotation = decode_annotation(body, &mut cursor)?;
-        let n_char = take_u64(body, &mut cursor)?;
-        let mut char_entries = Vec::with_capacity(n_char.min(1 << 20) as usize);
-        for _ in 0..n_char {
-            let kind = gate_kind_of(body, &mut cursor)?;
-            let n_records = take_u64(body, &mut cursor)?;
-            let mut records = Vec::with_capacity(n_records.min(1 << 20) as usize);
-            for _ in 0..n_records {
-                records.push(decode_record(body, &mut cursor)?);
-            }
-            let timing = decode_cell_timing(body, &mut cursor)?;
-            char_entries.push(CharCacheEntry {
-                kind,
-                records,
-                timing,
-            });
-        }
+        let tags = decode_tags(body, &mut cursor)?;
         let context_store = ContextStore::decode_from(body, &mut cursor)?;
         let surrogate = match body.get(cursor).copied() {
             Some(0) => {
@@ -225,7 +205,7 @@ impl WarmArtifact {
         Ok(WarmArtifact {
             content_hash,
             annotation,
-            char_entries,
+            tags,
             context_store,
             surrogate,
         })
@@ -238,7 +218,7 @@ impl WarmArtifact {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Artifact`] with an
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact) with an
     /// [`ArtifactErrorKind::Io`](crate::ArtifactErrorKind::Io) naming
     /// the path and failing operation (write/fsync/rename).
     pub fn save(&self, path: &Path) -> Result<()> {
@@ -259,9 +239,10 @@ impl WarmArtifact {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Artifact`] for I/O failures (transient ones are
-    /// retried) and, via [`Self::from_bytes`], for any malformed
-    /// content; decode errors carry `path`.
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact) for I/O
+    /// failures (transient ones are retried) and, via
+    /// [`Self::from_bytes`], for any malformed content; decode errors
+    /// carry `path`.
     pub fn load(path: &Path) -> Result<WarmArtifact> {
         WarmArtifact::load_with(path, &mut ArtifactIo::faultless())
     }
@@ -286,7 +267,7 @@ impl WarmArtifact {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Artifact`] with
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact) with
     /// [`ArtifactErrorKind::StaleHash`](crate::ArtifactErrorKind::StaleHash)
     /// when the stored hash differs from `expected_hash` (the inputs
     /// changed: recompile cold), plus everything [`Self::load`] can
@@ -313,31 +294,6 @@ impl WarmArtifact {
         }
         Ok(artifact)
     }
-}
-
-fn gate_kind_tag(kind: GateKind) -> u8 {
-    match kind {
-        GateKind::Inv => 0,
-        GateKind::Buf => 1,
-        GateKind::Nand2 => 2,
-        GateKind::Nor2 => 3,
-        GateKind::Nand3 => 4,
-        GateKind::Dff => 5,
-    }
-}
-
-fn gate_kind_of(bytes: &[u8], cursor: &mut usize) -> Result<GateKind> {
-    let kind = match bytes.get(*cursor) {
-        Some(0) => GateKind::Inv,
-        Some(1) => GateKind::Buf,
-        Some(2) => GateKind::Nand2,
-        Some(3) => GateKind::Nor2,
-        Some(4) => GateKind::Nand3,
-        Some(5) => GateKind::Dff,
-        _ => return Err(artifact_err("invalid stored gate kind")),
-    };
-    *cursor += 1;
-    Ok(kind)
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -379,89 +335,6 @@ fn decode_record(bytes: &[u8], cursor: &mut usize) -> Result<TransistorCd> {
         l_leakage_nm,
         input_pin: (pin != u64::MAX).then_some(pin as usize),
         finger,
-    })
-}
-
-fn encode_cell_timing(t: &CellTiming, out: &mut Vec<u8>) {
-    put_f64(out, t.input_cap_ff);
-    put_f64(out, t.pull_up_r_kohm);
-    put_f64(out, t.pull_down_r_kohm);
-    put_f64(out, t.intrinsic_ps);
-    put_f64(out, t.output_cap_ff);
-    put_f64(out, t.leakage_ua);
-    match &t.sequential {
-        None => out.push(0),
-        Some(seq) => {
-            out.push(1);
-            put_f64(out, seq.clk_to_q_ps);
-            put_f64(out, seq.setup_ps);
-        }
-    }
-    for v in t.nldm.load_axis_ff {
-        put_f64(out, v);
-    }
-    for row in t.nldm.delay_grid_ps {
-        for v in row {
-            put_f64(out, v);
-        }
-    }
-    for row in t.nldm.slew_grid_ps {
-        for v in row {
-            put_f64(out, v);
-        }
-    }
-}
-
-fn decode_cell_timing(bytes: &[u8], cursor: &mut usize) -> Result<CellTiming> {
-    let input_cap_ff = take_f64(bytes, cursor)?;
-    let pull_up_r_kohm = take_f64(bytes, cursor)?;
-    let pull_down_r_kohm = take_f64(bytes, cursor)?;
-    let intrinsic_ps = take_f64(bytes, cursor)?;
-    let output_cap_ff = take_f64(bytes, cursor)?;
-    let leakage_ua = take_f64(bytes, cursor)?;
-    let sequential = match bytes.get(*cursor) {
-        Some(0) => {
-            *cursor += 1;
-            None
-        }
-        Some(1) => {
-            *cursor += 1;
-            Some(SequentialTiming {
-                clk_to_q_ps: take_f64(bytes, cursor)?,
-                setup_ps: take_f64(bytes, cursor)?,
-            })
-        }
-        _ => return Err(artifact_err("invalid stored sequential tag")),
-    };
-    let mut load_axis_ff = [0.0; NLDM_LOAD_PTS];
-    for v in &mut load_axis_ff {
-        *v = take_f64(bytes, cursor)?;
-    }
-    let mut delay_grid_ps = [[0.0; NLDM_LOAD_PTS]; NLDM_SLEW_PTS];
-    for row in &mut delay_grid_ps {
-        for v in row.iter_mut() {
-            *v = take_f64(bytes, cursor)?;
-        }
-    }
-    let mut slew_grid_ps = [[0.0; NLDM_LOAD_PTS]; NLDM_SLEW_PTS];
-    for row in &mut slew_grid_ps {
-        for v in row.iter_mut() {
-            *v = take_f64(bytes, cursor)?;
-        }
-    }
-    Ok(CellTiming {
-        input_cap_ff,
-        pull_up_r_kohm,
-        pull_down_r_kohm,
-        intrinsic_ps,
-        output_cap_ff,
-        leakage_ua,
-        sequential,
-        nldm: NldmTable {
-            load_axis_ff,
-            delay_grid_ps,
-            slew_grid_ps,
-        },
     })
 }
 
@@ -513,6 +386,27 @@ fn decode_annotation(bytes: &[u8], cursor: &mut usize) -> Result<CdAnnotation> {
     Ok(ann)
 }
 
+/// Reads the tag-id section: ids stored in strictly ascending order (the
+/// canonical form [`WarmArtifact::to_bytes`] writes), each a valid
+/// [`GateId`]. Whether the ids exist in the design is checked when a
+/// session restores them.
+fn decode_tags(bytes: &[u8], cursor: &mut usize) -> Result<TagSet> {
+    let mut tags = TagSet::new();
+    let mut prev = None;
+    for _ in 0..take_u64(bytes, cursor)? {
+        let gate = take_u64(bytes, cursor)?;
+        if gate > u64::from(u32::MAX) {
+            return Err(artifact_err("stored tag id out of range"));
+        }
+        if prev.is_some_and(|p| p >= gate) {
+            return Err(artifact_err("stored tag ids not strictly ascending"));
+        }
+        prev = Some(gate);
+        tags.insert(GateId(gate as u32));
+    }
+    Ok(tags)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,17 +438,10 @@ mod tests {
         let out =
             crate::extract::extract_gates_with_store(&d, &cfg.extraction, &tags, Some(&mut store))
                 .expect("extract");
-        let model =
-            postopc_sta::TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
-        let compiled = model.compile().expect("compile");
-        let mut scratch = compiled.scratch();
-        compiled
-            .evaluate(&mut scratch, Some(&out.annotation))
-            .expect("evaluate");
         WarmArtifact {
             content_hash: content_hash(&d, &cfg),
             annotation: out.annotation,
-            char_entries: scratch.cache().export(),
+            tags,
             context_store: store,
             surrogate: None,
         }
@@ -569,7 +456,7 @@ mod tests {
         let loaded = WarmArtifact::from_bytes(&bytes).expect("parse");
         assert_eq!(loaded.content_hash, artifact.content_hash);
         assert_eq!(loaded.annotation, artifact.annotation);
-        assert_eq!(loaded.char_entries, artifact.char_entries);
+        assert_eq!(loaded.tags, artifact.tags);
         assert_eq!(loaded.context_store.len(), artifact.context_store.len());
         // And the round trip is a fixed point.
         assert_eq!(loaded.to_bytes(), bytes);
@@ -606,6 +493,36 @@ mod tests {
         }
         // Empty input.
         assert!(WarmArtifact::from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn tag_section_must_be_canonical() {
+        let artifact = sample_artifact();
+        assert!(artifact.tags.len() >= 2, "need two tag ids to reorder");
+        let bytes = artifact.to_bytes();
+        let mut annotation = Vec::new();
+        encode_annotation(&artifact.annotation, &mut annotation);
+        // Offset of the first tag id: header, annotation, tag count.
+        let first = ARTIFACT_MAGIC.len() + 4 + 8 + annotation.len() + 8;
+        // Re-seals a patched body with a valid checksum, so only the
+        // section's own validation can reject it.
+        let resealed = |patch: &dyn Fn(&mut [u8])| {
+            let mut body = bytes[..bytes.len() - 8].to_vec();
+            patch(&mut body);
+            let checksum = fnv1a(FNV_OFFSET, &body);
+            put_u64(&mut body, checksum);
+            WarmArtifact::from_bytes(&body)
+        };
+        assert!(resealed(&|_| {}).is_ok());
+        let swapped = resealed(&|body| {
+            let (a, b) = body[first..first + 16].split_at_mut(8);
+            a.swap_with_slice(b);
+        });
+        let err = swapped.expect_err("unordered tag ids");
+        assert!(err.to_string().contains("ascending"), "{err}");
+        let wide = resealed(&|body| body[first..first + 8].copy_from_slice(&[0xff; 8]));
+        let err = wide.expect_err("oversized tag id");
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

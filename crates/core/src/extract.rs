@@ -146,7 +146,7 @@ impl AcrossChipMap {
 /// Feature-vector dimension of the learned CD surrogate: bias, drawn CD,
 /// width, focus (linear + quadratic), dose, four nearest-neighbour gaps,
 /// pattern density at three radii, window geometry and edge clearance.
-/// See [`site_features`] for the exact layout.
+/// The private `site_features` builder fixes the exact layout.
 pub const SURROGATE_FEATURE_DIM: usize = 16;
 
 /// Configuration of the learned CD surrogate tier (see
@@ -547,7 +547,7 @@ enum UniqueResult {
 }
 
 /// A warm store of distinct litho-context outcomes, keyed by the engine's
-/// canonical [`ContextKey`]s (exact window-local geometry + quantised
+/// canonical context keys (exact window-local geometry + quantised
 /// conditions — the same keys the in-run dedup uses, so reuse is exact,
 /// never approximate).
 ///

@@ -290,7 +290,7 @@ pub struct ServeReport {
     /// Whether a fresh artifact was persisted for the next caller.
     pub persist: PersistStatus,
     /// Wall-clock time to bring the session up (cold compile + extract,
-    /// or artifact load + cache-hot re-evaluation).
+    /// or artifact load + baseline re-evaluation).
     pub startup_time: Duration,
     /// Wall-clock time to answer all queries against the warm state.
     pub query_time: Duration,

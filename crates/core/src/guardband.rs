@@ -80,7 +80,7 @@ impl GuardbandAnalysis {
 
     /// [`Self::compute`] against an existing compiled evaluator and
     /// scratch — warm sessions ([`crate::TimingSession`]) answer repeated
-    /// guardband queries without recompiling or re-characterizing.
+    /// guardband queries without recompiling.
     ///
     /// Leaves `scratch` holding the SS-corner evaluation, not the
     /// extracted baseline; callers that interleave incremental (ECO)

@@ -2,12 +2,11 @@
 //! queries.
 //!
 //! A cold [`run_flow`](crate::run_flow) pays for OPC + imaging +
-//! extraction + characterization on every invocation, even when the
-//! design has not changed. A [`TimingSession`] pays once — or not at
-//! all, when restored from a persisted [`WarmArtifact`] — and then
-//! answers guardband, corner, Monte Carlo and what-if queries against
-//! the warm compiled state, reusing one [`StaScratch`] (and its
-//! characterization cache) across every query.
+//! extraction on every invocation, even when the design has not changed.
+//! A [`TimingSession`] pays once — or not at all, when restored from a
+//! persisted [`WarmArtifact`] — and then answers guardband, corner,
+//! Monte Carlo and what-if queries against the warm compiled state,
+//! reusing one [`StaScratch`]'s buffers across every query.
 //!
 //! Incremental ECO re-analysis rides the same state: an edit that
 //! dirties K gates re-images only the litho contexts the warm
@@ -293,17 +292,18 @@ impl<'m> TimingSession<'m> {
     }
 
     /// Opens a session warm from a persisted artifact: no OPC, no
-    /// imaging, no device-model characterization — the annotation,
-    /// caches and context store are restored in exact bits and one
-    /// (cache-hot) evaluation re-establishes the baseline.
+    /// imaging — the annotation, tags, context store and surrogate are
+    /// restored in exact bits and one annotated evaluation (which
+    /// characterizes only the annotated gates) re-establishes the
+    /// baseline.
     ///
     /// # Errors
     ///
     /// [`FlowError::Artifact`] when the artifact's content hash does not
     /// match the flow inputs (design, process, clock, selection, wire
     /// and extraction config) the session is being opened for — a stale
-    /// artifact is rejected, never silently reused; plus ordinary timing
-    /// errors.
+    /// artifact is rejected, never silently reused — or when it tags a
+    /// gate the design does not have; plus ordinary timing errors.
     pub fn restore(
         model: &'m TimingModel<'m>,
         config: &FlowConfig,
@@ -317,16 +317,18 @@ impl<'m> TimingSession<'m> {
                 expected,
             )));
         }
+        let gate_count = design.netlist().gate_count();
+        if let Some(gate) = artifact.tags.iter().find(|g| g.0 as usize >= gate_count) {
+            return Err(FlowError::Artifact(crate::error::ArtifactError::corrupt(
+                &format!(
+                    "tag id {} is not a gate of the {gate_count}-gate design",
+                    gate.0
+                ),
+            )));
+        }
         let compiled = model.compile()?;
         let mut scratch = compiled.scratch();
-        for entry in &artifact.char_entries {
-            scratch.cache_mut().absorb(entry);
-        }
-        let drawn = compiled.evaluate(&mut scratch, None)?;
-        let tags = match config.selection {
-            Selection::All => TagSet::all(design),
-            Selection::Critical { paths } => TagSet::from_critical_paths(design, &drawn, paths),
-        };
+        let tags = artifact.tags;
         let annotation = artifact.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
         let stats = ExtractionStats {
@@ -363,7 +365,7 @@ impl<'m> TimingSession<'m> {
         WarmArtifact {
             content_hash: content_hash(self.compiled.model().design(), &self.config),
             annotation: self.annotation.clone(),
-            char_entries: self.scratch.cache().export(),
+            tags: self.tags.clone(),
             context_store: self.store.clone(),
             surrogate: self.surrogate.clone(),
         }
@@ -396,7 +398,7 @@ impl<'m> TimingSession<'m> {
     }
 
     /// Re-establishes the baseline evaluation in the scratch after a
-    /// query left other state there. Cache-hot: no device-model calls.
+    /// query left other state there.
     fn ensure_baseline(&mut self) -> Result<()> {
         if self.scratch_dirty {
             self.baseline = self
@@ -824,6 +826,37 @@ mod tests {
         let noop = session.apply_eco(&all).expect("noop eco");
         assert_eq!(noop.stats.windows, 0);
         assert_eq!(noop.report, full.comparison.annotated);
+    }
+
+    #[test]
+    fn restore_keeps_an_ecos_tag_set() {
+        // An ECO retags the session; the artifact must carry that tag set
+        // rather than let a restore re-derive it from the config.
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 2 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut live = TimingSession::new(&model, &cfg).expect("session");
+        let all = TagSet::all(&d);
+        assert!(live.tags().len() < all.len());
+        live.apply_eco(&all).expect("eco");
+        let bytes = live.artifact().to_bytes();
+        let restored = WarmArtifact::from_bytes(&bytes).expect("parse");
+        let warm = TimingSession::restore(&model, &cfg, restored).expect("restore");
+        assert_eq!(warm.tags(), live.tags());
+        assert_eq!(warm.annotation(), live.annotation());
+        assert_eq!(warm.baseline(), live.baseline());
+
+        // A tag id past the design's last gate is a typed corrupt error.
+        let mut foreign = live.artifact();
+        foreign
+            .tags
+            .insert(postopc_layout::GateId(d.netlist().gate_count() as u32));
+        match TimingSession::restore(&model, &cfg, foreign) {
+            Err(FlowError::Artifact(e)) => {
+                assert_eq!(e.kind, crate::error::ArtifactErrorKind::Corrupt);
+            }
+            other => panic!("expected a corrupt-artifact error, got {other:?}"),
+        }
     }
 
     #[test]

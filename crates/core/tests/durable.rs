@@ -11,10 +11,10 @@ use postopc::{
     WarmArtifact,
 };
 use postopc_device::MosKind;
-use postopc_layout::{generate, Design, GateId, GateKind, NetId, TechRules};
+use postopc_layout::{generate, Design, GateId, NetId, TechRules};
 use postopc_sta::{
-    CdAnnotation, CellTiming, CharCacheEntry, Corner, GateAnnotation, MonteCarloConfig,
-    NetAnnotation, NldmTable, TimingModel, TransistorCd, NLDM_LOAD_PTS, NLDM_SLEW_PTS,
+    CdAnnotation, Corner, GateAnnotation, MonteCarloConfig, NetAnnotation, TimingModel,
+    TransistorCd,
 };
 use std::path::PathBuf;
 
@@ -39,23 +39,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-fn sample_timing() -> CellTiming {
-    CellTiming {
-        input_cap_ff: 1.5,
-        pull_up_r_kohm: 2.0,
-        pull_down_r_kohm: 1.75,
-        intrinsic_ps: 9.25,
-        output_cap_ff: 0.5,
-        leakage_ua: 0.0625,
-        sequential: None,
-        nldm: NldmTable {
-            load_axis_ff: [1.0; NLDM_LOAD_PTS],
-            delay_grid_ps: [[2.0; NLDM_LOAD_PTS]; NLDM_SLEW_PTS],
-            slew_grid_ps: [[0.5; NLDM_LOAD_PTS]; NLDM_SLEW_PTS],
-        },
-    }
 }
 
 /// A hand-built artifact a couple of kilobytes long — small enough that
@@ -83,14 +66,14 @@ fn tiny_artifact() -> WarmArtifact {
             printed_width_nm: 118.5,
         },
     );
+    let mut tags = TagSet::new();
+    for gate in [1, 3, 4] {
+        tags.insert(GateId(gate));
+    }
     WarmArtifact {
         content_hash: 0x0123_4567_89ab_cdef,
         annotation,
-        char_entries: vec![CharCacheEntry {
-            kind: GateKind::Inv,
-            records: vec![record],
-            timing: sample_timing(),
-        }],
+        tags,
         context_store: ContextStore::new(),
         surrogate: None,
     }

@@ -7,16 +7,17 @@
 //! The evaluator is a pure refactoring of [`TimingModel::analyze`]: every
 //! float operation happens on the same values in the same order, so the
 //! results are **bit-identical** to the naive path (enforced by the
-//! `compiled_parity` reference-implementation tests). Per-gate
-//! characterization goes through a [`CharacterizationCache`] whose hits
-//! replay exact bits, which keeps that guarantee while collapsing
-//! corner-style workloads (every gate shifted uniformly) to one device-
-//! model evaluation per distinct cell.
+//! `compiled_parity` reference-implementation tests). Characterization is
+//! a pure function of each call's inputs — the scratch holds buffers
+//! only, so no answer depends on what it evaluated before. Workloads that
+//! shift every gate uniformly (corners, the Monte Carlo shift table, the
+//! tail-sampling sensitivity pass) deduplicate gates into distinct cells
+//! first and run the device model once per cell, not once per gate.
 
 use crate::annotate::{CdAnnotation, TransistorCd};
 use crate::error::{Result, StaError};
 use crate::graph::{TimingModel, TimingReport};
-use crate::liberty::{CellTiming, CharacterizationCache, CLOCK_SLEW_PS, PRIMARY_INPUT_SLEW_PS};
+use crate::liberty::{CellTiming, CLOCK_SLEW_PS, PRIMARY_INPUT_SLEW_PS};
 use postopc_device::Wire;
 use postopc_layout::{GateId, GateKind, NetId};
 use std::collections::HashMap;
@@ -94,12 +95,14 @@ pub(crate) struct GateSensitivity {
     pub(crate) ddelay_dl_ps_per_nm: Vec<f64>,
 }
 
-/// The per-gate base ensembles of a Monte Carlo run, deduplicated into
-/// distinct cells — built once per run by [`CompiledSta::sample_cells`].
+/// The per-gate base ensembles of a Monte Carlo run or corner sweep,
+/// deduplicated into distinct cells — built once per run by
+/// [`CompiledSta::sample_cells`].
 ///
 /// Gates whose `(GateKind, base transistor records)` match bit for bit
 /// share one slot, so a uniform length shift applied to either produces
-/// the identical `CellTiming` — the invariant the shift table keys on.
+/// the identical `CellTiming` — the invariant the shift table and the
+/// corner path key on.
 #[derive(Debug)]
 pub(crate) struct SampleCells {
     /// Gate index → slot in `cells` (the cell axis of the shift table).
@@ -149,8 +152,7 @@ pub struct CompiledSta<'m> {
     net_driver: Vec<u32>,
 }
 
-/// Reusable per-worker evaluation state: propagation buffers and a
-/// characterization cache.
+/// Reusable per-worker evaluation buffers.
 ///
 /// Created by [`CompiledSta::scratch`] (sized for that design) and passed
 /// mutably to every evaluation; contents are dead between calls, so one
@@ -169,7 +171,6 @@ pub struct StaScratch {
     worst_by_net: Vec<f64>,
     /// Nets touched in `worst_by_net`, for sparse reset.
     touched: Vec<NetId>,
-    cache: CharacterizationCache,
     /// Per-(gate, lane) shift-table indices of the current batch
     /// (`gate * LANES + lane`).
     lane_timing_idx: Vec<u32>,
@@ -194,18 +195,6 @@ pub struct StaScratch {
     eco_arrival_changed: Vec<bool>,
     /// Incremental change flags: gates whose delay bits moved.
     eco_delay_changed: Vec<bool>,
-}
-
-impl StaScratch {
-    /// The characterization cache carried by this scratch.
-    pub fn cache(&self) -> &CharacterizationCache {
-        &self.cache
-    }
-
-    /// Mutable access to the characterization cache (artifact absorb path).
-    pub fn cache_mut(&mut self) -> &mut CharacterizationCache {
-        &mut self.cache
-    }
 }
 
 /// The read-only `(cell, shift-bin) → CellTiming` table of one Monte
@@ -335,7 +324,6 @@ impl<'m> CompiledSta<'m> {
             endpoint_required: Vec::new(),
             worst_by_net: vec![f64::INFINITY; n_nets],
             touched: Vec::new(),
-            cache: CharacterizationCache::new(),
             lane_timing_idx: vec![0; n_gates * LANES],
             lane_sink_cap: vec![[0.0; LANES]; n_nets],
             lane_input_cap: vec![[0.0; LANES]; n_gates],
@@ -402,30 +390,53 @@ impl<'m> CompiledSta<'m> {
     ) -> Result<TimingReport> {
         let netlist = self.model.design().netlist();
         scratch.timings.clear();
-        let mut leakage = 0.0;
         for (gi, gate) in netlist.gates().iter().enumerate() {
             let timing = match annotation.and_then(|a| a.gate(GateId(gi as u32))) {
-                Some(ann) => self.model.library().annotated_timing_cached(
-                    &mut scratch.cache,
-                    gate.kind,
-                    &ann.transistors,
-                )?,
+                Some(ann) => self
+                    .model
+                    .library()
+                    .annotated_timing(gate.kind, &ann.transistors)?,
                 None => self.base_timings[gi],
             };
-            leakage += timing.leakage_ua;
             scratch.timings.push(timing);
         }
-        self.propagate(scratch, annotation)?;
-        let endpoint_slacks = Self::sorted_endpoint_slacks(scratch);
-        Ok(TimingReport::from_parts(
-            scratch.arrivals.clone(),
-            scratch.requireds.clone(),
-            scratch.gate_delays.clone(),
-            scratch.slews.clone(),
-            endpoint_slacks,
-            self.model.clock_ps(),
-            leakage,
-        ))
+        self.propagate(scratch, annotation)
+    }
+
+    /// The drawn per-gate ensembles deduplicated into cells — the cell
+    /// axis of a corner sweep.
+    pub(crate) fn drawn_cells(&self) -> SampleCells {
+        self.sample_cells(&self.base_records)
+    }
+
+    /// Full analysis with every gate's `cells` ensemble shifted uniformly
+    /// by `shift_nm` — bit-identical to [`Self::evaluate`] of the
+    /// annotation that shifts each gate's records by `shift_nm` (a corner
+    /// annotation, when `cells` are the [`Self::drawn_cells`]), because
+    /// each gate reads the [`Self::characterize_shift`] of its cell and
+    /// the propagation is the same. The device model runs once per
+    /// distinct cell instead of once per gate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors for non-physical shifted dimensions.
+    pub(crate) fn evaluate_shift(
+        &self,
+        scratch: &mut StaScratch,
+        cells: &SampleCells,
+        shift_nm: f64,
+    ) -> Result<TimingReport> {
+        let per_cell = (0..cells.cells.len() as u32)
+            .map(|cell| self.characterize_shift(cells, cell, shift_nm))
+            .collect::<Result<Vec<_>>>()?;
+        scratch.timings.clear();
+        scratch.timings.extend(
+            cells
+                .cell_of_gate
+                .iter()
+                .map(|&cell| per_cell[cell as usize]),
+        );
+        self.propagate(scratch, None)
     }
 
     /// Incremental ECO re-analysis: re-derives only the state an
@@ -435,16 +446,16 @@ impl<'m> CompiledSta<'m> {
     /// `scratch` must hold the state of a completed evaluation with
     /// `prev` on this compiled model (that is the warm state the
     /// increments are applied to). The diff of `prev` → `next` seeds the
-    /// dirty set: gates whose annotation entry changed re-characterize
-    /// (through the scratch's cache); nets whose sink gates changed input
-    /// capacitance re-sum their load over the precompiled sink adjacency
-    /// in gate order (the exact addend order of the full pass); then two
-    /// topological sweeps recompute delay/slew and arrivals only for
-    /// gates flagged dirty or fed by a changed net, propagating flags
-    /// precisely when stored bits move. Untouched gates keep their stored
-    /// bits, recomputed gates run the same float ops on the same values
-    /// as the full pass — so the result is bit-identical by induction
-    /// (enforced by the `eco` parity tests and the `serve` CI stage).
+    /// dirty set: gates whose annotation entry changed re-characterize;
+    /// nets whose sink gates changed input capacitance re-sum their load
+    /// over the precompiled sink adjacency in gate order (the exact
+    /// addend order of the full pass); then two topological sweeps
+    /// recompute delay/slew and arrivals only for gates flagged dirty or
+    /// fed by a changed net, propagating flags precisely when stored bits
+    /// move. Untouched gates keep their stored bits, recomputed gates
+    /// run the same float ops on the same values as the full pass — so
+    /// the result is bit-identical by induction (enforced by the `eco`
+    /// parity tests and the `serve` CI stage).
     /// The backward required pass, endpoint slacks and the leakage sum
     /// are cheap pure functions of the forward state and re-run whole.
     ///
@@ -492,11 +503,10 @@ impl<'m> CompiledSta<'m> {
             }
             let gate = netlist.gate(gid);
             let timing = match next.and_then(|a| a.gate(gid)) {
-                Some(ann) => self.model.library().annotated_timing_cached(
-                    &mut scratch.cache,
-                    gate.kind,
-                    &ann.transistors,
-                )?,
+                Some(ann) => self
+                    .model
+                    .library()
+                    .annotated_timing(gate.kind, &ann.transistors)?,
                 None => self.base_timings[gi],
             };
             let old = scratch.timings[gi];
@@ -622,26 +632,17 @@ impl<'m> CompiledSta<'m> {
         }
 
         // Phase 5 — cheap whole-pass tail: backward requireds, endpoint
-        // slacks, and the leakage re-sum in gate order (the same fold the
-        // full evaluation accumulates).
+        // slacks, and the leakage re-sum in gate order (the full
+        // evaluation's report).
         self.backward_requireds(scratch);
-        let endpoint_slacks = Self::sorted_endpoint_slacks(scratch);
-        let leakage = scratch.timings.iter().map(|t| t.leakage_ua).sum();
-        Ok(TimingReport::from_parts(
-            scratch.arrivals.clone(),
-            scratch.requireds.clone(),
-            scratch.gate_delays.clone(),
-            scratch.slews.clone(),
-            endpoint_slacks,
-            self.model.clock_ps(),
-            leakage,
-        ))
+        Ok(self.report(scratch))
     }
 
     /// Characterizes cell `cell` with every channel length shifted by
-    /// `shift` nm (clamped at 1 nm, as the naive reference clamps) — the
-    /// single code path behind the shift table and the sensitivity pass,
-    /// so both compute identical bits for identical inputs.
+    /// `shift` nm (clamped at 1 nm, as the naive reference and
+    /// [`corner_annotation`](crate::corner_annotation) clamp) — the single
+    /// code path behind the shift table, the sensitivity pass and corner
+    /// sweeps, so all three compute identical bits for identical inputs.
     fn characterize_shift(&self, cells: &SampleCells, cell: u32, shift: f64) -> Result<CellTiming> {
         let (kind, base) = &cells.cells[cell as usize];
         let mut records = base.clone();
@@ -893,8 +894,13 @@ impl<'m> CompiledSta<'m> {
     }
 
     /// Delay/arrival/required propagation over `scratch.timings`,
-    /// mirroring `analyze` operation for operation.
-    fn propagate(&self, scratch: &mut StaScratch, annotation: Option<&CdAnnotation>) -> Result<()> {
+    /// mirroring `analyze` operation for operation, then the report — the
+    /// shared tail of every full evaluation.
+    fn propagate(
+        &self,
+        scratch: &mut StaScratch,
+        annotation: Option<&CdAnnotation>,
+    ) -> Result<TimingReport> {
         let netlist = self.model.design().netlist();
 
         // Sink loads.
@@ -959,7 +965,27 @@ impl<'m> CompiledSta<'m> {
 
         // Backward requireds from the endpoints.
         self.backward_requireds(scratch);
-        Ok(())
+        Ok(self.report(scratch))
+    }
+
+    /// Assembles the report of the propagated state in `scratch`: endpoint
+    /// slacks, and leakage summed over `scratch.timings` in gate order
+    /// (the reference's accumulation order).
+    fn report(&self, scratch: &mut StaScratch) -> TimingReport {
+        let endpoint_slacks = Self::sorted_endpoint_slacks(scratch);
+        let leakage = scratch
+            .timings
+            .iter()
+            .fold(0.0, |sum, t| sum + t.leakage_ua);
+        TimingReport::from_parts(
+            scratch.arrivals.clone(),
+            scratch.requireds.clone(),
+            scratch.gate_delays.clone(),
+            scratch.slews.clone(),
+            endpoint_slacks,
+            self.model.clock_ps(),
+            leakage,
+        )
     }
 
     /// Backward required-time relaxation from the endpoints — the final
@@ -1031,28 +1057,17 @@ impl<'m> CompiledSta<'m> {
         cells: &SampleCells,
         step_nm: f64,
     ) -> Result<GateSensitivity> {
-        // Zero and ±step characterizations, once per distinct cell.
+        // ±step characterizations, once per distinct cell.
         let n_cells = cells.cells.len();
-        let mut zero = Vec::with_capacity(n_cells);
         let mut plus = Vec::with_capacity(n_cells);
         let mut minus = Vec::with_capacity(n_cells);
         for cell in 0..n_cells as u32 {
-            zero.push(self.characterize_shift(cells, cell, 0.0)?);
             plus.push(self.characterize_shift(cells, cell, step_nm)?);
             minus.push(self.characterize_shift(cells, cell, -step_nm)?);
         }
 
         // The zero-shift baseline: full propagation, backward pass included.
-        scratch.timings.clear();
-        scratch
-            .timings
-            .extend(cells.cell_of_gate.iter().map(|&cell| zero[cell as usize]));
-        self.propagate(scratch, None)?;
-        let worst_slack_ps = scratch
-            .endpoint_required
-            .iter()
-            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
-            .fold(f64::INFINITY, f64::min);
+        let worst_slack_ps = self.evaluate_shift(scratch, cells, 0.0)?.worst_slack_ps();
 
         let netlist = self.model.design().netlist();
         let n_gates = netlist.gate_count();
@@ -1223,24 +1238,6 @@ mod tests {
             compiled.evaluate_shifted_batch(&mut scratch, &cells, &table, &foreign),
             Err(StaError::InvalidMonteCarlo(_))
         ));
-    }
-
-    #[test]
-    fn characterization_cache_dedupes_uniform_samples() {
-        let d = design();
-        let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let compiled = model.compile().expect("compile");
-        let ann = shifted_annotation(&compiled, |_| 0.0);
-        let mut scratch = compiled.scratch();
-        for _ in 0..3 {
-            compiled
-                .evaluate(&mut scratch, Some(&ann))
-                .expect("evaluate");
-        }
-        // Drawn records per gate collapse to one entry per distinct cell.
-        let cache = scratch.cache();
-        assert!(cache.len() < d.netlist().gate_count());
-        assert!(cache.hits() > cache.misses());
     }
 
     #[test]

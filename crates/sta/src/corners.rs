@@ -38,7 +38,9 @@ impl Corner {
 }
 
 /// Builds the annotation representing a corner: every transistor of every
-/// gate shifted by `delta_l_nm`.
+/// gate shifted by `delta_l_nm`. Corner sweeps never build it — they shift
+/// each distinct cell once — but `model.analyze` of this annotation is
+/// their oracle.
 pub fn corner_annotation(model: &TimingModel<'_>, delta_l_nm: f64) -> CdAnnotation {
     let mut ann = CdAnnotation::new();
     for (gi, gate) in model.design().netlist().gates().iter().enumerate() {
@@ -72,8 +74,8 @@ pub fn analyze_corner(model: &TimingModel<'_>, corner: &Corner) -> Result<Timing
 }
 
 /// Runs timing at every corner of a set, sharing one compiled model and
-/// one scratch (whose characterization cache collapses a uniform corner
-/// shift to one device-model evaluation per distinct cell).
+/// one scratch. A uniform corner shift runs the device model once per
+/// distinct cell, not once per gate.
 ///
 /// # Errors
 ///
@@ -88,6 +90,11 @@ pub fn analyze_corners(model: &TimingModel<'_>, corners: &[Corner]) -> Result<Ve
 /// scratch: flows that already hold a [`CompiledSta`] (drawn analysis,
 /// Monte Carlo) share it instead of recompiling per corner sweep.
 ///
+/// The drawn gates are deduplicated into cells once per sweep; each
+/// corner then characterizes every cell at its shift through the path
+/// the Monte Carlo shift table uses, so each report is bit-identical to
+/// `model.analyze(Some(&corner_annotation(model, corner.delta_l_nm)))`.
+///
 /// # Errors
 ///
 /// Propagates device-model errors for non-physical corner shifts.
@@ -96,12 +103,10 @@ pub fn analyze_corners_with(
     scratch: &mut StaScratch,
     corners: &[Corner],
 ) -> Result<Vec<TimingReport>> {
+    let cells = compiled.drawn_cells();
     corners
         .iter()
-        .map(|corner| {
-            let ann = corner_annotation(compiled.model(), corner.delta_l_nm);
-            compiled.evaluate(scratch, Some(&ann))
-        })
+        .map(|corner| compiled.evaluate_shift(scratch, &cells, corner.delta_l_nm))
         .collect()
 }
 

@@ -99,9 +99,10 @@ impl<'d> TimingModel<'d> {
 
     /// Compiles the annotation-invariant structure (topological order,
     /// drawn wires, drawn cell timings and transistor records) into a
-    /// [`CompiledSta`] evaluator, for workloads that analyze the same
-    /// design many times with different annotations — corners and Monte
-    /// Carlo. Evaluation results are bit-identical to [`Self::analyze`].
+    /// [`CompiledSta`](crate::CompiledSta) evaluator, for workloads that
+    /// analyze the same design many times with different annotations —
+    /// corners and Monte Carlo. Evaluation results are bit-identical to
+    /// [`Self::analyze`].
     ///
     /// # Errors
     ///

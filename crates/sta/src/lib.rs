@@ -12,9 +12,8 @@
 //!   printed wire widths, consumed in place of drawn dimensions;
 //! - [`CompiledSta`]: the compiled sample evaluator
 //!   ([`TimingModel::compile`]) — annotation-invariant structure computed
-//!   once, per-sample evaluation against reusable [`StaScratch`] buffers
-//!   and a memoized [`CharacterizationCache`], bit-identical to
-//!   [`TimingModel::analyze`];
+//!   once, per-sample evaluation against reusable [`StaScratch`] buffers,
+//!   bit-identical to [`TimingModel::analyze`];
 //! - [`corners`]: traditional uniform worst-case CD corners;
 //! - [`statistical`]: Monte Carlo timing over CD distributions.
 //!
@@ -55,9 +54,8 @@ pub use corners::{
 pub use error::{Result, StaError};
 pub use graph::{TimingModel, TimingPath, TimingReport};
 pub use liberty::{
-    CellTiming, CharCacheEntry, CharacterizationCache, NldmTable, SequentialTiming, TimingLibrary,
-    CHAR_CACHE_CAP_DEFAULT, CHAR_CACHE_CAP_ENV, CLOCK_SLEW_PS, NLDM_LOAD_PTS, NLDM_SLEW_AXIS_PS,
-    NLDM_SLEW_PTS, PRIMARY_INPUT_SLEW_PS,
+    CellTiming, NldmTable, SequentialTiming, TimingLibrary, CLOCK_SLEW_PS, NLDM_LOAD_PTS,
+    NLDM_SLEW_AXIS_PS, NLDM_SLEW_PTS, PRIMARY_INPUT_SLEW_PS,
 };
 pub use paths::k_worst_paths;
 pub use statistical::{

@@ -266,31 +266,6 @@ impl TimingLibrary {
         Self::timing_from_transistors(&self.process, kind, transistors)
     }
 
-    /// [`annotated_timing`](Self::annotated_timing) through a memoized
-    /// [`CharacterizationCache`]: characterization runs once per distinct
-    /// `(kind, CD ensemble)` instead of once per gate instance.
-    ///
-    /// A cache hit replays the exact `CellTiming` bits of the original
-    /// characterization — the key quantization is the identity (`f64`
-    /// bit patterns), so cached and uncached paths are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-model errors for non-physical extracted lengths.
-    pub fn annotated_timing_cached(
-        &self,
-        cache: &mut CharacterizationCache,
-        kind: GateKind,
-        transistors: &[TransistorCd],
-    ) -> Result<CellTiming> {
-        if let Some(timing) = cache.get(kind, transistors) {
-            return Ok(timing);
-        }
-        let timing = Self::timing_from_transistors(&self.process, kind, transistors)?;
-        cache.insert(kind, timing);
-        Ok(timing)
-    }
-
     /// Core characterization: reduce a transistor ensemble to RC/leakage.
     fn timing_from_transistors(
         process: &ProcessParams,
@@ -306,7 +281,8 @@ impl TimingLibrary {
         // Per-input drive buckets in first-seen order. Cells have at most
         // a handful of pins, so linear probes beat hashing — and unlike a
         // HashMap, the summation order is deterministic, which the
-        // characterization cache's replay guarantee depends on.
+        // compiled evaluators' bit-identity with the naive path depends
+        // on.
         let mut i_on_n: Vec<(Option<usize>, f64)> = Vec::with_capacity(4);
         let mut i_on_p: Vec<(Option<usize>, f64)> = Vec::with_capacity(4);
         let mut input_pins: Vec<usize> = Vec::with_capacity(4);
@@ -447,251 +423,6 @@ impl TimingLibrary {
     }
 }
 
-/// Exact-bit key of one transistor record: the `f64` dimensions are keyed
-/// by their IEEE-754 bit patterns (identity quantization), so two records
-/// collide only when characterization would compute the very same floats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RecordKey {
-    kind: MosKind,
-    width_bits: u64,
-    l_delay_bits: u64,
-    l_leakage_bits: u64,
-    input_pin: Option<usize>,
-    finger: usize,
-}
-
-impl RecordKey {
-    fn of(t: &TransistorCd) -> RecordKey {
-        RecordKey {
-            kind: t.kind,
-            width_bits: t.width_nm.to_bits(),
-            l_delay_bits: t.l_delay_nm.to_bits(),
-            l_leakage_bits: t.l_leakage_nm.to_bits(),
-            input_pin: t.input_pin,
-            finger: t.finger,
-        }
-    }
-
-    /// Inverse of [`Self::of`] — the key stores the record's exact bit
-    /// patterns, so the round-trip reproduces the record bit for bit.
-    fn expand(&self) -> TransistorCd {
-        TransistorCd {
-            kind: self.kind,
-            width_nm: f64::from_bits(self.width_bits),
-            l_delay_nm: f64::from_bits(self.l_delay_bits),
-            l_leakage_nm: f64::from_bits(self.l_leakage_bits),
-            input_pin: self.input_pin,
-            finger: self.finger,
-        }
-    }
-}
-
-/// Default entry cap of the characterization cache. Corner and extraction
-/// workloads deduplicate to a handful of distinct ensembles; a Monte Carlo
-/// stream of fresh random CDs would otherwise grow one entry per gate per
-/// sample, so past the cap new ensembles are characterized without being
-/// stored (existing entries keep hitting). Overridable per process via
-/// [`CHAR_CACHE_CAP_ENV`].
-pub const CHAR_CACHE_CAP_DEFAULT: usize = 4096;
-
-/// Environment variable overriding the characterization-cache entry cap
-/// (positive integer; unset, empty or unparsable values fall back to
-/// [`CHAR_CACHE_CAP_DEFAULT`]). Read when a cache is created, following
-/// the `POSTOPC_THREADS` precedent.
-pub const CHAR_CACHE_CAP_ENV: &str = "POSTOPC_CHAR_CACHE_CAP";
-
-/// Resolves a positive cache cap from an environment variable, falling
-/// back to `default` when unset or unparsable (shared by the
-/// characterization and shift caches).
-pub(crate) fn env_cache_cap(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&cap| cap > 0)
-        .unwrap_or(default)
-}
-
-/// One memoized characterization: the kind + exact record keys it was
-/// computed for, and the resulting timing.
-type CacheEntry = (GateKind, Box<[RecordKey]>, CellTiming);
-
-/// A memoized characterization cache for
-/// [`TimingLibrary::annotated_timing_cached`], keyed by `(GateKind,`
-/// exact CD bit patterns`)`.
-///
-/// Lookups stage the probe key in a reusable buffer, so a cache hit costs
-/// one hash and one comparison — no allocation. The cache is plain mutable
-/// state: each evaluation scratch (worker) owns one, and because a hit
-/// replays the exact bits a miss would compute, results never depend on
-/// hit/miss history or cache sharing.
-#[derive(Debug)]
-pub struct CharacterizationCache {
-    /// Hash-bucketed entries; collisions resolved by full-key comparison.
-    buckets: HashMap<u64, Vec<CacheEntry>>,
-    /// Probe key staging buffer, reused across lookups.
-    key_buf: Vec<RecordKey>,
-    /// Hash of the last staged probe (consumed by `insert`).
-    staged_hash: u64,
-    /// Entry cap resolved at construction (env override or default).
-    cap: usize,
-    entries: usize,
-    hits: u64,
-    misses: u64,
-    /// Insertions refused because the cache was at its cap.
-    rejected: u64,
-}
-
-impl Default for CharacterizationCache {
-    fn default() -> CharacterizationCache {
-        CharacterizationCache::new()
-    }
-}
-
-impl CharacterizationCache {
-    /// An empty cache whose entry cap is [`CHAR_CACHE_CAP_DEFAULT`] or the
-    /// [`CHAR_CACHE_CAP_ENV`] override, resolved now.
-    pub fn new() -> CharacterizationCache {
-        Self::with_cap(env_cache_cap(CHAR_CACHE_CAP_ENV, CHAR_CACHE_CAP_DEFAULT))
-    }
-
-    /// An empty cache with an explicit entry cap (tests and tools that
-    /// should not depend on the process environment).
-    pub fn with_cap(cap: usize) -> CharacterizationCache {
-        CharacterizationCache {
-            buckets: HashMap::new(),
-            key_buf: Vec::new(),
-            staged_hash: 0,
-            cap: cap.max(1),
-            entries: 0,
-            hits: 0,
-            misses: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Number of memoized characterizations.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// The entry cap this cache was created with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Lookups that replayed a memoized characterization.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that fell through to the device model.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Insertions refused because the cache was at its cap (those
-    /// ensembles were characterized without being memoized).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Stages the probe key for `(kind, transistors)` and returns the
-    /// memoized timing, if present.
-    fn get(&mut self, kind: GateKind, transistors: &[TransistorCd]) -> Option<CellTiming> {
-        use std::hash::{Hash, Hasher};
-        self.key_buf.clear();
-        self.key_buf.extend(transistors.iter().map(RecordKey::of));
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        kind.hash(&mut hasher);
-        self.key_buf.hash(&mut hasher);
-        self.staged_hash = hasher.finish();
-        let found = self.buckets.get(&self.staged_hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|(k, key, _)| *k == kind && key[..] == self.key_buf[..])
-                .map(|&(_, _, timing)| timing)
-        });
-        match found {
-            Some(timing) => {
-                self.hits += 1;
-                Some(timing)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoizes `timing` under the key staged by the preceding `get` miss.
-    fn insert(&mut self, kind: GateKind, timing: CellTiming) {
-        if self.entries >= self.cap {
-            self.rejected += 1;
-            return;
-        }
-        self.buckets.entry(self.staged_hash).or_default().push((
-            kind,
-            self.key_buf.as_slice().into(),
-            timing,
-        ));
-        self.entries += 1;
-    }
-
-    /// Snapshot of every memoized entry, in a deterministic order (sorted
-    /// by bucket hash, then bucket position) — the serialization view the
-    /// warm-artifact store persists. Record keys are expanded back to the
-    /// exact [`TransistorCd`]s they were staged from: the key *is* the
-    /// record's bit patterns, so the round-trip is lossless.
-    pub fn export(&self) -> Vec<CharCacheEntry> {
-        let mut hashes: Vec<u64> = self.buckets.keys().copied().collect();
-        hashes.sort_unstable();
-        let mut out = Vec::with_capacity(self.entries);
-        for h in hashes {
-            let Some(bucket) = self.buckets.get(&h) else {
-                continue;
-            };
-            for (kind, keys, timing) in bucket {
-                out.push(CharCacheEntry {
-                    kind: *kind,
-                    records: keys.iter().map(RecordKey::expand).collect(),
-                    timing: *timing,
-                });
-            }
-        }
-        out
-    }
-
-    /// Re-memoizes a previously exported entry, staging its key through
-    /// the regular probe path so absorbed and natively inserted entries
-    /// hash identically. Entries already present (or past the cap) are
-    /// left alone; the probe counts toward the miss/hit counters like any
-    /// other lookup.
-    pub fn absorb(&mut self, entry: &CharCacheEntry) {
-        if self.get(entry.kind, &entry.records).is_none() {
-            self.insert(entry.kind, entry.timing);
-        }
-    }
-}
-
-/// One exported characterization-cache entry (see
-/// [`CharacterizationCache::export`] / [`CharacterizationCache::absorb`]):
-/// the exact transistor ensemble the timing was computed for, and the
-/// timing itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CharCacheEntry {
-    /// Gate kind of the characterized cell.
-    pub kind: GateKind,
-    /// The exact CD records the timing was memoized under.
-    pub records: Vec<TransistorCd>,
-    /// The memoized electrical view.
-    pub timing: CellTiming,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,55 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn cached_characterization_is_bit_identical_and_counts() {
+    fn characterization_distinguishes_gate_kinds() {
+        // The same record list under a different kind characterizes
+        // differently: the stack factors differ even when the ensembles
+        // match.
         let lib = library();
-        let mut cache = CharacterizationCache::new();
-        let mut records = lib.drawn_transistors(GateKind::Nand2, Drive::X2).to_vec();
-        for r in &mut records {
-            r.l_delay_nm = 87.25;
-            r.l_leakage_nm = 88.5;
-        }
-        let direct = lib
-            .annotated_timing(GateKind::Nand2, &records)
-            .expect("direct");
-        let miss = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nand2, &records)
-            .expect("miss");
-        let hit = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nand2, &records)
-            .expect("hit");
-        assert_eq!(direct, miss);
-        assert_eq!(direct, hit);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // The tiniest CD change is a different key (exact-bit match).
-        records[0].l_delay_nm += f64::EPSILON * 128.0;
-        let other = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nand2, &records)
-            .expect("other");
-        assert_ne!(direct, other);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn cache_distinguishes_gate_kinds() {
-        // Same record list under a different kind must not collide: the
-        // stack factors differ even when the ensembles match.
-        let lib = library();
-        let mut cache = CharacterizationCache::new();
         let records = vec![
             TransistorCd::drawn(MosKind::Nmos, 420.0, 90.0, Some(0), 0),
             TransistorCd::drawn(MosKind::Pmos, 640.0, 90.0, Some(0), 0),
         ];
-        let inv = lib
-            .annotated_timing_cached(&mut cache, GateKind::Inv, &records)
-            .expect("inv");
+        let inv = lib.annotated_timing(GateKind::Inv, &records).expect("inv");
         let nand = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nand2, &records)
+            .annotated_timing(GateKind::Nand2, &records)
             .expect("nand");
         assert_ne!(inv, nand);
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]
@@ -956,34 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn nldm_tables_replay_bit_identically_through_the_cache() {
-        // The 2-D table is part of the cached CellTiming: a cache hit must
-        // replay every grid value bit for bit, not just the scalar fields.
+    fn nldm_tables_respond_to_annotation() {
+        // Shorter channels drive harder, so every delay node of a faster
+        // ensemble is strictly smaller than the drawn table's.
         let lib = library();
-        let mut cache = CharacterizationCache::new();
-        let mut records = lib.drawn_transistors(GateKind::Nor2, Drive::X4).to_vec();
-        for r in &mut records {
-            r.l_delay_nm = 86.75;
-            r.l_leakage_nm = 87.125;
-        }
-        let direct = lib
-            .annotated_timing(GateKind::Nor2, &records)
-            .expect("direct");
-        let miss = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nor2, &records)
-            .expect("miss");
-        let hit = lib
-            .annotated_timing_cached(&mut cache, GateKind::Nor2, &records)
-            .expect("hit");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        for t in [&miss, &hit] {
-            assert_eq!(direct.nldm.load_axis_ff, t.nldm.load_axis_ff);
-            assert_eq!(direct.nldm.delay_grid_ps, t.nldm.delay_grid_ps);
-            assert_eq!(direct.nldm.slew_grid_ps, t.nldm.slew_grid_ps);
-        }
-        // The table responds to annotation: shorter channels drive harder,
-        // so every delay node of a faster ensemble is strictly smaller.
         let drawn = lib.drawn_timing(GateKind::Nor2, Drive::X4);
+        let mut records = lib.drawn_transistors(GateKind::Nor2, Drive::X4).to_vec();
         for r in &mut records {
             r.l_delay_nm = 80.0;
         }
@@ -1010,69 +684,5 @@ mod tests {
         let extra_slew = NLDM_SLEW_AXIS_PS[3] - NLDM_SLEW_AXIS_PS[0];
         assert!(slow_edge > fast_edge + 1.0, "slew penalty too small");
         assert!(slow_edge - fast_edge < extra_slew, "slew penalty too large");
-    }
-
-    #[test]
-    fn characterization_cache_rejects_at_cap() {
-        let lib = library();
-        let mut cache = CharacterizationCache::with_cap(1);
-        assert_eq!(cache.cap(), 1);
-        let drawn = |kind| lib.drawn_transistors(kind, Drive::X1).to_vec();
-        lib.annotated_timing_cached(&mut cache, GateKind::Inv, &drawn(GateKind::Inv))
-            .expect("first");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.rejected(), 0);
-        // A second distinct cell does not fit: characterized but refused.
-        lib.annotated_timing_cached(&mut cache, GateKind::Nand2, &drawn(GateKind::Nand2))
-            .expect("second");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.rejected(), 1);
-        // The resident entry still hits; the refused one misses again.
-        let hits = cache.hits();
-        lib.annotated_timing_cached(&mut cache, GateKind::Inv, &drawn(GateKind::Inv))
-            .expect("hit");
-        assert_eq!(cache.hits(), hits + 1);
-        lib.annotated_timing_cached(&mut cache, GateKind::Nand2, &drawn(GateKind::Nand2))
-            .expect("miss again");
-        assert_eq!(cache.rejected(), 2);
-    }
-
-    #[test]
-    fn env_cap_parsing_falls_back_to_default() {
-        // Not set → default; the parser itself rejects zero and garbage.
-        assert_eq!(
-            env_cache_cap("POSTOPC_TEST_UNSET_CAP_VAR", CHAR_CACHE_CAP_DEFAULT),
-            CHAR_CACHE_CAP_DEFAULT
-        );
-        // with_cap(0) clamps to one resident entry instead of disabling.
-        assert_eq!(CharacterizationCache::with_cap(0).cap(), 1);
-    }
-
-    #[test]
-    fn export_absorb_round_trips_entries() {
-        let lib = library();
-        let mut cache = CharacterizationCache::new();
-        for kind in [GateKind::Inv, GateKind::Nand2, GateKind::Nor2] {
-            let records = lib.drawn_transistors(kind, Drive::X1).to_vec();
-            lib.annotated_timing_cached(&mut cache, kind, &records)
-                .expect("characterize");
-        }
-        let exported = cache.export();
-        assert_eq!(exported.len(), cache.len());
-        // Absorbing into a fresh cache reproduces every entry: lookups
-        // hit without running the device model.
-        let mut warm = CharacterizationCache::new();
-        for entry in &exported {
-            warm.absorb(entry);
-        }
-        assert_eq!(warm.len(), exported.len());
-        for entry in &exported {
-            let timing = lib
-                .annotated_timing_cached(&mut warm, entry.kind, &entry.records)
-                .expect("lookup");
-            assert_eq!(timing, entry.timing);
-        }
-        // Export order is deterministic: two exports agree exactly.
-        assert_eq!(cache.export(), exported);
     }
 }

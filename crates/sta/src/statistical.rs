@@ -9,10 +9,10 @@
 //! [`run`] evaluates samples through the compiled evaluator
 //! ([`crate::CompiledSta`]) along one path: draw every sample's per-gate
 //! shift bins, characterize each distinct `(cell, bin)` once into a dense
-//! table shared read-only across workers, then evaluate
-//! [`LANES`](crate::LANES) samples per gate visit against that table. It
-//! is bit-identical to [`run_reference`] (one [`TimingModel::analyze`]
-//! per sample), the oracle, for the same sample stream.
+//! table shared read-only across workers, then evaluate [`LANES`]
+//! samples per gate visit against that table. It is bit-identical to
+//! [`run_reference`] (one [`TimingModel::analyze`] per sample), the
+//! oracle, for the same sample stream.
 //!
 //! Three [`Sampling`] schemes share one inverse-CDF sampler (the Acklam
 //! inverse normal CDF lives in [`postopc_rng`], next to the streams it
@@ -488,8 +488,8 @@ fn base_records(
 ///
 /// The design is compiled once, the whole run's shift bins are drawn,
 /// every distinct `(cell, bin)` is characterized once into a read-only
-/// table shared across workers, and [`LANES`](crate::LANES) samples are
-/// evaluated per gate visit against it. Each sample derives its own RNG
+/// table shared across workers, and [`LANES`] samples are evaluated per
+/// gate visit against it. Each sample derives its own RNG
 /// stream from `(seed, sample index)` (pair index for antithetic
 /// sampling), so results are bit-identical to [`run_reference`] and to
 /// any thread count.

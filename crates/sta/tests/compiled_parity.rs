@@ -60,21 +60,36 @@ fn drawn_reports_are_bit_identical() {
 
 #[test]
 fn corner_reports_are_bit_identical() {
-    let design = rca_design();
-    let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
-    for corner in Corner::classic_set(6.0) {
-        let ann = corner_annotation(&model, corner.delta_l_nm);
-        let naive = model.analyze(Some(&ann)).expect("naive");
-        let through_api = corners::analyze_corner(&model, &corner).expect("corner");
-        assert_eq!(naive, through_api, "corner {}", corner.name);
-    }
-    // The batched entry point shares one scratch across corners; a dirty
-    // scratch must not leak between evaluations.
-    let set = Corner::classic_set(6.0);
-    let batch = analyze_corners(&model, &set).expect("batch");
-    for (corner, report) in set.iter().zip(&batch) {
-        let ann = corner_annotation(&model, corner.delta_l_nm);
-        assert_eq!(&model.analyze(Some(&ann)).expect("naive"), report);
+    // The classic set plus a fractional shift, on designs whose cells
+    // collapse differently; the registered design puts DFF setup and
+    // clock-to-Q arcs through the per-cell shift path too.
+    let mut set = Corner::classic_set(6.0);
+    set.push(Corner {
+        name: "SS-2.75".into(),
+        delta_l_nm: 2.75,
+    });
+    for design in [
+        rca_design(),
+        random_design(7),
+        random_design(31),
+        registered_design(),
+    ] {
+        let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
+        let naive: Vec<_> = set
+            .iter()
+            .map(|corner| {
+                let ann = corner_annotation(&model, corner.delta_l_nm);
+                model.analyze(Some(&ann)).expect("naive")
+            })
+            .collect();
+        for (corner, naive) in set.iter().zip(&naive) {
+            let through_api = corners::analyze_corner(&model, corner).expect("corner");
+            assert_eq!(naive, &through_api, "corner {}", corner.name);
+        }
+        // The batched entry point shares one scratch across corners; a
+        // dirty scratch must not leak between evaluations.
+        let batch = analyze_corners(&model, &set).expect("batch");
+        assert_eq!(naive, batch);
     }
 }
 

@@ -28,6 +28,9 @@
 #   strict     library + binary clippy with unwrap()/expect() denied
 #              outside tests (bench bins exit with rendered diagnostics
 #              via OrExit instead of panicking)
+#   doc        rustdoc over the workspace with warnings denied (broken
+#              or redundant intra-doc links, public docs linking private
+#              items)
 #   build      tier-1: cargo build --release
 #   test       tier-1: cargo test -q
 #   wstest     cargo test --workspace -q
@@ -58,13 +61,16 @@
 #              the POCSURR1 model-file round trip
 #   bench      perf_smoke --bench-regression vs committed BENCH_*.json
 #              (STA floors now include the schema-v3 sampling-accuracy
-#              rows), then serve_smoke --bench-regression
+#              rows)
+#   bench_serve
+#              serve_smoke --bench-regression: the warm-query speedup
+#              floors vs the committed BENCH_serve.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Canonical stage order; --stage never reorders, only filters.
-STAGES=(fmt clippy strict build test wstest smoke threads faults mc_batch
-  tail serve chaos surrogate bench bench_serve)
+STAGES=(fmt clippy strict doc build test wstest smoke threads faults
+  mc_batch tail serve chaos surrogate bench bench_serve)
 QUICK_STAGES=(fmt clippy strict build test)
 
 QUICK=0
@@ -233,6 +239,10 @@ strict_stage() {
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 }
 stage strict strict_stage
+doc_stage() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+stage doc doc_stage
 stage build cargo build --release
 stage test cargo test -q
 stage wstest cargo test --workspace -q
