@@ -16,6 +16,8 @@
 //! 3. **Warm-query speedup floor** — repeat guardband/corner/MC queries
 //!    against the warm session must beat the cold full pipeline by at
 //!    least [`SPEEDUP_FLOOR`]× on the T6 composite and T9 farm designs.
+//!    Each side is the median of [`RUNS`] timed runs; the printed IQR
+//!    shows their spread.
 //!
 //! **`--record`** — runs the speedup measurement and writes
 //! `BENCH_serve.json` in the working directory (committed, so later PRs
@@ -33,6 +35,7 @@ use postopc::{
 use postopc_bench::json::{parse_speedups, write_serve_rows, ServeBenchRow};
 use postopc_bench::OrExit;
 use postopc_layout::Design;
+use postopc_sta::quantile::{quantiles_of_sorted, sorted_ascending};
 use postopc_sta::{Corner, MonteCarloConfig, TimingModel};
 use std::path::Path;
 
@@ -42,6 +45,9 @@ const SPEEDUP_FLOOR: f64 = 10.0;
 /// Fraction of the recorded speedup a fresh `--bench-regression`
 /// measurement must retain (same tolerance as the other bench gates).
 const FLOOR_FRACTION: f64 = 0.6;
+
+/// Timed cold pipelines, and timed warm batches, per workload.
+const RUNS: usize = 5;
 
 /// The two gated workloads: name, design builder, tagged path count.
 fn workloads() -> Vec<(&'static str, Design, usize)> {
@@ -196,8 +202,8 @@ fn parity_gates() -> bool {
 }
 
 /// Measures one workload: cold full pipeline (compile + extract + query
-/// batch) vs the same batch repeated against the warm session. Returns
-/// `(row, failed)`.
+/// batch) vs the same batch repeated against the warm session, each the
+/// median of [`RUNS`] runs. Returns `(row, failed)`.
 fn measure(name: &'static str, design: &Design, paths: usize) -> (ServeBenchRow, bool) {
     let cfg = config(design, paths);
     let queries = query_batch();
@@ -210,23 +216,34 @@ fn measure(name: &'static str, design: &Design, paths: usize) -> (ServeBenchRow,
                 .collect()
         };
     // Cold: everything from scratch, as a one-shot pipeline would.
-    let ((mut session, cold_answers), cold_s) = postopc_bench::timing::time(|| {
-        let mut session = TimingSession::new(&model, &cfg).or_exit("cold session");
-        let answers = answer(&mut session, &queries);
-        (session, answers)
-    });
-    // Warm: the same batch again on the living session; best of two.
-    let mut warm_s = f64::MAX;
+    let cold_run = || {
+        postopc_bench::timing::time(|| {
+            let mut session = TimingSession::new(&model, &cfg).or_exit("cold session");
+            let answers = answer(&mut session, &queries);
+            (session, answers)
+        })
+    };
+    let ((mut session, cold_answers), first_s) = cold_run();
+    let mut cold = vec![first_s];
     let mut identical = true;
-    for _ in 0..2 {
+    for _ in 1..RUNS {
+        let ((_, answers), secs) = cold_run();
+        identical &= answers == cold_answers;
+        cold.push(secs);
+    }
+    // Warm: the same batch again and again on the living session.
+    let mut warm = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
         let (warm_answers, secs) = postopc_bench::timing::time(|| answer(&mut session, &queries));
         identical &= warm_answers == cold_answers;
-        warm_s = warm_s.min(secs);
+        warm.push(secs);
     }
+    let (cold_s, cold_iqr) = median_and_iqr(&cold);
+    let (warm_s, warm_iqr) = median_and_iqr(&warm);
     let speedup = cold_s / warm_s.max(1e-9);
     println!(
-        "serve_smoke: {name}: cold {cold_s:.3} s, warm {warm_s:.3} s, {speedup:.1}x, \
-         identical: {identical}"
+        "serve_smoke: {name}: cold {cold_s:.3} s (IQR {cold_iqr:.3}), warm {warm_s:.4} s \
+         (IQR {warm_iqr:.4}), median of {RUNS} each, {speedup:.1}x, identical: {identical}"
     );
     let row = ServeBenchRow {
         design: name.to_string(),
@@ -237,6 +254,12 @@ fn measure(name: &'static str, design: &Design, paths: usize) -> (ServeBenchRow,
         identical,
     };
     (row, !identical)
+}
+
+/// Median and interquartile range of `samples`.
+fn median_and_iqr(samples: &[f64]) -> (f64, f64) {
+    let q = quantiles_of_sorted(&sorted_ascending(samples), &[0.25, 0.5, 0.75]);
+    (q[1], q[2] - q[0])
 }
 
 /// Gate 3: the warm session must beat the cold pipeline by

@@ -8,7 +8,11 @@ use postopc_litho::{cutline, AerialImage, ResistModel};
 /// its length and returns the mean, or `None` if nothing printed.
 ///
 /// The segment is assumed rectangular with its length along the longer
-/// axis; stations are spaced evenly, inset from the ends.
+/// axis; stations are spaced evenly, inset from the ends. `segment` must
+/// lie inside the window `image` was simulated over, with a quarter of its
+/// drawn width to spare across the wire: each station searches up to
+/// 0.75 drawn widths from the centre line, and an image is defined only
+/// inside its window.
 ///
 /// # Errors
 ///
@@ -69,7 +73,8 @@ mod tests {
             Rect::new(-500, -300, 500, 300).expect("rect"),
         )
         .expect("image");
-        let w = measure_wire_width(&image, &ResistModel::standard(), wire, 5)
+        let inside = Rect::new(-500, -60, 500, 60).expect("rect");
+        let w = measure_wire_width(&image, &ResistModel::standard(), inside, 5)
             .expect("measurement")
             .expect("wire prints");
         assert!((w - 120.0).abs() < 25.0, "printed width {w}");
@@ -84,7 +89,8 @@ mod tests {
             Rect::new(-300, -500, 300, 500).expect("rect"),
         )
         .expect("image");
-        let w = measure_wire_width(&image, &ResistModel::standard(), wire, 5)
+        let inside = Rect::new(-60, -500, 60, 500).expect("rect");
+        let w = measure_wire_width(&image, &ResistModel::standard(), inside, 5)
             .expect("measurement")
             .expect("wire prints");
         assert!((w - 120.0).abs() < 25.0, "printed width {w}");
@@ -92,7 +98,7 @@ mod tests {
 
     #[test]
     fn missing_wire_returns_none() {
-        let wire = Rect::new(-600, -60, 600, 60).expect("rect");
+        let wire = Rect::new(-500, -60, 500, 60).expect("rect");
         let image = AerialImage::simulate(
             &SimulationSpec::nominal(),
             &[],

@@ -23,7 +23,10 @@ pub struct WireExtractionConfig {
     /// Measurement stations per segment.
     pub stations: usize,
     /// Segments longer than this are measured over a centred sub-window
-    /// of this length, in nm (bounds simulation cost).
+    /// of this length, in nm (bounds simulation cost): the stations spread
+    /// over the sub-window, which is imaged together with a drawn width
+    /// of margin on every side, and the segment's mean width stands for
+    /// its whole length.
     pub max_window_len: Coord,
     /// Context gathering radius, in nm.
     pub context_ambit_nm: Coord,
@@ -85,7 +88,11 @@ pub fn extract_wires(
                 continue;
             }
             let seg_len = seg.rect.width().max(seg.rect.height());
-            let window = measurement_window(seg.rect, config.max_window_len)?;
+            let stations_over = measurement_window(seg.rect, config.max_window_len)?;
+            // The across-wire searches reach 0.75 drawn widths from the
+            // centre line: a drawn width of margin keeps them in the image.
+            let drawn_w = seg.rect.width().min(seg.rect.height());
+            let window = stations_over.expand(drawn_w)?;
             let search = window.expand(config.context_ambit_nm)?;
             let mask: Vec<postopc_geom::Polygon> = design
                 .shapes_in_window(Layer::Metal1, search)
@@ -94,7 +101,7 @@ pub fn extract_wires(
                 .collect();
             let image = AerialImage::simulate(&config.sim, &mask, window)?;
             stats.segments_measured += 1;
-            match measure_wire_width(&image, &config.resist, seg.rect, config.stations)? {
+            match measure_wire_width(&image, &config.resist, stations_over, config.stations)? {
                 Some(width) => {
                     weighted += width * seg_len as f64;
                     total_len += seg_len as f64;
@@ -184,6 +191,52 @@ mod tests {
             "wire extraction must not annotate gates"
         );
         assert_eq!(ann.net_count(), stats.nets_annotated);
+    }
+
+    #[test]
+    fn clipped_window_measures_what_an_image_of_the_whole_segment_shows() {
+        // Net 34 of this chain is one 2.53 µm metal-1 drop. Clipped to a
+        // 1 µm window, its width must be what an image over the whole drop
+        // shows at the clipped window's stations.
+        let d = Design::compile(
+            generate::inverter_chain(60).expect("netlist"),
+            TechRules::n90(),
+        )
+        .expect("design");
+        let net = NetId(34);
+        let route = d.routing().route_of(net).expect("routed");
+        let m1: Vec<Rect> = route
+            .segments
+            .iter()
+            .filter(|s| s.layer == Layer::Metal1)
+            .map(|s| s.rect)
+            .collect();
+        assert!(m1.len() == 1 && m1[0].height() > 2_500, "{m1:?}");
+        let segment = m1[0];
+        let cfg = WireExtractionConfig {
+            max_window_len: 1_000,
+            ..WireExtractionConfig::standard()
+        };
+        let mut ann = CdAnnotation::new();
+        extract_wires(&d, &cfg, &[net], &mut ann).expect("wires");
+        let clipped = ann.net(net).expect("annotated").printed_width_nm;
+
+        let window = segment.expand(segment.width()).expect("window");
+        let search = window.expand(cfg.context_ambit_nm).expect("search");
+        let mask: Vec<postopc_geom::Polygon> = d
+            .shapes_in_window(Layer::Metal1, search)
+            .into_iter()
+            .cloned()
+            .collect();
+        let image = AerialImage::simulate(&cfg.sim, &mask, window).expect("image");
+        let stations_over = measurement_window(segment, cfg.max_window_len).expect("window");
+        let whole = measure_wire_width(&image, &cfg.resist, stations_over, cfg.stations)
+            .expect("measurement")
+            .expect("wire prints");
+        assert!(
+            (clipped - whole).abs() < 1e-6,
+            "clipped window {clipped} nm vs whole-segment image {whole} nm"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::error::{GeomError, Result};
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::rect::Rect;
+use std::ops::Range;
 
 /// A uniform scalar field over a window of layout space.
 ///
@@ -182,19 +183,67 @@ impl Grid {
         }
     }
 
-    /// Bilinear sample at an arbitrary nm position (clamped to the grid).
-    pub fn sample(&self, x_nm: f64, y_nm: f64) -> f64 {
-        // Convert to continuous pixel-center coordinates.
-        let fx = (x_nm - self.origin.x as f64) / self.pixel - 0.5;
-        let fy = (y_nm - self.origin.y as f64) / self.pixel - 0.5;
-        let fx = fx.clamp(0.0, (self.nx - 1) as f64);
-        let fy = fy.clamp(0.0, (self.ny - 1) as f64);
-        let ix = (fx.floor() as usize).min(self.nx.saturating_sub(2));
-        let iy = (fy.floor() as usize).min(self.ny.saturating_sub(2));
+    /// Every pixel of the grid, as a [`PixelRect`].
+    pub fn extent(&self) -> PixelRect {
+        PixelRect {
+            x0: 0,
+            x1: self.nx,
+            y0: 0,
+            y1: self.ny,
+        }
+    }
+
+    /// The pixels a bilinear [`Grid::sample`] of any point inside `window`
+    /// reads, clipped to the grid: from `floor(fx(left))` through
+    /// `floor(fx(right)) + 1` in continuous pixel-center coordinates
+    /// (and likewise for rows). Sampling within this rectangle reads the
+    /// same pixels with the same weights as sampling within
+    /// [`Grid::extent`], for every point of `window`.
+    pub fn sample_footprint(&self, window: Rect) -> PixelRect {
+        let (fx0, fy0) = self.continuous(window.left() as f64, window.bottom() as f64);
+        let (fx1, fy1) = self.continuous(window.right() as f64, window.top() as f64);
+        // Float-to-usize casts saturate, so points left of (below) the grid
+        // clip to index 0.
+        let first = |f: f64, n: usize| (f.floor() as usize).min(n - 1);
+        let end = |f: f64, n: usize| ((f.floor() + 2.0) as usize).clamp(1, n);
+        PixelRect {
+            x0: first(fx0, self.nx),
+            x1: end(fx1, self.nx),
+            y0: first(fy0, self.ny),
+            y1: end(fy1, self.ny),
+        }
+    }
+
+    /// Continuous pixel-center coordinates of an nm position: pixel
+    /// `(ix, iy)`'s center maps to `(ix, iy)`.
+    fn continuous(&self, x_nm: f64, y_nm: f64) -> (f64, f64) {
+        (
+            (x_nm - self.origin.x as f64) / self.pixel - 0.5,
+            (y_nm - self.origin.y as f64) / self.pixel - 0.5,
+        )
+    }
+
+    /// Bilinear sample at an arbitrary nm position, reading only pixels of
+    /// `within`: a position outside it clamps to its nearest edge, as a
+    /// position outside the grid clamps with `within = self.extent()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `within` is empty or reaches past the grid.
+    pub fn sample(&self, x_nm: f64, y_nm: f64, within: PixelRect) -> f64 {
+        let (fx, fy) = self.continuous(x_nm, y_nm);
+        let fx = fx.clamp(within.x0 as f64, (within.x1 - 1) as f64);
+        let fy = fy.clamp(within.y0 as f64, (within.y1 - 1) as f64);
+        let ix = (fx.floor() as usize)
+            .min(within.x1.saturating_sub(2))
+            .max(within.x0);
+        let iy = (fy.floor() as usize)
+            .min(within.y1.saturating_sub(2))
+            .max(within.y0);
         // Degenerate 1-pixel axes collapse the interpolation cell: clamp the
-        // far corner indices so they never read past the grid.
-        let ix1 = (ix + 1).min(self.nx - 1);
-        let iy1 = (iy + 1).min(self.ny - 1);
+        // far corner indices so they never read past the rectangle.
+        let ix1 = (ix + 1).min(within.x1 - 1);
+        let iy1 = (iy + 1).min(within.y1 - 1);
         let tx = fx - ix as f64;
         let ty = fy - iy as f64;
         let v00 = self.data[iy * self.nx + ix];
@@ -219,57 +268,50 @@ impl Grid {
 
     /// Convolves each row with a symmetric kernel (odd length, centered),
     /// then each column, in place — the separable-convolution primitive the
-    /// imaging model builds Gaussian blurs from.
+    /// imaging model builds Gaussian blurs from. Taps that fall outside the
+    /// grid read zero.
     ///
     /// # Panics
     ///
     /// Panics if `kernel` has even length.
     pub fn convolve_separable(&mut self, kernel: &[f64]) {
-        self.convolve_separable_with(kernel, &mut ConvScratch::new());
-    }
-
-    /// [`Grid::convolve_separable`] reusing caller-owned scratch buffers,
-    /// avoiding per-call allocation in imaging loops.
-    ///
-    /// Both passes stream row-major (tap-outer over contiguous rows), so the
-    /// column pass never takes the `nx`-strided walks of a pixel-outer
-    /// formulation; per pixel the taps still accumulate in ascending order,
-    /// which keeps results bit-identical to the naive per-pixel loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` has even length.
-    pub fn convolve_separable_with(&mut self, kernel: &[f64], scratch: &mut ConvScratch) {
-        assert!(
-            kernel.len() % 2 == 1,
-            "separable kernel must have odd length"
+        // A zero accumulator plus 1.0 × each result is that result bit for
+        // bit: a sum that starts from +0.0 is never -0.0.
+        let mut out = vec![0.0; self.data.len()];
+        self.convolve_separable_scaled_into(
+            kernel,
+            1.0,
+            self.extent(),
+            &mut out,
+            &mut ConvScratch::new(),
         );
-        let (nx, ny) = (self.nx, self.ny);
-        let field = grown(&mut scratch.field, nx * ny);
-        row_pass(&self.data, field, nx, kernel);
-        // Column pass back into our own data (already consumed by the row
-        // pass above).
-        for iy in 0..ny {
-            let out = &mut self.data[iy * nx..(iy + 1) * nx];
-            out.fill(0.0);
-            accumulate_column_taps(out, field, iy, nx, ny, kernel);
-        }
+        self.data = out;
     }
 
-    /// Fused weight-scale + accumulate: adds `weight` × (this grid convolved
-    /// with `kernel`) into `acc`, without modifying the grid and without
-    /// materializing the convolved field as a `Grid`. Equivalent to
-    /// `clone() → convolve_separable → map_inplace(×weight) → zip_map(+)`
-    /// bit-for-bit when `acc` starts from the same partial sum, minus all
-    /// four temporaries.
+    /// Fused weight-scale + accumulate over the output pixels `out`: adds
+    /// `weight` × (this grid convolved with `kernel`) into `acc` at every
+    /// pixel of `out` and leaves the rest of `acc` untouched. Equivalent,
+    /// inside `out`, to `clone() → convolve_separable → map_inplace(×weight)
+    /// → zip_map(+)` bit-for-bit when `acc` starts from the same partial
+    /// sum, minus all four temporaries and the work outside `out`.
+    ///
+    /// Both passes stream row-major (tap-outer over contiguous rows), and
+    /// per pixel the taps accumulate in ascending order with out-of-grid
+    /// taps skipped, exactly as the naive per-pixel loops do. The row pass
+    /// covers `out`'s columns on the rows the column taps reach (`out` ±
+    /// the kernel half-width, clipped to the grid), and reuses the result
+    /// of the previous row when the source pixels its taps read are
+    /// bit-identical. The column pass covers `out` only.
     ///
     /// # Panics
     ///
-    /// Panics if `kernel` has even length or `acc.len() != self.len()`.
+    /// Panics if `kernel` has even length, `acc.len() != self.len()`, or
+    /// `out` is empty or reaches past the grid.
     pub fn convolve_separable_scaled_into(
         &self,
         kernel: &[f64],
         weight: f64,
+        out: PixelRect,
         acc: &mut [f64],
         scratch: &mut ConvScratch,
     ) {
@@ -278,15 +320,25 @@ impl Grid {
             "separable kernel must have odd length"
         );
         assert_eq!(acc.len(), self.data.len(), "accumulator length mismatch");
-        let (nx, ny) = (self.nx, self.ny);
+        assert!(
+            out.x0 < out.x1 && out.x1 <= self.nx && out.y0 < out.y1 && out.y1 <= self.ny,
+            "output rectangle {out:?} not a non-empty part of the {}x{} grid",
+            self.nx,
+            self.ny
+        );
+        let half = kernel.len() / 2;
+        let nx = self.nx;
+        let width = out.x1 - out.x0;
+        let rows = out.y0.saturating_sub(half)..(out.y1 + half).min(self.ny);
         let ConvScratch { field, row } = scratch;
-        let field = grown(field, nx * ny);
-        row_pass(&self.data, field, nx, kernel);
-        let row = grown(row, nx);
-        for iy in 0..ny {
+        let field = grown(field, rows.len() * width);
+        row_pass(&self.data, nx, out.x0..out.x1, rows.clone(), kernel, field);
+        let row = grown(row, width);
+        for iy in out.y0..out.y1 {
             row.fill(0.0);
-            accumulate_column_taps(row, field, iy, nx, ny, kernel);
-            for (a, &v) in acc[iy * nx..(iy + 1) * nx].iter_mut().zip(row.iter()) {
+            accumulate_column_taps(row, field, iy, rows.clone(), kernel);
+            let start = iy * nx + out.x0;
+            for (a, &v) in acc[start..start + width].iter_mut().zip(row.iter()) {
                 *a += weight * v;
             }
         }
@@ -329,9 +381,22 @@ impl Grid {
     }
 }
 
-/// Reusable scratch buffers for [`Grid::convolve_separable_with`] and
-/// [`Grid::convolve_separable_scaled_into`]. Buffers grow to the largest
-/// grid seen and are then reused allocation-free.
+/// A half-open rectangle of grid pixels: columns `x0..x1`, rows `y0..y1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PixelRect {
+    /// First column.
+    pub x0: usize,
+    /// One past the last column.
+    pub x1: usize,
+    /// First row.
+    pub y0: usize,
+    /// One past the last row.
+    pub y1: usize,
+}
+
+/// Reusable scratch buffers for [`Grid::convolve_separable_scaled_into`].
+/// Buffers grow to the largest rectangle seen and are then reused
+/// allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
     field: Vec<f64>,
@@ -370,26 +435,51 @@ fn grown(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
     &mut buf[..n]
 }
 
-/// Horizontal pass of the separable convolution: `dst = src ⊛ kernel` along
-/// x, row by row. Tap-outer over contiguous row slices, streaming both
-/// buffers row-major; each output pixel accumulates taps in ascending order
-/// (out-of-bounds taps skipped), matching the per-pixel formulation
-/// bit-for-bit.
-fn row_pass(src: &[f64], dst: &mut [f64], nx: usize, kernel: &[f64]) {
+/// Horizontal pass of the separable convolution over source rows `rows`
+/// and output columns `cols`: `dst` (row-major, `cols.len()` wide) gets
+/// `src ⊛ kernel` along x. Tap-outer over contiguous row slices; each
+/// output pixel accumulates taps in ascending order with taps outside the
+/// `nx`-wide grid skipped, matching the per-pixel formulation bit-for-bit.
+/// A row whose tap-reached source pixels are bit-identical to the previous
+/// row's copies that row's result, which is the same computation.
+fn row_pass(
+    src: &[f64],
+    nx: usize,
+    cols: Range<usize>,
+    rows: Range<usize>,
+    kernel: &[f64],
+    dst: &mut [f64],
+) {
     let half = kernel.len() / 2;
-    let nxi = nx as isize;
-    for (src_row, dst_row) in src.chunks_exact(nx).zip(dst.chunks_exact_mut(nx)) {
+    let width = cols.len();
+    let reach = cols.start.saturating_sub(half)..(cols.end + half).min(nx);
+    let mut previous: Option<&[f64]> = None;
+    for (r, iy) in rows.enumerate() {
+        let src_row = &src[iy * nx..(iy + 1) * nx];
+        let reached = &src_row[reach.clone()];
+        let repeat = previous.is_some_and(|p| {
+            p.iter()
+                .zip(reached)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        });
+        previous = Some(reached);
+        if repeat {
+            dst.copy_within((r - 1) * width..r * width, r * width);
+            continue;
+        }
+        let dst_row = &mut dst[r * width..(r + 1) * width];
         dst_row.fill(0.0);
         for (k, &w) in kernel.iter().enumerate() {
             let shift = k as isize - half as isize;
-            let ix0 = (-shift).max(0) as usize;
-            let ix1 = (nxi - shift).clamp(0, nxi) as usize;
+            let ix0 = (cols.start as isize).max(-shift);
+            let ix1 = (cols.end as isize).min(nx as isize - shift);
             if ix0 >= ix1 {
                 continue;
             }
-            let s0 = (ix0 as isize + shift) as usize;
-            let src_run = &src_row[s0..s0 + (ix1 - ix0)];
-            for (o, &s) in dst_row[ix0..ix1].iter_mut().zip(src_run) {
+            let n = (ix1 - ix0) as usize;
+            let s0 = (ix0 + shift) as usize;
+            let o0 = ix0 as usize - cols.start;
+            for (o, &s) in dst_row[o0..o0 + n].iter_mut().zip(&src_row[s0..s0 + n]) {
                 *o += w * s;
             }
         }
@@ -397,26 +487,27 @@ fn row_pass(src: &[f64], dst: &mut [f64], nx: usize, kernel: &[f64]) {
 }
 
 /// Vertical-pass inner step: accumulates kernel taps for output row `iy`
-/// into `out` (length `nx`), reading whole source rows of `field`
-/// contiguously. Taps apply in ascending order with out-of-bounds rows
-/// skipped — the same per-pixel operation order as a column-strided loop,
-/// without its strided reads.
+/// into `out`, reading whole rows of `field` (the row pass over source
+/// rows `rows`, `out.len()` wide) contiguously. Taps apply in ascending
+/// order, and `rows` holds every in-grid row the taps of `iy` reach, so
+/// the rows skipped are exactly the out-of-grid ones — the same per-pixel
+/// operation order as a column-strided loop, without its strided reads.
 fn accumulate_column_taps(
     out: &mut [f64],
     field: &[f64],
     iy: usize,
-    nx: usize,
-    ny: usize,
+    rows: Range<usize>,
     kernel: &[f64],
 ) {
     let half = kernel.len() / 2;
+    let width = out.len();
     for (k, &w) in kernel.iter().enumerate() {
         let j = iy as isize + k as isize - half as isize;
-        if j < 0 || j as usize >= ny {
+        if j < rows.start as isize || j >= rows.end as isize {
             continue;
         }
-        let src_row = &field[j as usize * nx..(j as usize + 1) * nx];
-        for (o, &s) in out.iter_mut().zip(src_row) {
+        let r = j as usize - rows.start;
+        for (o, &s) in out.iter_mut().zip(&field[r * width..(r + 1) * width]) {
             *o += w * s;
         }
     }
@@ -479,17 +570,17 @@ mod tests {
         g.set(0, 0, 0.0);
         g.set(1, 0, 1.0);
         // Pixel centers at x = 5 and x = 15 (y = 5): halfway is 10.
-        let v = g.sample(10.0, 5.0);
+        let v = g.sample(10.0, 5.0, g.extent());
         assert!((v - 0.5).abs() < 1e-12, "{v}");
         // At a center, exact value.
-        assert!((g.sample(15.0, 5.0) - 1.0).abs() < 1e-12);
+        assert!((g.sample(15.0, 5.0, g.extent()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn sample_clamps_outside() {
         let mut g = grid_10x10();
         g.set(0, 0, 7.0);
-        assert!((g.sample(-100.0, -100.0) - 7.0).abs() < 1e-12);
+        assert!((g.sample(-100.0, -100.0, g.extent()) - 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -556,10 +647,10 @@ mod tests {
             g.set(0, iy, iy as f64);
         }
         // Anywhere in x collapses to the single column; y still interpolates.
-        let v = g.sample(50.0, 960.0);
+        let v = g.sample(50.0, 960.0, g.extent());
         assert!(v.is_finite());
         // Top-right corner forces the largest indices on both axes.
-        let v = g.sample(1e9, 1e9);
+        let v = g.sample(1e9, 1e9, g.extent());
         assert!((v - (g.ny() - 1) as f64).abs() < 1e-12, "{v}");
     }
 
@@ -570,9 +661,9 @@ mod tests {
         for ix in 0..g.nx() {
             g.set(ix, 0, ix as f64);
         }
-        let v = g.sample(960.0, 50.0);
+        let v = g.sample(960.0, 50.0, g.extent());
         assert!(v.is_finite());
-        let v = g.sample(-1e9, -1e9);
+        let v = g.sample(-1e9, -1e9, g.extent());
         assert_eq!(v, 0.0);
     }
 
@@ -581,8 +672,8 @@ mod tests {
         let mut g = Grid::new(Rect::new(0, 0, 100, 100).expect("rect"), -50, 200.0).expect("grid");
         assert_eq!((g.nx(), g.ny()), (1, 1));
         g.set(0, 0, 3.5);
-        assert_eq!(g.sample(0.0, 0.0), 3.5);
-        assert_eq!(g.sample(1e6, -1e6), 3.5);
+        assert_eq!(g.sample(0.0, 0.0, g.extent()), 3.5);
+        assert_eq!(g.sample(1e6, -1e6, g.extent()), 3.5);
     }
 
     #[test]
@@ -737,30 +828,79 @@ mod tests {
         }
     }
 
+    /// A grid whose rows come in runs of a few repeated random patterns,
+    /// some runs broken by a row that differs from its predecessor in one
+    /// random pixel, so the row pass takes both its repeated-row copy and
+    /// its compute path, near and far from the kernel's reach.
+    fn repeated_row_grid(rng: &mut postopc_rng::StdRng, w: i64, h: i64, pixel: f64) -> Grid {
+        use postopc_rng::RngExt;
+        let mut g = Grid::new(Rect::new(0, 0, w, h).expect("rect"), 0, pixel).expect("grid");
+        let nx = g.nx();
+        let patterns: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..nx).map(|_| rng.random_range(0.0..1.0)).collect())
+            .collect();
+        let mut previous = patterns[0].clone();
+        for (iy, row) in g.data_mut().chunks_exact_mut(nx).enumerate() {
+            if rng.random_range(0u32..6) == 0 {
+                row.copy_from_slice(&previous);
+                row[rng.random_range(0..nx)] = rng.random_range(0.0..1.0);
+            } else {
+                row.copy_from_slice(&patterns[(iy / 4) % 3]);
+            }
+            previous.copy_from_slice(row);
+        }
+        g
+    }
+
     #[test]
     fn fused_scaled_accumulate_is_bit_identical_to_unfused_sequence() {
         use postopc_rng::SeedableRng;
         let mut rng = postopc_rng::StdRng::seed_from_u64(83);
-        let g = random_grid(&mut rng, 310, 90, 10.0);
-        let kernels = [random_kernel(&mut rng, 5), random_kernel(&mut rng, 13)];
         let weights = [1.6, -0.6];
-        // Unfused: clone → convolve → scale → add, per kernel.
-        let mut unfused = vec![0.0; g.len()];
-        for (kernel, &weight) in kernels.iter().zip(&weights) {
-            let mut field = g.clone();
-            field.convolve_separable(kernel);
-            field.map_inplace(|v| v * weight);
-            for (a, &v) in unfused.iter_mut().zip(field.data()) {
-                *a += v;
+        // Wide, tall, and smaller than the wider kernel on both axes.
+        for (w, h, halves) in [(310, 90, [5, 13]), (300, 1200, [3, 20]), (60, 40, [9, 40])] {
+            let g = repeated_row_grid(&mut rng, w, h, 10.0);
+            let kernels = halves.map(|half| random_kernel(&mut rng, half));
+            // Unfused: reference convolve → scale → add, per kernel.
+            let mut unfused = vec![0.0; g.len()];
+            for (kernel, &weight) in kernels.iter().zip(&weights) {
+                let mut field = g.clone();
+                convolve_separable_reference(&mut field, kernel);
+                field.map_inplace(|v| v * weight);
+                for (a, &v) in unfused.iter_mut().zip(field.data()) {
+                    *a += v;
+                }
+            }
+            let (nx, ny) = (g.nx(), g.ny());
+            let rect = |x0, x1, y0, y1| PixelRect { x0, x1, y0, y1 };
+            let rects = [
+                g.extent(),
+                rect(nx / 2, nx / 2 + 1, ny / 3, ny / 3 + 1),
+                rect(nx - 1, nx, ny - 1, ny),
+                rect(0, nx / 3 + 1, 1, ny - 1),
+                rect(nx / 2, nx, 1, ny / 2 + 1),
+                rect(nx / 3, nx - 1, 0, 2),
+                rect(1, nx / 2 + 1, ny / 2, ny),
+            ];
+            // Fused path, reusing one scratch across rectangles and kernels.
+            let mut scratch = ConvScratch::new();
+            for out in rects {
+                let mut fused = vec![0.0; g.len()];
+                for (kernel, &weight) in kernels.iter().zip(&weights) {
+                    g.convolve_separable_scaled_into(kernel, weight, out, &mut fused, &mut scratch);
+                }
+                for (i, (&f, &u)) in fused.iter().zip(&unfused).enumerate() {
+                    let (ix, iy) = (i % nx, i / nx);
+                    let inside = (out.x0..out.x1).contains(&ix) && (out.y0..out.y1).contains(&iy);
+                    let expected = if inside { u } else { 0.0 };
+                    assert_eq!(
+                        f.to_bits(),
+                        expected.to_bits(),
+                        "pixel ({ix},{iy}) of {w}x{h} with output {out:?}"
+                    );
+                }
             }
         }
-        // Fused path, reusing one scratch across kernels.
-        let mut fused = vec![0.0; g.len()];
-        let mut scratch = ConvScratch::new();
-        for (kernel, &weight) in kernels.iter().zip(&weights) {
-            g.convolve_separable_scaled_into(kernel, weight, &mut fused, &mut scratch);
-        }
-        assert_eq!(fused, unfused);
     }
 
     #[test]
@@ -774,9 +914,53 @@ mod tests {
             let g = random_grid(&mut rng, w, h, 10.0);
             let mut expected = g.clone();
             convolve_separable_reference(&mut expected, &kernel);
-            let mut with_scratch = g.clone();
-            with_scratch.convolve_separable_with(&kernel, &mut scratch);
-            assert_eq!(with_scratch.data(), expected.data());
+            let mut with_scratch = vec![0.0; g.len()];
+            g.convolve_separable_scaled_into(
+                &kernel,
+                1.0,
+                g.extent(),
+                &mut with_scratch,
+                &mut scratch,
+            );
+            assert_eq!(with_scratch, expected.data());
+        }
+    }
+
+    #[test]
+    fn footprint_sampling_matches_whole_grid_sampling_inside_the_window() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(7);
+        let window = Rect::new(-137, 40, 261, 333).expect("rect");
+        for pixel in [2.5, 5.0, 7.3] {
+            let mut g = Grid::new(window, 60, pixel).expect("grid");
+            for v in g.data_mut() {
+                *v = rng.random_range(0.0..1.0);
+            }
+            let footprint = g.sample_footprint(window);
+            let span = |n: i64| (n as f64 / pixel).ceil() as usize + 2;
+            assert!(footprint.x0 > 0 && footprint.x1 - footprint.x0 <= span(window.width()));
+            assert!(footprint.y0 > 0 && footprint.y1 - footprint.y0 <= span(window.height()));
+            for i in 0..=40 {
+                for j in 0..=40 {
+                    let x = window.left() as f64 + window.width() as f64 * i as f64 / 40.0;
+                    let y = window.bottom() as f64 + window.height() as f64 * j as f64 / 40.0;
+                    assert_eq!(
+                        g.sample(x, y, footprint).to_bits(),
+                        g.sample(x, y, g.extent()).to_bits(),
+                        "({x}, {y}) at {pixel} nm"
+                    );
+                }
+            }
+            // The whole grid is its own footprint's bound; a window off the
+            // grid still yields a non-empty edge rectangle.
+            let whole =
+                g.sample_footprint(Rect::new(-10_000, -10_000, 10_000, 10_000).expect("rect"));
+            assert_eq!(whole, g.extent());
+            let off = g.sample_footprint(Rect::new(5_000, 5_000, 6_000, 6_000).expect("rect"));
+            assert_eq!(
+                (off.x0, off.x1, off.y0, off.y1),
+                (g.nx() - 1, g.nx(), g.ny() - 1, g.ny())
+            );
         }
     }
 }

@@ -166,7 +166,7 @@ fn grid_sample_within_range() {
         let bb = p.bbox();
         let x = bb.left() as f64 + fx * bb.width() as f64;
         let y = bb.bottom() as f64 + fy * bb.height() as f64;
-        let v = g.sample(x, y);
+        let v = g.sample(x, y, g.extent());
         assert!(
             (-1e-12..=1.0 + 1e-12).contains(&v),
             "sample {v} out of [0,1]"

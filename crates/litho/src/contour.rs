@@ -11,7 +11,9 @@ use crate::resist::ResistModel;
 use postopc_geom::{Coord, Point, Polygon, Rect};
 
 /// Extracts the printed contours inside `window` as rectilinear polygons
-/// at the given trace resolution (nm per step).
+/// at the given trace resolution (nm per step). `window` should lie inside
+/// the window `image` was simulated over: reads outside that clamp to its
+/// edge.
 ///
 /// The printed region is discretized at `step_nm` and each connected
 /// component's boundary is traced; the result is a pixel-accurate

@@ -213,6 +213,48 @@ mod tests {
     }
 
     #[test]
+    fn probes_ending_on_the_window_edge_read_the_oracle_bits() {
+        // The extraction geometry: the window is the target's bbox plus an
+        // 80 nm margin, so an 80 nm EPE search from a target edge ends on
+        // the window edge, as does a CD march over the half-window from
+        // the target's center. Sweeping the mask's edges across the
+        // window's puts the printed crossing on both sides of it.
+        use crate::image::tests::simulate_reference;
+        let r = ResistModel::standard();
+        let spec = SimulationSpec::nominal();
+        let target = Rect::new(-45, -300, 45, 300).expect("rect");
+        let window = target.expand(80).expect("window");
+        let (half_w, half_h) = (window.right() as f64, window.top() as f64);
+        let (mut crossed_last_step, mut missed) = (0, 0);
+        for reach in 100..=150 {
+            let mask = [Polygon::from(
+                Rect::new(-reach, -reach - 255, reach, reach + 255).expect("rect"),
+            )];
+            let image = AerialImage::simulate(&spec, &mask, window).expect("image");
+            let oracle = simulate_reference(&spec, &mask, window);
+            let probe = |i: usize, img: &AerialImage| match i {
+                0 => edge_placement_error(img, &r, (45.0, 0.0), (1.0, 0.0), 80.0),
+                1 => edge_placement_error(img, &r, (0.0, 300.0), (0.0, 1.0), 80.0),
+                2 => measure_cd(img, &r, (0.0, 0.0), (1.0, 0.0), half_w),
+                _ => measure_cd(img, &r, (0.0, 0.0), (0.0, 1.0), half_h),
+            };
+            for i in 0..4 {
+                match (probe(i, &image), probe(i, &oracle)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.to_bits(), b.to_bits(), "probe {i}, mask reach {reach}");
+                        crossed_last_step += usize::from(i < 2 && a > 79.0);
+                    }
+                    (a, b) => {
+                        assert_eq!(a, b, "probe {i}, mask reach {reach}");
+                        missed += 1;
+                    }
+                }
+            }
+        }
+        assert!(crossed_last_step > 0 && missed > 0);
+    }
+
+    #[test]
     fn dense_and_iso_cds_differ() {
         let iso = image_of(&[vertical_line()]);
         let dense = image_of(&[

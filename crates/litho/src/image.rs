@@ -4,7 +4,7 @@ use crate::error::Result;
 use crate::kernels::KernelStack;
 use crate::optics::{OpticsParams, ProcessConditions};
 use crate::workspace::{self, SimWorkspace};
-use postopc_geom::{Grid, Polygon, Rect};
+use postopc_geom::{Grid, PixelRect, Polygon, Rect};
 
 /// Which kernel stack to image with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,7 +69,8 @@ impl Default for SimulationSpec {
 ///
 /// Intensity is normalized so that the interior of a very large feature
 /// images at `dose × 1.0`; the printed contour is where intensity crosses
-/// the resist threshold.
+/// the resist threshold. The image is defined only inside the simulated
+/// window: reads outside it clamp to the window's edge pixels.
 ///
 /// ```
 /// use postopc_litho::{AerialImage, SimulationSpec};
@@ -85,6 +86,9 @@ impl Default for SimulationSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AerialImage {
     grid: Grid,
+    /// The pixels of `grid` the engine computed: every pixel a bilinear
+    /// read of a point inside the window uses.
+    defined: PixelRect,
     dose: f64,
 }
 
@@ -95,6 +99,10 @@ impl AerialImage {
     /// (≈ 3σ of the widest kernel, see [`KernelStack::ambit_nm`]) of the
     /// window; the raster is automatically padded by the ambit so border
     /// features image correctly.
+    ///
+    /// The image is defined only inside `window`: the engine computes just
+    /// the pixels a read inside it uses, and [`AerialImage::intensity_at`]
+    /// clamps any read outside it to the window's edge pixels.
     ///
     /// # Errors
     ///
@@ -139,28 +147,38 @@ impl AerialImage {
         let Some(base) = base.as_ref() else {
             unreachable!("base grid built by base_grid() above");
         };
+        let defined = base.sample_footprint(window);
         let mut intensity = vec![0.0; base.len()];
         for kernel in stack.kernels() {
             let kernel_taps = taps.taps(kernel, spec.pixel_nm);
             base.convolve_separable_scaled_into(
                 kernel_taps,
                 kernel.weight,
+                defined,
                 &mut intensity,
                 scratch,
             );
         }
         Ok(AerialImage {
             grid: base.with_data(intensity),
+            defined,
             dose: spec.conditions.dose,
         })
     }
 
-    /// Dose-scaled intensity at an arbitrary position (bilinear sampled).
+    /// Dose-scaled intensity at a position (bilinear sampled).
+    ///
+    /// Defined inside the simulated window, where every read is bit-for-bit
+    /// the read of a whole-raster image. A position outside the window
+    /// clamps to the nearest computed pixels, as a position outside the
+    /// raster clamps to its edge.
     pub fn intensity_at(&self, x_nm: f64, y_nm: f64) -> f64 {
-        self.dose * self.grid.sample(x_nm, y_nm)
+        self.dose * self.grid.sample(x_nm, y_nm, self.defined)
     }
 
-    /// The underlying (dose-free) intensity grid.
+    /// The underlying (dose-free) intensity grid, on the lattice of the
+    /// ambit-padded raster. Only the pixels reads inside the simulated
+    /// window use are filled; the rest of the grid is zero.
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
@@ -172,7 +190,7 @@ impl AerialImage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use postopc_geom::{Coord, Point};
 
@@ -293,9 +311,13 @@ mod tests {
     }
 
     /// The pre-workspace engine (clone per kernel, re-discretize per call,
-    /// `zip_map` accumulation), kept verbatim as the bit-identity reference
-    /// for the fused engine.
-    fn simulate_reference(spec: &SimulationSpec, mask: &[Polygon], window: Rect) -> AerialImage {
+    /// `zip_map` accumulation, every pixel of the padded raster), kept as
+    /// the bit-identity reference for the fused window-restricted engine.
+    pub(crate) fn simulate_reference(
+        spec: &SimulationSpec,
+        mask: &[Polygon],
+        window: Rect,
+    ) -> AerialImage {
         spec.optics.validate().expect("valid optics");
         let stack = spec.kernel_stack();
         let margin = stack.ambit_nm().ceil() as i64;
@@ -314,8 +336,10 @@ mod tests {
                 Some(acc) => acc.zip_map(&field, |a, b| a + b),
             });
         }
+        let grid = result.expect("stack has at least one kernel");
         AerialImage {
-            grid: result.expect("stack has at least one kernel"),
+            defined: grid.extent(),
+            grid,
             dose: spec.conditions.dose,
         }
     }
@@ -353,11 +377,20 @@ mod tests {
             focus_nm: 40.0,
             dose: 1.01,
         };
+        let defocused = ProcessConditions {
+            focus_nm: 200.0,
+            dose: 1.0,
+        };
         let specs = [
             SimulationSpec::nominal(),
             SimulationSpec::nominal().with_conditions(off_nominal),
+            SimulationSpec::nominal().with_conditions(defocused),
             SimulationSpec {
                 kernel_mode: KernelMode::SingleGaussian,
+                ..SimulationSpec::nominal()
+            },
+            SimulationSpec {
+                pixel_nm: 2.5,
                 ..SimulationSpec::nominal()
             },
         ];
@@ -365,12 +398,56 @@ mod tests {
         for spec in &specs {
             let reference = simulate_reference(spec, &mask, window);
             let fused = AerialImage::simulate(spec, &mask, window).expect("image");
-            assert_eq!(
-                fused.grid().data(),
-                reference.grid().data(),
-                "thread-local path diverged for {:?}",
-                spec.kernel_mode
-            );
+            let label = format!("{:?} at {} nm", spec.conditions, spec.pixel_nm);
+            // Same lattice; every computed pixel equals the whole-raster one.
+            let (grid, rect) = (fused.grid(), fused.defined);
+            assert_eq!(grid.extent(), reference.grid().extent(), "{label}");
+            for iy in rect.y0..rect.y1 {
+                for ix in rect.x0..rect.x1 {
+                    assert_eq!(
+                        grid.at(ix, iy).to_bits(),
+                        reference.grid().at(ix, iy).to_bits(),
+                        "pixel ({ix},{iy}) diverged for {label}"
+                    );
+                }
+            }
+            // Every read on a dense lattice over the window, its boundary
+            // included, equals the whole-raster read.
+            let (left, bottom) = (window.left() as f64, window.bottom() as f64);
+            let (w, h) = (window.width() as f64, window.height() as f64);
+            let n = 97;
+            for i in 0..=n {
+                for j in 0..=n {
+                    let x = left + w * i as f64 / n as f64;
+                    let y = bottom + h * j as f64 / n as f64;
+                    assert_eq!(
+                        fused.intensity_at(x, y).to_bits(),
+                        reference.intensity_at(x, y).to_bits(),
+                        "read ({x}, {y}) diverged for {label}"
+                    );
+                }
+            }
+            // Reads outside the window clamp to the computed rectangle's
+            // edge pixels.
+            let center = |i: usize, origin: i64| origin as f64 + (i as f64 + 0.5) * spec.pixel_nm;
+            let origin = grid.origin();
+            let (x_lo, x_hi) = (center(rect.x0, origin.x), center(rect.x1 - 1, origin.x));
+            let (y_lo, y_hi) = (center(rect.y0, origin.y), center(rect.y1 - 1, origin.y));
+            for (x, y) in [
+                (left - 300.0, 17.0),
+                (left + w + 250.0, -120.0),
+                (-33.0, bottom - 399.0),
+                (210.0, bottom + h + 1e6),
+                (-1e9, 1e9),
+            ] {
+                assert_eq!(
+                    fused.intensity_at(x, y).to_bits(),
+                    fused
+                        .intensity_at(x.clamp(x_lo, x_hi), y.clamp(y_lo, y_hi))
+                        .to_bits(),
+                    "outside read ({x}, {y}) for {label}"
+                );
+            }
             let with_ws = AerialImage::simulate_with(&mut ws, spec, &mask, window).expect("image");
             assert_eq!(with_ws, fused, "explicit-workspace path diverged");
         }

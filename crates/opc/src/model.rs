@@ -77,8 +77,9 @@ pub struct ModelOpcResult {
 
 /// Applies model-based OPC to `targets` with frozen `context` geometry.
 ///
-/// `window` must cover all targets; it is padded internally by the optical
-/// ambit.
+/// `window` must cover all targets and the `epe_search` reach past their
+/// edges, since the image is defined only inside it; it is padded
+/// internally by the optical ambit.
 ///
 /// # Errors
 ///

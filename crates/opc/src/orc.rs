@@ -107,7 +107,8 @@ impl OrcReport {
 /// Verifies a corrected `mask` against its drawn `targets`.
 ///
 /// `context` shapes are imaged but not measured. `window` must cover all
-/// targets.
+/// targets and the `epe_search` reach past their edges, since the image is
+/// defined only inside it.
 ///
 /// # Errors
 ///

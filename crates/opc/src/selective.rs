@@ -30,7 +30,9 @@ pub struct SelectiveResult {
 ///
 /// The rule pass runs first; its output becomes frozen context for the
 /// model pass, so critical-gate corrections account for their (cheaply
-/// corrected) neighbours. `window` must cover the tagged polygons.
+/// corrected) neighbours. `window` must cover the tagged polygons and the
+/// model pass's `epe_search` reach past their edges, as for
+/// [`model::correct`].
 ///
 /// # Errors
 ///
