@@ -2,10 +2,10 @@
 //! kernel stack vs single Gaussian, and slice-based equivalent length vs
 //! single mid-gate CD.
 //!
-//! Uses the in-tree timing harness (`postopc_bench::timing`); criterion is
-//! not available offline.
+//! Times through `postopc_bench::runner::measure` (median of 5 after a
+//! warm-up); criterion is not available offline.
 
-use postopc_bench::timing::{bench, render_bench_table};
+use postopc_bench::runner::{measure, render_timings};
 use postopc_device::{GateSlice, MosKind, Mosfet, ProcessParams, SlicedGate};
 use postopc_geom::{Polygon, Rect};
 use postopc_litho::{AerialImage, KernelMode, SimulationSpec};
@@ -24,12 +24,13 @@ fn main() {
             kernel_mode: mode,
             ..SimulationSpec::nominal()
         };
-        let stats = bench(10, || {
-            AerialImage::simulate(&spec, std::hint::black_box(&mask), window).expect("image")
-        });
-        imaging.push((name.to_string(), stats));
+        let (_, timing) = measure(
+            || AerialImage::simulate(&spec, std::hint::black_box(&mask), window).expect("image"),
+            |_, _| {},
+        );
+        imaging.push((name.to_string(), timing));
     }
-    print!("{}", render_bench_table("imaging", &imaging));
+    print!("{}", render_timings("imaging", &imaging));
 
     let process = ProcessParams::n90();
     let slices: Vec<GateSlice> = (0..8)
@@ -42,19 +43,27 @@ fn main() {
     let equivalent = vec![
         (
             "slice_bisection".to_string(),
-            bench(100, || {
-                gate.equivalent(std::hint::black_box(&process))
-                    .expect("converges")
-            }),
+            measure(
+                || {
+                    gate.equivalent(std::hint::black_box(&process))
+                        .expect("converges")
+                },
+                |_, _| {},
+            )
+            .1,
         ),
         (
             "mid_cd_single_eval".to_string(),
-            bench(100, || {
-                Mosfet::new(MosKind::Nmos, 420.0, std::hint::black_box(89.5))
-                    .expect("device")
-                    .i_on(&process)
-            }),
+            measure(
+                || {
+                    Mosfet::new(MosKind::Nmos, 420.0, std::hint::black_box(89.5))
+                        .expect("device")
+                        .i_on(&process)
+                },
+                |_, _| {},
+            )
+            .1,
         ),
     ];
-    print!("{}", render_bench_table("equivalent_length", &equivalent));
+    print!("{}", render_timings("equivalent_length", &equivalent));
 }

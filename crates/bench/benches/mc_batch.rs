@@ -5,15 +5,17 @@
 //! For each `(sampling, samples)` point the study runs five re-seeded
 //! Monte Carlos through the batched engine and reports the mean absolute
 //! errors of the worst-slack mean and 1%-quantile against a
-//! 16384-sample plain reference, next to the mean wall clock of one run.
+//! 16384-sample plain reference, next to the median wall clock of one
+//! run (`postopc_bench::runner::measure`).
 //! The table is the evidence behind the `mc_batch` CI gate
 //! (antithetic@500 vs plain@2000 on the mean) and the honest
 //! caveat recorded in EXPERIMENTS.md — variance reduction collapses the
 //! smooth mean statistic by orders of magnitude but leaves the deep tail
-//! quantile of the max-type worst slack nearly untouched. The
-//! machine-readable perf rows stay in `mc_scaling` / `BENCH_sta.json`.
+//! quantile of the max-type worst slack nearly untouched. The recorded
+//! Monte Carlo rows of `BENCH_sta.json` come from `perf_smoke --record`.
 
 use postopc::{extract_gates, ExtractionConfig, OpcMode, TagSet};
+use postopc_bench::runner::measure;
 use postopc_device::ProcessParams;
 use postopc_sta::{statistical, MonteCarloConfig, Sampling, TimingModel};
 
@@ -55,16 +57,25 @@ fn main() {
     println!("reference: plain sampling, 16384 samples; errors averaged over 5 seeds");
     println!(
         "{:>12} {:>8} {:>17} {:>16} {:>14}",
-        "sampling", "samples", "mean |err| (ps)", "q01 |err| (ps)", "run wall (s)"
+        "sampling", "samples", "mean |err| (ps)", "q01 |err| (ps)", "run median (s)"
     );
     for p in &study {
+        let run = MonteCarloConfig {
+            samples: p.samples,
+            sampling: p.sampling,
+            ..base.clone()
+        };
+        let (_, wall) = measure(
+            || statistical::run_with(&compiled, Some(&out.annotation), &run).expect("monte carlo"),
+            |_, _| {},
+        );
         println!(
             "{:>12} {:>8} {:>17.3} {:>16.3} {:>14.4}",
             format!("{:?}", p.sampling),
             p.samples,
             p.mean_abs_err_ps,
             p.q01_abs_err_ps,
-            p.mean_wall_s
+            wall.median_s
         );
     }
 }

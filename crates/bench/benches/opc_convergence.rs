@@ -1,10 +1,10 @@
 //! Benchmarks the model-OPC feedback loop: cost per iteration count on a
 //! dense three-line pattern (backs experiment T1 and DESIGN ablation #3).
 //!
-//! Uses the in-tree timing harness (`postopc_bench::timing`); criterion is
-//! not available offline.
+//! Times through `postopc_bench::runner::measure` (median of 5 after a
+//! warm-up); criterion is not available offline.
 
-use postopc_bench::timing::{bench, render_bench_table};
+use postopc_bench::runner::{measure, render_timings};
 use postopc_geom::{Polygon, Rect};
 use postopc_opc::{model, ModelOpcConfig};
 
@@ -25,11 +25,14 @@ fn main() {
             iterations,
             ..ModelOpcConfig::standard()
         };
-        let stats = bench(10, || {
-            model::correct(&cfg, std::hint::black_box(&targets), &[], window)
-                .expect("opc converges")
-        });
-        entries.push((format!("iterations/{iterations}"), stats));
+        let (_, timing) = measure(
+            || {
+                model::correct(&cfg, std::hint::black_box(&targets), &[], window)
+                    .expect("opc converges")
+            },
+            |_, _| {},
+        );
+        entries.push((format!("iterations/{iterations}"), timing));
     }
-    print!("{}", render_bench_table("model_opc", &entries));
+    print!("{}", render_timings("model_opc", &entries));
 }

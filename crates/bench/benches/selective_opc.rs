@@ -1,10 +1,10 @@
 //! Benchmarks the selective-OPC cost asymmetry (experiment T7): rule-only
 //! vs selective vs model-everywhere on a small job.
 //!
-//! Uses the in-tree timing harness (`postopc_bench::timing`); criterion is
-//! not available offline.
+//! Times through `postopc_bench::runner::measure` (median of 5 after a
+//! warm-up); criterion is not available offline.
 
-use postopc_bench::timing::{bench, render_bench_table};
+use postopc_bench::runner::{measure, render_timings};
 use postopc_geom::{Polygon, Rect};
 use postopc_opc::{model, rules, selective, ModelOpcConfig, RuleOpcConfig};
 
@@ -25,23 +25,31 @@ fn main() {
     let entries = vec![
         (
             "rule_only".to_string(),
-            bench(10, || {
-                rules::correct(&rule_cfg, std::hint::black_box(&all), &[]).expect("rule")
-            }),
+            measure(
+                || rules::correct(&rule_cfg, std::hint::black_box(&all), &[]).expect("rule"),
+                |_, _| {},
+            )
+            .1,
         ),
         (
             "selective_1_of_4".to_string(),
-            bench(10, || {
-                selective::correct(&model_cfg, &rule_cfg, &all[..1], &all[1..], &[], window)
-                    .expect("selective")
-            }),
+            measure(
+                || {
+                    selective::correct(&model_cfg, &rule_cfg, &all[..1], &all[1..], &[], window)
+                        .expect("selective")
+                },
+                |_, _| {},
+            )
+            .1,
         ),
         (
             "model_all_4".to_string(),
-            bench(10, || {
-                model::correct(&model_cfg, &all, &[], window).expect("model")
-            }),
+            measure(
+                || model::correct(&model_cfg, &all, &[], window).expect("model"),
+                |_, _| {},
+            )
+            .1,
         ),
     ];
-    print!("{}", render_bench_table("selective_opc", &entries));
+    print!("{}", render_timings("selective_opc", &entries));
 }

@@ -1,5 +1,6 @@
 //! Regenerates the evaluation tables and figures of the DAC 2005
-//! reproduction.
+//! reproduction. Prints only; the `BENCH_*.json` records are written by
+//! the gates that check them (`perf_smoke` / `serve_smoke --record`).
 //!
 //! ```bash
 //! cargo run --release -p postopc-bench --bin repro -- all
@@ -43,29 +44,10 @@ fn main() {
                 pair.1.clone()
             }
             "f5" => experiments::f5(),
-            "t6" => {
-                let (text, rows, accuracy) = experiments::t6();
-                let path = std::path::Path::new("BENCH_sta.json");
-                // Both engines run on one thread inside t6 regardless of
-                // the pool width; stamp the document with that.
-                match postopc_bench::json::write_sta_rows(path, 1, &rows, &accuracy) {
-                    Ok(()) => println!("[t6 wrote {}]", path.display()),
-                    Err(e) => eprintln!("[t6 could not write {}: {e}]", path.display()),
-                }
-                text
-            }
+            "t6" => experiments::t6(),
             "t7" => experiments::t7(),
             "f8" => experiments::f8(),
-            "t9" => {
-                let (text, rows) = experiments::t9();
-                let path = std::path::Path::new("BENCH_extract.json");
-                let threads = postopc_parallel::effective_threads(None);
-                match postopc_bench::json::write_engine_rows(path, threads, &rows) {
-                    Ok(()) => println!("[t9 wrote {}]", path.display()),
-                    Err(e) => eprintln!("[t9 could not write {}: {e}]", path.display()),
-                }
-                text
-            }
+            "t9" => experiments::t9(),
             "t10" => experiments::t10(),
             "a1" => experiments::a1(),
             "a2" => experiments::a2(),

@@ -1,8 +1,9 @@
-//! Warm-service smoke test and bench-regression gate for the CI script
-//! (`scripts/check.sh`, `serve` stage). Three modes, all fail the process
+//! Warm-service smoke test and the recorded warm-batch floors for the CI
+//! script (`scripts/check.sh`, `serve` and `bench_serve` stages). Three
+//! modes, run by [`postopc_bench::runner::run`]; each fails the process
 //! (exit 1) when an invariant breaks:
 //!
-//! **Default (parity + floor gates)**:
+//! **Default (parity + speedup gates)**:
 //!
 //! 1. **Cold-vs-warm bit parity** — `serve` cold (persisting an
 //!    artifact), then warm from that artifact: every query answer must
@@ -15,64 +16,45 @@
 //!    the identical annotation and timing report.
 //! 3. **Warm-query speedup floor** — repeat guardband/corner/MC queries
 //!    against the warm session must beat the cold full pipeline by at
-//!    least [`SPEEDUP_FLOOR`]× on the T6 composite and T9 farm designs.
-//!    Each side is the median of [`RUNS`] timed runs; the printed IQR
-//!    shows their spread.
+//!    least [`SPEEDUP_FLOOR`]× on the T6 composite and T9 farm designs,
+//!    comparing the medians of [`postopc_bench::runner::measure`]. Every
+//!    repeated cold pipeline and warm batch must answer exactly as the
+//!    first cold pipeline did.
 //!
-//! **`--record`** — runs the speedup measurement and writes
-//! `BENCH_serve.json` in the working directory (committed, so later PRs
-//! gate against it).
-//!
-//! **`--bench-regression`** — re-measures the warm-session speedups and
-//! fails if any drops below [`FLOOR_FRACTION`] of the value recorded in
-//! `BENCH_serve.json`.
+//! **`--record` / `--bench-regression`** — measures the warm batch of
+//! both workloads on one thread ([`rows`]), after one untimed cold
+//! pipeline, then writes `BENCH_serve.json` or holds the batches to their
+//! recorded floors ([`postopc_bench::runner::FLOORS`]).
 
 use postopc::guardband::GuardbandConfig;
 use postopc::{
-    serve, FlowConfig, FlowError, OpcMode, Selection, SessionQuery, TagSet, TimingSession,
-    WarmArtifact,
+    serve, FlowConfig, FlowError, OpcMode, QueryOutcome, Selection, SessionQuery, TagSet,
+    TimingSession, WarmArtifact,
 };
-use postopc_bench::json::{parse_speedups, write_serve_rows, ServeBenchRow};
+use postopc_bench::runner::{measure, Gate, Row, Timing, T6};
 use postopc_bench::OrExit;
 use postopc_layout::Design;
-use postopc_sta::quantile::{quantiles_of_sorted, sorted_ascending};
 use postopc_sta::{Corner, MonteCarloConfig, TimingModel};
-use std::path::Path;
 
-/// Minimum cold-pipeline / warm-repeat-query speedup in default mode.
+/// Minimum cold-pipeline / warm-repeat-query median speedup in default
+/// mode.
 const SPEEDUP_FLOOR: f64 = 10.0;
 
-/// Fraction of the recorded speedup a fresh `--bench-regression`
-/// measurement must retain (same tolerance as the other bench gates).
-const FLOOR_FRACTION: f64 = 0.6;
-
-/// Timed cold pipelines, and timed warm batches, per workload.
-const RUNS: usize = 5;
+/// Query batches per timed run of a recorded row. One batch takes a few
+/// milliseconds, so a brief burst of outside load can move a whole
+/// median of five; eight per run average over such bursts.
+const RECORDED_BATCHES: usize = 8;
 
 /// The two gated workloads: name, design builder, tagged path count.
 fn workloads() -> Vec<(&'static str, Design, usize)> {
     vec![
-        ("T6 composite 70%", postopc_bench::evaluation_design(11), 12),
+        (T6, postopc_bench::evaluation_design(11), 12),
         ("T9 farm 12x16", postopc_bench::farm_design(12, 16, 7), 8),
     ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let failed = match args.first().map(String::as_str) {
-        None => parity_gates() | speedup_gate(None),
-        Some("--record") => speedup_gate(Some(Path::new("BENCH_serve.json"))),
-        Some("--bench-regression") => bench_regression(),
-        Some(other) => {
-            eprintln!(
-                "serve_smoke: unknown argument {other} (expected --record or --bench-regression)"
-            );
-            true
-        }
-    };
-    if failed {
-        std::process::exit(1);
-    }
+    postopc_bench::runner::run(Gate::Serve, || parity_gates() | speedup_gate(), rows);
 }
 
 /// A serve config over `paths` critical paths with the fast OPC recipe.
@@ -91,12 +73,14 @@ fn config(design: &Design, paths: usize) -> FlowConfig {
 }
 
 /// The repeat query batch every gate measures: a corner sweep, a Monte
-/// Carlo run and a guardband analysis.
-fn query_batch() -> Vec<SessionQuery> {
+/// Carlo run and a guardband analysis, their Monte Carlo on `threads`
+/// workers (`None`: the ambient pool).
+fn query_batch(threads: Option<usize>) -> Vec<SessionQuery> {
     let monte_carlo = MonteCarloConfig {
         samples: 120,
         sigma_nm: 1.5,
         seed: 17,
+        threads,
         ..MonteCarloConfig::default()
     };
     vec![
@@ -115,7 +99,7 @@ fn parity_gates() -> bool {
     let mut failed = false;
     let design = postopc_bench::evaluation_design(11);
     let cfg = config(&design, 12);
-    let queries = query_batch();
+    let queries = query_batch(None);
 
     // --- Gate 1: cold-vs-warm bit parity through the persisted artifact.
     let dir = std::env::temp_dir().join("postopc-serve-smoke");
@@ -201,97 +185,73 @@ fn parity_gates() -> bool {
     failed
 }
 
-/// Measures one workload: cold full pipeline (compile + extract + query
-/// batch) vs the same batch repeated against the warm session, each the
-/// median of [`RUNS`] runs. Returns `(row, failed)`.
-fn measure(name: &'static str, design: &Design, paths: usize) -> (ServeBenchRow, bool) {
-    let cfg = config(design, paths);
-    let queries = query_batch();
-    let model = TimingModel::new(design, cfg.process.clone(), cfg.clock_ps).or_exit("model");
-    let answer =
-        |session: &mut TimingSession<'_>, queries: &[SessionQuery]| -> Vec<postopc::QueryOutcome> {
-            queries
-                .iter()
-                .map(|q| session.run(q).or_exit("query"))
-                .collect()
-        };
-    // Cold: everything from scratch, as a one-shot pipeline would.
-    let cold_run = || {
-        postopc_bench::timing::time(|| {
-            let mut session = TimingSession::new(&model, &cfg).or_exit("cold session");
-            let answers = answer(&mut session, &queries);
-            (session, answers)
-        })
-    };
-    let ((mut session, cold_answers), first_s) = cold_run();
-    let mut cold = vec![first_s];
-    let mut identical = true;
-    for _ in 1..RUNS {
-        let ((_, answers), secs) = cold_run();
-        identical &= answers == cold_answers;
-        cold.push(secs);
-    }
-    // Warm: the same batch again and again on the living session.
-    let mut warm = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let (warm_answers, secs) = postopc_bench::timing::time(|| answer(&mut session, &queries));
-        identical &= warm_answers == cold_answers;
-        warm.push(secs);
-    }
-    let (cold_s, cold_iqr) = median_and_iqr(&cold);
-    let (warm_s, warm_iqr) = median_and_iqr(&warm);
-    let speedup = cold_s / warm_s.max(1e-9);
-    println!(
-        "serve_smoke: {name}: cold {cold_s:.3} s (IQR {cold_iqr:.3}), warm {warm_s:.4} s \
-         (IQR {warm_iqr:.4}), median of {RUNS} each, {speedup:.1}x, identical: {identical}"
-    );
-    let row = ServeBenchRow {
-        design: name.to_string(),
-        engine: "warm session".to_string(),
-        queries: queries.len(),
-        wall_s: warm_s,
-        speedup,
-        identical,
-    };
-    (row, !identical)
+/// Answers `queries` on `session`, in order.
+fn answer(session: &mut TimingSession<'_>, queries: &[SessionQuery]) -> Vec<QueryOutcome> {
+    queries
+        .iter()
+        .map(|q| session.run(q).or_exit("query"))
+        .collect()
 }
 
-/// Median and interquartile range of `samples`.
-fn median_and_iqr(samples: &[f64]) -> (f64, f64) {
-    let q = quantiles_of_sorted(&sorted_ascending(samples), &[0.25, 0.5, 0.75]);
-    (q[1], q[2] - q[0])
+/// The cold full pipeline, as a one-shot run would do it: compile,
+/// extract and answer `queries` from scratch. Returns the warm session it
+/// leaves behind with its answers.
+fn cold_run<'m>(
+    model: &'m TimingModel,
+    cfg: &FlowConfig,
+    queries: &[SessionQuery],
+) -> (TimingSession<'m>, Vec<QueryOutcome>) {
+    let mut session = TimingSession::new(model, cfg).or_exit("cold session");
+    let answers = answer(&mut session, queries);
+    (session, answers)
+}
+
+/// Times `batches` repeats of `queries` per run on the warm `session`.
+/// Clears `identical` unless every batch, the warm-up's included, answers
+/// as `cold` did.
+fn warm_batches(
+    session: &mut TimingSession<'_>,
+    queries: &[SessionQuery],
+    batches: usize,
+    cold: &[QueryOutcome],
+    identical: &mut bool,
+) -> Timing {
+    let same = |runs: &Vec<Vec<QueryOutcome>>| runs.iter().all(|answers| answers == cold);
+    let (first, warm) = measure(
+        || (0..batches).map(|_| answer(session, queries)).collect(),
+        |_, runs| *identical &= same(runs),
+    );
+    *identical &= same(&first);
+    warm
 }
 
 /// Gate 3: the warm session must beat the cold pipeline by
-/// [`SPEEDUP_FLOOR`]× on every workload. With `record_to`, also writes
-/// `BENCH_serve.json`. Returns `true` on failure.
-fn speedup_gate(record_to: Option<&Path>) -> bool {
+/// [`SPEEDUP_FLOOR`]× on every workload, both sides timed on the ambient
+/// pool. Returns `true` on failure.
+fn speedup_gate() -> bool {
     let mut failed = false;
-    let mut rows = Vec::new();
     for (name, design, paths) in workloads() {
-        let (row, bad) = measure(name, &design, paths);
-        failed |= bad;
-        if row.speedup < SPEEDUP_FLOOR {
-            eprintln!(
-                "serve_smoke: FAIL - {name} warm speedup {:.1}x below the {SPEEDUP_FLOOR}x floor",
-                row.speedup
-            );
+        let cfg = config(&design, paths);
+        let queries = query_batch(None);
+        let model = TimingModel::new(&design, cfg.process.clone(), cfg.clock_ps).or_exit("model");
+        let mut identical = true;
+        let ((mut session, cold_answers), cold) = measure(
+            || cold_run(&model, &cfg, &queries),
+            |(_, first), (_, answers)| identical &= answers == first,
+        );
+        let warm = warm_batches(&mut session, &queries, 1, &cold_answers, &mut identical);
+        let speedup = cold.median_s / warm.median_s.max(1e-9);
+        println!("serve_smoke: {name}: cold {cold}, warm {warm}, {speedup:.1}x");
+        if !identical {
+            eprintln!("serve_smoke: FAIL - {name} repeated answers differ from the first cold run");
             failed = true;
         }
-        rows.push(row);
-    }
-    if let Some(path) = record_to {
-        let threads = postopc_parallel::effective_threads(None);
-        match write_serve_rows(path, threads, &rows) {
-            Ok(()) => println!(
-                "serve_smoke: recorded {} rows to {}",
-                rows.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("serve_smoke: FAIL - cannot write {}: {e}", path.display());
-                failed = true;
-            }
+        if speedup < SPEEDUP_FLOOR {
+            eprintln!(
+                "serve_smoke: FAIL - {name} warm speedup {speedup:.1}x below the \
+                 {SPEEDUP_FLOOR}x floor"
+            );
+            failed = true;
         }
     }
     if !failed {
@@ -300,48 +260,33 @@ fn speedup_gate(record_to: Option<&Path>) -> bool {
     failed
 }
 
-/// The `--bench-regression` mode: fresh measurements against the recorded
-/// `BENCH_serve.json` floors. Returns `true` on failure.
-fn bench_regression() -> bool {
-    let recorded = match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(doc) => parse_speedups(&doc),
-        Err(e) => {
-            eprintln!("serve_smoke: FAIL - cannot read BENCH_serve.json: {e}");
-            return true;
-        }
-    };
+/// The recorded rows: each workload's warm batch on one thread,
+/// [`RECORDED_BATCHES`] times per timed run, after one untimed cold
+/// pipeline. Returns the rows and `true` if a warm answer differed from
+/// the cold one.
+fn rows() -> (Vec<Row>, bool) {
     let mut failed = false;
+    let mut rows = Vec::new();
     for (name, design, paths) in workloads() {
-        let (row, bad) = measure(name, &design, paths);
-        failed |= bad;
-        let Some(baseline) = recorded
-            .iter()
-            .find(|r| r.design == name && r.engine == "warm session")
-        else {
-            eprintln!(
-                "serve_smoke: FAIL - no recorded row for {name} in BENCH_serve.json \
-                 (re-record with --record?)"
-            );
+        let cfg = config(&design, paths);
+        let queries = query_batch(Some(1));
+        let model = TimingModel::new(&design, cfg.process.clone(), cfg.clock_ps).or_exit("model");
+        let (mut session, cold_answers) = cold_run(&model, &cfg, &queries);
+        let mut identical = true;
+        let warm = warm_batches(
+            &mut session,
+            &queries,
+            RECORDED_BATCHES,
+            &cold_answers,
+            &mut identical,
+        );
+        println!("serve_smoke: {name}: {RECORDED_BATCHES} warm batches {warm}");
+        if !identical {
+            eprintln!("serve_smoke: FAIL - {name} warm answers differ from cold answers");
             failed = true;
-            continue;
-        };
-        let floor = baseline.speedup * FLOOR_FRACTION;
-        if row.speedup < floor {
-            eprintln!(
-                "serve_smoke: FAIL - {name} fresh {:.1}x below floor {floor:.1}x \
-                 (recorded {:.1}x)",
-                row.speedup, baseline.speedup
-            );
-            failed = true;
-        } else {
-            println!(
-                "serve_smoke: bench {name}: fresh {:.1}x vs recorded {:.1}x (floor {floor:.1}x) - OK",
-                row.speedup, baseline.speedup
-            );
         }
+        let work = RECORDED_BATCHES * queries.len();
+        rows.push(Row::timed(name, "warm session", work, 1, warm));
     }
-    if !failed {
-        println!("serve_smoke: PASS - warm-session speedups within their recorded floors");
-    }
-    failed
+    (rows, failed)
 }

@@ -13,7 +13,8 @@
 //!    inverter farm must refuse to predict on an unrelated adder layout:
 //!    100% of its unique contexts fall back to real simulation.
 //! 4. **Speedup floor** — the surrogate run must beat the serial no-cache
-//!    baseline by at least [`SPEEDUP_FLOOR`]× on the shuffled farm.
+//!    baseline by at least [`SPEEDUP_FLOOR`]× on the shuffled farm,
+//!    comparing the medians of [`postopc_bench::runner::measure`].
 //!
 //! With `--model FILE` (a `POCSURR1` file from `surrogate_train`), the
 //! pretrained model additionally seeds a farm run that must hit at least
@@ -23,6 +24,7 @@ use postopc::{
     extract_gates, extract_gates_with_caches, ExtractionConfig, ExtractionOutcome, OpcMode,
     SurrogateConfig, TagSet,
 };
+use postopc_bench::runner::measure;
 use postopc_bench::OrExit;
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use postopc_litho::SurrogateModel;
@@ -32,10 +34,10 @@ use postopc_litho::SurrogateModel;
 /// saw lands far above this.
 const PARITY_TOL_NM: f64 = 1.0;
 
-/// Fresh surrogate-vs-baseline wall-time floor on the shuffled farm. The
-/// recorded speedup in `BENCH_extract.json` is gated separately (and
-/// tighter) by `perf_smoke --bench-regression`; this absolute floor keeps
-/// the smoke meaningful on any machine.
+/// Fresh surrogate-vs-baseline median-time floor on the shuffled farm.
+/// `perf_smoke --bench-regression` separately floors the surrogate's
+/// recorded single-thread time in `BENCH_extract.json`; this absolute
+/// floor keeps the smoke meaningful on any machine.
 const SPEEDUP_FLOOR: f64 = 3.0;
 
 fn main() {
@@ -101,9 +103,10 @@ fn gates(model_path: Option<&str>) -> bool {
     baseline_cfg.opc_mode = OpcMode::Rule;
     baseline_cfg.cache = false;
     baseline_cfg.threads = Some(1);
-    let (_, baseline_s) = postopc_bench::timing::time(|| {
-        extract_gates(&farm, &baseline_cfg, &farm_tags).or_exit("baseline extraction")
-    });
+    let (_, baseline) = measure(
+        || extract_gates(&farm, &baseline_cfg, &farm_tags).or_exit("baseline extraction"),
+        |_, _| {},
+    );
 
     // Pure-SOCS truth (cache + pool, no surrogate) for the parity gates.
     let mut truth_cfg = ExtractionConfig::standard();
@@ -114,12 +117,13 @@ fn gates(model_path: Option<&str>) -> bool {
     // the baseline.
     let mut surrogate_cfg = truth_cfg.clone();
     surrogate_cfg.surrogate = SurrogateConfig::standard();
-    let (fast, fast_s) = postopc_bench::timing::time(|| {
-        extract_gates(&farm, &surrogate_cfg, &farm_tags).or_exit("surrogate extraction")
-    });
-    let speedup = baseline_s / fast_s.max(1e-9);
+    let (fast, fast_t) = measure(
+        || extract_gates(&farm, &surrogate_cfg, &farm_tags).or_exit("surrogate extraction"),
+        |_, _| {},
+    );
+    let speedup = baseline.median_s / fast_t.median_s.max(1e-9);
     println!(
-        "surrogate_smoke: shuffled farm 20x24: baseline {baseline_s:.2} s, surrogate {fast_s:.2} s \
+        "surrogate_smoke: shuffled farm 20x24: baseline {baseline}, surrogate {fast_t} \
          ({speedup:.1}x), {} predicted / {} fell back of {} unique contexts",
         fast.stats.surrogate_hits,
         fast.stats.surrogate_fallbacks,

@@ -33,8 +33,8 @@ use postopc_layout::{generate, Design, TechRules};
 use postopc_sta::{statistical, MonteCarloConfig, MonteCarloResult, Sampling, TimingModel, LANES};
 
 /// Default slow-corner tilt budget of the gated runs — the value the
-/// `postopc serve --sampling tail` CLI defaults to and the accuracy
-/// rows of `BENCH_sta.json` record.
+/// `postopc serve --sampling tail` CLI defaults to and the tail-IS
+/// accuracy rows `perf_smoke --record` writes to `BENCH_sta.json` use.
 const TILT: f64 = postopc_bench::TAIL_TILT;
 
 /// Tail-IS at 500 samples may exceed plain@2000's q01 absolute error by

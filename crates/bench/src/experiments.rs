@@ -361,18 +361,10 @@ pub fn f5() -> String {
     text
 }
 
-/// **T6 — corner pessimism vs extracted-distribution Monte Carlo.**
-///
-/// Returns the human-readable report plus the STA engine-comparison rows
-/// and the sampling-accuracy rows for the machine-readable
-/// `BENCH_sta.json` artifact (schema v3: naive per-sample `analyze` vs
-/// the batched evaluator at the same N = 2000, plus the convergence
-/// errors of plain / antithetic / tail-IS sampling).
-pub fn t6() -> (
-    String,
-    Vec<crate::json::StaBenchRow>,
-    Vec<crate::json::StaAccuracyRow>,
-) {
+/// **T6 — corner pessimism vs extracted-distribution Monte Carlo**, with
+/// the naive-vs-batched Monte Carlo engine comparison at N = 2000 and the
+/// tail check of the sampling-accuracy study.
+pub fn t6() -> String {
     let design = crate::evaluation_design(11);
     let model = model_with_margin(&design, 0.10);
     // One compiled evaluator serves the drawn pass, the corner sweep and
@@ -398,38 +390,17 @@ pub fn t6() -> (
         threads: Some(1),
         ..MonteCarloConfig::default()
     };
-    let (mc, batched_s) = crate::timing::time(|| {
-        statistical::run_with(&compiled, Some(&out.annotation), &mc_config).expect("monte carlo")
-    });
-    let (naive, naive_s) = crate::timing::time(|| {
-        statistical::run_reference(&model, Some(&out.annotation), &mc_config)
-            .expect("naive monte carlo")
-    });
+    let t0 = Instant::now();
+    let mc =
+        statistical::run_with(&compiled, Some(&out.annotation), &mc_config).expect("monte carlo");
+    let batched_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let naive = statistical::run_reference(&model, Some(&out.annotation), &mc_config)
+        .expect("naive monte carlo");
+    let naive_s = t0.elapsed().as_secs_f64();
     let batched_identical = mc == naive;
     let q99_delay = model.clock_ps() - mc.worst_slack_quantile_ps(0.01);
     let batched_stats = mc.cache_stats();
-    let bench_rows = vec![
-        crate::json::StaBenchRow {
-            design: "T6 composite 70%".into(),
-            engine: "naive analyze".into(),
-            samples: mc_config.samples,
-            wall_s: naive_s,
-            speedup: 1.0,
-            identical: true,
-            shift_hits: 0,
-            shift_misses: 0,
-        },
-        crate::json::StaBenchRow {
-            design: "T6 composite 70%".into(),
-            engine: "batched".into(),
-            samples: mc_config.samples,
-            wall_s: batched_s,
-            speedup: naive_s / batched_s.max(1e-9),
-            identical: batched_identical,
-            shift_hits: batched_stats.hits + batched_stats.shared_hits,
-            shift_misses: batched_stats.misses,
-        },
-    ];
     let rows = vec![
         vec![
             "corner SS (+6 nm)".into(),
@@ -490,16 +461,16 @@ pub fn t6() -> (
         "shift table: batched {} prewarmed, {} shared hits, {} misses\n",
         batched_stats.prewarmed, batched_stats.shared_hits, batched_stats.misses
     ));
-    // Schema-v3 accuracy section: the sampling-scheme convergence study
-    // (tail-IS at 500 samples vs plain at 2000 on the deep quantiles).
-    let accuracy = crate::sta_accuracy_rows("T6 composite 70%", &compiled, Some(&out.annotation));
-    let tail = accuracy
-        .iter()
-        .find(|r| r.sampling == "tail-is" && r.samples == 500);
-    let plain = accuracy
-        .iter()
-        .find(|r| r.sampling == "plain" && r.samples == 2000);
-    if let (Some(tail), Some(plain)) = (tail, plain) {
+    // The sampling-scheme convergence study (tail-IS at 500 samples vs
+    // plain at 2000 on the deep quantiles).
+    let accuracy = crate::sta_accuracy_rows(crate::runner::T6, &compiled, Some(&out.annotation));
+    let point = |engine: &str, work: usize| {
+        accuracy
+            .iter()
+            .find(|r| r.engine == engine && r.work == work)
+            .and_then(crate::runner::Row::accuracy)
+    };
+    if let (Some(tail), Some(plain)) = (point("tail-is", 500), point("plain", 2000)) {
         text.push_str(&format!(
             "tail check: tail-IS@500 q01 err {:.3} ps <= plain@2000 q01 err {:.3} ps -> {}\n",
             tail.q01_abs_err_ps,
@@ -511,7 +482,7 @@ pub fn t6() -> (
             }
         ));
     }
-    (text, bench_rows, accuracy)
+    text
 }
 
 /// **T7 — selective OPC.** Model OPC on tagged critical gates vs rule
@@ -648,11 +619,9 @@ pub fn f8() -> String {
 }
 
 /// **T9 — selective-extraction scalability.** Full-chip vs tagged-only
-/// extraction wall time across design sizes.
-///
-/// Returns the human-readable report plus the engine-comparison rows for
-/// the machine-readable `BENCH_extract.json` artifact.
-pub fn t9() -> (String, Vec<crate::json::EngineBenchRow>) {
+/// extraction wall time across design sizes, then the extraction engine
+/// comparison.
+pub fn t9() -> String {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for &gates in &[60usize, 150, 400] {
@@ -698,9 +667,8 @@ pub fn t9() -> (String, Vec<crate::json::EngineBenchRow>) {
         }
     ));
     text.push('\n');
-    let (engine_text, bench_rows) = t9_engine();
-    text.push_str(&engine_text);
-    (text, bench_rows)
+    text.push_str(&t9_engine());
+    text
 }
 
 /// The engine-scaling half of T9: baseline (serial, no dedup) vs the
@@ -712,7 +680,7 @@ pub fn t9() -> (String, Vec<crate::json::EngineBenchRow>) {
 /// surrogate engine trades bit-exactness for wall time, so its CDs are
 /// compared against the simulated truth with a tolerance instead of
 /// joining the bit-identity checks.
-fn t9_engine() -> (String, Vec<crate::json::EngineBenchRow>) {
+fn t9_engine() -> String {
     use postopc_layout::PlacementOptions;
     let dense = |netlist| {
         Design::compile_with(
@@ -759,7 +727,6 @@ fn t9_engine() -> (String, Vec<crate::json::EngineBenchRow>) {
         }),
     ];
     let mut rows = Vec::new();
-    let mut bench_rows = Vec::new();
     let mut cds_identical = true;
     let mut pool_identical = true;
     let mut farm_hit_rate: f64 = 0.0;
@@ -771,8 +738,9 @@ fn t9_engine() -> (String, Vec<crate::json::EngineBenchRow>) {
         let mut baseline_s = 0.0;
         let mut outcomes: Vec<ExtractionOutcome> = Vec::new();
         for (i, (label, cfg)) in engines.iter().enumerate() {
-            let (out, secs) =
-                crate::timing::time(|| extract_gates(design, cfg, &tags).expect("extraction"));
+            let t0 = Instant::now();
+            let out = extract_gates(design, cfg, &tags).expect("extraction");
+            let secs = t0.elapsed().as_secs_f64();
             if i == 0 {
                 baseline_s = secs;
             }
@@ -787,17 +755,6 @@ fn t9_engine() -> (String, Vec<crate::json::EngineBenchRow>) {
                 format!("{secs:.2}"),
                 format!("{speedup:.1}x"),
             ]);
-            bench_rows.push(crate::json::EngineBenchRow {
-                design: (*name).to_string(),
-                engine: (*label).to_string(),
-                windows: out.stats.windows,
-                hits: out.stats.cache_hits,
-                hit_rate: out.stats.cache_hit_rate(),
-                surrogate_hits: out.stats.surrogate_hits,
-                surrogate_fallbacks: out.stats.surrogate_fallbacks,
-                wall_s: secs,
-                speedup,
-            });
             if *name == "shuffled farm 20x24" {
                 farm_hit_rate = farm_hit_rate.max(out.stats.cache_hit_rate());
             } else {
@@ -875,7 +832,7 @@ fn t9_engine() -> (String, Vec<crate::json::EngineBenchRow>) {
             "VIOLATED"
         }
     ));
-    (text, bench_rows)
+    text
 }
 
 /// **A1 — kernel-stack ablation** (DESIGN.md ablation #1): how much of the

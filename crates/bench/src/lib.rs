@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness of the reproduction: one function per table and
 //! figure of the DAC 2005 evaluation (as reconstructed in `DESIGN.md`),
-//! shared between the `repro` binary and the bench targets (which use the
-//! in-tree [`timing`] harness so the workspace builds offline).
+//! shared between the `repro` binary and the bench targets, plus the
+//! [`runner`] every timed gate and bench measures through.
 //!
 //! Run everything with:
 //!
@@ -21,8 +21,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod experiments;
-pub mod json;
-pub mod timing;
+pub mod runner;
 
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use postopc_sta::{statistical, CdAnnotation, CompiledSta, MonteCarloConfig, Sampling};
@@ -66,12 +65,12 @@ impl<T> OrExit<T> for Option<T> {
 /// describe the configuration users actually get.
 pub const TAIL_TILT: f64 = 1.2;
 
-/// Runs the sampling-accuracy study behind the `accuracy` section of
-/// `BENCH_sta.json` (schema v3): q01 / q001 / mean absolute worst-slack
-/// errors of plain, antithetic and tail-tilted importance sampling at
-/// 500 and 2000 samples, against a 16384-sample plain reference over
-/// ten fixed seeds. Deterministic and thread-invariant, so the recorded
-/// artifact regenerates bit-identically on any machine.
+/// Runs the sampling-accuracy study behind the accuracy rows of
+/// `BENCH_sta.json`: q01 / q001 / mean absolute worst-slack errors of
+/// plain, antithetic and tail-tilted importance sampling at 500 and 2000
+/// samples, against a 16384-sample plain reference over ten fixed seeds,
+/// on one thread. Deterministic and thread-invariant, so the recorded
+/// rows regenerate bit-identically on any machine.
 ///
 /// # Panics
 ///
@@ -80,10 +79,11 @@ pub fn sta_accuracy_rows(
     design_name: &str,
     compiled: &CompiledSta<'_>,
     systematic: Option<&CdAnnotation>,
-) -> Vec<json::StaAccuracyRow> {
+) -> Vec<runner::Row> {
     let base = MonteCarloConfig {
         sigma_nm: 1.5,
         seed: 17,
+        threads: Some(1),
         ..MonteCarloConfig::default()
     };
     let schemes = [
@@ -109,17 +109,20 @@ pub fn sta_accuracy_rows(
     study
         .iter()
         .zip(&points)
-        .map(|(point, &(sampling, _))| json::StaAccuracyRow {
+        .map(|(point, &(sampling, _))| runner::Row {
             design: design_name.to_string(),
-            sampling: schemes
+            engine: schemes
                 .iter()
                 .find(|(_, s)| *s == sampling)
                 .map(|(name, _)| (*name).to_string())
                 .expect("scheme label"),
-            samples: point.samples,
-            q01_abs_err_ps: point.q01_abs_err_ps,
-            q001_abs_err_ps: point.q001_abs_err_ps,
-            mean_abs_err_ps: point.mean_abs_err_ps,
+            work: point.samples,
+            threads: 1,
+            value: runner::Value::Accuracy(runner::Accuracy {
+                q01_abs_err_ps: point.q01_abs_err_ps,
+                q001_abs_err_ps: point.q001_abs_err_ps,
+                mean_abs_err_ps: point.mean_abs_err_ps,
+            }),
         })
         .collect()
 }

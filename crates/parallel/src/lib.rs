@@ -245,29 +245,7 @@ where
             .map(|(i, t)| f(&mut state, i, t))
             .collect();
     }
-    // Partition into contiguous chunks targeting the grain. Zero costs are
-    // clamped so degenerate estimators still make progress.
-    let costs: Vec<u64> = items
-        .iter()
-        .enumerate()
-        .map(|(i, t)| cost(i, t).max(1))
-        .collect();
-    let total: u64 = costs.iter().sum();
-    let grain = (total / (workers as u64 * CHUNKS_PER_WORKER)).max(1);
-    let mut chunks: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for (i, &c) in costs.iter().enumerate() {
-        acc += c;
-        if acc >= grain {
-            chunks.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < items.len() {
-        chunks.push(start..items.len());
-    }
+    let chunks = chunk_plan(items, workers, cost);
     // Workers claim whole chunks; results land in per-index slots, so the
     // merge is input-ordered no matter which worker ran what.
     let next = AtomicUsize::new(0);
@@ -308,6 +286,38 @@ where
         .enumerate()
         .map(|(i, s)| s.unwrap_or_else(|| unreachable!("index {i} visited exactly once")))
         .collect()
+}
+
+/// Partitions `items` into contiguous chunks of roughly
+/// `total_cost / (workers × CHUNKS_PER_WORKER)` each, in input order.
+/// Zero costs are clamped so degenerate estimators still make progress.
+fn chunk_plan<T>(
+    items: &[T],
+    workers: usize,
+    cost: impl Fn(usize, &T) -> u64,
+) -> Vec<std::ops::Range<usize>> {
+    let costs: Vec<u64> = items
+        .iter()
+        .enumerate()
+        .map(|(i, t)| cost(i, t).max(1))
+        .collect();
+    let total: u64 = costs.iter().sum();
+    let grain = (total / (workers as u64 * CHUNKS_PER_WORKER)).max(1);
+    let mut chunks = Vec::new();
+    let mut start = 0usize;
+    let mut acc = 0u64;
+    for (i, &c) in costs.iter().enumerate() {
+        acc += c;
+        if acc >= grain {
+            chunks.push(start..i + 1);
+            start = i + 1;
+            acc = 0;
+        }
+    }
+    if start < items.len() {
+        chunks.push(start..items.len());
+    }
+    chunks
 }
 
 /// [`par_map`] with a fallible mapper: stops at nothing mid-flight (all
@@ -551,33 +561,23 @@ mod tests {
 
     #[test]
     fn costed_map_dispatches_in_chunks() {
-        // With uniform costs and 2 workers the scheduler should dispatch
-        // far fewer chunks than items: count peak concurrency transitions
-        // by recording per-item claim order via an atomic stamp.
+        // 1000 unit-cost items at 2 workers: 8 contiguous chunks of 125,
+        // covering every index exactly once, in input order.
         let items: Vec<usize> = (0..1000).collect();
-        let stamps: Vec<AtomicUsize> = (0..items.len()).map(|_| AtomicUsize::new(0)).collect();
-        let counter = AtomicUsize::new(0);
-        let _ = par_map_costed(
-            2,
-            &items,
-            |_, _| 1,
-            |i, &x| {
-                stamps[i].store(counter.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                x
-            },
-        );
-        // Items in the same chunk are claimed back-to-back by one worker,
-        // so consecutive stamps within a chunk differ by exactly 1 most of
-        // the time; with per-item dispatch under 2 workers interleaving
-        // would break monotone runs constantly. Expect long monotone runs.
-        let mut runs = 1;
-        for w in stamps.windows(2) {
-            let (a, b) = (w[0].load(Ordering::Relaxed), w[1].load(Ordering::Relaxed));
-            if b != a + 1 {
-                runs += 1;
-            }
+        let plan = chunk_plan(&items, 2, |_, _| 1);
+        let expected: Vec<std::ops::Range<usize>> =
+            (0..8).map(|c| c * 125..(c + 1) * 125).collect();
+        assert_eq!(plan, expected);
+        // A real run dispatches whole chunks: every item of a chunk runs
+        // on the worker that claimed it.
+        let workers = par_map_costed(2, &items, |_, _| 1, |_, _| std::thread::current().id());
+        for chunk in plan {
+            let first = workers[chunk.start];
+            assert!(
+                workers[chunk].iter().all(|&w| w == first),
+                "a chunk was split across workers"
+            );
         }
-        assert!(runs <= 16, "expected chunked dispatch, got {runs} runs");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, tier-1 build + tests, workspace
 # tests, perf smoke parity (across a thread matrix) and the
-# bench-regression gate against the committed BENCH_*.json artifacts.
+# bench-regression gates, which re-time the single-thread engines
+# recorded in the committed BENCH_*.json files (re-record them with
+# `perf_smoke --record` / `serve_smoke --record` from the repo root).
 #
 # Everything here runs with no network access; the workspace has no
 # external dependencies (see DESIGN.md "Dependencies").
@@ -35,8 +37,9 @@
 #   test       tier-1: cargo test -q
 #   wstest     cargo test --workspace -q
 #   smoke      perf_smoke parity gates (ambient thread count): pooled
-#              extraction vs serial, compiled STA and Monte Carlo vs the
-#              naive references
+#              extraction vs serial (bit parity, every timed run == its
+#              first, median within 1.25x), compiled STA and Monte Carlo
+#              vs the naive references
 #   threads    perf_smoke parity gates under POSTOPC_THREADS=1,2,4
 #   faults     fault_smoke: seeded injection, quarantine determinism gates
 #   mc_batch   mc_batch_smoke: Monte Carlo engine vs run_reference parity,
@@ -49,7 +52,8 @@
 #              the T6 study)
 #   serve      serve_smoke: cold-vs-warm artifact bit parity, typed bad-
 #              artifact errors, incremental-vs-full ECO bit parity, and
-#              the warm-query speedup floor
+#              the 10x warm-query speedup floor (cold / warm median; every
+#              repeated cold run and warm batch == the first cold answers)
 #   chaos      chaos_smoke under POSTOPC_THREADS=1,2,4: seeded I/O fault
 #              schedules against the durable serving layer — every serve
 #              answers bit-identically to fault-free or fails typed,
@@ -57,14 +61,18 @@
 #              deterministic, lock contention is refused typed
 #   surrogate  surrogate_train + surrogate_smoke: learned-CD-surrogate
 #              parity vs SOCS, serial-vs-pool bit identity, 100% fallback
-#              on an out-of-distribution layout, the speedup floor, and
-#              the POCSURR1 model-file round trip
-#   bench      perf_smoke --bench-regression vs committed BENCH_*.json
-#              (STA floors now include the schema-v3 sampling-accuracy
-#              rows)
+#              on an out-of-distribution layout, the 3x speedup floor
+#              (medians), and the POCSURR1 model-file round trip
+#   bench      perf_smoke --bench-regression: fresh single-thread medians
+#              (each the quietest of 3 rounds) of the uniform-farm cache,
+#              shuffled-farm surrogate and T6 batched MC@2000 <= recorded
+#              / 0.6 (BENCH_extract.json, BENCH_sta.json); sampling-
+#              accuracy rows within 1.5x; tail-IS@500 <= plain@2000;
+#              batched == naive @250; every timed run == its first
 #   bench_serve
-#              serve_smoke --bench-regression: the warm-query speedup
-#              floors vs the committed BENCH_serve.json
+#              serve_smoke --bench-regression: the same median bound on
+#              the T6 and T9 warm sessions, 8 query batches per timed
+#              run (BENCH_serve.json); every batch == the cold answers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
