@@ -19,13 +19,6 @@ pub struct ExtractedGate {
 }
 
 impl ExtractedGate {
-    /// Width-weighted mean printed CD across the slices, in nm — the
-    /// "single mid-gate CD" a naive extraction would report.
-    pub fn mean_cd_nm(&self) -> f64 {
-        let total_w: f64 = self.slices.iter().map(|s| s.w_nm).sum();
-        self.slices.iter().map(|s| s.w_nm * s.l_nm).sum::<f64>() / total_w
-    }
-
     /// Deviation of the delay-equivalent length from drawn, in nm.
     pub fn delta_l_nm(&self) -> f64 {
         self.equivalent.l_delay_nm - self.site.drawn_l_nm
@@ -95,7 +88,9 @@ mod tests {
     fn long_finger_extracts_near_drawn() {
         let e = extract_finger(500);
         assert!((e.equivalent.l_delay_nm - 90.0).abs() < 20.0);
-        assert!((e.mean_cd_nm() - 90.0).abs() < 20.0);
+        let total_w: f64 = e.slices.iter().map(|s| s.w_nm).sum();
+        let mean_cd = e.slices.iter().map(|s| s.w_nm * s.l_nm).sum::<f64>() / total_w;
+        assert!((mean_cd - 90.0).abs() < 20.0);
         assert_eq!(e.equivalent.w_nm, 420.0);
     }
 

@@ -211,48 +211,27 @@ impl WarmArtifact {
         })
     }
 
-    /// Writes the artifact to `path` atomically: the bytes are staged in
-    /// `<path>.tmp.<pid>`, fsynced, renamed into place, and the parent
-    /// directory fsynced — a crash or failure at any step leaves the
-    /// previous artifact at `path` untouched.
+    /// Writes the artifact to `path` atomically through a caller-supplied
+    /// I/O context (fault injection and retry policy): the bytes are
+    /// staged in `<path>.tmp.<pid>`, fsynced, renamed into place, and the
+    /// parent directory fsynced — a crash or failure at any step leaves
+    /// the previous artifact at `path` untouched.
     ///
     /// # Errors
     ///
     /// [`FlowError::Artifact`](crate::FlowError::Artifact) with an
     /// [`ArtifactErrorKind::Io`](crate::ArtifactErrorKind::Io) naming
     /// the path and failing operation (write/fsync/rename).
-    pub fn save(&self, path: &Path) -> Result<()> {
-        self.save_with(path, &mut ArtifactIo::faultless())
-    }
-
-    /// [`Self::save`] through a caller-supplied I/O context (fault
-    /// injection and retry policy).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::save`].
     pub fn save_with(&self, path: &Path, io: &mut ArtifactIo) -> Result<()> {
         io.write_atomic(path, &self.to_bytes())
     }
 
-    /// Reads and parses an artifact from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Artifact`](crate::FlowError::Artifact) for I/O
+    /// Reads and parses an artifact from `path` through `io`: I/O
     /// failures (transient ones are retried) and, via
-    /// [`Self::from_bytes`], for any malformed content; decode errors
+    /// [`Self::from_bytes`], malformed content come back as
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact); decode errors
     /// carry `path`.
-    pub fn load(path: &Path) -> Result<WarmArtifact> {
-        WarmArtifact::load_with(path, &mut ArtifactIo::faultless())
-    }
-
-    /// [`Self::load`] through a caller-supplied I/O context.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::load`].
-    pub fn load_with(path: &Path, io: &mut ArtifactIo) -> Result<WarmArtifact> {
+    fn load_with(path: &Path, io: &mut ArtifactIo) -> Result<WarmArtifact> {
         let bytes = io.read(path)?;
         WarmArtifact::from_bytes(&bytes).map_err(|e| match e {
             crate::FlowError::Artifact(err) => crate::FlowError::Artifact(err.with_path(path)),
@@ -260,18 +239,20 @@ impl WarmArtifact {
         })
     }
 
-    /// [`Self::load`] plus an invalidation check against the hash of the
-    /// consumer's current inputs — the full recovery ladder: I/O errors,
-    /// torn/partial bytes, foreign versions and stale hashes each come
-    /// back as their own [`ArtifactErrorKind`](crate::ArtifactErrorKind).
+    /// Reads and parses an artifact from `path`, then checks it against
+    /// the hash of the consumer's current inputs — the full recovery
+    /// ladder: I/O errors, torn/partial bytes, foreign versions and stale
+    /// hashes each come back as their own
+    /// [`ArtifactErrorKind`](crate::ArtifactErrorKind).
     ///
     /// # Errors
     ///
-    /// [`FlowError::Artifact`](crate::FlowError::Artifact) with
+    /// [`FlowError::Artifact`](crate::FlowError::Artifact) for I/O
+    /// failures (transient ones are retried) and, via
+    /// [`Self::from_bytes`], for any malformed content; with
     /// [`ArtifactErrorKind::StaleHash`](crate::ArtifactErrorKind::StaleHash)
     /// when the stored hash differs from `expected_hash` (the inputs
-    /// changed: recompile cold), plus everything [`Self::load`] can
-    /// return.
+    /// changed: recompile cold). Every error carries `path`.
     pub fn load_validated(path: &Path, expected_hash: u64) -> Result<WarmArtifact> {
         WarmArtifact::load_validated_with(path, expected_hash, &mut ArtifactIo::faultless())
     }
@@ -624,7 +605,9 @@ mod tests {
         let dir = std::env::temp_dir().join("postopc-artifact-test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("warm.bin");
-        artifact.save(&path).expect("save");
+        artifact
+            .save_with(&path, &mut ArtifactIo::faultless())
+            .expect("save");
         let ok = WarmArtifact::load_validated(&path, artifact.content_hash).expect("load");
         assert_eq!(ok.annotation, artifact.annotation);
         let err = WarmArtifact::load_validated(&path, artifact.content_hash ^ 1)
@@ -632,7 +615,7 @@ mod tests {
         assert!(err.to_string().contains("content hash mismatch"));
         // Missing file is a typed error too.
         assert!(matches!(
-            WarmArtifact::load(&dir.join("absent.bin")),
+            WarmArtifact::load_validated(&dir.join("absent.bin"), artifact.content_hash),
             Err(FlowError::Artifact(_))
         ));
         std::fs::remove_file(&path).ok();

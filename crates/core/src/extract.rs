@@ -473,16 +473,6 @@ impl ExtractionStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of submitted gates that were quarantined, in `[0, 1]`.
-    pub fn quarantine_fraction(&self) -> f64 {
-        let total = self.gates_extracted + self.gates_failed + self.gates_quarantined;
-        if total == 0 {
-            0.0
-        } else {
-            self.gates_quarantined as f64 / total as f64
-        }
-    }
 }
 
 /// Result of an extraction run: the annotation plus its statistics.

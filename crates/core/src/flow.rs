@@ -16,7 +16,6 @@ use crate::compare::TimingComparison;
 use crate::durable::{ArtifactIo, ArtifactLock, IoFaultInjection, RetryPolicy};
 use crate::error::{ArtifactErrorKind, FlowError, Result};
 use crate::extract::{extract_gates, ExtractionConfig, ExtractionStats};
-use crate::fault::FaultPolicy;
 use crate::multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
 use crate::tags::TagSet;
@@ -69,15 +68,6 @@ impl FlowConfig {
             process: ProcessParams::n90(),
         }
     }
-
-    /// The same flow under a different [`FaultPolicy`] — full-chip runs
-    /// typically want `Quarantine` so one degenerate gate cannot abort a
-    /// multi-minute analysis.
-    #[must_use]
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> FlowConfig {
-        self.extraction.fault_policy = policy;
-        self
-    }
 }
 
 /// The complete result of one flow run.
@@ -101,7 +91,7 @@ pub struct FlowReport {
 
 impl FlowReport {
     /// Gates quarantined during extraction, in `GateId` order (empty under
-    /// [`FaultPolicy::Fail`] or a clean run).
+    /// [`FaultPolicy::Fail`](crate::FaultPolicy::Fail) or a clean run).
     #[must_use]
     pub fn quarantined(&self) -> &[crate::fault::QuarantinedGate] {
         &self.extraction.quarantined

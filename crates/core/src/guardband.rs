@@ -125,14 +125,6 @@ impl GuardbandAnalysis {
             recoverable_margin_ps: ss.critical_delay_ps() - statistical_delay,
         })
     }
-
-    /// Recoverable margin as a fraction of the corner bound.
-    pub fn recoverable_fraction(&self) -> f64 {
-        if self.corner_delay_ps <= 0.0 {
-            return 0.0;
-        }
-        self.recoverable_margin_ps / self.corner_delay_ps
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +165,7 @@ mod tests {
         assert!(analysis.corner_delay_ps > analysis.statistical_delay_ps);
         assert!(analysis.statistical_delay_ps > 0.9 * analysis.nominal_delay_ps);
         assert!(analysis.recoverable_margin_ps > 0.0);
-        assert!(analysis.recoverable_fraction() > 0.0 && analysis.recoverable_fraction() < 0.5);
+        assert!(analysis.recoverable_margin_ps < 0.5 * analysis.corner_delay_ps);
         // The delay profile is monotone in the percentile, and the default
         // signoff percentile (0.99) coincides with the profile's p99 entry.
         let [p50, p90, p99] = analysis.statistical_profile_ps;

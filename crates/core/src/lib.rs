@@ -41,7 +41,6 @@
 
 mod artifact;
 mod compare;
-pub mod dfm;
 pub mod durable;
 mod error;
 mod extract;

@@ -205,7 +205,6 @@ pub struct TimingSession<'m> {
     tags: TagSet,
     annotation: CdAnnotation,
     baseline: TimingReport,
-    extraction_stats: ExtractionStats,
     /// True when the scratch holds some query's evaluation instead of
     /// the baseline; incremental passes re-establish the baseline first.
     scratch_dirty: bool,
@@ -286,7 +285,6 @@ impl<'m> TimingSession<'m> {
             tags,
             annotation,
             baseline,
-            extraction_stats: outcome.stats,
             scratch_dirty: false,
         })
     }
@@ -331,10 +329,6 @@ impl<'m> TimingSession<'m> {
         let tags = artifact.tags;
         let annotation = artifact.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
-        let stats = ExtractionStats {
-            gates_extracted: annotation.gate_count(),
-            ..Default::default()
-        };
         // Resume the trained surrogate iff the config still enables the
         // tier (the content hash already guarantees surrogate/non-
         // surrogate artifacts are never mixed); a version-2 artifact built
@@ -353,7 +347,6 @@ impl<'m> TimingSession<'m> {
             tags,
             annotation,
             baseline,
-            extraction_stats: stats,
             scratch_dirty: false,
         })
     }
@@ -389,12 +382,6 @@ impl<'m> TimingSession<'m> {
     /// The warm litho-context store backing incremental re-extraction.
     pub fn store(&self) -> &ContextStore {
         &self.store
-    }
-
-    /// Statistics of the session's most recent extraction pass (zeroed,
-    /// except for the gate count, after a warm [`Self::restore`]).
-    pub fn extraction_stats(&self) -> &ExtractionStats {
-        &self.extraction_stats
     }
 
     /// Re-establishes the baseline evaluation in the scratch after a
@@ -581,7 +568,6 @@ impl<'m> TimingSession<'m> {
         self.tags = tags.clone();
         self.annotation = next;
         self.baseline = report.clone();
-        self.extraction_stats = outcome.stats.clone();
         Ok(EcoOutcome {
             stats: outcome.stats,
             report,
@@ -799,13 +785,50 @@ mod tests {
     }
 
     #[test]
+    fn what_if_naming_an_unknown_gate_or_net_fails_typed() {
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 2 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut session = TimingSession::new(&model, &cfg).expect("session");
+        let gates = d.netlist().gate_count();
+        let mut bad_gate = session.annotation().clone();
+        bad_gate.set_gate(
+            postopc_layout::GateId(gates as u32 + 5),
+            postopc_sta::GateAnnotation::default(),
+        );
+        let mut bad_net = session.annotation().clone();
+        bad_net.set_net(
+            NetId(10_000),
+            postopc_sta::NetAnnotation {
+                printed_width_nm: 120.0,
+            },
+        );
+        for (bad, kind, index) in [(bad_gate, "gate", gates + 5), (bad_net, "net", 10_000)] {
+            let err = session
+                .run(&SessionQuery::WhatIf(bad))
+                .expect_err("an unknown id must fail");
+            assert_eq!(
+                err,
+                FlowError::Sta(postopc_sta::StaError::UnknownAnnotation { kind, index })
+            );
+        }
+        // The next valid what-if answers exactly as a fresh session does.
+        let edit = postopc_sta::corner_annotation(&model, 3.0);
+        let mut fresh = TimingSession::new(&model, &cfg).expect("fresh session");
+        let expected = fresh
+            .run(&SessionQuery::WhatIf(edit.clone()))
+            .expect("fresh what-if");
+        let out = session.run(&SessionQuery::WhatIf(edit)).expect("what-if");
+        assert_eq!(out, expected);
+    }
+
+    #[test]
     fn eco_reextracts_only_dirtied_windows_bit_identically() {
         let d = design();
         let cfg = fast_config(Selection::Critical { paths: 2 });
         let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
         let mut session = TimingSession::new(&model, &cfg).expect("session");
-        let cold_windows = session.extraction_stats().windows;
-        assert!(cold_windows > 0);
+        assert!(!session.store().is_empty());
 
         // The ECO: widen extraction to every gate. Contexts already in
         // the warm store are served, only novel ones are imaged.

@@ -28,7 +28,7 @@
 //! # fn main() -> Result<(), postopc_device::DeviceError> {
 //! let p = ProcessParams::n90();
 //! let drawn = Mosfet::new(MosKind::Nmos, 1000.0, 90.0)?;
-//! let printed = drawn.with_length(86.5)?; // post-OPC extracted CD
+//! let printed = Mosfet::new(MosKind::Nmos, 1000.0, 86.5)?; // post-OPC extracted CD
 //! let delay_shift = drawn.r_eff(&p) / printed.r_eff(&p) - 1.0;
 //! assert!(delay_shift > 0.0); // shorter channel drives harder
 //! # Ok(())

@@ -62,15 +62,6 @@ impl Mosfet {
         self.l_nm
     }
 
-    /// The same device with a different channel length (CD back-annotation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidDimension`] for a non-positive length.
-    pub fn with_length(&self, l_nm: f64) -> Result<Mosfet> {
-        Mosfet::new(self.kind, self.w_nm, l_nm)
-    }
-
     /// Threshold voltage in volts, including short-channel roll-off:
     /// `Vth(L) = Vth0 − a · exp(−L/λ)`.
     pub fn vth(&self, p: &ProcessParams) -> f64 {
@@ -214,14 +205,5 @@ mod tests {
         // FO4-ish delay sanity: R_eff * 4*C_gate should be a few ps.
         let tau = d.r_eff(&pp) * 4.0 * d.c_gate(&pp);
         assert!((1.0..100.0).contains(&tau), "tau = {tau} ps");
-    }
-
-    #[test]
-    fn with_length_preserves_identity() {
-        let d = nmos(640.0, 90.0);
-        let e = d.with_length(93.5).expect("valid");
-        assert_eq!(e.width_nm(), 640.0);
-        assert_eq!(e.length_nm(), 93.5);
-        assert_eq!(e.kind(), MosKind::Nmos);
     }
 }

@@ -78,23 +78,6 @@ impl ProcessParams {
     }
 }
 
-impl ProcessParams {
-    /// The same process at a different supply voltage (voltage-scaling
-    /// studies: the alpha-power delay grows as `Vdd / (Vdd - Vth)^alpha`
-    /// when the supply drops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdd` is not a positive finite voltage.
-    pub fn with_vdd(&self, vdd: f64) -> ProcessParams {
-        assert!(vdd.is_finite() && vdd > 0.0, "invalid supply voltage {vdd}");
-        ProcessParams {
-            vdd,
-            ..self.clone()
-        }
-    }
-}
-
 impl Default for ProcessParams {
     fn default() -> Self {
         ProcessParams::n90()
@@ -133,18 +116,15 @@ mod tests {
         use crate::mosfet::Mosfet;
         use crate::params::MosKind;
         let nominal = ProcessParams::n90();
-        let low = nominal.with_vdd(0.9);
+        let low = ProcessParams {
+            vdd: 0.9,
+            ..nominal.clone()
+        };
         let d = Mosfet::new(MosKind::Nmos, 1000.0, 90.0).expect("device");
         // R_eff ∝ Vdd/(Vdd - Vth)^alpha grows as Vdd drops toward Vth.
         assert!(d.r_eff(&low) > 1.2 * d.r_eff(&nominal));
         // Subthreshold leakage is Vdd-independent in this model.
         assert!((d.i_off(&low) - d.i_off(&nominal)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid supply voltage")]
-    fn with_vdd_rejects_nonsense() {
-        let _ = ProcessParams::n90().with_vdd(-1.0);
     }
 
     #[test]

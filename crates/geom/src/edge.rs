@@ -118,11 +118,6 @@ impl Edge {
             end: self.end + v,
         }
     }
-
-    /// Whether `other` lies on the same infinite axis line.
-    pub fn is_collinear_with(&self, other: &Edge) -> bool {
-        self.orientation() == other.orientation() && self.level() == other.level()
-    }
 }
 
 impl fmt::Display for Edge {
@@ -163,8 +158,8 @@ mod tests {
         let b = Edge::new(Point::new(20, 5), Point::new(30, 5));
         let c = Edge::new(Point::new(0, 6), Point::new(10, 6));
         assert_eq!(a.level(), 5);
-        assert!(a.is_collinear_with(&b));
-        assert!(!a.is_collinear_with(&c));
+        assert_eq!((a.orientation(), a.level()), (b.orientation(), b.level()));
+        assert_ne!(a.level(), c.level());
     }
 
     #[test]

@@ -45,16 +45,6 @@ impl Point {
     /// The origin `(0, 0)`.
     pub const ORIGIN: Point = Point::new(0, 0);
 
-    /// Manhattan (L1) distance to `other`.
-    ///
-    /// ```
-    /// use postopc_geom::Point;
-    /// assert_eq!(Point::new(0, 0).manhattan_distance(Point::new(3, -4)), 7);
-    /// ```
-    pub fn manhattan_distance(self, other: Point) -> Coord {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Euclidean distance to `other`, in nm as `f64`.
     pub fn distance(self, other: Point) -> f64 {
         let dx = (self.x - other.x) as f64;
@@ -71,11 +61,6 @@ impl Point {
     pub fn max(self, other: Point) -> Point {
         Point::new(self.x.max(other.x), self.y.max(other.y))
     }
-
-    /// The vector from `self` to `other` (`other - self`).
-    pub fn vector_to(self, other: Point) -> Vector {
-        Vector::new(other.x - self.x, other.y - self.y)
-    }
 }
 
 impl Vector {
@@ -90,11 +75,6 @@ impl Vector {
     /// Euclidean norm of the vector in nm.
     pub fn length(self) -> f64 {
         (self.dx as f64).hypot(self.dy as f64)
-    }
-
-    /// Manhattan norm of the vector.
-    pub fn manhattan_length(self) -> Coord {
-        self.dx.abs() + self.dy.abs()
     }
 
     /// 2D cross product (z-component), useful for winding computations.
@@ -216,7 +196,6 @@ mod tests {
     fn distances() {
         let a = Point::new(0, 0);
         let b = Point::new(3, 4);
-        assert_eq!(a.manhattan_distance(b), 7);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
     }
 

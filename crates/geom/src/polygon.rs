@@ -363,36 +363,6 @@ impl Polygon {
         Polygon::new(dedup)
     }
 
-    /// Whether the interiors of two rectilinear polygons overlap
-    /// (computed on the rectangle decompositions; touching boundaries do
-    /// not count).
-    pub fn intersects_polygon(&self, other: &Polygon) -> bool {
-        if !self.bbox().intersects(&other.bbox()) {
-            return false;
-        }
-        let theirs = other.to_rects();
-        self.to_rects()
-            .iter()
-            .any(|a| theirs.iter().any(|b| a.intersects(b)))
-    }
-
-    /// The overlap area of two rectilinear polygons in nm².
-    pub fn overlap_area(&self, other: &Polygon) -> i128 {
-        if !self.bbox().intersects(&other.bbox()) {
-            return 0;
-        }
-        let theirs = other.to_rects();
-        let mut total: i128 = 0;
-        for a in self.to_rects() {
-            for b in &theirs {
-                if let Some(i) = a.intersection(b) {
-                    total += i.area();
-                }
-            }
-        }
-        total
-    }
-
     /// O(n²) simplicity check: no two non-adjacent edges touch or cross.
     ///
     /// Intended for validation in tests and debug assertions; production
@@ -636,25 +606,6 @@ mod tests {
         ])
         .expect("constructed");
         assert!(!bad.is_simple());
-    }
-
-    #[test]
-    fn polygon_overlap_area() {
-        let a = rect_poly(0, 0, 100, 100);
-        let b = rect_poly(50, 50, 150, 150);
-        assert!(a.intersects_polygon(&b));
-        assert_eq!(a.overlap_area(&b), 2500);
-        assert_eq!(a.overlap_area(&a), a.area());
-        let far = rect_poly(1000, 1000, 1100, 1100);
-        assert!(!a.intersects_polygon(&far));
-        assert_eq!(a.overlap_area(&far), 0);
-        // Touching edges: no interior overlap.
-        let touch = rect_poly(100, 0, 200, 100);
-        assert!(!a.intersects_polygon(&touch));
-        // L-shapes overlap only where both arms cover.
-        let l = l_shape();
-        let bar = rect_poly(0, 0, 20, 5);
-        assert_eq!(l.overlap_area(&bar), 100);
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl Grid {
             + v11 * tx * ty
     }
 
-    /// Maximum value over the whole grid (0.0 for an empty grid).
-    pub fn max_value(&self) -> f64 {
-        self.data.iter().copied().fold(0.0_f64, f64::max)
-    }
-
     /// Sum of all pixel values (× pixel area gives integrated quantity).
     pub fn total(&self) -> f64 {
         self.data.iter().sum()

@@ -128,11 +128,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Whether `p` lies strictly inside the rectangle.
-    pub fn contains_strict(&self, p: Point) -> bool {
-        p.x > self.min.x && p.x < self.max.x && p.y > self.min.y && p.y < self.max.y
-    }
-
     /// Whether `other` is fully contained (boundary touching allowed).
     pub fn contains_rect(&self, other: &Rect) -> bool {
         self.contains(other.min) && self.contains(other.max)

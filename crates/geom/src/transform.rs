@@ -54,11 +54,6 @@ impl Orient {
             Orient::MY90 => Point::new(-p.y, -p.x),
         }
     }
-
-    /// Whether the orientation includes a mirror (flips polygon winding).
-    pub fn is_mirrored(self) -> bool {
-        matches!(self, Orient::MX | Orient::MX90 | Orient::MY | Orient::MY90)
-    }
 }
 
 impl fmt::Display for Orient {
@@ -168,7 +163,6 @@ mod tests {
         for o in [Orient::MX, Orient::MY] {
             let p = Point::new(5, 9);
             assert_eq!(o.apply(o.apply(p)), p);
-            assert!(o.is_mirrored());
         }
     }
 

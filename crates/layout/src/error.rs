@@ -39,15 +39,8 @@ pub enum LayoutError {
     EmptyDesign,
     /// Geometry construction failed while generating cell layouts.
     Geometry(postopc_geom::GeomError),
-    /// Stream I/O failed while reading or writing a layout.
+    /// Stream I/O failed while writing a layout.
     Io(String),
-    /// A layout stream was malformed.
-    Parse {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
 }
 
 impl fmt::Display for LayoutError {
@@ -70,9 +63,6 @@ impl fmt::Display for LayoutError {
             LayoutError::EmptyDesign => write!(f, "design contains no gates"),
             LayoutError::Geometry(e) => write!(f, "geometry error: {e}"),
             LayoutError::Io(reason) => write!(f, "layout stream i/o failed: {reason}"),
-            LayoutError::Parse { line, reason } => {
-                write!(f, "malformed layout stream at line {line}: {reason}")
-            }
         }
     }
 }

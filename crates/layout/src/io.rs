@@ -1,23 +1,21 @@
-//! Layout stream I/O: a minimal line-oriented text interchange format.
+//! Layout stream output: a minimal line-oriented text interchange format.
 //!
-//! Real flows exchange GDSII/OASIS; this workspace uses a transparent text
-//! equivalent so flattened geometry can be dumped, diffed, and re-read —
-//! one shape per line:
+//! Real flows exchange GDSII/OASIS; this workspace dumps flattened
+//! geometry as a transparent text equivalent that can be diffed — one
+//! shape per line:
 //!
 //! ```text
 //! postopc-layout v1
-//! # comment
 //! poly 0,0 90,0 90,600 0,600
 //! metal1 0,0 120,0 120,5000 0,5000
 //! ```
 //!
-//! Vertices are `x,y` integer nm pairs in CCW or CW order (winding is
-//! normalized on read).
+//! Vertices are `x,y` integer nm pairs in the polygon's vertex order.
 
 use crate::error::{LayoutError, Result};
 use crate::layer::Layer;
-use postopc_geom::{Point, Polygon};
-use std::io::{BufRead, BufReader, Read, Write};
+use postopc_geom::Polygon;
+use std::io::Write;
 
 /// The format header line.
 const HEADER: &str = "postopc-layout v1";
@@ -46,147 +44,26 @@ where
     Ok(())
 }
 
-/// Reads `(layer, polygon)` records from `reader`.
-///
-/// A `mut` reference can be passed for `reader`.
-///
-/// # Errors
-///
-/// Returns [`LayoutError::Io`] for read failures and
-/// [`LayoutError::Parse`] for malformed content (bad header, unknown
-/// layer, malformed vertex, invalid polygon).
-pub fn read_shapes<R: Read>(reader: R) -> Result<Vec<(Layer, Polygon)>> {
-    let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| parse_err(0, "empty stream"))?
-        .map_err(io_err)?;
-    if header.trim() != HEADER {
-        return Err(parse_err(1, &format!("bad header {header:?}")));
-    }
-    let mut shapes = Vec::new();
-    for (index, line) in lines.enumerate() {
-        let line_no = index + 2;
-        let line = line.map_err(io_err)?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let layer_name = fields
-            .next()
-            .ok_or_else(|| parse_err(line_no, "missing layer"))?;
-        let layer = parse_layer(layer_name)
-            .ok_or_else(|| parse_err(line_no, &format!("unknown layer {layer_name:?}")))?;
-        let mut vertices = Vec::new();
-        for field in fields {
-            let (x, y) = field
-                .split_once(',')
-                .ok_or_else(|| parse_err(line_no, &format!("malformed vertex {field:?}")))?;
-            let x = x
-                .parse()
-                .map_err(|_| parse_err(line_no, &format!("bad x coordinate {x:?}")))?;
-            let y = y
-                .parse()
-                .map_err(|_| parse_err(line_no, &format!("bad y coordinate {y:?}")))?;
-            vertices.push(Point::new(x, y));
-        }
-        let polygon = Polygon::new(vertices)
-            .map_err(|e| parse_err(line_no, &format!("invalid polygon: {e}")))?;
-        shapes.push((layer, polygon));
-    }
-    Ok(shapes)
-}
-
-fn parse_layer(name: &str) -> Option<Layer> {
-    Layer::ALL.into_iter().find(|l| l.to_string() == name)
-}
-
 fn io_err(e: std::io::Error) -> LayoutError {
     LayoutError::Io(e.to_string())
-}
-
-fn parse_err(line: usize, reason: &str) -> LayoutError {
-    LayoutError::Parse {
-        line,
-        reason: reason.to_string(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::Design;
-    use crate::generate;
-    use crate::tech::TechRules;
     use postopc_geom::Rect;
 
     #[test]
-    fn round_trips_a_compiled_design() {
-        let design = Design::compile(
-            generate::inverter_chain(3).expect("netlist"),
-            TechRules::n90(),
-        )
-        .expect("design");
-        let mut all: Vec<(Layer, &Polygon)> = Vec::new();
-        for layer in Layer::ALL {
-            for p in design.shapes_on(layer) {
-                all.push((layer, p));
-            }
-        }
+    fn writes_header_then_one_line_per_shape() {
+        let gate = Polygon::from(Rect::new(0, 0, 90, 600).expect("rect"));
+        let wire = Polygon::from(Rect::new(0, 0, 120, 5000).expect("rect"));
         let mut buffer = Vec::new();
-        write_shapes(&mut buffer, all.iter().map(|&(l, p)| (l, p))).expect("write");
-        let restored = read_shapes(buffer.as_slice()).expect("read");
-        assert_eq!(restored.len(), all.len());
-        for ((la, pa), (lb, pb)) in all.iter().zip(&restored) {
-            assert_eq!(la, lb);
-            assert_eq!(*pa, pb);
-        }
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let text = "postopc-layout v1\n\n# a comment\npoly 0,0 90,0 90,600 0,600\n";
-        let shapes = read_shapes(text.as_bytes()).expect("read");
-        assert_eq!(shapes.len(), 1);
-        assert_eq!(shapes[0].0, Layer::Poly);
+        write_shapes(&mut buffer, [(Layer::Poly, &gate), (Layer::Metal1, &wire)]).expect("write");
         assert_eq!(
-            shapes[0].1,
-            Polygon::from(Rect::new(0, 0, 90, 600).expect("rect"))
-        );
-    }
-
-    #[test]
-    fn rejects_bad_header() {
-        assert!(matches!(
-            read_shapes("gdsii\npoly 0,0 1,0 1,1 0,1\n".as_bytes()),
-            Err(LayoutError::Parse { line: 1, .. })
-        ));
-        assert!(read_shapes("".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn rejects_unknown_layer_and_bad_vertices() {
-        let bad_layer = "postopc-layout v1\nmystery 0,0 1,0 1,1 0,1\n";
-        assert!(matches!(
-            read_shapes(bad_layer.as_bytes()),
-            Err(LayoutError::Parse { line: 2, .. })
-        ));
-        let bad_vertex = "postopc-layout v1\npoly 0,0 1;0 1,1 0,1\n";
-        assert!(read_shapes(bad_vertex.as_bytes()).is_err());
-        let bad_poly = "postopc-layout v1\npoly 0,0 1,1 2,2 3,3\n";
-        assert!(read_shapes(bad_poly.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn winding_normalized_on_read() {
-        // Clockwise input comes back as a valid CCW polygon equal to the
-        // canonical rect polygon.
-        let text = "postopc-layout v1\npoly 0,0 0,600 90,600 90,0\n";
-        let shapes = read_shapes(text.as_bytes()).expect("read");
-        assert_eq!(
-            shapes[0].1,
-            Polygon::from(Rect::new(0, 0, 90, 600).expect("rect"))
+            String::from_utf8(buffer).expect("utf-8"),
+            "postopc-layout v1\n\
+             poly 0,0 90,0 90,600 0,600\n\
+             metal1 0,0 120,0 120,5000 0,5000\n"
         );
     }
 }

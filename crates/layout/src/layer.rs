@@ -36,12 +36,6 @@ impl Layer {
         Layer::Via1,
         Layer::Metal2,
     ];
-
-    /// Whether the layer is printed with critical (gate-level) lithography
-    /// and therefore simulated through the OPC flow.
-    pub fn is_critical(self) -> bool {
-        matches!(self, Layer::Poly | Layer::Metal1)
-    }
 }
 
 impl fmt::Display for Layer {
@@ -62,14 +56,6 @@ impl fmt::Display for Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn critical_layers() {
-        assert!(Layer::Poly.is_critical());
-        assert!(Layer::Metal1.is_critical());
-        assert!(!Layer::Nwell.is_critical());
-        assert!(!Layer::Via1.is_critical());
-    }
 
     #[test]
     fn all_layers_distinct() {

@@ -33,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-mod density;
 mod design;
 pub mod drc;
 mod error;
@@ -48,7 +47,6 @@ mod stdcells;
 mod tech;
 mod xref;
 
-pub use density::DensityMap;
 pub use design::Design;
 pub use error::{LayoutError, Result};
 pub use layer::Layer;

@@ -119,11 +119,6 @@ impl Routing {
     pub fn route_of(&self, net: NetId) -> Option<&NetRoute> {
         self.routes.get(net.0 as usize)
     }
-
-    /// Total wirelength of the design in nm.
-    pub fn total_length_nm(&self) -> f64 {
-        self.routes.iter().map(|r| r.length_nm).sum()
-    }
 }
 
 /// Builds an L-route: horizontal metal-2 trunk at the driver's y, a
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn wirelength_is_positive_and_reasonable() {
         let (_, _, p, r) = routed();
-        let total = r.total_length_nm();
+        let total: f64 = r.routes().iter().map(|route| route.length_nm).sum();
         assert!(total > 0.0);
         // Wirelength should not exceed a generous multiple of the die
         // semi-perimeter times the net count.

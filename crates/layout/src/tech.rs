@@ -65,11 +65,6 @@ impl TechRules {
     pub fn nmos_width(&self, drive: Drive) -> Coord {
         self.nmos_width_x1 * drive.factor()
     }
-
-    /// PMOS width for a given drive strength multiplier.
-    pub fn pmos_width(&self, drive: Drive) -> Coord {
-        self.pmos_width_x1 * drive.factor()
-    }
 }
 
 impl Default for TechRules {
@@ -134,7 +129,6 @@ mod tests {
     fn drive_factors() {
         let t = TechRules::n90();
         assert_eq!(t.nmos_width(Drive::X2), 2 * t.nmos_width_x1);
-        assert_eq!(t.pmos_width(Drive::X4), 4 * t.pmos_width_x1);
         assert_eq!(Drive::X1.to_string(), "X1");
     }
 }

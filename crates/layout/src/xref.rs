@@ -30,15 +30,6 @@ pub struct TransistorSite {
     pub finger: usize,
 }
 
-impl TransistorSite {
-    /// Whether the channel is horizontal current flow (vertical poly
-    /// finger crossing a horizontal active stripe). After placement all
-    /// our channels are; kept as data for generality.
-    pub fn gate_is_vertical(&self) -> bool {
-        self.channel.height() > self.channel.width()
-    }
-}
-
 /// Enumerates every transistor channel of the placed design.
 ///
 /// Order: placement order, then cell transistor order — deterministic for
@@ -91,7 +82,7 @@ mod tests {
         let p = Placement::place(&nl, &lib).expect("placement");
         for site in transistor_sites(&nl, &p, &lib) {
             assert!(p.die().contains_rect(&site.channel));
-            assert!(site.gate_is_vertical());
+            assert!(site.channel.height() > site.channel.width());
             assert_eq!(site.channel.width(), 90);
             assert_eq!(site.drawn_l_nm, 90.0);
         }

@@ -184,22 +184,6 @@ pub struct ProcessWindow {
     pub dose_range: (f64, f64),
 }
 
-impl ProcessWindow {
-    /// Depth of focus (focus span) in nm.
-    pub fn depth_of_focus_nm(&self) -> f64 {
-        self.focus_range_nm.1 - self.focus_range_nm.0
-    }
-
-    /// Exposure latitude (dose span / center dose), as a fraction.
-    pub fn exposure_latitude(&self) -> f64 {
-        let center = 0.5 * (self.dose_range.0 + self.dose_range.1);
-        if center <= 0.0 {
-            return 0.0;
-        }
-        (self.dose_range.1 - self.dose_range.0) / center
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,13 +285,12 @@ mod tests {
         let w = fem.process_window(90.0, 3.0).expect("window exists");
         assert_eq!(w.dose_range, (1.0, 1.0));
         assert_eq!(w.focus_range_nm, (-75.0, 75.0));
-        assert_eq!(w.depth_of_focus_nm(), 150.0);
         // Impossible tolerance: no window.
         assert!(fem.process_window(50.0, 0.1).is_none());
         // Huge tolerance: the whole matrix.
         let all = fem.process_window(90.0, 1000.0).expect("window");
         assert_eq!(all.focus_range_nm, (-150.0, 150.0));
-        assert!((all.exposure_latitude() - 0.2).abs() < 1e-12);
+        assert_eq!(all.dose_range, (0.9, 1.1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! models (see `DESIGN.md`): the imaging operator is a weighted stack of
 //! analytic center-surround kernels rather than eigenfunctions of a
 //! measured system, but it exposes the same interfaces the flow consumes —
-//! intensity fields, printed contours, EPE and CD measurements.
+//! intensity fields, EPE and CD measurements.
 //!
 //! # Example
 //!
@@ -29,8 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bossung;
-pub mod contour;
 pub mod cutline;
 mod error;
 mod fem;

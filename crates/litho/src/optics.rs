@@ -94,11 +94,6 @@ impl OpticsParams {
         // partially coherent system; σ trimming is a small correction.
         0.21 * self.wavelength_nm / self.na * (1.0 - 0.15 * (self.sigma - 0.5))
     }
-
-    /// The k₁ factor for a feature of the given size.
-    pub fn k1(&self, cd_nm: f64) -> f64 {
-        cd_nm * self.na / self.wavelength_nm
-    }
 }
 
 impl Default for OpticsParams {
@@ -190,13 +185,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn k1_of_90nm_gate_is_sub_04() {
-        let o = OpticsParams::argon_fluoride_075();
-        let k1 = o.k1(90.0);
-        assert!((0.3..0.4).contains(&k1), "k1 = {k1}");
     }
 
     #[test]

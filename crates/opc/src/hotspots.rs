@@ -1,13 +1,11 @@
-//! Hotspot snippet classification and pattern matching.
+//! Hotspot snippet classification by pattern clustering.
 //!
 //! Implements the companion-paper methodology ("Automatic hotspot
 //! classification using pattern-based clustering", Ma et al. with
 //! Capodieci; and the DRC-Plus pattern work): small layout snippets are
 //! clipped around each verification hotspot, rasterized to binary
 //! bitmaps, compared by overlap (Jaccard) similarity, and grouped by fast
-//! incremental clustering. Cluster representatives become a pattern
-//! library that can be matched against new layouts without re-running
-//! simulation.
+//! incremental clustering.
 
 use crate::error::Result;
 use crate::orc::Hotspot;
@@ -165,34 +163,6 @@ pub fn cluster_hotspots(
     clusters
 }
 
-/// Scans `candidates` in a layout for locations matching a cluster
-/// representative: the snippet captured at the candidate must be at least
-/// `similarity_threshold` similar. Returns the matching candidate points.
-///
-/// # Errors
-///
-/// Propagates snippet-capture errors (non-positive radius).
-pub fn find_matches(
-    config: &HotspotConfig,
-    representative: &HotspotSnippet,
-    shapes: &[Polygon],
-    candidates: &[Point],
-) -> Result<Vec<Point>> {
-    let mut matches = Vec::new();
-    for &candidate in candidates {
-        let probe = Hotspot {
-            x_nm: candidate.x as f64,
-            y_nm: candidate.y as f64,
-            ..representative.hotspot
-        };
-        let snippet = HotspotSnippet::capture(config, probe, shapes)?;
-        if representative.similarity(&snippet) >= config.similarity_threshold {
-            matches.push(candidate);
-        }
-    }
-    Ok(matches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,21 +218,6 @@ mod tests {
             HotspotSnippet::capture(&cfg, hotspot_at(10000.0, 10000.0), &shapes).expect("snippet");
         assert!((a.similarity(&a) - 1.0).abs() < 1e-12);
         assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pattern_matching_finds_repeats() {
-        let cfg = HotspotConfig::standard();
-        let shapes = test_shapes();
-        let representative =
-            HotspotSnippet::capture(&cfg, hotspot_at(0.0, 0.0), &shapes).expect("snippet");
-        let candidates = vec![
-            Point::new(5000, 5000),   // true repeat
-            Point::new(10000, 10000), // different pattern
-            Point::new(20000, 20000), // empty area
-        ];
-        let matches = find_matches(&cfg, &representative, &shapes, &candidates).expect("matching");
-        assert_eq!(matches, vec![Point::new(5000, 5000)]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!   cheap path;
 //! - [`model`]: iterative model-based OPC with damped EPE feedback — the
 //!   accurate path;
-//! - [`sraf`]: sub-resolution assist feature insertion for isolated edges;
 //! - [`orc`]: post-OPC verification (residual EPE statistics, pinch
 //!   hotspots) — the source of experiment T1's distributions;
 //! - [`selective`]: the paper's selective-OPC proposal — model OPC on
@@ -34,18 +33,14 @@ mod error;
 pub mod fragment;
 pub mod hotspots;
 pub mod model;
-pub mod mrc;
 pub mod orc;
 pub mod rules;
 pub mod selective;
-pub mod sraf;
 
 pub use error::{OpcError, Result};
 pub use fragment::{FragmentInfo, FragmentKind, FragmentSpec, FragmentedPolygon};
-pub use hotspots::{cluster_hotspots, find_matches, HotspotCluster, HotspotConfig, HotspotSnippet};
+pub use hotspots::{cluster_hotspots, HotspotCluster, HotspotConfig, HotspotSnippet};
 pub use model::{ModelOpcConfig, ModelOpcResult, OpcReport};
-pub use mrc::{check_mask, MrcRules, MrcViolation, MrcViolationKind};
 pub use orc::{Hotspot, HotspotKind, OrcConfig, OrcReport};
 pub use rules::{RuleOpcConfig, RuleOpcResult};
 pub use selective::SelectiveResult;
-pub use sraf::SrafConfig;

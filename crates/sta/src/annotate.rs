@@ -5,8 +5,9 @@
 //! and timing: extraction fills a [`CdAnnotation`]; the timing model
 //! consumes it in place of drawn dimensions.
 
+use crate::error::{Result, StaError};
 use postopc_device::MosKind;
-use postopc_layout::{GateId, NetId};
+use postopc_layout::{GateId, NetId, Netlist};
 use std::collections::HashMap;
 
 /// Extracted critical dimensions of one transistor.
@@ -112,6 +113,40 @@ impl CdAnnotation {
     /// Iterator over annotated nets.
     pub fn nets(&self) -> impl Iterator<Item = (&NetId, &NetAnnotation)> {
         self.nets.iter()
+    }
+
+    /// Rejects an annotation naming a gate or net `netlist` does not have
+    /// — every engine indexes per-gate and per-net state by these ids.
+    /// Checked before an evaluation writes any state.
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::UnknownAnnotation`] naming the lowest unknown gate id,
+    /// else the lowest unknown net id (independent of map order, so every
+    /// engine reports the same one).
+    pub(crate) fn check_ids(&self, netlist: &Netlist) -> Result<()> {
+        let unknown_gate = self
+            .gates
+            .keys()
+            .map(|g| g.0 as usize)
+            .filter(|&i| i >= netlist.gate_count())
+            .min();
+        if let Some(index) = unknown_gate {
+            return Err(StaError::UnknownAnnotation {
+                kind: "gate",
+                index,
+            });
+        }
+        let unknown_net = self
+            .nets
+            .keys()
+            .map(|n| n.0 as usize)
+            .filter(|&i| i >= netlist.nets().len())
+            .min();
+        match unknown_net {
+            Some(index) => Err(StaError::UnknownAnnotation { kind: "net", index }),
+            None => Ok(()),
+        }
     }
 
     /// Mean delay-equivalent length over all annotated transistors, or

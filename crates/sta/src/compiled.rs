@@ -382,13 +382,18 @@ impl<'m> CompiledSta<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates device errors for non-physical annotated dimensions.
+    /// Returns [`StaError::UnknownAnnotation`] when the annotation names a
+    /// gate or net the design does not have; propagates device errors for
+    /// non-physical annotated dimensions.
     pub fn evaluate(
         &self,
         scratch: &mut StaScratch,
         annotation: Option<&CdAnnotation>,
     ) -> Result<TimingReport> {
         let netlist = self.model.design().netlist();
+        if let Some(a) = annotation {
+            a.check_ids(netlist)?;
+        }
         scratch.timings.clear();
         for (gi, gate) in netlist.gates().iter().enumerate() {
             let timing = match annotation.and_then(|a| a.gate(GateId(gi as u32))) {
@@ -461,9 +466,11 @@ impl<'m> CompiledSta<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`StaError::InvalidIncremental`] when the scratch holds no
-    /// prior full evaluation; propagates device errors for non-physical
-    /// annotated dimensions.
+    /// Returns [`StaError::UnknownAnnotation`] when either annotation
+    /// names a gate or net the design does not have (the scratch is left
+    /// untouched), [`StaError::InvalidIncremental`] when the scratch
+    /// holds no prior full evaluation; propagates device errors for
+    /// non-physical annotated dimensions.
     pub fn evaluate_eco(
         &self,
         scratch: &mut StaScratch,
@@ -471,6 +478,9 @@ impl<'m> CompiledSta<'m> {
         next: Option<&CdAnnotation>,
     ) -> Result<TimingReport> {
         let netlist = self.model.design().netlist();
+        for a in [prev, next].into_iter().flatten() {
+            a.check_ids(netlist)?;
+        }
         let n_gates = self.base_timings.len();
         if scratch.timings.len() != n_gates {
             return Err(StaError::InvalidIncremental(

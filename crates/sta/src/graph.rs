@@ -115,9 +115,14 @@ impl<'d> TimingModel<'d> {
     ///
     /// # Errors
     ///
-    /// Propagates device errors for non-physical annotated dimensions.
+    /// Returns [`StaError::UnknownAnnotation`] when the annotation names a
+    /// gate or net the design does not have; propagates device errors for
+    /// non-physical annotated dimensions.
     pub fn analyze(&self, annotation: Option<&CdAnnotation>) -> Result<TimingReport> {
         let netlist = self.design.netlist();
+        if let Some(a) = annotation {
+            a.check_ids(netlist)?;
+        }
         let tech = self.design.tech();
         let n_nets = netlist.nets().len();
         let n_gates = netlist.gate_count();

@@ -146,19 +146,6 @@ pub fn weighted_quantile_of_sorted(sorted: &[f64], weights: &[f64], q: f64) -> f
     sorted[n - 1]
 }
 
-/// [`weighted_quantile_of_sorted`] for several levels against one sorted
-/// weighted view.
-///
-/// # Panics
-///
-/// Panics as [`weighted_quantile_of_sorted`] does.
-#[must_use]
-pub fn weighted_quantiles_of_sorted(sorted: &[f64], weights: &[f64], qs: &[f64]) -> Vec<f64> {
-    qs.iter()
-        .map(|&q| weighted_quantile_of_sorted(sorted, weights, q))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +249,10 @@ mod tests {
         let (sorted, w) = sorted_with_weights(&values, &weights);
         assert_eq!(sorted, sorted_ascending(&values));
         let qs: Vec<f64> = (0..=20).map(|i| f64::from(i) / 20.0).collect();
-        let profile = weighted_quantiles_of_sorted(&sorted, &w, &qs);
+        let profile: Vec<f64> = qs
+            .iter()
+            .map(|&q| weighted_quantile_of_sorted(&sorted, &w, q))
+            .collect();
         for pair in profile.windows(2) {
             assert!(pair[0] <= pair[1], "profile not monotone: {profile:?}");
         }

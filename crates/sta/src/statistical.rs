@@ -808,17 +808,14 @@ pub struct ConvergencePoint {
     /// order statistic of the max-type worst slack keeps most of its
     /// sampling noise (see the `mc_batch` benchmark table).
     pub mean_abs_err_ps: f64,
-    /// Mean wall clock of one run at this point, in seconds.
-    pub mean_wall_s: f64,
 }
 
 /// Measures convergence of sampling schemes against a high-sample plain
 /// reference run: for each `(sampling, samples)` point, runs one Monte
 /// Carlo per seed in `seeds` (re-seeded from `base.seed` xor the entry)
 /// and reports the mean absolute errors of the worst-slack mean and
-/// 1%-quantile plus the mean wall clock — the data behind the "matched
-/// mean error at fewer samples" CI gate and the `mc_batch` benchmark
-/// table.
+/// 1%- and 0.1%-quantiles — the data behind the "matched mean error at
+/// fewer samples" CI gate and the `mc_batch` benchmark table.
 ///
 /// `reference_samples` should be several times the largest point (the
 /// reference uses plain sampling and `base.seed`).
@@ -851,7 +848,6 @@ pub fn convergence_study(
         let mut q01_err_sum = 0.0;
         let mut q001_err_sum = 0.0;
         let mut mean_err_sum = 0.0;
-        let mut wall_sum = 0.0;
         for &seed in seeds {
             let cfg = MonteCarloConfig {
                 samples,
@@ -859,9 +855,7 @@ pub fn convergence_study(
                 seed: base.seed ^ seed,
                 ..base.clone()
             };
-            let t0 = std::time::Instant::now();
             let mc = run_with(compiled, systematic, &cfg)?;
-            wall_sum += t0.elapsed().as_secs_f64();
             q01_err_sum += (mc.worst_slack_quantile_ps(0.01) - ref_q01).abs();
             q001_err_sum += (mc.worst_slack_quantile_ps(0.001) - ref_q001).abs();
             mean_err_sum += (mc.cv_adjusted_mean_worst_slack_ps() - ref_mean).abs();
@@ -873,7 +867,6 @@ pub fn convergence_study(
             q01_abs_err_ps: q01_err_sum / runs,
             q001_abs_err_ps: q001_err_sum / runs,
             mean_abs_err_ps: mean_err_sum / runs,
-            mean_wall_s: wall_sum / runs,
         });
     }
     Ok(out)

@@ -2,15 +2,17 @@
 //! **bit-identical** to the naive `TimingModel::analyze` path — drawn,
 //! corner, annotated (gates and nets), and Monte Carlo-sampled CDs all
 //! produce exactly equal reports (arrivals, requireds, delays, endpoint
-//! slacks, leakage). `TimingReport` derives `PartialEq` over every field,
-//! so one `assert_eq!` covers the whole report.
+//! slacks, leakage), and an annotation naming an unknown gate or net is
+//! the same typed error from every engine. `TimingReport` derives
+//! `PartialEq` over every field, so one `assert_eq!` covers the whole
+//! report.
 
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, GateId, NetId, TechRules};
 use postopc_rng::{rngs::StdRng, RngExt, SeedableRng};
 use postopc_sta::{
     analyze_corners, corner_annotation, corners, statistical, CdAnnotation, Corner, GateAnnotation,
-    MonteCarloConfig, NetAnnotation, TimingModel, PRIMARY_INPUT_SLEW_PS,
+    MonteCarloConfig, NetAnnotation, StaError, TimingModel, PRIMARY_INPUT_SLEW_PS,
 };
 
 fn rca_design() -> Design {
@@ -146,6 +148,32 @@ fn annotated_reports_are_bit_identical_including_nets() {
     // Same scratch, second annotation — still exact.
     let report2 = compiled.evaluate(&mut scratch, Some(&ann)).expect("again");
     assert_eq!(naive, report2);
+    // A gate or net outside the design: naive, full and incremental
+    // evaluation return the same typed error and leave the scratch as it
+    // was, so the incremental engine still agrees with the full one.
+    let gates = design.netlist().gate_count();
+    let mut bad_gate = ann.clone();
+    bad_gate.set_gate(GateId(gates as u32 + 5), GateAnnotation::default());
+    let mut bad_net = ann.clone();
+    bad_net.set_net(
+        NetId(10_000),
+        NetAnnotation {
+            printed_width_nm: m1_width,
+        },
+    );
+    for (bad, kind, index) in [(bad_gate, "gate", gates + 5), (bad_net, "net", 10_000)] {
+        let expected = Err(StaError::UnknownAnnotation { kind, index });
+        assert_eq!(model.analyze(Some(&bad)), expected);
+        assert_eq!(compiled.evaluate(&mut scratch, Some(&bad)), expected);
+        assert_eq!(
+            compiled.evaluate_eco(&mut scratch, Some(&ann), Some(&bad)),
+            expected
+        );
+    }
+    let eco = compiled
+        .evaluate_eco(&mut scratch, Some(&ann), Some(&ann))
+        .expect("eco after rejected edits");
+    assert_eq!(naive, eco);
 }
 
 #[test]

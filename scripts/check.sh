@@ -73,12 +73,16 @@
 #              serve_smoke --bench-regression: the same median bound on
 #              the T6 and T9 warm sessions, 8 query batches per timed
 #              run (BENCH_serve.json); every batch == the cold answers
+#   perfbench  release build + unit tests of the repository benchmark
+#              (perfbench/, its own Cargo workspace): the only consumer
+#              of the crates' public API outside this workspace, so an
+#              API change that breaks the benchmark fails here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Canonical stage order; --stage never reorders, only filters.
 STAGES=(fmt clippy strict doc build test wstest smoke threads faults
-  mc_batch tail serve chaos surrogate bench bench_serve)
+  mc_batch tail serve chaos surrogate bench bench_serve perfbench)
 QUICK_STAGES=(fmt clippy strict build test)
 
 QUICK=0
@@ -329,6 +333,15 @@ stage surrogate surrogate_stage
 
 stage bench cargo run --release -p postopc-bench --bin perf_smoke -- --bench-regression
 stage bench_serve cargo run --release -p postopc-bench --bin serve_smoke -- --bench-regression
+
+# Repository benchmark: perfbench/ builds against the crates' public API
+# from outside the workspace (it has its own Cargo workspace and lock
+# file), so nothing else here would notice an API change that breaks it.
+perfbench_stage() {
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+}
+stage perfbench perfbench_stage
 
 if [[ "$RAN" -eq 0 ]]; then
   echo "check.sh: no stage selected (filters left nothing to run)" >&2
