@@ -2,19 +2,28 @@
 //! kernel stack vs single Gaussian, and slice-based equivalent length vs
 //! single mid-gate CD.
 //!
+//! The image is lazy (its column pass runs per pixel as reads touch it),
+//! so each imaging row times a simulation plus a fixed read set — a CD
+//! cut across each of the five lines at three heights — and so compares
+//! the convolution cost of the two kernel stacks.
+//!
 //! Times through `postopc_bench::runner::measure` (median of 5 after a
 //! warm-up); criterion is not available offline.
 
 use postopc_bench::runner::{measure, render_timings};
 use postopc_device::{GateSlice, MosKind, Mosfet, ProcessParams, SlicedGate};
 use postopc_geom::{Polygon, Rect};
-use postopc_litho::{AerialImage, KernelMode, SimulationSpec};
+use postopc_litho::{cutline, AerialImage, KernelMode, ResistModel, SimulationSpec};
 
 fn main() {
     let mask: Vec<Polygon> = (0..5)
         .map(|i| Polygon::from(Rect::new(i * 280, -600, i * 280 + 90, 600).expect("rect")))
         .collect();
     let window = Rect::new(-300, -700, 1500, 700).expect("rect");
+    let resist = ResistModel::standard();
+    let cuts: Vec<(f64, f64)> = (0..5)
+        .flat_map(|i| [-400.0, 0.0, 400.0].map(|y| (i as f64 * 280.0 + 45.0, y)))
+        .collect();
     let mut imaging = Vec::new();
     for (name, mode) in [
         ("center_surround", KernelMode::CenterSurround),
@@ -25,7 +34,16 @@ fn main() {
             ..SimulationSpec::nominal()
         };
         let (_, timing) = measure(
-            || AerialImage::simulate(&spec, std::hint::black_box(&mask), window).expect("image"),
+            || {
+                let image = AerialImage::simulate(&spec, std::hint::black_box(&mask), window)
+                    .expect("image");
+                cuts.iter()
+                    .map(|&center| {
+                        cutline::measure_cd(&image, &resist, center, (1.0, 0.0), 140.0)
+                            .expect("every line prints")
+                    })
+                    .sum::<f64>()
+            },
             |_, _| {},
         );
         imaging.push((name.to_string(), timing));

@@ -379,8 +379,10 @@ impl ExtractionConfig {
     /// # Errors
     ///
     /// [`FlowError::InvalidConfig`] for an out-of-band across-chip map,
-    /// quarantine budget or injection rate.
+    /// quarantine budget or injection rate, and [`FlowError::Opc`] for a
+    /// model-OPC EPE search range that is not finite and positive.
     pub fn validate(&self) -> Result<()> {
+        self.model_opc.validate()?;
         if let Some(map) = &self.across_chip {
             map.validate()?;
         }
@@ -1701,6 +1703,23 @@ mod tests {
         cfg.opc_mode = mode;
         cfg.model_opc.iterations = 3;
         cfg
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_epe_search() {
+        for value in [f64::INFINITY, f64::NAN] {
+            let mut cfg = ExtractionConfig::standard();
+            cfg.model_opc.epe_search = value;
+            let err = cfg.validate().expect_err("rejected");
+            assert!(
+                matches!(
+                    err,
+                    FlowError::Opc(postopc_opc::OpcError::InvalidEpeSearch { .. })
+                ),
+                "{err}"
+            );
+        }
+        assert!(ExtractionConfig::standard().validate().is_ok());
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use error::{GeomError, Result};
 pub use index::GridIndex;
 pub use point::{Coord, Point, Vector};
 pub use polygon::Polygon;
-pub use raster::{ConvScratch, Grid, PixelRect};
+pub use raster::{Grid, Lattice, PixelRect, RowField};
 pub use rect::Rect;
 pub use transform::{Orient, Transform};

@@ -12,95 +12,39 @@ use crate::polygon::Polygon;
 use crate::rect::Rect;
 use std::ops::Range;
 
-/// A uniform scalar field over a window of layout space.
+/// The pixel lattice of a [`Grid`]: where pixel `(0, 0)` sits, the pixel
+/// pitch and the pixel counts.
 ///
 /// Pixel `(ix, iy)` covers the square
 /// `[origin + ix·pixel, origin + (ix+1)·pixel) × [...y...]`, and its sample
 /// point (for interpolation) is the pixel center.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lattice {
     origin: Point,
     pixel: f64,
     nx: usize,
     ny: usize,
-    data: Vec<f64>,
 }
 
-impl Grid {
-    /// Creates a zero-filled grid covering `window` (expanded by `margin`
-    /// nm on all sides) at `pixel` nm per pixel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::InvalidResolution`] if `pixel <= 0`, is not
-    /// finite, or the window would require an absurd (> 10⁸) pixel count.
-    pub fn new(window: Rect, margin: i64, pixel: f64) -> Result<Grid> {
-        let (origin, nx, ny) = grid_shape(window, margin, pixel)?;
-        Ok(Grid {
-            origin,
-            pixel,
-            nx,
-            ny,
-            data: vec![0.0; nx * ny],
-        })
-    }
-
-    /// Reshapes this grid in place to cover `window` (expanded by `margin`
-    /// nm on all sides) at `pixel` nm per pixel, zero-filled, reusing the
-    /// existing data allocation when it is large enough.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Grid::new`]; on error the grid is unchanged.
-    pub fn reset(&mut self, window: Rect, margin: i64, pixel: f64) -> Result<()> {
-        let (origin, nx, ny) = grid_shape(window, margin, pixel)?;
-        self.origin = origin;
-        self.pixel = pixel;
-        self.nx = nx;
-        self.ny = ny;
-        self.data.clear();
-        self.data.resize(nx * ny, 0.0);
-        Ok(())
-    }
-
-    /// Returns a grid with this grid's shape but the given row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != nx * ny`.
-    pub fn with_data(&self, data: Vec<f64>) -> Grid {
-        assert_eq!(
-            data.len(),
-            self.nx * self.ny,
-            "data length must match grid shape"
-        );
-        Grid {
-            origin: self.origin,
-            pixel: self.pixel,
-            nx: self.nx,
-            ny: self.ny,
-            data,
-        }
-    }
-
-    /// Number of pixels (`nx × ny`).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the grid holds no pixels.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Grid width in pixels.
+impl Lattice {
+    /// Width in pixels.
     pub fn nx(&self) -> usize {
         self.nx
     }
 
-    /// Grid height in pixels.
+    /// Height in pixels.
     pub fn ny(&self) -> usize {
         self.ny
+    }
+
+    /// Number of pixels (`nx × ny`).
+    pub fn len(&self) -> usize {
+        self.nx * self.ny
+    }
+
+    /// True when the lattice holds no pixels.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Pixel size in nm.
@@ -113,77 +57,7 @@ impl Grid {
         self.origin
     }
 
-    /// Raw row-major data (`iy * nx + ix`).
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable raw data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Value at pixel `(ix, iy)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn at(&self, ix: usize, iy: usize) -> f64 {
-        assert!(
-            ix < self.nx && iy < self.ny,
-            "pixel ({ix},{iy}) out of grid"
-        );
-        self.data[iy * self.nx + ix]
-    }
-
-    /// Sets the value at pixel `(ix, iy)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn set(&mut self, ix: usize, iy: usize, v: f64) {
-        assert!(
-            ix < self.nx && iy < self.ny,
-            "pixel ({ix},{iy}) out of grid"
-        );
-        self.data[iy * self.nx + ix] = v;
-    }
-
-    /// Accumulates `weight` × (covered area fraction) of `rect` into every
-    /// overlapped pixel. Partial pixels receive fractional coverage, so the
-    /// rasterization conserves total area exactly.
-    pub fn add_rect(&mut self, rect: Rect, weight: f64) {
-        let x0 = (rect.left() - self.origin.x) as f64 / self.pixel;
-        let x1 = (rect.right() - self.origin.x) as f64 / self.pixel;
-        let y0 = (rect.bottom() - self.origin.y) as f64 / self.pixel;
-        let y1 = (rect.top() - self.origin.y) as f64 / self.pixel;
-        let ix0 = x0.floor().max(0.0) as usize;
-        let ix1 = (x1.ceil() as usize).min(self.nx);
-        let iy0 = y0.floor().max(0.0) as usize;
-        let iy1 = (y1.ceil() as usize).min(self.ny);
-        for iy in iy0..iy1 {
-            let cov_y = (y1.min((iy + 1) as f64) - y0.max(iy as f64)).max(0.0);
-            if cov_y <= 0.0 {
-                continue;
-            }
-            for ix in ix0..ix1 {
-                let cov_x = (x1.min((ix + 1) as f64) - x0.max(ix as f64)).max(0.0);
-                if cov_x > 0.0 {
-                    self.data[iy * self.nx + ix] += weight * cov_x * cov_y;
-                }
-            }
-        }
-    }
-
-    /// Rasterizes a polygon (via its rectangle decomposition) with the given
-    /// weight.
-    pub fn add_polygon(&mut self, polygon: &Polygon, weight: f64) {
-        for r in polygon.to_rects() {
-            self.add_rect(r, weight);
-        }
-    }
-
-    /// Every pixel of the grid, as a [`PixelRect`].
+    /// Every pixel of the lattice, as a [`PixelRect`].
     pub fn extent(&self) -> PixelRect {
         PixelRect {
             x0: 0,
@@ -193,12 +67,25 @@ impl Grid {
         }
     }
 
-    /// The pixels a bilinear [`Grid::sample`] of any point inside `window`
-    /// reads, clipped to the grid: from `floor(fx(left))` through
-    /// `floor(fx(right)) + 1` in continuous pixel-center coordinates
-    /// (and likewise for rows). Sampling within this rectangle reads the
-    /// same pixels with the same weights as sampling within
-    /// [`Grid::extent`], for every point of `window`.
+    /// A grid on this lattice holding the given row-major data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != nx * ny`.
+    pub fn with_data(&self, data: Vec<f64>) -> Grid {
+        assert_eq!(data.len(), self.len(), "data length must match grid shape");
+        Grid {
+            lattice: *self,
+            data,
+        }
+    }
+
+    /// The pixels a bilinear [`Lattice::sample`] of any point inside
+    /// `window` reads, clipped to the lattice: from `floor(fx(left))`
+    /// through `floor(fx(right)) + 1` in continuous pixel-center
+    /// coordinates (and likewise for rows). Sampling within this rectangle
+    /// reads the same pixels with the same weights as sampling within
+    /// [`Lattice::extent`], for every point of `window`.
     pub fn sample_footprint(&self, window: Rect) -> PixelRect {
         let (fx0, fy0) = self.continuous(window.left() as f64, window.bottom() as f64);
         let (fx1, fy1) = self.continuous(window.right() as f64, window.top() as f64);
@@ -225,12 +112,32 @@ impl Grid {
 
     /// Bilinear sample at an arbitrary nm position, reading only pixels of
     /// `within`: a position outside it clamps to its nearest edge, as a
-    /// position outside the grid clamps with `within = self.extent()`.
+    /// position outside the lattice clamps with `within = self.extent()`.
+    ///
+    /// `cell(xs, ys)` supplies the field's values at the corners of the
+    /// interpolation cell, row by row: `[[(xs[0], ys[0]), (xs[1], ys[0])],
+    /// [(xs[0], ys[1]), (xs[1], ys[1])]]`. On a one-pixel axis of `within`
+    /// both corners of that axis are the same pixel.
     ///
     /// # Panics
     ///
-    /// Panics if `within` is empty or reaches past the grid.
-    pub fn sample(&self, x_nm: f64, y_nm: f64, within: PixelRect) -> f64 {
+    /// Panics if `within` is empty or reaches past the lattice.
+    pub fn sample(
+        &self,
+        x_nm: f64,
+        y_nm: f64,
+        within: PixelRect,
+        cell: impl FnOnce([usize; 2], [usize; 2]) -> [[f64; 2]; 2],
+    ) -> f64 {
+        assert!(
+            within.x0 < within.x1
+                && within.x1 <= self.nx
+                && within.y0 < within.y1
+                && within.y1 <= self.ny,
+            "sample rectangle {within:?} not a non-empty part of the {}x{} lattice",
+            self.nx,
+            self.ny
+        );
         let (fx, fy) = self.continuous(x_nm, y_nm);
         let fx = fx.clamp(within.x0 as f64, (within.x1 - 1) as f64);
         let fy = fy.clamp(within.y0 as f64, (within.y1 - 1) as f64);
@@ -246,14 +153,176 @@ impl Grid {
         let iy1 = (iy + 1).min(within.y1 - 1);
         let tx = fx - ix as f64;
         let ty = fy - iy as f64;
-        let v00 = self.data[iy * self.nx + ix];
-        let v10 = self.data[iy * self.nx + ix1];
-        let v01 = self.data[iy1 * self.nx + ix];
-        let v11 = self.data[iy1 * self.nx + ix1];
+        let [[v00, v10], [v01, v11]] = cell([ix, ix1], [iy, iy1]);
         v00 * (1.0 - tx) * (1.0 - ty)
             + v10 * tx * (1.0 - ty)
             + v01 * (1.0 - tx) * ty
             + v11 * tx * ty
+    }
+}
+
+/// A uniform scalar field over a window of layout space, on a [`Lattice`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    lattice: Lattice,
+    data: Vec<f64>,
+}
+
+impl Grid {
+    /// Creates a zero-filled grid covering `window` (expanded by `margin`
+    /// nm on all sides) at `pixel` nm per pixel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GeomError::InvalidResolution`] if `pixel <= 0`, is not
+    /// finite, or the window would require an absurd (> 10⁸) pixel count.
+    pub fn new(window: Rect, margin: i64, pixel: f64) -> Result<Grid> {
+        let lattice = lattice_of(window, margin, pixel)?;
+        Ok(lattice.with_data(vec![0.0; lattice.len()]))
+    }
+
+    /// Reshapes this grid in place to cover `window` (expanded by `margin`
+    /// nm on all sides) at `pixel` nm per pixel, zero-filled, reusing the
+    /// existing data allocation when it is large enough.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Grid::new`]; on error the grid is unchanged.
+    pub fn reset(&mut self, window: Rect, margin: i64, pixel: f64) -> Result<()> {
+        self.lattice = lattice_of(window, margin, pixel)?;
+        self.data.clear();
+        self.data.resize(self.lattice.len(), 0.0);
+        Ok(())
+    }
+
+    /// The grid's pixel lattice.
+    pub fn lattice(&self) -> Lattice {
+        self.lattice
+    }
+
+    /// Number of pixels (`nx × ny`).
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// True when the grid holds no pixels.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Grid width in pixels.
+    pub fn nx(&self) -> usize {
+        self.lattice.nx
+    }
+
+    /// Grid height in pixels.
+    pub fn ny(&self) -> usize {
+        self.lattice.ny
+    }
+
+    /// Pixel size in nm.
+    pub fn pixel(&self) -> f64 {
+        self.lattice.pixel
+    }
+
+    /// Lower-left corner of pixel `(0, 0)` in nm.
+    pub fn origin(&self) -> Point {
+        self.lattice.origin
+    }
+
+    /// Raw row-major data (`iy * nx + ix`).
+    pub fn data(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable raw data.
+    pub fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Value at pixel `(ix, iy)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds.
+    pub fn at(&self, ix: usize, iy: usize) -> f64 {
+        assert!(
+            ix < self.nx() && iy < self.ny(),
+            "pixel ({ix},{iy}) out of grid"
+        );
+        self.data[iy * self.nx() + ix]
+    }
+
+    /// Sets the value at pixel `(ix, iy)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds.
+    pub fn set(&mut self, ix: usize, iy: usize, v: f64) {
+        assert!(
+            ix < self.nx() && iy < self.ny(),
+            "pixel ({ix},{iy}) out of grid"
+        );
+        let nx = self.nx();
+        self.data[iy * nx + ix] = v;
+    }
+
+    /// Accumulates `weight` × (covered area fraction) of `rect` into every
+    /// overlapped pixel. Partial pixels receive fractional coverage, so the
+    /// rasterization conserves total area exactly.
+    pub fn add_rect(&mut self, rect: Rect, weight: f64) {
+        let Lattice {
+            origin,
+            pixel,
+            nx,
+            ny,
+        } = self.lattice;
+        let x0 = (rect.left() - origin.x) as f64 / pixel;
+        let x1 = (rect.right() - origin.x) as f64 / pixel;
+        let y0 = (rect.bottom() - origin.y) as f64 / pixel;
+        let y1 = (rect.top() - origin.y) as f64 / pixel;
+        let ix0 = x0.floor().max(0.0) as usize;
+        let ix1 = (x1.ceil() as usize).min(nx);
+        let iy0 = y0.floor().max(0.0) as usize;
+        let iy1 = (y1.ceil() as usize).min(ny);
+        for iy in iy0..iy1 {
+            let cov_y = (y1.min((iy + 1) as f64) - y0.max(iy as f64)).max(0.0);
+            if cov_y <= 0.0 {
+                continue;
+            }
+            for ix in ix0..ix1 {
+                let cov_x = (x1.min((ix + 1) as f64) - x0.max(ix as f64)).max(0.0);
+                if cov_x > 0.0 {
+                    self.data[iy * nx + ix] += weight * cov_x * cov_y;
+                }
+            }
+        }
+    }
+
+    /// Rasterizes a polygon (via its rectangle decomposition) with the given
+    /// weight.
+    pub fn add_polygon(&mut self, polygon: &Polygon, weight: f64) {
+        for r in polygon.to_rects() {
+            self.add_rect(r, weight);
+        }
+    }
+
+    /// Every pixel of the grid, as a [`PixelRect`].
+    pub fn extent(&self) -> PixelRect {
+        self.lattice.extent()
+    }
+
+    /// Bilinear sample of this grid at an arbitrary nm position, reading
+    /// only pixels of `within` (see [`Lattice::sample`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `within` is empty or reaches past the grid.
+    pub fn sample(&self, x_nm: f64, y_nm: f64, within: PixelRect) -> f64 {
+        let nx = self.nx();
+        self.lattice.sample(x_nm, y_nm, within, |xs, ys| {
+            ys.map(|iy| xs.map(|ix| self.data[iy * nx + ix]))
+        })
     }
 
     /// Sum of all pixel values (× pixel area gives integrated quantity).
@@ -266,76 +335,107 @@ impl Grid {
     /// imaging model builds Gaussian blurs from. Taps that fall outside the
     /// grid read zero.
     ///
+    /// The plain pixel-outer loops: per pixel, the taps accumulate from
+    /// zero in ascending order with out-of-grid taps skipped. This is the
+    /// reference the lazy [`RowField`] column pass reproduces bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `kernel` has even length.
     pub fn convolve_separable(&mut self, kernel: &[f64]) {
-        // A zero accumulator plus 1.0 × each result is that result bit for
-        // bit: a sum that starts from +0.0 is never -0.0.
-        let mut out = vec![0.0; self.data.len()];
-        self.convolve_separable_scaled_into(
-            kernel,
-            1.0,
-            self.extent(),
-            &mut out,
-            &mut ConvScratch::new(),
-        );
-        self.data = out;
-    }
-
-    /// Fused weight-scale + accumulate over the output pixels `out`: adds
-    /// `weight` × (this grid convolved with `kernel`) into `acc` at every
-    /// pixel of `out` and leaves the rest of `acc` untouched. Equivalent,
-    /// inside `out`, to `clone() → convolve_separable → map_inplace(×weight)
-    /// → zip_map(+)` bit-for-bit when `acc` starts from the same partial
-    /// sum, minus all four temporaries and the work outside `out`.
-    ///
-    /// Both passes stream row-major (tap-outer over contiguous rows), and
-    /// per pixel the taps accumulate in ascending order with out-of-grid
-    /// taps skipped, exactly as the naive per-pixel loops do. The row pass
-    /// covers `out`'s columns on the rows the column taps reach (`out` ±
-    /// the kernel half-width, clipped to the grid), and reuses the result
-    /// of the previous row when the source pixels its taps read are
-    /// bit-identical. The column pass covers `out` only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` has even length, `acc.len() != self.len()`, or
-    /// `out` is empty or reaches past the grid.
-    pub fn convolve_separable_scaled_into(
-        &self,
-        kernel: &[f64],
-        weight: f64,
-        out: PixelRect,
-        acc: &mut [f64],
-        scratch: &mut ConvScratch,
-    ) {
         assert!(
             kernel.len() % 2 == 1,
             "separable kernel must have odd length"
         );
-        assert_eq!(acc.len(), self.data.len(), "accumulator length mismatch");
+        let half = kernel.len() / 2;
+        let (nx, ny) = (self.nx(), self.ny());
+        let mut scratch = vec![0.0; nx.max(ny)];
+        for iy in 0..ny {
+            let row = &self.data[iy * nx..(iy + 1) * nx];
+            for (ix, out) in scratch[..nx].iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (k, &w) in kernel.iter().enumerate() {
+                    let j = ix as isize + k as isize - half as isize;
+                    if j >= 0 && (j as usize) < nx {
+                        acc += w * row[j as usize];
+                    }
+                }
+                *out = acc;
+            }
+            self.data[iy * nx..(iy + 1) * nx].copy_from_slice(&scratch[..nx]);
+        }
+        for ix in 0..nx {
+            for (iy, out) in scratch[..ny].iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (k, &w) in kernel.iter().enumerate() {
+                    let j = iy as isize + k as isize - half as isize;
+                    if j >= 0 && (j as usize) < ny {
+                        acc += w * self.data[j as usize * nx + ix];
+                    }
+                }
+                *out = acc;
+            }
+            for (iy, &value) in scratch[..ny].iter().enumerate() {
+                self.data[iy * nx + ix] = value;
+            }
+        }
+    }
+
+    /// The row pass of a separable convolution with `kernel` over the
+    /// output pixels `out`, kept for a lazy column pass: every in-grid row
+    /// the column taps of `out` reach (`out` ± the kernel half-width),
+    /// convolved along x over `out`'s columns.
+    ///
+    /// A row whose source pixels within the row taps' reach are
+    /// bit-identical (`to_bits`) to the previous row's shares that row's
+    /// result, which is the same computation: long runs of identical mask
+    /// rows are the norm for vertical poly, so most rows are stored once.
+    /// Per pixel the taps accumulate from zero in ascending order with
+    /// out-of-grid taps skipped, as in [`Grid::convolve_separable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` has even length or `out` is empty or reaches
+    /// past the grid.
+    pub fn row_field(&self, kernel: &[f64], out: PixelRect) -> RowField {
         assert!(
-            out.x0 < out.x1 && out.x1 <= self.nx && out.y0 < out.y1 && out.y1 <= self.ny,
-            "output rectangle {out:?} not a non-empty part of the {}x{} grid",
-            self.nx,
-            self.ny
+            kernel.len() % 2 == 1,
+            "separable kernel must have odd length"
+        );
+        let (nx, ny) = (self.nx(), self.ny());
+        assert!(
+            out.x0 < out.x1 && out.x1 <= nx && out.y0 < out.y1 && out.y1 <= ny,
+            "output rectangle {out:?} not a non-empty part of the {nx}x{ny} grid"
         );
         let half = kernel.len() / 2;
-        let nx = self.nx;
         let width = out.x1 - out.x0;
-        let rows = out.y0.saturating_sub(half)..(out.y1 + half).min(self.ny);
-        let ConvScratch { field, row } = scratch;
-        let field = grown(field, rows.len() * width);
-        row_pass(&self.data, nx, out.x0..out.x1, rows.clone(), kernel, field);
-        let row = grown(row, width);
-        for iy in out.y0..out.y1 {
-            row.fill(0.0);
-            accumulate_column_taps(row, field, iy, rows.clone(), kernel);
-            let start = iy * nx + out.x0;
-            for (a, &v) in acc[start..start + width].iter_mut().zip(row.iter()) {
-                *a += weight * v;
+        let rows = out.y0.saturating_sub(half)..(out.y1 + half).min(ny);
+        let reach = out.x0.saturating_sub(half)..(out.x1 + half).min(nx);
+        let mut index = Vec::with_capacity(rows.len());
+        let mut distinct: Vec<f64> = Vec::new();
+        let mut previous: Option<&[f64]> = None;
+        for iy in rows.clone() {
+            let src_row = &self.data[iy * nx..(iy + 1) * nx];
+            let reached = &src_row[reach.clone()];
+            let repeat = previous.is_some_and(|p| {
+                p.iter()
+                    .zip(reached)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            previous = Some(reached);
+            if !repeat {
+                let start = distinct.len();
+                distinct.resize(start + width, 0.0);
+                convolve_row(src_row, kernel, out.x0..out.x1, &mut distinct[start..]);
             }
+            index.push(distinct.len() / width - 1);
+        }
+        RowField {
+            kernel: kernel.to_vec(),
+            out,
+            first: rows.start,
+            index,
+            rows: distinct,
         }
     }
 
@@ -347,25 +447,20 @@ impl Grid {
     /// Panics if the grids have different shapes.
     pub fn zip_map(&self, other: &Grid, f: impl Fn(f64, f64) -> f64) -> Grid {
         assert!(
-            self.nx == other.nx && self.ny == other.ny,
+            self.nx() == other.nx() && self.ny() == other.ny(),
             "grid shape mismatch: {}x{} vs {}x{}",
-            self.nx,
-            self.ny,
-            other.nx,
-            other.ny
+            self.nx(),
+            self.ny(),
+            other.nx(),
+            other.ny()
         );
-        Grid {
-            origin: self.origin,
-            pixel: self.pixel,
-            nx: self.nx,
-            ny: self.ny,
-            data: self
-                .data
+        self.lattice.with_data(
+            self.data
                 .iter()
                 .zip(&other.data)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-        }
+        )
     }
 
     /// Applies `f` to every pixel in place.
@@ -389,25 +484,65 @@ pub struct PixelRect {
     pub y1: usize,
 }
 
-/// Reusable scratch buffers for [`Grid::convolve_separable_scaled_into`].
-/// Buffers grow to the largest rectangle seen and are then reused
-/// allocation-free.
-#[derive(Debug, Default, Clone)]
-pub struct ConvScratch {
-    field: Vec<f64>,
-    row: Vec<f64>,
+/// One kernel's row pass of a separable convolution over an output
+/// rectangle, built by [`Grid::row_field`]: the input of a column pass
+/// evaluated on demand ([`RowField::column_cell`]). Each run of identical
+/// rows holds one row-pass result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowField {
+    kernel: Vec<f64>,
+    out: PixelRect,
+    /// Grid row of `index[0]`.
+    first: usize,
+    /// The distinct row-pass row of each grid row from `first` on.
+    index: Vec<usize>,
+    /// The distinct row-pass rows, `out`-wide, row-major.
+    rows: Vec<f64>,
 }
 
-impl ConvScratch {
-    /// Creates empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> ConvScratch {
-        ConvScratch::default()
+impl RowField {
+    /// The column pass at the corners of a cell: columns `xs` of rows
+    /// `ys`, laid out as [`Lattice::sample`] takes them; corners may
+    /// coincide. Per pixel, the kernel taps times the row-pass values of
+    /// the rows they reach accumulate from zero in ascending tap order,
+    /// with taps reaching rows outside the grid skipped — bit for bit the
+    /// column loop of [`Grid::convolve_separable`]. A row's two sums run
+    /// in one tap loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a corner lies outside the output rectangle.
+    pub fn column_cell(&self, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
+        let out = self.out;
+        assert!(
+            xs.iter().all(|x| (out.x0..out.x1).contains(x))
+                && ys.iter().all(|y| (out.y0..out.y1).contains(y)),
+            "cell {xs:?} x {ys:?} outside the output rectangle {out:?}"
+        );
+        let width = out.x1 - out.x0;
+        let [c0, c1] = xs.map(|x| x - out.x0);
+        let half = self.kernel.len() / 2;
+        ys.map(|iy| {
+            // Tap `k` reaches held row `iy + k - half - first`. The held rows
+            // are exactly the in-grid rows the taps of `out` reach, so the
+            // taps that are not skipped are one run, `k0..k1`.
+            let k0 = (half + self.first).saturating_sub(iy);
+            let k1 = (self.first + self.index.len() + half - iy).min(self.kernel.len());
+            let held = &self.index[iy + k0 - half - self.first..];
+            let mut acc = [0.0; 2];
+            for (&w, &distinct) in self.kernel[k0..k1].iter().zip(held) {
+                let row = distinct * width;
+                acc[0] += w * self.rows[row + c0];
+                acc[1] += w * self.rows[row + c1];
+            }
+            acc
+        })
     }
 }
 
-/// Shape of the grid covering `window` expanded by `margin` at `pixel` nm:
+/// The lattice covering `window` expanded by `margin` at `pixel` nm:
 /// shared by [`Grid::new`] and [`Grid::reset`].
-fn grid_shape(window: Rect, margin: i64, pixel: f64) -> Result<(Point, usize, usize)> {
+fn lattice_of(window: Rect, margin: i64, pixel: f64) -> Result<Lattice> {
     if !(pixel.is_finite() && pixel > 0.0) {
         return Err(GeomError::InvalidResolution(pixel));
     }
@@ -419,90 +554,32 @@ fn grid_shape(window: Rect, margin: i64, pixel: f64) -> Result<(Point, usize, us
     if nx.saturating_mul(ny) > 100_000_000 {
         return Err(GeomError::InvalidResolution(pixel));
     }
-    Ok((origin, nx, ny))
+    Ok(Lattice {
+        origin,
+        pixel,
+        nx,
+        ny,
+    })
 }
 
-/// Ensures `buf` holds at least `n` elements and returns the first `n`.
-fn grown(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
-    if buf.len() < n {
-        buf.resize(n, 0.0);
-    }
-    &mut buf[..n]
-}
-
-/// Horizontal pass of the separable convolution over source rows `rows`
-/// and output columns `cols`: `dst` (row-major, `cols.len()` wide) gets
-/// `src ⊛ kernel` along x. Tap-outer over contiguous row slices; each
-/// output pixel accumulates taps in ascending order with taps outside the
-/// `nx`-wide grid skipped, matching the per-pixel formulation bit-for-bit.
-/// A row whose tap-reached source pixels are bit-identical to the previous
-/// row's copies that row's result, which is the same computation.
-fn row_pass(
-    src: &[f64],
-    nx: usize,
-    cols: Range<usize>,
-    rows: Range<usize>,
-    kernel: &[f64],
-    dst: &mut [f64],
-) {
+/// Convolves `src_row` along x with `kernel` at the output columns `cols`
+/// into `dst`, which must start zeroed. Tap-outer over contiguous slices;
+/// each output pixel accumulates taps in ascending order with taps outside
+/// the row skipped, matching the per-pixel formulation bit for bit.
+fn convolve_row(src_row: &[f64], kernel: &[f64], cols: Range<usize>, dst: &mut [f64]) {
     let half = kernel.len() / 2;
-    let width = cols.len();
-    let reach = cols.start.saturating_sub(half)..(cols.end + half).min(nx);
-    let mut previous: Option<&[f64]> = None;
-    for (r, iy) in rows.enumerate() {
-        let src_row = &src[iy * nx..(iy + 1) * nx];
-        let reached = &src_row[reach.clone()];
-        let repeat = previous.is_some_and(|p| {
-            p.iter()
-                .zip(reached)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-        previous = Some(reached);
-        if repeat {
-            dst.copy_within((r - 1) * width..r * width, r * width);
-            continue;
-        }
-        let dst_row = &mut dst[r * width..(r + 1) * width];
-        dst_row.fill(0.0);
-        for (k, &w) in kernel.iter().enumerate() {
-            let shift = k as isize - half as isize;
-            let ix0 = (cols.start as isize).max(-shift);
-            let ix1 = (cols.end as isize).min(nx as isize - shift);
-            if ix0 >= ix1 {
-                continue;
-            }
-            let n = (ix1 - ix0) as usize;
-            let s0 = (ix0 + shift) as usize;
-            let o0 = ix0 as usize - cols.start;
-            for (o, &s) in dst_row[o0..o0 + n].iter_mut().zip(&src_row[s0..s0 + n]) {
-                *o += w * s;
-            }
-        }
-    }
-}
-
-/// Vertical-pass inner step: accumulates kernel taps for output row `iy`
-/// into `out`, reading whole rows of `field` (the row pass over source
-/// rows `rows`, `out.len()` wide) contiguously. Taps apply in ascending
-/// order, and `rows` holds every in-grid row the taps of `iy` reach, so
-/// the rows skipped are exactly the out-of-grid ones — the same per-pixel
-/// operation order as a column-strided loop, without its strided reads.
-fn accumulate_column_taps(
-    out: &mut [f64],
-    field: &[f64],
-    iy: usize,
-    rows: Range<usize>,
-    kernel: &[f64],
-) {
-    let half = kernel.len() / 2;
-    let width = out.len();
+    let nx = src_row.len();
     for (k, &w) in kernel.iter().enumerate() {
-        let j = iy as isize + k as isize - half as isize;
-        if j < rows.start as isize || j >= rows.end as isize {
+        let shift = k as isize - half as isize;
+        let ix0 = (cols.start as isize).max(-shift);
+        let ix1 = (cols.end as isize).min(nx as isize - shift);
+        if ix0 >= ix1 {
             continue;
         }
-        let r = j as usize - rows.start;
-        for (o, &s) in out.iter_mut().zip(&field[r * width..(r + 1) * width]) {
+        let n = (ix1 - ix0) as usize;
+        let s0 = (ix0 + shift) as usize;
+        let o0 = ix0 as usize - cols.start;
+        for (o, &s) in dst[o0..o0 + n].iter_mut().zip(&src_row[s0..s0 + n]) {
             *o += w * s;
         }
     }
@@ -690,47 +767,10 @@ mod tests {
     fn with_data_preserves_shape() {
         let g = grid_10x10();
         let d = vec![2.0; g.len()];
-        let h = g.with_data(d);
+        let h = g.lattice().with_data(d);
         assert_eq!((h.nx(), h.ny()), (g.nx(), g.ny()));
         assert_eq!(h.origin(), g.origin());
         assert_eq!(h.at(3, 7), 2.0);
-    }
-
-    /// The pre-rewrite pixel-outer implementation, kept verbatim as the
-    /// bit-identity reference for the streaming passes.
-    fn convolve_separable_reference(g: &mut Grid, kernel: &[f64]) {
-        let half = kernel.len() / 2;
-        let (nx, ny) = (g.nx(), g.ny());
-        let mut scratch = vec![0.0; nx.max(ny)];
-        for iy in 0..ny {
-            let row = g.data()[iy * nx..(iy + 1) * nx].to_vec();
-            for (ix, out) in scratch[..nx].iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (k, &w) in kernel.iter().enumerate() {
-                    let j = ix as isize + k as isize - half as isize;
-                    if j >= 0 && (j as usize) < nx {
-                        acc += w * row[j as usize];
-                    }
-                }
-                *out = acc;
-            }
-            g.data_mut()[iy * nx..(iy + 1) * nx].copy_from_slice(&scratch[..nx]);
-        }
-        for ix in 0..nx {
-            for (iy, out) in scratch[..ny].iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (k, &w) in kernel.iter().enumerate() {
-                    let j = iy as isize + k as isize - half as isize;
-                    if j >= 0 && (j as usize) < ny {
-                        acc += w * g.data()[j as usize * nx + ix];
-                    }
-                }
-                *out = acc;
-            }
-            for (iy, &value) in scratch[..ny].iter().enumerate() {
-                g.data_mut()[iy * nx + ix] = value;
-            }
-        }
     }
 
     /// Naive dense 2-D convolution with the outer product of the separable
@@ -778,8 +818,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_pass_is_bit_identical_to_pixel_outer_reference() {
-        use postopc_rng::SeedableRng;
+    fn column_cell_is_bit_identical_to_pixel_outer_oracle() {
+        use postopc_rng::{RngExt, SeedableRng};
         let mut rng = postopc_rng::StdRng::seed_from_u64(31);
         // Asymmetric shapes, kernels wider than an axis, single-pixel axes.
         for (w, h, half) in [
@@ -792,15 +832,35 @@ mod tests {
         ] {
             let kernel = random_kernel(&mut rng, half);
             let g = random_grid(&mut rng, w, h, 10.0);
-            let mut reference = g.clone();
-            convolve_separable_reference(&mut reference, &kernel);
-            let mut streaming = g.clone();
-            streaming.convolve_separable(&kernel);
-            assert_eq!(
-                streaming.data(),
-                reference.data(),
-                "bitwise mismatch for {w}x{h} half={half}"
-            );
+            let mut oracle = g.clone();
+            oracle.convolve_separable(&kernel);
+            let field = g.row_field(&kernel, g.extent());
+            let (nx, ny) = (g.nx(), g.ny());
+            // Cells tiling the grid (corners coincide on odd edges), then
+            // cells with arbitrary corners.
+            let tiles = (0..ny).step_by(2).flat_map(|iy| {
+                (0..nx)
+                    .step_by(2)
+                    .map(move |ix| ([ix, (ix + 1).min(nx - 1)], [iy, (iy + 1).min(ny - 1)]))
+            });
+            let random: Vec<_> = (0..200)
+                .map(|_| {
+                    let mut pick = |n: usize| rng.random_range(0..n);
+                    ([pick(nx), pick(nx)], [pick(ny), pick(ny)])
+                })
+                .collect();
+            for (xs, ys) in tiles.chain(random) {
+                let cell = field.column_cell(xs, ys);
+                for (row, &iy) in cell.iter().zip(&ys) {
+                    for (v, &ix) in row.iter().zip(&xs) {
+                        assert_eq!(
+                            v.to_bits(),
+                            oracle.at(ix, iy).to_bits(),
+                            "({ix},{iy}) of {w}x{h} half={half}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -848,19 +908,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_scaled_accumulate_is_bit_identical_to_unfused_sequence() {
-        use postopc_rng::SeedableRng;
+    fn lazy_weighted_sum_is_bit_identical_to_unfused_oracle_on_every_rectangle() {
+        use postopc_rng::{RngExt, SeedableRng};
         let mut rng = postopc_rng::StdRng::seed_from_u64(83);
         let weights = [1.6, -0.6];
         // Wide, tall, and smaller than the wider kernel on both axes.
         for (w, h, halves) in [(310, 90, [5, 13]), (300, 1200, [3, 20]), (60, 40, [9, 40])] {
             let g = repeated_row_grid(&mut rng, w, h, 10.0);
             let kernels = halves.map(|half| random_kernel(&mut rng, half));
-            // Unfused: reference convolve → scale → add, per kernel.
+            // Oracle: pixel-outer convolve → scale → add, per kernel.
             let mut unfused = vec![0.0; g.len()];
             for (kernel, &weight) in kernels.iter().zip(&weights) {
                 let mut field = g.clone();
-                convolve_separable_reference(&mut field, kernel);
+                field.convolve_separable(kernel);
                 field.map_inplace(|v| v * weight);
                 for (a, &v) in unfused.iter_mut().zip(field.data()) {
                     *a += v;
@@ -877,48 +937,62 @@ mod tests {
                 rect(nx / 3, nx - 1, 0, 2),
                 rect(1, nx / 2 + 1, ny / 2, ny),
             ];
-            // Fused path, reusing one scratch across rectangles and kernels.
-            let mut scratch = ConvScratch::new();
             for out in rects {
-                let mut fused = vec![0.0; g.len()];
-                for (kernel, &weight) in kernels.iter().zip(&weights) {
-                    g.convolve_separable_scaled_into(kernel, weight, out, &mut fused, &mut scratch);
+                let fields: Vec<RowField> = kernels.iter().map(|k| g.row_field(k, out)).collect();
+                // Runs of repeated rows are stored once, and the rows that
+                // differ are computed.
+                let held = fields[1].index.len();
+                let distinct = fields[1].rows.len() / (out.x1 - out.x0);
+                assert!(
+                    distinct >= 1 && (held < 8 || distinct < held),
+                    "{distinct} of {held}"
+                );
+                // Every pixel, in a seeded random order, as a corner of a
+                // cell whose other corners are random pixels of `out`,
+                // summed as the imaging engine sums it:
+                // `acc = 0; acc += weight × column pass` per kernel.
+                let mut pixels: Vec<(usize, usize)> = (out.y0..out.y1)
+                    .flat_map(|iy| (out.x0..out.x1).map(move |ix| (ix, iy)))
+                    .collect();
+                for i in (1..pixels.len()).rev() {
+                    pixels.swap(i, rng.random_range(0..=i));
                 }
-                for (i, (&f, &u)) in fused.iter().zip(&unfused).enumerate() {
-                    let (ix, iy) = (i % nx, i / nx);
-                    let inside = (out.x0..out.x1).contains(&ix) && (out.y0..out.y1).contains(&iy);
-                    let expected = if inside { u } else { 0.0 };
-                    assert_eq!(
-                        f.to_bits(),
-                        expected.to_bits(),
-                        "pixel ({ix},{iy}) of {w}x{h} with output {out:?}"
-                    );
+                for (ix, iy) in pixels {
+                    let xs = [ix, rng.random_range(out.x0..out.x1)];
+                    let ys = [rng.random_range(out.y0..out.y1), iy];
+                    let mut acc = [[0.0; 2]; 2];
+                    for (field, &weight) in fields.iter().zip(&weights) {
+                        let column = field.column_cell(xs, ys);
+                        for (a, c) in acc.iter_mut().flatten().zip(column.iter().flatten()) {
+                            *a += weight * c;
+                        }
+                    }
+                    for (row, &iy) in acc.iter().zip(&ys) {
+                        for (a, &ix) in row.iter().zip(&xs) {
+                            assert_eq!(
+                                a.to_bits(),
+                                unfused[iy * nx + ix].to_bits(),
+                                "pixel ({ix},{iy}) of {w}x{h} with output {out:?}"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn convolution_scratch_reuse_across_shapes_is_safe() {
-        use postopc_rng::SeedableRng;
-        let mut rng = postopc_rng::StdRng::seed_from_u64(99);
-        let mut scratch = ConvScratch::new();
-        // Big grid first so later smaller grids see stale scratch contents.
-        for (w, h) in [(400, 400), (60, 200), (200, 60), (100, 100)] {
-            let kernel = random_kernel(&mut rng, 4);
-            let g = random_grid(&mut rng, w, h, 10.0);
-            let mut expected = g.clone();
-            convolve_separable_reference(&mut expected, &kernel);
-            let mut with_scratch = vec![0.0; g.len()];
-            g.convolve_separable_scaled_into(
-                &kernel,
-                1.0,
-                g.extent(),
-                &mut with_scratch,
-                &mut scratch,
-            );
-            assert_eq!(with_scratch, expected.data());
-        }
+    #[should_panic(expected = "outside the output rectangle")]
+    fn column_cell_rejects_pixels_outside_its_rectangle() {
+        let g = grid_10x10();
+        let out = PixelRect {
+            x0: 2,
+            x1: 6,
+            y0: 3,
+            y1: 7,
+        };
+        let field = g.row_field(&[0.25, 0.5, 0.25], out);
+        field.column_cell([2, 3], [6, 7]);
     }
 
     #[test]
@@ -931,7 +1005,7 @@ mod tests {
             for v in g.data_mut() {
                 *v = rng.random_range(0.0..1.0);
             }
-            let footprint = g.sample_footprint(window);
+            let footprint = g.lattice().sample_footprint(window);
             let span = |n: i64| (n as f64 / pixel).ceil() as usize + 2;
             assert!(footprint.x0 > 0 && footprint.x1 - footprint.x0 <= span(window.width()));
             assert!(footprint.y0 > 0 && footprint.y1 - footprint.y0 <= span(window.height()));
@@ -948,10 +1022,13 @@ mod tests {
             }
             // The whole grid is its own footprint's bound; a window off the
             // grid still yields a non-empty edge rectangle.
-            let whole =
-                g.sample_footprint(Rect::new(-10_000, -10_000, 10_000, 10_000).expect("rect"));
+            let whole = g
+                .lattice()
+                .sample_footprint(Rect::new(-10_000, -10_000, 10_000, 10_000).expect("rect"));
             assert_eq!(whole, g.extent());
-            let off = g.sample_footprint(Rect::new(5_000, 5_000, 6_000, 6_000).expect("rect"));
+            let off = g
+                .lattice()
+                .sample_footprint(Rect::new(5_000, 5_000, 6_000, 6_000).expect("rect"));
             assert_eq!(
                 (off.x0, off.x1, off.y0, off.y1),
                 (g.nx() - 1, g.nx(), g.ny() - 1, g.ny())

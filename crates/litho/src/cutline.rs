@@ -16,8 +16,10 @@ const STEP_NM: f64 = 1.0;
 ///
 /// # Errors
 ///
-/// Returns [`LithoError::NoContourCrossing`] if the start is not printed
-/// or no crossing occurs within range (pinched feature or bridged gap).
+/// Returns [`LithoError::InvalidSearchDistance`] if `max_dist_nm` is
+/// negative or not finite, and [`LithoError::NoContourCrossing`] if the
+/// start is not printed or no crossing occurs within range (pinched
+/// feature or bridged gap).
 pub fn find_edge(
     image: &AerialImage,
     resist: &ResistModel,
@@ -25,6 +27,11 @@ pub fn find_edge(
     direction: (f64, f64),
     max_dist_nm: f64,
 ) -> Result<f64> {
+    // An infinite distance would march `usize::MAX` steps on a ray that
+    // never crosses; NaN would silently march none.
+    if !(max_dist_nm.is_finite() && max_dist_nm >= 0.0) {
+        return Err(LithoError::InvalidSearchDistance { max_dist_nm });
+    }
     let (x0, y0) = start;
     let (dx, dy) = direction;
     let mut prev = image.intensity_at(x0, y0);
@@ -53,7 +60,9 @@ pub fn find_edge(
 /// # Errors
 ///
 /// Returns [`LithoError::NoContourCrossing`] if the feature does not print
-/// at `center` or an edge is out of range.
+/// at `center` or an edge is out of range, and
+/// [`LithoError::InvalidSearchDistance`] for a negative or non-finite
+/// `max_half_nm`.
 pub fn measure_cd(
     image: &AerialImage,
     resist: &ResistModel,
@@ -78,7 +87,9 @@ pub fn measure_cd(
 /// # Errors
 ///
 /// Returns [`LithoError::NoContourCrossing`] if the feature is missing
-/// entirely at the probe point (catastrophic pinch).
+/// entirely at the probe point (catastrophic pinch), and
+/// [`LithoError::InvalidSearchDistance`] if `search_nm` is not finite or
+/// reaches less than zero past the inset start.
 pub fn edge_placement_error(
     image: &AerialImage,
     resist: &ResistModel,
@@ -144,6 +155,29 @@ mod tests {
         let r = ResistModel::standard();
         assert!(matches!(
             find_edge(&img, &r, (300.0, 0.0), (1.0, 0.0), 50.0),
+            Err(LithoError::NoContourCrossing { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_or_negative_search_distance_is_a_typed_error() {
+        // The ray from the line's center crosses its edge, so only the
+        // distance check can reject it; an infinite march on a ray that
+        // never crosses would not return.
+        let img = image_of(&[vertical_line()]);
+        let r = ResistModel::standard();
+        for max_dist_nm in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let rejected: Result<f64> = Err(LithoError::InvalidSearchDistance { max_dist_nm });
+            let got = find_edge(&img, &r, (0.0, 0.0), (1.0, 0.0), max_dist_nm);
+            assert_eq!(format!("{got:?}"), format!("{rejected:?}"));
+        }
+        assert!(matches!(
+            edge_placement_error(&img, &r, (45.0, 0.0), (1.0, 0.0), f64::NAN),
+            Err(LithoError::InvalidSearchDistance { .. })
+        ));
+        // A zero distance is a search that takes no step.
+        assert!(matches!(
+            find_edge(&img, &r, (0.0, 0.0), (1.0, 0.0), 0.0),
             Err(LithoError::NoContourCrossing { .. })
         ));
     }

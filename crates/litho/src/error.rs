@@ -23,6 +23,12 @@ pub enum LithoError {
         /// Search start y in nm.
         y_nm: f64,
     },
+    /// An edge-position search was asked to march a negative or
+    /// non-finite distance.
+    InvalidSearchDistance {
+        /// The rejected distance in nm.
+        max_dist_nm: f64,
+    },
     /// Learned CD surrogate failure (bad training sample, unsolvable
     /// normal equations, or a corrupt persisted model).
     Surrogate(String),
@@ -38,6 +44,10 @@ impl fmt::Display for LithoError {
             LithoError::NoContourCrossing { x_nm, y_nm } => {
                 write!(f, "no printed contour crossing near ({x_nm}, {y_nm})")
             }
+            LithoError::InvalidSearchDistance { max_dist_nm } => write!(
+                f,
+                "edge search distance must be finite and non-negative, got {max_dist_nm} nm"
+            ),
             LithoError::Surrogate(reason) => write!(f, "surrogate model error: {reason}"),
         }
     }

@@ -4,7 +4,8 @@ use crate::error::Result;
 use crate::kernels::KernelStack;
 use crate::optics::{OpticsParams, ProcessConditions};
 use crate::workspace::{self, SimWorkspace};
-use postopc_geom::{Grid, PixelRect, Polygon, Rect};
+use postopc_geom::{Grid, Lattice, PixelRect, Polygon, Rect, RowField};
+use std::cell::Cell;
 
 /// Which kernel stack to image with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,6 +73,13 @@ impl Default for SimulationSpec {
 /// the resist threshold. The image is defined only inside the simulated
 /// window: reads outside it clamp to the window's edge pixels.
 ///
+/// The image is lazy. Simulation rasterizes the mask and runs each
+/// kernel's row pass; a pixel's column pass runs the first time a read
+/// touches it, and its value is kept for later reads. Every pixel is the
+/// same computation in the same floating-point order whenever it runs, so
+/// an image reads the same bits whatever was read before, and a clone
+/// carries the pixels evaluated so far. The memo makes the image `!Sync`.
+///
 /// ```
 /// use postopc_litho::{AerialImage, SimulationSpec};
 /// use postopc_geom::{Polygon, Rect};
@@ -83,13 +91,30 @@ impl Default for SimulationSpec {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AerialImage {
-    grid: Grid,
-    /// The pixels of `grid` the engine computed: every pixel a bilinear
-    /// read of a point inside the window uses.
+    /// The lattice of the ambit-padded raster.
+    lattice: Lattice,
+    /// The pixels a bilinear read of a point inside the window uses: the
+    /// only pixels the image evaluates.
     defined: PixelRect,
     dose: f64,
+    /// Each kernel's weight and row pass over `defined`, in stack order.
+    fields: Vec<(f64, RowField)>,
+    /// The dose-free intensity of each pixel of `defined` evaluated so
+    /// far, row-major; NaN until first evaluated.
+    memo: Vec<Cell<f64>>,
+}
+
+impl PartialEq for AerialImage {
+    /// Two images are equal when they compute the same pixels; which
+    /// pixels have been evaluated so far does not matter.
+    fn eq(&self, other: &AerialImage) -> bool {
+        self.lattice == other.lattice
+            && self.defined == other.defined
+            && self.dose == other.dose
+            && self.fields == other.fields
+    }
 }
 
 impl AerialImage {
@@ -100,9 +125,10 @@ impl AerialImage {
     /// window; the raster is automatically padded by the ambit so border
     /// features image correctly.
     ///
-    /// The image is defined only inside `window`: the engine computes just
-    /// the pixels a read inside it uses, and [`AerialImage::intensity_at`]
-    /// clamps any read outside it to the window's edge pixels.
+    /// The image is defined only inside `window`: the engine evaluates only
+    /// pixels a read inside it uses, each on first read, and
+    /// [`AerialImage::intensity_at`] clamps any read outside it to the
+    /// window's edge pixels.
     ///
     /// # Errors
     ///
@@ -113,10 +139,12 @@ impl AerialImage {
 
     /// [`AerialImage::simulate`] with caller-owned scratch state.
     ///
-    /// The workspace's base grid and convolution buffers are reused across
-    /// calls and its tap cache persists, so a loop that images many windows
-    /// (model OPC, extraction, FEM sweeps) allocates only the returned
-    /// intensity grid per call. Results are bit-identical to
+    /// Rasterizes `mask` into the workspace's base grid (reused across
+    /// calls) and runs each kernel's row pass over the window's pixels,
+    /// storing each run of identical rows once; the column pass is left to
+    /// the reads. The workspace's tap cache persists, so a loop that images
+    /// many windows (model OPC, extraction, FEM sweeps) discretizes each
+    /// kernel once. Results are bit-identical to
     /// [`AerialImage::simulate`] — both run this engine, `simulate` merely
     /// borrows a per-thread workspace.
     ///
@@ -137,50 +165,111 @@ impl AerialImage {
         for polygon in mask {
             base.add_polygon(polygon, 1.0);
         }
-        // Split the workspace so the base grid (read), tap cache (borrowed
-        // slices) and convolution scratch (written) coexist.
-        let SimWorkspace {
-            base,
-            scratch,
-            taps,
-        } = workspace;
+        // Split the workspace so the base grid (read) and the tap cache
+        // (borrowed slices) coexist.
+        let SimWorkspace { base, taps } = workspace;
         let Some(base) = base.as_ref() else {
             unreachable!("base grid built by base_grid() above");
         };
-        let defined = base.sample_footprint(window);
-        let mut intensity = vec![0.0; base.len()];
-        for kernel in stack.kernels() {
-            let kernel_taps = taps.taps(kernel, spec.pixel_nm);
-            base.convolve_separable_scaled_into(
-                kernel_taps,
-                kernel.weight,
-                defined,
-                &mut intensity,
-                scratch,
-            );
-        }
-        Ok(AerialImage {
-            grid: base.with_data(intensity),
+        let defined = base.lattice().sample_footprint(window);
+        let fields = stack
+            .kernels()
+            .iter()
+            .map(|kernel| {
+                let kernel_taps = taps.taps(kernel, spec.pixel_nm);
+                (kernel.weight, base.row_field(kernel_taps, defined))
+            })
+            .collect();
+        Ok(AerialImage::new(
+            base.lattice(),
             defined,
-            dose: spec.conditions.dose,
-        })
+            spec.conditions.dose,
+            fields,
+        ))
+    }
+
+    /// An image with no pixel evaluated yet.
+    fn new(
+        lattice: Lattice,
+        defined: PixelRect,
+        dose: f64,
+        fields: Vec<(f64, RowField)>,
+    ) -> AerialImage {
+        let pixels = (defined.x1 - defined.x0) * (defined.y1 - defined.y0);
+        AerialImage {
+            lattice,
+            defined,
+            dose,
+            fields,
+            memo: vec![Cell::new(f64::NAN); pixels],
+        }
     }
 
     /// Dose-scaled intensity at a position (bilinear sampled).
     ///
     /// Defined inside the simulated window, where every read is bit-for-bit
     /// the read of a whole-raster image. A position outside the window
-    /// clamps to the nearest computed pixels, as a position outside the
+    /// clamps to the nearest defined pixels, as a position outside the
     /// raster clamps to its edge.
     pub fn intensity_at(&self, x_nm: f64, y_nm: f64) -> f64 {
-        self.dose * self.grid.sample(x_nm, y_nm, self.defined)
+        self.dose
+            * self
+                .lattice
+                .sample(x_nm, y_nm, self.defined, |xs, ys| self.cell(xs, ys))
     }
 
-    /// The underlying (dose-free) intensity grid, on the lattice of the
-    /// ambit-padded raster. Only the pixels reads inside the simulated
-    /// window use are filled; the rest of the grid is zero.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
+    /// The dose-free intensity at the corners of a defined cell, from the
+    /// memo, or evaluated and memoized when a corner is new.
+    fn cell(&self, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
+        let d = self.defined;
+        let memo = ys.map(|iy| xs.map(|ix| &self.memo[(iy - d.y0) * (d.x1 - d.x0) + ix - d.x0]));
+        let known = memo.map(|row| row.map(Cell::get));
+        if known.iter().flatten().all(|v| !v.is_nan()) {
+            return known;
+        }
+        let values = self.evaluate(xs, ys);
+        for (cell, &v) in memo.iter().flatten().zip(values.iter().flatten()) {
+            cell.set(v);
+        }
+        values
+    }
+
+    /// The dose-free intensity at the corners of a defined cell: per pixel
+    /// `acc = 0; acc += weight × column pass` for each kernel in stack
+    /// order.
+    fn evaluate(&self, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
+        let mut acc = [[0.0; 2]; 2];
+        for (weight, field) in &self.fields {
+            let column = field.column_cell(xs, ys);
+            for (a, c) in acc.iter_mut().flatten().zip(column.iter().flatten()) {
+                *a += weight * c;
+            }
+        }
+        acc
+    }
+
+    /// The (dose-free) intensity grid, on the lattice of the ambit-padded
+    /// raster, materialized on demand: every pixel a read inside the
+    /// simulated window uses is evaluated, and the rest of the grid is
+    /// zero. It evaluates without memoizing, so it costs a full column
+    /// pass over the window and leaves the cost of later reads unchanged.
+    pub fn grid(&self) -> Grid {
+        let d = self.defined;
+        let nx = self.lattice.nx();
+        let mut data = vec![0.0; self.lattice.len()];
+        // Cells tiling the defined pixels; on an odd edge a cell's two
+        // corners along that axis are the same pixel.
+        for iy in (d.y0..d.y1).step_by(2) {
+            for ix in (d.x0..d.x1).step_by(2) {
+                let (xs, ys) = ([ix, (ix + 1).min(d.x1 - 1)], [iy, (iy + 1).min(d.y1 - 1)]);
+                for (row, &y) in self.evaluate(xs, ys).iter().zip(&ys) {
+                    for (&v, &x) in row.iter().zip(&xs) {
+                        data[y * nx + x] = v;
+                    }
+                }
+            }
+        }
+        self.lattice.with_data(data)
     }
 
     /// The dose this image was exposed at.
@@ -307,12 +396,16 @@ pub(crate) mod tests {
             end < side,
             "line-end {end} should be dimmer than side edge {side}"
         );
-        let _ = Point::new(0, 0); // keep Point import used in this module
     }
 
     /// The pre-workspace engine (clone per kernel, re-discretize per call,
-    /// `zip_map` accumulation, every pixel of the padded raster), kept as
-    /// the bit-identity reference for the fused window-restricted engine.
+    /// `zip_map` accumulation, every pixel of the padded raster through the
+    /// pixel-outer `Grid::convolve_separable`), kept as the bit-identity
+    /// reference for the lazy engine. Its intensity grid reaches the image
+    /// through an identity row field (one tap of 1.0), which passes every
+    /// pixel through as `0 + 1·(0 + 1·(0 + 1·v))`: that is `v` for every
+    /// value but `-0.0`, which a sum of positive taps times coverage never
+    /// is. The pass-through is checked bit for bit before returning.
     pub(crate) fn simulate_reference(
         spec: &SimulationSpec,
         mask: &[Polygon],
@@ -337,11 +430,49 @@ pub(crate) mod tests {
             });
         }
         let grid = result.expect("stack has at least one kernel");
-        AerialImage {
-            defined: grid.extent(),
-            grid,
-            dose: spec.conditions.dose,
-        }
+        let identity = grid.row_field(&[1.0], grid.extent());
+        let image = AerialImage::new(
+            grid.lattice(),
+            grid.extent(),
+            spec.conditions.dose,
+            vec![(1.0, identity)],
+        );
+        let passed = image.grid();
+        assert!(
+            passed
+                .data()
+                .iter()
+                .zip(grid.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "identity pass-through changed a pixel"
+        );
+        image
+    }
+
+    /// Every spec the lazy engine is checked against the oracle with:
+    /// nominal, off-nominal, defocused, single-Gaussian, and a finer pixel.
+    fn parity_specs() -> [SimulationSpec; 5] {
+        let off_nominal = ProcessConditions {
+            focus_nm: 40.0,
+            dose: 1.01,
+        };
+        let defocused = ProcessConditions {
+            focus_nm: 200.0,
+            dose: 1.0,
+        };
+        [
+            SimulationSpec::nominal(),
+            SimulationSpec::nominal().with_conditions(off_nominal),
+            SimulationSpec::nominal().with_conditions(defocused),
+            SimulationSpec {
+                kernel_mode: KernelMode::SingleGaussian,
+                ..SimulationSpec::nominal()
+            },
+            SimulationSpec {
+                pixel_nm: 2.5,
+                ..SimulationSpec::nominal()
+            },
+        ]
     }
 
     /// A fixed-seed farm-like window: parallel lines at jittered pitches
@@ -373,40 +504,20 @@ pub(crate) mod tests {
     fn fused_engine_is_bit_identical_to_reference_engine() {
         let mask = seeded_farm_mask(11);
         let window = Rect::new(-500, -400, 500, 400).expect("rect");
-        let off_nominal = ProcessConditions {
-            focus_nm: 40.0,
-            dose: 1.01,
-        };
-        let defocused = ProcessConditions {
-            focus_nm: 200.0,
-            dose: 1.0,
-        };
-        let specs = [
-            SimulationSpec::nominal(),
-            SimulationSpec::nominal().with_conditions(off_nominal),
-            SimulationSpec::nominal().with_conditions(defocused),
-            SimulationSpec {
-                kernel_mode: KernelMode::SingleGaussian,
-                ..SimulationSpec::nominal()
-            },
-            SimulationSpec {
-                pixel_nm: 2.5,
-                ..SimulationSpec::nominal()
-            },
-        ];
         let mut ws = SimWorkspace::new();
-        for spec in &specs {
+        for spec in &parity_specs() {
             let reference = simulate_reference(spec, &mask, window);
             let fused = AerialImage::simulate(spec, &mask, window).expect("image");
             let label = format!("{:?} at {} nm", spec.conditions, spec.pixel_nm);
             // Same lattice; every computed pixel equals the whole-raster one.
             let (grid, rect) = (fused.grid(), fused.defined);
-            assert_eq!(grid.extent(), reference.grid().extent(), "{label}");
+            let reference_grid = reference.grid();
+            assert_eq!(grid.extent(), reference_grid.extent(), "{label}");
             for iy in rect.y0..rect.y1 {
                 for ix in rect.x0..rect.x1 {
                     assert_eq!(
                         grid.at(ix, iy).to_bits(),
-                        reference.grid().at(ix, iy).to_bits(),
+                        reference_grid.at(ix, iy).to_bits(),
                         "pixel ({ix},{iy}) diverged for {label}"
                     );
                 }
@@ -478,5 +589,189 @@ pub(crate) mod tests {
                 .expect("image");
             assert_eq!(reused, fresh, "window {i} diverged under workspace reuse");
         }
+    }
+
+    /// A random Manhattan mask around the origin: vertical lines at iso
+    /// and dense pitches, some ending inside the area (line ends), some
+    /// jogged sideways halfway up.
+    fn random_manhattan_mask(rng: &mut postopc_rng::StdRng) -> Vec<Polygon> {
+        use postopc_rng::RngExt;
+        let mut mask = Vec::new();
+        let mut x = -700i64;
+        while x < 700 {
+            let w = rng.random_range(60i64..=130);
+            let y0 = -rng.random_range(100i64..=700);
+            let y1 = rng.random_range(100i64..=700);
+            let line = if rng.random_range(0u32..3) == 0 {
+                let dx = rng.random_range(10i64..=w / 2) * [-1, 1][rng.random_range(0usize..2)];
+                let ym = rng.random_range(y0 + 50..=y1 - 50);
+                Polygon::new(
+                    [
+                        (x, y0),
+                        (x + w, y0),
+                        (x + w, ym),
+                        (x + w + dx, ym),
+                        (x + w + dx, y1),
+                        (x + dx, y1),
+                        (x + dx, ym),
+                        (x, ym),
+                    ]
+                    .map(|(px, py)| Point::new(px, py))
+                    .to_vec(),
+                )
+                .expect("jogged line")
+            } else {
+                Polygon::from(Rect::new(x, y0, x + w, y1).expect("rect"))
+            };
+            mask.push(line);
+            // Dense (≈ 1:1) and iso (≥ 3× the width) spaces.
+            x += w + rng.random_range(80i64..=420);
+        }
+        mask
+    }
+
+    #[test]
+    fn lazy_reads_are_bit_identical_to_the_oracle_on_random_masks_and_windows() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(18);
+        for spec in &parity_specs() {
+            // Windows narrower than the core kernel's 3σ half-width (on
+            // either axis), one pixel wide, and ordinary ones.
+            let core_half = 3.0 * spec.kernel_stack().kernels()[0].sigma_nm;
+            let pixel = spec.pixel_nm.floor() as i64;
+            for (w, h) in [
+                (pixel, rng.random_range(200i64..600)),
+                (rng.random_range(300i64..700), pixel),
+                (rng.random_range(20..core_half as i64), 500),
+                (600, rng.random_range(20..core_half as i64)),
+                (rng.random_range(200i64..900), rng.random_range(200i64..900)),
+            ] {
+                let mask = random_manhattan_mask(&mut rng);
+                let (x, y) = (
+                    rng.random_range(-500i64..300),
+                    rng.random_range(-400i64..200),
+                );
+                let window = Rect::new(x, y, x + w, y + h).expect("window");
+                let label = format!(
+                    "{:?} at {} nm, window {window:?}",
+                    spec.conditions, spec.pixel_nm
+                );
+                let oracle = simulate_reference(spec, &mask, window);
+                let image = AerialImage::simulate(spec, &mask, window).expect("image");
+                let oracle_grid = oracle.grid();
+                // The defined pixels equal the oracle's, the rest are zero,
+                // before any read and after some.
+                let defined_matches = |grid: &Grid| {
+                    let d = image.defined;
+                    (0..grid.ny()).all(|iy| {
+                        (0..grid.nx()).all(|ix| {
+                            let inside = (d.x0..d.x1).contains(&ix) && (d.y0..d.y1).contains(&iy);
+                            let expected = if inside { oracle_grid.at(ix, iy) } else { 0.0 };
+                            grid.at(ix, iy).to_bits() == expected.to_bits()
+                        })
+                    })
+                };
+                assert!(defined_matches(&image.grid()), "grid before reads, {label}");
+                // Seeded points inside and around the window, each read
+                // twice, in random order. A point outside the window reads
+                // the oracle at its clamp to the defined pixels' centers.
+                let d = image.defined;
+                let origin = image.lattice.origin();
+                let center = |i: usize, o: i64| o as f64 + (i as f64 + 0.5) * spec.pixel_nm;
+                let (x_lo, x_hi) = (center(d.x0, origin.x), center(d.x1 - 1, origin.x));
+                let (y_lo, y_hi) = (center(d.y0, origin.y), center(d.y1 - 1, origin.y));
+                let mut points: Vec<(f64, f64)> = (0..400)
+                    .map(|_| {
+                        let u = rng.random_range(-0.3..1.3);
+                        let v = rng.random_range(-0.3..1.3);
+                        (
+                            window.left() as f64 + u * w as f64,
+                            window.bottom() as f64 + v * h as f64,
+                        )
+                    })
+                    .collect();
+                points.extend(points.clone());
+                for i in (1..points.len()).rev() {
+                    points.swap(i, rng.random_range(0..=i));
+                }
+                let mut clone = None;
+                for (n, &(px, py)) in points.iter().enumerate() {
+                    let expected = oracle
+                        .intensity_at(px.clamp(x_lo, x_hi), py.clamp(y_lo, y_hi))
+                        .to_bits();
+                    assert_eq!(
+                        image.intensity_at(px, py).to_bits(),
+                        expected,
+                        "({px}, {py}), {label}"
+                    );
+                    if n == points.len() / 2 {
+                        assert!(defined_matches(&image.grid()), "grid mid-read, {label}");
+                        clone = Some(image.clone());
+                    }
+                    if let Some(clone) = &clone {
+                        assert_eq!(
+                            clone.intensity_at(px, py).to_bits(),
+                            expected,
+                            "clone, {label}"
+                        );
+                    }
+                }
+                assert!(defined_matches(&image.grid()), "grid after reads, {label}");
+                let clone = clone.expect("clone taken mid-read");
+                assert!(defined_matches(&clone.grid()), "clone grid, {label}");
+                assert_eq!(clone, image);
+            }
+        }
+    }
+
+    #[test]
+    fn epe_probes_evaluate_a_small_share_of_the_window() {
+        // Model-OPC-style probes (an 80 nm EPE search from fragment control
+        // points every 140 nm along the line edges, plus the line ends)
+        // over a seeded farm window: the lazy image evaluates only the
+        // pixels the probes' marches touch.
+        use crate::cutline::edge_placement_error;
+        use crate::resist::ResistModel;
+        let mask = seeded_farm_mask(7);
+        let window = Rect::new(-500, -400, 500, 400).expect("rect");
+        let image =
+            AerialImage::simulate(&SimulationSpec::nominal(), &mask, window).expect("image");
+        let resist = ResistModel::standard();
+        let reach = window.expand(-80).expect("probe area");
+        let mut probes = 0;
+        for line in &mask {
+            let r = line.bbox();
+            let ys =
+                (reach.bottom().max(r.bottom() + 30)..=reach.top().min(r.top() - 30)).step_by(140);
+            for y in ys {
+                for (x, dx) in [(r.left(), -1.0), (r.right(), 1.0)] {
+                    if (reach.left()..=reach.right()).contains(&x) {
+                        let _ = edge_placement_error(
+                            &image,
+                            &resist,
+                            (x as f64, y as f64),
+                            (dx, 0.0),
+                            80.0,
+                        );
+                        probes += 1;
+                    }
+                }
+            }
+            let cx = (r.left() + r.right()) as f64 / 2.0;
+            for (y, dy) in [(r.bottom(), -1.0), (r.top(), 1.0)] {
+                if reach.contains(Point::new(cx as i64, y)) {
+                    let _ = edge_placement_error(&image, &resist, (cx, y as f64), (0.0, dy), 80.0);
+                    probes += 1;
+                }
+            }
+        }
+        let evaluated = image.memo.iter().filter(|c| !c.get().is_nan()).count();
+        let share = evaluated as f64 / image.memo.len() as f64;
+        assert!(probes >= 20, "{probes} probes");
+        assert!(
+            share < 0.05,
+            "{probes} probes evaluated {evaluated} of {} pixels",
+            image.memo.len()
+        );
     }
 }

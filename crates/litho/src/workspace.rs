@@ -1,10 +1,9 @@
 //! Reusable scratch state for the imaging engine.
 //!
-//! Every aerial-image simulation needs a padded base grid, convolution
-//! scratch buffers, and discretized kernel taps. A [`SimWorkspace`] owns
-//! all three so that repeated simulations — the OPC iteration loop, FEM
-//! sweeps, full-chip extraction — stop paying a fresh set of allocations
-//! and a kernel re-discretization per window.
+//! Every aerial-image simulation needs a padded base grid and discretized
+//! kernel taps. A [`SimWorkspace`] owns both so that repeated simulations —
+//! the OPC iteration loop, FEM sweeps, full-chip extraction — stop paying a
+//! fresh raster allocation and a kernel re-discretization per window.
 //!
 //! Hot loops that own their iteration (model OPC, the extraction worker)
 //! hold an explicit workspace and pass it to
@@ -18,18 +17,17 @@ use std::cell::RefCell;
 
 use crate::error::Result;
 use crate::kernels::TapCache;
-use postopc_geom::{ConvScratch, Grid, Rect};
+use postopc_geom::{Grid, Rect};
 
-/// Scratch state reused across imaging runs: the padded base grid, the
-/// separable-convolution buffers, and the discretized-tap cache.
+/// Scratch state reused across imaging runs: the padded base grid and the
+/// discretized-tap cache.
 ///
-/// Buffers grow to the largest window simulated and are then reused
+/// The base grid grows to the largest window simulated and is then reused
 /// allocation-free; the tap cache persists across windows so kernel
 /// discretization happens once per distinct `(σ, pixel)` condition.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     pub(crate) base: Option<Grid>,
-    pub(crate) scratch: ConvScratch,
     pub(crate) taps: TapCache,
 }
 

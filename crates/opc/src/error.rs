@@ -18,6 +18,11 @@ pub enum OpcError {
         /// The rejected value in nm.
         value: i64,
     },
+    /// An EPE search range was not finite and positive.
+    InvalidEpeSearch {
+        /// The rejected range in nm.
+        value: f64,
+    },
     /// Edge correction produced a degenerate polygon that could not be
     /// recovered by clamping.
     DegenerateCorrection {
@@ -33,6 +38,12 @@ impl fmt::Display for OpcError {
             OpcError::Litho(e) => write!(f, "lithography error: {e}"),
             OpcError::InvalidFragmentSpec { name, value } => {
                 write!(f, "invalid fragmentation parameter {name} = {value} nm")
+            }
+            OpcError::InvalidEpeSearch { value } => {
+                write!(
+                    f,
+                    "EPE search range must be finite and positive, got {value} nm"
+                )
             }
             OpcError::DegenerateCorrection { polygon } => {
                 write!(f, "correction degenerated polygon {polygon}")

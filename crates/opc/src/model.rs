@@ -44,6 +44,27 @@ impl ModelOpcConfig {
             epe_search: 80.0,
         }
     }
+
+    /// Validates the EPE search range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpcError::InvalidEpeSearch`] unless `epe_search` is finite
+    /// and positive.
+    pub fn validate(&self) -> Result<()> {
+        check_epe_search(self.epe_search)
+    }
+}
+
+/// An EPE search must reach a finite, positive distance: an infinite one
+/// never returns on a feature printed to the window edge, and NaN or a
+/// non-positive one measures nothing.
+pub(crate) fn check_epe_search(value: f64) -> Result<()> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(OpcError::InvalidEpeSearch { value })
+    }
 }
 
 impl Default for ModelOpcConfig {
@@ -83,15 +104,17 @@ pub struct ModelOpcResult {
 ///
 /// # Errors
 ///
-/// Returns [`OpcError::DegenerateCorrection`] if a polygon cannot be
-/// rebuilt even after clamping (pathological fragmentation), or a litho
-/// error for invalid optics.
+/// Returns [`OpcError::InvalidEpeSearch`] for an invalid `epe_search`,
+/// [`OpcError::DegenerateCorrection`] if a polygon cannot be rebuilt even
+/// after clamping (pathological fragmentation), or a litho error for
+/// invalid optics.
 pub fn correct(
     config: &ModelOpcConfig,
     targets: &[Polygon],
     context: &[Polygon],
     window: Rect,
 ) -> Result<ModelOpcResult> {
+    config.validate()?;
     let fragmented: Vec<FragmentedPolygon> = targets
         .iter()
         .map(|t| FragmentedPolygon::new(t, &config.fragment))
@@ -107,8 +130,8 @@ pub fn correct(
     };
 
     // One workspace across the feedback loop: every iteration images the
-    // same window, so grids, convolution scratch and kernel taps are set up
-    // once and reused.
+    // same window, so the raster and kernel taps are set up once and
+    // reused.
     let mut workspace = SimWorkspace::new();
     for _iter in 0..config.iterations {
         // Image the current mask: corrected targets + frozen context.
@@ -207,6 +230,24 @@ mod tests {
             }
         }
         (sum / n as f64).sqrt()
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_epe_search_is_rejected() {
+        let targets = [line(-45, 45, -300, 300)];
+        for value in [f64::INFINITY, f64::NAN, 0.0, -80.0] {
+            let cfg = ModelOpcConfig {
+                epe_search: value,
+                ..ModelOpcConfig::standard()
+            };
+            let err = correct(&cfg, &targets, &[], window()).expect_err("rejected");
+            assert!(
+                matches!(err, OpcError::InvalidEpeSearch { value: v } if v.to_bits() == value.to_bits()),
+                "{err}"
+            );
+            assert!(cfg.validate().is_err());
+        }
+        assert!(ModelOpcConfig::standard().validate().is_ok());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::error::Result;
 use crate::fragment::{FragmentSpec, FragmentedPolygon};
+use crate::model::check_epe_search;
 use postopc_geom::{Polygon, Rect};
 use postopc_litho::{cutline, AerialImage, ResistModel, SimulationSpec};
 
@@ -55,6 +56,16 @@ impl OrcConfig {
             fragment: FragmentSpec::standard(),
             epe_search: 80.0,
         }
+    }
+
+    /// Validates the EPE search range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::OpcError::InvalidEpeSearch`] unless `epe_search`
+    /// is finite and positive.
+    pub fn validate(&self) -> Result<()> {
+        check_epe_search(self.epe_search)
     }
 }
 
@@ -112,8 +123,10 @@ impl OrcReport {
 ///
 /// # Errors
 ///
-/// Returns a litho error for invalid optics or a degenerate window; EPE
-/// measurement failures are recorded as pinch hotspots, not errors.
+/// Returns [`crate::OpcError::InvalidEpeSearch`] for an invalid
+/// `epe_search`, or a litho error for invalid optics or a degenerate
+/// window; EPE measurement failures are recorded as pinch hotspots, not
+/// errors.
 pub fn verify(
     config: &OrcConfig,
     sim: &SimulationSpec,
@@ -123,6 +136,7 @@ pub fn verify(
     context: &[Polygon],
     window: Rect,
 ) -> Result<OrcReport> {
+    config.validate()?;
     let full_mask: Vec<Polygon> = mask.iter().chain(context.iter()).cloned().collect();
     let image = AerialImage::simulate(sim, &full_mask, window)?;
     let mut epes = Vec::new();
@@ -173,6 +187,7 @@ pub fn verify(
 mod tests {
     use super::*;
     use crate::model::{self, ModelOpcConfig};
+    use crate::OpcError;
 
     fn line(x0: i64, x1: i64) -> Polygon {
         Polygon::from(Rect::new(x0, -300, x1, 300).expect("rect"))
@@ -193,6 +208,25 @@ mod tests {
             window(),
         )
         .expect("verify")
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_epe_search_is_rejected() {
+        let targets = [line(-45, 45)];
+        for value in [f64::INFINITY, f64::NAN, 0.0, -80.0] {
+            let config = OrcConfig {
+                epe_search: value,
+                ..OrcConfig::standard()
+            };
+            let sim = SimulationSpec::nominal();
+            let resist = ResistModel::standard();
+            let err = verify(&config, &sim, &resist, &targets, &targets, &[], window())
+                .expect_err("rejected");
+            assert!(
+                matches!(err, OpcError::InvalidEpeSearch { value: v } if v.to_bits() == value.to_bits()),
+                "{err}"
+            );
+        }
     }
 
     #[test]
