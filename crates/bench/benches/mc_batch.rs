@@ -7,7 +7,7 @@
 //! errors of the worst-slack mean and 1%-quantile against a
 //! 16384-sample plain reference, next to the median wall clock of one
 //! run (`postopc_bench::runner::measure`).
-//! The table is the evidence behind the `mc_batch` CI gate
+//! The table is the evidence behind `perf_smoke`'s accuracy check
 //! (antithetic@500 vs plain@2000 on the mean) and the honest
 //! caveat recorded in EXPERIMENTS.md — variance reduction collapses the
 //! smooth mean statistic by orders of magnitude but leaves the deep tail

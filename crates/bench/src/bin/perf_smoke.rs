@@ -41,6 +41,12 @@ use postopc_sta::{
 /// The pooled median may exceed the serial median by at most this factor.
 const POOL_TOLERANCE: f64 = 1.25;
 
+/// Antithetic sampling at 500 samples may exceed plain@2000's mean
+/// absolute error of the mean worst slack by at most this factor. The T6
+/// study records ~0.044 ps against ~0.40 ps, so the check trips only if
+/// the scheme stops reducing variance at all.
+const ANTITHETIC_MEAN_RATIO: f64 = 1.25;
+
 fn main() {
     postopc_bench::runner::run(Gate::Perf, parity_gates, rows);
 }
@@ -184,8 +190,9 @@ fn parity_gates() -> bool {
 /// sampling-accuracy rows of the T6 convergence study. Returns the rows
 /// and `true` if a check made along the way failed: a timed run differs
 /// from its first run, the surrogate serves no context, batched differs
-/// from the naive oracle at 250 samples, or tail-IS@500 loses to
-/// plain@2000 on the 1%-quantile.
+/// from the naive oracle at 250 samples, tail-IS@500 loses to plain@2000
+/// on the 1%-quantile, or antithetic@500 loses to plain@2000 on the mean
+/// by more than [`ANTITHETIC_MEAN_RATIO`].
 fn rows() -> (Vec<Row>, bool) {
     let mut failed = false;
     let mut repeatable = true;
@@ -254,15 +261,18 @@ fn rows() -> (Vec<Row>, bool) {
         failed = true;
     }
 
-    // The tail claim, re-proved on the fresh study.
+    // The two variance-reduction claims, re-proved on the fresh study:
+    // tail-IS matches plain's deep-tail accuracy, and antithetic its mean
+    // accuracy, at a quarter of the samples.
     let accuracy = postopc_bench::sta_accuracy_rows(T6, &compiled, Some(&out.annotation));
-    let q01 = |engine: &str, work: usize| {
+    let errors = |engine: &str, work: usize| {
         accuracy
             .iter()
             .find(|r| r.engine == engine && r.work == work)
             .and_then(Row::accuracy)
-            .map_or(f64::NAN, |a| a.q01_abs_err_ps)
     };
+    let q01 = |engine, work| errors(engine, work).map_or(f64::NAN, |a| a.q01_abs_err_ps);
+    let mean = |engine, work| errors(engine, work).map_or(f64::NAN, |a| a.mean_abs_err_ps);
     let (tail, plain) = (q01("tail-is", 500), q01("plain", 2000));
     if tail <= plain {
         println!(
@@ -273,6 +283,20 @@ fn rows() -> (Vec<Row>, bool) {
         eprintln!(
             "perf_smoke: FAIL - tail-IS@500 q01 err {tail:.3} ps exceeds plain@2000 q01 err \
              {plain:.3} ps"
+        );
+        failed = true;
+    }
+    let (antithetic, plain) = (mean("antithetic", 500), mean("plain", 2000));
+    let bound = plain * ANTITHETIC_MEAN_RATIO;
+    if antithetic <= bound {
+        println!(
+            "perf_smoke: accuracy antithetic@500 mean err {antithetic:.4} ps <= plain@2000 mean \
+             err {plain:.4} ps x {ANTITHETIC_MEAN_RATIO} - OK"
+        );
+    } else {
+        eprintln!(
+            "perf_smoke: FAIL - antithetic@500 mean err {antithetic:.4} ps exceeds plain@2000 \
+             mean err {plain:.4} ps x {ANTITHETIC_MEAN_RATIO}"
         );
         failed = true;
     }

@@ -1,5 +1,6 @@
 //! Error type of the integrated post-OPC timing flow.
 
+use postopc_parallel::FaultCause;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -221,6 +222,10 @@ pub enum FlowError {
         /// The configured budget the run overran.
         max_fraction: f64,
     },
+    /// An extraction worker panicked under
+    /// [`crate::FaultPolicy::Fail`]; the payload rendered to text. Under
+    /// [`crate::FaultPolicy::Quarantine`] the gate is quarantined instead.
+    WorkerPanic(String),
 }
 
 impl fmt::Display for FlowError {
@@ -243,6 +248,7 @@ impl fmt::Display for FlowError {
                 "quarantine budget exceeded: {quarantined} of {total} gates \
                  quarantined (max fraction {max_fraction})"
             ),
+            FlowError::WorkerPanic(payload) => write!(f, "extraction worker panicked: {payload}"),
         }
     }
 }
@@ -258,7 +264,7 @@ impl Error for FlowError {
             FlowError::Geometry(e) => Some(e),
             FlowError::InvalidConfig(_) => None,
             FlowError::Artifact(e) => Some(e),
-            FlowError::QuarantineExceeded { .. } => None,
+            FlowError::QuarantineExceeded { .. } | FlowError::WorkerPanic(_) => None,
         }
     }
 }
@@ -280,6 +286,15 @@ from_error!(Cdex, postopc_cdex::CdexError);
 from_error!(Sta, postopc_sta::StaError);
 from_error!(Geometry, postopc_geom::GeomError);
 
+impl From<FaultCause<FlowError>> for FlowError {
+    fn from(cause: FaultCause<FlowError>) -> Self {
+        match cause {
+            FaultCause::Error(e) => e,
+            FaultCause::Panic(payload) => FlowError::WorkerPanic(payload),
+        }
+    }
+}
+
 /// Convenience result alias for the flow crate.
 pub type Result<T> = std::result::Result<T, FlowError>;
 
@@ -294,6 +309,13 @@ mod tests {
         assert!(e.to_string().contains("geometry"));
         let c = FlowError::InvalidConfig("bad".into());
         assert!(c.source().is_none());
+        // A captured fault resolves to the typed error it carried, or to
+        // `WorkerPanic` for a caught panic.
+        assert_eq!(FlowError::from(FaultCause::Error(c.clone())), c);
+        let panic = FlowError::from(FaultCause::Panic("boom".into()));
+        assert_eq!(panic, FlowError::WorkerPanic("boom".into()));
+        assert_eq!(panic.to_string(), "extraction worker panicked: boom");
+        assert!(panic.source().is_none());
     }
 
     #[test]

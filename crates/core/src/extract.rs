@@ -43,6 +43,7 @@ use postopc_geom::{Coord, Polygon, Rect, Vector};
 use postopc_layout::{Design, GateId, Layer, TransistorSite};
 use postopc_litho::{AerialImage, ProcessConditions, ResistModel, SimulationSpec, SurrogateModel};
 use postopc_opc::{model, rules, ModelOpcConfig, RuleOpcConfig};
+use postopc_parallel::FaultCause;
 use postopc_sta::{CdAnnotation, GateAnnotation, TransistorCd};
 use std::collections::HashMap;
 
@@ -335,7 +336,7 @@ pub struct ExtractionConfig {
     pub dose_quantum: f64,
     /// What to do when a per-gate fault (typed error or worker panic)
     /// occurs. [`FaultPolicy::Fail`] (the default) aborts on the first
-    /// fault — bit-identical to the pre-quarantine engine;
+    /// fault in `GateId` order, a panic as [`FlowError::WorkerPanic`];
     /// [`FaultPolicy::Quarantine`] records the gate (it keeps drawn
     /// dimensions) and keeps going.
     pub fault_policy: FaultPolicy,
@@ -527,16 +528,10 @@ struct UniqueOutcome {
     sites: Option<Vec<(Vec<GateSlice>, EquivalentGate)>>,
 }
 
-/// Phase-2 result per distinct context, policy-resolved: under
-/// [`FaultPolicy::Fail`] a failing context carries its typed error (the
-/// merge aborts on the first one in `GateId` order, as before); under
-/// [`FaultPolicy::Quarantine`] it carries the rendered cause and the merge
-/// quarantines every member gate instead.
-enum UniqueResult {
-    Ok(UniqueOutcome),
-    Err(FlowError),
-    Fault(String),
-}
+/// Phase-2 result per distinct context: its outcome, or the fault (typed
+/// error or captured panic) the merge resolves under the run's
+/// [`FaultPolicy`] for every member gate.
+type UniqueResult = std::result::Result<UniqueOutcome, FaultCause<FlowError>>;
 
 /// A warm store of distinct litho-context outcomes, keyed by the engine's
 /// canonical context keys (exact window-local geometry + quantised
@@ -845,8 +840,9 @@ fn quantize(value: f64, quantum: f64) -> f64 {
 /// # Errors
 ///
 /// Under [`FaultPolicy::Fail`] (the default), propagates simulation/OPC
-/// errors (the first in `GateId` order) and rejects non-physical merged
-/// CDs with [`postopc_sta::StaError::InvalidCd`]. Under
+/// errors and captured worker panics ([`FlowError::WorkerPanic`]), the
+/// first in `GateId` order, and rejects non-physical merged CDs with
+/// [`postopc_sta::StaError::InvalidCd`]. Under
 /// [`FaultPolicy::Quarantine`], per-gate faults are recorded in the stats
 /// instead (the gate keeps drawn dimensions) and only an overrun of the
 /// quarantine budget ([`FlowError::QuarantineExceeded`]) or an invalid
@@ -908,39 +904,43 @@ pub fn extract_gates_with_caches(
     let injection = config.fault_injection;
     let injected_for = |gate: GateId| injection.and_then(|inj| inj.fault_for(gate));
 
-    // Phase 1: build each gate's canonical context key. Under `Quarantine`
-    // a faulting gate (typed error *or* worker panic) is set aside instead
-    // of aborting the run; the fault list comes back in input order, so
-    // the record is thread-count invariant.
+    // Phase 1: build each gate's canonical context key. A faulting gate
+    // (typed error *or* worker panic) comes back as its fault, in input
+    // order, and is resolved in `GateId` order: the first one fails the run
+    // under `Fail`, every one is set aside under `Quarantine`.
     let mut quarantined: Vec<QuarantinedGate> = Vec::new();
-    let work_fn = |_: usize, gate_id: &GateId| {
-        let injected = injected_for(*gate_id);
-        if injected == Some(InjectedFault::WorkerPanic) {
-            panic!(
-                "injected fault: worker panic while building gate {} context",
-                gate_id.0
-            );
-        }
-        build_gate_work(design, config, &sites_by_gate, *gate_id, injected)
-    };
-    let works: Vec<Option<GateWork>> = match config.fault_policy {
-        FaultPolicy::Fail => postopc_parallel::try_par_map(threads, &gate_order, work_fn)?
-            .into_iter()
-            .map(Some)
-            .collect(),
-        FaultPolicy::Quarantine { .. } => {
-            let (results, faults) =
-                postopc_parallel::try_par_map_quarantine(threads, &gate_order, "context", work_fn);
-            for fault in faults {
-                quarantined.push(QuarantinedGate {
-                    gate: gate_order[fault.item],
-                    stage: FaultStage::Context,
-                    cause: fault.cause.to_string(),
-                });
+    let built = postopc_parallel::par_map_caught(
+        threads,
+        &gate_order,
+        |_, _| 1,
+        |_, gate_id| {
+            let injected = injected_for(*gate_id);
+            if injected == Some(InjectedFault::WorkerPanic) {
+                panic!(
+                    "injected fault: worker panic while building gate {} context",
+                    gate_id.0
+                );
             }
-            results
-        }
-    };
+            build_gate_work(design, config, &sites_by_gate, *gate_id, injected)
+        },
+    );
+    let mut works: Vec<Option<GateWork>> = Vec::with_capacity(built.len());
+    for (work, &gate) in built.into_iter().zip(&gate_order) {
+        works.push(match work {
+            Ok(work) => Some(work),
+            Err(cause) => {
+                resolve_fault(
+                    config.fault_policy,
+                    &mut quarantined,
+                    gate,
+                    FaultStage::Context,
+                    cause.to_string(),
+                    cause.into(),
+                )?;
+                None
+            }
+        });
+    }
 
     // Deduplicate keys in gate order (first member of each distinct
     // context is its representative), then run each distinct context
@@ -983,7 +983,7 @@ pub fn extract_gates_with_caches(
         for (i, key) in unique_keys.iter().enumerate() {
             match warm.and_then(|s| s.entries.get(*key)) {
                 Some(outcome) => {
-                    served[i] = Some(UniqueResult::Ok(outcome.clone()));
+                    served[i] = Some(Ok(outcome.clone()));
                     provenance[i] = Provenance::Store;
                 }
                 None => {
@@ -1050,7 +1050,7 @@ pub fn extract_gates_with_caches(
                 if predicted {
                     continue;
                 }
-                if let UniqueResult::Ok(outcome) = result {
+                if let Ok(outcome) = result {
                     store
                         .entries
                         .insert(unique_keys[pos].clone(), outcome.clone());
@@ -1081,14 +1081,16 @@ pub fn extract_gates_with_caches(
             continue;
         };
         let outcome = match &results[uidx] {
-            UniqueResult::Ok(outcome) => outcome,
-            UniqueResult::Err(e) => return Err(e.clone()),
-            UniqueResult::Fault(cause) => {
-                quarantined.push(QuarantinedGate {
-                    gate: gate_id,
-                    stage: FaultStage::Pipeline,
-                    cause: cause.clone(),
-                });
+            Ok(outcome) => outcome,
+            Err(cause) => {
+                resolve_fault(
+                    config.fault_policy,
+                    &mut quarantined,
+                    gate_id,
+                    FaultStage::Pipeline,
+                    cause.to_string(),
+                    cause.clone().into(),
+                )?;
                 continue;
             }
         };
@@ -1150,19 +1152,15 @@ pub fn extract_gates_with_caches(
         // Boundary guard: non-physical CDs never cross into STA — they
         // either abort the run or quarantine the gate here at the seam.
         if let Some((field, value)) = invalid_cd(&records) {
-            match config.fault_policy {
-                FaultPolicy::Fail => {
-                    return Err(postopc_sta::StaError::InvalidCd { field, value }.into());
-                }
-                FaultPolicy::Quarantine { .. } => {
-                    quarantined.push(QuarantinedGate {
-                        gate: gate_id,
-                        stage: FaultStage::Boundary,
-                        cause: format!("non-physical {field} = {value}"),
-                    });
-                    continue;
-                }
-            }
+            resolve_fault(
+                config.fault_policy,
+                &mut quarantined,
+                gate_id,
+                FaultStage::Boundary,
+                format!("non-physical {field} = {value}"),
+                postopc_sta::StaError::InvalidCd { field, value }.into(),
+            )?;
+            continue;
         }
         stats.extracted.extend(extracted);
         annotation.set_gate(
@@ -1206,49 +1204,44 @@ enum Provenance {
     Surrogate,
 }
 
-/// Runs a batch of novel contexts through the full pipeline under the
-/// configured fault policy, returning policy-resolved results in input
-/// order. Cost-aware scheduling: a window's pipeline cost scales with its
-/// pixel count (OPC iterations and measurement both ride on the same
-/// raster), so the pool hands out chunks weighted by estimated pixels
-/// instead of item counts.
+/// Resolves one gate's fault under the run's [`FaultPolicy`]: `Fail` makes
+/// `error` the run's error, and `Quarantine` records the gate at `stage`
+/// with `cause` as its text (the gate keeps drawn dimensions) and lets the
+/// run go on. Every fault the run meets, in either phase or at the
+/// boundary guard, is resolved here.
+fn resolve_fault(
+    policy: FaultPolicy,
+    quarantined: &mut Vec<QuarantinedGate>,
+    gate: GateId,
+    stage: FaultStage,
+    cause: String,
+    error: FlowError,
+) -> Result<()> {
+    match policy {
+        FaultPolicy::Fail => Err(error),
+        FaultPolicy::Quarantine { .. } => {
+            quarantined.push(QuarantinedGate { gate, stage, cause });
+            Ok(())
+        }
+    }
+}
+
+/// Runs a batch of novel contexts through the full pipeline, returning
+/// each context's outcome or fault in input order. Cost-aware scheduling:
+/// a window's pipeline cost scales with its pixel count (OPC iterations
+/// and measurement both ride on the same raster), so the pool hands out
+/// chunks weighted by estimated pixels instead of item counts.
 fn run_novel_batch(
     config: &ExtractionConfig,
     threads: usize,
     keys: &[&ContextKey],
 ) -> Vec<UniqueResult> {
-    match config.fault_policy {
-        FaultPolicy::Fail => postopc_parallel::par_map_costed(
-            threads,
-            keys,
-            |_, key| window_pixel_cost(config, key),
-            |_, key| run_unique(config, key),
-        )
-        .into_iter()
-        .map(|r| match r {
-            Ok(outcome) => UniqueResult::Ok(outcome),
-            Err(e) => UniqueResult::Err(e),
-        })
-        .collect(),
-        FaultPolicy::Quarantine { .. } => {
-            let (oks, faults) = postopc_parallel::try_par_map_quarantine_init(
-                threads,
-                keys,
-                "pipeline",
-                |_, key| window_pixel_cost(config, key),
-                || (),
-                |(), _, key| run_unique(config, key),
-            );
-            let mut out: Vec<Option<UniqueResult>> =
-                oks.into_iter().map(|o| o.map(UniqueResult::Ok)).collect();
-            for fault in faults {
-                out[fault.item] = Some(UniqueResult::Fault(fault.cause.to_string()));
-            }
-            out.into_iter()
-                .map(|o| o.unwrap_or_else(|| unreachable!("every context resolves or faults")))
-                .collect()
-        }
-    }
+    postopc_parallel::par_map_caught(
+        threads,
+        keys,
+        |_, key| window_pixel_cost(config, key),
+        |_, key| run_unique(config, key),
+    )
 }
 
 /// Runs the novel contexts with the surrogate tier active, in training
@@ -1288,7 +1281,7 @@ fn run_novel_with_surrogate(
                         audits.push((i, outcome));
                         sim_idx.push(i);
                     } else {
-                        results[i] = Some(UniqueResult::Ok(outcome));
+                        results[i] = Some(Ok(outcome));
                         from_surrogate[i] = true;
                     }
                 }
@@ -1301,7 +1294,7 @@ fn run_novel_with_surrogate(
         // Train on the freshly simulated truths, serially in key order.
         let mut absorbed = false;
         for (&i, result) in sim_idx.iter().zip(&sim_results) {
-            let UniqueResult::Ok(outcome) = result else {
+            let Ok(outcome) = result else {
                 continue;
             };
             let Some(per_site) = &outcome.sites else {

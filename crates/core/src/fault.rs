@@ -12,7 +12,8 @@
 //! whether a given gate faults depends only on the seed and the gate id —
 //! never on thread count, scheduling, or which other gates are tagged.
 //! Quarantined runs therefore stay bit-identical across
-//! `POSTOPC_THREADS=1,2,4`, which is what the CI fault smoke asserts.
+//! `POSTOPC_THREADS=1,2,4`, which the quarantine integration tests
+//! assert.
 
 use postopc_layout::GateId;
 use postopc_rng::{split_seed, RngExt, SeedableRng, StdRng};
@@ -21,8 +22,10 @@ use postopc_rng::{split_seed, RngExt, SeedableRng, StdRng};
 /// worker panic) occurs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultPolicy {
-    /// Abort the run on the first fault — the pre-quarantine behaviour
-    /// and the default, so clean runs stay bit-identical to it.
+    /// Abort the run on the first fault in `GateId` order, returning
+    /// its typed error — a captured worker panic as
+    /// [`crate::FlowError::WorkerPanic`]. The default; clean runs are
+    /// bit-identical under either policy.
     #[default]
     Fail,
     /// Quarantine the offending gate — it keeps drawn dimensions, exactly
@@ -118,8 +121,7 @@ impl FaultInjection {
     ///
     /// Keyed off `split_seed(seed, gate)`, so the decision depends only on
     /// the seed and the gate id — never on thread count or execution
-    /// order. Tests and the CI smoke replay this to predict the exact
-    /// quarantine set.
+    /// order. Tests replay this to predict the exact quarantine set.
     #[must_use]
     pub fn fault_for(&self, gate: GateId) -> Option<InjectedFault> {
         let mut kinds: [Option<InjectedFault>; 3] = [None; 3];

@@ -229,7 +229,7 @@ pub enum PersistStatus {
 }
 
 /// Durability and deadline options for [`serve_with`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeOptions {
     /// Seeded I/O fault injection over every artifact read, write, fsync,
     /// rename and lock this serve performs. `None` (the default) is the
@@ -245,22 +245,6 @@ pub struct ServeOptions {
     /// yields typed [`BudgetedOutcome::Partial`] / `Skipped` outcomes,
     /// never a hang or a panic.
     pub budget: Option<u64>,
-    /// Hold the sidecar advisory lock (`<path>.lock`) across the
-    /// load/save window so two serves against one artifact path cannot
-    /// interleave. On contention with a live owner the serve fails with
-    /// a typed [`ArtifactErrorKind::Locked`] error.
-    pub lock: bool,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            io_fault: None,
-            retry: RetryPolicy::default(),
-            budget: None,
-            lock: true,
-        }
-    }
 }
 
 /// The result of one [`serve`] invocation.
@@ -321,8 +305,8 @@ pub fn serve(
 }
 
 /// [`serve`] with explicit durability and deadline options: seeded I/O
-/// fault injection, a transient-retry policy, a sample-count query
-/// budget and advisory locking. See [`ServeOptions`].
+/// fault injection, a transient-retry policy and a sample-count query
+/// budget. See [`ServeOptions`].
 ///
 /// # Errors
 ///
@@ -339,11 +323,12 @@ pub fn serve_with(
         injection.validate()?;
     }
     let mut io = ArtifactIo::new(options.io_fault, options.retry);
-    // The lock brackets the whole load/save window; dropping the guard
-    // (on every exit path) releases it.
+    // The sidecar advisory lock (`<path>.lock`) brackets the whole
+    // load/save window, so two serves against one artifact path cannot
+    // interleave; dropping the guard (on every exit path) releases it.
     let _lock = match artifact_path {
-        Some(path) if options.lock => Some(ArtifactLock::acquire(&mut io, path)?),
-        _ => None,
+        Some(path) => Some(ArtifactLock::acquire(&mut io, path)?),
+        None => None,
     };
     let model = TimingModel::new(design, config.process.clone(), config.clock_ps)?;
     let t0 = Instant::now();

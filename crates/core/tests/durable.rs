@@ -284,40 +284,53 @@ fn failed_eco_rolls_the_session_back_to_its_baseline() {
     let design = small_design();
     let mut cfg = fast_config();
     cfg.selection = Selection::Critical { paths: 1 };
-    // Find a seeded extraction-fault schedule that spares every gate of
-    // the baseline selection but hits at least one gate an `All` ECO
-    // adds — so the session comes up cleanly and only the ECO fails.
     let model = TimingModel::new(&design, cfg.process.clone(), cfg.clock_ps).expect("model");
     let probe = TimingSession::new(&model, &cfg).expect("probe session");
     let baseline_tags = probe.tags().clone();
     drop(probe);
     let all_gates = TagSet::all(&design);
-    let injection = [0.02, 0.05, 0.1, 0.2]
-        .iter()
-        .flat_map(|&rate| (0..2000u64).map(move |seed| FaultInjection::all(seed, rate)))
-        .find(|inj| {
-            baseline_tags
-                .sorted()
-                .iter()
-                .all(|&g| inj.fault_for(g).is_none())
-                && all_gates
+    // Every fault kind, then worker panics alone: a panicking worker must
+    // come back as a typed error and roll back like any other fault.
+    for panics_only in [false, true] {
+        // Find a seeded extraction-fault schedule that spares every gate
+        // of the baseline selection but hits at least one gate an `All`
+        // ECO adds — so the session comes up cleanly and only the ECO
+        // fails.
+        let injection = [0.02, 0.05, 0.1, 0.2]
+            .iter()
+            .flat_map(|&rate| (0..2000u64).map(move |seed| FaultInjection::all(seed, rate)))
+            .map(|inj| FaultInjection {
+                nan_cd: !panics_only,
+                degenerate_geometry: !panics_only,
+                ..inj
+            })
+            .find(|inj| {
+                baseline_tags
                     .sorted()
                     .iter()
-                    .any(|&g| inj.fault_for(g).is_some())
-        })
-        .expect("some seed spares the baseline and hits the ECO");
-    cfg.extraction.fault_injection = Some(injection);
-    let mut session = TimingSession::new(&model, &cfg).expect("session under injection");
-    let query = SessionQuery::Corners(Corner::classic_set(6.0));
-    let before = session.run(&query).expect("baseline query");
-    let store_len = session.store().len();
-    // The ECO hits an injected fault under the default Fail policy.
-    let err = session.apply_eco(&all_gates).expect_err("ECO must fail");
-    assert!(!err.to_string().is_empty());
-    // Journal rollback: the same query answers bit-identically, the
-    // warm store was restored, and the baseline tags are unchanged.
-    assert_eq!(session.store().len(), store_len);
-    assert_eq!(*session.tags(), baseline_tags);
-    let after = session.run(&query).expect("post-rollback query");
-    assert_eq!(before, after);
+                    .all(|&g| inj.fault_for(g).is_none())
+                    && all_gates
+                        .sorted()
+                        .iter()
+                        .any(|&g| inj.fault_for(g).is_some())
+            })
+            .expect("some seed spares the baseline and hits the ECO");
+        cfg.extraction.fault_injection = Some(injection);
+        let mut session = TimingSession::new(&model, &cfg).expect("session under injection");
+        let query = SessionQuery::Corners(Corner::classic_set(6.0));
+        let before = session.run(&query).expect("baseline query");
+        let store_len = session.store().len();
+        // The ECO hits an injected fault under the default Fail policy.
+        let err = session.apply_eco(&all_gates).expect_err("ECO must fail");
+        assert!(!err.to_string().is_empty());
+        if panics_only {
+            assert!(matches!(err, FlowError::WorkerPanic(_)), "{err:?}");
+        }
+        // Journal rollback: the same query answers bit-identically, the
+        // warm store was restored, and the baseline tags are unchanged.
+        assert_eq!(session.store().len(), store_len);
+        assert_eq!(*session.tags(), baseline_tags);
+        let after = session.run(&query).expect("post-rollback query");
+        assert_eq!(before, after);
+    }
 }

@@ -3,8 +3,8 @@
 //! the extraction → STA boundary guard.
 
 use postopc::{
-    extract_gates, extract_gates_with_caches, ExtractionConfig, FaultInjection, FaultPolicy,
-    FaultStage, FlowError, OpcMode, SurrogateConfig, TagSet,
+    extract_gates, extract_gates_with_caches, run_flow, ExtractionConfig, FaultInjection,
+    FaultPolicy, FaultStage, FlowConfig, FlowError, OpcMode, Selection, SurrogateConfig, TagSet,
 };
 use postopc_layout::{generate, Design, TechRules};
 use std::sync::Mutex;
@@ -20,6 +20,14 @@ fn small_design() -> Design {
 fn fast_config() -> ExtractionConfig {
     let mut cfg = ExtractionConfig::standard();
     cfg.opc_mode = OpcMode::Rule;
+    cfg
+}
+
+/// The whole flow over every gate, extracting with `extraction`.
+fn flow_config(extraction: &ExtractionConfig) -> FlowConfig {
+    let mut cfg = FlowConfig::standard(800.0);
+    cfg.selection = Selection::All;
+    cfg.extraction = extraction.clone();
     cfg
 }
 
@@ -80,24 +88,76 @@ fn injected_quarantine_is_thread_invariant_and_replayable() {
         let run = quiet(|| extract_gates(&design, &cfg, &tags)).expect("thread-matrix run");
         assert_eq!(run, reference, "outcome diverged at {threads} threads");
     }
+    // The flow completes over the same faults and reports the same
+    // records through `FlowReport::quarantined`.
+    let report = quiet(|| run_flow(&design, &flow_config(&cfg))).expect("injected flow");
+    let flow_recorded: Vec<_> = report.quarantined().iter().map(|q| q.gate).collect();
+    assert_eq!(flow_recorded, predicted);
+    assert_eq!(report.extraction.gates_quarantined, predicted.len());
+    assert!(report.quarantined().iter().all(|q| !q.cause.is_empty()));
 }
 
 #[test]
 fn quarantine_budget_aborts_past_the_cap() {
     let design = small_design();
     let tags = TagSet::all(&design);
+    let injection = FaultInjection::all(9, 0.4);
+    let predicted = tags
+        .sorted()
+        .into_iter()
+        .filter(|&g| injection.fault_for(g).is_some())
+        .count();
     let mut cfg = fast_config();
-    cfg.fault_policy = FaultPolicy::Quarantine { max_fraction: 0.0 };
-    cfg.fault_injection = Some(FaultInjection::all(9, 0.4));
-    let err = quiet(|| extract_gates(&design, &cfg, &tags)).expect_err("budget must trip");
-    match err {
-        FlowError::QuarantineExceeded {
-            quarantined, total, ..
-        } => {
-            assert!(quarantined > 0);
-            assert_eq!(total, tags.len());
+    cfg.fault_injection = Some(injection);
+    // No budget at all, and the tightest cap the injected faults overrun:
+    // half a gate below their count.
+    for max_fraction in [0.0, (predicted as f64 - 0.5) / tags.len() as f64] {
+        cfg.fault_policy = FaultPolicy::Quarantine { max_fraction };
+        let err = quiet(|| extract_gates(&design, &cfg, &tags)).expect_err("budget must trip");
+        match err {
+            FlowError::QuarantineExceeded {
+                quarantined, total, ..
+            } => {
+                assert!(quarantined > 0);
+                assert_eq!(quarantined, predicted, "cap {max_fraction}");
+                assert_eq!(total, tags.len());
+            }
+            other => panic!("expected QuarantineExceeded, got {other:?}"),
         }
-        other => panic!("expected QuarantineExceeded, got {other:?}"),
+    }
+}
+
+#[test]
+fn context_faults_abort_typed_under_fail() {
+    // Under the default `Fail` policy a context-stage fault is the run's
+    // typed error, from `extract_gates` and `run_flow` alike: the geometry
+    // error of a collapsed window, or `WorkerPanic` for a worker that
+    // panicked, which never unwinds out of the run.
+    let design = small_design();
+    let tags = TagSet::all(&design);
+    let only = |degenerate_geometry, worker_panic| FaultInjection {
+        nan_cd: false,
+        degenerate_geometry,
+        worker_panic,
+        ..FaultInjection::all(3, 1.0)
+    };
+    let geometry: fn(&FlowError) -> bool = |e| matches!(e, FlowError::Geometry(_));
+    let panic: fn(&FlowError) -> bool =
+        |e| matches!(e, FlowError::WorkerPanic(p) if p.contains("injected fault"));
+    for (injection, expected) in [(only(true, false), geometry), (only(false, true), panic)] {
+        let mut cfg = fast_config();
+        cfg.fault_injection = Some(injection);
+        cfg.threads = Some(1);
+        let err = quiet(|| extract_gates(&design, &cfg, &tags)).expect_err("fault must abort");
+        assert!(expected(&err), "{injection:?}: {err:?}");
+        // The first fault in `GateId` order, whatever the thread count.
+        for threads in [2usize, 4] {
+            cfg.threads = Some(threads);
+            let run = quiet(|| extract_gates(&design, &cfg, &tags));
+            assert_eq!(run, Err(err.clone()), "{threads} threads");
+        }
+        let flow = quiet(|| run_flow(&design, &flow_config(&cfg))).expect_err("flow must abort");
+        assert_eq!(flow, err);
     }
 }
 

@@ -151,7 +151,7 @@ impl AerialImage {
     /// # Errors
     ///
     /// Returns an error for invalid optics or a degenerate window.
-    pub fn simulate_with(
+    pub(crate) fn simulate_with(
         workspace: &mut SimWorkspace,
         spec: &SimulationSpec,
         mask: &[Polygon],

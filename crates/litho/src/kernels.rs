@@ -134,7 +134,7 @@ const TAP_CACHE_CAP: usize = 64;
 /// Lookup is a linear scan: the working set is a handful of entries and a
 /// scan over inline keys beats hashing at that size.
 #[derive(Debug, Default, Clone)]
-pub struct TapCache {
+pub(crate) struct TapCache {
     entries: Vec<TapEntry>,
 }
 
@@ -145,14 +145,9 @@ struct TapEntry {
 }
 
 impl TapCache {
-    /// Creates an empty cache.
-    pub fn new() -> TapCache {
-        TapCache::default()
-    }
-
     /// The discretized taps for `kernel` at `pixel_nm`, computed on first
     /// use and served from the cache afterwards.
-    pub fn taps(&mut self, kernel: &ImagingKernel, pixel_nm: f64) -> &[f64] {
+    pub(crate) fn taps(&mut self, kernel: &ImagingKernel, pixel_nm: f64) -> &[f64] {
         let key = (kernel.sigma_nm.to_bits(), pixel_nm.to_bits());
         if let Some(pos) = self.entries.iter().position(|e| e.key == key) {
             return &self.entries[pos].taps;
@@ -165,16 +160,6 @@ impl TapCache {
             taps: KernelStack::discretize(kernel, pixel_nm),
         });
         &self.entries[self.entries.len() - 1].taps
-    }
-
-    /// Number of distinct conditions currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -256,26 +241,26 @@ mod tests {
 
     #[test]
     fn tap_cache_returns_discretize_results() {
-        let mut cache = TapCache::new();
+        let mut cache = TapCache::default();
         let k = ImagingKernel {
             weight: 1.3,
             sigma_nm: 42.0,
         };
         let fresh = KernelStack::discretize(&k, 5.0);
         assert_eq!(cache.taps(&k, 5.0), &fresh[..]);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         // Second call is a hit, not a second entry.
         assert_eq!(cache.taps(&k, 5.0), &fresh[..]);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         // Weight is not part of the key: same σ and pixel share taps.
         let reweighted = ImagingKernel { weight: -0.3, ..k };
         assert_eq!(cache.taps(&reweighted, 5.0), &fresh[..]);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
     }
 
     #[test]
     fn tap_cache_distinguishes_sigma_and_pixel() {
-        let mut cache = TapCache::new();
+        let mut cache = TapCache::default();
         let a = ImagingKernel {
             weight: 1.0,
             sigma_nm: 30.0,
@@ -289,12 +274,12 @@ mod tests {
         assert!(nb > na);
         let nc = cache.taps(&a, 2.5).len();
         assert!(nc > na);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
     }
 
     #[test]
     fn tap_cache_evicts_at_capacity() {
-        let mut cache = TapCache::new();
+        let mut cache = TapCache::default();
         for i in 0..(TAP_CACHE_CAP + 8) {
             let k = ImagingKernel {
                 weight: 1.0,
@@ -302,14 +287,14 @@ mod tests {
             };
             let _ = cache.taps(&k, 5.0);
         }
-        assert_eq!(cache.len(), TAP_CACHE_CAP);
+        assert_eq!(cache.entries.len(), TAP_CACHE_CAP);
         // The oldest entries were evicted; the newest survive.
         let newest = ImagingKernel {
             weight: 1.0,
             sigma_nm: 20.0 + (TAP_CACHE_CAP + 7) as f64,
         };
-        let before = cache.len();
+        let before = cache.entries.len();
         let _ = cache.taps(&newest, 5.0);
-        assert_eq!(cache.len(), before);
+        assert_eq!(cache.entries.len(), before);
     }
 }

@@ -42,8 +42,7 @@ mod workspace;
 pub use error::{LithoError, Result};
 pub use fem::{FemPoint, FocusExposureMatrix, ProcessWindow};
 pub use image::{AerialImage, KernelMode, SimulationSpec};
-pub use kernels::{ImagingKernel, KernelStack, TapCache};
+pub use kernels::{ImagingKernel, KernelStack};
 pub use optics::{OpticsParams, ProcessConditions};
 pub use resist::ResistModel;
 pub use surrogate::{SurrogateModel, SURROGATE_TARGETS};
-pub use workspace::SimWorkspace;

@@ -5,13 +5,10 @@
 //! the OPC iteration loop, FEM sweeps, full-chip extraction — stop paying a
 //! fresh raster allocation and a kernel re-discretization per window.
 //!
-//! Hot loops that own their iteration (model OPC, the extraction worker)
-//! hold an explicit workspace and pass it to
-//! [`AerialImage::simulate_with`](crate::AerialImage::simulate_with);
-//! everything else goes through
-//! [`AerialImage::simulate`](crate::AerialImage::simulate), which borrows a
+//! [`AerialImage::simulate`](crate::AerialImage::simulate) borrows a
 //! per-thread workspace transparently — worker-pool threads each get their
-//! own, so the engine stays lock-free.
+//! own, so the engine stays lock-free. Only the imaging engine and its
+//! tests name a workspace directly.
 
 use std::cell::RefCell;
 
@@ -26,14 +23,14 @@ use postopc_geom::{Grid, Rect};
 /// allocation-free; the tap cache persists across windows so kernel
 /// discretization happens once per distinct `(σ, pixel)` condition.
 #[derive(Debug, Default)]
-pub struct SimWorkspace {
+pub(crate) struct SimWorkspace {
     pub(crate) base: Option<Grid>,
     pub(crate) taps: TapCache,
 }
 
 impl SimWorkspace {
     /// Creates an empty workspace; buffers are sized lazily on first use.
-    pub fn new() -> SimWorkspace {
+    pub(crate) fn new() -> SimWorkspace {
         SimWorkspace::default()
     }
 

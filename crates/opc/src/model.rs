@@ -10,7 +10,7 @@
 use crate::error::{OpcError, Result};
 use crate::fragment::{FragmentSpec, FragmentedPolygon};
 use postopc_geom::{Coord, Polygon, Rect};
-use postopc_litho::{cutline, AerialImage, ResistModel, SimWorkspace, SimulationSpec};
+use postopc_litho::{cutline, AerialImage, ResistModel, SimulationSpec};
 
 /// Configuration of the model-based corrector.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,14 +129,10 @@ pub fn correct(
         max_epe_history: Vec::with_capacity(config.iterations),
     };
 
-    // One workspace across the feedback loop: every iteration images the
-    // same window, so the raster and kernel taps are set up once and
-    // reused.
-    let mut workspace = SimWorkspace::new();
     for _iter in 0..config.iterations {
         // Image the current mask: corrected targets + frozen context.
         let mask: Vec<Polygon> = corrected.iter().chain(context.iter()).cloned().collect();
-        let image = AerialImage::simulate_with(&mut workspace, &config.sim, &mask, window)?;
+        let image = AerialImage::simulate(&config.sim, &mask, window)?;
         report.simulations += 1;
         let mut max_epe = 0.0_f64;
         for (pi, frag) in fragmented.iter().enumerate() {

@@ -71,9 +71,9 @@ const CHUNKS_PER_WORKER: u64 = 4;
 /// the calling thread — the `POSTOPC_THREADS=1` fallback is exactly the
 /// serial loop.
 ///
-/// Equivalent to [`par_map_costed`] with unit costs: items are dispatched
-/// in contiguous chunks of ~`len / (threads × 4)`, balancing long-tailed
-/// workloads without paying one atomic operation per item.
+/// Items are dispatched in contiguous chunks of ~`len / (threads × 4)`,
+/// balancing long-tailed workloads without paying one atomic operation per
+/// item.
 ///
 /// # Panics
 ///
@@ -84,32 +84,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_costed(threads, items, |_, _| 1, f)
-}
-
-/// [`par_map`] with cost-aware chunked scheduling.
-///
-/// `cost` estimates the relative expense of each item (any monotone unit —
-/// the extraction engine passes simulation-window pixel counts). Items are
-/// grouped into contiguous chunks of roughly `total_cost / (threads × 4)`
-/// each, and workers claim whole chunks through one atomic counter. Cheap
-/// items amortize dispatch overhead by riding in large chunks; an expensive
-/// item lands in a chunk of its own, so stragglers still rebalance.
-///
-/// Results return in input order; like [`par_map`], output is bit-identical
-/// to a serial run for any thread count.
-///
-/// # Panics
-///
-/// Panics propagate from worker threads to the caller.
-pub fn par_map_costed<T, R, C, F>(threads: usize, items: &[T], cost: C, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    C: Fn(usize, &T) -> u64,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_chunked(threads, items, cost, || (), |(), i, t| f(i, t))
+    par_map_chunked(threads, items, |_, _| 1, || (), |(), i, t| f(i, t))
 }
 
 /// [`par_map`] with per-worker reusable state.
@@ -140,11 +115,7 @@ where
 
 /// [`par_map_init`] with a fallible mapper; error selection follows
 /// [`try_par_map`] (the first error in input order wins).
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing item, if any.
-pub fn try_par_map_init<T, R, E, S, I, F>(
+fn try_par_map_init<T, R, E, S, I, F>(
     threads: usize,
     items: &[T],
     init: I,
@@ -165,25 +136,23 @@ where
 }
 
 /// Splits `0..len` into contiguous ranges of `batch` items each (the last
-/// range may be shorter). The unit of work for
-/// [`try_par_map_batched_init`]; exposed so callers can pre-plan
-/// batch-aligned data (e.g. lane-major sample layouts).
-#[must_use]
-pub fn batch_ranges(len: usize, batch: usize) -> Vec<std::ops::Range<usize>> {
+/// range may be shorter): the unit of work for
+/// [`try_par_map_batched_init`].
+fn batch_ranges(len: usize, batch: usize) -> Vec<std::ops::Range<usize>> {
     let batch = batch.max(1);
     (0..len.div_ceil(batch))
         .map(|b| b * batch..((b + 1) * batch).min(len))
         .collect()
 }
 
-/// Batched [`try_par_map_init`]: maps contiguous `batch`-sized index
-/// ranges of `0..len` (see [`batch_ranges`]) instead of single items, for
-/// kernels that amortize work across a whole batch — the Monte Carlo
-/// engine evaluates `LANES` samples per gate visit this way. `f` must
-/// return exactly one result per index in its range; the per-range
-/// vectors are flattened back to input order, and error selection follows
-/// [`try_par_map`] (the first error in input order wins, at batch
-/// granularity).
+/// Batched fallible [`par_map_init`]: maps contiguous index ranges of
+/// `0..len`, `batch` indices each (the last range may be shorter), instead
+/// of single items, for kernels that amortize work across a whole batch —
+/// the Monte Carlo engine evaluates `LANES` samples per gate visit this
+/// way. `f` must return exactly one result per index in its range; the
+/// per-range vectors are flattened back to input order, and error
+/// selection follows [`try_par_map`] (the first error in input order wins,
+/// at batch granularity).
 ///
 /// Scheduling is [`par_map_init`] over the ranges, so results are
 /// bit-identical for any thread count as long as `f`'s results do not
@@ -341,8 +310,7 @@ where
     Ok(out)
 }
 
-/// Why a work item was quarantined by [`try_par_map_quarantine`] /
-/// [`try_par_map_quarantine_init`].
+/// Why a work item of [`par_map_caught`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultCause<E> {
     /// The mapper returned a typed error.
@@ -360,18 +328,6 @@ impl<E: std::fmt::Display> std::fmt::Display for FaultCause<E> {
     }
 }
 
-/// One quarantined work item: its input index, the caller-supplied stage
-/// label, and what went wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRecord<E> {
-    /// Index of the item in the input slice.
-    pub item: usize,
-    /// Pipeline stage label supplied by the caller.
-    pub stage: &'static str,
-    /// What went wrong: a typed error or a captured panic.
-    pub cause: FaultCause<E>,
-}
-
 /// Renders a caught panic payload as text (the common `&str` / `String`
 /// payloads verbatim, anything else a placeholder).
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -384,81 +340,52 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`try_par_map`] that **quarantines** failures instead of aborting: each
-/// item runs under [`std::panic::catch_unwind`], and both typed errors and
-/// panics become per-item [`FaultRecord`]s while every other item completes
-/// normally.
+/// Fallible [`par_map`] with cost-aware chunked scheduling that **captures**
+/// every fault instead of propagating it: each item runs under
+/// [`std::panic::catch_unwind`], so a typed error and a panic both come
+/// back as that item's [`FaultCause`] while every other item completes
+/// normally. The caller decides what a fault means.
 ///
-/// Returns `(results, faults)`: `results[i]` is `Some` iff item `i`
-/// succeeded, and `faults` lists the failed items in **input order** with
-/// the caller's `stage` label attached. Scheduling is identical to
-/// [`par_map`], so output (including the fault list) is bit-identical to a
-/// serial run for any thread count.
-#[must_use = "quarantined faults must be inspected or re-raised by the caller"]
-pub fn try_par_map_quarantine<T, R, E, F>(
+/// `cost` estimates the relative expense of each item (any monotone unit —
+/// the extraction engine passes simulation-window pixel counts). Items are
+/// grouped into contiguous chunks of roughly `total_cost / (threads × 4)`
+/// each, and workers claim whole chunks through one atomic counter. Cheap
+/// items amortize dispatch overhead by riding in large chunks; an expensive
+/// item lands in a chunk of its own, so stragglers still rebalance.
+///
+/// Results return in input order, faults included, so the output is
+/// bit-identical to a serial run for any thread count. A panicking item
+/// may leave state that `f` shares across items (through interior
+/// mutability) half-updated, so share only state that stays valid that
+/// way — scratch rebuilt on next use, as the imaging workspace is.
+pub fn par_map_caught<T, R, E, C, F>(
     threads: usize,
     items: &[T],
-    stage: &'static str,
-    f: F,
-) -> (Vec<Option<R>>, Vec<FaultRecord<E>>)
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_par_map_quarantine_init(threads, items, stage, |_, _| 1, || (), |(), i, t| f(i, t))
-}
-
-/// [`try_par_map_quarantine`] with cost-aware chunked scheduling (see
-/// [`par_map_costed`]) and per-worker reusable state (see [`par_map_init`]).
-///
-/// A panicking item may leave the worker's state torn mid-update, so the
-/// state is rebuilt with `init` before the worker touches its next item —
-/// callers whose results are state-independent (the pool contract) keep
-/// bit-identical output across thread counts even with faults present.
-#[must_use = "quarantined faults must be inspected or re-raised by the caller"]
-pub fn try_par_map_quarantine_init<T, R, E, S, C, I, F>(
-    threads: usize,
-    items: &[T],
-    stage: &'static str,
     cost: C,
-    init: I,
     f: F,
-) -> (Vec<Option<R>>, Vec<FaultRecord<E>>)
+) -> Vec<Result<R, FaultCause<E>>>
 where
     T: Sync,
     R: Send,
     E: Send,
     C: Fn(usize, &T) -> u64,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let caught: Vec<Result<R, FaultCause<E>>> =
-        par_map_chunked(threads, items, cost, &init, |state, i, t| {
-            // AssertUnwindSafe: on panic the possibly-torn state is thrown
-            // away and rebuilt below, and the item's result slot becomes a
-            // fault record, so no broken invariant escapes the pool.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(state, i, t))) {
+    par_map_chunked(
+        threads,
+        items,
+        cost,
+        || (),
+        |(), i, t| {
+            // AssertUnwindSafe: a panicking item's result slot becomes its
+            // fault, so nothing the item half-built escapes the pool; what
+            // `f` shares is bound by the contract above.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, t))) {
                 Ok(r) => r.map_err(FaultCause::Error),
-                Err(payload) => {
-                    *state = init();
-                    Err(FaultCause::Panic(panic_text(payload.as_ref())))
-                }
+                Err(payload) => Err(FaultCause::Panic(panic_text(payload.as_ref()))),
             }
-        });
-    let mut results = Vec::with_capacity(items.len());
-    let mut faults = Vec::new();
-    for (item, r) in caught.into_iter().enumerate() {
-        match r {
-            Ok(r) => results.push(Some(r)),
-            Err(cause) => {
-                results.push(None);
-                faults.push(FaultRecord { item, stage, cause });
-            }
-        }
-    }
-    (results, faults)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -526,20 +453,28 @@ mod tests {
         assert_eq!(ok.expect("no errors"), items);
     }
 
+    /// Unwraps a caught map whose items cannot fail.
+    fn all_ok<R, E: std::fmt::Debug>(caught: Vec<Result<R, FaultCause<E>>>) -> Vec<R> {
+        caught
+            .into_iter()
+            .map(|r| r.expect("no item faults"))
+            .collect()
+    }
+
     #[test]
     fn costed_map_preserves_input_order() {
         let items: Vec<usize> = (0..311).collect();
         // Heavily skewed costs: the last items dominate.
-        let out = par_map_costed(
+        let out = par_map_caught(
             8,
             &items,
             |i, _| (i as u64).pow(2),
             |i, &x| {
                 assert_eq!(i, x);
-                x * 3
+                Ok::<_, ()>(x * 3)
             },
         );
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(all_ok(out), items.iter().map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -553,8 +488,8 @@ mod tests {
             |i, _| if i % 17 == 0 { 10_000 } else { 1 },
         ] {
             for threads in [1, 2, 5, 16] {
-                let out = par_map_costed(threads, &items, cost, |_, &x| x * x + 1);
-                assert_eq!(out, serial, "threads = {threads}");
+                let out = par_map_caught(threads, &items, cost, |_, &x| Ok::<_, ()>(x * x + 1));
+                assert_eq!(all_ok(out), serial, "threads = {threads}");
             }
         }
     }
@@ -570,7 +505,12 @@ mod tests {
         assert_eq!(plan, expected);
         // A real run dispatches whole chunks: every item of a chunk runs
         // on the worker that claimed it.
-        let workers = par_map_costed(2, &items, |_, _| 1, |_, _| std::thread::current().id());
+        let workers = all_ok(par_map_caught(
+            2,
+            &items,
+            |_, _| 1,
+            |_, _| Ok::<_, ()>(std::thread::current().id()),
+        ));
         for chunk in plan {
             let first = workers[chunk.start];
             assert!(
@@ -686,24 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn costed_map_panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            par_map_costed(
-                4,
-                &[1usize, 2, 3, 4, 5, 6],
-                |_, &x| x as u64,
-                |_, &x| {
-                    if x == 5 {
-                        panic!("boom");
-                    }
-                    x
-                },
-            )
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn panics_propagate() {
         let result = std::panic::catch_unwind(|| {
             par_map(4, &[1, 2, 3], |_, &x| {
@@ -754,134 +676,52 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_captures_errors_and_panics_in_input_order() {
-        let items: Vec<usize> = (0..120).collect();
+    fn caught_map_captures_errors_and_panics_in_input_order() {
+        // Skewed costs, so faults land in chunks of very different sizes.
+        let items: Vec<usize> = (0..200).collect();
         let run = |threads: usize| {
-            try_par_map_quarantine::<_, _, String, _>(threads, &items, "unit", |_, &x| {
-                if x % 31 == 5 {
-                    panic!("injected panic at {x}");
-                }
-                if x % 17 == 3 {
-                    return Err(format!("typed error at {x}"));
-                }
-                Ok(x * 2)
-            })
-        };
-        let (results, faults) = run(4);
-        assert_eq!(results.len(), items.len());
-        for (i, r) in results.iter().enumerate() {
-            let bad = i % 31 == 5 || i % 17 == 3;
-            assert_eq!(r.is_none(), bad, "item {i}");
-            if let Some(v) = r {
-                assert_eq!(*v, i * 2);
-            }
-        }
-        // Faults listed in strictly increasing input order, stage attached.
-        assert!(faults.windows(2).all(|w| w[0].item < w[1].item));
-        assert!(faults.iter().all(|f| f.stage == "unit"));
-        let panic_fault = faults
-            .iter()
-            .find(|f| f.item == 5)
-            .expect("item 5 panicked");
-        assert_eq!(
-            panic_fault.cause,
-            FaultCause::Panic("injected panic at 5".to_string())
-        );
-        let err_fault = faults.iter().find(|f| f.item == 3).expect("item 3 errored");
-        assert_eq!(
-            err_fault.cause,
-            FaultCause::Error("typed error at 3".to_string())
-        );
-        // Bit-identical (results and faults) across the thread matrix.
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                run(threads),
-                (results.clone(), faults.clone()),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn quarantine_reinitializes_state_after_panic() {
-        // A panicking item leaves its worker's state torn; the pool must
-        // rebuild it before the next item. On one thread every item shares
-        // the worker, so the init count directly observes the rebuild.
-        let items: Vec<usize> = (0..10).collect();
-        let inits = AtomicUsize::new(0);
-        let (results, faults) = try_par_map_quarantine_init::<_, _, (), _, _, _, _>(
-            1,
-            &items,
-            "unit",
-            |_, _| 1,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<usize>::new()
-            },
-            |buf, _, &x| {
-                buf.push(x); // torn on panic: never cleaned up below
-                if x == 3 {
-                    panic!("boom");
-                }
-                let len = buf.len();
-                buf.clear();
-                Ok(x + usize::from(len > 1)) // state leak would show here
-            },
-        );
-        // Initial init + one rebuild after the item-3 panic.
-        assert_eq!(inits.load(Ordering::Relaxed), 2);
-        assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].item, 3);
-        for (i, r) in results.iter().enumerate() {
-            if i == 3 {
-                assert!(r.is_none());
-            } else {
-                // The rebuilt state is empty, so no item ever sees a
-                // leftover entry and the +1 branch never fires.
-                assert_eq!(*r, Some(i), "item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn quarantine_costed_matches_thread_matrix() {
-        // The costed/init twin under skewed costs stays bit-identical
-        // across thread counts, faults included.
-        let items: Vec<u64> = (0..200).collect();
-        let run = |threads: usize| {
-            try_par_map_quarantine_init::<_, _, u64, _, _, _, _>(
+            par_map_caught(
                 threads,
                 &items,
-                "costed",
                 |i, _| if i % 13 == 0 { 5_000 } else { 1 },
-                || 0u64,
-                |scratch, _, &x| {
-                    *scratch = scratch.wrapping_add(x);
-                    if x % 41 == 7 {
-                        return Err(x);
+                |_, &x| {
+                    if x % 31 == 5 {
+                        panic!("injected panic at {x}");
                     }
-                    if x % 53 == 11 {
-                        panic!("chunk fault {x}");
+                    if x % 17 == 3 {
+                        return Err(format!("typed error at {x}"));
                     }
-                    Ok(x * x)
+                    Ok(x * 2)
                 },
             )
         };
-        let one = run(1);
-        assert!(!one.1.is_empty(), "test should exercise faults");
-        for threads in [2, 4] {
-            assert_eq!(run(threads), one, "threads = {threads}");
+        let caught = run(4);
+        assert_eq!(caught.len(), items.len());
+        for (i, r) in caught.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i * 2, "item {i}"),
+                Err(FaultCause::Panic(p)) => {
+                    assert_eq!(i % 31, 5, "item {i}");
+                    assert_eq!(*p, format!("injected panic at {i}"));
+                }
+                Err(FaultCause::Error(e)) => {
+                    assert_eq!(i % 17, 3, "item {i}");
+                    assert_eq!(*e, format!("typed error at {i}"));
+                }
+            }
         }
-    }
-
-    #[test]
-    fn quarantine_all_clean_has_no_faults() {
-        let items: Vec<usize> = (0..40).collect();
-        let (results, faults) =
-            try_par_map_quarantine::<_, _, (), _>(4, &items, "unit", |_, &x| Ok(x + 1));
-        assert!(faults.is_empty());
-        let values: Vec<usize> = results.into_iter().flatten().collect();
-        assert_eq!(values, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        assert_eq!(
+            caught[5].as_ref().map_err(ToString::to_string),
+            Err("panic: injected panic at 5".to_string())
+        );
+        assert_eq!(
+            caught[3].as_ref().map_err(ToString::to_string),
+            Err("typed error at 3".to_string())
+        );
+        // Bit-identical, faults included, across the thread matrix.
+        for threads in [1, 2, 8] {
+            assert_eq!(run(threads), caught, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! One public home for the Hyndman–Fan type 7 estimator (the R/NumPy
 //! default) that statistical timing consumers — the Monte Carlo result
 //! ([`crate::MonteCarloResult`]), the convergence study behind the
-//! `mc_batch` gate, and guardband sweeps — previously each re-derived.
+//! sampling-accuracy gates, and guardband sweeps — previously each
+//! re-derived.
 //! The contract is *sort once, query many times*: callers build an
 //! ascending view with [`sorted_ascending`] (or keep their own), then
 //! issue O(1) [`quantile_of_sorted`] queries against it.

@@ -1389,25 +1389,34 @@ mod tests {
     fn reports_table_stats() {
         let d = design();
         let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let cfg = MonteCarloConfig {
-            samples: 40,
-            sigma_nm: 2.0,
-            seed: 7,
-            ..Default::default()
-        };
-        let mc = run(&m, None, &cfg).expect("mc");
-        let stats = mc.cache_stats();
-        // Every (cell, bin) of the run is prewarmed, so the hot loop never
-        // misses and every lookup lands in the table.
-        assert!(stats.prewarmed > 0);
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert_eq!(
-            stats.shared_hits,
-            (d.netlist().gate_count() * 40_usize.div_ceil(LANES) * LANES) as u64
-        );
-        // The oracle builds no table.
-        let reference = run_reference(&m, None, &cfg).expect("reference");
-        assert_eq!(reference.cache_stats(), ShiftCacheStats::default());
+        // Fewer samples than one batch, a partial tail after full batches,
+        // and an exact multiple of the batch, for plain and antithetic
+        // sampling.
+        for sampling in [Sampling::Plain, Sampling::Antithetic] {
+            for samples in [LANES - 1, 3 * LANES + 3, 5 * LANES] {
+                let cfg = MonteCarloConfig {
+                    samples,
+                    sigma_nm: 2.0,
+                    seed: 7,
+                    sampling,
+                    ..Default::default()
+                };
+                let mc = run(&m, None, &cfg).expect("mc");
+                let stats = mc.cache_stats();
+                // Every (cell, bin) of the run is prewarmed, so the hot
+                // loop never misses and every lookup lands in the table.
+                assert!(stats.prewarmed > 0);
+                assert_eq!((stats.hits, stats.misses), (0, 0));
+                assert_eq!(
+                    stats.shared_hits,
+                    (d.netlist().gate_count() * samples.div_ceil(LANES) * LANES) as u64,
+                    "{sampling:?}, {samples} samples"
+                );
+                // The oracle builds no table.
+                let reference = run_reference(&m, None, &cfg).expect("reference");
+                assert_eq!(reference.cache_stats(), ShiftCacheStats::default());
+            }
+        }
     }
 
     #[test]

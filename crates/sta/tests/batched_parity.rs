@@ -37,29 +37,30 @@ const ALL_SAMPLINGS: [Sampling; 3] = [
 #[test]
 fn every_lane_remainder_is_bit_identical() {
     // Sample counts covering each tail-batch size 1..LANES (plus the full
-    // batch), on drawn and annotated systematics. The batched evaluator
-    // pads tail lanes by repeating the last live sample; none of that
-    // padding may leak into results.
+    // batch) and fewer samples than one batch, on drawn and annotated
+    // systematics. The batched evaluator pads tail lanes by repeating the
+    // last live sample; none of that padding may leak into results.
     let design = rca_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
     let systematic = corner_annotation(&model, -1.5);
+    let counts = (0..LANES).map(|remainder| LANES + remainder.max(1));
     for systematic in [None, Some(&systematic)] {
-        for remainder in 0..LANES {
+        for samples in counts.clone().chain([LANES - 1]) {
             let cfg = MonteCarloConfig {
-                samples: LANES + remainder.max(1),
+                samples,
                 sigma_nm: 1.5,
                 seed: 17,
                 ..MonteCarloConfig::default()
             };
             let naive = statistical::run_reference(&model, systematic, &cfg).expect("naive mc");
             let batched = statistical::run(&model, systematic, &cfg).expect("batched mc");
-            assert_eq!(naive, batched, "remainder {remainder}");
+            assert_eq!(naive, batched, "{samples} samples");
             for (a, b) in naive
                 .worst_slacks_ps()
                 .iter()
                 .zip(batched.worst_slacks_ps())
             {
-                assert_eq!(a.to_bits(), b.to_bits(), "remainder {remainder}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{samples} samples");
             }
         }
     }

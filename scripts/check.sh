@@ -35,21 +35,15 @@
 #              items)
 #   build      tier-1: cargo build --release
 #   test       tier-1: cargo test -q
-#   wstest     cargo test --workspace -q
+#   wstest     cargo test --workspace -q: every crate's unit and
+#              integration tests, among them the fault-quarantine suite
+#              (crates/core/tests/quarantine.rs) and the Monte Carlo
+#              engine-vs-oracle suite (crates/sta/tests/batched_parity.rs)
 #   smoke      perf_smoke parity gates (ambient thread count): pooled
 #              extraction vs serial (bit parity, every timed run == its
 #              first, median within 1.25x), compiled STA and Monte Carlo
 #              vs the naive references
 #   threads    perf_smoke parity gates under POSTOPC_THREADS=1,2,4
-#   faults     fault_smoke: seeded injection, quarantine determinism gates
-#   mc_batch   mc_batch_smoke: Monte Carlo engine vs run_reference parity,
-#              every lookup served by the prewarmed shift table,
-#              variance-reduction convergence gate
-#   tail       tail_smoke under POSTOPC_THREADS=1,2,4: tail-IS + control
-#              variate engine-vs-oracle and thread bit-parity, weight
-#              normalization, CV exactness on a linear model, and the
-#              deep-tail claim (tail-IS@500 q01 error <= plain@2000 on
-#              the T6 study)
 #   serve      serve_smoke: cold-vs-warm artifact bit parity, typed bad-
 #              artifact errors, incremental-vs-full ECO bit parity, and
 #              the 10x warm-query speedup floor (cold / warm median; every
@@ -67,7 +61,8 @@
 #              (each the quietest of 3 rounds) of the uniform-farm cache,
 #              shuffled-farm surrogate and T6 batched MC@2000 <= recorded
 #              / 0.6 (BENCH_extract.json, BENCH_sta.json); sampling-
-#              accuracy rows within 1.5x; tail-IS@500 <= plain@2000;
+#              accuracy rows within 1.5x; tail-IS@500 q01 error <=
+#              plain@2000; antithetic@500 mean error <= plain@2000 x 1.25;
 #              batched == naive @250; every timed run == its first
 #   bench_serve
 #              serve_smoke --bench-regression: the same median bound on
@@ -81,8 +76,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Canonical stage order; --stage never reorders, only filters.
-STAGES=(fmt clippy strict doc build test wstest smoke threads faults
-  mc_batch tail serve chaos surrogate bench bench_serve perfbench)
+STAGES=(fmt clippy strict doc build test wstest smoke threads serve chaos
+  surrogate bench bench_serve perfbench)
 QUICK_STAGES=(fmt clippy strict build test)
 
 QUICK=0
@@ -261,7 +256,7 @@ stage wstest cargo test --workspace -q
 stage smoke cargo run --release -p postopc-bench --bin perf_smoke
 
 # Thread matrix: the parity gates re-run with the worker pool pinned to
-# 1, 2 and 4 threads, so par_map_costed / par_map_init determinism is
+# 1, 2 and 4 threads, so par_map_caught / par_map_init determinism is
 # exercised off the single-thread fallback path too.
 thread_matrix() {
   local t
@@ -271,33 +266,6 @@ thread_matrix() {
   done
 }
 stage threads thread_matrix
-
-# Fault-injection smoke: a seeded injector over the repro design must
-# complete under quarantine, report exact counts, stay bit-identical
-# across the thread matrix, and trip the budget past the cap.
-stage faults cargo run --release -p postopc-bench --bin fault_smoke
-
-# Batched Monte Carlo smoke: bit-parity with the naive run_reference
-# oracle over sampling schemes and lane remainders, every (gate, lane)
-# lookup served by the prewarmed shift table, and the variance-reduction
-# convergence gate (antithetic @500 vs plain @2000 on the mean worst
-# slack).
-stage mc_batch cargo run --release -p postopc-bench --bin mc_batch_smoke
-
-# Tail-targeted Monte Carlo smoke, across the same thread matrix as the
-# parity gates: importance sampling + control variate must stay
-# bit-identical to the naive oracle for POSTOPC_THREADS in {1,2,4}, weights
-# must self-normalize, the control variate must be exact on a pure
-# linear model, and tail-IS@500 must estimate the 1%-quantile at least
-# as well as plain@2000 on the T6 convergence study.
-tail_matrix() {
-  local t
-  for t in 1 2 4; do
-    echo "-- POSTOPC_THREADS=$t"
-    POSTOPC_THREADS="$t" cargo run --release -p postopc-bench --bin tail_smoke
-  done
-}
-stage tail tail_matrix
 
 # Warm-service smoke: persisted-artifact round trips (cold == warm, bit
 # for bit; corrupt/truncated/stale artifacts come back as typed errors),
