@@ -1,45 +1,59 @@
-//! Performance smoke test and the recorded engine floors for the CI
-//! script (`scripts/check.sh`). Three modes, run by
-//! [`postopc_bench::runner::run`]; each fails the process (exit 1) when an
-//! invariant breaks:
+//! The timing binary of the CI script (`scripts/check.sh`, stages `smoke`
+//! and `bench`), and the only reader and writer of the `BENCH_*.json`
+//! records. Correctness checks live in `cargo test`: this binary makes no
+//! parity check beyond the equality checks of its own timed runs. Three
+//! modes, run by [`postopc_bench::runner::run`]; each fails the process
+//! (exit 1) when a check breaks:
 //!
-//! **Default (parity gates)** — fast enough to repeat across the CI thread
-//! matrix (`POSTOPC_THREADS=1,2,4`):
+//! **Default (ratio checks)** — three absolute speedup ratios, each
+//! comparing the medians of [`postopc_bench::runner::measure`]:
 //!
-//! 1. Extracts a small uniform inverter farm with the context cache,
-//!    serial and with the worker pool. Every run of each engine must
-//!    match its first run, and the two engines' outcomes must be
-//!    bit-identical (scheduling must never change extracted CDs). The
-//!    pooled median must stay within [`POOL_TOLERANCE`] of the serial
-//!    median (parity on one core, faster on many). The tolerance absorbs
-//!    timer noise on loaded CI machines; a real pool regression — the
-//!    chunked scheduler falling over its own overhead — shows up far
-//!    above it.
-//! 2. The compiled STA evaluator must match the naive `analyze` path bit
-//!    for bit on a small adder: drawn, corner-annotated, and a short
-//!    Monte Carlo run per sampling scheme against the `run_reference`
-//!    oracle, all through ONE shared `CompiledSta` + scratch (the
-//!    compile-once flow shape). The corner-sweep API (`analyze_corner`,
-//!    which shifts each distinct cell once instead of building the
-//!    annotation) is held to the same `analyze` oracle.
+//! 1. **Pool** — extracts a small uniform inverter farm with the context
+//!    cache, serial and with the worker pool. The pooled median must stay
+//!    within [`POOL_TOLERANCE`] of the serial median (parity on one core,
+//!    faster on many). The tolerance absorbs timer noise on loaded CI
+//!    machines; a real pool regression — the chunked scheduler falling
+//!    over its own overhead — shows up far above it. Every run of each
+//!    engine must match its first run, and the two engines' outcomes must
+//!    be bit-identical.
+//! 2. **Warm serve** — repeat guardband/corner/MC queries against the warm
+//!    session must beat the cold full pipeline by at least
+//!    [`SERVE_SPEEDUP_FLOOR`]× on the T6 composite and T9 farm designs,
+//!    both sides on the ambient pool. Every repeated cold pipeline and
+//!    warm batch must answer exactly as the first cold pipeline did.
+//! 3. **Surrogate** — the learned CD surrogate (cache + pool) must beat
+//!    the serial no-cache baseline by at least [`SURROGATE_SPEEDUP_FLOOR`]×
+//!    on the dense shuffled speed-path farm. Every run of each engine must
+//!    match its first run.
 //!
 //! **`--record` / `--bench-regression`** — measures the rows of
-//! `BENCH_extract.json` and `BENCH_sta.json` ([`rows`]), then writes them
-//! or holds them to their recorded floors
+//! `BENCH_extract.json`, `BENCH_sta.json` and `BENCH_serve.json`
+//! ([`rows`]), then writes them or holds them to their recorded floors
 //! ([`postopc_bench::runner::FLOORS`]), so the perf wins of earlier PRs
 //! cannot silently regress.
 
-use postopc::{extract_gates, ExtractionConfig, OpcMode, SurrogateConfig, TagSet};
-use postopc_bench::runner::{measure, Gate, Row, T6};
-use postopc_bench::OrExit;
-use postopc_device::ProcessParams;
-use postopc_layout::{generate, Design, PlacementOptions, TechRules};
-use postopc_sta::{
-    analyze_corner, corner_annotation, statistical, Corner, MonteCarloConfig, Sampling, TimingModel,
+use postopc::guardband::GuardbandConfig;
+use postopc::{
+    extract_gates, ExtractionConfig, FlowConfig, OpcMode, QueryOutcome, Selection, SessionQuery,
+    SurrogateConfig, TagSet, TimingSession,
 };
+use postopc_bench::runner::{measure, Row, Timing, T6};
+use postopc_bench::{dense_design, OrExit};
+use postopc_device::ProcessParams;
+use postopc_layout::{generate, Design};
+use postopc_sta::{statistical, Corner, MonteCarloConfig, TimingModel};
 
 /// The pooled median may exceed the serial median by at most this factor.
 const POOL_TOLERANCE: f64 = 1.25;
+
+/// Minimum cold-pipeline / warm-repeat-query median speedup.
+const SERVE_SPEEDUP_FLOOR: f64 = 10.0;
+
+/// Minimum serial-no-cache-baseline / surrogate median speedup on the
+/// shuffled farm. The recorded single-thread surrogate row of
+/// `BENCH_extract.json` is floored separately; this absolute floor keeps
+/// the check meaningful on any machine.
+const SURROGATE_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Antithetic sampling at 500 samples may exceed plain@2000's mean
 /// absolute error of the mean worst slack by at most this factor. The T6
@@ -47,22 +61,18 @@ const POOL_TOLERANCE: f64 = 1.25;
 /// the scheme stops reducing variance at all.
 const ANTITHETIC_MEAN_RATIO: f64 = 1.25;
 
+/// Query batches per timed run of a recorded warm-session row. One batch
+/// takes a few milliseconds, so a brief burst of outside load can move a
+/// whole median of five; eight per run average over such bursts.
+const RECORDED_BATCHES: usize = 8;
+
 fn main() {
-    postopc_bench::runner::run(Gate::Perf, parity_gates, rows);
+    postopc_bench::runner::run(|| pool_ratio() | serve_ratio() | surrogate_ratio(), rows);
 }
 
-/// Compiles `netlist` at 100 % utilization, so every gate sees the
-/// repeated neighbourhoods the context cache thrives on.
-fn dense(netlist: postopc_layout::Netlist) -> Design {
-    Design::compile_with(
-        netlist,
-        TechRules::n90(),
-        &PlacementOptions {
-            utilization: 1.0,
-            seed: 11,
-        },
-    )
-    .or_exit("design")
+/// The dense shuffled speed-path farm: the surrogate's home workload.
+fn shuffled_farm() -> Design {
+    dense_design(generate::speed_path_farm(20, 24, 11).or_exit("netlist"))
 }
 
 /// Context-cache extraction with the rule-OPC recipe on `threads`.
@@ -73,11 +83,28 @@ fn cached(threads: Option<usize>) -> ExtractionConfig {
     cfg
 }
 
-/// The default mode: pooled-extraction and compiled-STA parity gates.
-/// Returns `true` on failure.
-fn parity_gates() -> bool {
+/// The cached recipe with the standard learned surrogate on `threads`.
+fn surrogate(threads: Option<usize>) -> ExtractionConfig {
+    let mut cfg = cached(threads);
+    cfg.surrogate = SurrogateConfig::standard();
+    cfg
+}
+
+/// A clock 10 % over `design`'s drawn critical delay.
+fn margin_clock(design: &Design) -> f64 {
+    let probe = TimingModel::new(design, ProcessParams::n90(), 1_000_000.0).or_exit("probe model");
+    probe
+        .analyze(None)
+        .or_exit("probe timing")
+        .critical_delay_ps()
+        * 1.10
+}
+
+/// Ratio check 1: pooled vs serial cached extraction. Returns `true` on
+/// failure.
+fn pool_ratio() -> bool {
     // The T9 uniform-farm shape, scaled down for CI.
-    let design = dense(generate::inverter_chain(48).or_exit("netlist"));
+    let design = dense_design(generate::inverter_chain(48).or_exit("netlist"));
     let tags = TagSet::all(&design);
     let mut repeatable = true;
     let mut run = |cfg: &ExtractionConfig| {
@@ -108,83 +135,175 @@ fn parity_gates() -> bool {
         );
         failed = true;
     }
-    // STA section: compiled evaluator vs naive analyze, bit for bit, with
-    // one compile shared across drawn, corner and Monte Carlo analyses.
-    let sta_design = Design::compile(
-        generate::ripple_carry_adder(3).or_exit("netlist"),
-        TechRules::n90(),
-    )
-    .or_exit("sta design");
-    let model = TimingModel::new(&sta_design, ProcessParams::n90(), 800.0).or_exit("model");
-    let compiled = model.compile().or_exit("compile");
-    let mut scratch = compiled.scratch();
-
-    let drawn_naive = model.analyze(None).or_exit("naive drawn");
-    let drawn_compiled = compiled
-        .evaluate(&mut scratch, None)
-        .or_exit("compiled drawn");
-    if drawn_naive != drawn_compiled {
-        eprintln!("perf_smoke: FAIL - compiled drawn report differs from naive analyze");
-        failed = true;
-    }
-
-    let corner = Corner {
-        name: "SS".into(),
-        delta_l_nm: 6.0,
-    };
-    let ann = corner_annotation(&model, corner.delta_l_nm);
-    let corner_naive = model.analyze(Some(&ann)).or_exit("naive corner");
-    let corner_sweep = analyze_corner(&model, &corner).or_exit("corner sweep");
-    if corner_sweep != corner_naive {
-        eprintln!("perf_smoke: FAIL - corner sweep report differs from naive analyze");
-        failed = true;
-    }
-    let corner_compiled = compiled
-        .evaluate(&mut scratch, Some(&ann))
-        .or_exit("compiled corner");
-    if corner_naive != corner_compiled {
-        eprintln!("perf_smoke: FAIL - compiled corner report differs from naive analyze");
-        failed = true;
-    }
-
-    // Monte Carlo: the batched SoA engine against the naive oracle, for
-    // every sampling scheme (same streams, different evaluation shape).
-    // The tail-IS row runs with the control variate attached so the
-    // weight and control accumulators are parity-checked as well.
-    for sampling in [
-        Sampling::Plain,
-        Sampling::Antithetic,
-        Sampling::TailIs {
-            tilt: postopc_bench::TAIL_TILT,
-        },
-    ] {
-        let mc = MonteCarloConfig {
-            samples: 20,
-            sigma_nm: 1.5,
-            seed: 5,
-            threads: None,
-            sampling,
-            control_variate: matches!(sampling, Sampling::TailIs { .. }),
-        };
-        let batched = statistical::run_with(&compiled, Some(&ann), &mc).or_exit("batched MC");
-        let naive = statistical::run_reference(&model, Some(&ann), &mc).or_exit("naive MC");
-        if batched != naive {
-            eprintln!("perf_smoke: FAIL - batched Monte Carlo differs from naive ({sampling:?})");
-            failed = true;
-        }
-    }
-
     if !failed {
         println!("perf_smoke: PASS - pooled engine at parity or better, outcomes bit-identical");
-        println!(
-            "perf_smoke: PASS - compiled STA bit-identical to naive (drawn, corner, MC for \
-             every sampling)"
-        );
     }
     failed
 }
 
-/// The recorded rows, each timed on one thread: the T9 uniform-farm
+/// The two warm-session workloads: name, design, tagged path count.
+fn serve_workloads() -> Vec<(&'static str, Design, usize)> {
+    vec![
+        (T6, postopc_bench::evaluation_design(11), 12),
+        ("T9 farm 12x16", postopc_bench::farm_design(12, 16, 7), 8),
+    ]
+}
+
+/// A serve config over `paths` critical paths with the fast OPC recipe.
+fn serve_config(design: &Design, paths: usize) -> FlowConfig {
+    let mut cfg = FlowConfig::standard(margin_clock(design));
+    cfg.selection = Selection::Critical { paths };
+    cfg.extraction.opc_mode = OpcMode::Rule;
+    cfg
+}
+
+/// The repeat query batch of every warm-session measurement: a corner
+/// sweep, a Monte Carlo run and a guardband analysis, their Monte Carlo
+/// on `threads` workers (`None`: the ambient pool).
+fn query_batch(threads: Option<usize>) -> Vec<SessionQuery> {
+    let monte_carlo = MonteCarloConfig {
+        samples: 120,
+        sigma_nm: 1.5,
+        seed: 17,
+        threads,
+        ..MonteCarloConfig::default()
+    };
+    vec![
+        SessionQuery::Corners(Corner::classic_set(6.0)),
+        SessionQuery::MonteCarlo(monte_carlo.clone()),
+        SessionQuery::Guardband(GuardbandConfig {
+            monte_carlo,
+            ..GuardbandConfig::default()
+        }),
+    ]
+}
+
+/// Answers `queries` on `session`, in order.
+fn answer(session: &mut TimingSession<'_>, queries: &[SessionQuery]) -> Vec<QueryOutcome> {
+    queries
+        .iter()
+        .map(|q| session.run(q).or_exit("query"))
+        .collect()
+}
+
+/// The cold full pipeline, as a one-shot run would do it: compile,
+/// extract and answer `queries` from scratch. Returns the warm session it
+/// leaves behind with its answers.
+fn cold_run<'m>(
+    model: &'m TimingModel,
+    cfg: &FlowConfig,
+    queries: &[SessionQuery],
+) -> (TimingSession<'m>, Vec<QueryOutcome>) {
+    let mut session = TimingSession::new(model, cfg).or_exit("cold session");
+    let answers = answer(&mut session, queries);
+    (session, answers)
+}
+
+/// Times `batches` repeats of `queries` per run on the warm `session`.
+/// Clears `identical` unless every batch, the warm-up's included, answers
+/// as `cold` did.
+fn warm_batches(
+    session: &mut TimingSession<'_>,
+    queries: &[SessionQuery],
+    batches: usize,
+    cold: &[QueryOutcome],
+    identical: &mut bool,
+) -> Timing {
+    let same = |runs: &Vec<Vec<QueryOutcome>>| runs.iter().all(|answers| answers == cold);
+    let (first, warm) = measure(
+        || (0..batches).map(|_| answer(session, queries)).collect(),
+        |_, runs| *identical &= same(runs),
+    );
+    *identical &= same(&first);
+    warm
+}
+
+/// Ratio check 2: the warm session must beat the cold pipeline by
+/// [`SERVE_SPEEDUP_FLOOR`]× on every workload, both sides timed on the
+/// ambient pool. Returns `true` on failure.
+fn serve_ratio() -> bool {
+    let mut failed = false;
+    for (name, design, paths) in serve_workloads() {
+        let cfg = serve_config(&design, paths);
+        let queries = query_batch(None);
+        let model = TimingModel::new(&design, cfg.process.clone(), cfg.clock_ps).or_exit("model");
+        let mut identical = true;
+        let ((mut session, cold_answers), cold) = measure(
+            || cold_run(&model, &cfg, &queries),
+            |(_, first), (_, answers)| identical &= answers == first,
+        );
+        let warm = warm_batches(&mut session, &queries, 1, &cold_answers, &mut identical);
+        let speedup = cold.median_s / warm.median_s.max(1e-9);
+        println!("perf_smoke: {name}: cold {cold}, warm {warm}, {speedup:.1}x");
+        if !identical {
+            eprintln!("perf_smoke: FAIL - {name} repeated answers differ from the first cold run");
+            failed = true;
+        }
+        if speedup < SERVE_SPEEDUP_FLOOR {
+            eprintln!(
+                "perf_smoke: FAIL - {name} warm speedup {speedup:.1}x below the \
+                 {SERVE_SPEEDUP_FLOOR}x floor"
+            );
+            failed = true;
+        }
+    }
+    if !failed {
+        println!("perf_smoke: PASS - warm sessions at or above the {SERVE_SPEEDUP_FLOOR}x floor");
+    }
+    failed
+}
+
+/// Ratio check 3: the surrogate run must beat the serial no-cache
+/// baseline, the honest cost of what the surrogate replaces, by
+/// [`SURROGATE_SPEEDUP_FLOOR`]×. Returns `true` on failure.
+fn surrogate_ratio() -> bool {
+    let farm = shuffled_farm();
+    let tags = TagSet::all(&farm);
+    let mut repeatable = true;
+    let mut run = |cfg: &ExtractionConfig| {
+        measure(
+            || extract_gates(&farm, cfg, &tags).or_exit("extraction"),
+            |first, out| repeatable &= out == first,
+        )
+        .1
+    };
+    let mut baseline_cfg = cached(Some(1));
+    baseline_cfg.cache = false;
+    let baseline = run(&baseline_cfg);
+    let fast = run(&surrogate(None));
+    let speedup = baseline.median_s / fast.median_s.max(1e-9);
+    println!(
+        "perf_smoke: shuffled farm 20x24: baseline {baseline}, surrogate {fast} ({speedup:.1}x)"
+    );
+    let mut failed = false;
+    if !repeatable {
+        eprintln!("perf_smoke: FAIL - a repeated farm extraction differs from its first run");
+        failed = true;
+    }
+    if speedup < SURROGATE_SPEEDUP_FLOOR {
+        eprintln!(
+            "perf_smoke: FAIL - surrogate speedup {speedup:.1}x below the \
+             {SURROGATE_SPEEDUP_FLOOR}x floor"
+        );
+        failed = true;
+    }
+    if !failed {
+        println!("perf_smoke: PASS - surrogate at or above the {SURROGATE_SPEEDUP_FLOOR}x floor");
+    }
+    failed
+}
+
+/// Every recorded row: the engine rows of `BENCH_extract.json` and
+/// `BENCH_sta.json`, then the warm-session rows of `BENCH_serve.json`.
+/// Returns the rows and `true` if a check made along the way failed.
+fn rows() -> (Vec<Row>, bool) {
+    let (mut rows, engines_failed) = engine_rows();
+    let (serve, serve_failed) = serve_rows();
+    rows.extend(serve);
+    (rows, engines_failed | serve_failed)
+}
+
+/// The engine rows, each timed on one thread: the T9 uniform-farm
 /// context cache, the shuffled-farm surrogate (its output is
 /// thread-invariant), T6 batched Monte Carlo at 2000 samples, and the six
 /// sampling-accuracy rows of the T6 convergence study. Returns the rows
@@ -193,13 +312,12 @@ fn parity_gates() -> bool {
 /// from the naive oracle at 250 samples, tail-IS@500 loses to plain@2000
 /// on the 1%-quantile, or antithetic@500 loses to plain@2000 on the mean
 /// by more than [`ANTITHETIC_MEAN_RATIO`].
-fn rows() -> (Vec<Row>, bool) {
+fn engine_rows() -> (Vec<Row>, bool) {
     let mut failed = false;
     let mut repeatable = true;
     let mut rows = Vec::new();
     // Every gate of a dense design, extracted on one thread.
-    let mut extraction = |name: &str, engine: &str, netlist, cfg: &ExtractionConfig| {
-        let design = dense(netlist);
+    let mut extraction = |name: &str, engine: &str, design: Design, cfg: &ExtractionConfig| {
         let tags = TagSet::all(&design);
         let (out, t) = measure(
             || extract_gates(&design, cfg, &tags).or_exit(engine),
@@ -208,13 +326,19 @@ fn rows() -> (Vec<Row>, bool) {
         rows.push(Row::timed(name, engine, tags.len(), 1, t));
         out
     };
-    let serial = cached(Some(1));
-    let chain = generate::inverter_chain(240).or_exit("netlist");
-    extraction("uniform inv farm 240", "context cache", chain, &serial);
-    let mut surrogate = serial.clone();
-    surrogate.surrogate = SurrogateConfig::standard();
-    let farm = generate::speed_path_farm(20, 24, 11).or_exit("netlist");
-    let out = extraction("shuffled farm 20x24", "cache + surrogate", farm, &surrogate);
+    let chain = dense_design(generate::inverter_chain(240).or_exit("netlist"));
+    extraction(
+        "uniform inv farm 240",
+        "context cache",
+        chain,
+        &cached(Some(1)),
+    );
+    let out = extraction(
+        "shuffled farm 20x24",
+        "cache + surrogate",
+        shuffled_farm(),
+        &surrogate(Some(1)),
+    );
     if out.stats.surrogate_hits == 0 {
         eprintln!("perf_smoke: FAIL - surrogate served no contexts on the shuffled farm");
         failed = true;
@@ -223,13 +347,8 @@ fn rows() -> (Vec<Row>, bool) {
     // T6: the composite design, top-40 paths extracted with rule OPC as
     // the systematic CD annotation, clock 10 % over the drawn delay.
     let design = postopc_bench::evaluation_design(11);
-    let probe = TimingModel::new(&design, ProcessParams::n90(), 1_000_000.0).or_exit("probe model");
-    let clock = probe
-        .analyze(None)
-        .or_exit("probe timing")
-        .critical_delay_ps()
-        * 1.10;
-    let model = TimingModel::new(&design, ProcessParams::n90(), clock).or_exit("model");
+    let model =
+        TimingModel::new(&design, ProcessParams::n90(), margin_clock(&design)).or_exit("model");
     let drawn = model.analyze(None).or_exit("drawn timing");
     let path_tags = TagSet::from_critical_paths(&design, &drawn, 40);
     let out = extract_gates(&design, &cached(None), &path_tags).or_exit("extraction");
@@ -301,5 +420,36 @@ fn rows() -> (Vec<Row>, bool) {
         failed = true;
     }
     rows.extend(accuracy);
+    (rows, failed)
+}
+
+/// The warm-session rows: each workload's warm batch on one thread,
+/// [`RECORDED_BATCHES`] times per timed run, after one untimed cold
+/// pipeline. Returns the rows and `true` if a warm answer differed from
+/// the cold one.
+fn serve_rows() -> (Vec<Row>, bool) {
+    let mut failed = false;
+    let mut rows = Vec::new();
+    for (name, design, paths) in serve_workloads() {
+        let cfg = serve_config(&design, paths);
+        let queries = query_batch(Some(1));
+        let model = TimingModel::new(&design, cfg.process.clone(), cfg.clock_ps).or_exit("model");
+        let (mut session, cold_answers) = cold_run(&model, &cfg, &queries);
+        let mut identical = true;
+        let warm = warm_batches(
+            &mut session,
+            &queries,
+            RECORDED_BATCHES,
+            &cold_answers,
+            &mut identical,
+        );
+        println!("perf_smoke: {name}: {RECORDED_BATCHES} warm batches {warm}");
+        if !identical {
+            eprintln!("perf_smoke: FAIL - {name} warm answers differ from cold answers");
+            failed = true;
+        }
+        let work = RECORDED_BATCHES * queries.len();
+        rows.push(Row::timed(name, "warm session", work, 1, warm));
+    }
     (rows, failed)
 }

@@ -1,6 +1,6 @@
 //! Regenerates the evaluation tables and figures of the DAC 2005
 //! reproduction. Prints only; the `BENCH_*.json` records are written by
-//! the gates that check them (`perf_smoke` / `serve_smoke --record`).
+//! `perf_smoke --record`, which also checks them.
 //!
 //! ```bash
 //! cargo run --release -p postopc-bench --bin repro -- all

@@ -3,8 +3,8 @@
 //! Runs a full SOCS extraction over a training design with the surrogate
 //! in record-only mode (warm-up larger than any workload, so every unique
 //! context simulates and trains) and persists the resulting model as a
-//! `POCSURR1` file that `postopc --surrogate-model FILE` and
-//! `surrogate_smoke --model FILE` can seed from.
+//! `POCSURR1` file that `postopc --surrogate-model FILE` can seed from
+//! (`crates/bench/tests/surrogate.rs` checks the round trip).
 //!
 //! ```bash
 //! cargo run --release -p postopc-bench --bin surrogate_train -- \

@@ -681,26 +681,18 @@ pub fn t9() -> String {
 /// compared against the simulated truth with a tolerance instead of
 /// joining the bit-identity checks.
 fn t9_engine() -> String {
-    use postopc_layout::PlacementOptions;
-    let dense = |netlist| {
-        Design::compile_with(
-            netlist,
-            postopc_layout::TechRules::n90(),
-            &PlacementOptions {
-                utilization: 1.0,
-                seed: 11,
-            },
-        )
-        .expect("design compiles")
-    };
     let designs = [
         (
             "shuffled farm 20x24",
-            dense(postopc_layout::generate::speed_path_farm(20, 24, 11).expect("farm generates")),
+            crate::dense_design(
+                postopc_layout::generate::speed_path_farm(20, 24, 11).expect("farm generates"),
+            ),
         ),
         (
             "uniform inv farm 240",
-            dense(postopc_layout::generate::inverter_chain(240).expect("chain generates")),
+            crate::dense_design(
+                postopc_layout::generate::inverter_chain(240).expect("chain generates"),
+            ),
         ),
     ];
     let threads = postopc_parallel::effective_threads(None);

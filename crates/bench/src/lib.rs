@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness of the reproduction: one function per table and
 //! figure of the DAC 2005 evaluation (as reconstructed in `DESIGN.md`),
-//! shared between the `repro` binary and the bench targets, plus the
-//! [`runner`] every timed gate and bench measures through.
+//! run by the `repro` binary, plus the [`runner`] the timing binary
+//! `perf_smoke` measures through.
 //!
 //! Run everything with:
 //!
@@ -23,7 +23,7 @@
 pub mod experiments;
 pub mod runner;
 
-use postopc_layout::{generate, Design, PlacementOptions, TechRules};
+use postopc_layout::{generate, Design, Netlist, PlacementOptions, TechRules};
 use postopc_sta::{statistical, CdAnnotation, CompiledSta, MonteCarloConfig, Sampling};
 
 /// Unwrap-or-die for the CI-gating binaries: renders the error and exits
@@ -167,6 +167,26 @@ pub fn farm_design(paths: usize, depth: usize, seed: u64) -> Design {
         },
     )
     .expect("farm compiles")
+}
+
+/// Compiles `netlist` at 100% utilization (placement seed 11), the
+/// placement of the T9 engine rows: every gate sees the repeated
+/// neighbourhoods the context cache thrives on.
+///
+/// # Panics
+///
+/// Panics if the design does not compile (impossible for generated
+/// netlists).
+pub fn dense_design(netlist: Netlist) -> Design {
+    Design::compile_with(
+        netlist,
+        TechRules::n90(),
+        &PlacementOptions {
+            utilization: 1.0,
+            seed: 11,
+        },
+    )
+    .expect("dense design compiles")
 }
 
 /// Compiles a random-logic design of roughly `gates` gates.

@@ -1,7 +1,7 @@
-//! The one measurement discipline of the gate binaries: one timing
-//! statistic ([`measure`]), one record format (the `BENCH_*.json` files,
-//! schema [`SCHEMA`]), one floor table ([`FLOORS`]) and one mode runner
-//! ([`run`]).
+//! The one measurement discipline of `perf_smoke`, the timing binary:
+//! one timing statistic ([`measure`]), one record format (the
+//! `BENCH_*.json` files, schema [`SCHEMA`]), one floor table ([`FLOORS`])
+//! and one mode runner ([`run`]).
 //!
 //! A recorded floor bounds the single-thread median time of the engine it
 //! protects: a fresh median may be at most the recorded median ÷
@@ -11,11 +11,10 @@
 //! Multi-thread sides are never recorded: on a shared box a busy second
 //! core turns a pool into a serial loop, and a floor on it would flake.
 //!
-//! Each floor names the gate binary whose measurement produces its row,
-//! and that binary's `--record` is the only writer of the row's file, so
-//! a record always holds exactly the rows its floors read. The workspace
-//! builds offline with no JSON dependency, so the writer and its
-//! line-oriented reader are hand-rolled for exactly this schema.
+//! `perf_smoke --record` is the only writer of the records, and it writes
+//! exactly the rows the floors read. The workspace builds offline with no
+//! JSON dependency, so the writer and its line-oriented reader are
+//! hand-rolled for exactly this schema.
 
 use postopc_sta::quantile::{quantiles_of_sorted, sorted_ascending};
 use std::fmt;
@@ -93,27 +92,6 @@ fn format_seconds(s: f64) -> String {
     } else {
         format!("{:.1} us", s * 1e6)
     }
-}
-
-/// Renders `(case, timing)` entries as a report table.
-#[must_use]
-pub fn render_timings(title: &str, entries: &[(String, Timing)]) -> String {
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|(case, t)| {
-            vec![
-                case.clone(),
-                format_seconds(t.median_s),
-                format_seconds(t.min_s),
-                format_seconds(t.iqr_s),
-            ]
-        })
-        .collect();
-    postopc::report::render_table(
-        &format!("{title}, median of {RUNS} after a warm-up"),
-        &["case", "median", "min", "IQR"],
-        &rows,
-    )
 }
 
 /// Sampling-accuracy errors of one `(sampling, samples)` point against a
@@ -378,26 +356,9 @@ pub const ACCURACY_TOLERANCE: f64 = 1.5;
 /// estimates the same quiet time on both sides.
 pub const ROUNDS: usize = 3;
 
-/// A gate binary that measures recorded rows. It alone writes them (with
-/// `--record`) and checks them (with `--bench-regression`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// `perf_smoke`: extraction and Monte Carlo engines, and sampling
-    /// accuracy.
-    Perf,
-    /// `serve_smoke`: warm-session query batches.
-    Serve,
-}
-
-impl Gate {
-    /// The binary's name, which prefixes its report lines.
-    fn name(self) -> &'static str {
-        match self {
-            Gate::Perf => "perf_smoke",
-            Gate::Serve => "serve_smoke",
-        }
-    }
-}
+/// The binary that measures, writes and checks the records; it prefixes
+/// every report line.
+const NAME: &str = "perf_smoke";
 
 /// The statistic a [`Floor`] bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -411,8 +372,6 @@ pub enum Bound {
 /// One recorded floor: the row it reads and the bound it applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Floor {
-    /// The binary whose measurement produces the row.
-    pub gate: Gate,
     /// The record file, relative to the working directory (the
     /// repository root in `scripts/check.sh`).
     pub file: &'static str,
@@ -444,7 +403,6 @@ const SERVE: &str = "BENCH_serve.json";
 pub const T6: &str = "T6 composite 70%";
 
 const fn floor(
-    gate: Gate,
     file: &'static str,
     design: &'static str,
     engine: &'static str,
@@ -452,7 +410,6 @@ const fn floor(
     bound: Bound,
 ) -> Floor {
     Floor {
-        gate,
         file,
         design,
         engine,
@@ -465,7 +422,6 @@ const fn floor(
 /// core cannot move them.
 pub const FLOORS: &[Floor] = &[
     floor(
-        Gate::Perf,
         EXTRACT,
         "uniform inv farm 240",
         "context cache",
@@ -473,29 +429,21 @@ pub const FLOORS: &[Floor] = &[
         Bound::Median,
     ),
     floor(
-        Gate::Perf,
         EXTRACT,
         "shuffled farm 20x24",
         "cache + surrogate",
         480,
         Bound::Median,
     ),
-    floor(Gate::Perf, STA, T6, "batched", 2000, Bound::Median),
-    floor(Gate::Perf, STA, T6, "plain", 500, Bound::Accuracy),
-    floor(Gate::Perf, STA, T6, "plain", 2000, Bound::Accuracy),
-    floor(Gate::Perf, STA, T6, "antithetic", 500, Bound::Accuracy),
-    floor(Gate::Perf, STA, T6, "antithetic", 2000, Bound::Accuracy),
-    floor(Gate::Perf, STA, T6, "tail-is", 500, Bound::Accuracy),
-    floor(Gate::Perf, STA, T6, "tail-is", 2000, Bound::Accuracy),
-    floor(Gate::Serve, SERVE, T6, "warm session", 24, Bound::Median),
-    floor(
-        Gate::Serve,
-        SERVE,
-        "T9 farm 12x16",
-        "warm session",
-        24,
-        Bound::Median,
-    ),
+    floor(STA, T6, "batched", 2000, Bound::Median),
+    floor(STA, T6, "plain", 500, Bound::Accuracy),
+    floor(STA, T6, "plain", 2000, Bound::Accuracy),
+    floor(STA, T6, "antithetic", 500, Bound::Accuracy),
+    floor(STA, T6, "antithetic", 2000, Bound::Accuracy),
+    floor(STA, T6, "tail-is", 500, Bound::Accuracy),
+    floor(STA, T6, "tail-is", 2000, Bound::Accuracy),
+    floor(SERVE, T6, "warm session", 24, Bound::Median),
+    floor(SERVE, "T9 farm 12x16", "warm session", 24, Bound::Median),
 ];
 
 /// One floor's verdict: `Ok(report)` when the fresh row holds against the
@@ -511,9 +459,8 @@ fn judge(
     let record = record.as_ref().map_err(|e| format!("{label}: {e}"))?;
     let recorded = record.iter().find(|r| floor.reads(r)).ok_or_else(|| {
         format!(
-            "{label}: no recorded row in {} (re-record with {} --record)",
-            floor.file,
-            floor.gate.name()
+            "{label}: no recorded row in {} (re-record with {NAME} --record)",
+            floor.file
         )
     })?;
     let fresh = fresh
@@ -555,11 +502,6 @@ fn judge(
     }
 }
 
-/// The floors `gate` measures, in table order.
-fn floors_of(gate: Gate) -> impl Iterator<Item = &'static Floor> {
-    FLOORS.iter().filter(move |f| f.gate == gate)
-}
-
 /// Runs `rows` [`ROUNDS`] times and keeps each row from its quietest
 /// round: a timed row from the round with the lowest median (a NaN
 /// median is the loudest), an accuracy row, which is deterministic, from
@@ -587,12 +529,12 @@ fn quietest(rows: impl Fn() -> (Vec<Row>, bool)) -> (Vec<Row>, bool) {
     (kept, failed)
 }
 
-/// The files `gate` records, in table order, each with the rows of
-/// `measured` that its floors read. Fails with the first floor no
-/// measured row answers.
-fn records_of(gate: Gate, measured: &[Row]) -> Result<Vec<(&'static str, Vec<Row>)>, String> {
+/// The record files, in table order, each with the rows of `measured`
+/// that its floors read. Fails with the first floor no measured row
+/// answers.
+fn records_of(measured: &[Row]) -> Result<Vec<(&'static str, Vec<Row>)>, String> {
     let mut files: Vec<(&'static str, Vec<Row>)> = Vec::new();
-    for floor in floors_of(gate) {
+    for floor in FLOORS {
         let row = measured
             .iter()
             .find(|r| floor.reads(r))
@@ -605,23 +547,22 @@ fn records_of(gate: Gate, measured: &[Row]) -> Result<Vec<(&'static str, Vec<Row
     Ok(files)
 }
 
-/// `--record`: writes exactly the rows `gate`'s floors read. Returns
-/// `true` on failure.
-fn record(gate: Gate, measured: &[Row]) -> bool {
-    let name = gate.name();
-    let files = match records_of(gate, measured) {
+/// `--record`: writes exactly the rows the floors read. Returns `true` on
+/// failure.
+fn record(measured: &[Row]) -> bool {
+    let files = match records_of(measured) {
         Ok(files) => files,
         Err(e) => {
-            eprintln!("{name}: FAIL - {e}");
+            eprintln!("{NAME}: FAIL - {e}");
             return true;
         }
     };
     let mut failed = false;
     for (file, rows) in files {
         match std::fs::write(file, render(available_parallelism(), &rows)) {
-            Ok(()) => println!("{name}: recorded {} rows to {file}", rows.len()),
+            Ok(()) => println!("{NAME}: recorded {} rows to {file}", rows.len()),
             Err(e) => {
-                eprintln!("{name}: FAIL - cannot write {file}: {e}");
+                eprintln!("{NAME}: FAIL - cannot write {file}: {e}");
                 failed = true;
             }
         }
@@ -629,17 +570,16 @@ fn record(gate: Gate, measured: &[Row]) -> bool {
     failed
 }
 
-/// `--bench-regression`: judges every floor of `gate` against its record.
-/// Returns `true` on failure.
-fn regression(gate: Gate, fresh: &[Row]) -> bool {
-    let name = gate.name();
+/// `--bench-regression`: judges every floor against its record. Returns
+/// `true` on failure.
+fn regression(fresh: &[Row]) -> bool {
     let mut records = std::collections::BTreeMap::new();
     let mut failed = false;
-    for floor in floors_of(gate) {
+    for floor in FLOORS {
         let record = records.entry(floor.file).or_insert_with(|| {
             read(Path::new(floor.file)).map(|record| {
                 println!(
-                    "{name}: {} was recorded with available_parallelism {} (here {})",
+                    "{NAME}: {} was recorded with available_parallelism {} (here {})",
                     floor.file,
                     record.available_parallelism,
                     available_parallelism()
@@ -648,50 +588,49 @@ fn regression(gate: Gate, fresh: &[Row]) -> bool {
             })
         });
         match judge(floor, record, fresh) {
-            Ok(report) => println!("{name}: bench {report} - OK"),
+            Ok(report) => println!("{NAME}: bench {report} - OK"),
             Err(report) => {
-                eprintln!("{name}: FAIL - bench {report}");
+                eprintln!("{NAME}: FAIL - bench {report}");
                 failed = true;
             }
         }
     }
     if !failed {
-        println!("{name}: PASS - every recorded floor holds");
+        println!("{NAME}: PASS - every recorded floor holds");
     }
     failed
 }
 
-/// The gate binaries' `main`: parses the arguments, runs one mode and
-/// exits 1 if it failed.
+/// `perf_smoke`'s `main`: parses the arguments, runs one mode and exits 1
+/// if it failed.
 ///
-/// - No argument: `parity`, the binary's default gates.
+/// - No argument: `ratios`, the binary's default checks.
 /// - `--record`: each row from the quietest of [`ROUNDS`] runs of
-///   `rows`, then writes the rows `gate`'s floors read to their files,
-///   unless a check of the measurement failed.
+///   `rows`, then writes the rows the floors read to their files, unless
+///   a check of the measurement failed.
 /// - `--bench-regression`: each row from the quietest of [`ROUNDS`] runs
-///   of `rows`, then judges every floor of `gate`.
+///   of `rows`, then judges every floor.
 ///
-/// `parity` returns `true` on failure; `rows` returns the measured rows
+/// `ratios` returns `true` on failure; `rows` returns the measured rows
 /// and `true` if a check made during the measurement failed.
-pub fn run(gate: Gate, parity: impl FnOnce() -> bool, rows: impl Fn() -> (Vec<Row>, bool)) {
+pub fn run(ratios: impl FnOnce() -> bool, rows: impl Fn() -> (Vec<Row>, bool)) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = gate.name();
     let failed = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [] => parity(),
+        [] => ratios(),
         ["--record"] => {
             let (rows, failed) = quietest(rows);
             if failed {
-                eprintln!("{name}: FAIL - a measurement check failed; nothing recorded");
+                eprintln!("{NAME}: FAIL - a measurement check failed; nothing recorded");
             }
-            failed || record(gate, &rows)
+            failed || record(&rows)
         }
         ["--bench-regression"] => {
             let (rows, failed) = quietest(rows);
-            regression(gate, &rows) | failed
+            regression(&rows) | failed
         }
         _ => {
             eprintln!(
-                "{name}: unknown arguments {args:?} (expected --record or --bench-regression)"
+                "{NAME}: unknown arguments {args:?} (expected --record or --bench-regression)"
             );
             true
         }
@@ -787,8 +726,6 @@ mod tests {
         assert_eq!(format_seconds(2.5), "2.50 s");
         assert_eq!(format_seconds(0.002), "2.00 ms");
         assert_eq!(format_seconds(2e-5), "20.0 us");
-        let table = render_timings("demo", &[("case-a".into(), timing(0.5))]);
-        assert!(table.contains("case-a") && table.contains("median of 5"));
     }
 
     #[test]
@@ -930,40 +867,34 @@ mod tests {
 
     #[test]
     fn every_record_holds_exactly_the_rows_its_floors_read() {
-        // Render what each gate's `--record` writes from dummy rows (a
-        // superset, as a measurement may produce extra rows), parse it
-        // back, and find every floor's row in its own file.
-        for gate in [Gate::Perf, Gate::Serve] {
-            let mut measured: Vec<Row> = floors_of(gate).map(dummy_row).collect();
-            measured.push(Row::timed("unrelated", "engine", 1, 1, timing(1.0)));
-            let files = records_of(gate, &measured).expect("every floor measured");
-            for floor in floors_of(gate) {
-                let (_, rows) = files
-                    .iter()
-                    .find(|(file, _)| *file == floor.file)
-                    .expect("the floor's file is recorded");
-                let record = parse(&render(2, rows)).map(|r| r.rows);
-                assert!(judge(floor, &record, &measured).is_ok(), "{floor:?}");
-            }
-            let written: usize = files.iter().map(|(_, rows)| rows.len()).sum();
-            assert_eq!(written, floors_of(gate).count());
-        }
-        // Every floor belongs to exactly one file, and each file to one gate.
-        for f in FLOORS {
-            assert!(FLOORS
+        // Render what `--record` writes from dummy rows (a superset, as a
+        // measurement may produce extra rows), parse it back, and find
+        // every floor's row in its own file.
+        let mut measured: Vec<Row> = FLOORS.iter().map(dummy_row).collect();
+        measured.push(Row::timed("unrelated", "engine", 1, 1, timing(1.0)));
+        let files = records_of(&measured).expect("every floor measured");
+        for floor in FLOORS {
+            let (_, rows) = files
                 .iter()
-                .filter(|g| g.file == f.file)
-                .all(|g| g.gate == f.gate));
+                .find(|(file, _)| *file == floor.file)
+                .expect("the floor's file is recorded");
+            let record = parse(&render(2, rows)).map(|r| r.rows);
+            assert!(judge(floor, &record, &measured).is_ok(), "{floor:?}");
         }
+        let written: usize = files.iter().map(|(_, rows)| rows.len()).sum();
+        assert_eq!(written, FLOORS.len());
+        assert_eq!(
+            files.iter().map(|(file, _)| *file).collect::<Vec<_>>(),
+            [EXTRACT, STA, SERVE]
+        );
         // A measurement missing a floor's row records nothing.
-        let first = floors_of(Gate::Serve).next().expect("a serve floor");
-        assert!(records_of(Gate::Serve, &[dummy_row(first)]).is_err());
+        assert!(records_of(&[dummy_row(&FLOORS[0])]).is_err());
     }
 
     #[test]
     fn quietest_keeps_each_timed_row_from_its_lowest_median_round() {
         assert_eq!(ROUNDS, 3);
-        let floors: Vec<&Floor> = floors_of(Gate::Perf).collect();
+        let floors: Vec<&Floor> = FLOORS.iter().collect();
         // Round by round: the timed medians, the accuracy q01 and whether
         // a check failed. The first round's timed rows are NaN.
         let plan = [

@@ -18,7 +18,7 @@
 //! - [`IoFaultInjection`] mirrors the extraction-path
 //!   [`crate::FaultInjection`]: decisions are keyed off
 //!   `split_seed(seed, op_index)`, so a fault schedule replays exactly,
-//!   which is what the `chaos` CI stage asserts across a thread matrix.
+//!   which `tests/durable.rs` asserts at 1, 2 and 4 threads.
 
 use crate::error::{ArtifactError, ArtifactErrorKind, ArtifactOp, FlowError, Result};
 use postopc_rng::{split_seed, RngExt, SeedableRng, StdRng};

@@ -401,12 +401,14 @@ impl ExtractionConfig {
         Ok(())
     }
 
-    /// The same configuration at different process conditions (for
-    /// process-window timing, experiment F5).
+    /// The same configuration imaged at different process conditions (for
+    /// process-window timing, experiment F5). Only `sim` moves: model OPC
+    /// images at `model_opc.sim`, which this leaves nominal, and rule OPC
+    /// reads no conditions, so OPC builds the same masks at every
+    /// condition.
     pub fn with_conditions(&self, conditions: ProcessConditions) -> ExtractionConfig {
         let mut cfg = self.clone();
         cfg.sim = cfg.sim.with_conditions(conditions);
-        cfg.model_opc.sim = cfg.model_opc.sim.clone(); // OPC stays at nominal: masks are built once
         cfg
     }
 }
@@ -1716,6 +1718,18 @@ mod tests {
     }
 
     #[test]
+    fn with_conditions_moves_only_the_imaging_conditions() {
+        let base = ExtractionConfig::standard();
+        let conditions = ProcessConditions {
+            focus_nm: 75.0,
+            dose: 1.06,
+        };
+        let mut expected = base.clone();
+        expected.sim = base.sim.with_conditions(conditions);
+        assert_eq!(base.with_conditions(conditions), expected);
+    }
+
+    #[test]
     fn extracts_all_tagged_gates() {
         let d = chain_design(6);
         let tags = TagSet::all(&d);
@@ -1820,7 +1834,7 @@ mod tests {
         .expect("design");
         let tags = TagSet::all(&d);
         let mut reference: Option<ExtractionOutcome> = None;
-        for threads in [1usize, 2, 3, 8] {
+        for threads in [1usize, 2, 3, 4, 8] {
             let mut cfg = fast_config(OpcMode::Rule);
             cfg.threads = Some(threads);
             let out = extract_gates(&d, &cfg, &tags).expect("extract");

@@ -435,13 +435,18 @@ mod tests {
     fn serve_warms_up_from_its_own_artifact_bit_identically() {
         let d = small_design();
         let cfg = fast_flow(Selection::Critical { paths: 2 });
+        let monte_carlo = postopc_sta::MonteCarloConfig {
+            samples: 30,
+            sigma_nm: 1.5,
+            seed: 7,
+            ..postopc_sta::MonteCarloConfig::default()
+        };
         let queries = vec![
             SessionQuery::Corners(postopc_sta::Corner::classic_set(6.0)),
-            SessionQuery::MonteCarlo(postopc_sta::MonteCarloConfig {
-                samples: 30,
-                sigma_nm: 1.5,
-                seed: 7,
-                ..postopc_sta::MonteCarloConfig::default()
+            SessionQuery::MonteCarlo(monte_carlo.clone()),
+            SessionQuery::Guardband(crate::guardband::GuardbandConfig {
+                monte_carlo,
+                ..crate::guardband::GuardbandConfig::default()
             }),
         ];
         let dir = std::env::temp_dir().join("postopc-serve-test");

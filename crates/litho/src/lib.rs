@@ -3,8 +3,7 @@
 //! Lithography simulation for the post-OPC timing flow: a SOCS-style
 //! aerial-image model with genuine proximity phenomenology (iso-dense bias,
 //! line-end pullback, corner rounding, through-focus/dose CD walk), a
-//! constant-threshold resist, cutline metrology, and focus-exposure-matrix
-//! sweeps.
+//! constant-threshold resist and cutline metrology.
 //!
 //! This crate substitutes the paper's calibrated commercial OPC/litho
 //! models (see `DESIGN.md`): the imaging operator is a weighted stack of
@@ -31,7 +30,6 @@
 
 pub mod cutline;
 mod error;
-mod fem;
 mod image;
 mod kernels;
 mod optics;
@@ -40,7 +38,6 @@ pub mod surrogate;
 mod workspace;
 
 pub use error::{LithoError, Result};
-pub use fem::{FemPoint, FocusExposureMatrix, ProcessWindow};
 pub use image::{AerialImage, KernelMode, SimulationSpec};
 pub use kernels::{ImagingKernel, KernelStack};
 pub use optics::{OpticsParams, ProcessConditions};

@@ -1,12 +1,11 @@
 //! # postopc-parallel
 //!
 //! A minimal scoped-thread work pool (no external dependencies) shared by
-//! the post-OPC extraction engine, Monte Carlo timing and the
-//! focus-exposure-matrix sweep.
+//! the post-OPC extraction engine and Monte Carlo timing.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism** — [`par_map`] returns results in input order, so a
+//! 1. **Determinism** — every map returns results in input order, so a
 //!    caller that merges them sequentially produces output that is
 //!    bit-identical to a serial run regardless of thread count or
 //!    scheduling.
@@ -23,8 +22,9 @@
 //! # Example
 //!
 //! ```
-//! let squares = postopc_parallel::par_map(4, &[1, 2, 3, 4], |_, &x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! let squares: Result<Vec<i32>, ()> =
+//!     postopc_parallel::try_par_map(4, &[1, 2, 3, 4], |_, &x| Ok(x * x));
+//! assert_eq!(squares, Ok(vec![1, 4, 9, 16]));
 //! ```
 
 #![warn(missing_docs)]
@@ -78,7 +78,7 @@ const CHUNKS_PER_WORKER: u64 = 4;
 /// # Panics
 ///
 /// Panics propagate from worker threads to the caller.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -87,7 +87,8 @@ where
     par_map_chunked(threads, items, |_, _| 1, || (), |(), i, t| f(i, t))
 }
 
-/// [`par_map`] with per-worker reusable state.
+/// Maps `f` over `items` on up to `threads` scoped workers with
+/// per-worker reusable state, returning the results in input order.
 ///
 /// `init` runs once per worker thread (exactly once total when the map
 /// degrades to the inline serial path at `threads <= 1`), and the state it
@@ -95,10 +96,10 @@ where
 /// Monte Carlo timing engine uses this to reuse scratch buffers across
 /// samples instead of reallocating them per item.
 ///
-/// Scheduling is identical to [`par_map`] (contiguous chunks, input-order
-/// merge), so as long as `f`'s *result* does not depend on the state's
-/// history — scratch buffers, caches — output is bit-identical to a serial
-/// run for any thread count.
+/// Scheduling is identical to [`try_par_map`] (contiguous chunks,
+/// input-order merge), so as long as `f`'s *result* does not depend on
+/// the state's history — scratch buffers, caches — output is
+/// bit-identical to a serial run for any thread count.
 ///
 /// # Panics
 ///
@@ -289,9 +290,15 @@ fn chunk_plan<T>(
     chunks
 }
 
-/// [`par_map`] with a fallible mapper: stops at nothing mid-flight (all
-/// items still run) but returns the **first** error in *input order*, so
-/// error reporting is deterministic too.
+/// Maps the fallible `f` over `items` on up to `threads` scoped workers,
+/// returning the results in input order. `f` receives the item index
+/// alongside the item, so callers can key deterministic per-item state
+/// (seeds, labels) off the input position. With `threads <= 1` (or fewer
+/// than two items) the map runs inline on the calling thread.
+///
+/// It stops at nothing mid-flight (all items still run) but returns the
+/// **first** error in *input order*, so error reporting is deterministic
+/// too.
 ///
 /// # Errors
 ///
@@ -340,7 +347,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fallible [`par_map`] with cost-aware chunked scheduling that **captures**
+/// Fallible map with cost-aware chunked scheduling that **captures**
 /// every fault instead of propagating it: each item runs under
 /// [`std::panic::catch_unwind`], so a typed error and a panic both come
 /// back as that item's [`FaultCause`] while every other item completes
@@ -641,7 +648,7 @@ mod tests {
     #[test]
     fn try_map_error_order_is_thread_count_invariant() {
         // Satellite gate: the "first error in input order" contract holds
-        // across the CI thread matrix, not just at one ambient count.
+        // across the thread matrix, not just at one ambient count.
         let items: Vec<usize> = (0..80).collect();
         for threads in [1, 2, 4] {
             let err = try_par_map(

@@ -806,7 +806,7 @@ pub struct ConvergencePoint {
     /// statistic antithetic sampling actually collapses: pairing cancels
     /// the leading error terms of *smooth* estimators, while a deep tail
     /// order statistic of the max-type worst slack keeps most of its
-    /// sampling noise (see the `mc_batch` benchmark table).
+    /// sampling noise (see the accuracy rows of `BENCH_sta.json`).
     pub mean_abs_err_ps: f64,
 }
 
@@ -814,8 +814,8 @@ pub struct ConvergencePoint {
 /// reference run: for each `(sampling, samples)` point, runs one Monte
 /// Carlo per seed in `seeds` (re-seeded from `base.seed` xor the entry)
 /// and reports the mean absolute errors of the worst-slack mean and
-/// 1%- and 0.1%-quantiles — the data behind the "matched mean error at
-/// fewer samples" CI gate and the `mc_batch` benchmark table.
+/// 1%- and 0.1%-quantiles — the data behind the accuracy rows of
+/// `BENCH_sta.json` and their CI checks.
 ///
 /// `reference_samples` should be several times the largest point (the
 /// reference uses plain sampling and `base.seed`).

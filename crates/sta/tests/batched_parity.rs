@@ -96,12 +96,17 @@ fn batched_matches_naive_reference_for_every_sampling() {
 
 #[test]
 fn variance_reduced_samplers_are_thread_count_invariant() {
-    // Antithetic pair streams and tilted streams are derived from the
-    // config alone (seed splitting per sample), so the worker partition
-    // must never show up in the results — across an uneven thread matrix.
+    // Plain streams, antithetic pair streams and tilted streams are
+    // derived from the config alone (seed splitting per sample), so the
+    // worker partition must never show up in the results — across an
+    // uneven thread matrix.
     let design = registered_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
-    for sampling in [Sampling::Antithetic, Sampling::TailIs { tilt: 1.2 }] {
+    for sampling in [
+        Sampling::Plain,
+        Sampling::Antithetic,
+        Sampling::TailIs { tilt: 1.2 },
+    ] {
         let base = MonteCarloConfig {
             samples: 3 * LANES + 5,
             sigma_nm: 2.0,
