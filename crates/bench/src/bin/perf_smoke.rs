@@ -34,8 +34,8 @@
 
 use postopc::guardband::GuardbandConfig;
 use postopc::{
-    extract_gates, ExtractionConfig, FlowConfig, OpcMode, QueryOutcome, Selection, SessionQuery,
-    SurrogateConfig, TagSet, TimingSession,
+    extract_gates, margin_clock, ExtractionConfig, FlowConfig, OpcMode, QueryOutcome, Selection,
+    SessionQuery, SurrogateConfig, TagSet, TimingSession,
 };
 use postopc_bench::runner::{measure, Row, Timing, T6};
 use postopc_bench::{dense_design, OrExit};
@@ -90,16 +90,6 @@ fn surrogate(threads: Option<usize>) -> ExtractionConfig {
     cfg
 }
 
-/// A clock 10 % over `design`'s drawn critical delay.
-fn margin_clock(design: &Design) -> f64 {
-    let probe = TimingModel::new(design, ProcessParams::n90(), 1_000_000.0).or_exit("probe model");
-    probe
-        .analyze(None)
-        .or_exit("probe timing")
-        .critical_delay_ps()
-        * 1.10
-}
-
 /// Ratio check 1: pooled vs serial cached extraction. Returns `true` on
 /// failure.
 fn pool_ratio() -> bool {
@@ -151,7 +141,7 @@ fn serve_workloads() -> Vec<(&'static str, Design, usize)> {
 
 /// A serve config over `paths` critical paths with the fast OPC recipe.
 fn serve_config(design: &Design, paths: usize) -> FlowConfig {
-    let mut cfg = FlowConfig::standard(margin_clock(design));
+    let mut cfg = FlowConfig::standard(margin_clock(design, 0.10).or_exit("drawn timing"));
     cfg.selection = Selection::Critical { paths };
     cfg.extraction.opc_mode = OpcMode::Rule;
     cfg
@@ -347,8 +337,8 @@ fn engine_rows() -> (Vec<Row>, bool) {
     // T6: the composite design, top-40 paths extracted with rule OPC as
     // the systematic CD annotation, clock 10 % over the drawn delay.
     let design = postopc_bench::evaluation_design(11);
-    let model =
-        TimingModel::new(&design, ProcessParams::n90(), margin_clock(&design)).or_exit("model");
+    let clock = margin_clock(&design, 0.10).or_exit("drawn timing");
+    let model = TimingModel::new(&design, ProcessParams::n90(), clock).or_exit("model");
     let drawn = model.analyze(None).or_exit("drawn timing");
     let path_tags = TagSet::from_critical_paths(&design, &drawn, 40);
     let out = extract_gates(&design, &cached(None), &path_tags).or_exit("extraction");

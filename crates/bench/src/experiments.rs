@@ -4,26 +4,38 @@
 
 use postopc::report::render_table;
 use postopc::{
-    extract_gates, extract_wires, ExtractionConfig, ExtractionOutcome, OpcMode, TagSet,
-    TimingComparison, WireExtractionConfig,
+    extract_gates, margin_clock, run_flow, ExtractionConfig, ExtractionOutcome, FlowConfig,
+    FlowReport, OpcMode, Selection, TagSet, WireExtractionConfig,
 };
 use postopc_cdex::CdStatistics;
 use postopc_device::ProcessParams;
-use postopc_layout::{Design, NetId};
+use postopc_layout::Design;
 use postopc_litho::ProcessConditions;
 use postopc_sta::{analyze_corners_with, statistical, Corner, MonteCarloConfig, TimingModel};
 use std::time::Instant;
 
-/// A timing model with the clock set `margin` above the drawn critical
-/// delay (e.g. 0.1 = 10% slack margin at drawn timing).
-fn model_with_margin<'d>(design: &'d Design, margin: f64) -> TimingModel<'d> {
-    let probe = TimingModel::new(design, ProcessParams::n90(), 1_000_000.0).expect("probe model");
-    let drawn_delay = probe
-        .analyze(None)
-        .expect("drawn timing")
-        .critical_delay_ps();
-    TimingModel::new(design, ProcessParams::n90(), drawn_delay * (1.0 + margin))
-        .expect("timing model")
+/// A timing model with the clock 10% above the drawn critical delay.
+fn model_with_margin(design: &Design) -> TimingModel<'_> {
+    let clock = margin_clock(design, 0.10).expect("drawn timing");
+    TimingModel::new(design, ProcessParams::n90(), clock).expect("timing model")
+}
+
+/// [`run_flow`] at a clock 10% above the drawn critical delay, tagging
+/// the gates of the top `paths` drawn speed paths and comparing the top
+/// `report_paths`.
+fn paper_flow(
+    design: &Design,
+    paths: usize,
+    report_paths: usize,
+    extraction: ExtractionConfig,
+    wires: Option<WireExtractionConfig>,
+) -> FlowReport {
+    let mut config = FlowConfig::standard(margin_clock(design, 0.10).expect("drawn timing"));
+    config.selection = Selection::Critical { paths };
+    config.report_paths = report_paths;
+    config.extraction = extraction;
+    config.wires = wires;
+    run_flow(design, &config).expect("flow")
 }
 
 /// Extraction config with a bounded model-OPC iteration count (the
@@ -35,12 +47,12 @@ fn config(mode: OpcMode) -> ExtractionConfig {
     cfg
 }
 
-/// "Silicon-calibrated" extraction: masks are OPC-corrected at nominal,
+/// "Silicon-calibrated" extraction: masks are rule-OPC-corrected at nominal,
 /// but the wafer is imaged at slightly off-nominal conditions (every real
 /// lot is) — this is what makes extracted CDs *context-dependently*
 /// different from drawn, the driver of criticality reordering.
-fn silicon_config(mode: OpcMode, design: &Design) -> ExtractionConfig {
-    let mut cfg = config(mode).with_conditions(ProcessConditions {
+fn silicon_config(design: &Design) -> ExtractionConfig {
+    let mut cfg = config(OpcMode::Rule).with_conditions(ProcessConditions {
         focus_nm: 40.0,
         dose: 1.01,
     });
@@ -78,7 +90,7 @@ pub fn t1() -> String {
     use postopc_geom::Polygon;
     use postopc_layout::{CellLibrary, Drive, GateKind, Layer, TechRules};
     use postopc_litho::{ResistModel, SimulationSpec};
-    use postopc_opc::{model, orc, rules, ModelOpcConfig, OrcConfig, RuleOpcConfig};
+    use postopc_opc::{orc, rules, selective, ModelOpcConfig, OrcConfig, RuleOpcConfig};
 
     // A realistic pattern: a NAND3 cell's poly with a neighbouring
     // inverter's poly as context.
@@ -107,18 +119,13 @@ pub fn t1() -> String {
     };
 
     let none_report = verify(&targets, &context);
-    let rule = rules::correct(&RuleOpcConfig::standard(), &targets, &context).expect("rule");
-    let rule_ctx =
-        rules::correct(&RuleOpcConfig::standard(), &context, &targets).expect("rule ctx");
-    let rule_report = verify(&rule.corrected, &rule_ctx.corrected);
-    let model_result = model::correct(
-        &ModelOpcConfig::standard(),
-        &targets,
-        &rule_ctx.corrected,
-        window,
-    )
-    .expect("model");
-    let model_report = verify(&model_result.corrected, &rule_ctx.corrected);
+    let (model_cfg, rule_cfg) = (ModelOpcConfig::standard(), RuleOpcConfig::standard());
+    let rule = rules::correct(&rule_cfg, &targets, &context).expect("rule");
+    // Extraction's model recipe: model OPC against rule-corrected context.
+    let model =
+        selective::correct(&model_cfg, &rule_cfg, &targets, &context, &[], window).expect("model");
+    let rule_report = verify(&rule.corrected, &model.corrected_untagged);
+    let model_report = verify(&model.corrected_tagged, &model.corrected_untagged);
 
     let mut rows = Vec::new();
     for (name, report) in [
@@ -247,23 +254,18 @@ pub fn f3_t4() -> (String, String) {
     // 20 near-identical speed paths in diverse placement contexts: the
     // "slack wall" of a timing-optimized design.
     let design = crate::farm_design(20, 24, 11);
-    let model = model_with_margin(&design, 0.10);
-    let drawn = model.analyze(None).expect("drawn timing");
     // Tag generously so every candidate path is annotated.
-    let tags = TagSet::from_critical_paths(&design, &drawn, 40);
-    let out =
-        extract_gates(&design, &silicon_config(OpcMode::Rule, &design), &tags).expect("extraction");
-    let comparison =
-        TimingComparison::compare(&model, &design, &out.annotation, 20).expect("comparison");
+    let flow = paper_flow(&design, 40, 20, silicon_config(&design), None);
+    let comparison = &flow.comparison;
     let f3 = {
-        let mut text = postopc::report::render_path_comparison(&design, &comparison);
+        let mut text = postopc::report::render_path_comparison(&design, comparison);
         text.insert_str(
             0,
             &format!(
                 "F3: {} gates tagged ({}% of design), {} extracted\n",
-                tags.len(),
-                (100.0 * tags.coverage(&design)).round(),
-                out.stats.gates_extracted
+                flow.tags.len(),
+                (100.0 * flow.tags.coverage(&design)).round(),
+                flow.extraction.gates_extracted
             ),
         );
         text.push_str(&format!(
@@ -315,7 +317,7 @@ pub fn f3_t4() -> (String, String) {
 /// focus-exposure matrix (extraction per condition, rule-OPC masks).
 pub fn f5() -> String {
     let design = crate::evaluation_design(11);
-    let model = model_with_margin(&design, 0.10);
+    let model = model_with_margin(&design);
     let drawn = model.analyze(None).expect("drawn timing");
     let tags = TagSet::from_critical_paths(&design, &drawn, 3);
     let focus_values = [-150.0, -75.0, 0.0, 75.0, 150.0];
@@ -366,7 +368,7 @@ pub fn f5() -> String {
 /// tail check of the sampling-accuracy study.
 pub fn t6() -> String {
     let design = crate::evaluation_design(11);
-    let model = model_with_margin(&design, 0.10);
+    let model = model_with_margin(&design);
     // One compiled evaluator serves the drawn pass, the corner sweep and
     // the batched Monte Carlo run (compile-once-per-flow).
     let compiled = model.compile().expect("compile");
@@ -489,7 +491,7 @@ pub fn t6() -> String {
 /// everywhere vs model everywhere: accuracy on critical gates against cost.
 pub fn t7() -> String {
     let design = crate::random_design(120, 9);
-    let model = model_with_margin(&design, 0.10);
+    let model = model_with_margin(&design);
     let drawn = model.analyze(None).expect("drawn timing");
     let tagged = TagSet::from_critical_paths(&design, &drawn, 10);
     let all = TagSet::all(&design);
@@ -554,31 +556,14 @@ pub fn t7() -> String {
 /// wire widths: the extra interconnect perturbation.
 pub fn f8() -> String {
     let design = crate::evaluation_design(11);
-    let model = model_with_margin(&design, 0.10);
-    let drawn = model.analyze(None).expect("drawn timing");
-    let tags = TagSet::from_critical_paths(&design, &drawn, 20);
-    let out = extract_gates(&design, &config(OpcMode::Rule), &tags).expect("extraction");
-    let poly_only = model.analyze(Some(&out.annotation)).expect("poly timing");
-    // Add wire annotation on the tagged gates' nets.
-    let mut nets: Vec<NetId> = Vec::new();
-    for gate in tags.sorted() {
-        let g = design.netlist().gate(gate);
-        nets.push(g.output);
-        nets.extend(g.inputs.iter().copied());
-    }
-    nets.sort_unstable();
-    nets.dedup();
-    let mut annotation = out.annotation.clone();
-    let wire_stats = extract_wires(
-        &design,
-        &WireExtractionConfig::standard(),
-        &nets,
-        &mut annotation,
-    )
-    .expect("wire extraction");
-    let multi = model
-        .analyze(Some(&annotation))
-        .expect("multi-layer timing");
+    // The same flow without and with the wire step on the tagged gates'
+    // nets.
+    let [poly, wired] = [None, Some(WireExtractionConfig::standard())]
+        .map(|wires| paper_flow(&design, 20, 5, config(OpcMode::Rule), wires));
+    let drawn = &poly.comparison.drawn;
+    let poly_only = &poly.comparison.annotated;
+    let multi = &wired.comparison.annotated;
+    let wire_stats = wired.wire_stats.expect("the wire step ran");
     let rows: Vec<Vec<String>> = poly_only
         .top_paths(&design, 5)
         .iter()
@@ -626,7 +611,7 @@ pub fn t9() -> String {
     let mut ratios = Vec::new();
     for &gates in &[60usize, 150, 400] {
         let design = crate::random_design(gates, 21);
-        let model = model_with_margin(&design, 0.10);
+        let model = model_with_margin(&design);
         let drawn = model.analyze(None).expect("drawn timing");
         let tagged = TagSet::from_critical_paths(&design, &drawn, 5);
         let cfg = config(OpcMode::Rule);
@@ -970,24 +955,20 @@ pub fn t10() -> String {
         },
     )
     .expect("design");
-    let model = model_with_margin(&design, 0.10);
-    let drawn = model.analyze(None).expect("drawn timing");
-    let tags = TagSet::from_critical_paths(&design, &drawn, 24);
-    let out =
-        extract_gates(&design, &silicon_config(OpcMode::Rule, &design), &tags).expect("extraction");
-    let comparison =
-        TimingComparison::compare(&model, &design, &out.annotation, 12).expect("comparison");
-    let registers_tagged = tags
+    let flow = paper_flow(&design, 24, 12, silicon_config(&design), None);
+    let comparison = &flow.comparison;
+    let registers_tagged = flow
+        .tags
         .sorted()
         .into_iter()
         .filter(|&g| design.netlist().gate(g).kind == postopc_layout::GateKind::Dff)
         .count();
-    let mut text = postopc::report::render_path_comparison(&design, &comparison);
+    let mut text = postopc::report::render_path_comparison(&design, comparison);
     text.insert_str(
         0,
         &format!(
             "T10: {} gates tagged including {} launch/capture registers\n",
-            tags.len(),
+            flow.tags.len(),
             registers_tagged
         ),
     );

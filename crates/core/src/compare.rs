@@ -3,7 +3,7 @@
 
 use crate::error::Result;
 use postopc_layout::{Design, NetId};
-use postopc_sta::{CdAnnotation, CompiledSta, StaScratch, TimingModel, TimingPath, TimingReport};
+use postopc_sta::{CdAnnotation, CompiledSta, StaScratch, TimingPath, TimingReport};
 use std::collections::HashMap;
 
 /// The two timing views of one design plus path-level comparisons.
@@ -20,26 +20,10 @@ pub struct TimingComparison {
 }
 
 impl TimingComparison {
-    /// Runs both analyses through the compiled evaluator and collects the
-    /// top-`k` speed paths of each.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-analysis errors.
-    pub fn compare(
-        model: &TimingModel<'_>,
-        design: &Design,
-        annotation: &CdAnnotation,
-        k: usize,
-    ) -> Result<TimingComparison> {
-        let compiled = model.compile()?;
-        let mut scratch = compiled.scratch();
-        Self::compare_with(&compiled, &mut scratch, design, annotation, k)
-    }
-
-    /// [`compare`](Self::compare) against an already-compiled model —
-    /// callers that run other analyses too (the flow) share the
-    /// compilation and scratch.
+    /// Runs the drawn and the annotated analysis through a compiled
+    /// evaluator and scratch the caller shares with its other analyses
+    /// (the flow's drawn pass), and collects the top-`k` speed paths of
+    /// each.
     ///
     /// # Errors
     ///
@@ -193,7 +177,13 @@ mod tests {
     use super::*;
     use postopc_device::{MosKind, ProcessParams};
     use postopc_layout::{generate, GateId, TechRules};
-    use postopc_sta::GateAnnotation;
+    use postopc_sta::{GateAnnotation, TimingModel};
+
+    fn compare(model: &TimingModel, d: &Design, ann: &CdAnnotation, k: usize) -> TimingComparison {
+        let compiled = model.compile().expect("compile");
+        TimingComparison::compare_with(&compiled, &mut compiled.scratch(), d, ann, k)
+            .expect("compare")
+    }
 
     fn design() -> Design {
         // The composite test case has many near-critical paths — the
@@ -241,7 +231,7 @@ mod tests {
                 },
             );
         }
-        let cmp = TimingComparison::compare(&model, &d, &ann, 10).expect("compare");
+        let cmp = compare(&model, &d, &ann, 10);
         assert!((cmp.kendall_tau() - 1.0).abs() < 1e-12);
         assert_eq!(cmp.mean_rank_displacement(), 0.0);
         assert_eq!(cmp.newly_critical(), 0);
@@ -253,7 +243,7 @@ mod tests {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 600.0).expect("model");
         let ann = perturbed_annotation(&d, &model, 6.0);
-        let cmp = TimingComparison::compare(&model, &d, &ann, 15).expect("compare");
+        let cmp = compare(&model, &d, &ann, 15);
         assert!(
             cmp.kendall_tau() < 0.999,
             "tau = {} should drop under perturbation",
@@ -267,12 +257,8 @@ mod tests {
     fn stronger_perturbation_reorders_more() {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 600.0).expect("model");
-        let weak =
-            TimingComparison::compare(&model, &d, &perturbed_annotation(&d, &model, 1.0), 15)
-                .expect("compare");
-        let strong =
-            TimingComparison::compare(&model, &d, &perturbed_annotation(&d, &model, 8.0), 15)
-                .expect("compare");
+        let weak = compare(&model, &d, &perturbed_annotation(&d, &model, 1.0), 15);
+        let strong = compare(&model, &d, &perturbed_annotation(&d, &model, 8.0), 15);
         assert!(strong.kendall_tau() <= weak.kendall_tau());
         assert!(strong.worst_slack_shift_fraction() >= weak.worst_slack_shift_fraction());
     }
@@ -295,7 +281,7 @@ mod tests {
                 },
             );
         }
-        let cmp = TimingComparison::compare(&model, &d, &ann, 10).expect("compare");
+        let cmp = compare(&model, &d, &ann, 10);
         assert!(cmp.critical_delay_shift_fraction() < 0.0);
         assert!(cmp.leakage_shift_fraction() > 0.0);
     }

@@ -42,7 +42,7 @@ use postopc_device::{EquivalentGate, GateSlice, MosKind, ProcessParams};
 use postopc_geom::{Coord, Polygon, Rect, Vector};
 use postopc_layout::{Design, GateId, Layer, TransistorSite};
 use postopc_litho::{AerialImage, ProcessConditions, ResistModel, SimulationSpec, SurrogateModel};
-use postopc_opc::{model, rules, ModelOpcConfig, RuleOpcConfig};
+use postopc_opc::{rules, selective, ModelOpcConfig, RuleOpcConfig};
 use postopc_parallel::FaultCause;
 use postopc_sta::{CdAnnotation, GateAnnotation, TransistorCd};
 use std::collections::HashMap;
@@ -1623,11 +1623,12 @@ fn run_unique(config: &ExtractionConfig, key: &ContextKey) -> Result<UniqueOutco
             (t.corrected, c.corrected)
         }
         OpcMode::Model => {
-            let c = rules::correct(&config.rule_opc, context, targets)?;
-            let m = model::correct(&config.model_opc, targets, &c.corrected, window)?;
-            opc_simulations = m.report.simulations;
-            opc_fragment_moves = m.report.fragment_moves;
-            (m.corrected, c.corrected)
+            // Model OPC on the targets against the rule-corrected context.
+            let (model_opc, rule_opc) = (&config.model_opc, &config.rule_opc);
+            let m = selective::correct(model_opc, rule_opc, targets, context, &[], window)?;
+            opc_simulations = m.model_report.simulations;
+            opc_fragment_moves = m.model_report.fragment_moves;
+            (m.corrected_tagged, m.corrected_untagged)
         }
     };
 

@@ -15,13 +15,16 @@ use crate::artifact::{content_hash, WarmArtifact};
 use crate::compare::TimingComparison;
 use crate::durable::{ArtifactIo, ArtifactLock, IoFaultInjection, RetryPolicy};
 use crate::error::{ArtifactErrorKind, FlowError, Result};
-use crate::extract::{extract_gates, ExtractionConfig, ExtractionStats};
+use crate::extract::{
+    extract_gates_with_caches, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
+};
 use crate::multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
 use crate::tags::TagSet;
 use postopc_device::ProcessParams;
 use postopc_layout::{Design, NetId};
-use postopc_sta::{CdAnnotation, TimingModel};
+use postopc_litho::SurrogateModel;
+use postopc_sta::{CdAnnotation, TimingModel, TimingReport};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -98,6 +101,20 @@ impl FlowReport {
     }
 }
 
+/// A clock `margin` above `design`'s drawn critical delay (0.1 = 10 %
+/// slack at drawn timing), with the drawn delay timed on the standard
+/// process at a 1 µs probe clock.
+///
+/// # Errors
+///
+/// Propagates timing errors.
+pub fn margin_clock(design: &Design, margin: f64) -> Result<f64> {
+    let probe = TimingModel::new(design, ProcessParams::n90(), 1e6)?;
+    let compiled = probe.compile()?;
+    let drawn = compiled.evaluate(&mut compiled.scratch(), None)?;
+    Ok(drawn.critical_delay_ps() * (1.0 + margin))
+}
+
 /// Runs the complete post-OPC timing flow on a compiled design.
 ///
 /// # Errors
@@ -111,32 +128,11 @@ pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowReport> {
 
     // Step 1-2: drawn timing and tagging.
     let drawn = compiled.evaluate(&mut scratch, None)?;
-    let tags = match config.selection {
-        Selection::All => TagSet::all(design),
-        Selection::Critical { paths } => TagSet::from_critical_paths(design, &drawn, paths),
-    };
+    let tags = select_tags(design, config, &drawn);
 
-    // Step 3: selective extraction.
+    // Steps 3-4: selective extraction and the optional wire step.
     let t0 = Instant::now();
-    let outcome = extract_gates(design, &config.extraction, &tags)?;
-    let mut annotation = outcome.annotation;
-
-    // Step 4: optional multi-layer extraction on the nets of the tagged
-    // gates' outputs and inputs.
-    let wire_stats = match &config.wires {
-        Some(wire_config) => {
-            let mut nets: Vec<NetId> = Vec::new();
-            for gate in tags.sorted() {
-                let g = design.netlist().gate(gate);
-                nets.push(g.output);
-                nets.extend(g.inputs.iter().copied());
-            }
-            nets.sort_unstable();
-            nets.dedup();
-            Some(extract_wires(design, wire_config, &nets, &mut annotation)?)
-        }
-        None => None,
-    };
+    let (outcome, wire_stats) = extract_step(design, config, &tags, None, None)?;
     let extraction_time = t0.elapsed();
 
     // Step 5: back-annotated timing and comparison.
@@ -145,7 +141,7 @@ pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowReport> {
         &compiled,
         &mut scratch,
         design,
-        &annotation,
+        &outcome.annotation,
         config.report_paths,
     )?;
     let timing_time = t1.elapsed();
@@ -154,11 +150,52 @@ pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowReport> {
         tags,
         extraction: outcome.stats,
         wire_stats,
-        annotation,
+        annotation: outcome.annotation,
         comparison,
         extraction_time,
         timing_time,
     })
+}
+
+/// The flow's tag step: every gate, or the gates on the top drawn speed
+/// paths of `drawn`.
+pub(crate) fn select_tags(design: &Design, config: &FlowConfig, drawn: &TimingReport) -> TagSet {
+    match config.selection {
+        Selection::All => TagSet::all(design),
+        Selection::Critical { paths } => TagSet::from_critical_paths(design, drawn, paths),
+    }
+}
+
+/// The flow's extraction steps: extracts the tagged gates (through a warm
+/// context store and surrogate model when given), then, when the config
+/// enables the multi-layer step, annotates the printed widths of every
+/// net a tagged gate drives or reads into the outcome's annotation.
+///
+/// # Errors
+///
+/// Propagates extraction and wire-extraction errors.
+pub(crate) fn extract_step(
+    design: &Design,
+    config: &FlowConfig,
+    tags: &TagSet,
+    store: Option<&mut ContextStore>,
+    surrogate: Option<&mut SurrogateModel>,
+) -> Result<(ExtractionOutcome, Option<WireExtractionStats>)> {
+    let mut outcome =
+        extract_gates_with_caches(design, &config.extraction, tags, store, surrogate)?;
+    let Some(wire_config) = &config.wires else {
+        return Ok((outcome, None));
+    };
+    let mut nets: Vec<NetId> = Vec::new();
+    for gate in tags.sorted() {
+        let g = design.netlist().gate(gate);
+        nets.push(g.output);
+        nets.extend(g.inputs.iter().copied());
+    }
+    nets.sort_unstable();
+    nets.dedup();
+    let stats = extract_wires(design, wire_config, &nets, &mut outcome.annotation)?;
+    Ok((outcome, Some(stats)))
 }
 
 /// Why a [`serve`] invocation came up cold instead of warm — the rung of

@@ -65,8 +65,8 @@ pub use extract::{
 };
 pub use fault::{FaultInjection, FaultPolicy, FaultStage, InjectedFault, QuarantinedGate};
 pub use flow::{
-    run_flow, serve, serve_with, ColdReason, FlowConfig, FlowReport, PersistStatus, Selection,
-    ServeOptions, ServeReport,
+    margin_clock, run_flow, serve, serve_with, ColdReason, FlowConfig, FlowReport, PersistStatus,
+    Selection, ServeOptions, ServeReport,
 };
 pub use multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 pub use session::{

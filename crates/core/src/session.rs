@@ -17,12 +17,10 @@
 
 use crate::artifact::{content_hash, WarmArtifact};
 use crate::error::{FlowError, Result};
-use crate::extract::{extract_gates_with_caches, ContextStore, ExtractionStats};
-use crate::flow::{FlowConfig, Selection};
+use crate::extract::{ContextStore, ExtractionStats};
+use crate::flow::{extract_step, select_tags, FlowConfig};
 use crate::guardband::{GuardbandAnalysis, GuardbandConfig};
-use crate::multilayer::extract_wires;
 use crate::tags::TagSet;
-use postopc_layout::{Design, NetId};
 use postopc_litho::SurrogateModel;
 use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
@@ -170,8 +168,9 @@ pub struct EcoOutcome {
 
 /// A long-running timing service over one compiled design.
 ///
-/// Borrows the caller's [`TimingModel`] (which borrows the [`Design`]),
-/// so a session lives as long as the model it was opened against:
+/// Borrows the caller's [`TimingModel`] (which borrows the
+/// [`Design`](postopc_layout::Design)), so a session lives as long as the
+/// model it was opened against:
 ///
 /// ```no_run
 /// use postopc::{FlowConfig, SessionQuery, TimingSession};
@@ -220,28 +219,6 @@ fn session_model(config: &FlowConfig) -> Option<SurrogateModel> {
     })
 }
 
-/// Runs the (optional) multi-layer wire step for the tagged gates' nets
-/// into `annotation` — the same net selection as [`crate::run_flow`].
-fn annotate_wires(
-    design: &Design,
-    config: &FlowConfig,
-    tags: &TagSet,
-    annotation: &mut CdAnnotation,
-) -> Result<()> {
-    if let Some(wire_config) = &config.wires {
-        let mut nets: Vec<NetId> = Vec::new();
-        for gate in tags.sorted() {
-            let g = design.netlist().gate(gate);
-            nets.push(g.output);
-            nets.extend(g.inputs.iter().copied());
-        }
-        nets.sort_unstable();
-        nets.dedup();
-        extract_wires(design, wire_config, &nets, annotation)?;
-    }
-    Ok(())
-}
-
 impl<'m> TimingSession<'m> {
     /// Opens a session cold: compiles the evaluator, runs drawn timing,
     /// tags, extracts (filling a fresh [`ContextStore`]) and establishes
@@ -260,21 +237,12 @@ impl<'m> TimingSession<'m> {
         let compiled = model.compile()?;
         let mut scratch = compiled.scratch();
         let drawn = compiled.evaluate(&mut scratch, None)?;
-        let tags = match config.selection {
-            Selection::All => TagSet::all(design),
-            Selection::Critical { paths } => TagSet::from_critical_paths(design, &drawn, paths),
-        };
+        let tags = select_tags(design, config, &drawn);
         let mut store = ContextStore::new();
         let mut surrogate = session_model(config);
-        let outcome = extract_gates_with_caches(
-            design,
-            &config.extraction,
-            &tags,
-            Some(&mut store),
-            surrogate.as_mut(),
-        )?;
-        let mut annotation = outcome.annotation;
-        annotate_wires(design, config, &tags, &mut annotation)?;
+        let (outcome, _) =
+            extract_step(design, config, &tags, Some(&mut store), surrogate.as_mut())?;
+        let annotation = outcome.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
         Ok(TimingSession {
             config: config.clone(),
@@ -547,16 +515,14 @@ impl<'m> TimingSession<'m> {
     }
 
     fn apply_eco_inner(&mut self, tags: &TagSet) -> Result<EcoOutcome> {
-        let design = self.compiled.model().design();
-        let outcome = extract_gates_with_caches(
-            design,
-            &self.config.extraction,
+        let (outcome, _) = extract_step(
+            self.compiled.model().design(),
+            &self.config,
             tags,
             Some(&mut self.store),
             self.surrogate.as_mut(),
         )?;
-        let mut next = outcome.annotation;
-        annotate_wires(design, &self.config, tags, &mut next)?;
+        let next = outcome.annotation;
         // As in the what-if path: a failing `evaluate_eco` leaves
         // half-updated scratch state behind, so flag it dirty until the
         // commit below succeeds.
@@ -579,8 +545,9 @@ impl<'m> TimingSession<'m> {
 mod tests {
     use super::*;
     use crate::extract::OpcMode;
+    use crate::flow::Selection;
     use crate::run_flow;
-    use postopc_layout::{generate, TechRules};
+    use postopc_layout::{generate, Design, NetId, TechRules};
 
     fn design() -> Design {
         Design::compile(

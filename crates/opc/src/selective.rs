@@ -11,6 +11,7 @@ use crate::error::Result;
 use crate::model::{self, ModelOpcConfig, OpcReport};
 use crate::rules::{self, RuleOpcConfig};
 use postopc_geom::{Polygon, Rect};
+use std::borrow::Cow;
 
 /// Result of a selective correction run.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,15 +47,10 @@ pub fn correct(
     window: Rect,
 ) -> Result<SelectiveResult> {
     // Rule pass over the non-critical geometry.
-    let rule_result = rules::correct(rule_config, untagged, &{
-        let mut ctx: Vec<Polygon> = tagged.to_vec();
-        ctx.extend(context.iter().cloned());
-        ctx
-    })?;
+    let rule_result = rules::correct(rule_config, untagged, &with_context(tagged, context))?;
     // Model pass over the critical geometry, seeing the rule-corrected
     // neighbours as context.
-    let mut model_context = rule_result.corrected.clone();
-    model_context.extend(context.iter().cloned());
+    let model_context = with_context(&rule_result.corrected, context);
     let model_result = model::correct(model_config, tagged, &model_context, window)?;
     Ok(SelectiveResult {
         corrected_tagged: model_result.corrected,
@@ -62,6 +58,15 @@ pub fn correct(
         model_report: model_result.report,
         rule_fragments: rule_result.fragments,
     })
+}
+
+/// `polys` followed by `context`, copied only when there is a context.
+fn with_context<'a>(polys: &'a [Polygon], context: &[Polygon]) -> Cow<'a, [Polygon]> {
+    if context.is_empty() {
+        Cow::Borrowed(polys)
+    } else {
+        polys.iter().chain(context).cloned().collect()
+    }
 }
 
 #[cfg(test)]

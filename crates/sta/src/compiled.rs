@@ -7,19 +7,19 @@
 //! The evaluator is a pure refactoring of [`TimingModel::analyze`]: every
 //! float operation happens on the same values in the same order, so the
 //! results are **bit-identical** to the naive path (enforced by the
-//! `compiled_parity` reference-implementation tests). Characterization is
-//! a pure function of each call's inputs — the scratch holds buffers
-//! only, so no answer depends on what it evaluated before. Workloads that
-//! shift every gate uniformly (corners, the Monte Carlo shift table, the
-//! tail-sampling sensitivity pass) deduplicate gates into distinct cells
-//! first and run the device model once per cell, not once per gate.
+//! `compiled_parity` reference-implementation tests). A full evaluation
+//! is the incremental (ECO) forward pass started with everything dirty,
+//! so no answer depends on what the scratch evaluated before. Workloads
+//! that shift every gate uniformly (corners, the Monte Carlo shift table,
+//! the tail-sampling sensitivity pass) deduplicate gates into distinct
+//! cells first and run the device model once per cell, not per gate.
 
 use crate::annotate::{CdAnnotation, TransistorCd};
 use crate::error::{Result, StaError};
 use crate::graph::{TimingModel, TimingReport};
 use crate::liberty::{CellTiming, CLOCK_SLEW_PS, PRIMARY_INPUT_SLEW_PS};
 use postopc_device::Wire;
-use postopc_layout::{GateId, GateKind, NetId};
+use postopc_layout::{Gate, GateId, GateKind, NetId};
 use std::collections::HashMap;
 
 /// Samples the Monte Carlo evaluator processes per gate visit.
@@ -31,42 +31,6 @@ use std::collections::HashMap;
 /// endpoint pushes) across eight samples while keeping the per-batch state
 /// well inside L2 for realistic designs.
 pub const LANES: usize = 8;
-
-/// Exact-bit equality of two cell timings. The incremental (ECO) path
-/// must treat `-0.0`/`+0.0` and distinct NaN payloads as *different* —
-/// `PartialEq` would not — because "unchanged" there means "the stored
-/// bits the full pass would have produced".
-fn timing_bits_eq(a: &CellTiming, b: &CellTiming) -> bool {
-    let bits = |x: f64, y: f64| x.to_bits() == y.to_bits();
-    let seq = match (&a.sequential, &b.sequential) {
-        (None, None) => true,
-        (Some(x), Some(y)) => bits(x.clk_to_q_ps, y.clk_to_q_ps) && bits(x.setup_ps, y.setup_ps),
-        _ => false,
-    };
-    seq && bits(a.input_cap_ff, b.input_cap_ff)
-        && bits(a.pull_up_r_kohm, b.pull_up_r_kohm)
-        && bits(a.pull_down_r_kohm, b.pull_down_r_kohm)
-        && bits(a.intrinsic_ps, b.intrinsic_ps)
-        && bits(a.output_cap_ff, b.output_cap_ff)
-        && bits(a.leakage_ua, b.leakage_ua)
-        && a.nldm
-            .load_axis_ff
-            .iter()
-            .zip(b.nldm.load_axis_ff.iter())
-            .all(|(x, y)| bits(*x, *y))
-        && a.nldm
-            .delay_grid_ps
-            .iter()
-            .flatten()
-            .zip(b.nldm.delay_grid_ps.iter().flatten())
-            .all(|(x, y)| bits(*x, *y))
-        && a.nldm
-            .slew_grid_ps
-            .iter()
-            .flatten()
-            .zip(b.nldm.slew_grid_ps.iter().flatten())
-            .all(|(x, y)| bits(*x, *y))
-}
 
 /// Summary of one evaluated sample — the quantities Monte Carlo keeps,
 /// produced without materializing a full [`TimingReport`].
@@ -183,18 +147,20 @@ pub struct StaScratch {
     lane_slews: Vec<[f64; LANES]>,
     lane_arrivals: Vec<[f64; LANES]>,
     lane_endpoint_required: Vec<(NetId, [f64; LANES])>,
-    /// Incremental (ECO) dirty flags: gates whose timing or sink load
-    /// changed and must re-derive delay/slew this pass.
-    eco_gate_dirty: Vec<bool>,
-    /// Incremental dirty flags: nets whose sink capacitance must be
-    /// re-summed (a sink gate's input cap changed).
-    eco_net_cap_dirty: Vec<bool>,
-    /// Incremental change flags: nets whose output slew bits moved.
-    eco_slew_changed: Vec<bool>,
-    /// Incremental change flags: nets whose arrival bits moved.
-    eco_arrival_changed: Vec<bool>,
-    /// Incremental change flags: gates whose delay bits moved.
-    eco_delay_changed: Vec<bool>,
+    /// Forward-pass dirty flags: gates whose timing or sink load changed
+    /// and must re-derive delay/slew this pass (all set for a full pass).
+    gate_dirty: Vec<bool>,
+    /// Forward-pass dirty flags: nets whose sink capacitance must be
+    /// re-summed (a sink gate's input cap changed; all set for a full
+    /// pass).
+    net_cap_dirty: Vec<bool>,
+    /// Forward-pass change flags: nets whose output slew bits moved.
+    slew_changed: Vec<bool>,
+    /// Forward-pass change flags: nets whose arrival bits moved.
+    arrival_changed: Vec<bool>,
+    /// Forward-pass change flags: gates whose delay bits moved (all set
+    /// for a full pass).
+    delay_changed: Vec<bool>,
 }
 
 /// The read-only `(cell, shift-bin) → CellTiming` table of one Monte
@@ -242,6 +208,47 @@ impl ShiftTable {
         let i = self.idx[cell as usize * self.span + off as usize];
         (i != u32::MAX).then_some(i)
     }
+}
+
+/// One gate's stage delay and output slew: the NLDM table at the worst
+/// input slew and the lumped load (sink caps plus the gate's own output
+/// cap), plus the Elmore excess of its output wire over the lumped `R·C`
+/// the table already charges. The formula of [`TimingModel::analyze`],
+/// written once for the forward pass, each Monte Carlo lane and the
+/// sensitivities. Always inlined: left to the compiler's heuristics, the
+/// Monte Carlo lane loop ran ≈ 25 % slower per sample.
+#[inline(always)]
+fn stage(t: &CellTiming, slew_in: f64, sink_cap_ff: f64, wire: Option<&Wire>) -> (f64, f64) {
+    let c_sinks = sink_cap_ff + t.output_cap_ff;
+    let (table_delay, out_slew) = t.nldm.delay_and_slew_ps(slew_in, c_sinks);
+    let delay = match wire {
+        Some(w) => {
+            let r = t.drive_r_kohm();
+            table_delay + (w.elmore_delay_ps(r, c_sinks) - r * c_sinks)
+        }
+        None => table_delay,
+    };
+    (delay, out_slew)
+}
+
+/// The worst of `gate`'s input-net `values` (slews or arrivals), or
+/// `launch` for a register, which launches from the clock edge.
+#[inline]
+fn worst_input(gate: &Gate, values: &[f64], launch: f64) -> f64 {
+    if gate.kind.is_sequential() {
+        launch
+    } else {
+        gate.inputs
+            .iter()
+            .map(|n| values[n.0 as usize])
+            .fold(0.0, f64::max)
+    }
+}
+
+/// Whether one of `gate`'s input nets is flagged in `changed` (a
+/// register's output does not depend on its inputs).
+fn fed_by(gate: &Gate, changed: &[bool]) -> bool {
+    !gate.kind.is_sequential() && gate.inputs.iter().any(|n| changed[n.0 as usize])
 }
 
 impl<'m> CompiledSta<'m> {
@@ -330,11 +337,11 @@ impl<'m> CompiledSta<'m> {
             lane_slews: vec![[0.0; LANES]; n_nets],
             lane_arrivals: vec![[0.0; LANES]; n_nets],
             lane_endpoint_required: Vec::new(),
-            eco_gate_dirty: vec![false; n_gates],
-            eco_net_cap_dirty: vec![false; n_nets],
-            eco_slew_changed: vec![false; n_nets],
-            eco_arrival_changed: vec![false; n_nets],
-            eco_delay_changed: vec![false; n_gates],
+            gate_dirty: vec![false; n_gates],
+            net_cap_dirty: vec![false; n_nets],
+            slew_changed: vec![false; n_nets],
+            arrival_changed: vec![false; n_nets],
+            delay_changed: vec![false; n_gates],
         }
     }
 
@@ -395,17 +402,25 @@ impl<'m> CompiledSta<'m> {
             a.check_ids(netlist)?;
         }
         scratch.timings.clear();
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            let timing = match annotation.and_then(|a| a.gate(GateId(gi as u32))) {
-                Some(ann) => self
-                    .model
-                    .library()
-                    .annotated_timing(gate.kind, &ann.transistors)?,
-                None => self.base_timings[gi],
-            };
-            scratch.timings.push(timing);
+        for gi in 0..self.base_timings.len() {
+            scratch.timings.push(self.gate_timing(gi, annotation)?);
         }
-        self.propagate(scratch, annotation)
+        self.propagate_all(scratch, annotation)
+    }
+
+    /// Gate `gi`'s electrical view: characterized from its records in
+    /// `annotation`, else the precompiled drawn timing.
+    fn gate_timing(&self, gi: usize, annotation: Option<&CdAnnotation>) -> Result<CellTiming> {
+        let gid = GateId(gi as u32);
+        match annotation.and_then(|a| a.gate(gid)) {
+            Some(ann) => {
+                let kind = self.model.design().netlist().gate(gid).kind;
+                self.model
+                    .library()
+                    .annotated_timing(kind, &ann.transistors)
+            }
+            None => Ok(self.base_timings[gi]),
+        }
     }
 
     /// The drawn per-gate ensembles deduplicated into cells — the cell
@@ -415,21 +430,24 @@ impl<'m> CompiledSta<'m> {
     }
 
     /// Full analysis with every gate's `cells` ensemble shifted uniformly
-    /// by `shift_nm` — bit-identical to [`Self::evaluate`] of the
-    /// annotation that shifts each gate's records by `shift_nm` (a corner
-    /// annotation, when `cells` are the [`Self::drawn_cells`]), because
-    /// each gate reads the [`Self::characterize_shift`] of its cell and
-    /// the propagation is the same. The device model runs once per
-    /// distinct cell instead of once per gate.
+    /// by `shift_nm`, under the printed wires of `nets` (its gate entries
+    /// are not read) — bit-identical to [`Self::evaluate`] of the
+    /// annotation that shifts each gate's records by `shift_nm` and
+    /// carries those nets (a corner annotation, for the
+    /// [`Self::drawn_cells`] and no nets), because each gate reads the
+    /// [`Self::characterize_shift`] of its cell. The device model runs
+    /// once per distinct cell instead of once per gate.
     ///
     /// # Errors
     ///
-    /// Propagates device errors for non-physical shifted dimensions.
+    /// Propagates device errors for non-physical shifted dimensions or
+    /// printed wire widths.
     pub(crate) fn evaluate_shift(
         &self,
         scratch: &mut StaScratch,
         cells: &SampleCells,
         shift_nm: f64,
+        nets: Option<&CdAnnotation>,
     ) -> Result<TimingReport> {
         let per_cell = (0..cells.cells.len() as u32)
             .map(|cell| self.characterize_shift(cells, cell, shift_nm))
@@ -441,7 +459,7 @@ impl<'m> CompiledSta<'m> {
                 .iter()
                 .map(|&cell| per_cell[cell as usize]),
         );
-        self.propagate(scratch, None)
+        self.propagate_all(scratch, nets)
     }
 
     /// Incremental ECO re-analysis: re-derives only the state an
@@ -449,20 +467,12 @@ impl<'m> CompiledSta<'m> {
     /// [`Self::evaluate`] with `next`.
     ///
     /// `scratch` must hold the state of a completed evaluation with
-    /// `prev` on this compiled model (that is the warm state the
-    /// increments are applied to). The diff of `prev` → `next` seeds the
-    /// dirty set: gates whose annotation entry changed re-characterize;
-    /// nets whose sink gates changed input capacitance re-sum their load
-    /// over the precompiled sink adjacency in gate order (the exact
-    /// addend order of the full pass); then two topological sweeps
-    /// recompute delay/slew and arrivals only for gates flagged dirty or
-    /// fed by a changed net, propagating flags precisely when stored bits
-    /// move. Untouched gates keep their stored bits, recomputed gates
-    /// run the same float ops on the same values as the full pass — so
-    /// the result is bit-identical by induction (enforced by the `eco`
-    /// parity tests and the `serve` CI stage).
-    /// The backward required pass, endpoint slacks and the leakage sum
-    /// are cheap pure functions of the forward state and re-run whole.
+    /// `prev` on this compiled model (the warm state the increments are
+    /// applied to). The diff of `prev` → `next` seeds the dirty set:
+    /// gates whose annotation entry changed re-characterize, flagging the
+    /// nets whose sink gates changed input capacitance, and a net whose
+    /// printed width changed flags its driver. The forward pass of a full
+    /// evaluation then re-derives only the flagged state.
     ///
     /// # Errors
     ///
@@ -487,67 +497,99 @@ impl<'m> CompiledSta<'m> {
                 "scratch holds no prior full evaluation (run evaluate first)".into(),
             ));
         }
-        scratch.eco_gate_dirty.fill(false);
-        scratch.eco_net_cap_dirty.fill(false);
-        scratch.eco_slew_changed.fill(false);
-        scratch.eco_arrival_changed.fill(false);
-        scratch.eco_delay_changed.fill(false);
+        scratch.gate_dirty.fill(false);
+        scratch.net_cap_dirty.fill(false);
+        scratch.slew_changed.fill(false);
+        scratch.arrival_changed.fill(false);
+        scratch.delay_changed.fill(false);
 
-        // Phase 1a — candidate gates: anything annotated on either side.
+        // Candidate gates: anything annotated on either side.
         for a in [prev, next].into_iter().flatten() {
             for (&gid, _) in a.gates() {
-                scratch.eco_gate_dirty[gid.0 as usize] = true;
+                scratch.gate_dirty[gid.0 as usize] = true;
             }
         }
-        // Re-characterize candidates whose entries actually differ; drop
-        // the flag when the annotation (or the resulting timing) is
-        // unchanged bit for bit.
+        // Re-characterize candidates whose entries actually differ (the
+        // rest drop their flag); a changed input cap dirties the loads of
+        // the nets the gate sinks.
         for gi in 0..n_gates {
-            if !scratch.eco_gate_dirty[gi] {
+            if !scratch.gate_dirty[gi] {
                 continue;
             }
             let gid = GateId(gi as u32);
             if prev.and_then(|a| a.gate(gid)) == next.and_then(|a| a.gate(gid)) {
-                scratch.eco_gate_dirty[gi] = false;
+                scratch.gate_dirty[gi] = false;
                 continue;
             }
-            let gate = netlist.gate(gid);
-            let timing = match next.and_then(|a| a.gate(gid)) {
-                Some(ann) => self
-                    .model
-                    .library()
-                    .annotated_timing(gate.kind, &ann.transistors)?,
-                None => self.base_timings[gi],
-            };
-            let old = scratch.timings[gi];
-            if timing_bits_eq(&old, &timing) {
-                scratch.eco_gate_dirty[gi] = false;
-                continue;
-            }
-            let cap_changed = old.input_cap_ff.to_bits() != timing.input_cap_ff.to_bits();
-            scratch.timings[gi] = timing;
-            if cap_changed {
-                for &input in &gate.inputs {
-                    scratch.eco_net_cap_dirty[input.0 as usize] = true;
+            let timing = self.gate_timing(gi, next)?;
+            if timing.input_cap_ff.to_bits() != scratch.timings[gi].input_cap_ff.to_bits() {
+                for &input in &netlist.gate(gid).inputs {
+                    scratch.net_cap_dirty[input.0 as usize] = true;
                 }
             }
+            scratch.timings[gi] = timing;
         }
-        // Phase 1b — net annotation edits re-width the driver's wire.
+        // Net annotation edits re-width the driver's wire.
         for a in [prev, next].into_iter().flatten() {
             for (&nid, _) in a.nets() {
                 if prev.and_then(|p| p.net(nid)) != next.and_then(|q| q.net(nid)) {
                     let driver = self.net_driver[nid.0 as usize];
                     if driver != u32::MAX {
-                        scratch.eco_gate_dirty[driver as usize] = true;
+                        scratch.gate_dirty[driver as usize] = true;
                     }
                 }
             }
         }
+        self.propagate(scratch, next)
+    }
 
-        // Phase 2 — re-sum dirtied sink loads over the precompiled sink
-        // adjacency (gate order — the full pass's addend order).
+    /// The full pass: [`Self::propagate`] over `scratch.timings` with
+    /// everything dirty. Undriven nets (primary inputs) restart at the
+    /// board-level slew and zero arrival and everything else is
+    /// re-derived, so nothing an earlier evaluation left in the scratch
+    /// reaches the result.
+    fn propagate_all(
+        &self,
+        scratch: &mut StaScratch,
+        annotation: Option<&CdAnnotation>,
+    ) -> Result<TimingReport> {
+        for (ni, &driver) in self.net_driver.iter().enumerate() {
+            if driver == u32::MAX {
+                scratch.slews[ni] = PRIMARY_INPUT_SLEW_PS;
+                scratch.arrivals[ni] = 0.0;
+            }
+        }
+        scratch.gate_dirty.fill(true);
+        scratch.net_cap_dirty.fill(true);
+        scratch.delay_changed.fill(true);
+        scratch.slew_changed.fill(false);
+        scratch.arrival_changed.fill(false);
+        self.propagate(scratch, annotation)
+    }
+
+    /// The one forward pass over `scratch.timings`, mirroring
+    /// [`TimingModel::analyze`] operation for operation, then the backward
+    /// requireds and the report. It re-derives only flagged state: the
+    /// loads of `net_cap_dirty` nets (summed over the sink adjacency in
+    /// the reference's gate order), the [`stage`] of dirty gates and of
+    /// gates a changed input slew reaches, and the arrivals a changed
+    /// delay or input arrival reaches. A value is written, and flagged
+    /// changed, only when its bits move, so the result is bit-identical
+    /// to a full recomputation by induction, for an ECO and a full pass.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors for non-physical printed wire widths.
+    fn propagate(
+        &self,
+        scratch: &mut StaScratch,
+        annotation: Option<&CdAnnotation>,
+    ) -> Result<TimingReport> {
+        let netlist = self.model.design().netlist();
+
+        // Sink loads.
         for ni in 0..self.net_sinks.len() {
-            if !scratch.eco_net_cap_dirty[ni] {
+            if !scratch.net_cap_dirty[ni] {
                 continue;
             }
             let mut sum = 0.0;
@@ -558,94 +600,73 @@ impl<'m> CompiledSta<'m> {
                 scratch.sink_cap[ni] = sum;
                 let driver = self.net_driver[ni];
                 if driver != u32::MAX {
-                    scratch.eco_gate_dirty[driver as usize] = true;
+                    scratch.gate_dirty[driver as usize] = true;
                 }
             }
         }
 
-        // Phase 3 — delays and output slews of the dirty cone, in the
-        // full pass's topological order and with its exact formulas.
+        // Delays and output slews.
         for &gid in netlist.topological_order() {
             let gi = gid.0 as usize;
             let gate = netlist.gate(gid);
-            let sequential = gate.kind.is_sequential();
-            let inputs_changed = !sequential
-                && gate
-                    .inputs
-                    .iter()
-                    .any(|n| scratch.eco_slew_changed[n.0 as usize]);
-            if !(scratch.eco_gate_dirty[gi] || inputs_changed) {
+            if !(scratch.gate_dirty[gi] || fed_by(gate, &scratch.slew_changed)) {
                 continue;
             }
-            let t = scratch.timings[gi];
-            let slew_in = if sequential {
-                CLOCK_SLEW_PS
-            } else {
-                gate.inputs
-                    .iter()
-                    .map(|n| scratch.slews[n.0 as usize])
-                    .fold(0.0, f64::max)
-            };
             let out = gate.output.0 as usize;
-            let c_sinks = scratch.sink_cap[out] + t.output_cap_ff;
-            let (table_delay, out_slew) = t.nldm.delay_and_slew_ps(slew_in, c_sinks);
-            let delay = match &self.drawn_wires[out] {
-                Some(w) => {
-                    let wire = match next.and_then(|a| a.net(NetId(out as u32))) {
-                        Some(net_ann) => w
-                            .with_printed_width(net_ann.printed_width_nm)
-                            .map_err(StaError::from)?,
-                        None => *w,
-                    };
-                    let r = t.drive_r_kohm();
-                    table_delay + (wire.elmore_delay_ps(r, c_sinks) - r * c_sinks)
-                }
-                None => table_delay,
-            };
+            let (delay, out_slew) = stage(
+                &scratch.timings[gi],
+                worst_input(gate, &scratch.slews, CLOCK_SLEW_PS),
+                scratch.sink_cap[out],
+                self.wire(out, annotation)?.as_ref(),
+            );
             if delay.to_bits() != scratch.gate_delays[gi].to_bits() {
                 scratch.gate_delays[gi] = delay;
-                scratch.eco_delay_changed[gi] = true;
+                scratch.delay_changed[gi] = true;
             }
             if out_slew.to_bits() != scratch.slews[out].to_bits() {
                 scratch.slews[out] = out_slew;
-                scratch.eco_slew_changed[out] = true;
+                scratch.slew_changed[out] = true;
             }
         }
 
-        // Phase 4 — arrivals of the dirty fanout cone.
+        // Arrivals.
         for &gid in netlist.topological_order() {
             let gi = gid.0 as usize;
             let gate = netlist.gate(gid);
-            let sequential = gate.kind.is_sequential();
-            let inputs_changed = !sequential
-                && gate
-                    .inputs
-                    .iter()
-                    .any(|n| scratch.eco_arrival_changed[n.0 as usize]);
-            if !(scratch.eco_delay_changed[gi] || inputs_changed) {
+            if !(scratch.delay_changed[gi] || fed_by(gate, &scratch.arrival_changed)) {
                 continue;
             }
-            let worst_in = if sequential {
-                0.0
-            } else {
-                gate.inputs
-                    .iter()
-                    .map(|n| scratch.arrivals[n.0 as usize])
-                    .fold(0.0, f64::max)
-            };
             let out = gate.output.0 as usize;
-            let arrival = worst_in + scratch.gate_delays[gi];
+            let arrival = worst_input(gate, &scratch.arrivals, 0.0) + scratch.gate_delays[gi];
             if arrival.to_bits() != scratch.arrivals[out].to_bits() {
                 scratch.arrivals[out] = arrival;
-                scratch.eco_arrival_changed[out] = true;
+                scratch.arrival_changed[out] = true;
             }
         }
 
-        // Phase 5 — cheap whole-pass tail: backward requireds, endpoint
-        // slacks, and the leakage re-sum in gate order (the full
-        // evaluation's report).
         self.backward_requireds(scratch);
         Ok(self.report(scratch))
+    }
+
+    /// The wire driving net `net` under `annotation`: the precompiled
+    /// drawn wire, re-widthed when the annotation prints the net at
+    /// another width (`None` below the 1 nm routing threshold). The one
+    /// wire lookup of the forward pass, the Monte Carlo lanes
+    /// ([`Self::wires`]) and the sensitivities.
+    fn wire(&self, net: usize, annotation: Option<&CdAnnotation>) -> Result<Option<Wire>> {
+        let printed = annotation.and_then(|a| a.net(NetId(net as u32)));
+        self.drawn_wires[net]
+            .map(|w| printed.map_or(Ok(w), |p| w.with_printed_width(p.printed_width_nm)))
+            .transpose()
+            .map_err(StaError::from)
+    }
+
+    /// Every net's [`Self::wire`] under `annotation`, resolved once per
+    /// Monte Carlo run rather than once per gate visit.
+    pub(crate) fn wires(&self, annotation: Option<&CdAnnotation>) -> Result<Vec<Option<Wire>>> {
+        (0..self.drawn_wires.len())
+            .map(|net| self.wire(net, annotation))
+            .collect()
     }
 
     /// Characterizes cell `cell` with every channel length shifted by
@@ -724,8 +745,10 @@ impl<'m> CompiledSta<'m> {
 
     /// The Monte Carlo hot path: evaluates [`LANES`] samples per gate
     /// visit. `bins[gi * LANES + lane]` is the shift-grid bin of gate `gi`
-    /// in lane `lane` (gate-major, so one gate's lanes are contiguous), and
-    /// every cell timing is read from `table`.
+    /// in lane `lane` (gate-major, so one gate's lanes are contiguous),
+    /// every cell timing is read from `table`, and `wires` are the
+    /// [`Self::wires`] of the systematic annotation the samples vary
+    /// around.
     ///
     /// Per lane, every float operation mirrors the naive
     /// [`TimingModel::analyze`] of the same shifted annotation (same fold
@@ -753,6 +776,7 @@ impl<'m> CompiledSta<'m> {
         cells: &SampleCells,
         table: &ShiftTable,
         bins: &[i32],
+        wires: &[Option<Wire>],
     ) -> Result<[SampleTiming; LANES]> {
         let clock_ps = self.model.clock_ps();
         let mut leakage = [0.0f64; LANES];
@@ -846,18 +870,8 @@ impl<'m> CompiledSta<'m> {
             let sinks = lane_sink_cap[out];
             let mut out_slews = [0.0f64; LANES];
             let mut arrivals = [0.0f64; LANES];
-            let wire = self.drawn_wires[out].as_ref();
             for l in 0..LANES {
-                let t = ts[l];
-                let c_sinks = sinks[l] + t.output_cap_ff;
-                let (table_delay, out_slew) = t.nldm.delay_and_slew_ps(slew_in[l], c_sinks);
-                let delay = match wire {
-                    Some(w) => {
-                        let r = t.drive_r_kohm();
-                        table_delay + (w.elmore_delay_ps(r, c_sinks) - r * c_sinks)
-                    }
-                    None => table_delay,
-                };
+                let (delay, out_slew) = stage(ts[l], slew_in[l], sinks[l], wires[out].as_ref());
                 out_slews[l] = out_slew;
                 arrivals[l] = worst_in[l] + delay;
             }
@@ -903,81 +917,6 @@ impl<'m> CompiledSta<'m> {
         }))
     }
 
-    /// Delay/arrival/required propagation over `scratch.timings`,
-    /// mirroring `analyze` operation for operation, then the report — the
-    /// shared tail of every full evaluation.
-    fn propagate(
-        &self,
-        scratch: &mut StaScratch,
-        annotation: Option<&CdAnnotation>,
-    ) -> Result<TimingReport> {
-        let netlist = self.model.design().netlist();
-
-        // Sink loads.
-        scratch.sink_cap.fill(0.0);
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            for &input in &gate.inputs {
-                scratch.sink_cap[input.0 as usize] += scratch.timings[gi].input_cap_ff;
-            }
-        }
-
-        // Gate delays and output slews in topological order, mirroring
-        // `analyze`: the NLDM table at (worst input slew, lumped sink
-        // load) plus the Elmore excess of the precompiled drawn wire
-        // (re-widthed in place when the annotation prints the net
-        // differently) over the lumped `R·C` the table already charges.
-        scratch.slews.fill(PRIMARY_INPUT_SLEW_PS);
-        for &gid in netlist.topological_order() {
-            let gate = netlist.gate(gid);
-            let t = &scratch.timings[gid.0 as usize];
-            let slew_in = if gate.kind.is_sequential() {
-                CLOCK_SLEW_PS
-            } else {
-                gate.inputs
-                    .iter()
-                    .map(|n| scratch.slews[n.0 as usize])
-                    .fold(0.0, f64::max)
-            };
-            let out = gate.output.0 as usize;
-            let c_sinks = scratch.sink_cap[out] + t.output_cap_ff;
-            let (table_delay, out_slew) = t.nldm.delay_and_slew_ps(slew_in, c_sinks);
-            scratch.gate_delays[gid.0 as usize] = match &self.drawn_wires[out] {
-                Some(w) => {
-                    let wire = match annotation.and_then(|a| a.net(NetId(out as u32))) {
-                        Some(net_ann) => w
-                            .with_printed_width(net_ann.printed_width_nm)
-                            .map_err(StaError::from)?,
-                        None => *w,
-                    };
-                    let r = t.drive_r_kohm();
-                    table_delay + (wire.elmore_delay_ps(r, c_sinks) - r * c_sinks)
-                }
-                None => table_delay,
-            };
-            scratch.slews[out] = out_slew;
-        }
-
-        // Forward arrivals in topological order.
-        scratch.arrivals.fill(0.0);
-        for &gid in netlist.topological_order() {
-            let gate = netlist.gate(gid);
-            let worst_in = if gate.kind.is_sequential() {
-                0.0
-            } else {
-                gate.inputs
-                    .iter()
-                    .map(|n| scratch.arrivals[n.0 as usize])
-                    .fold(0.0, f64::max)
-            };
-            scratch.arrivals[gate.output.0 as usize] =
-                worst_in + scratch.gate_delays[gid.0 as usize];
-        }
-
-        // Backward requireds from the endpoints.
-        self.backward_requireds(scratch);
-        Ok(self.report(scratch))
-    }
-
     /// Assembles the report of the propagated state in `scratch`: endpoint
     /// slacks, and leakage summed over `scratch.timings` in gate order
     /// (the reference's accumulation order).
@@ -999,10 +938,9 @@ impl<'m> CompiledSta<'m> {
     }
 
     /// Backward required-time relaxation from the endpoints — the final
-    /// pass of [`Self::propagate`], shared verbatim with the incremental
-    /// ECO path (it is cheap and a pure function of the forward state, so
-    /// the incremental evaluator reruns it whole rather than tracking
-    /// dirty cones backwards).
+    /// pass of [`Self::propagate`]. It is cheap and a pure function of
+    /// the forward state, so every evaluation reruns it whole rather than
+    /// tracking dirty cones backwards.
     fn backward_requireds(&self, scratch: &mut StaScratch) {
         let netlist = self.model.design().netlist();
         scratch.requireds.fill(f64::INFINITY);
@@ -1037,18 +975,19 @@ impl<'m> CompiledSta<'m> {
         }
     }
 
-    /// Per-gate tail-sampling sensitivities: one zero-shift baseline
-    /// evaluation (forward arrivals plus the backward required-time
-    /// relaxation — the "extra backward pass"), then per gate:
+    /// Per-gate tail-sampling sensitivities around the `systematic`
+    /// annotation (its gates as `cells`, its printed wires): one
+    /// zero-shift baseline evaluation (forward arrivals plus the backward
+    /// required-time relaxation — the "extra backward pass"), then per
+    /// gate:
     ///
     /// - `slack_ps[gi]`: the slack of the gate's output net
     ///   (`required − arrival`; `INFINITY` when no endpoint constrains
     ///   it) — the criticality signal;
     /// - `ddelay_dl_ps_per_nm[gi]`: the central-difference derivative of
-    ///   the gate's stage delay (NLDM table plus Elmore wire excess, the
-    ///   exact formula [`Self::propagate`] uses) with respect to a
-    ///   uniform channel-length shift of ±`step_nm`, evaluated at the
-    ///   gate's baseline input slew and sink load. Loading feedback
+    ///   the gate's stage delay ([`stage`], the forward pass's formula)
+    ///   with respect to a uniform channel-length shift of ±`step_nm`,
+    ///   evaluated at the gate's baseline input slew and sink load. Loading feedback
     ///   through neighbour input caps is second-order and ignored — the
     ///   derivative seeds a sampling tilt, not a timing result.
     ///
@@ -1065,6 +1004,7 @@ impl<'m> CompiledSta<'m> {
         &self,
         scratch: &mut StaScratch,
         cells: &SampleCells,
+        systematic: Option<&CdAnnotation>,
         step_nm: f64,
     ) -> Result<GateSensitivity> {
         // ±step characterizations, once per distinct cell.
@@ -1077,7 +1017,9 @@ impl<'m> CompiledSta<'m> {
         }
 
         // The zero-shift baseline: full propagation, backward pass included.
-        let worst_slack_ps = self.evaluate_shift(scratch, cells, 0.0)?.worst_slack_ps();
+        let worst_slack_ps = self
+            .evaluate_shift(scratch, cells, 0.0, systematic)?
+            .worst_slack_ps();
 
         let netlist = self.model.design().netlist();
         let n_gates = netlist.gate_count();
@@ -1086,27 +1028,10 @@ impl<'m> CompiledSta<'m> {
         for (gi, gate) in netlist.gates().iter().enumerate() {
             let out = gate.output.0 as usize;
             slack_ps.push(scratch.requireds[out] - scratch.arrivals[out]);
-            let slew_in = if gate.kind.is_sequential() {
-                CLOCK_SLEW_PS
-            } else {
-                gate.inputs
-                    .iter()
-                    .map(|n| scratch.slews[n.0 as usize])
-                    .fold(0.0, f64::max)
-            };
-            let wire = self.drawn_wires[out].as_ref();
+            let slew_in = worst_input(gate, &scratch.slews, CLOCK_SLEW_PS);
+            let wire = self.wire(out, systematic)?;
             let sink_cap = scratch.sink_cap[out];
-            let stage_delay = |t: &CellTiming| {
-                let c_sinks = sink_cap + t.output_cap_ff;
-                let (table_delay, _) = t.nldm.delay_and_slew_ps(slew_in, c_sinks);
-                match wire {
-                    Some(w) => {
-                        let r = t.drive_r_kohm();
-                        table_delay + (w.elmore_delay_ps(r, c_sinks) - r * c_sinks)
-                    }
-                    None => table_delay,
-                }
-            };
+            let stage_delay = |t: &CellTiming| stage(t, slew_in, sink_cap, wire.as_ref()).0;
             let cell = cells.cell_of_gate[gi] as usize;
             ddelay.push((stage_delay(&plus[cell]) - stage_delay(&minus[cell])) / (2.0 * step_nm));
         }
@@ -1160,20 +1085,66 @@ mod tests {
         .expect("design")
     }
 
+    /// A registered design, so clock-launched arrivals and register
+    /// endpoints are covered too.
+    fn registered_design() -> Design {
+        Design::compile(
+            generate::registered_farm(4, 6, 3).expect("netlist"),
+            TechRules::n90(),
+        )
+        .expect("design")
+    }
+
     #[test]
     fn scratch_is_reusable_across_evaluations() {
-        let d = design();
-        let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let compiled = model.compile().expect("compile");
-        let mut scratch = compiled.scratch();
-        let first = compiled.evaluate(&mut scratch, None).expect("first");
-        // A dirty scratch (post-annotated run) must not bleed into the
-        // next drawn evaluation.
-        let ann = crate::corners::corner_annotation(&model, 4.0);
-        let slow = compiled.evaluate(&mut scratch, Some(&ann)).expect("slow");
-        assert!(slow.critical_delay_ps() > first.critical_delay_ps());
-        let again = compiled.evaluate(&mut scratch, None).expect("again");
-        assert_eq!(first, again);
+        // One scratch runs drawn, corner and printed-wire evaluations, ECO
+        // edits and a corner sweep in turn; each report equals the same
+        // input on a fresh scratch, so nothing left behind leaks.
+        use crate::annotate::NetAnnotation;
+        use crate::corners::{analyze_corners_with, corner_annotation, Corner};
+        for d in [design(), registered_design()] {
+            let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
+            let compiled = model.compile().expect("compile");
+            let fresh = |a: Option<&CdAnnotation>| {
+                Ok(compiled
+                    .evaluate(&mut compiled.scratch(), a)
+                    .expect("fresh"))
+            };
+            let slow = corner_annotation(&model, 4.0);
+            let mut printed = corner_annotation(&model, -2.0);
+            for n in (0..compiled.drawn_wires.len()).step_by(2) {
+                let printed_width_nm = 104.0 + (n % 5) as f64 * 8.0;
+                printed.set_net(NetId(n as u32), NetAnnotation { printed_width_nm });
+            }
+            let mut s = compiled.scratch();
+            for a in [None, Some(&slow), Some(&printed), None, Some(&printed)] {
+                assert_eq!(compiled.evaluate(&mut s, a), fresh(a));
+            }
+            let eco = compiled.evaluate_eco(&mut s, Some(&printed), Some(&slow));
+            assert_eq!(eco, fresh(Some(&slow)));
+            let corners = Corner::classic_set(6.0);
+            let sweep = analyze_corners_with(&compiled, &mut s, &corners).expect("sweep");
+            for (report, corner) in sweep.into_iter().zip(&corners) {
+                let shifted = corner_annotation(&model, corner.delta_l_nm);
+                assert_eq!(Ok(report), fresh(Some(&shifted)));
+            }
+            let again = compiled.evaluate(&mut s, Some(&printed));
+            assert_eq!(again, fresh(Some(&printed)));
+            let eco = compiled.evaluate_eco(&mut s, Some(&printed), None);
+            assert_eq!(eco, fresh(None));
+            // A non-physical printed width aborts a pass after the gates
+            // before it in topological order moved their delays, not their
+            // arrivals; the next full pass still re-derives every arrival.
+            let order = d.netlist().topological_order().iter().rev();
+            let mut late = order.map(|&g| d.netlist().gate(g).output.0 as usize);
+            let net = late
+                .find(|&n| compiled.drawn_wires[n].is_some())
+                .expect("routed");
+            let (mut torn, printed_width_nm) = (slow.clone(), -1.0);
+            torn.set_net(NetId(net as u32), NetAnnotation { printed_width_nm });
+            assert!(compiled.evaluate(&mut s, Some(&torn)).is_err());
+            assert_eq!(compiled.evaluate(&mut s, Some(&slow)), fresh(Some(&slow)));
+        }
     }
 
     /// Every gate annotated with its drawn records shifted by `shift_of(gi)`
@@ -1224,7 +1195,7 @@ mod tests {
         assert_eq!(table.entries(), keys.len());
         let mut scratch = compiled.scratch();
         let lanes = compiled
-            .evaluate_shifted_batch(&mut scratch, &cells, &table, &bins)
+            .evaluate_shifted_batch(&mut scratch, &cells, &table, &bins, &compiled.drawn_wires)
             .expect("batch");
         // Each lane is a full evaluation of its shifted annotation, bit
         // for bit.
@@ -1245,7 +1216,13 @@ mod tests {
         let mut foreign = bins.clone();
         foreign[0] = 99;
         assert!(matches!(
-            compiled.evaluate_shifted_batch(&mut scratch, &cells, &table, &foreign),
+            compiled.evaluate_shifted_batch(
+                &mut scratch,
+                &cells,
+                &table,
+                &foreign,
+                &compiled.drawn_wires
+            ),
             Err(StaError::InvalidMonteCarlo(_))
         ));
     }
@@ -1281,9 +1258,7 @@ mod tests {
         let full = compiled.evaluate(&mut fresh, Some(&next)).expect("full");
         assert_eq!(eco, full);
         // A sparse edit must not dirty the whole design.
-        assert!(
-            warm.eco_gate_dirty.iter().filter(|&&dirty| dirty).count() < d.netlist().gate_count()
-        );
+        assert!(warm.gate_dirty.iter().filter(|&&dirty| dirty).count() < d.netlist().gate_count());
         // The warm state is itself a valid base: ECO back to `prev`
         // reproduces the original full analysis bit for bit.
         let back = compiled
@@ -1317,7 +1292,7 @@ mod tests {
         // A no-op diff leaves every stored bit alone.
         let noop = compiled.evaluate_eco(&mut warm, None, None).expect("noop");
         assert_eq!(noop, drawn);
-        assert!(warm.eco_gate_dirty.iter().all(|&dirty| !dirty));
+        assert!(warm.gate_dirty.iter().all(|&dirty| !dirty));
     }
 
     #[test]
@@ -1329,7 +1304,7 @@ mod tests {
         let mut scratch = compiled.scratch();
         let report = compiled.evaluate(&mut scratch, None).expect("report");
         let sens = compiled
-            .gate_sensitivities(&mut scratch, &cells, 0.125)
+            .gate_sensitivities(&mut scratch, &cells, None, 0.125)
             .expect("sensitivities");
         let n = d.netlist().gate_count();
         assert_eq!(sens.slack_ps.len(), n);
@@ -1357,7 +1332,7 @@ mod tests {
         assert!(positive * 2 > n, "{positive} of {n} gates slow with L");
         // Deterministic: a second pass reproduces identical bits.
         let again = compiled
-            .gate_sensitivities(&mut scratch, &cells, 0.125)
+            .gate_sensitivities(&mut scratch, &cells, None, 0.125)
             .expect("again");
         assert_eq!(sens.slack_ps, again.slack_ps);
         assert_eq!(sens.ddelay_dl_ps_per_nm, again.ddelay_dl_ps_per_nm);

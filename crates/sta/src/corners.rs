@@ -106,7 +106,7 @@ pub fn analyze_corners_with(
     let cells = compiled.drawn_cells();
     corners
         .iter()
-        .map(|corner| compiled.evaluate_shift(scratch, &cells, corner.delta_l_nm))
+        .map(|corner| compiled.evaluate_shift(scratch, &cells, corner.delta_l_nm, None))
         .collect()
 }
 

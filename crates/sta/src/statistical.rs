@@ -452,27 +452,20 @@ fn validate(config: &MonteCarloConfig) -> Result<()> {
 }
 
 /// Base (systematic) records per gate: the extracted annotation where
-/// present, drawn dimensions elsewhere.
+/// present, drawn dimensions elsewhere. Both engines reject an annotation
+/// naming a gate or net the design does not have, as `evaluate` does.
 fn base_records(
-    model: &TimingModel<'_>,
+    compiled: &CompiledSta<'_>,
     systematic: Option<&CdAnnotation>,
-) -> Vec<Vec<TransistorCd>> {
-    model
-        .design()
-        .netlist()
-        .gates()
-        .iter()
-        .enumerate()
-        .map(
-            |(gi, gate)| match systematic.and_then(|a| a.gate(GateId(gi as u32))) {
-                Some(ann) => ann.transistors.clone(),
-                None => model
-                    .library()
-                    .drawn_transistors(gate.kind, gate.drive)
-                    .to_vec(),
-            },
-        )
-        .collect()
+) -> Result<Vec<Vec<TransistorCd>>> {
+    let netlist = compiled.model().design().netlist();
+    systematic.map_or(Ok(()), |a| a.check_ids(netlist))?;
+    Ok((0..netlist.gate_count() as u32)
+        .map(|gi| match systematic.and_then(|a| a.gate(GateId(gi))) {
+            Some(ann) => ann.transistors.clone(),
+            None => compiled.base_records(GateId(gi)).to_vec(),
+        })
+        .collect())
 }
 
 /// Runs Monte Carlo timing through the compiled evaluator.
@@ -480,9 +473,10 @@ fn base_records(
 /// Per-gate channel lengths are sampled as
 /// `L = base(gate) + N(0, sigma_nm)`, where `base` comes from
 /// `systematic` (the extracted annotation) or the drawn dimensions when
-/// `systematic` is `None`. The same random shift is applied to all fingers
-/// of one gate (intra-gate variation is already captured by slice
-/// extraction), and the shift is quantized to a `sigma / 16` grid (see
+/// `systematic` is `None`; wires keep `systematic`'s printed widths in
+/// every sample. The same random shift is applied to all fingers of one
+/// gate (intra-gate variation is already captured by slice extraction),
+/// and the shift is quantized to a `sigma / 16` grid (see
 /// [`SHIFT_BINS_PER_SIGMA`]) so characterization memoizes per
 /// `(cell, grid bin)` instead of running once per gate per sample.
 ///
@@ -522,10 +516,10 @@ pub fn run_with(
     config: &MonteCarloConfig,
 ) -> Result<MonteCarloResult> {
     validate(config)?;
-    let bases = base_records(compiled.model(), systematic);
-    let cells = compiled.sample_cells(&bases);
+    let cells = compiled.sample_cells(&base_records(compiled, systematic)?);
+    let wires = compiled.wires(systematic)?;
     let threads = postopc_parallel::effective_threads(config.threads);
-    let tilt = tilt_plan(compiled, &cells, config)?;
+    let tilt = tilt_plan(compiled, &cells, systematic, config)?;
     let sampler = ShiftSampler::new(config, tilt.as_ref());
     let n = config.samples;
     let n_gates = cells.cell_of_gate.len();
@@ -575,7 +569,7 @@ pub fn run_with(
         || compiled.scratch(),
         |scratch, range| {
             let block = &blocks[range.start / LANES].bins;
-            let lanes = compiled.evaluate_shifted_batch(scratch, &cells, &table, block)?;
+            let lanes = compiled.evaluate_shifted_batch(scratch, &cells, &table, block, &wires)?;
             Ok::<_, StaError>(range.clone().map(|s| lanes[s - range.start]).collect())
         },
     )?;
@@ -622,6 +616,7 @@ struct TiltPlan {
 fn tilt_plan(
     compiled: &CompiledSta<'_>,
     cells: &SampleCells,
+    systematic: Option<&CdAnnotation>,
     config: &MonteCarloConfig,
 ) -> Result<Option<TiltPlan>> {
     let tilt = match config.sampling {
@@ -638,7 +633,7 @@ fn tilt_plan(
         shift_step(config.sigma_nm)
     };
     let mut scratch = compiled.scratch();
-    let sens = compiled.gate_sensitivities(&mut scratch, cells, step_nm)?;
+    let sens = compiled.gate_sensitivities(&mut scratch, cells, systematic, step_nm)?;
     let n = sens.slack_ps.len();
     let mean_abs_d = if n == 0 {
         0.0
@@ -732,19 +727,22 @@ pub fn run_reference(
     config: &MonteCarloConfig,
 ) -> Result<MonteCarloResult> {
     validate(config)?;
-    let bases = base_records(model, systematic);
     // The tilt plan reads sensitivities off the compiled evaluator —
     // compile one here just for the plan (it is deterministic, so the
     // reference sees bit-identical `mu`/`a` to [`run`]).
     let compiled = model.compile()?;
+    let bases = base_records(&compiled, systematic)?;
     let cells = compiled.sample_cells(&bases);
-    let tilt = tilt_plan(&compiled, &cells, config)?;
+    let tilt = tilt_plan(&compiled, &cells, systematic, config)?;
     let sampler = ShiftSampler::new(config, tilt.as_ref());
     let sample_indices: Vec<u64> = (0..config.samples as u64).collect();
     let threads = postopc_parallel::effective_threads(config.threads);
     let reports = postopc_parallel::try_par_map(threads, &sample_indices, |_, &sample| {
         let mut stream = sampler.stream(sample);
         let mut ann = CdAnnotation::new();
+        for (&net, &wire) in systematic.into_iter().flat_map(CdAnnotation::nets) {
+            ann.set_net(net, wire);
+        }
         for (gi, base) in bases.iter().enumerate() {
             let (_, shift) = sampler.shift(&mut stream, gi);
             let mut records = base.clone();
@@ -1124,8 +1122,9 @@ struct FillBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotate::NetAnnotation;
     use postopc_device::ProcessParams;
-    use postopc_layout::{generate, Design, TechRules};
+    use postopc_layout::{generate, Design, NetId, TechRules};
 
     fn design() -> Design {
         Design::compile(
@@ -1227,6 +1226,55 @@ mod tests {
             assert!((s - nominal.worst_slack_ps()).abs() < 1e-9);
         }
         assert!(mc.std_worst_slack_ps() < 1e-12);
+    }
+
+    #[test]
+    fn zero_sigma_keeps_the_printed_wires_it_samples_around() {
+        // Samples vary gate CDs around the systematic annotation; its
+        // printed wire widths stay in every sample, in both engines and in
+        // the tilt plan's baseline.
+        let d = design();
+        let m = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
+        let mut ann = crate::corners::corner_annotation(&m, 1.0);
+        let gates_only = m.analyze(Some(&ann)).expect("gates only").worst_slack_ps();
+        let printed_width_nm = 100.0;
+        for n in 0..d.netlist().nets().len() {
+            ann.set_net(NetId(n as u32), NetAnnotation { printed_width_nm });
+        }
+        let compiled = m.compile().expect("compile");
+        let nominal = compiled.evaluate(&mut compiled.scratch(), Some(&ann));
+        let nominal = nominal.expect("nominal").worst_slack_ps();
+        assert!(
+            (nominal - gates_only).abs() > 1e-3,
+            "the wires move the baseline"
+        );
+        for sampling in [Sampling::Plain, Sampling::TailIs { tilt: 1.0 }] {
+            let cfg = MonteCarloConfig {
+                samples: 11,
+                sigma_nm: 0.0,
+                sampling,
+                control_variate: true,
+                ..Default::default()
+            };
+            let batched = run(&m, Some(&ann), &cfg).expect("mc");
+            let naive = run_reference(&m, Some(&ann), &cfg).expect("reference");
+            for s in batched
+                .worst_slacks_ps()
+                .iter()
+                .chain(naive.worst_slacks_ps())
+            {
+                assert!((s - nominal).abs() < 1e-9, "{s} vs {nominal}, {sampling:?}");
+            }
+        }
+        // A net the design lacks is a typed error in both engines.
+        ann.set_net(NetId(10_000), NetAnnotation { printed_width_nm });
+        for engine in [run, run_reference] {
+            let err = engine(&m, Some(&ann), &MonteCarloConfig::default()).expect_err("net");
+            assert!(matches!(
+                err,
+                StaError::UnknownAnnotation { kind: "net", .. }
+            ));
+        }
     }
 
     #[test]

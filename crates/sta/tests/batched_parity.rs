@@ -5,10 +5,12 @@
 //! count, and seeded random designs.
 
 use postopc_device::ProcessParams;
-use postopc_layout::{generate, Design, TechRules};
+use postopc_layout::{generate, Design, NetId, TechRules};
 use postopc_rng::rngs::StdRng;
 use postopc_rng::{RngExt, SeedableRng};
-use postopc_sta::{corner_annotation, statistical, MonteCarloConfig, Sampling, TimingModel, LANES};
+use postopc_sta::{
+    corner_annotation, statistical, MonteCarloConfig, NetAnnotation, Sampling, TimingModel, LANES,
+};
 
 fn rca_design() -> Design {
     Design::compile(
@@ -165,8 +167,9 @@ fn antithetic_reduces_mean_estimator_variance() {
 fn random_designs_match_reference() {
     // Seeded random differential: random layered logic, random sample
     // counts covering every lane remainder, random sigma and systematic
-    // shift, every scheme with and without the control variate, on one
-    // and three worker threads — `run` must equal the oracle bit for bit.
+    // shift (with printed wire widths in two cases), every scheme with
+    // and without the control variate, on one and three worker threads —
+    // `run` must equal the oracle bit for bit.
     let mut rng = StdRng::seed_from_u64(0x5eed_ba7c);
     for remainder in 0..LANES {
         let gates = rng.random_range(20..90usize);
@@ -180,7 +183,15 @@ fn random_designs_match_reference() {
         let design = Design::compile(netlist, TechRules::n90()).expect("design");
         let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
         let delta = rng.random_range(-2.0..2.0);
-        let annotation = corner_annotation(&model, delta);
+        let mut annotation = corner_annotation(&model, delta);
+        if remainder % 4 == 3 {
+            // Printed wire widths on every other net, drawn without a
+            // random draw so the other cases keep their streams.
+            for ni in (0..design.netlist().nets().len()).step_by(2) {
+                let printed_width_nm = 104.0 + (ni % 5) as f64 * 8.0;
+                annotation.set_net(NetId(ni as u32), NetAnnotation { printed_width_nm });
+            }
+        }
         let systematic = (remainder % 2 == 1).then_some(&annotation);
         let samples = LANES * rng.random_range(0..4usize) + remainder;
         let samples = if samples == 0 { LANES } else { samples };

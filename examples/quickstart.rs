@@ -5,10 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use postopc::{run_flow, FlowConfig, OpcMode, Selection};
-use postopc_device::ProcessParams;
+use postopc::{margin_clock, run_flow, FlowConfig, OpcMode, Selection};
 use postopc_layout::{generate, Design, TechRules};
-use postopc_sta::TimingModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build and compile a design: a 4-bit ripple-carry adder placed,
@@ -24,13 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Pick a clock with 10% margin over drawn timing.
-    let probe = TimingModel::new(&design, ProcessParams::n90(), 1e6)?;
-    let drawn_delay = probe.analyze(None)?.critical_delay_ps();
-    println!("drawn critical delay: {drawn_delay:.1} ps");
+    let clock = margin_clock(&design, 0.1)?;
+    println!("clock (drawn critical delay + 10%): {clock:.1} ps");
 
     // 3. Run the paper's flow: tag critical gates, OPC + extract their
     //    printed CDs, back-annotate, re-time.
-    let mut config = FlowConfig::standard(drawn_delay * 1.1);
+    let mut config = FlowConfig::standard(clock);
     config.selection = Selection::Critical { paths: 5 };
     config.extraction.opc_mode = OpcMode::Model;
     config.extraction.model_opc.iterations = 4;

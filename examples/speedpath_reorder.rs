@@ -5,11 +5,9 @@
 //! cargo run --release --example speedpath_reorder
 //! ```
 
-use postopc::{extract_gates, AcrossChipMap, ExtractionConfig, OpcMode, TagSet, TimingComparison};
-use postopc_device::ProcessParams;
+use postopc::{margin_clock, run_flow, AcrossChipMap, FlowConfig, OpcMode, Selection};
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use postopc_litho::ProcessConditions;
-use postopc_sta::TimingModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ten parallel chains of identical cell multisets: drawn timing ranks
@@ -24,29 +22,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
 
-    let probe = TimingModel::new(&design, ProcessParams::n90(), 1e6)?;
-    let drawn_delay = probe.analyze(None)?.critical_delay_ps();
-    let model = TimingModel::new(&design, ProcessParams::n90(), drawn_delay * 1.1)?;
-    let drawn = model.analyze(None)?;
-
-    // Silicon-calibrated extraction: rule-OPC masks imaged at the local
-    // across-chip focus/dose of each gate's die position.
-    let mut cfg = ExtractionConfig::standard();
-    cfg.opc_mode = OpcMode::Rule;
-    cfg = cfg.with_conditions(ProcessConditions {
+    // The flow on the top-10 drawn paths at a clock 10% over drawn timing,
+    // with silicon-calibrated extraction: rule-OPC masks imaged at the
+    // local across-chip focus/dose of each gate's die position.
+    let mut config = FlowConfig::standard(margin_clock(&design, 0.1)?);
+    config.selection = Selection::Critical { paths: 10 };
+    config.report_paths = 10;
+    config.extraction.opc_mode = OpcMode::Rule;
+    config.extraction = config.extraction.with_conditions(ProcessConditions {
         focus_nm: 40.0,
         dose: 1.01,
     });
-    cfg.across_chip = Some(AcrossChipMap::typical(design.die()));
+    config.extraction.across_chip = Some(AcrossChipMap::typical(design.die()));
+    let report = run_flow(&design, &config)?;
+    println!(
+        "extracted {} gates on the top paths",
+        report.extraction.gates_extracted
+    );
 
-    let tags = TagSet::from_critical_paths(&design, &drawn, 10);
-    println!("extracting {} gates on the top paths...", tags.len());
-    let out = extract_gates(&design, &cfg, &tags)?;
-    let comparison = TimingComparison::compare(&model, &design, &out.annotation, 10)?;
-
+    let comparison = &report.comparison;
     println!(
         "{}",
-        postopc::report::render_path_comparison(&design, &comparison)
+        postopc::report::render_path_comparison(&design, comparison)
     );
     println!(
         "newly-critical endpoints in the silicon top-10: {}",

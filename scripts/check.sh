@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, tier-1 build + tests,
 # workspace tests (which hold every correctness check), perf_smoke's
-# three speedup ratios and the bench-regression gate, which re-times the
+# three speedup ratios, the bench-regression gate, which re-times the
 # single-thread engines recorded in the committed BENCH_*.json files
-# (re-record them with `perf_smoke --record` from the repo root).
+# (re-record them with `perf_smoke --record` from the repo root), and the
+# paper experiments, held byte for byte to repro_output.txt.
 # Correctness lives in `cargo test`, timing in the one binary perf_smoke.
 #
 # Everything here runs with no network access; the workspace has no
@@ -61,6 +62,12 @@
 #              tail-IS@500 q01 error <= plain@2000; antithetic@500 mean
 #              error <= plain@2000 x 1.25; batched == naive @250; every
 #              timed run == its first; every warm batch == the cold answers
+#   paper      the nine repro experiments that print no wall-clock figure
+#              (t1 t2 f3 t4 f5 f8 t10 a1 a2, release): their stdout, the
+#              `[.. finished in ..]` lines removed, must equal the same
+#              blocks of the committed repro_output.txt byte for byte. A
+#              change that moves one of these numbers re-records those
+#              blocks (`repro all > repro_output.txt`) and says why
 #   perfbench  release build + unit tests of the repository benchmark
 #              (perfbench/, its own Cargo workspace): the only consumer
 #              of the crates' public API outside this workspace, so an
@@ -69,7 +76,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Canonical stage order; --stage never reorders, only filters.
-STAGES=(fmt clippy strict doc build test wstest smoke bench perfbench)
+STAGES=(fmt clippy strict doc build test wstest smoke bench paper perfbench)
 QUICK_STAGES=(fmt clippy strict build test)
 
 QUICK=0
@@ -247,6 +254,28 @@ stage test cargo test -q
 stage wstest cargo test --workspace -q
 stage smoke cargo run --release -p postopc-bench --bin perf_smoke
 stage bench cargo run --release -p postopc-bench --bin perf_smoke -- --bench-regression
+
+# The paper's numbers: t6, t7 and t9 print wall-clock figures, so they
+# stay out. Each experiment's block is the text before its
+# `[<id> finished in ..]` line.
+PAPER_EXPERIMENTS=(t1 t2 f3 t4 f5 f8 t10 a1 a2)
+paper_blocks() {
+  awk -v ids=" ${PAPER_EXPERIMENTS[*]} " '
+    /^\[[a-z0-9]+ finished in / {
+      id = substr($1, 2)
+      if (index(ids, " " id " ")) printf "%s", block
+      block = ""
+      next
+    }
+    { block = block $0 "\n" }
+  ' "$1"
+}
+paper_stage() {
+  local fresh=target/paper_repro.txt
+  cargo run --release -q -p postopc-bench --bin repro -- "${PAPER_EXPERIMENTS[@]}" >"$fresh"
+  diff <(paper_blocks repro_output.txt) <(paper_blocks "$fresh")
+}
+stage paper paper_stage
 
 # Repository benchmark: perfbench/ builds against the crates' public API
 # from outside the workspace (it has its own Cargo workspace and lock
