@@ -6,11 +6,10 @@
 
 use postopc::{
     extract_gates, extract_gates_with_caches, ExtractionConfig, ExtractionOutcome, OpcMode,
-    SurrogateConfig, TagSet,
+    SurrogateConfig, SurrogateModel, TagSet,
 };
 use postopc_bench::dense_design;
 use postopc_layout::{generate, Design, TechRules};
-use postopc_litho::SurrogateModel;
 
 /// Worst tolerated |surrogate − SOCS| per annotated channel length, nm.
 /// Audited residuals run ~0.01 nm; a model predicting physics it never

@@ -22,10 +22,12 @@
 //! checksum   u64 LE    FNV-1a over every preceding byte
 //! ```
 //!
-//! All sections are length-prefixed little-endian; loading validates the
-//! magic, version and checksum and length-checks every read, returning a
-//! typed [`FlowError::Artifact`](crate::FlowError::Artifact) — never
-//! panicking — on any malformed input. The **invalidation key** is the
+//! Sections are count-prefixed little-endian, written and read by the
+//! crate's one byte codec (shared with the `POCSURR1` model file): loading
+//! validates the magic, version and checksum, bounds-checks every read
+//! and rejects a count larger than the bytes left, returning a typed
+//! [`FlowError::Artifact`](crate::FlowError::Artifact) — never panicking
+//! — on any malformed input. The **invalidation key** is the
 //! content hash: it digests the design's netlist, transistor sites and
 //! die, the process parameters, the clock, the gate-selection policy, the
 //! wire-extraction config and the extraction configuration *minus*
@@ -35,13 +37,14 @@
 //! consumer compares [`content_hash`] of its current inputs against the
 //! stored hash and falls back to a cold compile on mismatch.
 
+use crate::codec::{corrupt, fnv1a, fnv1a_from, put_f64, put_mos_kind, put_u64, seal, Reader};
 use crate::durable::ArtifactIo;
 use crate::error::{ArtifactError, Result};
-use crate::extract::{artifact_err, put_u64, take_u64, ContextStore};
+use crate::extract::ContextStore;
 use crate::fault::FaultPolicy;
 use crate::flow::FlowConfig;
+use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
-use postopc_device::MosKind;
 use postopc_layout::{Design, GateId, NetId};
 use postopc_sta::{CdAnnotation, GateAnnotation, NetAnnotation, TransistorCd};
 use std::path::Path;
@@ -55,21 +58,6 @@ pub const ARTIFACT_MAGIC: [u8; 8] = *b"POCWARM1";
 /// their shift table per run, so it was always empty); version 4 replaced
 /// the characterization-entry section with the session's tag ids.
 pub const ARTIFACT_VERSION: u32 = 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte stream — the stable in-tree hash both the
-/// checksum and the content hash ride on (never `DefaultHasher`, whose
-/// output may change across Rust releases).
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Content hash of a timing compile's inputs: the artifact invalidation
 /// key. Digests the design (netlist connectivity, placed transistor
@@ -93,15 +81,15 @@ pub fn content_hash(design: &Design, config: &FlowConfig) -> u64 {
     if !canon.surrogate.enabled {
         canon.surrogate = crate::extract::SurrogateConfig::off();
     }
-    let mut h = fnv1a(FNV_OFFSET, b"postopc-warm-artifact");
-    h = fnv1a(h, format!("{:?}", design.netlist().gates()).as_bytes());
-    h = fnv1a(h, format!("{:?}", design.transistor_sites()).as_bytes());
-    h = fnv1a(h, format!("{:?}", design.die()).as_bytes());
-    h = fnv1a(h, format!("{:?}", config.process).as_bytes());
-    h = fnv1a(h, &config.clock_ps.to_bits().to_le_bytes());
-    h = fnv1a(h, format!("{canon:?}").as_bytes());
-    h = fnv1a(h, format!("{:?}", config.selection).as_bytes());
-    h = fnv1a(h, format!("{:?}", config.wires).as_bytes());
+    let mut h = fnv1a(b"postopc-warm-artifact");
+    h = fnv1a_from(h, format!("{:?}", design.netlist().gates()).as_bytes());
+    h = fnv1a_from(h, format!("{:?}", design.transistor_sites()).as_bytes());
+    h = fnv1a_from(h, format!("{:?}", design.die()).as_bytes());
+    h = fnv1a_from(h, format!("{:?}", config.process).as_bytes());
+    h = fnv1a_from(h, &config.clock_ps.to_bits().to_le_bytes());
+    h = fnv1a_from(h, format!("{canon:?}").as_bytes());
+    h = fnv1a_from(h, format!("{:?}", config.selection).as_bytes());
+    h = fnv1a_from(h, format!("{:?}", config.wires).as_bytes());
     h
 }
 
@@ -121,34 +109,30 @@ pub struct WarmArtifact {
     /// Trained CD-surrogate state, when the compile ran with the
     /// surrogate tier enabled: a restored session resumes gating and
     /// online training exactly where the compile left off.
-    pub surrogate: Option<postopc_litho::SurrogateModel>,
+    pub surrogate: Option<SurrogateModel>,
 }
 
 impl WarmArtifact {
     /// Serializes the artifact to its canonical byte form (equal
     /// artifacts produce equal bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&ARTIFACT_MAGIC);
-        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        put_u64(&mut out, self.content_hash);
-        encode_annotation(&self.annotation, &mut out);
-        let tags = self.tags.sorted();
-        put_u64(&mut out, tags.len() as u64);
-        for gate in tags {
-            put_u64(&mut out, u64::from(gate.0));
-        }
-        self.context_store.encode_into(&mut out);
-        match &self.surrogate {
-            None => out.push(0),
-            Some(model) => {
-                out.push(1);
-                model.encode_into(&mut out);
+        seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, |out| {
+            put_u64(out, self.content_hash);
+            encode_annotation(&self.annotation, out);
+            let tags = self.tags.sorted();
+            put_u64(out, tags.len() as u64);
+            for gate in tags {
+                put_u64(out, u64::from(gate.0));
             }
-        }
-        let checksum = fnv1a(FNV_OFFSET, &out);
-        put_u64(&mut out, checksum);
-        out
+            self.context_store.encode_into(out);
+            match &self.surrogate {
+                None => out.push(0),
+                Some(model) => {
+                    out.push(1);
+                    model.encode_into(out);
+                }
+            }
+        })
     }
 
     /// Parses an artifact from bytes.
@@ -159,49 +143,17 @@ impl WarmArtifact {
     /// unsupported version, checksum mismatch, truncation or any corrupt
     /// field — loading never panics on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<WarmArtifact> {
-        let header = ARTIFACT_MAGIC.len() + 4 + 8;
-        if bytes.len() < header + 8 {
-            return Err(artifact_err("too short to hold a header and checksum"));
-        }
-        if bytes[..ARTIFACT_MAGIC.len()] != ARTIFACT_MAGIC {
-            return Err(artifact_err("bad magic: not a warm-timing artifact"));
-        }
-        let mut cursor = ARTIFACT_MAGIC.len();
-        let mut ver = [0u8; 4];
-        ver.copy_from_slice(&bytes[cursor..cursor + 4]);
-        let version = u32::from_le_bytes(ver);
-        if version != ARTIFACT_VERSION {
-            return Err(crate::FlowError::Artifact(ArtifactError::version(
-                version,
-                ARTIFACT_VERSION,
-            )));
-        }
-        cursor += 4;
-        let body = &bytes[..bytes.len() - 8];
-        let stored_checksum = take_u64(bytes, &mut { bytes.len() - 8 })?;
-        if fnv1a(FNV_OFFSET, body) != stored_checksum {
-            return Err(artifact_err("checksum mismatch: artifact is corrupt"));
-        }
-        let content_hash = take_u64(body, &mut cursor)?;
-        let annotation = decode_annotation(body, &mut cursor)?;
-        let tags = decode_tags(body, &mut cursor)?;
-        let context_store = ContextStore::decode_from(body, &mut cursor)?;
-        let surrogate = match body.get(cursor).copied() {
-            Some(0) => {
-                cursor += 1;
-                None
-            }
-            Some(1) => {
-                cursor += 1;
-                let model = postopc_litho::SurrogateModel::decode_from(body, &mut cursor)
-                    .map_err(|e| artifact_err(&format!("surrogate section: {e}")))?;
-                Some(model)
-            }
-            _ => return Err(artifact_err("invalid stored surrogate tag")),
+        let mut r = Reader::open(bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION)?;
+        let content_hash = r.u64()?;
+        let annotation = decode_annotation(&mut r)?;
+        let tags = decode_tags(&mut r)?;
+        let context_store = ContextStore::decode_from(&mut r)?;
+        let surrogate = match r.u8()? {
+            0 => None,
+            1 => Some(SurrogateModel::decode_from(&mut r)?),
+            _ => return Err(corrupt("invalid stored surrogate tag")),
         };
-        if cursor != body.len() {
-            return Err(artifact_err("trailing bytes after the last section"));
-        }
+        r.finish()?;
         Ok(WarmArtifact {
             content_hash,
             annotation,
@@ -277,19 +229,8 @@ impl WarmArtifact {
     }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn take_f64(bytes: &[u8], cursor: &mut usize) -> Result<f64> {
-    Ok(f64::from_bits(take_u64(bytes, cursor)?))
-}
-
 fn encode_record(r: &TransistorCd, out: &mut Vec<u8>) {
-    out.push(match r.kind {
-        MosKind::Nmos => 0,
-        MosKind::Pmos => 1,
-    });
+    put_mos_kind(out, r.kind);
     put_f64(out, r.width_nm);
     put_f64(out, r.l_delay_nm);
     put_f64(out, r.l_leakage_nm);
@@ -297,18 +238,13 @@ fn encode_record(r: &TransistorCd, out: &mut Vec<u8>) {
     put_u64(out, r.finger as u64);
 }
 
-fn decode_record(bytes: &[u8], cursor: &mut usize) -> Result<TransistorCd> {
-    let kind = match bytes.get(*cursor) {
-        Some(0) => MosKind::Nmos,
-        Some(1) => MosKind::Pmos,
-        _ => return Err(artifact_err("invalid stored MOS kind")),
-    };
-    *cursor += 1;
-    let width_nm = take_f64(bytes, cursor)?;
-    let l_delay_nm = take_f64(bytes, cursor)?;
-    let l_leakage_nm = take_f64(bytes, cursor)?;
-    let pin = take_u64(bytes, cursor)?;
-    let finger = take_u64(bytes, cursor)? as usize;
+fn decode_record(r: &mut Reader) -> Result<TransistorCd> {
+    let kind = r.mos_kind()?;
+    let width_nm = r.f64()?;
+    let l_delay_nm = r.f64()?;
+    let l_leakage_nm = r.f64()?;
+    let pin = r.u64()?;
+    let finger = r.u64()? as usize;
     Ok(TransistorCd {
         kind,
         width_nm,
@@ -340,29 +276,26 @@ fn encode_annotation(ann: &CdAnnotation, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_annotation(bytes: &[u8], cursor: &mut usize) -> Result<CdAnnotation> {
+/// A stored gate, net or tag id: a `u32` widened to 8 bytes.
+fn decode_id(r: &mut Reader, what: &str) -> Result<u32> {
+    u32::try_from(r.u64()?).map_err(|_| corrupt(&format!("stored {what} id out of range")))
+}
+
+fn decode_annotation(r: &mut Reader) -> Result<CdAnnotation> {
     let mut ann = CdAnnotation::new();
-    let n_gates = take_u64(bytes, cursor)?;
-    for _ in 0..n_gates {
-        let gate = take_u64(bytes, cursor)?;
-        if gate > u64::from(u32::MAX) {
-            return Err(artifact_err("stored gate id out of range"));
-        }
-        let n_records = take_u64(bytes, cursor)?;
-        let mut transistors = Vec::with_capacity(n_records.min(1 << 20) as usize);
+    for _ in 0..r.count()? {
+        let gate = decode_id(r, "gate")?;
+        let n_records = r.count()?;
+        let mut transistors = Vec::with_capacity(n_records);
         for _ in 0..n_records {
-            transistors.push(decode_record(bytes, cursor)?);
+            transistors.push(decode_record(r)?);
         }
-        ann.set_gate(GateId(gate as u32), GateAnnotation { transistors });
+        ann.set_gate(GateId(gate), GateAnnotation { transistors });
     }
-    let n_nets = take_u64(bytes, cursor)?;
-    for _ in 0..n_nets {
-        let net = take_u64(bytes, cursor)?;
-        if net > u64::from(u32::MAX) {
-            return Err(artifact_err("stored net id out of range"));
-        }
-        let printed_width_nm = take_f64(bytes, cursor)?;
-        ann.set_net(NetId(net as u32), NetAnnotation { printed_width_nm });
+    for _ in 0..r.count()? {
+        let net = decode_id(r, "net")?;
+        let printed_width_nm = r.f64()?;
+        ann.set_net(NetId(net), NetAnnotation { printed_width_nm });
     }
     Ok(ann)
 }
@@ -371,19 +304,16 @@ fn decode_annotation(bytes: &[u8], cursor: &mut usize) -> Result<CdAnnotation> {
 /// canonical form [`WarmArtifact::to_bytes`] writes), each a valid
 /// [`GateId`]. Whether the ids exist in the design is checked when a
 /// session restores them.
-fn decode_tags(bytes: &[u8], cursor: &mut usize) -> Result<TagSet> {
+fn decode_tags(r: &mut Reader) -> Result<TagSet> {
     let mut tags = TagSet::new();
     let mut prev = None;
-    for _ in 0..take_u64(bytes, cursor)? {
-        let gate = take_u64(bytes, cursor)?;
-        if gate > u64::from(u32::MAX) {
-            return Err(artifact_err("stored tag id out of range"));
-        }
+    for _ in 0..r.count()? {
+        let gate = decode_id(r, "tag")?;
         if prev.is_some_and(|p| p >= gate) {
-            return Err(artifact_err("stored tag ids not strictly ascending"));
+            return Err(corrupt("stored tag ids not strictly ascending"));
         }
         prev = Some(gate);
-        tags.insert(GateId(gate as u32));
+        tags.insert(GateId(gate));
     }
     Ok(tags)
 }
@@ -490,7 +420,7 @@ mod tests {
         let resealed = |patch: &dyn Fn(&mut [u8])| {
             let mut body = bytes[..bytes.len() - 8].to_vec();
             patch(&mut body);
-            let checksum = fnv1a(FNV_OFFSET, &body);
+            let checksum = fnv1a(&body);
             put_u64(&mut body, checksum);
             WarmArtifact::from_bytes(&body)
         };
@@ -504,6 +434,141 @@ mod tests {
         let wide = resealed(&|body| body[first..first + 8].copy_from_slice(&[0xff; 8]));
         let err = wide.expect_err("oversized tag id");
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    /// A surrogate model trained on `n` samples of a linear response.
+    fn trained_model(n: usize) -> SurrogateModel {
+        let mut model = crate::extract::SurrogateConfig::standard().fresh_model();
+        for i in 0..n {
+            let a = i as f64 / 10.0 - 1.0;
+            let mut x = vec![0.0; crate::extract::SURROGATE_FEATURE_DIM];
+            x[0] = 1.0;
+            x[1] = a;
+            model.absorb(&x, [2.0 * a, -a]).expect("absorb");
+        }
+        model
+    }
+
+    /// Applies `cases` seeded mutations to the payload of the sealed
+    /// container `sealed`, reseals each with a valid checksum and decodes
+    /// it: the answer must be `Ok` (and re-encode without a panic) or a
+    /// [`FlowError::Artifact`], never a panic or another error. Returns
+    /// the number of `Ok` answers and every rejection reason.
+    fn sweep_resealed<T>(
+        sealed: &[u8],
+        seed: u64,
+        cases: usize,
+        decode: impl Fn(&[u8]) -> Result<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) -> (usize, Vec<String>) {
+        use postopc_rng::{RngExt, SeedableRng, StdRng};
+        let header = ARTIFACT_MAGIC.len() + 4;
+        let body = &sealed[..sealed.len() - 8];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut ok, mut reasons) = (0, Vec::new());
+        for case in 0..cases {
+            let mut b = body.to_vec();
+            let at = rng.random_range(header..b.len());
+            match rng.random_range(0..5u32) {
+                0 => b[at] = rng.random_range(0..256u32) as u8,
+                1 => {
+                    let word = match rng.random_range(0..4u32) {
+                        0 => 0,
+                        1 => 1,
+                        2 => u64::MAX,
+                        _ => rng.random_range(2..64u64),
+                    };
+                    let end = (at + 8).min(b.len());
+                    b[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                }
+                2 => b.truncate(at),
+                _ => {
+                    let len = rng.random_range(1..=(b.len() - at).min(64));
+                    let slice = b[at..at + len].to_vec();
+                    let to = rng.random_range(header..=b.len());
+                    b.splice(to..to, slice);
+                }
+            }
+            let checksum = fnv1a(&b);
+            put_u64(&mut b, checksum);
+            match decode(&b) {
+                Ok(value) => {
+                    encode(&value);
+                    ok += 1;
+                }
+                Err(FlowError::Artifact(e)) => reasons.push(e.detail),
+                Err(other) => panic!("case {case}: untyped rejection {other}"),
+            }
+        }
+        (ok, reasons)
+    }
+
+    /// Asserts that the sweep's rejections include each expected reason
+    /// (a reason matches by prefix) and none at the checksum.
+    fn assert_reached(reasons: &[String], expected: &[&str]) {
+        assert!(reasons.iter().all(|r| !r.contains("checksum")));
+        for want in expected {
+            assert!(
+                reasons.iter().any(|r| r.starts_with(want)),
+                "no mutation reached {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn resealed_mutations_reach_every_section_decoder_and_fail_typed() {
+        let mut artifact = sample_artifact();
+        for (i, net) in [3u32, 5, 8].into_iter().enumerate() {
+            let printed_width_nm = 120.0 + i as f64;
+            artifact
+                .annotation
+                .set_net(NetId(net), NetAnnotation { printed_width_nm });
+        }
+        artifact.surrogate = Some(trained_model(20));
+        assert!(!artifact.tags.is_empty() && !artifact.context_store.is_empty());
+        let (ok, reasons) = sweep_resealed(
+            &artifact.to_bytes(),
+            11,
+            3000,
+            WarmArtifact::from_bytes,
+            WarmArtifact::to_bytes,
+        );
+        assert!(ok > 0, "some mutations (a float's bits) still decode");
+        assert_reached(
+            &reasons,
+            &[
+                "stored gate id out of range",
+                "stored net id out of range",
+                "invalid stored MOS kind",
+                "stored tag ids not strictly ascending",
+                "invalid stored polygon",
+                "invalid stored rect",
+                "invalid stored outcome tag",
+                "invalid stored surrogate tag",
+                "stored feature dimension out of range",
+                "stored boost rounds out of range",
+                "stored count exceeds the bytes left",
+                "truncated field",
+                "trailing bytes after the last field",
+            ],
+        );
+        let (_, reasons) = sweep_resealed(
+            &trained_model(20).to_file_bytes(),
+            12,
+            1000,
+            SurrogateModel::from_file_bytes,
+            SurrogateModel::to_file_bytes,
+        );
+        assert_reached(
+            &reasons,
+            &[
+                "stored feature dimension out of range",
+                "truncated surrogate training state",
+                "stored count exceeds the bytes left",
+                "truncated field",
+                "trailing bytes after the last field",
+            ],
+        );
     }
 
     #[test]
@@ -545,14 +610,7 @@ mod tests {
     #[test]
     fn surrogate_section_round_trips_and_is_validated() {
         let mut artifact = sample_artifact();
-        let mut model = crate::extract::SurrogateConfig::standard().fresh_model();
-        for i in 0..20 {
-            let a = i as f64 / 10.0 - 1.0;
-            let mut x = vec![0.0; crate::extract::SURROGATE_FEATURE_DIM];
-            x[0] = 1.0;
-            x[1] = a;
-            model.absorb(&x, [2.0 * a, -a]).expect("absorb");
-        }
+        let model = trained_model(20);
         let fingerprint = model.fingerprint();
         artifact.surrogate = Some(model);
         let bytes = artifact.to_bytes();

@@ -21,6 +21,7 @@
 //!   which `tests/durable.rs` asserts at 1, 2 and 4 threads.
 
 use crate::error::{ArtifactError, ArtifactErrorKind, ArtifactOp, FlowError, Result};
+use crate::fault::{check_rate, seeded_fault};
 use postopc_rng::{split_seed, RngExt, SeedableRng, StdRng};
 use std::fs;
 use std::io::Write;
@@ -80,13 +81,7 @@ impl IoFaultInjection {
     /// [`FlowError::InvalidConfig`] when `rate` is non-finite or outside
     /// `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
-        if !self.rate.is_finite() || !(0.0..=1.0).contains(&self.rate) {
-            return Err(FlowError::InvalidConfig(format!(
-                "I/O fault injection rate must be in [0, 1], got {}",
-                self.rate
-            )));
-        }
-        Ok(())
+        check_rate("I/O fault injection", self.rate)
     }
 
     /// The fault injected for the `op_index`-th I/O operation when it is
@@ -95,8 +90,6 @@ impl IoFaultInjection {
     /// operation sequence — never on wall clock or thread count.
     #[must_use]
     pub fn fault_for(&self, op_index: u64, op: ArtifactOp) -> Option<InjectedIoFault> {
-        let mut kinds: [Option<InjectedIoFault>; 3] = [None; 3];
-        let mut n = 0;
         let site_faults: &[(bool, InjectedIoFault)] = match op {
             ArtifactOp::Write => &[
                 (self.short_write, InjectedIoFault::ShortWrite),
@@ -110,20 +103,7 @@ impl IoFaultInjection {
                 &[(self.transient_error, InjectedIoFault::TransientError)]
             }
         };
-        for &(enabled, kind) in site_faults {
-            if enabled {
-                kinds[n] = Some(kind);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(split_seed(self.seed, op_index));
-        if rng.random_range(0.0..1.0) >= self.rate {
-            return None;
-        }
-        kinds[rng.random_range(0..n)]
+        seeded_fault(split_seed(self.seed, op_index), self.rate, site_faults)
     }
 }
 

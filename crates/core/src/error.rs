@@ -197,6 +197,10 @@ pub enum FlowError {
     Layout(postopc_layout::LayoutError),
     /// Lithography simulation failure.
     Litho(postopc_litho::LithoError),
+    /// Learned CD surrogate training failure: a bad training sample or
+    /// unsolvable normal equations. (A corrupt persisted model is an
+    /// [`FlowError::Artifact`].)
+    Surrogate(String),
     /// OPC failure.
     Opc(postopc_opc::OpcError),
     /// CD extraction failure.
@@ -233,6 +237,7 @@ impl fmt::Display for FlowError {
         match self {
             FlowError::Layout(e) => write!(f, "layout error: {e}"),
             FlowError::Litho(e) => write!(f, "lithography error: {e}"),
+            FlowError::Surrogate(reason) => write!(f, "surrogate model error: {reason}"),
             FlowError::Opc(e) => write!(f, "opc error: {e}"),
             FlowError::Cdex(e) => write!(f, "extraction error: {e}"),
             FlowError::Sta(e) => write!(f, "timing error: {e}"),
@@ -262,7 +267,7 @@ impl Error for FlowError {
             FlowError::Cdex(e) => Some(e),
             FlowError::Sta(e) => Some(e),
             FlowError::Geometry(e) => Some(e),
-            FlowError::InvalidConfig(_) => None,
+            FlowError::Surrogate(_) | FlowError::InvalidConfig(_) => None,
             FlowError::Artifact(e) => Some(e),
             FlowError::QuarantineExceeded { .. } | FlowError::WorkerPanic(_) => None,
         }

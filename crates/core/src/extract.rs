@@ -34,14 +34,16 @@
 //! keying, and simulation runs *at* the quantised conditions, so cache
 //! reuse under an [`AcrossChipMap`] is exact rather than approximate.
 
+use crate::codec::{corrupt, put_f64, put_mos_kind, put_polygon, put_rect, put_u64, Reader};
 use crate::error::{FlowError, Result};
 use crate::fault::{FaultInjection, FaultPolicy, FaultStage, InjectedFault, QuarantinedGate};
+use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
 use postopc_cdex::{extract_gate, ExtractedGate, MeasureConfig};
 use postopc_device::{EquivalentGate, GateSlice, MosKind, ProcessParams};
 use postopc_geom::{Coord, Polygon, Rect, Vector};
 use postopc_layout::{Design, GateId, Layer, TransistorSite};
-use postopc_litho::{AerialImage, ProcessConditions, ResistModel, SimulationSpec, SurrogateModel};
+use postopc_litho::{AerialImage, ProcessConditions, ResistModel, SimulationSpec};
 use postopc_opc::{rules, selective, ModelOpcConfig, RuleOpcConfig};
 use postopc_parallel::FaultCause;
 use postopc_sta::{CdAnnotation, GateAnnotation, TransistorCd};
@@ -588,8 +590,7 @@ impl ContextStore {
             .iter()
             .map(|(key, outcome)| {
                 let mut buf = Vec::new();
-                encode_context_key(key, &mut buf);
-                encode_unique_outcome(outcome, &mut buf);
+                encode_entry(key, outcome, &mut buf);
                 buf
             })
             .collect();
@@ -602,155 +603,40 @@ impl ContextStore {
     }
 
     /// Decodes a store previously written by [`Self::encode_into`].
-    pub(crate) fn decode_from(bytes: &[u8], cursor: &mut usize) -> Result<ContextStore> {
-        let count = take_u64(bytes, cursor)?;
-        let mut entries = HashMap::with_capacity(count.min(1 << 20) as usize);
+    pub(crate) fn decode_from(r: &mut Reader) -> Result<ContextStore> {
+        let count = r.count()?;
+        let mut entries = HashMap::with_capacity(count);
         for _ in 0..count {
-            let len = take_u64(bytes, cursor)? as usize;
-            let end = cursor
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| artifact_err("context store entry overruns the payload"))?;
-            let entry = &bytes[..end];
-            let key = decode_context_key(entry, cursor)?;
-            let outcome = decode_unique_outcome(entry, cursor)?;
-            if *cursor != end {
-                return Err(artifact_err("context store entry has trailing bytes"));
-            }
+            let mut entry = r.sub()?;
+            let (key, outcome) = decode_entry(&mut entry)?;
+            entry.finish()?;
             entries.insert(key, outcome);
         }
         Ok(ContextStore { entries })
     }
 }
 
-pub(crate) fn artifact_err(reason: &str) -> FlowError {
-    FlowError::Artifact(crate::error::ArtifactError::corrupt(reason))
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn take_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64> {
-    let end = cursor
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| artifact_err("truncated integer field"))?;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[*cursor..end]);
-    *cursor = end;
-    Ok(u64::from_le_bytes(raw))
-}
-
-pub(crate) fn take_i64(bytes: &[u8], cursor: &mut usize) -> Result<i64> {
-    Ok(take_u64(bytes, cursor)? as i64)
-}
-
-fn encode_polygon(p: &Polygon, out: &mut Vec<u8>) {
-    put_u64(out, p.vertices().len() as u64);
-    for v in p.vertices() {
-        put_i64(out, v.x);
-        put_i64(out, v.y);
+/// One stored context: its key (targets, context, window, sites,
+/// conditions), then its outcome (OPC counters and, when every channel
+/// printed, per-site slices and equivalent).
+fn encode_entry(key: &ContextKey, outcome: &UniqueOutcome, out: &mut Vec<u8>) {
+    for polygons in [&key.targets, &key.context] {
+        put_u64(out, polygons.len() as u64);
+        for p in polygons {
+            put_polygon(out, p);
+        }
     }
-}
-
-fn decode_polygon(bytes: &[u8], cursor: &mut usize) -> Result<Polygon> {
-    let n = take_u64(bytes, cursor)?;
-    if n > 1 << 20 {
-        return Err(artifact_err("polygon vertex count out of range"));
-    }
-    let mut vertices = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let x = take_i64(bytes, cursor)?;
-        let y = take_i64(bytes, cursor)?;
-        vertices.push(postopc_geom::Point::new(x, y));
-    }
-    Polygon::new(vertices).map_err(|e| artifact_err(&format!("invalid stored polygon: {e}")))
-}
-
-fn encode_rect(r: Rect, out: &mut Vec<u8>) {
-    put_i64(out, r.left());
-    put_i64(out, r.bottom());
-    put_i64(out, r.right());
-    put_i64(out, r.top());
-}
-
-fn decode_rect(bytes: &[u8], cursor: &mut usize) -> Result<Rect> {
-    let (x0, y0) = (take_i64(bytes, cursor)?, take_i64(bytes, cursor)?);
-    let (x1, y1) = (take_i64(bytes, cursor)?, take_i64(bytes, cursor)?);
-    Rect::new(x0, y0, x1, y1).map_err(|e| artifact_err(&format!("invalid stored rect: {e}")))
-}
-
-fn encode_context_key(key: &ContextKey, out: &mut Vec<u8>) {
-    put_u64(out, key.targets.len() as u64);
-    for p in &key.targets {
-        encode_polygon(p, out);
-    }
-    put_u64(out, key.context.len() as u64);
-    for p in &key.context {
-        encode_polygon(p, out);
-    }
-    encode_rect(key.window, out);
+    put_rect(out, key.window);
     put_u64(out, key.sites.len() as u64);
     for s in &key.sites {
-        encode_rect(s.channel, out);
-        out.push(match s.kind {
-            MosKind::Nmos => 0,
-            MosKind::Pmos => 1,
-        });
+        put_rect(out, s.channel);
+        put_mos_kind(out, s.kind);
         put_u64(out, s.width_bits);
         put_u64(out, s.drawn_bits);
         put_u64(out, s.finger as u64);
     }
     put_u64(out, key.focus_bits);
     put_u64(out, key.dose_bits);
-}
-
-fn decode_context_key(bytes: &[u8], cursor: &mut usize) -> Result<ContextKey> {
-    let n_targets = take_u64(bytes, cursor)?;
-    let mut targets = Vec::with_capacity(n_targets.min(1 << 20) as usize);
-    for _ in 0..n_targets {
-        targets.push(decode_polygon(bytes, cursor)?);
-    }
-    let n_context = take_u64(bytes, cursor)?;
-    let mut context = Vec::with_capacity(n_context.min(1 << 20) as usize);
-    for _ in 0..n_context {
-        context.push(decode_polygon(bytes, cursor)?);
-    }
-    let window = decode_rect(bytes, cursor)?;
-    let n_sites = take_u64(bytes, cursor)?;
-    let mut sites = Vec::with_capacity(n_sites.min(1 << 20) as usize);
-    for _ in 0..n_sites {
-        let channel = decode_rect(bytes, cursor)?;
-        let kind = match bytes.get(*cursor) {
-            Some(0) => MosKind::Nmos,
-            Some(1) => MosKind::Pmos,
-            _ => return Err(artifact_err("invalid stored MOS kind")),
-        };
-        *cursor += 1;
-        sites.push(SiteKey {
-            channel,
-            kind,
-            width_bits: take_u64(bytes, cursor)?,
-            drawn_bits: take_u64(bytes, cursor)?,
-            finger: take_u64(bytes, cursor)? as usize,
-        });
-    }
-    Ok(ContextKey {
-        targets,
-        context,
-        window,
-        sites,
-        focus_bits: take_u64(bytes, cursor)?,
-        dose_bits: take_u64(bytes, cursor)?,
-    })
-}
-
-fn encode_unique_outcome(outcome: &UniqueOutcome, out: &mut Vec<u8>) {
     put_u64(out, outcome.opc_simulations as u64);
     put_u64(out, outcome.opc_fragment_moves as u64);
     match &outcome.sites {
@@ -761,52 +647,87 @@ fn encode_unique_outcome(outcome: &UniqueOutcome, out: &mut Vec<u8>) {
             for (slices, equivalent) in per_site {
                 put_u64(out, slices.len() as u64);
                 for s in slices {
-                    put_u64(out, s.w_nm.to_bits());
-                    put_u64(out, s.l_nm.to_bits());
+                    put_f64(out, s.w_nm);
+                    put_f64(out, s.l_nm);
                 }
-                put_u64(out, equivalent.w_nm.to_bits());
-                put_u64(out, equivalent.l_delay_nm.to_bits());
-                put_u64(out, equivalent.l_leakage_nm.to_bits());
+                put_f64(out, equivalent.w_nm);
+                put_f64(out, equivalent.l_delay_nm);
+                put_f64(out, equivalent.l_leakage_nm);
             }
         }
     }
 }
 
-fn decode_unique_outcome(bytes: &[u8], cursor: &mut usize) -> Result<UniqueOutcome> {
-    let opc_simulations = take_u64(bytes, cursor)? as usize;
-    let opc_fragment_moves = take_u64(bytes, cursor)? as usize;
-    let tag = bytes.get(*cursor).copied();
-    *cursor += 1;
-    let sites = match tag {
-        Some(0) => None,
-        Some(1) => {
-            let n = take_u64(bytes, cursor)?;
-            let mut per_site = Vec::with_capacity(n.min(1 << 20) as usize);
+fn decode_polygons(r: &mut Reader) -> Result<Vec<Polygon>> {
+    let n = r.count()?;
+    let mut polygons = Vec::with_capacity(n);
+    for _ in 0..n {
+        polygons.push(r.polygon()?);
+    }
+    Ok(polygons)
+}
+
+/// Reads an entry written by [`encode_entry`]. An outcome must cover
+/// exactly its key's sites: the merge pairs them one to one.
+fn decode_entry(r: &mut Reader) -> Result<(ContextKey, UniqueOutcome)> {
+    let targets = decode_polygons(r)?;
+    let context = decode_polygons(r)?;
+    let window = r.rect()?;
+    let n_sites = r.count()?;
+    let mut sites = Vec::with_capacity(n_sites);
+    for _ in 0..n_sites {
+        sites.push(SiteKey {
+            channel: r.rect()?,
+            kind: r.mos_kind()?,
+            width_bits: r.u64()?,
+            drawn_bits: r.u64()?,
+            finger: r.u64()? as usize,
+        });
+    }
+    let key = ContextKey {
+        targets,
+        context,
+        window,
+        sites,
+        focus_bits: r.u64()?,
+        dose_bits: r.u64()?,
+    };
+    let opc_simulations = r.u64()? as usize;
+    let opc_fragment_moves = r.u64()? as usize;
+    let sites = match r.u8()? {
+        0 => None,
+        1 => {
+            let n = r.count()?;
+            if n != key.sites.len() {
+                return Err(corrupt("stored outcome does not cover its key's sites"));
+            }
+            let mut per_site = Vec::with_capacity(n);
             for _ in 0..n {
-                let n_slices = take_u64(bytes, cursor)?;
-                let mut slices = Vec::with_capacity(n_slices.min(1 << 20) as usize);
+                let n_slices = r.count()?;
+                let mut slices = Vec::with_capacity(n_slices);
                 for _ in 0..n_slices {
                     slices.push(GateSlice {
-                        w_nm: f64::from_bits(take_u64(bytes, cursor)?),
-                        l_nm: f64::from_bits(take_u64(bytes, cursor)?),
+                        w_nm: r.f64()?,
+                        l_nm: r.f64()?,
                     });
                 }
                 let equivalent = EquivalentGate {
-                    w_nm: f64::from_bits(take_u64(bytes, cursor)?),
-                    l_delay_nm: f64::from_bits(take_u64(bytes, cursor)?),
-                    l_leakage_nm: f64::from_bits(take_u64(bytes, cursor)?),
+                    w_nm: r.f64()?,
+                    l_delay_nm: r.f64()?,
+                    l_leakage_nm: r.f64()?,
                 };
                 per_site.push((slices, equivalent));
             }
             Some(per_site)
         }
-        _ => return Err(artifact_err("invalid stored outcome tag")),
+        _ => return Err(corrupt("invalid stored outcome tag")),
     };
-    Ok(UniqueOutcome {
+    let outcome = UniqueOutcome {
         opc_simulations,
         opc_fragment_moves,
         sites,
-    })
+    };
+    Ok((key, outcome))
 }
 
 /// First non-physical (non-finite or non-positive) dimension in a gate's
@@ -886,8 +807,8 @@ pub fn extract_gates_with_store(
 /// # Errors
 ///
 /// As [`extract_gates`], plus [`FlowError::InvalidConfig`] for a model of
-/// the wrong feature dimension and [`FlowError::Litho`] if a (pre-trained
-/// or online) model cannot be refitted.
+/// the wrong feature dimension and [`FlowError::Surrogate`] if a
+/// (pre-trained or online) model cannot be trained or refitted.
 pub fn extract_gates_with_caches(
     design: &Design,
     config: &ExtractionConfig,
@@ -1923,18 +1844,54 @@ mod tests {
         let mut again = Vec::new();
         store.encode_into(&mut again);
         assert_eq!(bytes, again);
-        let mut cursor = 0;
-        let mut decoded = ContextStore::decode_from(&bytes, &mut cursor).expect("decode");
-        assert_eq!(cursor, bytes.len());
+        let mut decoded = decode_store(&bytes).expect("decode");
         assert_eq!(decoded.len(), store.len());
         // The decoded store serves every context of a fresh run.
         let replay = extract_gates_with_store(&d, &cfg, &tags, Some(&mut decoded)).expect("warm");
         assert_eq!(replay.annotation, cold.annotation);
         assert_eq!(replay.stats.windows, 0);
         // Truncation surfaces as a typed error, never a panic.
-        let err = ContextStore::decode_from(&bytes[..bytes.len() - 3], &mut 0)
-            .expect_err("truncated store must fail");
+        let err = decode_store(&bytes[..bytes.len() - 3]).expect_err("truncated store must fail");
         assert!(matches!(err, FlowError::Artifact(_)));
+    }
+
+    /// Decodes an encoded store through the codec's container, requiring
+    /// the decoder to consume every byte.
+    fn decode_store(payload: &[u8]) -> Result<ContextStore> {
+        let sealed = crate::codec::seal(*b"TESTSTOR", 1, |out| out.extend_from_slice(payload));
+        let mut r = Reader::open(&sealed, *b"TESTSTOR", 1)?;
+        let store = ContextStore::decode_from(&mut r)?;
+        r.finish()?;
+        Ok(store)
+    }
+
+    #[test]
+    fn a_stored_outcome_must_cover_its_keys_sites() {
+        // The merge pairs a gate's sites with its outcome's entries one to
+        // one, so an outcome one channel short would silently drop a
+        // transistor from every member gate's annotation.
+        let d = chain_design(6);
+        let tags = TagSet::all(&d);
+        let cfg = fast_config(OpcMode::Rule);
+        let mut store = ContextStore::new();
+        extract_gates_with_store(&d, &cfg, &tags, Some(&mut store)).expect("fill");
+        let mut shortened = 0;
+        for outcome in store.entries.values_mut() {
+            if let Some(per_site) = outcome.sites.as_mut().filter(|s| s.len() == 2) {
+                per_site.pop();
+                shortened += 1;
+            }
+        }
+        assert!(shortened > 0, "an inverter chain stores two-site contexts");
+        let mut bytes = Vec::new();
+        store.encode_into(&mut bytes);
+        match decode_store(&bytes) {
+            Err(FlowError::Artifact(e)) => {
+                assert_eq!(e.kind, crate::error::ArtifactErrorKind::Corrupt);
+                assert!(e.detail.contains("does not cover"), "{e}");
+            }
+            other => panic!("a short stored outcome must not decode: {other:?}"),
+        }
     }
 
     /// A surrogate recipe sized for test designs: tiny warm-up and

@@ -124,26 +124,12 @@ impl FaultInjection {
     /// order. Tests replay this to predict the exact quarantine set.
     #[must_use]
     pub fn fault_for(&self, gate: GateId) -> Option<InjectedFault> {
-        let mut kinds: [Option<InjectedFault>; 3] = [None; 3];
-        let mut n = 0;
-        for (enabled, kind) in [
+        let kinds = [
             (self.nan_cd, InjectedFault::NanCd),
             (self.degenerate_geometry, InjectedFault::DegenerateGeometry),
             (self.worker_panic, InjectedFault::WorkerPanic),
-        ] {
-            if enabled {
-                kinds[n] = Some(kind);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(split_seed(self.seed, u64::from(gate.0)));
-        if rng.random_range(0.0..1.0) >= self.rate {
-            return None;
-        }
-        kinds[rng.random_range(0..n)]
+        ];
+        seeded_fault(split_seed(self.seed, u64::from(gate.0)), self.rate, &kinds)
     }
 
     /// Validates the injector's numeric fields.
@@ -153,14 +139,36 @@ impl FaultInjection {
     /// [`crate::FlowError::InvalidConfig`] when `rate` is non-finite or
     /// outside `[0, 1]`.
     pub fn validate(&self) -> crate::error::Result<()> {
-        if !self.rate.is_finite() || !(0.0..=1.0).contains(&self.rate) {
-            return Err(crate::FlowError::InvalidConfig(format!(
-                "fault injection rate must be in [0, 1], got {}",
-                self.rate
-            )));
-        }
-        Ok(())
+        check_rate("fault injection", self.rate)
     }
+}
+
+/// The draw behind both fault injectors: with `StdRng` seeded from
+/// `seed`, a fault fires when a uniform draw falls below `rate`, and a
+/// second draw picks uniformly among the enabled `kinds`. No enabled kind
+/// means no fault (and no draw).
+pub(crate) fn seeded_fault<K: Copy>(seed: u64, rate: f64, kinds: &[(bool, K)]) -> Option<K> {
+    let mut enabled = kinds.iter().filter(|(on, _)| *on).map(|&(_, kind)| kind);
+    let n = enabled.clone().count();
+    if n == 0 {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    if rng.random_range(0.0..1.0) >= rate {
+        return None;
+    }
+    enabled.nth(rng.random_range(0..n))
+}
+
+/// The rate check both fault injectors share: `rate` must lie in
+/// `[0, 1]` (which no NaN does).
+pub(crate) fn check_rate(what: &str, rate: f64) -> crate::error::Result<()> {
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(crate::FlowError::InvalidConfig(format!(
+            "{what} rate must be in [0, 1], got {rate}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

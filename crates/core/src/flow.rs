@@ -20,10 +20,10 @@ use crate::extract::{
 };
 use crate::multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
+use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
 use postopc_device::ProcessParams;
 use postopc_layout::{Design, NetId};
-use postopc_litho::SurrogateModel;
 use postopc_sta::{CdAnnotation, TimingModel, TimingReport};
 use std::path::Path;
 use std::time::{Duration, Instant};

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod artifact;
+mod codec;
 mod compare;
 pub mod durable;
 mod error;
@@ -50,6 +51,7 @@ pub mod guardband;
 mod multilayer;
 pub mod report;
 mod session;
+mod surrogate;
 mod tags;
 
 pub use artifact::{content_hash, WarmArtifact, ARTIFACT_MAGIC, ARTIFACT_VERSION};
@@ -72,4 +74,5 @@ pub use multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 pub use session::{
     BudgetedOutcome, EcoOutcome, QueryOutcome, SampleBudget, SessionQuery, TimingSession,
 };
+pub use surrogate::{SurrogateModel, SURROGATE_TARGETS};
 pub use tags::TagSet;

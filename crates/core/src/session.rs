@@ -20,8 +20,8 @@ use crate::error::{FlowError, Result};
 use crate::extract::{ContextStore, ExtractionStats};
 use crate::flow::{extract_step, select_tags, FlowConfig};
 use crate::guardband::{GuardbandAnalysis, GuardbandConfig};
+use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
-use postopc_litho::SurrogateModel;
 use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
     MonteCarloResult, StaScratch, TimingModel, TimingReport,
@@ -285,11 +285,9 @@ impl<'m> TimingSession<'m> {
         }
         let gate_count = design.netlist().gate_count();
         if let Some(gate) = artifact.tags.iter().find(|g| g.0 as usize >= gate_count) {
-            return Err(FlowError::Artifact(crate::error::ArtifactError::corrupt(
-                &format!(
-                    "tag id {} is not a gate of the {gate_count}-gate design",
-                    gate.0
-                ),
+            return Err(crate::codec::corrupt(&format!(
+                "tag id {} is not a gate of the {gate_count}-gate design",
+                gate.0
             )));
         }
         let compiled = model.compile()?;

@@ -29,9 +29,6 @@ pub enum LithoError {
         /// The rejected distance in nm.
         max_dist_nm: f64,
     },
-    /// Learned CD surrogate failure (bad training sample, unsolvable
-    /// normal equations, or a corrupt persisted model).
-    Surrogate(String),
 }
 
 impl fmt::Display for LithoError {
@@ -48,7 +45,6 @@ impl fmt::Display for LithoError {
                 f,
                 "edge search distance must be finite and non-negative, got {max_dist_nm} nm"
             ),
-            LithoError::Surrogate(reason) => write!(f, "surrogate model error: {reason}"),
         }
     }
 }

@@ -34,7 +34,6 @@ mod image;
 mod kernels;
 mod optics;
 mod resist;
-pub mod surrogate;
 mod workspace;
 
 pub use error::{LithoError, Result};
@@ -42,4 +41,3 @@ pub use image::{AerialImage, KernelMode, SimulationSpec};
 pub use kernels::{ImagingKernel, KernelStack};
 pub use optics::{OpticsParams, ProcessConditions};
 pub use resist::ResistModel;
-pub use surrogate::{SurrogateModel, SURROGATE_TARGETS};

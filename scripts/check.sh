@@ -71,7 +71,9 @@
 #   perfbench  release build + unit tests of the repository benchmark
 #              (perfbench/, its own Cargo workspace): the only consumer
 #              of the crates' public API outside this workspace, so an
-#              API change that breaks the benchmark fails here
+#              API change that breaks the benchmark fails here. Both run
+#              with --locked, so a dependency change that would rewrite
+#              perfbench/Cargo.lock fails too
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -280,9 +282,12 @@ stage paper paper_stage
 # Repository benchmark: perfbench/ builds against the crates' public API
 # from outside the workspace (it has its own Cargo workspace and lock
 # file), so nothing else here would notice an API change that breaks it.
+# --locked: a change to any crate's dependency list would otherwise
+# silently rewrite perfbench/Cargo.lock, which only a benchmark change
+# may touch; here it fails instead.
 perfbench_stage() {
-  cargo build --release --offline --manifest-path perfbench/Cargo.toml
-  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+  cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 }
 stage perfbench perfbench_stage
 
