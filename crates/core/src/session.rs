@@ -22,6 +22,7 @@ use crate::flow::{extract_step, select_tags, FlowConfig};
 use crate::guardband::{GuardbandAnalysis, GuardbandConfig};
 use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
+use postopc_layout::Design;
 use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
     MonteCarloResult, StaScratch, TimingModel, TimingReport,
@@ -268,8 +269,9 @@ impl<'m> TimingSession<'m> {
     /// [`FlowError::Artifact`] when the artifact's content hash does not
     /// match the flow inputs (design, process, clock, selection, wire
     /// and extraction config) the session is being opened for — a stale
-    /// artifact is rejected, never silently reused — or when it tags a
-    /// gate the design does not have; plus ordinary timing errors.
+    /// artifact is rejected, never silently reused — when it tags a gate
+    /// the design does not have, or when an annotated gate's transistor
+    /// records are not its own sites; plus ordinary timing errors.
     pub fn restore(
         model: &'m TimingModel<'m>,
         config: &FlowConfig,
@@ -290,6 +292,7 @@ impl<'m> TimingSession<'m> {
                 gate.0
             )));
         }
+        check_transistor_records(design, &artifact.annotation)?;
         let compiled = model.compile()?;
         let mut scratch = compiled.scratch();
         let tags = artifact.tags;
@@ -539,13 +542,44 @@ impl<'m> TimingSession<'m> {
     }
 }
 
+/// Rejects an annotation in which a gate's transistor records, as (kind,
+/// finger) in order, are not the gate's transistor sites: timing would
+/// otherwise run on whatever records are left, without an error.
+fn check_transistor_records(design: &Design, annotation: &CdAnnotation) -> Result<()> {
+    let sites = design.transistor_sites();
+    // Each gate's first site and number of sites.
+    let mut spans = vec![(0, 0); design.netlist().gate_count()];
+    for (i, site) in sites.iter().enumerate().rev() {
+        if let Some((first, count)) = spans.get_mut(site.gate.0 as usize) {
+            (*first, *count) = (i, *count + 1);
+        }
+    }
+    for (gate, records) in annotation.gates() {
+        let (first, count) = spans.get(gate.0 as usize).copied().unwrap_or((0, 0));
+        let own = sites[first..]
+            .iter()
+            .filter(|s| s.gate == *gate)
+            .take(count);
+        let held = records.transistors.iter().map(|t| (t.kind, t.finger));
+        if !held.eq(own.map(|s| (s.kind, s.finger))) {
+            return Err(crate::codec::corrupt(&format!(
+                "gate {} carries {} transistor records that are not its {count} sites",
+                gate.0,
+                records.transistors.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::OpcMode;
     use crate::flow::Selection;
     use crate::run_flow;
-    use postopc_layout::{generate, Design, NetId, TechRules};
+    use postopc_layout::{generate, NetId, TechRules};
+    use postopc_sta::TransistorCd;
 
     fn design() -> Design {
         Design::compile(
@@ -882,6 +916,58 @@ mod tests {
             TimingSession::restore(&model, &off, stale),
             Err(FlowError::Artifact(_))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_gates_whose_transistor_records_are_not_their_sites() {
+        // Every gate tagged, so every gate carries records.
+        let d = design();
+        let cfg = fast_config(Selection::All);
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let bytes = TimingSession::new(&model, &cfg)
+            .expect("cold session")
+            .artifact()
+            .to_bytes();
+        type Edit = fn(&mut CdAnnotation);
+        let resealed = |edit: Edit| {
+            let mut artifact = WarmArtifact::from_bytes(&bytes).expect("parse");
+            edit(&mut artifact.annotation);
+            WarmArtifact::from_bytes(&artifact.to_bytes()).expect("resealed")
+        };
+        fn every_gate(annotation: &mut CdAnnotation, change: impl Fn(&mut Vec<TransistorCd>)) {
+            let gates: Vec<_> = annotation.gates().map(|(g, a)| (*g, a.clone())).collect();
+            for (gate, mut records) in gates {
+                change(&mut records.transistors);
+                annotation.set_gate(gate, records);
+            }
+        }
+        let unchanged = resealed(|_| {});
+        assert!(TimingSession::restore(&model, &cfg, unchanged).is_ok());
+        let edits: [(&str, Edit); 4] = [
+            ("one record dropped", |a| {
+                every_gate(a, |records| {
+                    records.pop();
+                })
+            }),
+            ("records swapped", |a| {
+                every_gate(a, |records| records.swap(0, 1))
+            }),
+            ("finger renumbered", |a| {
+                every_gate(a, |records| records[0].finger += 1)
+            }),
+            ("gate not in the design", |a| {
+                let records = a.gates().next().expect("a gate").1.clone();
+                a.set_gate(postopc_layout::GateId(u32::MAX), records);
+            }),
+        ];
+        for (what, edit) in edits {
+            let got = TimingSession::restore(&model, &cfg, resealed(edit));
+            assert!(
+                matches!(&got, Err(FlowError::Artifact(e)) if e.to_string().contains("transistor records")),
+                "{what}: {:?}",
+                got.map(|s| s.baseline().critical_delay_ps())
+            );
+        }
     }
 
     #[test]

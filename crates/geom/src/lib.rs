@@ -17,6 +17,9 @@
 //! - [`Grid`]: scalar-field rasterization with area-exact coverage,
 //!   separable convolution and bilinear sampling (mask transmission and
 //!   aerial-image fields);
+//! - [`RowClasses`] / [`RowField`]: the same coverage held one row per
+//!   run of identical rows, and one kernel's row pass over it, for an
+//!   image whose column pass runs on demand;
 //! - [`GridIndex`]: a uniform-bucket spatial index for full-chip queries;
 //! - [`Transform`] / [`Orient`]: the eight Manhattan placement orientations.
 //!
@@ -50,6 +53,6 @@ pub use error::{GeomError, Result};
 pub use index::GridIndex;
 pub use point::{Coord, Point, Vector};
 pub use polygon::Polygon;
-pub use raster::{Grid, Lattice, PixelRect, RowField};
+pub use raster::{Grid, Lattice, PixelRect, RowClasses, RowField};
 pub use rect::Rect;
 pub use transform::{Orient, Transform};

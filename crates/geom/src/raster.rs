@@ -102,8 +102,9 @@ impl Lattice {
     }
 
     /// Continuous pixel-center coordinates of an nm position: pixel
-    /// `(ix, iy)`'s center maps to `(ix, iy)`.
-    fn continuous(&self, x_nm: f64, y_nm: f64) -> (f64, f64) {
+    /// `(ix, iy)`'s center maps to `(ix, iy)`. [`Lattice::sample`] clamps
+    /// these to its rectangle.
+    pub fn continuous(&self, x_nm: f64, y_nm: f64) -> (f64, f64) {
         (
             (x_nm - self.origin.x as f64) / self.pixel - 0.5,
             (y_nm - self.origin.y as f64) / self.pixel - 0.5,
@@ -179,20 +180,6 @@ impl Grid {
     pub fn new(window: Rect, margin: i64, pixel: f64) -> Result<Grid> {
         let lattice = lattice_of(window, margin, pixel)?;
         Ok(lattice.with_data(vec![0.0; lattice.len()]))
-    }
-
-    /// Reshapes this grid in place to cover `window` (expanded by `margin`
-    /// nm on all sides) at `pixel` nm per pixel, zero-filled, reusing the
-    /// existing data allocation when it is large enough.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Grid::new`]; on error the grid is unchanged.
-    pub fn reset(&mut self, window: Rect, margin: i64, pixel: f64) -> Result<()> {
-        self.lattice = lattice_of(window, margin, pixel)?;
-        self.data.clear();
-        self.data.resize(self.lattice.len(), 0.0);
-        Ok(())
     }
 
     /// The grid's pixel lattice.
@@ -271,31 +258,10 @@ impl Grid {
     /// overlapped pixel. Partial pixels receive fractional coverage, so the
     /// rasterization conserves total area exactly.
     pub fn add_rect(&mut self, rect: Rect, weight: f64) {
-        let Lattice {
-            origin,
-            pixel,
-            nx,
-            ny,
-        } = self.lattice;
-        let x0 = (rect.left() - origin.x) as f64 / pixel;
-        let x1 = (rect.right() - origin.x) as f64 / pixel;
-        let y0 = (rect.bottom() - origin.y) as f64 / pixel;
-        let y1 = (rect.top() - origin.y) as f64 / pixel;
-        let ix0 = x0.floor().max(0.0) as usize;
-        let ix1 = (x1.ceil() as usize).min(nx);
-        let iy0 = y0.floor().max(0.0) as usize;
-        let iy1 = (y1.ceil() as usize).min(ny);
-        for iy in iy0..iy1 {
-            let cov_y = (y1.min((iy + 1) as f64) - y0.max(iy as f64)).max(0.0);
-            if cov_y <= 0.0 {
-                continue;
-            }
-            for ix in ix0..ix1 {
-                let cov_x = (x1.min((ix + 1) as f64) - x0.max(ix as f64)).max(0.0);
-                if cov_x > 0.0 {
-                    self.data[iy * nx + ix] += weight * cov_x * cov_y;
-                }
-            }
+        let span = PixelSpan::of(rect, &self.lattice);
+        let nx = self.nx();
+        for iy in span.rows(self.ny()) {
+            span.add_to_row(&mut self.data[iy * nx..(iy + 1) * nx], iy, weight);
         }
     }
 
@@ -384,59 +350,24 @@ impl Grid {
     /// The row pass of a separable convolution with `kernel` over the
     /// output pixels `out`, kept for a lazy column pass: every in-grid row
     /// the column taps of `out` reach (`out` ± the kernel half-width),
-    /// convolved along x over `out`'s columns.
-    ///
-    /// A row whose source pixels within the row taps' reach are
-    /// bit-identical (`to_bits`) to the previous row's shares that row's
-    /// result, which is the same computation: long runs of identical mask
-    /// rows are the norm for vertical poly, so most rows are stored once.
-    /// Per pixel the taps accumulate from zero in ascending order with
-    /// out-of-grid taps skipped, as in [`Grid::convolve_separable`].
+    /// convolved along x over `out`'s columns, each row on its own. Per
+    /// pixel the taps accumulate from zero in ascending order with
+    /// out-of-grid taps skipped, as in [`Grid::convolve_separable`]; the
+    /// imaging engine builds the same field from [`RowClasses`], one row
+    /// pass per run of identical rows.
     ///
     /// # Panics
     ///
     /// Panics if `kernel` has even length or `out` is empty or reaches
     /// past the grid.
     pub fn row_field(&self, kernel: &[f64], out: PixelRect) -> RowField {
-        assert!(
-            kernel.len() % 2 == 1,
-            "separable kernel must have odd length"
-        );
-        let (nx, ny) = (self.nx(), self.ny());
-        assert!(
-            out.x0 < out.x1 && out.x1 <= nx && out.y0 < out.y1 && out.y1 <= ny,
-            "output rectangle {out:?} not a non-empty part of the {nx}x{ny} grid"
-        );
-        let half = kernel.len() / 2;
-        let width = out.x1 - out.x0;
-        let rows = out.y0.saturating_sub(half)..(out.y1 + half).min(ny);
-        let reach = out.x0.saturating_sub(half)..(out.x1 + half).min(nx);
-        let mut index = Vec::with_capacity(rows.len());
-        let mut distinct: Vec<f64> = Vec::new();
-        let mut previous: Option<&[f64]> = None;
-        for iy in rows.clone() {
-            let src_row = &self.data[iy * nx..(iy + 1) * nx];
-            let reached = &src_row[reach.clone()];
-            let repeat = previous.is_some_and(|p| {
-                p.iter()
-                    .zip(reached)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-            });
-            previous = Some(reached);
-            if !repeat {
-                let start = distinct.len();
-                distinct.resize(start + width, 0.0);
-                convolve_row(src_row, kernel, out.x0..out.x1, &mut distinct[start..]);
-            }
-            index.push(distinct.len() / width - 1);
-        }
-        RowField {
-            kernel: kernel.to_vec(),
-            out,
-            first: rows.start,
-            index,
-            rows: distinct,
-        }
+        let nx = self.nx();
+        let rows = self
+            .data
+            .chunks_exact(nx)
+            .enumerate()
+            .map(|(iy, row)| (iy..iy + 1, row));
+        RowField::from_runs(kernel, out, &self.lattice, rows)
     }
 
     /// Returns a grid with identical shape whose pixels are
@@ -484,10 +415,212 @@ pub struct PixelRect {
     pub y1: usize,
 }
 
+/// Mask coverage on a lattice, held as one row per run of identical rows:
+/// the raster the imaging engine convolves, without the padded grid.
+///
+/// [`RowClasses::rasterize`] cuts the lattice rows at the floor and the
+/// ceiling of every rectangle's bottom and top edge in pixel space.
+/// Between two cuts every row is fully inside or fully outside each
+/// rectangle, so every row of such a class gets the same coverage: the
+/// class's first row is rasterized with [`Grid::add_rect`]'s per-pixel
+/// arithmetic, rectangles in input order, and stands for the whole
+/// class. Consecutive classes with bit-identical rows merge into one run.
+/// Every row is bit for bit the row `add_rect` gives the same rectangles
+/// on a zeroed [`Grid`] over the same lattice.
+///
+/// The buffers are kept across calls, so a loop that rasterizes many
+/// windows allocates only when a window needs more than any before it.
+#[derive(Debug)]
+pub struct RowClasses {
+    lattice: Lattice,
+    /// The lattice rows of each run, ascending and covering `0..ny`.
+    runs: Vec<Range<usize>>,
+    /// One `nx`-wide coverage row per run, row-major.
+    rows: Vec<f64>,
+    /// Largest coverage of any pixel (coverage is never negative).
+    max: f64,
+    /// Scratch: the rectangles in pixel space with the rows they touch,
+    /// and the sorted row cuts.
+    spans: Vec<(PixelSpan, Range<usize>)>,
+    cuts: Vec<usize>,
+}
+
+impl Default for RowClasses {
+    fn default() -> RowClasses {
+        RowClasses {
+            lattice: Lattice {
+                origin: Point::new(0, 0),
+                pixel: 1.0,
+                nx: 0,
+                ny: 0,
+            },
+            runs: Vec::new(),
+            rows: Vec::new(),
+            max: 0.0,
+            spans: Vec::new(),
+            cuts: Vec::new(),
+        }
+    }
+}
+
+impl RowClasses {
+    /// Empty buffers; [`RowClasses::rasterize`] sizes them.
+    pub fn new() -> RowClasses {
+        RowClasses::default()
+    }
+
+    /// Rasterizes `rects` (weight 1, in order) over `window` expanded by
+    /// `margin` nm on all sides at `pixel` nm per pixel: the lattice of
+    /// [`Grid::new`] with the same arguments.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Grid::new`]; on error the classes are
+    /// unchanged.
+    pub fn rasterize(
+        &mut self,
+        window: Rect,
+        margin: i64,
+        pixel: f64,
+        rects: impl IntoIterator<Item = Rect>,
+    ) -> Result<()> {
+        let lattice = lattice_of(window, margin, pixel)?;
+        let (nx, ny) = (lattice.nx, lattice.ny);
+        self.lattice = lattice;
+        self.spans.clear();
+        self.cuts.clear();
+        self.cuts.extend([0, ny]);
+        for rect in rects {
+            let span = PixelSpan::of(rect, &lattice);
+            for edge in [
+                span.y0.floor(),
+                span.y0.ceil(),
+                span.y1.floor(),
+                span.y1.ceil(),
+            ] {
+                self.cuts.push(edge.clamp(0.0, ny as f64) as usize);
+            }
+            self.spans.push((span, span.rows(ny)));
+        }
+        self.cuts.sort_unstable();
+        self.cuts.dedup();
+        self.runs.clear();
+        self.rows.clear();
+        self.max = 0.0;
+        for cut in self.cuts.windows(2) {
+            let (first, end) = (cut[0], cut[1]);
+            let at = self.rows.len();
+            self.rows.resize(at + nx, 0.0);
+            let (held, row) = self.rows.split_at_mut(at);
+            for (span, rows) in &self.spans {
+                if rows.contains(&first) {
+                    span.add_to_row(row, first, 1.0);
+                }
+            }
+            let previous = &held[held.len().saturating_sub(nx)..];
+            match self.runs.last_mut() {
+                Some(run) if bits_eq(previous, row) => {
+                    run.end = end;
+                    self.rows.truncate(at);
+                }
+                _ => {
+                    self.max = row.iter().fold(self.max, |m, &v| m.max(v));
+                    self.runs.push(first..end);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The lattice of the last rasterization.
+    pub fn lattice(&self) -> Lattice {
+        self.lattice
+    }
+
+    /// The coverage of lattice row `iy`: its run's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iy` is not a row of the lattice.
+    pub fn row(&self, iy: usize) -> &[f64] {
+        let nx = self.lattice.nx;
+        let run = self.runs.partition_point(|run| run.end <= iy);
+        assert!(run < self.runs.len(), "row {iy} outside the lattice");
+        &self.rows[run * nx..(run + 1) * nx]
+    }
+
+    /// The largest coverage of any pixel; the smallest is never below 0.
+    pub fn max_coverage(&self) -> f64 {
+        self.max
+    }
+
+    /// [`Grid::row_field`] of the rasterized coverage, with one row pass
+    /// per run that the column taps of `out` reach.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` has even length or `out` is empty or reaches
+    /// past the lattice.
+    pub fn row_field(&self, kernel: &[f64], out: PixelRect) -> RowField {
+        let rows = self
+            .runs
+            .iter()
+            .cloned()
+            .zip(self.rows.chunks_exact(self.lattice.nx));
+        RowField::from_runs(kernel, out, &self.lattice, rows)
+    }
+}
+
+/// A rectangle in continuous pixel coordinates of a lattice (pixel
+/// `(ix, iy)` covers `[ix, ix + 1) × [iy, iy + 1)`): the per-pixel coverage
+/// arithmetic of [`Grid::add_rect`] and [`RowClasses::rasterize`].
+#[derive(Debug, Clone, Copy)]
+struct PixelSpan {
+    x0: f64,
+    x1: f64,
+    y0: f64,
+    y1: f64,
+}
+
+impl PixelSpan {
+    fn of(rect: Rect, lattice: &Lattice) -> PixelSpan {
+        let Lattice { origin, pixel, .. } = *lattice;
+        PixelSpan {
+            x0: (rect.left() - origin.x) as f64 / pixel,
+            x1: (rect.right() - origin.x) as f64 / pixel,
+            y0: (rect.bottom() - origin.y) as f64 / pixel,
+            y1: (rect.top() - origin.y) as f64 / pixel,
+        }
+    }
+
+    /// The rows of an `ny`-row lattice the rectangle reaches.
+    fn rows(&self, ny: usize) -> Range<usize> {
+        self.y0.floor().max(0.0) as usize..(self.y1.ceil() as usize).min(ny)
+    }
+
+    /// Accumulates `weight` × (covered area fraction) into every pixel of
+    /// lattice row `iy` (`row`, all of its pixels) the rectangle overlaps.
+    fn add_to_row(&self, row: &mut [f64], iy: usize, weight: f64) {
+        let cov_y = (self.y1.min((iy + 1) as f64) - self.y0.max(iy as f64)).max(0.0);
+        if cov_y <= 0.0 {
+            return;
+        }
+        let ix0 = self.x0.floor().max(0.0) as usize;
+        let ix1 = (self.x1.ceil() as usize).min(row.len());
+        for (ix, pixel) in (ix0..ix1).zip(&mut row[ix0.min(ix1)..ix1]) {
+            let cov_x = (self.x1.min((ix + 1) as f64) - self.x0.max(ix as f64)).max(0.0);
+            if cov_x > 0.0 {
+                *pixel += weight * cov_x * cov_y;
+            }
+        }
+    }
+}
+
 /// One kernel's row pass of a separable convolution over an output
-/// rectangle, built by [`Grid::row_field`]: the input of a column pass
-/// evaluated on demand ([`RowField::column_cell`]). Each run of identical
-/// rows holds one row-pass result.
+/// rectangle, built by [`Grid::row_field`] or [`RowClasses::row_field`]:
+/// the input of a column pass evaluated on demand
+/// ([`RowField::column_cell`]). Each run of identical rows holds one
+/// row-pass result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowField {
     kernel: Vec<f64>,
@@ -501,6 +634,55 @@ pub struct RowField {
 }
 
 impl RowField {
+    /// The row pass over `out` of a lattice given as runs of identical
+    /// rows (ascending, covering every lattice row, each with its
+    /// `nx`-wide source row): one pass per run the column taps of `out`
+    /// reach.
+    fn from_runs<'a>(
+        kernel: &[f64],
+        out: PixelRect,
+        lattice: &Lattice,
+        runs: impl Iterator<Item = (Range<usize>, &'a [f64])>,
+    ) -> RowField {
+        assert!(
+            kernel.len() % 2 == 1,
+            "separable kernel must have odd length"
+        );
+        let (nx, ny) = (lattice.nx, lattice.ny);
+        assert!(
+            out.x0 < out.x1 && out.x1 <= nx && out.y0 < out.y1 && out.y1 <= ny,
+            "output rectangle {out:?} not a non-empty part of the {nx}x{ny} grid"
+        );
+        let half = kernel.len() / 2;
+        let width = out.x1 - out.x0;
+        let reach = out.y0.saturating_sub(half)..(out.y1 + half).min(ny);
+        let mut index = Vec::with_capacity(reach.len());
+        let mut distinct: Vec<f64> = Vec::new();
+        for (run, src_row) in runs {
+            let held = run.start.max(reach.start)..run.end.min(reach.end);
+            if held.is_empty() {
+                continue;
+            }
+            let start = distinct.len();
+            distinct.resize(start + width, 0.0);
+            convolve_row(src_row, kernel, out.x0..out.x1, &mut distinct[start..]);
+            index.extend(std::iter::repeat_n(start / width, held.len()));
+        }
+        assert_eq!(index.len(), reach.len(), "runs must cover every row");
+        RowField {
+            kernel: kernel.to_vec(),
+            out,
+            first: reach.start,
+            index,
+            rows: distinct,
+        }
+    }
+
+    /// The kernel taps of the pass.
+    pub fn kernel(&self) -> &[f64] {
+        &self.kernel
+    }
+
     /// The column pass at the corners of a cell: columns `xs` of rows
     /// `ys`, laid out as [`Lattice::sample`] takes them; corners may
     /// coincide. Per pixel, the kernel taps times the row-pass values of
@@ -541,7 +723,7 @@ impl RowField {
 }
 
 /// The lattice covering `window` expanded by `margin` at `pixel` nm:
-/// shared by [`Grid::new`] and [`Grid::reset`].
+/// shared by [`Grid::new`] and [`RowClasses::rasterize`].
 fn lattice_of(window: Rect, margin: i64, pixel: f64) -> Result<Lattice> {
     if !(pixel.is_finite() && pixel > 0.0) {
         return Err(GeomError::InvalidResolution(pixel));
@@ -560,6 +742,11 @@ fn lattice_of(window: Rect, margin: i64, pixel: f64) -> Result<Lattice> {
         nx,
         ny,
     })
+}
+
+/// Whether two rows hold the same bits.
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Convolves `src_row` along x with `kernel` at the output columns `cols`
@@ -749,21 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_allocation_and_matches_new() {
-        let mut g = Grid::new(Rect::new(0, 0, 400, 300).expect("rect"), 20, 5.0).expect("grid");
-        g.add_rect(Rect::new(50, 50, 150, 150).expect("rect"), 1.0);
-        let cap_before = g.data.capacity();
-        let window = Rect::new(-30, 10, 170, 90).expect("rect");
-        g.reset(window, 15, 5.0).expect("reset");
-        let fresh = Grid::new(window, 15, 5.0).expect("grid");
-        assert_eq!(g, fresh);
-        assert!(g.data.capacity() >= cap_before, "reset must not shrink");
-        // Error path leaves the grid untouched.
-        assert!(g.reset(window, 15, -1.0).is_err());
-        assert_eq!(g, fresh);
-    }
-
-    #[test]
     fn with_data_preserves_shape() {
         let g = grid_10x10();
         let d = vec![2.0; g.len()];
@@ -939,14 +1111,6 @@ mod tests {
             ];
             for out in rects {
                 let fields: Vec<RowField> = kernels.iter().map(|k| g.row_field(k, out)).collect();
-                // Runs of repeated rows are stored once, and the rows that
-                // differ are computed.
-                let held = fields[1].index.len();
-                let distinct = fields[1].rows.len() / (out.x1 - out.x0);
-                assert!(
-                    distinct >= 1 && (held < 8 || distinct < held),
-                    "{distinct} of {held}"
-                );
                 // Every pixel, in a seeded random order, as a corner of a
                 // cell whose other corners are random pixels of `out`,
                 // summed as the imaging engine sums it:
@@ -979,6 +1143,139 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Seeded random rectangles around a window: overlapping lines and
+    /// blocks (coverage above 1), rectangles partly or wholly off the
+    /// raster, and slivers thinner than a pixel on either axis.
+    fn random_rects(rng: &mut postopc_rng::StdRng, window: Rect) -> Vec<Rect> {
+        use postopc_rng::RngExt;
+        let (w, h) = (window.width(), window.height());
+        let mut pick = |lo: i64, hi: i64| rng.random_range(lo..=hi);
+        (0..pick(0, 24))
+            .map(|_| {
+                let x = window.left() + pick(-w / 2, w + w / 2);
+                let y = window.bottom() + pick(-h / 2, h + h / 2);
+                let (dx, dy) = match pick(0, 3) {
+                    0 => (pick(1, 4), pick(20, 2 * h + 20)),
+                    1 => (pick(20, 2 * w + 20), pick(1, 4)),
+                    _ => (pick(5, w + 20), pick(5, h + 20)),
+                };
+                Rect::new(x, y, x + dx, y + dy).expect("rect")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn class_rows_are_bit_identical_to_add_rect_rows() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(25);
+        let mut classes = RowClasses::new();
+        let (mut merged, mut rasterized, mut deepest) = (0, 0, 0.0_f64);
+        for round in 0..60 {
+            let pixel = [5.0, 2.5, 7.3][round % 3];
+            let margin = rng.random_range(0i64..=120);
+            let (x, y) = (
+                rng.random_range(-300i64..300),
+                rng.random_range(-300i64..300),
+            );
+            let window = Rect::new(
+                x,
+                y,
+                x + rng.random_range(1i64..400),
+                y + rng.random_range(1i64..400),
+            )
+            .expect("window");
+            let rects = random_rects(&mut rng, window);
+            // One buffer across every round: a smaller window after a
+            // larger one must leave nothing stale behind.
+            classes
+                .rasterize(window, margin, pixel, rects.iter().copied())
+                .expect("classes");
+            let mut grid = Grid::new(window, margin, pixel).expect("grid");
+            for &r in &rects {
+                grid.add_rect(r, 1.0);
+            }
+            let label = format!("round {round}, {window:?} + {margin} at {pixel} nm");
+            assert_eq!(classes.lattice(), grid.lattice(), "{label}");
+            let (nx, ny) = (grid.nx(), grid.ny());
+            for iy in 0..ny {
+                let row = &grid.data()[iy * nx..(iy + 1) * nx];
+                assert!(bits_eq(classes.row(iy), row), "row {iy}, {label}");
+            }
+            // Runs tile the rows in order, and neighbouring runs differ.
+            assert_eq!(classes.runs.first().map(|r| r.start), Some(0), "{label}");
+            assert_eq!(classes.runs.last().map(|r| r.end), Some(ny), "{label}");
+            for (i, pair) in classes.runs.windows(2).enumerate() {
+                assert_eq!(pair[0].end, pair[1].start, "{label}");
+                let (a, b) = (
+                    &classes.rows[i * nx..][..nx],
+                    &classes.rows[(i + 1) * nx..][..nx],
+                );
+                assert!(!bits_eq(a, b), "unmerged runs {i}, {label}");
+            }
+            assert_eq!(classes.rows.len(), classes.runs.len() * nx, "{label}");
+            let max = grid.data().iter().fold(0.0, |m: f64, &v| m.max(v));
+            assert_eq!(classes.max_coverage().to_bits(), max.to_bits(), "{label}");
+            assert!(grid.data().iter().all(|&v| v >= 0.0), "{label}");
+            merged += classes.runs.len();
+            rasterized += classes.cuts.len() - 1;
+            deepest = deepest.max(max);
+            // The field built from the runs reads the grid's field bits.
+            let half = rng.random_range(0usize..=30);
+            let kernel = random_kernel(&mut rng, half);
+            let out = PixelRect {
+                x0: rng.random_range(0..nx),
+                x1: nx,
+                y0: rng.random_range(0..ny),
+                y1: ny,
+            };
+            let (from_classes, from_grid) = (
+                classes.row_field(&kernel, out),
+                grid.row_field(&kernel, out),
+            );
+            assert!(from_classes.rows.len() <= from_grid.rows.len(), "{label}");
+            for _ in 0..40 {
+                let xs = [
+                    rng.random_range(out.x0..out.x1),
+                    rng.random_range(out.x0..out.x1),
+                ];
+                let ys = [
+                    rng.random_range(out.y0..out.y1),
+                    rng.random_range(out.y0..out.y1),
+                ];
+                let (a, b) = (
+                    from_classes.column_cell(xs, ys),
+                    from_grid.column_cell(xs, ys),
+                );
+                assert!(
+                    bits_eq(a.as_flattened(), b.as_flattened()),
+                    "{xs:?} {ys:?}, {label}"
+                );
+            }
+        }
+        // Some classes really do merge, and rectangles do overlap.
+        assert!(
+            merged < rasterized,
+            "{merged} runs from {rasterized} classes"
+        );
+        assert!(deepest > 1.0, "coverage never above 1: {deepest}");
+        // A failed rasterization leaves the classes as they were.
+        let before = (
+            classes.lattice(),
+            classes.runs.clone(),
+            classes.rows.clone(),
+        );
+        let window = Rect::new(0, 0, 10, 10).expect("rect");
+        assert!(classes.rasterize(window, 0, -1.0, [window]).is_err());
+        assert_eq!(
+            before,
+            (
+                classes.lattice(),
+                classes.runs.clone(),
+                classes.rows.clone()
+            )
+        );
     }
 
     #[test]

@@ -11,8 +11,20 @@ const STEP_NM: f64 = 1.0;
 /// Finds the distance (nm) from `start` along the unit direction
 /// `(dx, dy)` at which the printed contour is crossed.
 ///
-/// The start must be on the *printed* side; the function marches outward
-/// up to `max_dist_nm` and refines the crossing by linear interpolation.
+/// The start must be on the *printed* side. The search reads the image at
+/// the points `STEP_NM` apart along the ray, up to `max_dist_nm`, finds
+/// the first one below the resist threshold and interpolates the crossing
+/// linearly between it and the point before.
+///
+/// It does not read every point. The image carries a bound on how fast a
+/// read can change per nm along an axis (times `|dx| + |dy|` along the
+/// ray), so from a point at intensity `v` the next `⌊(v − threshold −
+/// 1e-12) ÷ bound⌋` points cannot cross and are skipped; the first point
+/// past them is read, and on a crossing the point before it too. Once the
+/// ray clamps to the edge of the image's defined pixels on every axis it
+/// moves along, every later read repeats the last one, so the search
+/// stops there. The points read are the march's points, so the result
+/// is bit for bit the result of reading every point.
 ///
 /// # Errors
 ///
@@ -27,8 +39,66 @@ pub fn find_edge(
     direction: (f64, f64),
     max_dist_nm: f64,
 ) -> Result<f64> {
-    // An infinite distance would march `usize::MAX` steps on a ray that
-    // never crosses; NaN would silently march none.
+    // NaN would silently search nowhere; an infinite distance has no last
+    // point.
+    if !(max_dist_nm.is_finite() && max_dist_nm >= 0.0) {
+        return Err(LithoError::InvalidSearchDistance { max_dist_nm });
+    }
+    let (x0, y0) = start;
+    let (dx, dy) = direction;
+    let threshold = resist.threshold;
+    let no_crossing = LithoError::NoContourCrossing { x_nm: x0, y_nm: y0 };
+    // Point `i` of the ray, and its read.
+    let point = |i: usize| {
+        let d = i as f64 * STEP_NM;
+        (x0 + dx * d, y0 + dy * d)
+    };
+    let read = |(x, y): (f64, f64)| image.intensity_at(x, y);
+    let mut v = read(start);
+    if v < threshold {
+        return Err(no_crossing);
+    }
+    let steps = (max_dist_nm / STEP_NM).ceil() as usize;
+    let per_step = (dx.abs() + dy.abs()) * image.slope_bound() * STEP_NM;
+    let (mut i, mut at): (usize, _) = (0, start);
+    loop {
+        if image.settled(at, direction) {
+            return Err(no_crossing);
+        }
+        // A cast saturates: NaN (a zero bound at the threshold) skips
+        // nothing, +∞ (a zero bound above it) everything.
+        let skip = ((v - threshold - 1e-12) / per_step).floor() as usize;
+        let next = i.saturating_add(skip).saturating_add(1);
+        if next > steps {
+            return Err(no_crossing);
+        }
+        at = point(next);
+        let w = read(at);
+        if w < threshold {
+            let prev = if next - 1 == i {
+                v
+            } else {
+                read(point(next - 1))
+            };
+            // Linear interpolation between the last two points.
+            let t = (prev - threshold) / (prev - w);
+            let d = next as f64 * STEP_NM;
+            return Ok(d - STEP_NM + t * STEP_NM);
+        }
+        (i, v) = (next, w);
+    }
+}
+
+/// The search [`find_edge`] reproduces: every point in turn, kept as its
+/// oracle.
+#[cfg(test)]
+pub(crate) fn find_edge_march(
+    image: &AerialImage,
+    resist: &ResistModel,
+    start: (f64, f64),
+    direction: (f64, f64),
+    max_dist_nm: f64,
+) -> Result<f64> {
     if !(max_dist_nm.is_finite() && max_dist_nm >= 0.0) {
         return Err(LithoError::InvalidSearchDistance { max_dist_nm });
     }
@@ -180,6 +250,45 @@ mod tests {
             find_edge(&img, &r, (0.0, 0.0), (1.0, 0.0), 0.0),
             Err(LithoError::NoContourCrossing { .. })
         ));
+    }
+
+    #[test]
+    fn huge_searches_on_rays_that_never_cross_return_promptly() {
+        // Past the window every read clamps to its edge, so a search that
+        // has not crossed by then never will. A march over 1e15 points
+        // would take days; these return at the window's edge.
+        let r = ResistModel::standard();
+        let line = image_of(&[vertical_line()]);
+        let block = image_of(&[Polygon::from(
+            Rect::new(-2000, -2000, 2000, 2000).expect("rect"),
+        )]);
+        for (image, start, direction) in [
+            (&line, (0.0, 0.0), (0.0, 1.0)),
+            (&line, (10.0, -30.0), (0.0, -1.0)),
+            (&block, (0.0, 0.0), (0.6, 0.8)),
+            (&block, (-500.0, 120.0), (-1.0, 0.0)),
+            (&block, (7.0, 7.0), (0.0, 0.0)),
+        ] {
+            let (x_nm, y_nm) = start;
+            assert_eq!(
+                find_edge(image, &r, start, direction, 1e15),
+                Err(LithoError::NoContourCrossing { x_nm, y_nm }),
+                "{start:?} {direction:?}"
+            );
+            assert_eq!(
+                find_edge(image, &r, start, direction, 2000.0),
+                find_edge_march(image, &r, start, direction, 2000.0),
+                "{start:?} {direction:?}"
+            );
+        }
+        // A ray that does cross still finds its edge.
+        let far = find_edge(&line, &r, (0.0, 0.0), (1.0, 0.0), 1e15).expect("edge");
+        assert_eq!(
+            far.to_bits(),
+            find_edge_march(&line, &r, (0.0, 0.0), (1.0, 0.0), 150.0)
+                .expect("edge")
+                .to_bits()
+        );
     }
 
     #[test]

@@ -7,6 +7,9 @@ use crate::workspace::{self, SimWorkspace};
 use postopc_geom::{Grid, Lattice, PixelRect, Polygon, Rect, RowField};
 use std::cell::Cell;
 
+/// The corners of an interpolation cell and their dose-free intensities.
+type EvaluatedCell = ([usize; 2], [usize; 2], [[f64; 2]; 2]);
+
 /// Which kernel stack to image with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
@@ -74,11 +77,11 @@ impl Default for SimulationSpec {
 /// window: reads outside it clamp to the window's edge pixels.
 ///
 /// The image is lazy. Simulation rasterizes the mask and runs each
-/// kernel's row pass; a pixel's column pass runs the first time a read
-/// touches it, and its value is kept for later reads. Every pixel is the
-/// same computation in the same floating-point order whenever it runs, so
-/// an image reads the same bits whatever was read before, and a clone
-/// carries the pixels evaluated so far. The memo makes the image `!Sync`.
+/// kernel's row pass; a read runs the column pass of the four pixels of
+/// the interpolation cell it falls in, and the last cell evaluated is
+/// kept for the next read. Every pixel is the same computation in the
+/// same floating-point order whenever it runs, so an image reads the same
+/// bits whatever was read before. The memo makes the image `!Sync`.
 ///
 /// ```
 /// use postopc_litho::{AerialImage, SimulationSpec};
@@ -101,14 +104,18 @@ pub struct AerialImage {
     dose: f64,
     /// Each kernel's weight and row pass over `defined`, in stack order.
     fields: Vec<(f64, RowField)>,
-    /// The dose-free intensity of each pixel of `defined` evaluated so
-    /// far, row-major; NaN until first evaluated.
-    memo: Vec<Cell<f64>>,
+    /// A bound on how fast a read changes per nm moved along either axis
+    /// (see [`AerialImage::new`]).
+    slope: f64,
+    /// The last cell evaluated.
+    last: Cell<Option<EvaluatedCell>>,
+    /// How many cells this image has evaluated.
+    evaluated: Cell<usize>,
 }
 
 impl PartialEq for AerialImage {
-    /// Two images are equal when they compute the same pixels; which
-    /// pixels have been evaluated so far does not matter.
+    /// Two images are equal when they compute the same pixels; the slope
+    /// bound and what has been evaluated so far do not matter.
     fn eq(&self, other: &AerialImage) -> bool {
         self.lattice == other.lattice
             && self.defined == other.defined
@@ -126,7 +133,7 @@ impl AerialImage {
     /// features image correctly.
     ///
     /// The image is defined only inside `window`: the engine evaluates only
-    /// pixels a read inside it uses, each on first read, and
+    /// the pixels each read uses, when it reads them, and
     /// [`AerialImage::intensity_at`] clamps any read outside it to the
     /// window's edge pixels.
     ///
@@ -139,14 +146,14 @@ impl AerialImage {
 
     /// [`AerialImage::simulate`] with caller-owned scratch state.
     ///
-    /// Rasterizes `mask` into the workspace's base grid (reused across
-    /// calls) and runs each kernel's row pass over the window's pixels,
-    /// storing each run of identical rows once; the column pass is left to
-    /// the reads. The workspace's tap cache persists, so a loop that images
-    /// many windows (model OPC, extraction, FEM sweeps) discretizes each
-    /// kernel once. Results are bit-identical to
-    /// [`AerialImage::simulate`] — both run this engine, `simulate` merely
-    /// borrows a per-thread workspace.
+    /// Rasterizes `mask` into the workspace's row classes (one row per
+    /// run of identical rows of the ambit-padded raster, buffers reused
+    /// across calls) and runs each kernel's row pass over the window's
+    /// pixels once per run; the column pass is left to the reads. The
+    /// workspace's tap cache persists, so a loop that images many windows
+    /// (model OPC, extraction) discretizes each kernel once. Results are
+    /// bit-identical to [`AerialImage::simulate`] — both run this engine,
+    /// `simulate` merely borrows a per-thread workspace.
     ///
     /// # Errors
     ///
@@ -161,47 +168,78 @@ impl AerialImage {
         spec.conditions.validate()?;
         let stack = spec.kernel_stack();
         let margin = stack.ambit_nm().ceil() as i64;
-        let base = workspace.base_grid(window, margin, spec.pixel_nm)?;
-        for polygon in mask {
-            base.add_polygon(polygon, 1.0);
-        }
-        // Split the workspace so the base grid (read) and the tap cache
-        // (borrowed slices) coexist.
-        let SimWorkspace { base, taps } = workspace;
-        let Some(base) = base.as_ref() else {
-            unreachable!("base grid built by base_grid() above");
-        };
-        let defined = base.lattice().sample_footprint(window);
+        let SimWorkspace { classes, taps } = workspace;
+        classes.rasterize(
+            window,
+            margin,
+            spec.pixel_nm,
+            mask.iter().flat_map(Polygon::to_rects),
+        )?;
+        let lattice = classes.lattice();
+        let defined = lattice.sample_footprint(window);
         let fields = stack
             .kernels()
             .iter()
             .map(|kernel| {
                 let kernel_taps = taps.taps(kernel, spec.pixel_nm);
-                (kernel.weight, base.row_field(kernel_taps, defined))
+                (kernel.weight, classes.row_field(kernel_taps, defined))
             })
             .collect();
         Ok(AerialImage::new(
-            base.lattice(),
+            lattice,
             defined,
             spec.conditions.dose,
             fields,
+            classes.max_coverage(),
         ))
     }
 
-    /// An image with no pixel evaluated yet.
+    /// An image with no pixel evaluated yet, over row passes whose source
+    /// values all lie within `source_span` of each other and of zero (the
+    /// value of a tap that reaches past the raster).
+    ///
+    /// A kernel with taps `t` moves its row pass by at most `rise(t) ×
+    /// source_span` from one pixel to the next, where `rise(t) = Σ max(0,
+    /// t[m] − t[m−1])` with zero ends: the differences of the taps sum to
+    /// zero, and those above zero sum to `rise`. Its column pass scales
+    /// that by at most `Σ t`, and moves by at most `rise × Σ t ×
+    /// source_span` between neighbouring rows the same way; the taps are
+    /// positive. The intensity, `dose × Σ_k w_k × pass_k`, then moves by
+    /// at most `dose × Σ_k |w_k| × Σ t_k × rise(t_k) × source_span` per
+    /// pixel, and a bilinear read, linear between pixel centers and flat
+    /// where it clamps, by that ÷ `pixel` per nm along either axis. The
+    /// factor `1 + 1e-9` covers the rounding of these sums.
     fn new(
         lattice: Lattice,
         defined: PixelRect,
         dose: f64,
         fields: Vec<(f64, RowField)>,
+        source_span: f64,
     ) -> AerialImage {
-        let pixels = (defined.x1 - defined.x0) * (defined.y1 - defined.y0);
+        let rise = |taps: &[f64]| {
+            let mut previous = 0.0;
+            let mut rise = 0.0;
+            for &t in taps.iter().chain([&0.0]) {
+                rise += (t - previous).max(0.0);
+                previous = t;
+            }
+            rise
+        };
+        let per_pixel: f64 = fields
+            .iter()
+            .map(|(weight, field)| {
+                let taps = field.kernel();
+                weight.abs() * taps.iter().sum::<f64>() * rise(taps)
+            })
+            .sum();
         AerialImage {
             lattice,
             defined,
             dose,
             fields,
-            memo: vec![Cell::new(f64::NAN); pixels],
+            slope: dose * per_pixel * source_span / lattice.pixel() * (1.0 + 1e-9),
+            last: Cell::new(None),
+            evaluated: Cell::new(0),
         }
     }
 
@@ -218,20 +256,40 @@ impl AerialImage {
                 .sample(x_nm, y_nm, self.defined, |xs, ys| self.cell(xs, ys))
     }
 
-    /// The dose-free intensity at the corners of a defined cell, from the
-    /// memo, or evaluated and memoized when a corner is new.
+    /// The dose-free intensity at the corners of a defined cell: the last
+    /// cell's values when the read falls in it again, else evaluated and
+    /// kept in its place.
     fn cell(&self, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
-        let d = self.defined;
-        let memo = ys.map(|iy| xs.map(|ix| &self.memo[(iy - d.y0) * (d.x1 - d.x0) + ix - d.x0]));
-        let known = memo.map(|row| row.map(Cell::get));
-        if known.iter().flatten().all(|v| !v.is_nan()) {
-            return known;
+        if let Some((last_xs, last_ys, values)) = self.last.get() {
+            if (last_xs, last_ys) == (xs, ys) {
+                return values;
+            }
         }
         let values = self.evaluate(xs, ys);
-        for (cell, &v) in memo.iter().flatten().zip(values.iter().flatten()) {
-            cell.set(v);
-        }
+        self.last.set(Some((xs, ys, values)));
+        self.evaluated.set(self.evaluated.get() + 1);
         values
+    }
+
+    /// A bound on how much [`AerialImage::intensity_at`] changes per nm
+    /// moved along the x or the y axis, anywhere.
+    pub(crate) fn slope_bound(&self) -> f64 {
+        self.slope
+    }
+
+    /// Whether every read from `(x_nm, y_nm)` on along the direction
+    /// `(dx, dy)` is the read at `(x_nm, y_nm)`: on every axis the
+    /// direction moves along, the point already clamps to the edge of the
+    /// defined pixels it moves towards.
+    pub(crate) fn settled(&self, (x_nm, y_nm): (f64, f64), (dx, dy): (f64, f64)) -> bool {
+        let (fx, fy) = self.lattice.continuous(x_nm, y_nm);
+        let d = self.defined;
+        let settled = |f: f64, step: f64, first: usize, end: usize| {
+            step == 0.0
+                || (step > 0.0 && f >= (end - 1) as f64)
+                || (step < 0.0 && f <= first as f64)
+        };
+        settled(fx, dx, d.x0, d.x1) && settled(fy, dy, d.y0, d.y1)
     }
 
     /// The dose-free intensity at the corners of a defined cell: per pixel
@@ -275,6 +333,12 @@ impl AerialImage {
     /// The dose this image was exposed at.
     pub fn dose(&self) -> f64 {
         self.dose
+    }
+
+    /// How many interpolation cells the reads so far have evaluated.
+    #[cfg(test)]
+    pub(crate) fn cells_evaluated(&self) -> usize {
+        self.evaluated.get()
     }
 }
 
@@ -402,7 +466,8 @@ pub(crate) mod tests {
     /// `zip_map` accumulation, every pixel of the padded raster through the
     /// pixel-outer `Grid::convolve_separable`), kept as the bit-identity
     /// reference for the lazy engine. Its intensity grid reaches the image
-    /// through an identity row field (one tap of 1.0), which passes every
+    /// through an identity row field (one tap of 1.0, its slope bound from
+    /// the grid's value range), which passes every
     /// pixel through as `0 + 1·(0 + 1·(0 + 1·v))`: that is `v` for every
     /// value but `-0.0`, which a sum of positive taps times coverage never
     /// is. The pass-through is checked bit for bit before returning.
@@ -431,11 +496,16 @@ pub(crate) mod tests {
         }
         let grid = result.expect("stack has at least one kernel");
         let identity = grid.row_field(&[1.0], grid.extent());
+        let (lo, hi) = grid
+            .data()
+            .iter()
+            .fold((0.0_f64, 0.0_f64), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         let image = AerialImage::new(
             grid.lattice(),
             grid.extent(),
             spec.conditions.dose,
             vec![(1.0, identity)],
+            hi - lo,
         );
         let passed = image.grid();
         assert!(
@@ -724,21 +794,206 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`random_manhattan_mask`] with overlaps and extremes added: blocks
+    /// laid across the lines (coverage above 1 where they overlap), lines
+    /// reaching far past the raster, and slivers thinner than a pixel.
+    fn random_overlapping_mask(rng: &mut postopc_rng::StdRng) -> Vec<Polygon> {
+        use postopc_rng::RngExt;
+        let mut mask = random_manhattan_mask(rng);
+        let mut pick = |lo: i64, hi: i64| rng.random_range(lo..=hi);
+        for _ in 0..pick(1, 4) {
+            let (x, y) = (pick(-700, 600), pick(-700, 600));
+            let block = Rect::new(x, y, x + pick(40, 300), y + pick(40, 300));
+            mask.push(Polygon::from(block.expect("block")));
+        }
+        for _ in 0..pick(0, 2) {
+            let (x, y) = (pick(-600, 600), pick(-600, 600));
+            let line = if pick(0, 1) == 0 {
+                Rect::new(x, -9000, x + pick(60, 120), y)
+            } else {
+                Rect::new(-9000, y, x, y + pick(60, 120))
+            };
+            mask.push(Polygon::from(line.expect("long line")));
+        }
+        for _ in 0..pick(1, 3) {
+            let (x, y) = (pick(-600, 600), pick(-600, 600));
+            let (w, h) = if pick(0, 1) == 0 {
+                (pick(1, 4), pick(50, 400))
+            } else {
+                (pick(50, 400), pick(1, 4))
+            };
+            mask.push(Polygon::from(
+                Rect::new(x, y, x + w, y + h).expect("sliver"),
+            ));
+        }
+        mask
+    }
+
     #[test]
-    fn epe_probes_evaluate_a_small_share_of_the_window() {
+    fn random_rays_on_random_masks_read_the_march_and_oracle_bits() {
+        use crate::cutline::{find_edge, find_edge_march};
+        use crate::resist::ResistModel;
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(25);
+        let resist = ResistModel::standard();
+        let mut specs = parity_specs().to_vec();
+        specs.push(SimulationSpec {
+            pixel_nm: 7.3,
+            ..SimulationSpec::nominal()
+        });
+        specs.push(
+            SimulationSpec::nominal().with_conditions(ProcessConditions {
+                focus_nm: 0.0,
+                dose: 1.3,
+            }),
+        );
+        let diagonal = std::f64::consts::FRAC_1_SQRT_2;
+        let directions = [
+            (1.0, 0.0),
+            (-1.0, 0.0),
+            (0.0, 1.0),
+            (0.0, -1.0),
+            (diagonal, diagonal),
+            (-diagonal, diagonal),
+            (diagonal, -diagonal),
+            (-diagonal, -diagonal),
+            (0.0, 0.0),
+        ];
+        let (mut crossed, mut missed, mut compared, mut deepest) = (0, 0, 0, 0.0_f64);
+        let mut ws = SimWorkspace::new();
+        for spec in &specs {
+            for _ in 0..3 {
+                let mask = random_overlapping_mask(&mut rng);
+                let (x, y) = (
+                    rng.random_range(-500i64..200),
+                    rng.random_range(-500i64..200),
+                );
+                let (w, h) = (rng.random_range(150i64..600), rng.random_range(150i64..600));
+                let window = Rect::new(x, y, x + w, y + h).expect("window");
+                let label = format!(
+                    "{:?} at {} nm, window {window:?}",
+                    spec.conditions, spec.pixel_nm
+                );
+                let image =
+                    AerialImage::simulate_with(&mut ws, spec, &mask, window).expect("image");
+                let oracle = simulate_reference(spec, &mask, window);
+                // Every class row is the row `add_polygon` gives.
+                let margin = spec.kernel_stack().ambit_nm().ceil() as i64;
+                let mut coverage = Grid::new(window, margin, spec.pixel_nm).expect("grid");
+                for polygon in &mask {
+                    coverage.add_polygon(polygon, 1.0);
+                }
+                let nx = coverage.nx();
+                for (iy, row) in coverage.data().chunks_exact(nx).enumerate() {
+                    let class = ws.classes.row(iy);
+                    assert!(
+                        class
+                            .iter()
+                            .zip(row)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "row {iy}, {label}"
+                    );
+                }
+                deepest = deepest.max(ws.classes.max_coverage());
+                // The slope bound holds between every two neighbouring
+                // pixels of the oracle's whole raster.
+                let field = oracle.grid();
+                let step = |a: f64, b: f64| image.dose * (a - b).abs() / spec.pixel_nm;
+                for iy in 0..field.ny() {
+                    for ix in 0..field.nx() {
+                        let v = field.at(ix, iy);
+                        let right = (ix + 1 < field.nx()).then(|| field.at(ix + 1, iy));
+                        let up = (iy + 1 < field.ny()).then(|| field.at(ix, iy + 1));
+                        for n in [right, up].into_iter().flatten() {
+                            assert!(step(v, n) <= image.slope, "({ix},{iy}), {label}");
+                        }
+                    }
+                }
+                // Rays from printed and unprinted points, on and around
+                // the window: zero distance, to the window's edge, random.
+                let printed: Vec<Rect> = mask
+                    .iter()
+                    .filter_map(|p| p.bbox().intersection(&window))
+                    .collect();
+                for _ in 0..60 {
+                    let start = if printed.is_empty() || rng.random_range(0u32..4) == 0 {
+                        (
+                            window.left() as f64 + rng.random_range(-0.2..1.2) * w as f64,
+                            window.bottom() as f64 + rng.random_range(-0.2..1.2) * h as f64,
+                        )
+                    } else {
+                        let r = printed[rng.random_range(0..printed.len())];
+                        (
+                            rng.random_range(r.left() as f64..=r.right() as f64),
+                            rng.random_range(r.bottom() as f64..=r.top() as f64),
+                        )
+                    };
+                    let direction = directions[rng.random_range(0..directions.len())];
+                    let edge = |p: f64, d: f64, lo: i64, hi: i64| match d {
+                        d if d > 0.0 => (hi as f64 - p) / d,
+                        d if d < 0.0 => (lo as f64 - p) / d,
+                        _ => f64::INFINITY,
+                    };
+                    let to_edge = edge(start.0, direction.0, window.left(), window.right())
+                        .min(edge(start.1, direction.1, window.bottom(), window.top()));
+                    let to_edge = if to_edge.is_finite() {
+                        to_edge.max(0.0)
+                    } else {
+                        0.0
+                    };
+                    for distance in [0.0, to_edge, to_edge.ceil(), rng.random_range(0.0..400.0)] {
+                        let search = |img: &AerialImage, march: bool| {
+                            let f = if march { find_edge_march } else { find_edge };
+                            f(img, &resist, start, direction, distance).map(f64::to_bits)
+                        };
+                        let jumped = search(&image, false);
+                        let what = format!("{start:?} {direction:?} {distance}, {label}");
+                        assert_eq!(jumped, search(&image, true), "march, {what}");
+                        // The oracle is defined on its whole raster, so it
+                        // reads the same only where the ray stays inside
+                        // the window.
+                        let last = distance.ceil();
+                        let end = (start.0 + direction.0 * last, start.1 + direction.1 * last);
+                        let inside = |(px, py): (f64, f64)| {
+                            (window.left() as f64..=window.right() as f64).contains(&px)
+                                && (window.bottom() as f64..=window.top() as f64).contains(&py)
+                        };
+                        if inside(start) && inside(end) {
+                            assert_eq!(jumped, search(&oracle, true), "oracle, {what}");
+                            assert_eq!(jumped, search(&oracle, false), "oracle jumps, {what}");
+                            compared += 1;
+                        }
+                        match jumped {
+                            Ok(_) => crossed += 1,
+                            Err(_) => missed += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            crossed > 500 && missed > 500 && compared > 500,
+            "{crossed} crossed, {missed} missed, {compared} against the oracle"
+        );
+        assert!(deepest > 1.0, "coverage never above 1: {deepest}");
+    }
+
+    #[test]
+    fn epe_probes_evaluate_few_cells_and_fewer_than_the_march() {
         // Model-OPC-style probes (an 80 nm EPE search from fragment control
         // points every 140 nm along the line edges, plus the line ends)
-        // over a seeded farm window: the lazy image evaluates only the
-        // pixels the probes' marches touch.
-        use crate::cutline::edge_placement_error;
+        // over a seeded farm window: the search evaluates only a few
+        // interpolation cells per probe, fewer than a march over every
+        // point of the same probes, and finds the march's edges.
+        use crate::cutline::{edge_placement_error, find_edge_march};
         use crate::resist::ResistModel;
         let mask = seeded_farm_mask(7);
         let window = Rect::new(-500, -400, 500, 400).expect("rect");
-        let image =
-            AerialImage::simulate(&SimulationSpec::nominal(), &mask, window).expect("image");
+        let image = |()| AerialImage::simulate(&SimulationSpec::nominal(), &mask, window);
+        let (jumped, marched) = (image(()).expect("image"), image(()).expect("image"));
         let resist = ResistModel::standard();
         let reach = window.expand(-80).expect("probe area");
-        let mut probes = 0;
+        let mut probes: Vec<((f64, f64), (f64, f64))> = Vec::new();
         for line in &mask {
             let r = line.bbox();
             let ys =
@@ -746,32 +1001,34 @@ pub(crate) mod tests {
             for y in ys {
                 for (x, dx) in [(r.left(), -1.0), (r.right(), 1.0)] {
                     if (reach.left()..=reach.right()).contains(&x) {
-                        let _ = edge_placement_error(
-                            &image,
-                            &resist,
-                            (x as f64, y as f64),
-                            (dx, 0.0),
-                            80.0,
-                        );
-                        probes += 1;
+                        probes.push(((x as f64, y as f64), (dx, 0.0)));
                     }
                 }
             }
             let cx = (r.left() + r.right()) as f64 / 2.0;
             for (y, dy) in [(r.bottom(), -1.0), (r.top(), 1.0)] {
                 if reach.contains(Point::new(cx as i64, y)) {
-                    let _ = edge_placement_error(&image, &resist, (cx, y as f64), (0.0, dy), 80.0);
-                    probes += 1;
+                    probes.push(((cx, y as f64), (0.0, dy)));
                 }
             }
         }
-        let evaluated = image.memo.iter().filter(|c| !c.get().is_nan()).count();
-        let share = evaluated as f64 / image.memo.len() as f64;
-        assert!(probes >= 20, "{probes} probes");
+        for &(target, outward) in &probes {
+            let epe = edge_placement_error(&jumped, &resist, target, outward, 80.0);
+            // `edge_placement_error`'s probe: from 30 nm inside the target.
+            let start = (target.0 - outward.0 * 30.0, target.1 - outward.1 * 30.0);
+            let march = find_edge_march(&marched, &resist, start, outward, 110.0).map(|d| d - 30.0);
+            assert_eq!(
+                epe.map(f64::to_bits),
+                march.map(f64::to_bits),
+                "{target:?} {outward:?}"
+            );
+        }
+        let per_probe = jumped.cells_evaluated() as f64 / probes.len() as f64;
+        let march_per_probe = marched.cells_evaluated() as f64 / probes.len() as f64;
+        assert!(probes.len() >= 20, "{} probes", probes.len());
         assert!(
-            share < 0.05,
-            "{probes} probes evaluated {evaluated} of {} pixels",
-            image.memo.len()
+            per_probe <= 6.0 && per_probe < march_per_probe,
+            "{per_probe} cells per probe, the march {march_per_probe}"
         );
     }
 }

@@ -121,9 +121,9 @@ impl KernelStack {
 }
 
 /// Upper bound on retained tap vectors; beyond it the oldest entry is
-/// evicted. A flow touches few distinct `(σ, pixel)` pairs — one per FEM
-/// condition per kernel — so 64 covers every sweep in the repo with room
-/// to spare while bounding worst-case memory.
+/// evicted. A flow touches few distinct `(σ, pixel)` pairs — one per focus
+/// condition per kernel — so 64 covers every focus sweep in the repo with
+/// room to spare while bounding worst-case memory.
 const TAP_CACHE_CAP: usize = 64;
 
 /// Memoizes [`KernelStack::discretize`] by its exact inputs — the bit

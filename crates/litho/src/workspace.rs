@@ -1,9 +1,9 @@
 //! Reusable scratch state for the imaging engine.
 //!
-//! Every aerial-image simulation needs a padded base grid and discretized
-//! kernel taps. A [`SimWorkspace`] owns both so that repeated simulations —
-//! the OPC iteration loop, FEM sweeps, full-chip extraction — stop paying a
-//! fresh raster allocation and a kernel re-discretization per window.
+//! Every aerial-image simulation needs the mask's coverage rows and
+//! discretized kernel taps. A [`SimWorkspace`] owns both so that repeated
+//! simulations — the OPC iteration loop, full-chip extraction — stop
+//! paying fresh raster buffers and a kernel re-discretization per window.
 //!
 //! [`AerialImage::simulate`](crate::AerialImage::simulate) borrows a
 //! per-thread workspace transparently — worker-pool threads each get their
@@ -12,19 +12,18 @@
 
 use std::cell::RefCell;
 
-use crate::error::Result;
 use crate::kernels::TapCache;
-use postopc_geom::{Grid, Rect};
+use postopc_geom::RowClasses;
 
-/// Scratch state reused across imaging runs: the padded base grid and the
-/// discretized-tap cache.
+/// Scratch state reused across imaging runs: the mask's row classes and
+/// the discretized-tap cache.
 ///
-/// The base grid grows to the largest window simulated and is then reused
-/// allocation-free; the tap cache persists across windows so kernel
+/// The class buffers grow to the largest window simulated and are then
+/// reused allocation-free; the tap cache persists across windows so kernel
 /// discretization happens once per distinct `(σ, pixel)` condition.
 #[derive(Debug, Default)]
 pub(crate) struct SimWorkspace {
-    pub(crate) base: Option<Grid>,
+    pub(crate) classes: RowClasses,
     pub(crate) taps: TapCache,
 }
 
@@ -32,23 +31,6 @@ impl SimWorkspace {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub(crate) fn new() -> SimWorkspace {
         SimWorkspace::default()
-    }
-
-    /// The base grid reshaped (zero-filled) to cover `window` expanded by
-    /// `margin` at `pixel` nm, reusing the previous allocation.
-    pub(crate) fn base_grid(&mut self, window: Rect, margin: i64, pixel: f64) -> Result<&mut Grid> {
-        match &mut self.base {
-            Some(grid) => {
-                grid.reset(window, margin, pixel)?;
-            }
-            None => {
-                self.base = Some(Grid::new(window, margin, pixel)?);
-            }
-        }
-        match &mut self.base {
-            Some(grid) => Ok(grid),
-            None => unreachable!("base grid just ensured"),
-        }
     }
 }
 
@@ -71,27 +53,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn base_grid_reshapes_and_zeroes() {
-        let mut ws = SimWorkspace::new();
-        let w1 = Rect::new(0, 0, 400, 200).expect("rect");
-        let g = ws.base_grid(w1, 50, 5.0).expect("grid");
-        g.set(3, 3, 1.0);
-        let (nx1, ny1) = (g.nx(), g.ny());
-        // A smaller window must come back zeroed with the right shape.
-        let w2 = Rect::new(-100, -100, 100, 100).expect("rect");
-        let g = ws.base_grid(w2, 50, 5.0).expect("grid");
-        assert!(g.nx() < nx1 || g.ny() < ny1);
-        let fresh = Grid::new(w2, 50, 5.0).expect("grid");
-        assert_eq!(*g, fresh);
-    }
-
-    #[test]
     fn thread_workspace_is_reused() {
-        let first = with_thread_workspace(|ws| {
-            let w = Rect::new(0, 0, 100, 100).expect("rect");
-            ws.base_grid(w, 10, 5.0).expect("grid");
-            ws as *const SimWorkspace as usize
-        });
+        let first = with_thread_workspace(|ws| ws as *const SimWorkspace as usize);
         let second = with_thread_workspace(|ws| ws as *const SimWorkspace as usize);
         assert_eq!(first, second);
         // Nested access falls back instead of panicking.

@@ -37,8 +37,10 @@
 #              items)
 #   build      tier-1: cargo build --release
 #   test       tier-1: cargo test -q
-#   wstest     cargo test --workspace -q: every crate's unit and
-#              integration tests, which hold every correctness check.
+#   wstest     cargo test --workspace -q --no-fail-fast: every crate's
+#              unit and integration tests, which hold every correctness
+#              check; every test binary runs even after one fails, and
+#              the stage fails if any test did.
 #              The thread matrix (1, 2 and 4 workers) is explicit there,
 #              set by config field. Among them: the durable serving
 #              layer's fault schedules (crates/core/tests/durable.rs), the
@@ -253,7 +255,7 @@ doc_stage() {
 stage doc doc_stage
 stage build cargo build --release
 stage test cargo test -q
-stage wstest cargo test --workspace -q
+stage wstest cargo test --workspace -q --no-fail-fast
 stage smoke cargo run --release -p postopc-bench --bin perf_smoke
 stage bench cargo run --release -p postopc-bench --bin perf_smoke -- --bench-regression
 
