@@ -20,7 +20,12 @@
 //!    session must beat the cold full pipeline by at least
 //!    [`SERVE_SPEEDUP_FLOOR`]× on the T6 composite and T9 farm designs,
 //!    both sides on the ambient pool. Every repeated cold pipeline and
-//!    warm batch must answer exactly as the first cold pipeline did.
+//!    warm batch must answer exactly as the first cold pipeline did. The
+//!    warm batch repeats Monte Carlo configs the session has already run
+//!    around its baseline, so the session reads them from its memo: the
+//!    warm side times the corners and those reads, and the check prints
+//!    how many of its queries the memo answered. The Monte Carlo engine's
+//!    own speed is held by the `bench` mode's T6 batched MC@2000 floor.
 //! 3. **Surrogate** — the learned CD surrogate (cache + pool) must beat
 //!    the serial no-cache baseline by at least [`SURROGATE_SPEEDUP_FLOOR`]×
 //!    on the dense shuffled speed-path farm. Every run of each engine must
@@ -37,7 +42,7 @@ use postopc::{
     extract_gates, margin_clock, ExtractionConfig, FlowConfig, OpcMode, QueryOutcome, Selection,
     SessionQuery, SurrogateConfig, TagSet, TimingSession,
 };
-use postopc_bench::runner::{measure, Row, Timing, T6};
+use postopc_bench::runner::{measure, Row, Timing, RUNS, T6};
 use postopc_bench::{dense_design, OrExit};
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design};
@@ -222,9 +227,16 @@ fn serve_ratio() -> bool {
             || cold_run(&model, &cfg, &queries),
             |(_, first), (_, answers)| identical &= answers == first,
         );
+        let hits = session.memo_hits();
         let warm = warm_batches(&mut session, &queries, 1, &cold_answers, &mut identical);
+        let memo_reads = session.memo_hits() - hits;
         let speedup = cold.median_s / warm.median_s.max(1e-9);
         println!("perf_smoke: {name}: cold {cold}, warm {warm}, {speedup:.1}x");
+        println!(
+            "perf_smoke: {name}: the session memo answered {memo_reads} of the {} warm-batch \
+             queries",
+            (1 + RUNS) * queries.len()
+        );
         if !identical {
             eprintln!("perf_smoke: FAIL - {name} repeated answers differ from the first cold run");
             failed = true;

@@ -382,8 +382,8 @@ pub fn serve_with(
     };
     let warm = restored.is_some();
     let mut session = match restored {
-        Some(artifact) => TimingSession::restore(&model, config, artifact)?,
-        None => TimingSession::new(&model, config)?,
+        Some(artifact) => TimingSession::restore_hashed(&model, config, artifact, expected)?,
+        None => TimingSession::new_hashed(&model, config, expected)?,
     };
     let persist = match (artifact_path, warm) {
         (Some(path), false) => match session.artifact().save_with(path, &mut io) {

@@ -9,7 +9,7 @@
 use crate::error::Result;
 use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
-    StaScratch, TimingModel,
+    MonteCarloResult, StaScratch, TimingModel,
 };
 
 /// Guardband comparison configuration.
@@ -95,6 +95,26 @@ impl GuardbandAnalysis {
         extracted: &CdAnnotation,
         config: &GuardbandConfig,
     ) -> Result<GuardbandAnalysis> {
+        let mc = statistical::run_with(compiled, Some(extracted), &config.monte_carlo)?;
+        Self::from_monte_carlo(compiled, scratch, &mc, config)
+    }
+
+    /// [`Self::compute_with`] around an existing Monte Carlo run: `mc`
+    /// must be `config.monte_carlo`'s run around the extracted
+    /// annotation, which is how a warm session answers a guardband from
+    /// its memo of that run.
+    ///
+    /// Leaves `scratch` holding the SS-corner evaluation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates timing errors.
+    pub(crate) fn from_monte_carlo(
+        compiled: &CompiledSta<'_>,
+        scratch: &mut StaScratch,
+        mc: &MonteCarloResult,
+        config: &GuardbandConfig,
+    ) -> Result<GuardbandAnalysis> {
         let model = compiled.model();
         let nominal = compiled.evaluate(scratch, None)?;
         let ss = analyze_corners_with(
@@ -107,7 +127,6 @@ impl GuardbandAnalysis {
         )?
         .pop()
         .unwrap_or_else(|| unreachable!("one corner in, one report out"));
-        let mc = statistical::run_with(compiled, Some(extracted), &config.monte_carlo)?;
         // One multi-quantile query against the cached sorted view: the
         // signoff percentile plus the p50/p90/p99 delay profile (delay
         // percentile p = slack quantile 1 - p).

@@ -6,7 +6,12 @@
 //! A [`TimingSession`] pays once — or not at all, when restored from a
 //! persisted [`WarmArtifact`] — and then answers guardband, corner,
 //! Monte Carlo and what-if queries against the warm compiled state,
-//! reusing one [`StaScratch`]'s buffers across every query.
+//! reusing one [`StaScratch`]'s buffers across every query. A Monte
+//! Carlo answer is a pure function of the baseline and the config, so the
+//! session keeps the last few and answers a repeated config (a guardband
+//! whose Monte Carlo repeats an earlier query's, say) from that memo,
+//! until an ECO moves the baseline ([`TimingSession::memo_hits`] counts
+//! such reads).
 //!
 //! Incremental ECO re-analysis rides the same state: an edit that
 //! dirties K gates re-images only the litho contexts the warm
@@ -25,7 +30,7 @@ use crate::tags::TagSet;
 use postopc_layout::Design;
 use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
-    MonteCarloResult, StaScratch, TimingModel, TimingReport,
+    MonteCarloResult, Sampling, StaScratch, TimingModel, TimingReport,
 };
 
 /// One request against a warm session.
@@ -155,6 +160,79 @@ impl BudgetedOutcome {
     }
 }
 
+/// Monte Carlo answers a session keeps for its current baseline.
+const MC_MEMO_ENTRIES: usize = 4;
+
+/// The Monte Carlo answers of a session's current baseline, keyed by
+/// config. An answer is a pure function of the baseline annotation and
+/// the config, the same for any thread count, so a repeated config is
+/// read instead of rerun. Emptied whenever the baseline moves; never
+/// persisted.
+#[derive(Debug, Default)]
+struct MonteCarloMemo {
+    /// The most recent distinct configs first run since the last clear,
+    /// oldest first.
+    entries: Vec<(MonteCarloConfig, MonteCarloResult)>,
+    /// Answers read from `entries` instead of run.
+    hits: u64,
+}
+
+impl MonteCarloMemo {
+    /// The run of `config` around `annotation`: read when a config that
+    /// asks for the same answer ran since the last clear, run (and kept,
+    /// evicting the oldest entry when full) otherwise.
+    fn get_or_run(
+        &mut self,
+        compiled: &CompiledSta<'_>,
+        annotation: &CdAnnotation,
+        config: &MonteCarloConfig,
+    ) -> Result<&MonteCarloResult> {
+        let i = match self
+            .entries
+            .iter()
+            .position(|(c, _)| same_answer(c, config))
+        {
+            Some(i) => {
+                self.hits += 1;
+                i
+            }
+            None => {
+                let result = statistical::run_with(compiled, Some(annotation), config)?;
+                if self.entries.len() == MC_MEMO_ENTRIES {
+                    self.entries.remove(0);
+                }
+                self.entries.push((config.clone(), result));
+                self.entries.len() - 1
+            }
+        };
+        Ok(&self.entries[i].1)
+    }
+}
+
+/// Whether two Monte Carlo configs ask for the same answer: every field
+/// equal but `threads`, floats by their bits.
+fn same_answer(a: &MonteCarloConfig, b: &MonteCarloConfig) -> bool {
+    let MonteCarloConfig {
+        samples,
+        sigma_nm,
+        seed,
+        threads: _,
+        sampling,
+        control_variate,
+    } = a;
+    let sampling_matches = match (sampling, &b.sampling) {
+        (Sampling::TailIs { tilt }, Sampling::TailIs { tilt: other }) => {
+            tilt.to_bits() == other.to_bits()
+        }
+        (mine, theirs) => mine == theirs,
+    };
+    *samples == b.samples
+        && sigma_nm.to_bits() == b.sigma_nm.to_bits()
+        && *seed == b.seed
+        && sampling_matches
+        && *control_variate == b.control_variate
+}
+
 /// The result of one incremental ECO re-analysis
 /// ([`TimingSession::apply_eco`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -208,6 +286,11 @@ pub struct TimingSession<'m> {
     /// True when the scratch holds some query's evaluation instead of
     /// the baseline; incremental passes re-establish the baseline first.
     scratch_dirty: bool,
+    /// Monte Carlo answers around `annotation`, emptied by every ECO.
+    memo: MonteCarloMemo,
+    /// [`content_hash`] of the design and config the session was opened
+    /// or restored with, both fixed for its life.
+    content_hash: u64,
 }
 
 /// The session's starting surrogate model for `config`: pre-trained if
@@ -234,6 +317,16 @@ impl<'m> TimingSession<'m> {
     /// Propagates configuration, simulation, extraction and timing
     /// errors.
     pub fn new(model: &'m TimingModel<'m>, config: &FlowConfig) -> Result<TimingSession<'m>> {
+        Self::new_hashed(model, config, content_hash(model.design(), config))
+    }
+
+    /// [`Self::new`] for a caller that already holds the design and
+    /// config's [`content_hash`].
+    pub(crate) fn new_hashed(
+        model: &'m TimingModel<'m>,
+        config: &FlowConfig,
+        content_hash: u64,
+    ) -> Result<TimingSession<'m>> {
         let design = model.design();
         let compiled = model.compile()?;
         let mut scratch = compiled.scratch();
@@ -255,6 +348,8 @@ impl<'m> TimingSession<'m> {
             annotation,
             baseline,
             scratch_dirty: false,
+            memo: MonteCarloMemo::default(),
+            content_hash,
         })
     }
 
@@ -277,8 +372,23 @@ impl<'m> TimingSession<'m> {
         config: &FlowConfig,
         artifact: WarmArtifact,
     ) -> Result<TimingSession<'m>> {
+        Self::restore_hashed(
+            model,
+            config,
+            artifact,
+            content_hash(model.design(), config),
+        )
+    }
+
+    /// [`Self::restore`] for a caller that already holds the design and
+    /// config's [`content_hash`], `expected`.
+    pub(crate) fn restore_hashed(
+        model: &'m TimingModel<'m>,
+        config: &FlowConfig,
+        artifact: WarmArtifact,
+        expected: u64,
+    ) -> Result<TimingSession<'m>> {
         let design = model.design();
-        let expected = content_hash(design, config);
         if artifact.content_hash != expected {
             return Err(FlowError::Artifact(crate::error::ArtifactError::stale(
                 artifact.content_hash,
@@ -317,6 +427,8 @@ impl<'m> TimingSession<'m> {
             annotation,
             baseline,
             scratch_dirty: false,
+            memo: MonteCarloMemo::default(),
+            content_hash: expected,
         })
     }
 
@@ -325,7 +437,7 @@ impl<'m> TimingSession<'m> {
     /// session's answers bit-identically.
     pub fn artifact(&self) -> WarmArtifact {
         WarmArtifact {
-            content_hash: content_hash(self.compiled.model().design(), &self.config),
+            content_hash: self.content_hash,
             annotation: self.annotation.clone(),
             tags: self.tags.clone(),
             context_store: self.store.clone(),
@@ -353,6 +465,13 @@ impl<'m> TimingSession<'m> {
         &self.store
     }
 
+    /// How many Monte Carlo runs, of [`SessionQuery::MonteCarlo`] and
+    /// [`SessionQuery::Guardband`] queries, the session has read from its
+    /// memo of the current baseline's answers instead of running.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo.hits
+    }
+
     /// Re-establishes the baseline evaluation in the scratch after a
     /// query left other state there.
     fn ensure_baseline(&mut self) -> Result<()> {
@@ -374,13 +493,18 @@ impl<'m> TimingSession<'m> {
     pub fn run(&mut self, query: &SessionQuery) -> Result<QueryOutcome> {
         match query {
             SessionQuery::Guardband(config) => {
+                let mc =
+                    self.memo
+                        .get_or_run(&self.compiled, &self.annotation, &config.monte_carlo)?;
                 self.scratch_dirty = true;
-                Ok(QueryOutcome::Guardband(GuardbandAnalysis::compute_with(
-                    &self.compiled,
-                    &mut self.scratch,
-                    &self.annotation,
-                    config,
-                )?))
+                Ok(QueryOutcome::Guardband(
+                    GuardbandAnalysis::from_monte_carlo(
+                        &self.compiled,
+                        &mut self.scratch,
+                        mc,
+                        config,
+                    )?,
+                ))
             }
             SessionQuery::Corners(corners) => {
                 self.scratch_dirty = true;
@@ -391,7 +515,9 @@ impl<'m> TimingSession<'m> {
                 )?))
             }
             SessionQuery::MonteCarlo(config) => Ok(QueryOutcome::MonteCarlo(
-                statistical::run_with(&self.compiled, Some(&self.annotation), config)?,
+                self.memo
+                    .get_or_run(&self.compiled, &self.annotation, config)?
+                    .clone(),
             )),
             SessionQuery::WhatIf(next) => {
                 self.ensure_baseline()?;
@@ -496,6 +622,8 @@ impl<'m> TimingSession<'m> {
     /// from the unchanged baseline annotation on the next query.
     pub fn apply_eco(&mut self, tags: &TagSet) -> Result<EcoOutcome> {
         self.ensure_baseline()?;
+        // Every answer in the memo is of the baseline this ECO moves.
+        self.memo.entries.clear();
         // Journal everything an aborted pass can half-mutate. The
         // annotation, tags and baseline only advance after the commit
         // point below, so they need no journal entry.
@@ -653,6 +781,145 @@ mod tests {
             .expect("q");
         let cold = GuardbandAnalysis::compute(&model, session.annotation(), &gb).expect("cold gb");
         assert_eq!(warm, QueryOutcome::Guardband(cold));
+    }
+
+    /// The Monte Carlo answer of `outcome`.
+    fn monte_carlo(outcome: QueryOutcome) -> MonteCarloResult {
+        match outcome {
+            QueryOutcome::MonteCarlo(mc) => mc,
+            other => panic!("expected a Monte Carlo outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_guardband_reads_the_batchs_monte_carlo_from_the_memo() {
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 3 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut session = TimingSession::new(&model, &cfg).expect("session");
+        let mc = mc_config();
+        let gb = GuardbandConfig {
+            monte_carlo: mc.clone(),
+            ..GuardbandConfig::default()
+        };
+        let got_mc = session
+            .run(&SessionQuery::MonteCarlo(mc.clone()))
+            .expect("mc");
+        assert_eq!(session.memo_hits(), 0);
+        let got_gb = session
+            .run(&SessionQuery::Guardband(gb.clone()))
+            .expect("guardband");
+        assert_eq!(session.memo_hits(), 1);
+        let fresh_mc = statistical::run(&model, Some(session.annotation()), &mc).expect("mc");
+        let fresh_gb = GuardbandAnalysis::compute(&model, session.annotation(), &gb).expect("gb");
+        assert_eq!(got_mc, QueryOutcome::MonteCarlo(fresh_mc.clone()));
+        assert_eq!(got_gb, QueryOutcome::Guardband(fresh_gb));
+        // The thread count is normalised out of the key: the same answer.
+        let pinned = MonteCarloConfig {
+            threads: Some(3),
+            ..mc.clone()
+        };
+        let again = monte_carlo(session.run(&SessionQuery::MonteCarlo(pinned)).expect("mc"));
+        assert_eq!(session.memo_hits(), 2);
+        assert_eq!(again, fresh_mc);
+    }
+
+    #[test]
+    fn configs_that_ask_for_another_answer_never_hit_the_memo() {
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 3 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut session = TimingSession::new(&model, &cfg).expect("session");
+        let base = mc_config();
+        let tail = |tilt| MonteCarloConfig {
+            sampling: postopc_sta::Sampling::TailIs { tilt },
+            ..base.clone()
+        };
+        let variants = [
+            MonteCarloConfig {
+                seed: base.seed + 1,
+                ..base.clone()
+            },
+            MonteCarloConfig {
+                samples: base.samples + 2,
+                ..base.clone()
+            },
+            MonteCarloConfig {
+                sigma_nm: 1.25,
+                ..base.clone()
+            },
+            MonteCarloConfig {
+                sampling: postopc_sta::Sampling::Antithetic,
+                ..base.clone()
+            },
+            tail(1.0),
+            tail(1.2),
+            MonteCarloConfig {
+                control_variate: true,
+                ..base.clone()
+            },
+        ];
+        // More distinct configs than the memo holds, the base among them,
+        // so the base is run again once the variants have evicted it.
+        for mc in std::iter::once(&base).chain(&variants).chain([&base]) {
+            let got = monte_carlo(
+                session
+                    .run(&SessionQuery::MonteCarlo(mc.clone()))
+                    .expect("mc"),
+            );
+            let fresh = statistical::run(&model, Some(session.annotation()), mc).expect("mc");
+            assert_eq!(got, fresh, "{mc:?}");
+        }
+        assert_eq!(session.memo_hits(), 0);
+
+        // A budget-reduced run is keyed by the samples it ran, never read
+        // as the full answer, and the full run never as the reduced one.
+        let full = monte_carlo(
+            session
+                .run(&SessionQuery::MonteCarlo(base.clone()))
+                .expect("mc"),
+        );
+        assert_eq!(session.memo_hits(), 1);
+        let mut budget = SampleBudget::new(base.samples as u64 / 2);
+        let reduced = session
+            .run_budgeted(&SessionQuery::MonteCarlo(base.clone()), Some(&mut budget))
+            .expect("budgeted");
+        let half = MonteCarloConfig {
+            samples: base.samples / 2,
+            ..base.clone()
+        };
+        let fresh_half = statistical::run(&model, Some(session.annotation()), &half).expect("mc");
+        match reduced {
+            BudgetedOutcome::Partial { outcome, .. } => {
+                assert_eq!(outcome, QueryOutcome::MonteCarlo(fresh_half));
+                assert_ne!(outcome, QueryOutcome::MonteCarlo(full));
+            }
+            other => panic!("expected a partial answer, got {other:?}"),
+        }
+        assert_eq!(session.memo_hits(), 1);
+    }
+
+    #[test]
+    fn an_eco_empties_the_memo() {
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 2 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut session = TimingSession::new(&model, &cfg).expect("session");
+        let mc = SessionQuery::MonteCarlo(mc_config());
+        let before = session.run(&mc).expect("mc");
+        // A what-if leaves the baseline, and so the memo, in place.
+        let edit = postopc_sta::corner_annotation(&model, 3.0);
+        session.run(&SessionQuery::WhatIf(edit)).expect("what-if");
+        assert_eq!(session.run(&mc).expect("mc"), before);
+        assert_eq!(session.memo_hits(), 1);
+
+        session.apply_eco(&TagSet::all(&d)).expect("eco");
+        let after = session.run(&mc).expect("mc");
+        assert_eq!(session.memo_hits(), 1, "the ECO must empty the memo");
+        assert_ne!(after, before);
+        let mut fresh = TimingSession::new(&model, &fast_config(Selection::All)).expect("fresh");
+        assert_eq!(fresh.annotation(), session.annotation());
+        assert_eq!(after, fresh.run(&mc).expect("mc"));
     }
 
     #[test]

@@ -29,9 +29,10 @@ const STEP_NM: f64 = 1.0;
 /// # Errors
 ///
 /// Returns [`LithoError::InvalidSearchDistance`] if `max_dist_nm` is
-/// negative or not finite, and [`LithoError::NoContourCrossing`] if the
-/// start is not printed or no crossing occurs within range (pinched
-/// feature or bridged gap).
+/// negative or not finite, [`LithoError::NonFiniteRay`] if a coordinate of
+/// `start` or `direction` is NaN or infinite, and
+/// [`LithoError::NoContourCrossing`] if the start is not printed or no
+/// crossing occurs within range (pinched feature or bridged gap).
 pub fn find_edge(
     image: &AerialImage,
     resist: &ResistModel,
@@ -44,6 +45,9 @@ pub fn find_edge(
     if !(max_dist_nm.is_finite() && max_dist_nm >= 0.0) {
         return Err(LithoError::InvalidSearchDistance { max_dist_nm });
     }
+    // A NaN ray reads NaN at every point and never settles; an infinite
+    // one has no points to read.
+    check_ray(start, direction)?;
     let (x0, y0) = start;
     let (dx, dy) = direction;
     let threshold = resist.threshold;
@@ -89,6 +93,18 @@ pub fn find_edge(
     }
 }
 
+/// Rejects a search ray with a NaN or infinite coordinate.
+fn check_ray(start: (f64, f64), direction: (f64, f64)) -> Result<()> {
+    let finite = [start.0, start.1, direction.0, direction.1]
+        .iter()
+        .all(|v| v.is_finite());
+    if finite {
+        Ok(())
+    } else {
+        Err(LithoError::NonFiniteRay { start, direction })
+    }
+}
+
 /// The search [`find_edge`] reproduces: every point in turn, kept as its
 /// oracle.
 #[cfg(test)]
@@ -102,6 +118,7 @@ pub(crate) fn find_edge_march(
     if !(max_dist_nm.is_finite() && max_dist_nm >= 0.0) {
         return Err(LithoError::InvalidSearchDistance { max_dist_nm });
     }
+    check_ray(start, direction)?;
     let (x0, y0) = start;
     let (dx, dy) = direction;
     let mut prev = image.intensity_at(x0, y0);
@@ -289,6 +306,33 @@ mod tests {
                 .expect("edge")
                 .to_bits()
         );
+    }
+
+    #[test]
+    fn non_finite_rays_are_a_typed_error_before_any_read() {
+        // A NaN direction reads NaN at every point and an infinite start
+        // reads the clamped edge value: marches that would take years at
+        // 1e15 nm. Both searches reject the ray before reading it.
+        let r = ResistModel::standard();
+        let block = image_of(&[Polygon::from(
+            Rect::new(-2000, -2000, 2000, 2000).expect("rect"),
+        )]);
+        for (start, direction) in [
+            ((0.0, 0.0), (f64::NAN, 0.0)),
+            ((0.0, 0.0), (0.0, f64::INFINITY)),
+            ((f64::INFINITY, 0.0), (-1.0, 0.0)),
+            ((f64::NEG_INFINITY, 0.0), (1.0, 0.0)),
+            ((0.0, f64::NAN), (0.0, 1.0)),
+        ] {
+            // NaN payloads compare unequal, so compare renderings.
+            let rejected: Result<f64> = Err(LithoError::NonFiniteRay { start, direction });
+            for got in [
+                find_edge(&block, &r, start, direction, 1e15),
+                find_edge_march(&block, &r, start, direction, 1e15),
+            ] {
+                assert_eq!(format!("{got:?}"), format!("{rejected:?}"));
+            }
+        }
     }
 
     #[test]

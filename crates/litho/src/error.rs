@@ -29,6 +29,14 @@ pub enum LithoError {
         /// The rejected distance in nm.
         max_dist_nm: f64,
     },
+    /// An edge-position search was given a start point or direction
+    /// with a NaN or infinite coordinate.
+    NonFiniteRay {
+        /// The search start `(x, y)` in nm.
+        start: (f64, f64),
+        /// The search direction `(dx, dy)`.
+        direction: (f64, f64),
+    },
 }
 
 impl fmt::Display for LithoError {
@@ -44,6 +52,11 @@ impl fmt::Display for LithoError {
             LithoError::InvalidSearchDistance { max_dist_nm } => write!(
                 f,
                 "edge search distance must be finite and non-negative, got {max_dist_nm} nm"
+            ),
+            LithoError::NonFiniteRay { start, direction } => write!(
+                f,
+                "edge search ray must be finite, got start {start:?} nm and direction \
+                 {direction:?}"
             ),
         }
     }

@@ -52,7 +52,10 @@
 #   smoke      perf_smoke's three absolute speedup ratios (ambient thread
 #              count): cache+pool extraction median within 1.25x of
 #              serial (outcomes bit-identical), warm serve >= 10x faster
-#              than the cold pipeline on T6 and the T9 farm, and the
+#              than the cold pipeline on T6 and the T9 farm (the warm
+#              batch's repeated Monte Carlo is a read of the session's
+#              memo, whose hits it prints; the engine's own speed is the
+#              bench stage's T6 batched MC@2000 floor), and the
 #              surrogate >= 3x faster than the serial no-cache baseline
 #              on the shuffled farm; every timed run == its first
 #   bench      perf_smoke --bench-regression: fresh single-thread medians
