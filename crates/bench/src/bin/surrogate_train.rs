@@ -1,9 +1,9 @@
 //! Offline trainer for the learned CD surrogate.
 //!
-//! Runs a full SOCS extraction over a training design with the surrogate
-//! in record-only mode (warm-up larger than any workload, so every unique
-//! context simulates and trains) and persists the resulting model as a
-//! `POCSURR1` file that `postopc --surrogate-model FILE` can seed from
+//! Trains a model with `SurrogateModel::train` (a full SOCS extraction
+//! over a training design with the surrogate tier recording every unique
+//! context and serving none) and persists it as a `POCSURR1` file that
+//! `postopc --surrogate-model FILE` can seed from
 //! (`crates/bench/tests/surrogate.rs` checks the round trip).
 //!
 //! ```bash
@@ -11,7 +11,7 @@
 //!     --design farm:20x24 --out target/surrogate_model.bin
 //! ```
 
-use postopc::{extract_gates_with_caches, ExtractionConfig, OpcMode, SurrogateConfig, TagSet};
+use postopc::{ExtractionConfig, OpcMode, SurrogateModel, TagSet};
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use std::process::ExitCode;
 
@@ -78,24 +78,11 @@ fn run(args: &[String]) -> Result<(), String> {
     let design = build_design(&spec)?;
     let tags = TagSet::all(&design);
 
-    // Record-only surrogate: the warm-up exceeds any realistic unique-
-    // context count, so no prediction is ever served and every context's
-    // SOCS result feeds the model.
     let mut config = ExtractionConfig::standard();
     config.opc_mode = OpcMode::Rule;
-    config.surrogate = SurrogateConfig {
-        min_train: usize::MAX,
-        ..SurrogateConfig::standard()
-    };
-    let mut model = config.surrogate.fresh_model();
     let t0 = std::time::Instant::now();
-    let outcome = extract_gates_with_caches(&design, &config, &tags, None, Some(&mut model))
-        .map_err(|e| format!("training extraction failed: {e}"))?;
-    if !model.is_fitted() {
-        model
-            .refit()
-            .map_err(|e| format!("final refit failed: {e}"))?;
-    }
+    let model = SurrogateModel::train(&design, &config, &tags)
+        .map_err(|e| format!("training failed: {e}"))?;
 
     if let Some(parent) = std::path::Path::new(&out).parent() {
         if !parent.as_os_str().is_empty() {
@@ -106,9 +93,8 @@ fn run(args: &[String]) -> Result<(), String> {
     std::fs::write(&out, model.to_file_bytes())
         .map_err(|e| format!("cannot write {out:?}: {e}"))?;
     println!(
-        "surrogate_train: {spec}: {} gates, {} unique contexts simulated in {:.1} s",
+        "surrogate_train: {spec}: {} gates trained in {:.1} s",
         design.netlist().gate_count(),
-        outcome.stats.windows,
         t0.elapsed().as_secs_f64(),
     );
     println!(

@@ -1,6 +1,6 @@
 //! One function per table/figure of the evaluation (see the experiment
 //! index in `DESIGN.md`). Every function returns the rendered report text
-//! and is deterministic apart from wall-clock measurements.
+//! and is deterministic apart from T9's wall-clock medians.
 
 use postopc::report::render_table;
 use postopc::{
@@ -12,7 +12,6 @@ use postopc_device::ProcessParams;
 use postopc_layout::Design;
 use postopc_litho::ProcessConditions;
 use postopc_sta::{analyze_corners_with, statistical, Corner, MonteCarloConfig, TimingModel};
-use std::time::Instant;
 
 /// A timing model with the clock 10% above the drawn critical delay.
 fn model_with_margin(design: &Design) -> TimingModel<'_> {
@@ -364,8 +363,8 @@ pub fn f5() -> String {
 }
 
 /// **T6 — corner pessimism vs extracted-distribution Monte Carlo**, with
-/// the naive-vs-batched Monte Carlo engine comparison at N = 2000 and the
-/// tail check of the sampling-accuracy study.
+/// the batched Monte Carlo engine held bit-identical to the naive oracle
+/// at N = 2000 and the tail check of the sampling-accuracy study.
 pub fn t6() -> String {
     let design = crate::evaluation_design(11);
     let model = model_with_margin(&design);
@@ -382,9 +381,7 @@ pub fn t6() -> String {
     let reports = analyze_corners_with(&compiled, &mut scratch, &corners).expect("corners");
     let (ff, ss) = (&reports[0], &reports[2]);
     // Monte Carlo around the extracted systematic values, engine and
-    // oracle on one thread for an apples-to-apples wall-clock comparison
-    // (the engine's timed region excludes the flow-level compile, which
-    // real flows amortize across every analysis).
+    // oracle on one thread.
     let mc_config = MonteCarloConfig {
         samples: 2000,
         sigma_nm: 1.5,
@@ -392,14 +389,10 @@ pub fn t6() -> String {
         threads: Some(1),
         ..MonteCarloConfig::default()
     };
-    let t0 = Instant::now();
     let mc =
         statistical::run_with(&compiled, Some(&out.annotation), &mc_config).expect("monte carlo");
-    let batched_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
     let naive = statistical::run_reference(&model, Some(&out.annotation), &mc_config)
         .expect("naive monte carlo");
-    let naive_s = t0.elapsed().as_secs_f64();
     let batched_identical = mc == naive;
     let q99_delay = model.clock_ps() - mc.worst_slack_quantile_ps(0.01);
     let batched_stats = mc.cache_stats();
@@ -455,11 +448,6 @@ pub fn t6() -> String {
         }
     ));
     text.push_str(&format!(
-        "engine speedup (1 thread): naive {naive_s:.2} s -> batched {batched_s:.2} s \
-         ({:.1}x)\n",
-        naive_s / batched_s.max(1e-9)
-    ));
-    text.push_str(&format!(
         "shift table: batched {} prewarmed, {} shared hits, {} misses\n",
         batched_stats.prewarmed, batched_stats.shared_hits, batched_stats.misses
     ));
@@ -502,9 +490,7 @@ pub fn t7() -> String {
         ("model everywhere", &all, OpcMode::Model),
         ("selective (model on tagged)", &tagged, OpcMode::Model),
     ] {
-        let t0 = Instant::now();
         let out = extract_gates(&design, &config(mode), tags).expect("extraction");
-        let wall = t0.elapsed();
         // Accuracy on the *critical* gates only.
         let critical_deltas: Vec<f64> = out
             .stats
@@ -521,7 +507,6 @@ pub fn t7() -> String {
             format!("{:.2}", acc),
             format!("{}", out.stats.opc_simulations),
             format!("{}", out.stats.opc_fragment_moves),
-            format!("{:.1}", wall.as_secs_f64()),
         ]);
     }
     let mut text = render_table(
@@ -532,7 +517,6 @@ pub fn t7() -> String {
             "critical rms dL (nm)",
             "model sims",
             "fragment moves",
-            "wall (s)",
         ],
         &rows,
     );
@@ -603,9 +587,27 @@ pub fn f8() -> String {
     text
 }
 
+/// Times `extract_gates(design, cfg, tags)` with [`crate::runner::measure`]
+/// and returns the first run's outcome with the median time in seconds.
+///
+/// # Panics
+///
+/// Panics if the extraction fails or a timed run differs from the first.
+fn timed_extraction(
+    design: &Design,
+    cfg: &ExtractionConfig,
+    tags: &TagSet,
+) -> (ExtractionOutcome, f64) {
+    let (out, timing) = crate::runner::measure(
+        || extract_gates(design, cfg, tags).expect("extraction"),
+        |first, run| assert!(run == first, "a timed run differs from the first"),
+    );
+    (out, timing.median_s)
+}
+
 /// **T9 — selective-extraction scalability.** Full-chip vs tagged-only
 /// extraction wall time across design sizes, then the extraction engine
-/// comparison.
+/// comparison. Every time is the median of [`crate::runner::RUNS`] runs.
 pub fn t9() -> String {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
@@ -615,24 +617,23 @@ pub fn t9() -> String {
         let drawn = model.analyze(None).expect("drawn timing");
         let tagged = TagSet::from_critical_paths(&design, &drawn, 5);
         let cfg = config(OpcMode::Rule);
-        let t0 = Instant::now();
-        let full = extract_gates(&design, &cfg, &TagSet::all(&design)).expect("extraction");
-        let full_time = t0.elapsed();
-        let t1 = Instant::now();
-        let selective = extract_gates(&design, &cfg, &tagged).expect("extraction");
-        let selective_time = t1.elapsed();
-        ratios.push(full_time.as_secs_f64() / selective_time.as_secs_f64().max(1e-9));
+        let (full, full_s) = timed_extraction(&design, &cfg, &TagSet::all(&design));
+        let (selective, selective_s) = timed_extraction(&design, &cfg, &tagged);
+        ratios.push(full_s / selective_s.max(1e-9));
         rows.push(vec![
             format!("{}", design.netlist().gate_count()),
             format!("{}", full.stats.windows),
-            format!("{:.2}", full_time.as_secs_f64()),
+            format!("{full_s:.3}"),
             format!("{}", selective.stats.windows),
-            format!("{:.2}", selective_time.as_secs_f64()),
+            format!("{selective_s:.3}"),
             format!("{:.1}x", ratios.last().expect("pushed")),
         ]);
     }
     let mut text = render_table(
-        "T9: full-chip vs selective extraction (rule-OPC recipe)",
+        &format!(
+            "T9: full-chip vs selective extraction (rule-OPC recipe, median of {} runs)",
+            crate::runner::RUNS
+        ),
         &[
             "gates",
             "full windows",
@@ -715,9 +716,7 @@ fn t9_engine() -> String {
         let mut baseline_s = 0.0;
         let mut outcomes: Vec<ExtractionOutcome> = Vec::new();
         for (i, (label, cfg)) in engines.iter().enumerate() {
-            let t0 = Instant::now();
-            let out = extract_gates(design, cfg, &tags).expect("extraction");
-            let secs = t0.elapsed().as_secs_f64();
+            let (out, secs) = timed_extraction(design, cfg, &tags);
             if i == 0 {
                 baseline_s = secs;
             }
@@ -729,7 +728,7 @@ fn t9_engine() -> String {
                 format!("{}", out.stats.cache_hits),
                 format!("{:.1}%", 100.0 * out.stats.cache_hit_rate()),
                 format!("{}", out.stats.surrogate_hits),
-                format!("{secs:.2}"),
+                format!("{secs:.3}"),
                 format!("{speedup:.1}x"),
             ]);
             if *name == "shuffled farm 20x24" {
@@ -763,7 +762,10 @@ fn t9_engine() -> String {
         }
     }
     let mut text = render_table(
-        &format!("T9: extraction engine scaling, {threads} worker(s)"),
+        &format!(
+            "T9: extraction engine scaling, {threads} worker(s), median of {} runs",
+            crate::runner::RUNS
+        ),
         &[
             "design",
             "engine",

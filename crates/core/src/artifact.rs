@@ -17,8 +17,7 @@
 //! magic      8 bytes   b"POCWARM1"
 //! version    u32 LE    bumped on any layout change
 //! hash       u64 LE    content hash of (layout, process, clock, flow config)
-//! sections   ...       annotation, tag ids, store, optional surrogate
-//!                      model (version 4)
+//! sections   ...       annotation, tag ids, store (version 5)
 //! checksum   u64 LE    FNV-1a over every preceding byte
 //! ```
 //!
@@ -43,7 +42,6 @@ use crate::error::{ArtifactError, Result};
 use crate::extract::ContextStore;
 use crate::fault::FaultPolicy;
 use crate::flow::FlowConfig;
-use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
 use postopc_layout::{Design, GateId, NetId};
 use postopc_sta::{CdAnnotation, GateAnnotation, NetAnnotation, TransistorCd};
@@ -56,8 +54,10 @@ pub const ARTIFACT_MAGIC: [u8; 8] = *b"POCWARM1";
 /// Version 2 added the optional surrogate-model section; version 3
 /// removed the Monte Carlo shift-entry section (Monte Carlo runs build
 /// their shift table per run, so it was always empty); version 4 replaced
-/// the characterization-entry section with the session's tag ids.
-pub const ARTIFACT_VERSION: u32 = 4;
+/// the characterization-entry section with the session's tag ids;
+/// version 5 removed the surrogate-model section (a surrogate model lives
+/// for one extraction run).
+pub const ARTIFACT_VERSION: u32 = 5;
 
 /// Content hash of a timing compile's inputs: the artifact invalidation
 /// key. Digests the design (netlist connectivity, placed transistor
@@ -73,13 +73,13 @@ pub fn content_hash(design: &Design, config: &FlowConfig) -> u64 {
     canon.cache = true;
     canon.fault_policy = FaultPolicy::Fail;
     canon.fault_injection = None;
-    // The surrogate tier changes annotated results, so its knobs — and the
-    // fingerprint of any pre-trained model (via `SurrogateConfig`'s `Debug`
-    // rendering) — stay in the key while it is enabled: a warm start must
-    // never mix surrogate and non-surrogate artifacts. With it disabled
-    // the knobs are inert, so they are normalised away.
+    // The surrogate tier changes annotated results, so its switch — and
+    // the fingerprint of any pre-trained model (via `SurrogateConfig`'s
+    // `Debug` rendering) — stay in the key while it is enabled: a warm
+    // start must never mix surrogate and non-surrogate artifacts. With it
+    // disabled the pre-trained model is inert, so it is normalised away.
     if !canon.surrogate.enabled {
-        canon.surrogate = crate::extract::SurrogateConfig::off();
+        canon.surrogate = crate::surrogate::SurrogateConfig::off();
     }
     let mut h = fnv1a(b"postopc-warm-artifact");
     h = fnv1a_from(h, format!("{:?}", design.netlist().gates()).as_bytes());
@@ -106,10 +106,6 @@ pub struct WarmArtifact {
     pub tags: TagSet,
     /// Retained distinct litho contexts for incremental re-extraction.
     pub context_store: ContextStore,
-    /// Trained CD-surrogate state, when the compile ran with the
-    /// surrogate tier enabled: a restored session resumes gating and
-    /// online training exactly where the compile left off.
-    pub surrogate: Option<SurrogateModel>,
 }
 
 impl WarmArtifact {
@@ -125,13 +121,6 @@ impl WarmArtifact {
                 put_u64(out, u64::from(gate.0));
             }
             self.context_store.encode_into(out);
-            match &self.surrogate {
-                None => out.push(0),
-                Some(model) => {
-                    out.push(1);
-                    model.encode_into(out);
-                }
-            }
         })
     }
 
@@ -148,18 +137,12 @@ impl WarmArtifact {
         let annotation = decode_annotation(&mut r)?;
         let tags = decode_tags(&mut r)?;
         let context_store = ContextStore::decode_from(&mut r)?;
-        let surrogate = match r.u8()? {
-            0 => None,
-            1 => Some(SurrogateModel::decode_from(&mut r)?),
-            _ => return Err(corrupt("invalid stored surrogate tag")),
-        };
         r.finish()?;
         Ok(WarmArtifact {
             content_hash,
             annotation,
             tags,
             context_store,
-            surrogate,
         })
     }
 
@@ -324,6 +307,7 @@ mod tests {
     use crate::error::FlowError;
     use crate::flow::Selection;
     use crate::multilayer::WireExtractionConfig;
+    use crate::surrogate::{SurrogateConfig, SurrogateModel, SURROGATE_FEATURE_DIM};
     use postopc_layout::{generate, TechRules};
 
     fn design() -> Design {
@@ -354,7 +338,6 @@ mod tests {
             annotation: out.annotation,
             tags,
             context_store: store,
-            surrogate: None,
         }
     }
 
@@ -438,10 +421,10 @@ mod tests {
 
     /// A surrogate model trained on `n` samples of a linear response.
     fn trained_model(n: usize) -> SurrogateModel {
-        let mut model = crate::extract::SurrogateConfig::standard().fresh_model();
+        let mut model = SurrogateModel::new(SURROGATE_FEATURE_DIM, 1e-3, 8);
         for i in 0..n {
             let a = i as f64 / 10.0 - 1.0;
-            let mut x = vec![0.0; crate::extract::SURROGATE_FEATURE_DIM];
+            let mut x = vec![0.0; SURROGATE_FEATURE_DIM];
             x[0] = 1.0;
             x[1] = a;
             model.absorb(&x, [2.0 * a, -a]).expect("absorb");
@@ -524,7 +507,6 @@ mod tests {
                 .annotation
                 .set_net(NetId(net), NetAnnotation { printed_width_nm });
         }
-        artifact.surrogate = Some(trained_model(20));
         assert!(!artifact.tags.is_empty() && !artifact.context_store.is_empty());
         let (ok, reasons) = sweep_resealed(
             &artifact.to_bytes(),
@@ -544,9 +526,6 @@ mod tests {
                 "invalid stored polygon",
                 "invalid stored rect",
                 "invalid stored outcome tag",
-                "invalid stored surrogate tag",
-                "stored feature dimension out of range",
-                "stored boost rounds out of range",
                 "stored count exceeds the bytes left",
                 "truncated field",
                 "trailing bytes after the last field",
@@ -555,7 +534,7 @@ mod tests {
         let (_, reasons) = sweep_resealed(
             &trained_model(20).to_file_bytes(),
             12,
-            1000,
+            3000,
             SurrogateModel::from_file_bytes,
             SurrogateModel::to_file_bytes,
         );
@@ -563,6 +542,7 @@ mod tests {
             &reasons,
             &[
                 "stored feature dimension out of range",
+                "stored boost rounds out of range",
                 "truncated surrogate training state",
                 "stored count exceeds the bytes left",
                 "truncated field",
@@ -608,27 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_section_round_trips_and_is_validated() {
-        let mut artifact = sample_artifact();
-        let model = trained_model(20);
-        let fingerprint = model.fingerprint();
-        artifact.surrogate = Some(model);
-        let bytes = artifact.to_bytes();
-        let loaded = WarmArtifact::from_bytes(&bytes).expect("parse");
-        let restored = loaded.surrogate.as_ref().expect("surrogate section");
-        assert_eq!(restored.len(), 20);
-        assert_eq!(restored.fingerprint(), fingerprint);
-        assert_eq!(loaded.to_bytes(), bytes, "round trip is a fixed point");
-        // Truncations inside the surrogate section are typed errors.
-        for cut in [bytes.len() - 9, bytes.len() - 50] {
-            assert!(matches!(
-                WarmArtifact::from_bytes(&bytes[..cut]),
-                Err(FlowError::Artifact(_))
-            ));
-        }
-    }
-
-    #[test]
     fn content_hash_tracks_the_surrogate_knob() {
         let d = design();
         let cfg = fast_config();
@@ -636,24 +595,17 @@ mod tests {
         // Flipping *only* the surrogate switch invalidates: a warm start
         // must never mix surrogate and non-surrogate artifacts.
         let mut on = cfg.clone();
-        on.extraction.surrogate = crate::extract::SurrogateConfig::standard();
+        on.extraction.surrogate = SurrogateConfig::standard();
         let on_hash = content_hash(&d, &on);
         assert_ne!(base, on_hash);
-        // While enabled, the gate threshold is part of the key …
-        let mut stricter = on.clone();
-        stricter.extraction.surrogate.gate_threshold = 2.0;
-        assert_ne!(on_hash, content_hash(&d, &stricter));
-        // … and so is the pre-trained model (via its fingerprint).
+        // While enabled, the pre-trained model is part of the key (via its
+        // fingerprint) …
         let mut pretrained = on.clone();
-        let mut model = on.extraction.surrogate.fresh_model();
-        let x = vec![1.0; crate::extract::SURROGATE_FEATURE_DIM];
-        model.absorb(&x, [1.0, 1.0]).expect("absorb");
-        pretrained.extraction.surrogate.pretrained = Some(model);
+        pretrained.extraction.surrogate.pretrained = Some(trained_model(1));
         assert_ne!(on_hash, content_hash(&d, &pretrained));
-        // With the surrogate disabled its inert knobs are normalised away.
+        // … and with the surrogate disabled it is inert, so normalised away.
         let mut inert = cfg.clone();
-        inert.extraction.surrogate.gate_threshold = 9.0;
-        inert.extraction.surrogate.min_train = 5;
+        inert.extraction.surrogate.pretrained = Some(trained_model(1));
         assert_eq!(base, content_hash(&d, &inert));
     }
 

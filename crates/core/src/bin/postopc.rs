@@ -47,6 +47,7 @@ const USAGE: &str = "usage:
   postopc dump  --design <spec> [--layer poly|metal1|...]
 design specs: rca:<bits> mult:<bits> chain:<stages> rand:<gates>
               farm:<paths>x<depth> regfarm:<paths>x<depth> testcase[:<seed>]
+              (at most 20000 gates)
 --quarantine F: keep going past per-gate faults (gates keep drawn CDs)
                 until more than fraction F of tagged gates fault
 --artifact FILE: persist the compiled warm state; a second serve against
@@ -55,10 +56,11 @@ design specs: rca:<bits> mult:<bits> chain:<stages> rand:<gates>
             by the whole batch; exhausted queries come back partial (at
             reduced, still-deterministic scope) or skipped, never hung
 --surrogate: enable the learned CD surrogate (confidence-gated fast path
-             that predicts post-OPC CDs without litho simulation)
---surrogate-model FILE: seed the surrogate from a trained model file
-                        (written by the surrogate_train bench); implies
-                        --surrogate
+             that predicts post-OPC CDs without litho simulation; each
+             extraction trains its own model and drops it)
+--surrogate-model FILE: start each extraction's model from a trained
+                        model file (written by the surrogate_train
+                        bench); implies --surrogate
 --sampling NAME: Monte Carlo sampling scheme (default plain); `tail` is
                  tail-targeted importance sampling for deep-tail
                  quantiles, tuned by --tilt F (z-units, default 1.2)
@@ -95,27 +97,68 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     }
 }
 
+/// The most gates a design spec may ask for: about 13× the largest
+/// design the repository runs (1,500 gates), so a design builds in well
+/// under a gigabyte (10,000-gate ones peak at 50–210 MB through `drc`).
+/// Generating a netlist costs memory before any check inside the
+/// generators (`mult:<bits>` allocates its bits² partial products up
+/// front), so a larger spec is a usage error before anything is built.
+const MAX_GATES: usize = 20_000;
+
 fn build_design(spec: &str) -> Result<Design, String> {
     let (kind, param) = match spec.split_once(':') {
         Some((k, p)) => (k, Some(p)),
         None => (spec, None),
     };
+    // Each spec's gate count, `None` past `usize`, is checked first.
+    let size = |gates: Option<usize>| match gates {
+        Some(n) if n <= MAX_GATES => Ok(()),
+        _ => Err(format!(
+            "design spec {spec:?} asks for more than {MAX_GATES} gates"
+        )),
+    };
     let netlist = match (kind, param) {
-        ("rca", Some(p)) => generate::ripple_carry_adder(parse(p)?),
-        ("mult", Some(p)) => generate::array_multiplier(parse(p)?),
-        ("chain", Some(p)) => generate::inverter_chain(parse(p)?),
-        ("rand", Some(p)) => generate::random_logic(&generate::RandomLogicSpec {
-            gates: parse(p)?,
-            ..Default::default()
-        }),
+        ("rca", Some(p)) => {
+            let bits = parse(p)?;
+            size(bits.checked_mul(9))?;
+            generate::ripple_carry_adder(bits)
+        }
+        ("mult", Some(p)) => {
+            // A NAND and an inverter per partial product, then a 9-NAND
+            // full adder per partial product past the first row.
+            let bits = parse(p)?;
+            size(
+                bits.checked_mul(bits)
+                    .and_then(|pp| pp.checked_mul(11))
+                    .map(|g| g - 9 * bits),
+            )?;
+            generate::array_multiplier(bits)
+        }
+        ("chain", Some(p)) => {
+            let stages = parse(p)?;
+            size(Some(stages))?;
+            generate::inverter_chain(stages)
+        }
+        ("rand", Some(p)) => {
+            let gates = parse(p)?;
+            size(Some(gates))?;
+            generate::random_logic(&generate::RandomLogicSpec {
+                gates,
+                ..Default::default()
+            })
+        }
         ("farm", Some(p)) => {
             let (paths, depth) = parse_pair(p)?;
+            size(paths.checked_mul(depth))?;
             generate::speed_path_farm(paths, depth, 7)
         }
         ("regfarm", Some(p)) => {
+            // Each chain adds a launch and a capture register.
             let (paths, depth) = parse_pair(p)?;
+            size(depth.checked_add(2).and_then(|d| d.checked_mul(paths)))?;
             generate::registered_farm(paths, depth, 7)
         }
+        // A fixed 572-gate design; the parameter is its seed.
         ("testcase", p) => generate::paper_testcase(match p {
             Some(seed) => parse(seed)? as u64,
             None => 11,
@@ -336,4 +379,31 @@ fn cmd_dump(args: &[String], design: &Design) -> Result<(), String> {
     }
     let stdout = std::io::stdout();
     io::write_shapes(stdout.lock(), shapes).map_err(|e| format!("write failed: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_documented_spec_still_builds() {
+        for spec in [
+            "rca:8",
+            "mult:4",
+            "chain:20",
+            "chain:24",
+            "rand:200",
+            "farm:6x8",
+            "farm:12x16",
+            "farm:20x24",
+            "regfarm:12x16",
+            "testcase",
+            "testcase:11",
+        ] {
+            if let Err(e) = build_design(spec) {
+                panic!("{spec}: {e}");
+            }
+        }
+        assert!(USAGE.contains(&format!("(at most {MAX_GATES} gates)")));
+    }
 }

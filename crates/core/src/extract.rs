@@ -37,7 +37,7 @@
 use crate::codec::{corrupt, put_f64, put_mos_kind, put_polygon, put_rect, put_u64, Reader};
 use crate::error::{FlowError, Result};
 use crate::fault::{FaultInjection, FaultPolicy, FaultStage, InjectedFault, QuarantinedGate};
-use crate::surrogate::SurrogateModel;
+use crate::surrogate::{SurrogateConfig, SurrogateModel};
 use crate::tags::TagSet;
 use postopc_cdex::{extract_gate, ExtractedGate, MeasureConfig};
 use postopc_device::{EquivalentGate, GateSlice, MosKind, ProcessParams};
@@ -146,156 +146,6 @@ impl AcrossChipMap {
     }
 }
 
-/// Feature-vector dimension of the learned CD surrogate: bias, drawn CD,
-/// width, focus (linear + quadratic), dose, four nearest-neighbour gaps,
-/// pattern density at three radii, window geometry and edge clearance.
-/// The private `site_features` builder fixes the exact layout.
-pub const SURROGATE_FEATURE_DIM: usize = 16;
-
-/// Configuration of the learned CD surrogate tier (see
-/// [`SurrogateModel`]): a confidence-gated fast path between the warm
-/// [`ContextStore`] and full litho simulation. Trained online from the
-/// SOCS results the run computes anyway; out-of-distribution contexts
-/// always take the real simulation path.
-#[derive(Clone, PartialEq)]
-pub struct SurrogateConfig {
-    /// Master switch. `false` (the default) leaves the engine on its
-    /// pre-surrogate path, bit for bit.
-    pub enabled: bool,
-    /// Confidence gate: a context is served by the surrogate only when
-    /// every site's leverage score is at most `gate_threshold ×`
-    /// [`SURROGATE_FEATURE_DIM`]. In-distribution points score near the
-    /// feature dimension, so this is "how many times a typical training
-    /// point's leverage" is still trusted. Lower is stricter.
-    pub gate_threshold: f64,
-    /// Minimum training samples absorbed before any prediction is served
-    /// (the warm-up: the first `min_train` contexts always simulate).
-    pub min_train: usize,
-    /// Training-round size: gate decisions for a round use the model as
-    /// of the round start, the round's fallbacks simulate in parallel,
-    /// and the model refits at the round boundary. The round structure —
-    /// not thread scheduling — defines the training stream, which is what
-    /// keeps surrogate runs bit-identical across thread counts.
-    pub round: usize,
-    /// Audit cadence: every `audit_every`-th gate-accepted context is
-    /// simulated anyway; the SOCS result is used (and trained on) and the
-    /// surrogate/SOCS residual feeds
-    /// [`ExtractionStats::surrogate_max_residual_nm`]. `0` disables
-    /// auditing.
-    pub audit_every: usize,
-    /// Ridge regulariser of the underlying model.
-    pub lambda: f64,
-    /// Gradient-boosted stumps per target fitted to the ridge residuals
-    /// at each refit; `0` keeps the surrogate purely linear.
-    pub boost_rounds: usize,
-    /// Optional pre-trained model (from a `POCSURR1` file or a warm
-    /// artifact) to start from instead of a blank one. Online training
-    /// continues on top of it.
-    pub pretrained: Option<SurrogateModel>,
-}
-
-impl SurrogateConfig {
-    /// Surrogate disabled (the [`ExtractionConfig::standard`] default).
-    pub fn off() -> SurrogateConfig {
-        SurrogateConfig {
-            enabled: false,
-            ..SurrogateConfig::standard()
-        }
-    }
-
-    /// The production surrogate recipe: leverage gate at 4× the feature
-    /// dimension, 32-context warm-up and rounds, audit every 16th
-    /// accepted context, 8 boost stumps per target.
-    pub fn standard() -> SurrogateConfig {
-        SurrogateConfig {
-            enabled: true,
-            gate_threshold: 4.0,
-            min_train: 32,
-            round: 32,
-            audit_every: 16,
-            lambda: 1e-3,
-            boost_rounds: 8,
-            pretrained: None,
-        }
-    }
-
-    /// A blank model matching this configuration's hyper-parameters.
-    pub fn fresh_model(&self) -> SurrogateModel {
-        SurrogateModel::new(SURROGATE_FEATURE_DIM, self.lambda, self.boost_rounds)
-    }
-
-    /// Validates the configuration ahead of a run (no-op when disabled).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::InvalidConfig`] naming the offending field for a
-    /// non-positive gate threshold, regulariser, warm-up or round size,
-    /// or a pre-trained model of the wrong feature dimension.
-    pub fn validate(&self) -> Result<()> {
-        if !self.enabled {
-            return Ok(());
-        }
-        for (name, value) in [
-            ("gate_threshold", self.gate_threshold),
-            ("lambda", self.lambda),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(FlowError::InvalidConfig(format!(
-                    "surrogate {name} must be finite and positive, got {value}"
-                )));
-            }
-        }
-        for (name, value) in [("min_train", self.min_train), ("round", self.round)] {
-            if value == 0 {
-                return Err(FlowError::InvalidConfig(format!(
-                    "surrogate {name} must be at least 1"
-                )));
-            }
-        }
-        if let Some(pre) = &self.pretrained {
-            if pre.dim() != SURROGATE_FEATURE_DIM {
-                return Err(FlowError::InvalidConfig(format!(
-                    "surrogate pretrained model has feature dimension {}, engine expects {}",
-                    pre.dim(),
-                    SURROGATE_FEATURE_DIM
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for SurrogateConfig {
-    fn default() -> Self {
-        SurrogateConfig::off()
-    }
-}
-
-impl std::fmt::Debug for SurrogateConfig {
-    /// The pre-trained model's full training state is summarised as its
-    /// [`SurrogateModel::fingerprint`]: the `Debug` rendering feeds
-    /// [`crate::content_hash`], where the model *hash* (not megabytes of
-    /// Gram state) belongs in the invalidation key.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SurrogateConfig")
-            .field("enabled", &self.enabled)
-            .field("gate_threshold", &self.gate_threshold)
-            .field("min_train", &self.min_train)
-            .field("round", &self.round)
-            .field("audit_every", &self.audit_every)
-            .field("lambda", &self.lambda)
-            .field("boost_rounds", &self.boost_rounds)
-            .field(
-                "pretrained",
-                &self
-                    .pretrained
-                    .as_ref()
-                    .map(|m| format!("fingerprint={:#018x}", m.fingerprint())),
-            )
-            .finish()
-    }
-}
-
 /// Extraction configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionConfig {
@@ -348,7 +198,7 @@ pub struct ExtractionConfig {
     pub fault_injection: Option<FaultInjection>,
     /// Learned CD surrogate tier: confidence-gated ridge/stump predictions
     /// that bypass the OPC → imaging → measurement pipeline for novel
-    /// contexts the model is confident about. Off by default — the
+    /// contexts a run-local model is confident about. Off by default — the
     /// surrogate-off engine is bit-identical to the pre-surrogate one.
     pub surrogate: SurrogateConfig,
 }
@@ -494,24 +344,24 @@ pub struct ExtractionOutcome {
 /// A transistor channel's contribution to a [`ContextKey`]: geometry in
 /// the window-local frame, dimensions as exact bit patterns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SiteKey {
-    channel: Rect,
+pub(crate) struct SiteKey {
+    pub(crate) channel: Rect,
     kind: MosKind,
-    width_bits: u64,
-    drawn_bits: u64,
+    pub(crate) width_bits: u64,
+    pub(crate) drawn_bits: u64,
     finger: usize,
 }
 
 /// Everything the per-window pipeline depends on, canonicalised to the
 /// window-local frame. Two gates with equal keys print identically.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ContextKey {
-    targets: Vec<Polygon>,
-    context: Vec<Polygon>,
-    window: Rect,
-    sites: Vec<SiteKey>,
-    focus_bits: u64,
-    dose_bits: u64,
+pub(crate) struct ContextKey {
+    pub(crate) targets: Vec<Polygon>,
+    pub(crate) context: Vec<Polygon>,
+    pub(crate) window: Rect,
+    pub(crate) sites: Vec<SiteKey>,
+    pub(crate) focus_bits: u64,
+    pub(crate) dose_bits: u64,
 }
 
 /// Phase-1 output for one gate: its canonical key plus what the merge
@@ -524,18 +374,18 @@ struct GateWork {
 
 /// Phase-2 output for one distinct context.
 #[derive(Clone)]
-struct UniqueOutcome {
-    opc_simulations: usize,
-    opc_fragment_moves: usize,
+pub(crate) struct UniqueOutcome {
+    pub(crate) opc_simulations: usize,
+    pub(crate) opc_fragment_moves: usize,
     /// Per-channel slices and equivalent, in site order; `None` if any
     /// channel failed to print (member gates keep drawn dimensions).
-    sites: Option<Vec<(Vec<GateSlice>, EquivalentGate)>>,
+    pub(crate) sites: Option<Vec<(Vec<GateSlice>, EquivalentGate)>>,
 }
 
 /// Phase-2 result per distinct context: its outcome, or the fault (typed
 /// error or captured panic) the merge resolves under the run's
 /// [`FaultPolicy`] for every member gate.
-type UniqueResult = std::result::Result<UniqueOutcome, FaultCause<FlowError>>;
+pub(crate) type UniqueResult = std::result::Result<UniqueOutcome, FaultCause<FlowError>>;
 
 /// A warm store of distinct litho-context outcomes, keyed by the engine's
 /// canonical context keys (exact window-local geometry + quantised
@@ -794,27 +644,18 @@ pub fn extract_gates_with_store(
     tags: &TagSet,
     store: Option<&mut ContextStore>,
 ) -> Result<ExtractionOutcome> {
-    extract_gates_with_caches(design, config, tags, store, None)
+    extract_gates_in(design, config, tags, store, None)
 }
 
-/// [`extract_gates_with_store`] with an additional *external* surrogate
-/// model: when `config.surrogate.enabled` and `surrogate` is `Some`, the
-/// engine gates, predicts and trains against the caller's model in place
-/// (so a warm service accumulates training across runs); with `None` it
-/// uses a run-local model seeded from `config.surrogate.pretrained`. The
-/// model parameter is ignored while the surrogate is disabled.
-///
-/// # Errors
-///
-/// As [`extract_gates`], plus [`FlowError::InvalidConfig`] for a model of
-/// the wrong feature dimension and [`FlowError::Surrogate`] if a
-/// (pre-trained or online) model cannot be trained or refitted.
-pub fn extract_gates_with_caches(
+/// [`extract_gates_with_store`], with the surrogate tier recording every
+/// novel context into `recorder` and serving none when one is given: the
+/// trainer's run ([`SurrogateModel::train`]).
+pub(crate) fn extract_gates_in(
     design: &Design,
     config: &ExtractionConfig,
     tags: &TagSet,
     store: Option<&mut ContextStore>,
-    surrogate: Option<&mut SurrogateModel>,
+    recorder: Option<&mut SurrogateModel>,
 ) -> Result<ExtractionOutcome> {
     config.validate()?;
     // Group transistor sites by gate for quick lookup.
@@ -917,58 +758,15 @@ pub fn extract_gates_with_caches(
         }
     }
     // The learned-surrogate tier sits between the warm store and full
-    // simulation. Like the store it is bypassed entirely under fault
-    // injection: injected faults must never train the model.
-    let surrogate_active = config.surrogate.enabled && config.fault_injection.is_none();
-    let mut local_model: SurrogateModel;
-    let model: Option<&mut SurrogateModel> = if surrogate_active {
-        match surrogate {
-            Some(m) => Some(m),
-            None => {
-                local_model = match &config.surrogate.pretrained {
-                    Some(pre) => pre.clone(),
-                    None => config.surrogate.fresh_model(),
-                };
-                Some(&mut local_model)
-            }
-        }
-    } else {
-        None
-    };
-    let mut from_surrogate = vec![false; novel_keys.len()];
-    let mut surrogate_fallbacks = 0usize;
-    let mut surrogate_max_residual_nm = 0.0f64;
-    let novel_results: Vec<UniqueResult> = match model {
-        Some(model) => {
-            if model.dim() != SURROGATE_FEATURE_DIM {
-                return Err(FlowError::InvalidConfig(format!(
-                    "surrogate model has feature dimension {}, engine expects {}",
-                    model.dim(),
-                    SURROGATE_FEATURE_DIM
-                )));
-            }
-            if !model.is_fitted() && !model.is_empty() {
-                model.refit()?;
-            }
-            run_novel_with_surrogate(
-                config,
-                threads,
-                &novel_keys,
-                model,
-                &mut from_surrogate,
-                &mut surrogate_fallbacks,
-                &mut surrogate_max_residual_nm,
-            )?
-        }
-        None => run_novel_batch(config, threads, &novel_keys),
-    };
+    // simulation.
+    let novel = crate::surrogate::resolve_novel(config, threads, &novel_keys, recorder)?;
     // Retain every freshly *simulated* context — surrogate predictions
     // never enter the store, which stays pure SOCS — then slot the novel
     // results back into key order.
     if store_enabled {
         if let Some(store) = store {
             for ((&pos, &predicted), result) in
-                novel_pos.iter().zip(&from_surrogate).zip(&novel_results)
+                novel_pos.iter().zip(&novel.predicted).zip(&novel.results)
             {
                 if predicted {
                     continue;
@@ -981,7 +779,11 @@ pub fn extract_gates_with_caches(
             }
         }
     }
-    for ((pos, predicted), result) in novel_pos.into_iter().zip(from_surrogate).zip(novel_results) {
+    for ((pos, predicted), result) in novel_pos
+        .into_iter()
+        .zip(novel.predicted)
+        .zip(novel.results)
+    {
         if predicted {
             provenance[pos] = Provenance::Surrogate;
         }
@@ -1111,8 +913,8 @@ pub fn extract_gates_with_caches(
     }
     quarantined.sort_by_key(|q| q.gate.0);
     stats.quarantined = quarantined;
-    stats.surrogate_fallbacks = surrogate_fallbacks;
-    stats.surrogate_max_residual_nm = surrogate_max_residual_nm;
+    stats.surrogate_fallbacks = novel.fallbacks;
+    stats.surrogate_max_residual_nm = novel.max_residual_nm;
     Ok(ExtractionOutcome { annotation, stats })
 }
 
@@ -1154,7 +956,7 @@ fn resolve_fault(
 /// a window's pipeline cost scales with its pixel count (OPC iterations
 /// and measurement both ride on the same raster), so the pool hands out
 /// chunks weighted by estimated pixels instead of item counts.
-fn run_novel_batch(
+pub(crate) fn run_novel_batch(
     config: &ExtractionConfig,
     threads: usize,
     keys: &[&ContextKey],
@@ -1165,242 +967,6 @@ fn run_novel_batch(
         |_, key| window_pixel_cost(config, key),
         |_, key| run_unique(config, key),
     )
-}
-
-/// Runs the novel contexts with the surrogate tier active, in training
-/// rounds: gate decisions for a round are made *serially in key order*
-/// against the model as of the round start, the round's fallbacks
-/// simulate in parallel, the model absorbs the fresh SOCS truths
-/// (serially, in key order) and refits at the round boundary. Work
-/// distribution never touches the decision or training stream, so the
-/// outcome — including the model's final state — is bit-identical for any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-fn run_novel_with_surrogate(
-    config: &ExtractionConfig,
-    threads: usize,
-    keys: &[&ContextKey],
-    model: &mut SurrogateModel,
-    from_surrogate: &mut [bool],
-    fallbacks: &mut usize,
-    max_residual_nm: &mut f64,
-) -> Result<Vec<UniqueResult>> {
-    let sc = &config.surrogate;
-    let round = sc.round.max(1);
-    let mut results: Vec<Option<UniqueResult>> = (0..keys.len()).map(|_| None).collect();
-    let mut accepted = 0usize;
-    let mut start = 0;
-    while start < keys.len() {
-        let end = start.saturating_add(round).min(keys.len());
-        let mut sim_idx: Vec<usize> = Vec::new();
-        let mut audits: Vec<(usize, UniqueOutcome)> = Vec::new();
-        for i in start..end {
-            match surrogate_outcome(model, sc, keys[i]) {
-                Some(outcome) => {
-                    accepted += 1;
-                    if sc.audit_every > 0 && accepted.is_multiple_of(sc.audit_every) {
-                        // Audit: simulate anyway, keep the SOCS truth, and
-                        // record the surrogate/SOCS parity residual.
-                        audits.push((i, outcome));
-                        sim_idx.push(i);
-                    } else {
-                        results[i] = Some(Ok(outcome));
-                        from_surrogate[i] = true;
-                    }
-                }
-                None => sim_idx.push(i),
-            }
-        }
-        *fallbacks += sim_idx.len();
-        let sim_keys: Vec<&ContextKey> = sim_idx.iter().map(|&i| keys[i]).collect();
-        let sim_results = run_novel_batch(config, threads, &sim_keys);
-        // Train on the freshly simulated truths, serially in key order.
-        let mut absorbed = false;
-        for (&i, result) in sim_idx.iter().zip(&sim_results) {
-            let Ok(outcome) = result else {
-                continue;
-            };
-            let Some(per_site) = &outcome.sites else {
-                // Failed measurement: member gates keep drawn dimensions;
-                // there is no CD truth to learn from.
-                continue;
-            };
-            for (site, (_, equivalent)) in keys[i].sites.iter().zip(per_site) {
-                let drawn = f64::from_bits(site.drawn_bits);
-                let y = [
-                    equivalent.l_delay_nm - drawn,
-                    equivalent.l_leakage_nm - drawn,
-                ];
-                if y.iter().all(|v| v.is_finite()) {
-                    model.absorb(&site_features(keys[i], site), y)?;
-                    absorbed = true;
-                }
-            }
-            if let Some((_, predicted)) = audits.iter().find(|(a, _)| *a == i) {
-                let residual = outcome_residual_nm(predicted, outcome);
-                if residual > *max_residual_nm {
-                    *max_residual_nm = residual;
-                }
-            }
-        }
-        for (i, result) in sim_idx.into_iter().zip(sim_results) {
-            results[i] = Some(result);
-        }
-        if absorbed {
-            model.refit()?;
-        }
-        start = end;
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| unreachable!("every novel context resolves")))
-        .collect())
-}
-
-/// The surrogate's verdict on one novel context: a fully predicted
-/// [`UniqueOutcome`] if the model is warmed up, *every* site passes the
-/// leverage gate and every predicted CD is physically plausible —
-/// otherwise `None` (take the real simulation path).
-fn surrogate_outcome(
-    model: &SurrogateModel,
-    sc: &SurrogateConfig,
-    key: &ContextKey,
-) -> Option<UniqueOutcome> {
-    if key.sites.is_empty() || model.len() < sc.min_train as u64 {
-        return None;
-    }
-    let limit = sc.gate_threshold * SURROGATE_FEATURE_DIM as f64;
-    let mut per_site = Vec::with_capacity(key.sites.len());
-    for site in &key.sites {
-        let x = site_features(key, site);
-        let score = model.score(&x)?;
-        if !(score.is_finite() && score <= limit) {
-            return None;
-        }
-        let pred = model.predict(&x)?;
-        let drawn = f64::from_bits(site.drawn_bits);
-        let l_delay = drawn + pred[0];
-        let l_leakage = drawn + pred[1];
-        // Physicality band: a prediction outside ±45% of drawn is a model
-        // wobble, not a plausible post-OPC CD — take the real path. This
-        // also keeps surrogate output clear of the STA boundary guard.
-        let plausible = |l: f64| l.is_finite() && l > drawn * 0.55 && l < drawn * 1.45;
-        if !plausible(l_delay) || !plausible(l_leakage) {
-            return None;
-        }
-        let width = f64::from_bits(site.width_bits);
-        per_site.push((
-            vec![GateSlice {
-                w_nm: width,
-                l_nm: l_delay,
-            }],
-            EquivalentGate {
-                w_nm: width,
-                l_delay_nm: l_delay,
-                l_leakage_nm: l_leakage,
-            },
-        ));
-    }
-    Some(UniqueOutcome {
-        opc_simulations: 0,
-        opc_fragment_moves: 0,
-        sites: Some(per_site),
-    })
-}
-
-/// Largest per-site |predicted CD − SOCS CD| in nm, over both equivalent
-/// lengths, between a surrogate prediction and the simulated truth for
-/// the same context.
-fn outcome_residual_nm(predicted: &UniqueOutcome, truth: &UniqueOutcome) -> f64 {
-    let (Some(pred), Some(real)) = (&predicted.sites, &truth.sites) else {
-        return 0.0;
-    };
-    let mut max = 0.0f64;
-    for ((_, p), (_, r)) in pred.iter().zip(real) {
-        max = max
-            .max((p.l_delay_nm - r.l_delay_nm).abs())
-            .max((p.l_leakage_nm - r.l_leakage_nm).abs());
-    }
-    max
-}
-
-/// Hand-built surrogate features for one channel site of a canonical
-/// context ([`SURROGATE_FEATURE_DIM`] entries): bias, drawn CD, width,
-/// quantised exposure conditions (focus linear + quadratic, dose),
-/// nearest-neighbour clearances in the four directions, bbox pattern
-/// density at three radii, and window geometry. Pure arithmetic over the
-/// canonical key — equal keys produce bit-equal features, and the window-
-/// local frame makes them translation-invariant by construction.
-fn site_features(key: &ContextKey, site: &SiteKey) -> Vec<f64> {
-    let ambit = 420.0f64;
-    let drawn = f64::from_bits(site.drawn_bits);
-    let width = f64::from_bits(site.width_bits);
-    let focus = f64::from_bits(key.focus_bits);
-    let dose = f64::from_bits(key.dose_bits);
-    let ch = site.channel;
-    let cx = (ch.left() as f64 + ch.right() as f64) * 0.5;
-    let cy = (ch.bottom() as f64 + ch.top() as f64) * 0.5;
-    // Nearest-neighbour clearances from the channel bbox, per direction
-    // (left, right, down, up), capped at the optical ambit. Shapes
-    // overlapping the channel (its own gate poly) are skipped.
-    let mut gap = [ambit; 4];
-    for p in key.targets.iter().chain(key.context.iter()) {
-        let b = p.bbox();
-        let overlaps_x = b.left() < ch.right() && b.right() > ch.left();
-        let overlaps_y = b.bottom() < ch.top() && b.top() > ch.bottom();
-        if overlaps_x && overlaps_y {
-            continue;
-        }
-        if overlaps_y && b.right() <= ch.left() {
-            gap[0] = gap[0].min((ch.left() - b.right()) as f64);
-        }
-        if overlaps_y && b.left() >= ch.right() {
-            gap[1] = gap[1].min((b.left() - ch.right()) as f64);
-        }
-        if overlaps_x && b.top() <= ch.bottom() {
-            gap[2] = gap[2].min((ch.bottom() - b.top()) as f64);
-        }
-        if overlaps_x && b.bottom() >= ch.top() {
-            gap[3] = gap[3].min((b.bottom() - ch.top()) as f64);
-        }
-    }
-    // Local pattern density: bbox-clipped covered-area fraction of square
-    // neighbourhoods around the channel center.
-    let density = |r: f64| -> f64 {
-        let mut area = 0.0;
-        for p in key.targets.iter().chain(key.context.iter()) {
-            let b = p.bbox();
-            let w = (b.right() as f64).min(cx + r) - (b.left() as f64).max(cx - r);
-            let h = (b.top() as f64).min(cy + r) - (b.bottom() as f64).max(cy - r);
-            if w > 0.0 && h > 0.0 {
-                area += w * h;
-            }
-        }
-        (area / (4.0 * r * r)).min(1.0)
-    };
-    let win = key.window;
-    let edge = (cx - win.left() as f64)
-        .min(win.right() as f64 - cx)
-        .min(cy - win.bottom() as f64)
-        .min(win.top() as f64 - cy);
-    vec![
-        1.0,
-        drawn / 90.0 - 1.0,
-        width / 1000.0,
-        focus / 60.0,
-        (focus / 60.0) * (focus / 60.0),
-        dose - 1.0,
-        (gap[0] / ambit).clamp(0.0, 1.0),
-        (gap[1] / ambit).clamp(0.0, 1.0),
-        (gap[2] / ambit).clamp(0.0, 1.0),
-        (gap[3] / ambit).clamp(0.0, 1.0),
-        density(150.0),
-        density(300.0),
-        density(450.0),
-        win.width() as f64 / 1000.0,
-        win.height() as f64 / 1000.0,
-        (edge / ambit).clamp(-1.0, 1.0),
-    ]
 }
 
 /// Phase 1: gather one gate's targets, context, window, sites and local
@@ -1892,130 +1458,6 @@ mod tests {
             }
             other => panic!("a short stored outcome must not decode: {other:?}"),
         }
-    }
-
-    /// A surrogate recipe sized for test designs: tiny warm-up and
-    /// rounds so the tier actually engages on a few dozen contexts.
-    fn surrogate_config(d: &Design) -> ExtractionConfig {
-        let mut cfg = fast_config(OpcMode::Rule);
-        // Across-chip variation diversifies the contexts (distinct
-        // focus/dose per gate) — exactly the regime where the exact-reuse
-        // cache is blind and the surrogate earns its keep.
-        cfg.across_chip = Some(AcrossChipMap::typical(d.die()));
-        cfg.surrogate = SurrogateConfig {
-            enabled: true,
-            min_train: 6,
-            round: 6,
-            audit_every: 3,
-            ..SurrogateConfig::standard()
-        };
-        cfg
-    }
-
-    #[test]
-    fn surrogate_run_is_bit_identical_across_thread_counts() {
-        let d = chain_design(24);
-        let tags = TagSet::all(&d);
-        let mut reference: Option<ExtractionOutcome> = None;
-        for threads in [1usize, 2, 4] {
-            let mut cfg = surrogate_config(&d);
-            cfg.threads = Some(threads);
-            let out = extract_gates(&d, &cfg, &tags).expect("extract");
-            assert!(
-                out.stats.surrogate_hits > 0,
-                "tier must engage: {:?}",
-                out.stats
-            );
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "threads = {threads}"),
-            }
-        }
-    }
-
-    #[test]
-    fn surrogate_predictions_track_simulated_truth() {
-        let d = chain_design(24);
-        let tags = TagSet::all(&d);
-        let with = extract_gates(&d, &surrogate_config(&d), &tags).expect("surrogate");
-        let mut cfg_off = surrogate_config(&d);
-        cfg_off.surrogate.enabled = false;
-        let without = extract_gates(&d, &cfg_off, &tags).expect("exact");
-        assert_eq!(without.stats.surrogate_hits, 0);
-        assert_eq!(without.stats.surrogate_fallbacks, 0);
-        let mut worst = 0.0f64;
-        for gate in tags.sorted() {
-            let (a, b) = (
-                with.annotation.gate(gate).expect("annotated"),
-                without.annotation.gate(gate).expect("annotated"),
-            );
-            for (ta, tb) in a.transistors.iter().zip(&b.transistors) {
-                worst = worst.max((ta.l_delay_nm - tb.l_delay_nm).abs());
-                worst = worst.max((ta.l_leakage_nm - tb.l_leakage_nm).abs());
-            }
-        }
-        assert!(worst < 2.5, "surrogate CD error {worst} nm too large");
-        assert!(
-            with.stats.surrogate_max_residual_nm < 2.5,
-            "audited residual {} nm too large",
-            with.stats.surrogate_max_residual_nm
-        );
-    }
-
-    #[test]
-    fn surrogate_predictions_never_enter_the_warm_store() {
-        let d = chain_design(24);
-        let tags = TagSet::all(&d);
-        let cfg = surrogate_config(&d);
-        let mut store = ContextStore::new();
-        let out = extract_gates_with_store(&d, &cfg, &tags, Some(&mut store)).expect("extract");
-        assert!(out.stats.surrogate_hits > 0);
-        // Only the imaged contexts are retained: the store stays pure SOCS.
-        assert_eq!(store.len(), out.stats.windows);
-        assert_eq!(
-            out.stats.windows + out.stats.store_hits + out.stats.surrogate_hits,
-            out.stats.cache_misses
-        );
-    }
-
-    #[test]
-    fn fault_injection_bypasses_the_surrogate() {
-        let d = chain_design(12);
-        let tags = TagSet::all(&d);
-        let mut cfg = surrogate_config(&d);
-        cfg.fault_policy = FaultPolicy::Quarantine { max_fraction: 1.0 };
-        cfg.fault_injection = Some(FaultInjection {
-            seed: 7,
-            rate: 0.25,
-            nan_cd: true,
-            degenerate_geometry: false,
-            worker_panic: false,
-        });
-        let out = extract_gates(&d, &cfg, &tags).expect("extract");
-        assert_eq!(
-            out.stats.surrogate_hits, 0,
-            "injected faults must never reach the surrogate"
-        );
-        assert_eq!(out.stats.surrogate_fallbacks, 0);
-        assert!(out.stats.gates_quarantined > 0);
-    }
-
-    #[test]
-    fn external_model_accumulates_training_across_runs() {
-        let d = chain_design(18);
-        let tags = TagSet::all(&d);
-        let cfg = surrogate_config(&d);
-        let mut model = cfg.surrogate.fresh_model();
-        let first =
-            extract_gates_with_caches(&d, &cfg, &tags, None, Some(&mut model)).expect("first");
-        let trained = model.len();
-        assert!(trained > 0, "the run must train the external model");
-        // Second run starts warm: no warm-up fallbacks, more hits.
-        let second =
-            extract_gates_with_caches(&d, &cfg, &tags, None, Some(&mut model)).expect("second");
-        assert!(model.len() >= trained);
-        assert!(second.stats.surrogate_hits >= first.stats.surrogate_hits);
-        assert_eq!(second.annotation.gate_count(), d.netlist().gate_count());
     }
 
     #[test]

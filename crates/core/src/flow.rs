@@ -16,11 +16,10 @@ use crate::compare::TimingComparison;
 use crate::durable::{ArtifactIo, ArtifactLock, IoFaultInjection, RetryPolicy};
 use crate::error::{ArtifactErrorKind, FlowError, Result};
 use crate::extract::{
-    extract_gates_with_caches, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
+    extract_gates_with_store, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
 };
 use crate::multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
-use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
 use postopc_device::ProcessParams;
 use postopc_layout::{Design, NetId};
@@ -132,7 +131,7 @@ pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowReport> {
 
     // Steps 3-4: selective extraction and the optional wire step.
     let t0 = Instant::now();
-    let (outcome, wire_stats) = extract_step(design, config, &tags, None, None)?;
+    let (outcome, wire_stats) = extract_step(design, config, &tags, None)?;
     let extraction_time = t0.elapsed();
 
     // Step 5: back-annotated timing and comparison.
@@ -167,9 +166,9 @@ pub(crate) fn select_tags(design: &Design, config: &FlowConfig, drawn: &TimingRe
 }
 
 /// The flow's extraction steps: extracts the tagged gates (through a warm
-/// context store and surrogate model when given), then, when the config
-/// enables the multi-layer step, annotates the printed widths of every
-/// net a tagged gate drives or reads into the outcome's annotation.
+/// context store when given), then, when the config enables the
+/// multi-layer step, annotates the printed widths of every net a tagged
+/// gate drives or reads into the outcome's annotation.
 ///
 /// # Errors
 ///
@@ -179,10 +178,8 @@ pub(crate) fn extract_step(
     config: &FlowConfig,
     tags: &TagSet,
     store: Option<&mut ContextStore>,
-    surrogate: Option<&mut SurrogateModel>,
 ) -> Result<(ExtractionOutcome, Option<WireExtractionStats>)> {
-    let mut outcome =
-        extract_gates_with_caches(design, &config.extraction, tags, store, surrogate)?;
+    let mut outcome = extract_gates_with_store(design, &config.extraction, tags, store)?;
     let Some(wire_config) = &config.wires else {
         return Ok((outcome, None));
     };

@@ -61,9 +61,8 @@ pub use durable::{
 };
 pub use error::{ArtifactError, ArtifactErrorKind, ArtifactOp, FlowError, Result};
 pub use extract::{
-    extract_gates, extract_gates_with_caches, extract_gates_with_store, AcrossChipMap,
-    ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats, OpcMode, SurrogateConfig,
-    SURROGATE_FEATURE_DIM,
+    extract_gates, extract_gates_with_store, AcrossChipMap, ContextStore, ExtractionConfig,
+    ExtractionOutcome, ExtractionStats, OpcMode,
 };
 pub use fault::{FaultInjection, FaultPolicy, FaultStage, InjectedFault, QuarantinedGate};
 pub use flow::{
@@ -74,5 +73,5 @@ pub use multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
 pub use session::{
     BudgetedOutcome, EcoOutcome, QueryOutcome, SampleBudget, SessionQuery, TimingSession,
 };
-pub use surrogate::{SurrogateModel, SURROGATE_TARGETS};
+pub use surrogate::{SurrogateConfig, SurrogateModel, SURROGATE_FEATURE_DIM, SURROGATE_TARGETS};
 pub use tags::TagSet;

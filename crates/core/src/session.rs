@@ -25,7 +25,6 @@ use crate::error::{FlowError, Result};
 use crate::extract::{ContextStore, ExtractionStats};
 use crate::flow::{extract_step, select_tags, FlowConfig};
 use crate::guardband::{GuardbandAnalysis, GuardbandConfig};
-use crate::surrogate::SurrogateModel;
 use crate::tags::TagSet;
 use postopc_layout::Design;
 use postopc_sta::{
@@ -275,11 +274,6 @@ pub struct TimingSession<'m> {
     compiled: CompiledSta<'m>,
     scratch: StaScratch,
     store: ContextStore,
-    /// Warm CD-surrogate state (`Some` iff the config enables the tier):
-    /// incremental passes keep gating and training against it, so the
-    /// model's experience accumulates across ECOs — and persists through
-    /// [`Self::artifact`].
-    surrogate: Option<SurrogateModel>,
     tags: TagSet,
     annotation: CdAnnotation,
     baseline: TimingReport,
@@ -291,16 +285,6 @@ pub struct TimingSession<'m> {
     /// [`content_hash`] of the design and config the session was opened
     /// or restored with, both fixed for its life.
     content_hash: u64,
-}
-
-/// The session's starting surrogate model for `config`: pre-trained if
-/// one is configured, fresh otherwise, `None` with the tier disabled.
-fn session_model(config: &FlowConfig) -> Option<SurrogateModel> {
-    let sc = &config.extraction.surrogate;
-    sc.enabled.then(|| match &sc.pretrained {
-        Some(pre) => pre.clone(),
-        None => sc.fresh_model(),
-    })
 }
 
 impl<'m> TimingSession<'m> {
@@ -333,9 +317,7 @@ impl<'m> TimingSession<'m> {
         let drawn = compiled.evaluate(&mut scratch, None)?;
         let tags = select_tags(design, config, &drawn);
         let mut store = ContextStore::new();
-        let mut surrogate = session_model(config);
-        let (outcome, _) =
-            extract_step(design, config, &tags, Some(&mut store), surrogate.as_mut())?;
+        let (outcome, _) = extract_step(design, config, &tags, Some(&mut store))?;
         let annotation = outcome.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
         Ok(TimingSession {
@@ -343,7 +325,6 @@ impl<'m> TimingSession<'m> {
             compiled,
             scratch,
             store,
-            surrogate,
             tags,
             annotation,
             baseline,
@@ -354,10 +335,9 @@ impl<'m> TimingSession<'m> {
     }
 
     /// Opens a session warm from a persisted artifact: no OPC, no
-    /// imaging — the annotation, tags, context store and surrogate are
-    /// restored in exact bits and one annotated evaluation (which
-    /// characterizes only the annotated gates) re-establishes the
-    /// baseline.
+    /// imaging — the annotation, tags and context store are restored in
+    /// exact bits and one annotated evaluation (which characterizes only
+    /// the annotated gates) re-establishes the baseline.
     ///
     /// # Errors
     ///
@@ -408,21 +388,11 @@ impl<'m> TimingSession<'m> {
         let tags = artifact.tags;
         let annotation = artifact.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
-        // Resume the trained surrogate iff the config still enables the
-        // tier (the content hash already guarantees surrogate/non-
-        // surrogate artifacts are never mixed); a version-2 artifact built
-        // without one falls back to a fresh session model.
-        let surrogate = if config.extraction.surrogate.enabled {
-            artifact.surrogate.or_else(|| session_model(config))
-        } else {
-            None
-        };
         Ok(TimingSession {
             config: config.clone(),
             compiled,
             scratch,
             store: artifact.context_store,
-            surrogate,
             tags,
             annotation,
             baseline,
@@ -441,7 +411,6 @@ impl<'m> TimingSession<'m> {
             annotation: self.annotation.clone(),
             tags: self.tags.clone(),
             context_store: self.store.clone(),
-            surrogate: self.surrogate.clone(),
         }
     }
 
@@ -604,22 +573,23 @@ impl<'m> TimingSession<'m> {
         })
     }
 
-    /// Applies an ECO: re-extracts for `tags` against the warm context
-    /// store — only litho contexts the store has never imaged are
+    /// Applies an ECO: runs the flow's extract step for `tags` on the warm
+    /// context store — only litho contexts the store has never imaged are
     /// simulated (`outcome.stats.windows` counts exactly those dirtied
     /// windows) — then re-propagates only the affected fanout cone
     /// through the compiled graph. The session baseline advances to the
-    /// new annotation. Bit-identical to extracting and evaluating from
-    /// scratch.
+    /// new annotation. The outcome is a function of the design, config,
+    /// `tags` and store alone, and bit-identical to extracting on that
+    /// store and evaluating from scratch.
     ///
     /// # Errors
     ///
     /// Propagates extraction and timing errors. A failed ECO **rolls the
-    /// session back** to the last good baseline: the context store and
-    /// surrogate model are journaled before the pass and restored on any
-    /// error (a half-trained surrogate or half-filled store must not
-    /// leak into later answers), and the warm scratch is re-established
-    /// from the unchanged baseline annotation on the next query.
+    /// session back** to the last good baseline: the context store is
+    /// journaled before the pass and restored on any error (a half-filled
+    /// store must not leak into later answers), and the warm scratch is
+    /// re-established from the unchanged baseline annotation on the next
+    /// query.
     pub fn apply_eco(&mut self, tags: &TagSet) -> Result<EcoOutcome> {
         self.ensure_baseline()?;
         // Every answer in the memo is of the baseline this ECO moves.
@@ -628,12 +598,10 @@ impl<'m> TimingSession<'m> {
         // annotation, tags and baseline only advance after the commit
         // point below, so they need no journal entry.
         let journal_store = self.store.clone();
-        let journal_surrogate = self.surrogate.clone();
         match self.apply_eco_inner(tags) {
             Ok(outcome) => Ok(outcome),
             Err(e) => {
                 self.store = journal_store;
-                self.surrogate = journal_surrogate;
                 // The scratch may hold a half-applied evaluation; flag it
                 // so the next query re-establishes the (unchanged)
                 // baseline before incrementing.
@@ -649,7 +617,6 @@ impl<'m> TimingSession<'m> {
             &self.config,
             tags,
             Some(&mut self.store),
-            self.surrogate.as_mut(),
         )?;
         let next = outcome.annotation;
         // As in the what-if path: a failing `evaluate_eco` leaves
@@ -1146,43 +1113,6 @@ mod tests {
             }
             other => panic!("expected a corrupt-artifact error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn surrogate_session_persists_and_resumes_the_model() {
-        let d = design();
-        let mut cfg = fast_config(Selection::All);
-        cfg.extraction.surrogate = crate::extract::SurrogateConfig {
-            enabled: true,
-            min_train: 4,
-            round: 4,
-            audit_every: 3,
-            ..crate::extract::SurrogateConfig::standard()
-        };
-        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
-        let session = TimingSession::new(&model, &cfg).expect("session");
-        let artifact = session.artifact();
-        let trained = artifact.surrogate.as_ref().expect("model persisted").len();
-        assert!(trained > 0, "the compile must train the session model");
-        let bytes = artifact.to_bytes();
-
-        // The restored session resumes the trained model, not a blank one.
-        let restored = WarmArtifact::from_bytes(&bytes).expect("parse");
-        let warm = TimingSession::restore(&model, &cfg, restored).expect("restore");
-        assert_eq!(
-            warm.artifact().surrogate.expect("resumed model").len(),
-            trained
-        );
-        assert_eq!(session.baseline(), warm.baseline());
-
-        // A surrogate-off consumer must reject the surrogate artifact —
-        // the invalidation key keeps the two worlds apart.
-        let off = fast_config(Selection::All);
-        let stale = WarmArtifact::from_bytes(&bytes).expect("parse");
-        assert!(matches!(
-            TimingSession::restore(&model, &off, stale),
-            Err(FlowError::Artifact(_))
-        ));
     }
 
     #[test]

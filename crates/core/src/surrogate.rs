@@ -1,18 +1,40 @@
-//! Learned CD surrogate: a small, dependency-free regressor that predicts
-//! post-OPC critical dimensions directly from hand-built context features,
-//! bypassing the OPC + aerial-imaging + measurement pipeline for windows
-//! it is confident about.
+//! Learned CD surrogate: the confidence-gated extraction tier between
+//! the warm context store and full litho simulation, and the small,
+//! dependency-free regressor behind it.
 //!
-//! The model is ridge regression over a fixed-dimension feature vector
-//! (the caller builds features from its canonical litho-context keys),
-//! optionally boosted by a tiny gradient-boosted-stump ensemble fitted to
-//! the ridge residuals. Training is *online*: the model accumulates the
-//! Gram matrix `Xᵀ X` and moment vectors `Xᵀ y` sample by sample (exact —
-//! nothing is down-weighted or forgotten), and [`SurrogateModel::refit`]
-//! re-solves the regularised normal equations by Cholesky factorisation
-//! whenever the caller wants fresh coefficients. Everything is plain
-//! `f64` arithmetic in a deterministic order, so two runs that absorb the
-//! same samples in the same order produce bit-identical models and
+//! # The tier
+//!
+//! With [`SurrogateConfig::enabled`], every extraction run owns one
+//! model: it starts from [`SurrogateConfig::pretrained`] or a fresh
+//! model, predicts the novel contexts it is confident about, trains on
+//! the ones it simulates, and is dropped when the run returns. No
+//! session, ECO or artifact carries a model from one run to the next, so
+//! an extraction answer is a function of its design, config, tags and
+//! store. A model outlives a run only as a `POCSURR1` file written from
+//! [`SurrogateModel::train`].
+//!
+//! Novel contexts resolve in training rounds of `ROUND` (32): the gate
+//! decisions for a round are made serially in key order against the
+//! model as of the round start, the round's fallbacks simulate in
+//! parallel, and the model absorbs the fresh SOCS truths (serially, in
+//! key order) and refits at the round boundary. The round structure, not
+//! thread scheduling, defines the training stream, so surrogate runs are
+//! bit-identical at any thread count. Every `AUDIT_EVERY`-th (16th) accepted
+//! context is simulated anyway, and its surrogate/SOCS residual feeds
+//! [`ExtractionStats::surrogate_max_residual_nm`](crate::ExtractionStats::surrogate_max_residual_nm).
+//!
+//! # The model
+//!
+//! Ridge regression over a fixed-dimension feature vector (built from
+//! the canonical litho-context keys), optionally boosted by a tiny
+//! gradient-boosted-stump ensemble fitted to the ridge residuals.
+//! Training is *online*: the model accumulates the Gram matrix `Xᵀ X`
+//! and moment vectors `Xᵀ y` sample by sample (exact — nothing is
+//! down-weighted or forgotten), and [`SurrogateModel::refit`] re-solves
+//! the regularised normal equations by Cholesky factorisation whenever
+//! the caller wants fresh coefficients. Everything is plain `f64`
+//! arithmetic in a deterministic order, so two runs that absorb the same
+//! samples in the same order produce bit-identical models and
 //! predictions at any thread count.
 //!
 //! # Confidence gate
@@ -21,23 +43,29 @@
 //! a leverage score — `n · xᵀ (Xᵀ X + λI)⁻¹ x`, the classical hat-matrix
 //! diagonal rescaled so a typical in-distribution point scores near the
 //! feature dimension `d` regardless of how many samples have been
-//! absorbed — and callers gate on it: a window whose features land far
-//! from the training cloud scores orders of magnitude higher and must
-//! take the real SOCS simulation path instead. See `DESIGN.md` ("Learned
-//! CD surrogate") for the gate-threshold calibration.
+//! absorbed — and the tier gates on it: a window whose features land far
+//! from the training cloud scores orders of magnitude higher and takes
+//! the real SOCS simulation path instead. See `DESIGN.md` ("Learned CD
+//! surrogate") for the gate-threshold calibration.
 //!
 //! # Persistence
 //!
 //! `encode_into` / `decode_from` round-trip the *training state* (Gram,
 //! moments, retained samples) through the crate's byte codec, every float
 //! as its exact bit pattern; fitted coefficients are derived state and
-//! are re-solved after decoding. The warm artifact stores that encoding
-//! as its surrogate section, and [`SurrogateModel::to_file_bytes`] seals
-//! it in a standalone `POCSURR1` container (magic + version + checksum)
-//! for the offline `surrogate_train` artifact.
+//! are re-solved after decoding. [`SurrogateModel::to_file_bytes`] seals
+//! that encoding in a standalone `POCSURR1` container (magic + version +
+//! checksum) for the offline `surrogate_train` artifact.
 
 use crate::codec::{corrupt, fnv1a, put_f64, put_u64, seal, Reader};
 use crate::error::{FlowError, Result};
+use crate::extract::{
+    extract_gates_in, run_novel_batch, ContextKey, ExtractionConfig, SiteKey, UniqueOutcome,
+    UniqueResult,
+};
+use crate::tags::TagSet;
+use postopc_device::{EquivalentGate, GateSlice};
+use postopc_layout::Design;
 
 /// Magic bytes identifying a persisted surrogate-model file.
 const SURROGATE_MAGIC: [u8; 8] = *b"POCSURR1";
@@ -49,11 +77,416 @@ const SURROGATE_FILE_VERSION: u32 = 1;
 /// CD deltas, in that order.
 pub const SURROGATE_TARGETS: usize = 2;
 
+/// Feature-vector dimension of the learned CD surrogate: bias, drawn CD,
+/// width, focus (linear + quadratic), dose, four nearest-neighbour gaps,
+/// pattern density at three radii, window geometry and edge clearance.
+/// The private `site_features` builder fixes the exact layout.
+pub const SURROGATE_FEATURE_DIM: usize = 16;
+
+/// Confidence gate: a context is served only when every site's leverage
+/// score is at most `GATE_THRESHOLD ×` [`SURROGATE_FEATURE_DIM`].
+/// In-distribution points score near the feature dimension, so this is
+/// "how many times a typical training point's leverage" is still trusted.
+const GATE_THRESHOLD: f64 = 4.0;
+
+/// Samples a model must have absorbed before it serves any prediction
+/// (the warm-up: a fresh model's first contexts always simulate).
+const MIN_TRAIN: u64 = 32;
+
+/// Novel contexts per training round (see the module docs).
+const ROUND: usize = 32;
+
+/// Every `AUDIT_EVERY`-th gate-accepted context is simulated anyway.
+const AUDIT_EVERY: usize = 16;
+
+/// Ridge regulariser of a fresh model.
+const LAMBDA: f64 = 1e-3;
+
+/// Gradient-boosted stumps per target a fresh model fits to the ridge
+/// residuals at each refit.
+const BOOST_ROUNDS: usize = 8;
+
 /// Retained-sample cap for the stump-boost stage. Gram/moment
 /// accumulation is exact beyond the cap; only the nonlinear boost stops
 /// seeing new samples (deterministically: the first `MAX_RETAINED` in
 /// absorption order are kept).
 const MAX_RETAINED: usize = 4096;
+
+/// Configuration of the learned CD surrogate tier: a confidence-gated
+/// fast path between the warm [`ContextStore`](crate::ContextStore) and
+/// full litho simulation, trained within each run from the SOCS results
+/// the run computes anyway. Out-of-distribution contexts always take the
+/// real simulation path. Off by default.
+#[derive(Clone, PartialEq, Default)]
+pub struct SurrogateConfig {
+    /// Master switch. `false` (the default) leaves the engine on its
+    /// pre-surrogate path, bit for bit.
+    pub enabled: bool,
+    /// Optional pre-trained model (from a `POCSURR1` file) each run
+    /// starts from instead of a fresh one. Training within the run
+    /// continues on a copy; this model never changes.
+    pub pretrained: Option<SurrogateModel>,
+}
+
+impl SurrogateConfig {
+    /// Surrogate disabled (the [`ExtractionConfig::standard`] default).
+    pub fn off() -> SurrogateConfig {
+        SurrogateConfig::default()
+    }
+
+    /// The production surrogate: a fresh model per run, leverage gate at
+    /// 4× the feature dimension, 32-context warm-up and rounds, an audit
+    /// every 16th accepted context and 8 boost stumps per target.
+    pub fn standard() -> SurrogateConfig {
+        SurrogateConfig {
+            enabled: true,
+            pretrained: None,
+        }
+    }
+
+    /// Validates the configuration ahead of a run.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::InvalidConfig`] for a pre-trained model of the wrong
+    /// feature dimension.
+    pub fn validate(&self) -> Result<()> {
+        match &self.pretrained {
+            Some(pre) if pre.dim() != SURROGATE_FEATURE_DIM => {
+                Err(FlowError::InvalidConfig(format!(
+                    "surrogate pretrained model has feature dimension {}, engine expects {}",
+                    pre.dim(),
+                    SURROGATE_FEATURE_DIM
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The model a run starts from: a fitted copy of the pre-trained
+    /// model, or a fresh one.
+    fn start_model(&self) -> Result<SurrogateModel> {
+        let Some(pre) = &self.pretrained else {
+            return Ok(SurrogateModel::new(
+                SURROGATE_FEATURE_DIM,
+                LAMBDA,
+                BOOST_ROUNDS,
+            ));
+        };
+        let mut model = pre.clone();
+        if !model.is_fitted() && !model.is_empty() {
+            model.refit()?;
+        }
+        Ok(model)
+    }
+}
+
+impl std::fmt::Debug for SurrogateConfig {
+    /// The pre-trained model's full training state is summarised as its
+    /// [`SurrogateModel::fingerprint`]: the `Debug` rendering feeds
+    /// [`crate::content_hash`], where the model *hash* (not megabytes of
+    /// Gram state) belongs in the invalidation key.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SurrogateConfig")
+            .field("enabled", &self.enabled)
+            .field(
+                "pretrained",
+                &self
+                    .pretrained
+                    .as_ref()
+                    .map(|m| format!("fingerprint={:#018x}", m.fingerprint())),
+            )
+            .finish()
+    }
+}
+
+/// What an extraction run made of its novel contexts, in key order.
+pub(crate) struct Novel {
+    /// Each context's outcome or fault.
+    pub(crate) results: Vec<UniqueResult>,
+    /// Whether each outcome is a surrogate prediction (never stored).
+    pub(crate) predicted: Vec<bool>,
+    /// Contexts simulated while the tier was active.
+    pub(crate) fallbacks: usize,
+    /// Largest audited |surrogate − SOCS| CD, nm.
+    pub(crate) max_residual_nm: f64,
+}
+
+/// Resolves a run's novel contexts (those neither the in-run cache nor
+/// the warm store served). With the tier off they all simulate. With it
+/// on, a run-local model serves the ones it is confident about; with a
+/// `recorder` the tier instead trains that model on every context and
+/// serves none (the trainer's run). Like the store, the tier is bypassed
+/// under fault injection: injected faults must never train a model.
+///
+/// # Errors
+///
+/// [`FlowError::Surrogate`] if the model cannot absorb a sample or refit.
+pub(crate) fn resolve_novel(
+    config: &ExtractionConfig,
+    threads: usize,
+    keys: &[&ContextKey],
+    recorder: Option<&mut SurrogateModel>,
+) -> Result<Novel> {
+    if config.fault_injection.is_some() || !(config.surrogate.enabled || recorder.is_some()) {
+        return Ok(Novel {
+            results: run_novel_batch(config, threads, keys),
+            predicted: vec![false; keys.len()],
+            fallbacks: 0,
+            max_residual_nm: 0.0,
+        });
+    }
+    let mut run_model;
+    let (model, serve) = match recorder {
+        Some(model) => (model, false),
+        None => {
+            run_model = config.surrogate.start_model()?;
+            (&mut run_model, true)
+        }
+    };
+    let mut novel = Novel {
+        results: Vec::new(),
+        predicted: vec![false; keys.len()],
+        fallbacks: 0,
+        max_residual_nm: 0.0,
+    };
+    let mut results: Vec<Option<UniqueResult>> = (0..keys.len()).map(|_| None).collect();
+    let mut accepted = 0usize;
+    for start in (0..keys.len()).step_by(ROUND) {
+        let end = (start + ROUND).min(keys.len());
+        let mut sim_idx: Vec<usize> = Vec::new();
+        let mut audits: Vec<(usize, UniqueOutcome)> = Vec::new();
+        for i in start..end {
+            let verdict = if serve { predict(model, keys[i]) } else { None };
+            match verdict {
+                Some(outcome) => {
+                    accepted += 1;
+                    if accepted.is_multiple_of(AUDIT_EVERY) {
+                        // Audit: simulate anyway, keep the SOCS truth, and
+                        // record the surrogate/SOCS parity residual.
+                        audits.push((i, outcome));
+                        sim_idx.push(i);
+                    } else {
+                        results[i] = Some(Ok(outcome));
+                        novel.predicted[i] = true;
+                    }
+                }
+                None => sim_idx.push(i),
+            }
+        }
+        novel.fallbacks += sim_idx.len();
+        let sim_keys: Vec<&ContextKey> = sim_idx.iter().map(|&i| keys[i]).collect();
+        let sim_results = run_novel_batch(config, threads, &sim_keys);
+        // Train on the freshly simulated truths, serially in key order.
+        let mut absorbed = false;
+        for (&i, result) in sim_idx.iter().zip(&sim_results) {
+            let Ok(outcome) = result else {
+                continue;
+            };
+            let Some(per_site) = &outcome.sites else {
+                // Failed measurement: member gates keep drawn dimensions;
+                // there is no CD truth to learn from.
+                continue;
+            };
+            for (site, (_, equivalent)) in keys[i].sites.iter().zip(per_site) {
+                let drawn = f64::from_bits(site.drawn_bits);
+                let y = [
+                    equivalent.l_delay_nm - drawn,
+                    equivalent.l_leakage_nm - drawn,
+                ];
+                if y.iter().all(|v| v.is_finite()) {
+                    model.absorb(&site_features(keys[i], site), y)?;
+                    absorbed = true;
+                }
+            }
+            if let Some((_, predicted)) = audits.iter().find(|(a, _)| *a == i) {
+                novel.max_residual_nm = novel
+                    .max_residual_nm
+                    .max(outcome_residual_nm(predicted, outcome));
+            }
+        }
+        for (i, result) in sim_idx.into_iter().zip(sim_results) {
+            results[i] = Some(result);
+        }
+        if absorbed {
+            model.refit()?;
+        }
+    }
+    novel.results = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|| unreachable!("every novel context resolves")))
+        .collect();
+    Ok(novel)
+}
+
+/// The surrogate's verdict on one novel context: a fully predicted
+/// [`UniqueOutcome`] if the model is warmed up, *every* site passes the
+/// leverage gate and every predicted CD is physically plausible —
+/// otherwise `None` (take the real simulation path).
+fn predict(model: &SurrogateModel, key: &ContextKey) -> Option<UniqueOutcome> {
+    if key.sites.is_empty() || model.len() < MIN_TRAIN {
+        return None;
+    }
+    let limit = GATE_THRESHOLD * SURROGATE_FEATURE_DIM as f64;
+    let mut per_site = Vec::with_capacity(key.sites.len());
+    for site in &key.sites {
+        let x = site_features(key, site);
+        let score = model.score(&x)?;
+        if !(score.is_finite() && score <= limit) {
+            return None;
+        }
+        let pred = model.predict(&x)?;
+        let drawn = f64::from_bits(site.drawn_bits);
+        let l_delay = drawn + pred[0];
+        let l_leakage = drawn + pred[1];
+        // Physicality band: a prediction outside ±45% of drawn is a model
+        // wobble, not a plausible post-OPC CD — take the real path. This
+        // also keeps surrogate output clear of the STA boundary guard.
+        let plausible = |l: f64| l.is_finite() && l > drawn * 0.55 && l < drawn * 1.45;
+        if !plausible(l_delay) || !plausible(l_leakage) {
+            return None;
+        }
+        let width = f64::from_bits(site.width_bits);
+        per_site.push((
+            vec![GateSlice {
+                w_nm: width,
+                l_nm: l_delay,
+            }],
+            EquivalentGate {
+                w_nm: width,
+                l_delay_nm: l_delay,
+                l_leakage_nm: l_leakage,
+            },
+        ));
+    }
+    Some(UniqueOutcome {
+        opc_simulations: 0,
+        opc_fragment_moves: 0,
+        sites: Some(per_site),
+    })
+}
+
+/// Largest per-site |predicted CD − SOCS CD| in nm, over both equivalent
+/// lengths, between a surrogate prediction and the simulated truth for
+/// the same context.
+fn outcome_residual_nm(predicted: &UniqueOutcome, truth: &UniqueOutcome) -> f64 {
+    let (Some(pred), Some(real)) = (&predicted.sites, &truth.sites) else {
+        return 0.0;
+    };
+    let mut max = 0.0f64;
+    for ((_, p), (_, r)) in pred.iter().zip(real) {
+        max = max
+            .max((p.l_delay_nm - r.l_delay_nm).abs())
+            .max((p.l_leakage_nm - r.l_leakage_nm).abs());
+    }
+    max
+}
+
+/// Hand-built surrogate features for one channel site of a canonical
+/// context ([`SURROGATE_FEATURE_DIM`] entries): bias, drawn CD, width,
+/// quantised exposure conditions (focus linear + quadratic, dose),
+/// nearest-neighbour clearances in the four directions, bbox pattern
+/// density at three radii, and window geometry. Pure arithmetic over the
+/// canonical key — equal keys produce bit-equal features, and the window-
+/// local frame makes them translation-invariant by construction.
+fn site_features(key: &ContextKey, site: &SiteKey) -> Vec<f64> {
+    let ambit = 420.0f64;
+    let drawn = f64::from_bits(site.drawn_bits);
+    let width = f64::from_bits(site.width_bits);
+    let focus = f64::from_bits(key.focus_bits);
+    let dose = f64::from_bits(key.dose_bits);
+    let ch = site.channel;
+    let cx = (ch.left() as f64 + ch.right() as f64) * 0.5;
+    let cy = (ch.bottom() as f64 + ch.top() as f64) * 0.5;
+    // Nearest-neighbour clearances from the channel bbox, per direction
+    // (left, right, down, up), capped at the optical ambit. Shapes
+    // overlapping the channel (its own gate poly) are skipped.
+    let mut gap = [ambit; 4];
+    for p in key.targets.iter().chain(key.context.iter()) {
+        let b = p.bbox();
+        let overlaps_x = b.left() < ch.right() && b.right() > ch.left();
+        let overlaps_y = b.bottom() < ch.top() && b.top() > ch.bottom();
+        if overlaps_x && overlaps_y {
+            continue;
+        }
+        if overlaps_y && b.right() <= ch.left() {
+            gap[0] = gap[0].min((ch.left() - b.right()) as f64);
+        }
+        if overlaps_y && b.left() >= ch.right() {
+            gap[1] = gap[1].min((b.left() - ch.right()) as f64);
+        }
+        if overlaps_x && b.top() <= ch.bottom() {
+            gap[2] = gap[2].min((ch.bottom() - b.top()) as f64);
+        }
+        if overlaps_x && b.bottom() >= ch.top() {
+            gap[3] = gap[3].min((b.bottom() - ch.top()) as f64);
+        }
+    }
+    // Local pattern density: bbox-clipped covered-area fraction of square
+    // neighbourhoods around the channel center.
+    let density = |r: f64| -> f64 {
+        let mut area = 0.0;
+        for p in key.targets.iter().chain(key.context.iter()) {
+            let b = p.bbox();
+            let w = (b.right() as f64).min(cx + r) - (b.left() as f64).max(cx - r);
+            let h = (b.top() as f64).min(cy + r) - (b.bottom() as f64).max(cy - r);
+            if w > 0.0 && h > 0.0 {
+                area += w * h;
+            }
+        }
+        (area / (4.0 * r * r)).min(1.0)
+    };
+    let win = key.window;
+    let edge = (cx - win.left() as f64)
+        .min(win.right() as f64 - cx)
+        .min(cy - win.bottom() as f64)
+        .min(win.top() as f64 - cy);
+    vec![
+        1.0,
+        drawn / 90.0 - 1.0,
+        width / 1000.0,
+        focus / 60.0,
+        (focus / 60.0) * (focus / 60.0),
+        dose - 1.0,
+        (gap[0] / ambit).clamp(0.0, 1.0),
+        (gap[1] / ambit).clamp(0.0, 1.0),
+        (gap[2] / ambit).clamp(0.0, 1.0),
+        (gap[3] / ambit).clamp(0.0, 1.0),
+        density(150.0),
+        density(300.0),
+        density(450.0),
+        win.width() as f64 / 1000.0,
+        win.height() as f64 / 1000.0,
+        (edge / ambit).clamp(-1.0, 1.0),
+    ]
+}
+
+impl SurrogateModel {
+    /// Trains a model on the tagged gates of `design`: runs the
+    /// extraction with the tier recording every novel context and serving
+    /// none, starting from `config.surrogate.pretrained` or a fresh model
+    /// (`config.surrogate.enabled` is not read), and returns the model
+    /// fitted. Under fault injection the tier is bypassed, so the starting
+    /// model comes back untrained.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::extract_gates`], plus [`FlowError::Surrogate`] if the
+    /// model cannot absorb a sample or refit.
+    pub fn train(
+        design: &Design,
+        config: &ExtractionConfig,
+        tags: &TagSet,
+    ) -> Result<SurrogateModel> {
+        config.validate()?;
+        let mut model = config.surrogate.start_model()?;
+        extract_gates_in(design, config, tags, None, Some(&mut model))?;
+        if !model.is_fitted() {
+            model.refit()?;
+        }
+        Ok(model)
+    }
+}
 
 fn surrogate_err(reason: impl Into<String>) -> FlowError {
     FlowError::Surrogate(reason.into())

@@ -2,7 +2,8 @@
 //! truncation and bit-flip sweeps over the artifact decoder, seeded I/O
 //! fault schedules and torn artifacts against `serve_with`, advisory lock
 //! contention and stale-lock takeover, crash-before-rename atomicity,
-//! deterministic query budgets and ECO journal rollback.
+//! artifacts of another format version, deterministic query budgets and
+//! ECO journal rollback.
 //!
 //! Every serve-level test runs at 1, 2 and 4 extraction and Monte Carlo
 //! threads: fault schedules are keyed off operation order, not wall
@@ -13,7 +14,7 @@ use postopc::{
     serve_with, ArtifactErrorKind, ArtifactIo, ArtifactLock, BudgetedOutcome, ColdReason,
     ContextStore, FaultInjection, FlowConfig, FlowError, IoFaultInjection, OpcMode, PersistStatus,
     RetryPolicy, SampleBudget, Selection, ServeOptions, SessionQuery, TagSet, TimingSession,
-    WarmArtifact,
+    WarmArtifact, ARTIFACT_VERSION,
 };
 use postopc_device::MosKind;
 use postopc_layout::{generate, Design, GateId, NetId, TechRules};
@@ -124,7 +125,6 @@ fn tiny_artifact() -> WarmArtifact {
         annotation,
         tags,
         context_store: ContextStore::new(),
-        surrogate: None,
     }
 }
 
@@ -247,6 +247,48 @@ fn torn_artifacts_serve_cold_as_corrupt_and_are_republished() {
                 "{context}: the reference bytes must be published again"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `sealed` with its header's format version set to `version` and the
+/// trailing FNV-1a checksum recomputed, so only the version is wrong.
+fn reseal_at_version(sealed: &[u8], version: u32) -> Vec<u8> {
+    let mut body = sealed[..sealed.len() - 8].to_vec();
+    body[8..12].copy_from_slice(&version.to_le_bytes());
+    let checksum = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
+}
+
+#[test]
+fn an_artifact_of_another_version_serves_cold_and_is_rewritten() {
+    assert_eq!(ARTIFACT_VERSION, 5);
+    for threads in THREADS {
+        let (design, cfg, queries) = chaos_workload(threads);
+        let dir = scratch_dir(&format!("version-{threads}"));
+        let path = dir.join("version.warm");
+        let serve = |path: Option<&Path>| {
+            serve_with(&design, &cfg, path, &queries, &ServeOptions::default())
+        };
+        let reference = serve(None).expect("pathless cold serve");
+        serve(Some(&path)).expect("publish an artifact");
+        let current = std::fs::read(&path).expect("published bytes");
+        assert_eq!(reseal_at_version(&current, ARTIFACT_VERSION), current);
+        std::fs::write(&path, reseal_at_version(&current, 4)).expect("plant a version-4 artifact");
+        let report = serve(Some(&path)).expect("serve over a version-4 artifact");
+        let context = format!("{threads} threads");
+        assert!(!report.warm, "{context}");
+        assert_eq!(report.cold_reason, Some(ColdReason::Version), "{context}");
+        assert_eq!(report.outcomes, reference.outcomes, "{context}");
+        assert_eq!(report.persist, PersistStatus::Persisted, "{context}");
+        let rewritten = std::fs::read(&path).expect("rewritten bytes");
+        assert!(rewritten == current, "{context}: rewritten at version 5");
+        let warm = serve(Some(&path)).expect("warm serve");
+        assert!(warm.warm, "{context}");
+        assert_eq!(warm.outcomes, reference.outcomes, "{context}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,8 +3,8 @@
 //! the extraction → STA boundary guard.
 
 use postopc::{
-    extract_gates, extract_gates_with_caches, run_flow, ExtractionConfig, FaultInjection,
-    FaultPolicy, FaultStage, FlowConfig, FlowError, OpcMode, Selection, SurrogateConfig, TagSet,
+    extract_gates, run_flow, ExtractionConfig, FaultInjection, FaultPolicy, FaultStage, FlowConfig,
+    FlowError, OpcMode, Selection, TagSet,
 };
 use postopc_layout::{generate, Design, TechRules};
 use std::sync::Mutex;
@@ -221,54 +221,6 @@ fn pipeline_faults_quarantine_without_injection() {
     // The same configuration aborts on the first gate under Fail.
     cfg.fault_policy = FaultPolicy::Fail;
     assert!(extract_gates(&design, &cfg, &tags).is_err());
-}
-
-#[test]
-fn surrogate_never_learns_from_or_serves_quarantined_runs() {
-    // Fault injection disables the learned-surrogate tier wholesale: a
-    // run that can quarantine gates must neither train the model on its
-    // (possibly poisoned) results nor serve predictions into it. The
-    // injected surrogate-enabled run must be bit-identical to the
-    // injected surrogate-off run, and an external model must come back
-    // untouched.
-    let design = small_design();
-    let tags = TagSet::all(&design);
-    let mut cfg = fast_config();
-    cfg.fault_policy = FaultPolicy::Quarantine { max_fraction: 1.0 };
-    cfg.fault_injection = Some(FaultInjection::all(9, 0.4));
-    let reference = quiet(|| extract_gates(&design, &cfg, &tags)).expect("surrogate-off run");
-    assert!(reference.stats.gates_quarantined > 0, "injection must bite");
-
-    let mut surr_cfg = cfg.clone();
-    surr_cfg.surrogate = SurrogateConfig {
-        min_train: 1,
-        round: 1,
-        ..SurrogateConfig::standard()
-    };
-    let mut model = surr_cfg.surrogate.fresh_model();
-    let guarded =
-        quiet(|| extract_gates_with_caches(&design, &surr_cfg, &tags, None, Some(&mut model)))
-            .expect("surrogate-enabled injected run");
-    assert_eq!(
-        guarded, reference,
-        "surrogate must be inert under injection"
-    );
-    assert_eq!(guarded.stats.surrogate_hits, 0);
-    assert_eq!(guarded.stats.surrogate_fallbacks, 0);
-    assert!(
-        model.is_empty(),
-        "quarantine-capable run must not train the model, got {} samples",
-        model.len()
-    );
-
-    // The same configuration minus the injector does train — the guard
-    // above is specific to fault-capable runs, not a dead path.
-    let mut clean_cfg = surr_cfg.clone();
-    clean_cfg.fault_injection = None;
-    let mut clean_model = clean_cfg.surrogate.fresh_model();
-    extract_gates_with_caches(&design, &clean_cfg, &tags, None, Some(&mut clean_model))
-        .expect("clean surrogate run");
-    assert!(!clean_model.is_empty(), "clean run must train the model");
 }
 
 #[test]

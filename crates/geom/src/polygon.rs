@@ -267,6 +267,12 @@ impl Polygon {
     /// between 0 and the edge length) at which to split. Used by OPC
     /// fragmentation so fragments can be biased independently.
     ///
+    /// The result keeps the edge order: edge 0 starts at vertex 0, and the
+    /// pieces of edge `i`, from its start to its end, follow those of edge
+    /// `i - 1`. A cut point lies strictly inside an edge, so it is greater
+    /// than one of that edge's ends: it never becomes the least vertex,
+    /// which stays first, and it never changes the winding.
+    ///
     /// # Errors
     ///
     /// Returns [`GeomError::OutOfBounds`] if `cuts.len()` differs from the

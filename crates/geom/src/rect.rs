@@ -37,9 +37,11 @@ impl Rect {
         let min = Point::new(x0.min(x1), y0.min(y1));
         let max = Point::new(x0.max(x1), y0.max(y1));
         if min.x == max.x || min.y == max.y {
+            // Saturating: an extent wider than `Coord` (one stored
+            // corner near each end of the range) is reported, not a panic.
             return Err(GeomError::EmptyRect {
-                width: max.x - min.x,
-                height: max.y - min.y,
+                width: max.x.saturating_sub(min.x),
+                height: max.y.saturating_sub(min.y),
             });
         }
         Ok(Rect { min, max })
@@ -238,6 +240,19 @@ mod tests {
             Err(GeomError::EmptyRect { .. })
         ));
         assert!(Rect::centered(Point::ORIGIN, 0, 5).is_err());
+    }
+
+    #[test]
+    fn a_degenerate_rect_spanning_the_whole_range_is_a_typed_error() {
+        for (x0, y0, x1, y1) in [
+            (0, Coord::MIN, 0, Coord::MAX),
+            (Coord::MIN, 7, Coord::MAX, 7),
+        ] {
+            assert!(matches!(
+                Rect::new(x0, y0, x1, y1),
+                Err(GeomError::EmptyRect { .. })
+            ));
+        }
     }
 
     #[test]

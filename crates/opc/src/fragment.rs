@@ -112,10 +112,9 @@ impl FragmentedPolygon {
             cuts.push(edge_cuts(len, spec));
         }
         let polygon = target.with_cuts(&cuts)?;
-        // Generate fragment records keyed by their exact sub-edge endpoints,
-        // then order them to match the polygon's (canonicalized) edge order.
-        let mut by_endpoints: std::collections::HashMap<(Point, Point), FragmentInfo> =
-            std::collections::HashMap::new();
+        // `with_cuts` keeps the edge order, so edge k of `polygon` is the
+        // k-th piece cut below, in edge order.
+        let mut fragments = Vec::with_capacity(polygon.edge_count());
         for (i, cut_offsets) in cuts.iter().enumerate() {
             let original = target.edge(i);
             let n_pieces = cut_offsets.len() + 1;
@@ -147,30 +146,14 @@ impl FragmentedPolygon {
                 } else {
                     FragmentKind::Normal
                 };
-                let dir = original.direction();
-                let start_pt = original.start + dir * start;
-                let end_pt = original.start + dir * end;
-                by_endpoints.insert(
-                    (start_pt, end_pt),
-                    FragmentInfo {
-                        kind,
-                        control: original.point_at(mid_t),
-                        outward: original.outward_normal(),
-                        length: end - start,
-                    },
-                );
+                fragments.push(FragmentInfo {
+                    kind,
+                    control: original.point_at(mid_t),
+                    outward: original.outward_normal(),
+                    length: end - start,
+                });
             }
         }
-        let fragments: Vec<FragmentInfo> = polygon
-            .edges()
-            .map(|e| {
-                // The loop above registers every edge of every fragment.
-                #[allow(clippy::expect_used)]
-                *by_endpoints
-                    .get(&(e.start, e.end))
-                    .expect("every polygon edge originates from exactly one fragment")
-            })
-            .collect();
         debug_assert_eq!(fragments.len(), polygon.edge_count());
         Ok(FragmentedPolygon { polygon, fragments })
     }

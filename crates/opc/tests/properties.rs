@@ -145,3 +145,89 @@ fn control_points_lie_on_the_target_boundary() {
         }
     }
 }
+
+/// A rectangle, L- or U-shape of random size and place, about half of
+/// them at negative coordinates.
+fn arb_shape(rng: &mut StdRng) -> Polygon {
+    let (w, h) = (rng.random_range(3i64..1500), rng.random_range(2i64..1500));
+    let (x, y) = (
+        rng.random_range(-3000i64..3000),
+        rng.random_range(-3000i64..3000),
+    );
+    let vertices = match rng.random_range(0u32..3) {
+        0 => return Polygon::from(Rect::new(x, y, x + w, y + h).expect("rect")),
+        // An L: the full-width foot and the left part of the top.
+        1 => {
+            let (foot, arm) = (rng.random_range(1..h), rng.random_range(1..w));
+            vec![
+                Point::new(x, y),
+                Point::new(x + w, y),
+                Point::new(x + w, y + foot),
+                Point::new(x + arm, y + foot),
+                Point::new(x + arm, y + h),
+                Point::new(x, y + h),
+            ]
+        }
+        // A U, open at the top.
+        _ => {
+            let foot = rng.random_range(1..h);
+            let left = rng.random_range(1..w - 1);
+            let right = rng.random_range(left + 1..w);
+            vec![
+                Point::new(x, y),
+                Point::new(x + w, y),
+                Point::new(x + w, y + h),
+                Point::new(x + right, y + h),
+                Point::new(x + right, y + foot),
+                Point::new(x + left, y + foot),
+                Point::new(x + left, y + h),
+                Point::new(x, y + h),
+            ]
+        }
+    };
+    Polygon::new(vertices).expect("L or U")
+}
+
+/// Fragment k spans exactly edge k of the cut polygon: the same length
+/// and outward normal, its control point on that edge at the midpoint
+/// (within the 1 nm the midpoint rounds by).
+fn assert_fragments_span_their_edges(target: &Polygon) {
+    let frag = FragmentedPolygon::new(target, &FragmentSpec::standard()).expect("fragment");
+    assert_eq!(frag.len(), frag.polygon().edge_count(), "{target}");
+    for (k, (f, e)) in frag
+        .fragments()
+        .iter()
+        .zip(frag.polygon().edges())
+        .enumerate()
+    {
+        assert_eq!(f.length, e.length(), "fragment {k} of {target}");
+        assert_eq!(f.outward, e.outward_normal(), "fragment {k} of {target}");
+        let dir = e.direction();
+        let along = (f.control.x - e.start.x) * dir.dx + (f.control.y - e.start.y) * dir.dy;
+        assert_eq!(f.control, e.start + dir * along, "fragment {k} of {target}");
+        assert!(
+            (2 * along - e.length()).abs() <= 1,
+            "fragment {k} of {target}"
+        );
+    }
+}
+
+#[test]
+fn fragment_k_spans_edge_k_of_the_cut_polygon() {
+    let mut rng = StdRng::seed_from_u64(0x0C08);
+    let mut corrected = 0;
+    for _ in 0..CASES {
+        let shape = arb_shape(&mut rng);
+        assert_fragments_span_their_edges(&shape);
+        // A corrected contour, with jogs at the fragment boundaries.
+        let frag = FragmentedPolygon::new(&shape, &FragmentSpec::standard()).expect("fragment");
+        let offsets: Vec<Coord> = (0..frag.len())
+            .map(|_| rng.random_range(-8i64..8))
+            .collect();
+        if let Ok(contour) = frag.apply_offsets(&offsets) {
+            assert_fragments_span_their_edges(&contour);
+            corrected += 1;
+        }
+    }
+    assert!(corrected > CASES / 2, "only {corrected} corrected contours");
+}

@@ -67,8 +67,8 @@
 #              tail-IS@500 q01 error <= plain@2000; antithetic@500 mean
 #              error <= plain@2000 x 1.25; batched == naive @250; every
 #              timed run == its first; every warm batch == the cold answers
-#   paper      the nine repro experiments that print no wall-clock figure
-#              (t1 t2 f3 t4 f5 f8 t10 a1 a2, release): their stdout, the
+#   paper      the eleven repro experiments that print no wall-clock figure
+#              (t1 t2 f3 t4 f5 t6 t7 f8 t10 a1 a2, release): their stdout, the
 #              `[.. finished in ..]` lines removed, must equal the same
 #              blocks of the committed repro_output.txt byte for byte. A
 #              change that moves one of these numbers re-records those
@@ -262,10 +262,10 @@ stage wstest cargo test --workspace -q --no-fail-fast
 stage smoke cargo run --release -p postopc-bench --bin perf_smoke
 stage bench cargo run --release -p postopc-bench --bin perf_smoke -- --bench-regression
 
-# The paper's numbers: t6, t7 and t9 print wall-clock figures, so they
-# stay out. Each experiment's block is the text before its
-# `[<id> finished in ..]` line.
-PAPER_EXPERIMENTS=(t1 t2 f3 t4 f5 f8 t10 a1 a2)
+# The paper's numbers: t9 prints wall-clock medians, so it stays out.
+# Each experiment's block is the text before its `[<id> finished in ..]`
+# line.
+PAPER_EXPERIMENTS=(t1 t2 f3 t4 f5 t6 t7 f8 t10 a1 a2)
 paper_blocks() {
   awk -v ids=" ${PAPER_EXPERIMENTS[*]} " '
     /^\[[a-z0-9]+ finished in / {
