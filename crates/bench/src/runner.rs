@@ -844,6 +844,83 @@ mod tests {
     }
 
     #[test]
+    fn seeded_mutations_of_a_record_parse_or_fail_typed() {
+        use postopc_rng::{RngExt, SeedableRng, StdRng};
+        // Every floor's row plus one whose strings need every escape.
+        let mut rows: Vec<Row> = FLOORS.iter().map(dummy_row).collect();
+        rows.push(Row::timed(
+            "evil \"n\"\\\n\t\u{1}é",
+            "e\r",
+            3,
+            2,
+            timing(1.5),
+        ));
+        let doc = render(2, &rows);
+        let record = Record {
+            available_parallelism: 2,
+            rows,
+        };
+        assert_eq!(parse(&doc), Ok(record));
+        // Tokens that reach the reader's number, escape and field paths.
+        let tokens = [
+            "\"",
+            "\\",
+            "\\u",
+            "\\ud800",
+            "\\u00e9",
+            "null",
+            "NaN",
+            "-1",
+            "1e999",
+            ",",
+            "}",
+            "\n",
+            "\"work\": ",
+            "\"median_s\": ",
+            "\"design\": \"",
+            "é",
+        ];
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut records, mut errors) = (0, 0);
+        for _ in 0..4000 {
+            let mut b = doc.as_bytes().to_vec();
+            let at = rng.random_range(0..b.len());
+            match rng.random_range(0..4u32) {
+                0 => b[at] = rng.random_range(0..256u32) as u8,
+                1 => b.truncate(at),
+                2 => {
+                    let len = rng.random_range(1..=(b.len() - at).min(80));
+                    let slice = b[at..at + len].to_vec();
+                    let to = rng.random_range(0..=b.len());
+                    b.splice(to..to, slice);
+                }
+                _ => {
+                    let token = tokens[rng.random_range(0..tokens.len())];
+                    b.splice(at..at, token.bytes());
+                }
+            }
+            match parse(&String::from_utf8_lossy(&b)) {
+                // A record re-renders to a document that reads back to
+                // the same rendering.
+                Ok(record) => {
+                    let again = render(record.available_parallelism, &record.rows);
+                    let reread = parse(&again).expect("a rendered record parses");
+                    assert_eq!(render(reread.available_parallelism, &reread.rows), again);
+                    records += 1;
+                }
+                Err(e) => {
+                    assert!(e.contains(SCHEMA), "{e}");
+                    errors += 1;
+                }
+            }
+        }
+        assert!(
+            records > 0 && errors > 0,
+            "{records} records, {errors} errors"
+        );
+    }
+
+    #[test]
     fn non_finite_values_render_as_null_and_fail_their_bound() {
         let floor = &FLOORS[0];
         let broken = row_for(

@@ -29,18 +29,19 @@
 //! — on any malformed input. The **invalidation key** is the
 //! content hash: it digests the design's netlist, transistor sites and
 //! die, the process parameters, the clock, the gate-selection policy, the
-//! wire-extraction config and the extraction configuration *minus*
-//! fields that cannot change results (thread count, context-cache
-//! toggle, fault policy/injection — all bit-identical by construction;
-//! likewise `report_paths`, which only shapes the printed comparison). A
-//! consumer compares [`content_hash`] of its current inputs against the
-//! stored hash and falls back to a cold compile on mismatch.
+//! wire-step switch and the extraction configuration *minus* fields that
+//! cannot change results (thread count and context-cache toggle, both
+//! bit-identical by construction; likewise `report_paths`, which only
+//! shapes the printed comparison). The fault policy and injection stay in
+//! the key: a quarantined gate keeps drawn CDs, so a run where a fault
+//! bites persists a different annotation. A consumer compares
+//! [`content_hash`] of its current inputs against the stored hash and
+//! falls back to a cold compile on mismatch.
 
 use crate::codec::{corrupt, fnv1a, fnv1a_from, put_f64, put_mos_kind, put_u64, seal, Reader};
 use crate::durable::ArtifactIo;
 use crate::error::{ArtifactError, Result};
 use crate::extract::ContextStore;
-use crate::fault::FaultPolicy;
 use crate::flow::FlowConfig;
 use crate::tags::TagSet;
 use postopc_layout::{Design, GateId, NetId};
@@ -62,17 +63,16 @@ pub const ARTIFACT_VERSION: u32 = 5;
 /// Content hash of a timing compile's inputs: the artifact invalidation
 /// key. Digests the design (netlist connectivity, placed transistor
 /// sites, die), the device process, the clock, the gate-selection
-/// policy, the wire-extraction config and the extraction configuration —
+/// policy, the wire-step switch and the extraction configuration —
 /// everything the flow lets vary that can move an annotated answer.
-/// Results-invariant fields (threads, cache toggle, fault
-/// policy/injection, `report_paths`) are normalised away — so re-running
-/// on more threads does not orphan an artifact.
+/// Results-invariant fields (threads, cache toggle, `report_paths`) are
+/// normalised away — so re-running on more threads does not orphan an
+/// artifact. The fault policy and injection are not results-invariant
+/// once a fault bites (a quarantined gate keeps drawn CDs), so they stay.
 pub fn content_hash(design: &Design, config: &FlowConfig) -> u64 {
     let mut canon = config.extraction.clone();
     canon.threads = None;
     canon.cache = true;
-    canon.fault_policy = FaultPolicy::Fail;
-    canon.fault_injection = None;
     // The surrogate tier changes annotated results, so its switch — and
     // the fingerprint of any pre-trained model (via `SurrogateConfig`'s
     // `Debug` rendering) — stay in the key while it is enabled: a warm
@@ -306,7 +306,6 @@ mod tests {
     use super::*;
     use crate::error::FlowError;
     use crate::flow::Selection;
-    use crate::multilayer::WireExtractionConfig;
     use crate::surrogate::{SurrogateConfig, SurrogateModel, SURROGATE_FEATURE_DIM};
     use postopc_layout::{generate, TechRules};
 
@@ -581,10 +580,18 @@ mod tests {
         let mut all = cfg.clone();
         all.selection = Selection::All;
         assert_ne!(base, content_hash(&d, &all));
-        // … and so is the wire-extraction config, which adds net entries.
+        // … and so is the wire step, which adds net entries.
         let mut wired = cfg.clone();
-        wired.wires = Some(WireExtractionConfig::standard());
+        wired.wires = true;
         assert_ne!(base, content_hash(&d, &wired));
+        // A quarantining run persists drawn CDs for the gates it sets
+        // aside, so the fault policy and injection are part of the key.
+        let mut quarantine = cfg.clone();
+        quarantine.extraction.fault_policy = crate::FaultPolicy::Quarantine { max_fraction: 1.0 };
+        assert_ne!(base, content_hash(&d, &quarantine));
+        let mut injected = cfg.clone();
+        injected.extraction.fault_injection = Some(crate::FaultInjection::all(1, 0.5));
+        assert_ne!(base, content_hash(&d, &injected));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!
 //! Across-chip conditions are quantised onto a focus/dose lattice before
 //! keying, and simulation runs *at* the quantised conditions, so cache
-//! reuse under an [`AcrossChipMap`] is exact rather than approximate.
+//! reuse under the across-chip map is exact rather than approximate.
 
 use crate::codec::{corrupt, put_f64, put_mos_kind, put_polygon, put_rect, put_u64, Reader};
 use crate::error::{FlowError, Result};
@@ -63,89 +63,6 @@ pub enum OpcMode {
     Model,
 }
 
-/// Across-chip systematic process variation: a smooth focus/dose surface
-/// over the die (lens field curvature, post-exposure-bake plate gradients,
-/// etch loading — the dominant 90 nm CD-uniformity terms).
-///
-/// Real across-field variation lives at the millimetre scale; our
-/// substitute die is tens of µm, so the map is scale-compressed: `period`
-/// should be chosen relative to the die size (see `DESIGN.md`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AcrossChipMap {
-    /// Peak focus excursion in nm.
-    pub focus_amplitude_nm: f64,
-    /// Peak relative dose excursion (0.02 = ±2%).
-    pub dose_amplitude: f64,
-    /// Spatial period of the variation surface, in nm.
-    pub period_nm: f64,
-}
-
-impl AcrossChipMap {
-    /// A typical 90 nm across-chip budget: ±60 nm focus, ±2% dose.
-    pub fn typical(die: postopc_geom::Rect) -> AcrossChipMap {
-        AcrossChipMap {
-            focus_amplitude_nm: 60.0,
-            dose_amplitude: 0.02,
-            period_nm: (die.width().max(die.height()) as f64) * 0.8,
-        }
-    }
-
-    /// Validates the map's numeric fields (finite, in-band).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::InvalidConfig`] naming the offending field when an
-    /// amplitude or the period is non-finite or out of band.
-    pub fn validate(&self) -> Result<()> {
-        for (name, value) in [
-            ("focus_amplitude_nm", self.focus_amplitude_nm),
-            ("dose_amplitude", self.dose_amplitude),
-            ("period_nm", self.period_nm),
-        ] {
-            if !value.is_finite() {
-                return Err(FlowError::InvalidConfig(format!(
-                    "across-chip {name} must be finite, got {value}"
-                )));
-            }
-        }
-        if !(0.0..=500.0).contains(&self.focus_amplitude_nm) {
-            return Err(FlowError::InvalidConfig(format!(
-                "across-chip focus_amplitude_nm must be in [0, 500] nm, got {}",
-                self.focus_amplitude_nm
-            )));
-        }
-        if !(0.0..1.0).contains(&self.dose_amplitude) {
-            return Err(FlowError::InvalidConfig(format!(
-                "across-chip dose_amplitude must be in [0, 1), got {}",
-                self.dose_amplitude
-            )));
-        }
-        if self.period_nm <= 0.0 {
-            return Err(FlowError::InvalidConfig(format!(
-                "across-chip period_nm must be positive, got {}",
-                self.period_nm
-            )));
-        }
-        Ok(())
-    }
-
-    /// The local exposure conditions at a die position.
-    pub fn conditions_at(
-        &self,
-        die: postopc_geom::Rect,
-        position: postopc_geom::Point,
-        base: ProcessConditions,
-    ) -> ProcessConditions {
-        let tau = std::f64::consts::TAU;
-        let u = tau * (position.x - die.left()) as f64 / self.period_nm;
-        let v = tau * (position.y - die.bottom()) as f64 / self.period_nm;
-        ProcessConditions {
-            focus_nm: base.focus_nm + self.focus_amplitude_nm * u.sin() * v.cos(),
-            dose: base.dose * (1.0 + self.dose_amplitude * (u + 0.7).cos() * (v + 0.3).sin()),
-        }
-    }
-}
-
 /// Extraction configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionConfig {
@@ -167,9 +84,13 @@ pub struct ExtractionConfig {
     pub window_margin_nm: Coord,
     /// Context gathering radius beyond the window (optical ambit), nm.
     pub context_ambit_nm: Coord,
-    /// Optional across-chip systematic variation surface: each gate is
-    /// imaged at the *local* focus/dose of its die position.
-    pub across_chip: Option<AcrossChipMap>,
+    /// Image each gate at the *local* focus/dose of its die position: a
+    /// smooth across-chip surface of ±60 nm focus and ±2 % dose around
+    /// `sim`'s conditions, with a period of 0.8 × the die's longer side,
+    /// quantised onto a 0.5 nm × 5e-4 focus/dose lattice so gates on one
+    /// lattice point share an image. `false` images every gate at `sim`'s
+    /// conditions.
+    pub across_chip: bool,
     /// Worker threads for the parallel phases. `None` defers to the
     /// `POSTOPC_THREADS` environment variable, then to the machine's
     /// available parallelism. The result is identical for any value.
@@ -178,14 +99,6 @@ pub struct ExtractionConfig {
     /// run once per distinct context). The result is identical either way;
     /// `false` forces every gate down the full pipeline.
     pub cache: bool,
-    /// Focus lattice pitch (nm) for quantising across-chip conditions
-    /// before context keying. `0.0` disables quantisation (every gate
-    /// under an [`AcrossChipMap`] then gets a distinct key). Ignored when
-    /// `across_chip` is `None` — nominal conditions are used verbatim.
-    pub focus_quantum_nm: f64,
-    /// Dose lattice pitch (relative dose) for across-chip quantisation;
-    /// `0.0` disables it.
-    pub dose_quantum: f64,
     /// What to do when a per-gate fault (typed error or worker panic)
     /// occurs. [`FaultPolicy::Fail`] (the default) aborts on the first
     /// fault in `GateId` order, a panic as [`FlowError::WorkerPanic`];
@@ -216,11 +129,9 @@ impl ExtractionConfig {
             rule_opc: RuleOpcConfig::standard(),
             window_margin_nm: 80,
             context_ambit_nm: 420,
-            across_chip: None,
+            across_chip: false,
             threads: None,
             cache: true,
-            focus_quantum_nm: 0.5,
-            dose_quantum: 5e-4,
             fault_policy: FaultPolicy::Fail,
             fault_injection: None,
             surrogate: SurrogateConfig::off(),
@@ -231,14 +142,11 @@ impl ExtractionConfig {
     ///
     /// # Errors
     ///
-    /// [`FlowError::InvalidConfig`] for an out-of-band across-chip map,
-    /// quarantine budget or injection rate, and [`FlowError::Opc`] for a
-    /// model-OPC EPE search range that is not finite and positive.
+    /// [`FlowError::InvalidConfig`] for an out-of-band quarantine budget
+    /// or injection rate, and [`FlowError::Opc`] for a model-OPC EPE
+    /// search range that is not finite and positive.
     pub fn validate(&self) -> Result<()> {
         self.model_opc.validate()?;
-        if let Some(map) = &self.across_chip {
-            map.validate()?;
-        }
         if let FaultPolicy::Quarantine { max_fraction } = self.fault_policy {
             if !max_fraction.is_finite() || !(0.0..=1.0).contains(&max_fraction) {
                 return Err(FlowError::InvalidConfig(format!(
@@ -400,8 +308,9 @@ pub(crate) type UniqueResult = std::result::Result<UniqueOutcome, FaultCause<Flo
 /// only the dirtied optical-influence windows ([`ExtractionStats::windows`]
 /// counts exactly those; [`ExtractionStats::store_hits`] the reused ones).
 ///
-/// The store is bypassed whenever fault injection is active — injected
-/// faults are validation plumbing and must not poison warm state.
+/// A stored outcome is never faulty: a fault that fails key building
+/// leaves its gate without a key, and an injected NaN is written into the
+/// gate's merged records, after the store has taken the outcome.
 #[derive(Clone, Default)]
 pub struct ContextStore {
     entries: HashMap<ContextKey, UniqueOutcome>,
@@ -597,11 +506,42 @@ fn invalid_cd(records: &[TransistorCd]) -> Option<(&'static str, f64)> {
     None
 }
 
+/// Focus lattice pitch, nm, onto which across-chip conditions are
+/// quantised before keying: gates whose local conditions round to one
+/// lattice point share one image.
+const FOCUS_QUANTUM_NM: f64 = 0.5;
+
+/// Dose lattice pitch (relative dose) of the across-chip quantisation.
+const DOSE_QUANTUM: f64 = 5e-4;
+
+/// `value` rounded to the nearest multiple of `quantum`.
 fn quantize(value: f64, quantum: f64) -> f64 {
-    if quantum > 0.0 {
-        (value / quantum).round() * quantum
-    } else {
-        value
+    (value / quantum).round() * quantum
+}
+
+/// The local exposure conditions at `position` on the across-chip
+/// variation surface of `die`: a smooth focus/dose surface (lens field
+/// curvature, post-exposure-bake plate gradients, etch loading — the
+/// dominant 90 nm CD-uniformity terms) with a typical 90 nm budget of
+/// ±60 nm focus and ±2 % dose around `base`.
+///
+/// Real across-field variation lives at the millimetre scale; our
+/// substitute die is tens of µm, so the surface is scale-compressed to a
+/// period of 0.8 × the die's longer side (see `DESIGN.md`).
+fn across_chip_conditions(
+    die: Rect,
+    position: postopc_geom::Point,
+    base: ProcessConditions,
+) -> ProcessConditions {
+    let focus_amplitude_nm = 60.0;
+    let dose_amplitude = 0.02;
+    let period_nm = (die.width().max(die.height()) as f64) * 0.8;
+    let tau = std::f64::consts::TAU;
+    let u = tau * (position.x - die.left()) as f64 / period_nm;
+    let v = tau * (position.y - die.bottom()) as f64 / period_nm;
+    ProcessConditions {
+        focus_nm: base.focus_nm + focus_amplitude_nm * u.sin() * v.cos(),
+        dose: base.dose * (1.0 + dose_amplitude * (u + 0.7).cos() * (v + 0.3).sin()),
     }
 }
 
@@ -731,29 +671,20 @@ pub(crate) fn extract_gates_in(
         }
     }
     // Partition distinct contexts into store-served (their retained
-    // outcome replays bit for bit, no pipeline) and novel. Injection runs
-    // bypass the store entirely: injected faults must not poison it.
-    let store_enabled = config.fault_injection.is_none();
+    // outcome replays bit for bit, no pipeline) and novel.
     let mut served: Vec<Option<UniqueResult>> = (0..unique_keys.len()).map(|_| None).collect();
     let mut provenance = vec![Provenance::Imaged; unique_keys.len()];
     let mut novel_pos: Vec<usize> = Vec::new();
     let mut novel_keys: Vec<&ContextKey> = Vec::new();
-    {
-        let warm = if store_enabled {
-            store.as_deref()
-        } else {
-            None
-        };
-        for (i, key) in unique_keys.iter().enumerate() {
-            match warm.and_then(|s| s.entries.get(*key)) {
-                Some(outcome) => {
-                    served[i] = Some(Ok(outcome.clone()));
-                    provenance[i] = Provenance::Store;
-                }
-                None => {
-                    novel_pos.push(i);
-                    novel_keys.push(key);
-                }
+    for (i, key) in unique_keys.iter().enumerate() {
+        match store.as_deref().and_then(|s| s.entries.get(*key)) {
+            Some(outcome) => {
+                served[i] = Some(Ok(outcome.clone()));
+                provenance[i] = Provenance::Store;
+            }
+            None => {
+                novel_pos.push(i);
+                novel_keys.push(key);
             }
         }
     }
@@ -763,19 +694,17 @@ pub(crate) fn extract_gates_in(
     // Retain every freshly *simulated* context — surrogate predictions
     // never enter the store, which stays pure SOCS — then slot the novel
     // results back into key order.
-    if store_enabled {
-        if let Some(store) = store {
-            for ((&pos, &predicted), result) in
-                novel_pos.iter().zip(&novel.predicted).zip(&novel.results)
-            {
-                if predicted {
-                    continue;
-                }
-                if let Ok(outcome) = result {
-                    store
-                        .entries
-                        .insert(unique_keys[pos].clone(), outcome.clone());
-                }
+    if let Some(store) = store {
+        for ((&pos, &predicted), result) in
+            novel_pos.iter().zip(&novel.predicted).zip(&novel.results)
+        {
+            if predicted {
+                continue;
+            }
+            if let Ok(outcome) = result {
+                store
+                    .entries
+                    .insert(unique_keys[pos].clone(), outcome.clone());
             }
         }
     }
@@ -1036,17 +965,16 @@ fn build_gate_work(
 
     // Local exposure conditions, quantised onto the cache lattice. The
     // simulation later runs *at* the quantised conditions, so reuse is
-    // exact. Without an across-chip map the nominal conditions pass
-    // through untouched.
-    let conditions = match &config.across_chip {
-        Some(map) => {
-            let local = map.conditions_at(design.die(), window.center(), config.sim.conditions);
-            ProcessConditions {
-                focus_nm: quantize(local.focus_nm, config.focus_quantum_nm),
-                dose: quantize(local.dose, config.dose_quantum),
-            }
+    // exact. Without the across-chip map `sim`'s conditions pass through
+    // untouched.
+    let conditions = if config.across_chip {
+        let local = across_chip_conditions(design.die(), window.center(), config.sim.conditions);
+        ProcessConditions {
+            focus_nm: quantize(local.focus_nm, FOCUS_QUANTUM_NM),
+            dose: quantize(local.dose, DOSE_QUANTUM),
         }
-        None => config.sim.conditions,
+    } else {
+        config.sim.conditions
     };
 
     let site_indices = sites_by_gate.get(&gate_id).cloned().unwrap_or_default();
@@ -1112,7 +1040,7 @@ fn run_unique(config: &ExtractionConfig, key: &ContextKey) -> Result<UniqueOutco
         OpcMode::Model => {
             // Model OPC on the targets against the rule-corrected context.
             let (model_opc, rule_opc) = (&config.model_opc, &config.rule_opc);
-            let m = selective::correct(model_opc, rule_opc, targets, context, &[], window)?;
+            let m = selective::correct(model_opc, rule_opc, targets, context, window)?;
             opc_simulations = m.model_report.simulations;
             opc_fragment_moves = m.model_report.fragment_moves;
             (m.corrected_tagged, m.corrected_untagged)
@@ -1461,23 +1389,46 @@ mod tests {
     }
 
     #[test]
-    fn across_chip_quantisation_keeps_cache_effective() {
+    fn across_chip_keys_carry_the_lattice_point_of_the_map_at_their_window_centre() {
         let d = chain_design(10);
-        let tags = TagSet::all(&d);
         let mut cfg = fast_config(OpcMode::Rule);
-        cfg.across_chip = Some(AcrossChipMap::typical(d.die()));
-        // Coarse lattice: neighbouring gates land on the same conditions.
-        cfg.focus_quantum_nm = 10.0;
-        cfg.dose_quantum = 0.01;
-        let coarse = extract_gates(&d, &cfg, &tags).expect("coarse");
-        cfg.focus_quantum_nm = 0.0;
-        cfg.dose_quantum = 0.0;
-        let exact = extract_gates(&d, &cfg, &tags).expect("exact");
-        assert!(
-            coarse.stats.cache_hits >= exact.stats.cache_hits,
-            "quantisation can only merge contexts: {} vs {}",
-            coarse.stats.cache_hits,
-            exact.stats.cache_hits
-        );
+        cfg.across_chip = true;
+        let base = cfg.sim.conditions;
+        let mut distinct = std::collections::HashSet::new();
+        for gate in TagSet::all(&d).sorted() {
+            let work = build_gate_work(&d, &cfg, &HashMap::new(), gate, None).expect("key");
+            // The gate's window in chip coordinates, as the engine builds it.
+            let g = d.netlist().gate(gate);
+            let inst = d.placement().instance(gate).expect("placed");
+            let window = d
+                .library()
+                .cell(g.kind, g.drive)
+                .shapes_on(Layer::Poly)
+                .map(|p| inst.transform.apply_polygon(p).bbox())
+                .reduce(|a, b| a.union_bbox(&b))
+                .expect("poly")
+                .expand(cfg.window_margin_nm)
+                .expect("window");
+            let local = across_chip_conditions(d.die(), window.center(), base);
+            let focus = f64::from_bits(work.key.focus_bits);
+            let dose = f64::from_bits(work.key.dose_bits);
+            for (value, map, quantum) in [
+                (focus, local.focus_nm, FOCUS_QUANTUM_NM),
+                (dose, local.dose, DOSE_QUANTUM),
+            ] {
+                let steps = value / quantum;
+                assert!(
+                    (steps - steps.round()).abs() < 1e-6,
+                    "{value} is off the lattice"
+                );
+                assert!(
+                    (value - map).abs() <= quantum / 2.0 + 1e-12,
+                    "{value} is not the lattice point nearest the map's {map}"
+                );
+            }
+            distinct.insert((work.key.focus_bits, work.key.dose_bits));
+        }
+        // The map moves the conditions across the die.
+        assert!(distinct.len() > 1, "one condition for every gate");
     }
 }

@@ -18,7 +18,7 @@ use crate::error::{ArtifactErrorKind, FlowError, Result};
 use crate::extract::{
     extract_gates_with_store, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
 };
-use crate::multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
+use crate::multilayer::{extract_wires, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
 use crate::tags::TagSet;
 use postopc_device::ProcessParams;
@@ -51,8 +51,10 @@ pub struct FlowConfig {
     pub selection: Selection,
     /// Extraction settings (OPC recipe, imaging, slicing).
     pub extraction: ExtractionConfig,
-    /// Wire extraction settings; `None` disables the multi-layer step.
-    pub wires: Option<WireExtractionConfig>,
+    /// Run the multi-layer step: measure the printed metal-1 widths of
+    /// every net a tagged gate drives or reads, imaged with `extraction`'s
+    /// model.
+    pub wires: bool,
     /// Device process for timing.
     pub process: ProcessParams,
 }
@@ -66,7 +68,7 @@ impl FlowConfig {
             report_paths: 20,
             selection: Selection::Critical { paths: 20 },
             extraction: ExtractionConfig::standard(),
-            wires: None,
+            wires: false,
             process: ProcessParams::n90(),
         }
     }
@@ -180,9 +182,9 @@ pub(crate) fn extract_step(
     store: Option<&mut ContextStore>,
 ) -> Result<(ExtractionOutcome, Option<WireExtractionStats>)> {
     let mut outcome = extract_gates_with_store(design, &config.extraction, tags, store)?;
-    let Some(wire_config) = &config.wires else {
+    if !config.wires {
         return Ok((outcome, None));
-    };
+    }
     let mut nets: Vec<NetId> = Vec::new();
     for gate in tags.sorted() {
         let g = design.netlist().gate(gate);
@@ -191,7 +193,7 @@ pub(crate) fn extract_step(
     }
     nets.sort_unstable();
     nets.dedup();
-    let stats = extract_wires(design, wire_config, &nets, &mut outcome.annotation)?;
+    let stats = extract_wires(design, &config.extraction, &nets, &mut outcome.annotation)?;
     Ok((outcome, Some(stats)))
 }
 
@@ -311,7 +313,7 @@ pub struct ServeReport {
 /// [`serve_with`] under [`ServeOptions::default`].
 ///
 /// A stale artifact (different content hash over the layout, process,
-/// clock, gate selection, wire config or extraction config), a corrupt
+/// clock, gate selection, wire step or extraction config), a corrupt
 /// one, or one that cannot be read is treated as absent: the service
 /// recompiles cold and overwrites it, recording the
 /// [`ServeReport::cold_reason`]. Answers are bit-identical either way;
@@ -540,12 +542,53 @@ mod tests {
 
         // Enabling the wire step likewise invalidates.
         let mut wired = wider.clone();
-        wired.wires = Some(WireExtractionConfig::standard());
+        wired.wires = true;
         let rewired = serve(&d, &wired, Some(&path), &queries).expect("wired serve");
         assert!(
             !rewired.warm,
-            "a wire-config change must invalidate the artifact"
+            "enabling the wire step must invalidate the artifact"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_quarantining_serve_never_warms_a_clean_one() {
+        let d = small_design();
+        let clean = fast_flow(Selection::Critical { paths: 2 });
+        let queries = vec![SessionQuery::MonteCarlo(postopc_sta::MonteCarloConfig {
+            samples: 30,
+            sigma_nm: 1.5,
+            seed: 7,
+            ..postopc_sta::MonteCarloConfig::default()
+        })];
+        let dir = std::env::temp_dir().join("postopc-serve-quarantine-test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("serve.bin");
+        std::fs::remove_file(&path).ok();
+
+        // Every tagged gate's merged CD turns NaN and is quarantined: the
+        // persisted annotation keeps drawn CDs for all of them.
+        let mut quarantining = clean.clone();
+        quarantining.extraction.fault_policy = crate::FaultPolicy::Quarantine { max_fraction: 1.0 };
+        quarantining.extraction.fault_injection = Some(crate::FaultInjection {
+            seed: 3,
+            rate: 1.0,
+            nan_cd: true,
+            degenerate_geometry: false,
+            worker_panic: false,
+        });
+        let faulted = serve(&d, &quarantining, Some(&path), &queries).expect("quarantined serve");
+        assert_eq!(faulted.persist, PersistStatus::Persisted);
+
+        let reference = serve(&d, &clean, None, &queries).expect("clean cold serve");
+        assert_ne!(faulted.outcomes, reference.outcomes, "the faults must bite");
+        let after = serve(&d, &clean, Some(&path), &queries).expect("clean serve");
+        assert!(
+            !after.warm,
+            "a clean serve must not trust a quarantined artifact"
+        );
+        assert_eq!(after.cold_reason, Some(ColdReason::Stale));
+        assert_eq!(after.outcomes, reference.outcomes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -553,7 +596,7 @@ mod tests {
     fn multilayer_step_annotates_nets() {
         let d = small_design();
         let mut cfg = fast_flow(Selection::Critical { paths: 1 });
-        cfg.wires = Some(WireExtractionConfig::standard());
+        cfg.wires = true;
         let report = run_flow(&d, &cfg).expect("flow");
         let stats = report.wire_stats.expect("wire step ran");
         assert!(stats.nets_annotated > 0);

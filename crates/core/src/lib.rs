@@ -61,15 +61,15 @@ pub use durable::{
 };
 pub use error::{ArtifactError, ArtifactErrorKind, ArtifactOp, FlowError, Result};
 pub use extract::{
-    extract_gates, extract_gates_with_store, AcrossChipMap, ContextStore, ExtractionConfig,
-    ExtractionOutcome, ExtractionStats, OpcMode,
+    extract_gates, extract_gates_with_store, ContextStore, ExtractionConfig, ExtractionOutcome,
+    ExtractionStats, OpcMode,
 };
 pub use fault::{FaultInjection, FaultPolicy, FaultStage, InjectedFault, QuarantinedGate};
 pub use flow::{
     margin_clock, run_flow, serve, serve_with, ColdReason, FlowConfig, FlowReport, PersistStatus,
     Selection, ServeOptions, ServeReport,
 };
-pub use multilayer::{extract_wires, WireExtractionConfig, WireExtractionStats};
+pub use multilayer::{extract_wires, WireExtractionStats};
 pub use session::{
     BudgetedOutcome, EcoOutcome, QueryOutcome, SampleBudget, SessionQuery, TimingSession,
 };

@@ -216,8 +216,8 @@ pub(crate) struct Novel {
 /// the warm store served). With the tier off they all simulate. With it
 /// on, a run-local model serves the ones it is confident about; with a
 /// `recorder` the tier instead trains that model on every context and
-/// serves none (the trainer's run). Like the store, the tier is bypassed
-/// under fault injection: injected faults must never train a model.
+/// serves none (the trainer's run). The tier is bypassed under fault
+/// injection: injected faults must never train a model.
 ///
 /// # Errors
 ///

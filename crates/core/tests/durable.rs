@@ -11,10 +11,10 @@
 
 use postopc::durable::{lock_path, process_alive, tmp_path};
 use postopc::{
-    serve_with, ArtifactErrorKind, ArtifactIo, ArtifactLock, BudgetedOutcome, ColdReason,
-    ContextStore, FaultInjection, FlowConfig, FlowError, IoFaultInjection, OpcMode, PersistStatus,
-    RetryPolicy, SampleBudget, Selection, ServeOptions, SessionQuery, TagSet, TimingSession,
-    WarmArtifact, ARTIFACT_VERSION,
+    extract_gates_with_store, serve_with, ArtifactErrorKind, ArtifactIo, ArtifactLock,
+    BudgetedOutcome, ColdReason, ContextStore, FaultInjection, FlowConfig, FlowError,
+    InjectedFault, IoFaultInjection, OpcMode, PersistStatus, RetryPolicy, SampleBudget, Selection,
+    ServeOptions, SessionQuery, TagSet, TimingSession, WarmArtifact, ARTIFACT_VERSION,
 };
 use postopc_device::MosKind;
 use postopc_layout::{generate, Design, GateId, NetId, TechRules};
@@ -514,19 +514,26 @@ fn failed_eco_rolls_the_session_back_to_its_baseline() {
     let baseline_tags = probe.tags().clone();
     drop(probe);
     let all_gates = TagSet::all(&design);
-    // Every fault kind, then worker panics alone: a panicking worker must
-    // come back as a typed error and roll back like any other fault.
-    for panics_only in [false, true] {
-        // Find a seeded extraction-fault schedule that spares every gate
-        // of the baseline selection but hits at least one gate an `All`
-        // ECO adds — so the session comes up cleanly and only the ECO
-        // fails.
+    // One schedule per fault kind. A collapsed window or a worker panic
+    // fails key building, before anything is imaged, and a panicking
+    // worker must come back as a typed error. An injected NaN fails the
+    // boundary guard after the pass has imaged and stored the ECO's new
+    // contexts, so only the store journal can take them back out.
+    for kind in [
+        InjectedFault::NanCd,
+        InjectedFault::DegenerateGeometry,
+        InjectedFault::WorkerPanic,
+    ] {
+        // Find a seeded schedule that spares every gate of the baseline
+        // selection but hits at least one gate an `All` ECO adds — so the
+        // session comes up cleanly and only the ECO fails.
         let injection = [0.02, 0.05, 0.1, 0.2]
             .iter()
             .flat_map(|&rate| (0..2000u64).map(move |seed| FaultInjection::all(seed, rate)))
             .map(|inj| FaultInjection {
-                nan_cd: !panics_only,
-                degenerate_geometry: !panics_only,
+                nan_cd: kind == InjectedFault::NanCd,
+                degenerate_geometry: kind == InjectedFault::DegenerateGeometry,
+                worker_panic: kind == InjectedFault::WorkerPanic,
                 ..inj
             })
             .find(|inj| {
@@ -542,18 +549,33 @@ fn failed_eco_rolls_the_session_back_to_its_baseline() {
             .expect("some seed spares the baseline and hits the ECO");
         cfg.extraction.fault_injection = Some(injection);
         let mut session = TimingSession::new(&model, &cfg).expect("session under injection");
+        assert!(
+            !session.store().is_empty(),
+            "the baseline's contexts are stored"
+        );
         let query = SessionQuery::Corners(Corner::classic_set(6.0));
         let before = session.run(&query).expect("baseline query");
-        let store_len = session.store().len();
+        let warm_state = session.artifact().to_bytes();
+        if kind == InjectedFault::NanCd {
+            // The failing pass itself grows the store it is given.
+            let mut store = session.store().clone();
+            extract_gates_with_store(&design, &cfg.extraction, &all_gates, Some(&mut store))
+                .expect_err("the pass fails at the boundary guard");
+            assert!(store.len() > session.store().len(), "no new context stored");
+        }
         // The ECO hits an injected fault under the default Fail policy.
         let err = session.apply_eco(&all_gates).expect_err("ECO must fail");
         assert!(!err.to_string().is_empty());
-        if panics_only {
+        if kind == InjectedFault::WorkerPanic {
             assert!(matches!(err, FlowError::WorkerPanic(_)), "{err:?}");
         }
-        // Journal rollback: the same query answers bit-identically, the
-        // warm store was restored, and the baseline tags are unchanged.
-        assert_eq!(session.store().len(), store_len);
+        // Journal rollback: the warm state (annotation, tags and the
+        // store's encoded bytes) is unchanged, and the same query answers
+        // bit-identically.
+        assert!(
+            session.artifact().to_bytes() == warm_state,
+            "{kind:?}: the failed ECO changed the warm state"
+        );
         assert_eq!(*session.tags(), baseline_tags);
         let after = session.run(&query).expect("post-rollback query");
         assert_eq!(before, after);

@@ -11,7 +11,6 @@ use crate::error::Result;
 use crate::model::{self, ModelOpcConfig, OpcReport};
 use crate::rules::{self, RuleOpcConfig};
 use postopc_geom::{Polygon, Rect};
-use std::borrow::Cow;
 
 /// Result of a selective correction run.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,11 +28,11 @@ pub struct SelectiveResult {
 /// Corrects `tagged` polygons with model-based OPC and `untagged` with
 /// rule-based OPC.
 ///
-/// The rule pass runs first; its output becomes frozen context for the
-/// model pass, so critical-gate corrections account for their (cheaply
-/// corrected) neighbours. `window` must cover the tagged polygons and the
-/// model pass's `epe_search` reach past their edges, as for
-/// [`model::correct`].
+/// The rule pass runs first, with the tagged polygons as its context; its
+/// output becomes frozen context for the model pass, so critical-gate
+/// corrections account for their (cheaply corrected) neighbours. `window`
+/// must cover the tagged polygons and the model pass's `epe_search` reach
+/// past their edges, as for [`model::correct`].
 ///
 /// # Errors
 ///
@@ -43,30 +42,19 @@ pub fn correct(
     rule_config: &RuleOpcConfig,
     tagged: &[Polygon],
     untagged: &[Polygon],
-    context: &[Polygon],
     window: Rect,
 ) -> Result<SelectiveResult> {
     // Rule pass over the non-critical geometry.
-    let rule_result = rules::correct(rule_config, untagged, &with_context(tagged, context))?;
+    let rule_result = rules::correct(rule_config, untagged, tagged)?;
     // Model pass over the critical geometry, seeing the rule-corrected
     // neighbours as context.
-    let model_context = with_context(&rule_result.corrected, context);
-    let model_result = model::correct(model_config, tagged, &model_context, window)?;
+    let model_result = model::correct(model_config, tagged, &rule_result.corrected, window)?;
     Ok(SelectiveResult {
         corrected_tagged: model_result.corrected,
         corrected_untagged: rule_result.corrected,
         model_report: model_result.report,
         rule_fragments: rule_result.fragments,
     })
-}
-
-/// `polys` followed by `context`, copied only when there is a context.
-fn with_context<'a>(polys: &'a [Polygon], context: &[Polygon]) -> Cow<'a, [Polygon]> {
-    if context.is_empty() {
-        Cow::Borrowed(polys)
-    } else {
-        polys.iter().chain(context).cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +80,6 @@ mod tests {
             &RuleOpcConfig::standard(),
             &tagged,
             &untagged,
-            &[],
             window(),
         )
         .expect("selective");
@@ -111,7 +98,6 @@ mod tests {
             &RuleOpcConfig::standard(),
             &tagged,
             &untagged,
-            &[],
             window(),
         )
         .expect("selective");
@@ -169,7 +155,6 @@ mod tests {
             &RuleOpcConfig::standard(),
             &all[..1],
             &all[1..],
-            &[],
             window(),
         )
         .expect("selective");
@@ -177,7 +162,6 @@ mod tests {
             &ModelOpcConfig::standard(),
             &RuleOpcConfig::standard(),
             &all,
-            &[],
             &[],
             window(),
         )

@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &RuleOpcConfig::standard(),
         tagged,
         untagged,
-        &[],
         window,
     )?;
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example speedpath_reorder
 //! ```
 
-use postopc::{margin_clock, run_flow, AcrossChipMap, FlowConfig, OpcMode, Selection};
+use postopc::{margin_clock, run_flow, FlowConfig, OpcMode, Selection};
 use postopc_layout::{generate, Design, PlacementOptions, TechRules};
 use postopc_litho::ProcessConditions;
 
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         focus_nm: 40.0,
         dose: 1.01,
     });
-    config.extraction.across_chip = Some(AcrossChipMap::typical(design.die()));
+    config.extraction.across_chip = true;
     let report = run_flow(&design, &config)?;
     println!(
         "extracted {} gates on the top paths",

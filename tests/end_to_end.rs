@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the complete DAC 2005 flow across every
 //! crate of the workspace.
 
-use postopc::{run_flow, FlowConfig, OpcMode, Selection, WireExtractionConfig};
+use postopc::{run_flow, FlowConfig, OpcMode, Selection};
 use postopc_device::ProcessParams;
 use postopc_layout::{generate, Design, TechRules};
 use postopc_sta::TimingModel;
@@ -121,7 +121,7 @@ fn multilayer_flow_shifts_timing_beyond_poly_only() {
     poly_cfg.selection = Selection::Critical { paths: 1 };
     let poly = run_flow(&design, &poly_cfg).expect("flow");
     let mut multi_cfg = poly_cfg.clone();
-    multi_cfg.wires = Some(WireExtractionConfig::standard());
+    multi_cfg.wires = true;
     let multi = run_flow(&design, &multi_cfg).expect("flow");
     let stats = multi.wire_stats.expect("wire step ran");
     assert!(stats.segments_measured > 0);
