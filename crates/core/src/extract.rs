@@ -21,7 +21,9 @@
 //!    *canonicalised* — translated so the window's lower-left corner is the
 //!    origin. Two gates whose neighbourhoods are translated copies of each
 //!    other therefore produce identical [`ContextKey`]s. Coordinates are
-//!    integer nanometres, so the translation is exact.
+//!    integer nanometres, so the translation is exact. A gate a session
+//!    has already keyed into its [`ContextStore`] skips this phase and
+//!    joins the dedup as that store entry.
 //! 2. **Unique-context pipeline** (parallel): OPC, aerial imaging and
 //!    channel measurement run once per *distinct* key, in the local frame.
 //! 3. **Merge** (serial, in `GateId` order): each gate's annotation is
@@ -42,7 +44,7 @@ use crate::tags::TagSet;
 use postopc_cdex::{extract_gate, ExtractedGate, MeasureConfig};
 use postopc_device::{EquivalentGate, GateSlice, MosKind, ProcessParams};
 use postopc_geom::{Coord, Polygon, Rect, Vector};
-use postopc_layout::{Design, GateId, Layer, TransistorSite};
+use postopc_layout::{Design, GateId, Layer, LayoutError, TransistorSite};
 use postopc_litho::{AerialImage, ProcessConditions, ResistModel, SimulationSpec};
 use postopc_opc::{rules, selective, ModelOpcConfig, RuleOpcConfig};
 use postopc_parallel::FaultCause;
@@ -272,14 +274,6 @@ pub(crate) struct ContextKey {
     pub(crate) dose_bits: u64,
 }
 
-/// Phase-1 output for one gate: its canonical key plus what the merge
-/// phase needs to re-anchor shared results to this instance.
-struct GateWork {
-    gate: GateId,
-    site_indices: Vec<usize>,
-    key: ContextKey,
-}
-
 /// Phase-2 output for one distinct context.
 #[derive(Clone)]
 pub(crate) struct UniqueOutcome {
@@ -308,18 +302,28 @@ pub(crate) type UniqueResult = std::result::Result<UniqueOutcome, FaultCause<Flo
 /// only the dirtied optical-influence windows ([`ExtractionStats::windows`]
 /// counts exactly those; [`ExtractionStats::store_hits`] the reused ones).
 ///
+/// The store is insert-only: entries keep their insertion order and the
+/// index they were given, so an index names one outcome for the store's
+/// life, and the length before a pass is all a session needs to take the
+/// pass back out. Its byte encoding is canonical all the same (entries
+/// sorted by their bytes), so equal contents encode equally whatever
+/// order they were inserted in.
+///
 /// A stored outcome is never faulty: a fault that fails key building
 /// leaves its gate without a key, and an injected NaN is written into the
 /// gate's merged records, after the store has taken the outcome.
 #[derive(Clone, Default)]
 pub struct ContextStore {
-    entries: HashMap<ContextKey, UniqueOutcome>,
+    /// Each key's entry index.
+    index: HashMap<ContextKey, u32>,
+    /// Entry `i`'s outcome, in insertion order.
+    outcomes: Vec<UniqueOutcome>,
 }
 
 impl std::fmt::Debug for ContextStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContextStore")
-            .field("entries", &self.entries.len())
+            .field("entries", &self.outcomes.len())
             .finish()
     }
 }
@@ -332,24 +336,55 @@ impl ContextStore {
 
     /// Number of distinct contexts retained.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.outcomes.len()
     }
 
     /// Whether the store holds no contexts yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.outcomes.is_empty()
+    }
+
+    /// The entry index of `key`, if the store holds it.
+    fn find(&self, key: &ContextKey) -> Option<u32> {
+        self.index.get(key).copied()
+    }
+
+    /// The outcome stored at `entry`.
+    fn outcome(&self, entry: u32) -> &UniqueOutcome {
+        &self.outcomes[entry as usize]
+    }
+
+    /// Retains `outcome` for `key` and returns its entry index; a key the
+    /// store already holds keeps its entry (the pipeline is deterministic,
+    /// so the outcomes are equal).
+    fn insert(&mut self, key: ContextKey, outcome: UniqueOutcome) -> u32 {
+        let next = self.outcomes.len() as u32;
+        let entry = *self.index.entry(key).or_insert(next);
+        if entry == next {
+            self.outcomes.push(outcome);
+        }
+        entry
+    }
+
+    /// Drops every entry inserted after the first `len`: the store as it
+    /// was when it held `len` entries.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.outcomes.len() {
+            self.index.retain(|_, entry| (*entry as usize) < len);
+            self.outcomes.truncate(len);
+        }
     }
 
     /// Serializes the store into `out` as length-prefixed canonical bytes
     /// (entries sorted by their encoding, so equal stores produce equal
-    /// bytes regardless of hash-map iteration order).
+    /// bytes regardless of insertion or hash-map iteration order).
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut encoded: Vec<Vec<u8>> = self
-            .entries
+            .index
             .iter()
-            .map(|(key, outcome)| {
+            .map(|(key, &entry)| {
                 let mut buf = Vec::new();
-                encode_entry(key, outcome, &mut buf);
+                encode_entry(key, self.outcome(entry), &mut buf);
                 buf
             })
             .collect();
@@ -361,19 +396,39 @@ impl ContextStore {
         }
     }
 
-    /// Decodes a store previously written by [`Self::encode_into`].
+    /// Decodes a store previously written by [`Self::encode_into`]. A key
+    /// that appears twice is corrupt: no writer produces one.
     pub(crate) fn decode_from(r: &mut Reader) -> Result<ContextStore> {
         let count = r.count()?;
-        let mut entries = HashMap::with_capacity(count);
+        let mut store = ContextStore {
+            index: HashMap::with_capacity(count),
+            outcomes: Vec::with_capacity(count),
+        };
         for _ in 0..count {
             let mut entry = r.sub()?;
             let (key, outcome) = decode_entry(&mut entry)?;
             entry.finish()?;
-            entries.insert(key, outcome);
+            let before = store.len();
+            store.insert(key, outcome);
+            if store.len() == before {
+                return Err(corrupt("context key stored twice"));
+            }
         }
-        Ok(ContextStore { entries })
+        Ok(store)
     }
 }
+
+/// The store entry holding each gate's context, for the gates whose key
+/// built without a fault and whose outcome the store holds. A gate's key
+/// is a function of the design and the extraction config alone, so while
+/// both stay fixed (a [`TimingSession`](crate::TimingSession)'s life) a
+/// mapped gate needs no key building and no key hashing.
+pub(crate) type GateEntries = HashMap<GateId, u32>;
+
+/// The (gate, store entry) pairs one pass lets a [`GateEntries`] map
+/// admit: every gate the pass keyed without a fault into an outcome the
+/// store holds.
+pub(crate) type Admitted = Vec<(GateId, u32)>;
 
 /// One stored context: its key (targets, context, window, sites,
 /// conditions), then its outcome (OPC counters and, when every channel
@@ -584,38 +639,63 @@ pub fn extract_gates_with_store(
     tags: &TagSet,
     store: Option<&mut ContextStore>,
 ) -> Result<ExtractionOutcome> {
-    extract_gates_in(design, config, tags, store, None)
+    let mut cold = ContextStore::new();
+    let store = store.unwrap_or(&mut cold);
+    extract_gates_in(design, config, tags, store, &GateEntries::new(), None)
+        .map(|(outcome, _)| outcome)
 }
 
-/// [`extract_gates_with_store`], with the surrogate tier recording every
-/// novel context into `recorder` and serving none when one is given: the
-/// trainer's run ([`SurrogateModel::train`]).
+/// The one extraction engine: [`extract_gates_with_store`] on `store`,
+/// where `known` maps gates to the entries of `store` that hold their
+/// contexts. A mapped gate skips key building and key hashing; every
+/// other gate is keyed. Returns the outcome, equal to a run with an empty
+/// map on the same store, and the entries the map may admit
+/// ([`Admitted`]; a predicted or faulted context never enters it). With a
+/// `recorder` the surrogate tier records every novel context into it and
+/// serves none: the trainer's run ([`SurrogateModel::train`]).
+///
+/// # Errors
+///
+/// As [`extract_gates`]. A tag that names no gate of `design` is
+/// [`postopc_layout::LayoutError::UnknownId`] under either policy, before
+/// any work.
 pub(crate) fn extract_gates_in(
     design: &Design,
     config: &ExtractionConfig,
     tags: &TagSet,
-    store: Option<&mut ContextStore>,
+    store: &mut ContextStore,
+    known: &GateEntries,
     recorder: Option<&mut SurrogateModel>,
-) -> Result<ExtractionOutcome> {
+) -> Result<(ExtractionOutcome, Admitted)> {
     config.validate()?;
-    // Group transistor sites by gate for quick lookup.
-    let mut sites_by_gate: HashMap<GateId, Vec<usize>> = HashMap::new();
-    for (i, site) in design.transistor_sites().iter().enumerate() {
-        sites_by_gate.entry(site.gate).or_default().push(i);
-    }
     let gate_order = tags.sorted();
+    let gate_count = design.netlist().gate_count();
+    if let Some(gate) = gate_order.iter().find(|g| g.0 as usize >= gate_count) {
+        return Err(LayoutError::UnknownId {
+            kind: "gate",
+            index: gate.0 as usize,
+        }
+        .into());
+    }
     let threads = postopc_parallel::effective_threads(config.threads);
     let injection = config.fault_injection;
     let injected_for = |gate: GateId| injection.and_then(|inj| inj.fault_for(gate));
 
-    // Phase 1: build each gate's canonical context key. A faulting gate
-    // (typed error *or* worker panic) comes back as its fault, in input
-    // order, and is resolved in `GateId` order: the first one fails the run
-    // under `Fail`, every one is set aside under `Quarantine`.
+    // Phase 1: build the canonical context key of every gate the map does
+    // not place. A mapped gate built its key cleanly before, and would
+    // again. A faulting gate (typed error *or* worker panic) comes back as
+    // its fault, in input order, and is resolved in `GateId` order: the
+    // first one fails the run under `Fail`, every one is set aside under
+    // `Quarantine`.
+    let unmapped: Vec<GateId> = gate_order
+        .iter()
+        .copied()
+        .filter(|gate| !known.contains_key(gate))
+        .collect();
     let mut quarantined: Vec<QuarantinedGate> = Vec::new();
     let built = postopc_parallel::par_map_caught(
         threads,
-        &gate_order,
+        &unmapped,
         |_, _| 1,
         |_, gate_id| {
             let injected = injected_for(*gate_id);
@@ -625,13 +705,13 @@ pub(crate) fn extract_gates_in(
                     gate_id.0
                 );
             }
-            build_gate_work(design, config, &sites_by_gate, *gate_id, injected)
+            build_gate_key(design, config, *gate_id, injected)
         },
     );
-    let mut works: Vec<Option<GateWork>> = Vec::with_capacity(built.len());
-    for (work, &gate) in built.into_iter().zip(&gate_order) {
-        works.push(match work {
-            Ok(work) => Some(work),
+    let mut keys: Vec<Option<ContextKey>> = Vec::with_capacity(built.len());
+    for (key, &gate) in built.into_iter().zip(&unmapped) {
+        keys.push(match key {
+            Ok(key) => Some(key),
             Err(cause) => {
                 resolve_fault(
                     config.fault_policy,
@@ -646,95 +726,90 @@ pub(crate) fn extract_gates_in(
         });
     }
 
-    // Deduplicate keys in gate order (first member of each distinct
-    // context is its representative), then run each distinct context
-    // through the OPC → imaging → measurement pipeline. Quarantined gates
-    // have no key and join no context.
-    let mut unique_index: HashMap<&ContextKey, usize> = HashMap::new();
-    let mut unique_keys: Vec<&ContextKey> = Vec::new();
-    let mut membership: Vec<Option<usize>> = Vec::with_capacity(works.len());
-    for work in &works {
-        let Some(work) = work else {
-            membership.push(None);
-            continue;
-        };
-        if config.cache {
-            let next = unique_keys.len();
-            let idx = *unique_index.entry(&work.key).or_insert_with(|| {
-                unique_keys.push(&work.key);
-                next
-            });
-            membership.push(Some(idx));
-        } else {
-            membership.push(Some(unique_keys.len()));
-            unique_keys.push(&work.key);
-        }
-    }
-    // Partition distinct contexts into store-served (their retained
-    // outcome replays bit for bit, no pipeline) and novel.
-    let mut served: Vec<Option<UniqueResult>> = (0..unique_keys.len()).map(|_| None).collect();
-    let mut provenance = vec![Provenance::Imaged; unique_keys.len()];
-    let mut novel_pos: Vec<usize> = Vec::new();
+    // Deduplicate contexts in gate order (the first member of each
+    // distinct context is its representative) by their `Identity`: the
+    // store entry found through the map or by the key's lookup, or the
+    // novel key. Quarantined gates have no key and join no context.
+    let mut contexts: Vec<Context> = Vec::new();
+    let mut context_of: HashMap<Identity, usize> = HashMap::new();
     let mut novel_keys: Vec<&ContextKey> = Vec::new();
-    for (i, key) in unique_keys.iter().enumerate() {
-        match store.as_deref().and_then(|s| s.entries.get(*key)) {
-            Some(outcome) => {
-                served[i] = Some(Ok(outcome.clone()));
-                provenance[i] = Provenance::Store;
-            }
+    let mut membership: Vec<Option<usize>> = Vec::with_capacity(gate_order.len());
+    let mut keyed: Vec<(GateId, usize)> = Vec::new();
+    let mut unmapped_keys = keys.iter();
+    for &gate in &gate_order {
+        let mapped = known.get(&gate).copied();
+        let identity = match mapped {
+            Some(entry) => Identity::Entry(entry),
             None => {
-                novel_pos.push(i);
-                novel_keys.push(key);
+                let Some(key) = unmapped_keys.next().and_then(Option::as_ref) else {
+                    membership.push(None);
+                    continue;
+                };
+                store.find(key).map_or(Identity::Key(key), Identity::Entry)
             }
+        };
+        let next = contexts.len();
+        let context = if config.cache {
+            *context_of.entry(identity).or_insert(next)
+        } else {
+            next
+        };
+        if context == next {
+            contexts.push(match identity {
+                Identity::Entry(entry) => Context::Stored(entry),
+                Identity::Key(key) => {
+                    novel_keys.push(key);
+                    Context::Novel(novel_keys.len() - 1)
+                }
+            });
+        }
+        membership.push(Some(context));
+        if mapped.is_none() {
+            keyed.push((gate, context));
         }
     }
-    // The learned-surrogate tier sits between the warm store and full
-    // simulation.
+
+    // Phase 2: the novel contexts through the learned-surrogate tier and
+    // the OPC → imaging → measurement pipeline. Every freshly *simulated*
+    // context is retained — surrogate predictions never enter the store,
+    // which stays pure SOCS.
     let novel = crate::surrogate::resolve_novel(config, threads, &novel_keys, recorder)?;
-    // Retain every freshly *simulated* context — surrogate predictions
-    // never enter the store, which stays pure SOCS — then slot the novel
-    // results back into key order.
-    if let Some(store) = store {
-        for ((&pos, &predicted), result) in
-            novel_pos.iter().zip(&novel.predicted).zip(&novel.results)
-        {
-            if predicted {
-                continue;
-            }
-            if let Ok(outcome) = result {
-                store
-                    .entries
-                    .insert(unique_keys[pos].clone(), outcome.clone());
-            }
+    let mut novel_entries: Vec<Option<u32>> = vec![None; novel_keys.len()];
+    for (i, (result, &predicted)) in novel.results.iter().zip(&novel.predicted).enumerate() {
+        if let (Ok(outcome), false) = (result, predicted) {
+            novel_entries[i] = Some(store.insert(novel_keys[i].clone(), outcome.clone()));
         }
     }
-    for ((pos, predicted), result) in novel_pos
+    let admitted = keyed
         .into_iter()
-        .zip(novel.predicted)
-        .zip(novel.results)
-    {
-        if predicted {
-            provenance[pos] = Provenance::Surrogate;
-        }
-        served[pos] = Some(result);
-    }
-    let results: Vec<UniqueResult> = served
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| unreachable!("every context is served or novel")))
+        .filter_map(|(gate, context)| {
+            let entry = match contexts[context] {
+                Context::Stored(entry) => Some(entry),
+                Context::Novel(i) => novel_entries[i],
+            };
+            entry.map(|entry| (gate, entry))
+        })
         .collect();
 
     // Phase 3: merge in gate order — deterministic regardless of which
-    // worker computed which context.
+    // worker computed which context. Stored outcomes are read in place.
     let mut annotation = CdAnnotation::new();
     let mut stats = ExtractionStats::default();
-    let mut seen = vec![false; unique_keys.len()];
-    for ((work, uidx), &gate_id) in works.iter().zip(&membership).zip(&gate_order) {
-        let (Some(work), Some(uidx)) = (work.as_ref(), *uidx) else {
+    let mut seen = vec![false; contexts.len()];
+    for (&gate_id, &context) in gate_order.iter().zip(&membership) {
+        let Some(context) = context else {
             // Already quarantined in phase 1: the gate keeps drawn
             // dimensions and contributes nothing to the annotation.
             continue;
         };
-        let outcome = match &results[uidx] {
+        let (result, provenance) = match contexts[context] {
+            Context::Stored(entry) => (Ok(store.outcome(entry)), Provenance::Store),
+            Context::Novel(i) if novel.predicted[i] => {
+                (novel.results[i].as_ref(), Provenance::Surrogate)
+            }
+            Context::Novel(i) => (novel.results[i].as_ref(), Provenance::Imaged),
+        };
+        let outcome = match result {
             Ok(outcome) => outcome,
             Err(cause) => {
                 resolve_fault(
@@ -748,12 +823,12 @@ pub(crate) fn extract_gates_in(
                 continue;
             }
         };
-        if seen[uidx] {
+        if seen[context] {
             stats.cache_hits += 1;
         } else {
-            seen[uidx] = true;
+            seen[context] = true;
             stats.cache_misses += 1;
-            match provenance[uidx] {
+            match provenance {
                 // Served warm or predicted: no window was imaged, no OPC
                 // cost was paid this run — only the reuse is recorded.
                 Provenance::Store => stats.store_hits += 1,
@@ -765,19 +840,19 @@ pub(crate) fn extract_gates_in(
                 }
             }
         }
+        let sites = design.gate_sites(gate_id);
         let per_site = match &outcome.sites {
-            Some(per_site) if !work.site_indices.is_empty() => per_site,
+            Some(per_site) if !sites.is_empty() => per_site,
             _ => {
                 stats.gates_failed += 1;
                 continue;
             }
         };
-        let gate = design.netlist().gate(work.gate);
+        let gate = design.netlist().gate(gate_id);
         let cell = design.library().cell(gate.kind, gate.drive);
         let mut records = Vec::with_capacity(per_site.len());
         let mut extracted = Vec::with_capacity(per_site.len());
-        for (&site_index, (slices, equivalent)) in work.site_indices.iter().zip(per_site) {
-            let site = design.transistor_sites()[site_index];
+        for (site, (slices, equivalent)) in sites.iter().zip(per_site) {
             // Recover the logical input pin from the cell template.
             let input_pin = cell
                 .transistors()
@@ -793,7 +868,7 @@ pub(crate) fn extract_gates_in(
                 finger: site.finger,
             });
             extracted.push(ExtractedGate {
-                site,
+                site: *site,
                 slices: slices.clone(),
                 equivalent: *equivalent,
             });
@@ -818,7 +893,7 @@ pub(crate) fn extract_gates_in(
         }
         stats.extracted.extend(extracted);
         annotation.set_gate(
-            work.gate,
+            gate_id,
             GateAnnotation {
                 transistors: records,
             },
@@ -844,7 +919,26 @@ pub(crate) fn extract_gates_in(
     stats.quarantined = quarantined;
     stats.surrogate_fallbacks = novel.fallbacks;
     stats.surrogate_max_residual_nm = novel.max_residual_nm;
-    Ok(ExtractionOutcome { annotation, stats })
+    Ok((ExtractionOutcome { annotation, stats }, admitted))
+}
+
+/// What makes two gates one context in a run's dedup: the store entry
+/// holding their context, or, for a context the store lacks, its key.
+/// Equal keys are one entry or one novel key, so this is the dedup by key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Identity<'k> {
+    Entry(u32),
+    Key(&'k ContextKey),
+}
+
+/// One distinct context of a run.
+#[derive(Clone, Copy)]
+enum Context {
+    /// Held by the store at this entry since before the run.
+    Stored(u32),
+    /// Not in the store when the run began: this position of the run's
+    /// novel batch.
+    Novel(usize),
 }
 
 /// Where a distinct context's result came from this run.
@@ -900,13 +994,12 @@ pub(crate) fn run_novel_batch(
 
 /// Phase 1: gather one gate's targets, context, window, sites and local
 /// conditions, canonicalised to the window-local frame.
-fn build_gate_work(
+fn build_gate_key(
     design: &Design,
     config: &ExtractionConfig,
-    sites_by_gate: &HashMap<GateId, Vec<usize>>,
     gate_id: GateId,
     injected: Option<InjectedFault>,
-) -> Result<GateWork> {
+) -> Result<ContextKey> {
     let gate = design.netlist().gate(gate_id);
     let cell = design.library().cell(gate.kind, gate.drive);
     let inst = design.placement().instance(gate_id).ok_or_else(|| {
@@ -977,31 +1070,24 @@ fn build_gate_work(
         config.sim.conditions
     };
 
-    let site_indices = sites_by_gate.get(&gate_id).cloned().unwrap_or_default();
-    let sites: Vec<SiteKey> = site_indices
+    let sites: Vec<SiteKey> = design
+        .gate_sites(gate_id)
         .iter()
-        .map(|&i| {
-            let s = &design.transistor_sites()[i];
-            SiteKey {
-                channel: s.channel.translate(shift),
-                kind: s.kind,
-                width_bits: s.width_nm.to_bits(),
-                drawn_bits: s.drawn_l_nm.to_bits(),
-                finger: s.finger,
-            }
+        .map(|s| SiteKey {
+            channel: s.channel.translate(shift),
+            kind: s.kind,
+            width_bits: s.width_nm.to_bits(),
+            drawn_bits: s.drawn_l_nm.to_bits(),
+            finger: s.finger,
         })
         .collect();
-    Ok(GateWork {
-        gate: gate_id,
-        site_indices,
-        key: ContextKey {
-            targets: local_targets,
-            context: local_context,
-            window: window.translate(shift),
-            sites,
-            focus_bits: conditions.focus_nm.to_bits(),
-            dose_bits: conditions.dose.to_bits(),
-        },
+    Ok(ContextKey {
+        targets: local_targets,
+        context: local_context,
+        window: window.translate(shift),
+        sites,
+        focus_bits: conditions.focus_nm.to_bits(),
+        dose_bits: conditions.dose.to_bits(),
     })
 }
 
@@ -1370,7 +1456,7 @@ mod tests {
         let mut store = ContextStore::new();
         extract_gates_with_store(&d, &cfg, &tags, Some(&mut store)).expect("fill");
         let mut shortened = 0;
-        for outcome in store.entries.values_mut() {
+        for outcome in &mut store.outcomes {
             if let Some(per_site) = outcome.sites.as_mut().filter(|s| s.len() == 2) {
                 per_site.pop();
                 shortened += 1;
@@ -1389,6 +1475,61 @@ mod tests {
     }
 
     #[test]
+    fn a_context_key_stored_twice_does_not_decode() {
+        let d = chain_design(6);
+        let mut store = ContextStore::new();
+        extract_gates_with_store(
+            &d,
+            &fast_config(OpcMode::Rule),
+            &TagSet::all(&d),
+            Some(&mut store),
+        )
+        .expect("fill");
+        let mut bytes = Vec::new();
+        store.encode_into(&mut bytes);
+        // Append a copy of the first length-prefixed entry and count it.
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let (count, len) = (word(0), word(8) as usize);
+        let first = bytes[8..16 + len].to_vec();
+        bytes.extend_from_slice(&first);
+        bytes[..8].copy_from_slice(&(count + 1).to_le_bytes());
+        match decode_store(&bytes) {
+            Err(FlowError::Artifact(e)) => {
+                assert_eq!(e.kind, crate::error::ArtifactErrorKind::Corrupt);
+                assert!(e.detail.contains("twice"), "{e}");
+            }
+            other => panic!("a duplicated key must not decode: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncate_restores_the_store_as_it_was_at_that_length() {
+        let d = chain_design(8);
+        let cfg = fast_config(OpcMode::Rule);
+        let tags = |ids: &[u32]| {
+            let mut tags = TagSet::new();
+            for &i in ids {
+                tags.insert(GateId(i));
+            }
+            tags
+        };
+        let mut store = ContextStore::new();
+        extract_gates_with_store(&d, &cfg, &tags(&[0, 1, 2]), Some(&mut store)).expect("first");
+        let (len, mut before) = (store.len(), Vec::new());
+        store.encode_into(&mut before);
+        extract_gates_with_store(&d, &cfg, &tags(&[5, 6, 7]), Some(&mut store)).expect("second");
+        assert!(store.len() > len);
+        store.truncate(len);
+        let mut after = Vec::new();
+        store.encode_into(&mut after);
+        assert_eq!(after, before);
+        // The removed contexts are novel again.
+        let again =
+            extract_gates_with_store(&d, &cfg, &tags(&[5, 6, 7]), Some(&mut store)).expect("again");
+        assert!(again.stats.windows > 0);
+    }
+
+    #[test]
     fn across_chip_keys_carry_the_lattice_point_of_the_map_at_their_window_centre() {
         let d = chain_design(10);
         let mut cfg = fast_config(OpcMode::Rule);
@@ -1396,7 +1537,7 @@ mod tests {
         let base = cfg.sim.conditions;
         let mut distinct = std::collections::HashSet::new();
         for gate in TagSet::all(&d).sorted() {
-            let work = build_gate_work(&d, &cfg, &HashMap::new(), gate, None).expect("key");
+            let key = build_gate_key(&d, &cfg, gate, None).expect("key");
             // The gate's window in chip coordinates, as the engine builds it.
             let g = d.netlist().gate(gate);
             let inst = d.placement().instance(gate).expect("placed");
@@ -1410,8 +1551,8 @@ mod tests {
                 .expand(cfg.window_margin_nm)
                 .expect("window");
             let local = across_chip_conditions(d.die(), window.center(), base);
-            let focus = f64::from_bits(work.key.focus_bits);
-            let dose = f64::from_bits(work.key.dose_bits);
+            let focus = f64::from_bits(key.focus_bits);
+            let dose = f64::from_bits(key.dose_bits);
             for (value, map, quantum) in [
                 (focus, local.focus_nm, FOCUS_QUANTUM_NM),
                 (dose, local.dose, DOSE_QUANTUM),
@@ -1426,7 +1567,7 @@ mod tests {
                     "{value} is not the lattice point nearest the map's {map}"
                 );
             }
-            distinct.insert((work.key.focus_bits, work.key.dose_bits));
+            distinct.insert((key.focus_bits, key.dose_bits));
         }
         // The map moves the conditions across the die.
         assert!(distinct.len() > 1, "one condition for every gate");

@@ -16,7 +16,8 @@ use crate::compare::TimingComparison;
 use crate::durable::{ArtifactIo, ArtifactLock, IoFaultInjection, RetryPolicy};
 use crate::error::{ArtifactErrorKind, FlowError, Result};
 use crate::extract::{
-    extract_gates_with_store, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
+    extract_gates_in, Admitted, ContextStore, ExtractionConfig, ExtractionOutcome, ExtractionStats,
+    GateEntries,
 };
 use crate::multilayer::{extract_wires, WireExtractionStats};
 use crate::session::{BudgetedOutcome, SampleBudget, SessionQuery, TimingSession};
@@ -133,7 +134,13 @@ pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowReport> {
 
     // Steps 3-4: selective extraction and the optional wire step.
     let t0 = Instant::now();
-    let (outcome, wire_stats) = extract_step(design, config, &tags, None)?;
+    let (outcome, wire_stats, _) = extract_step(
+        design,
+        config,
+        &tags,
+        &mut ContextStore::new(),
+        &GateEntries::new(),
+    )?;
     let extraction_time = t0.elapsed();
 
     // Step 5: back-annotated timing and comparison.
@@ -167,10 +174,12 @@ pub(crate) fn select_tags(design: &Design, config: &FlowConfig, drawn: &TimingRe
     }
 }
 
-/// The flow's extraction steps: extracts the tagged gates (through a warm
-/// context store when given), then, when the config enables the
-/// multi-layer step, annotates the printed widths of every net a tagged
-/// gate drives or reads into the outcome's annotation.
+/// The flow's extraction steps: extracts the tagged gates through
+/// `store`, with `known` mapping gates to the entries holding their
+/// contexts, then, when the config enables the multi-layer step,
+/// annotates the printed widths of every net a tagged gate drives or
+/// reads into the outcome's annotation. Also returns the entries the
+/// map may admit ([`extract_gates_in`]).
 ///
 /// # Errors
 ///
@@ -179,11 +188,13 @@ pub(crate) fn extract_step(
     design: &Design,
     config: &FlowConfig,
     tags: &TagSet,
-    store: Option<&mut ContextStore>,
-) -> Result<(ExtractionOutcome, Option<WireExtractionStats>)> {
-    let mut outcome = extract_gates_with_store(design, &config.extraction, tags, store)?;
+    store: &mut ContextStore,
+    known: &GateEntries,
+) -> Result<(ExtractionOutcome, Option<WireExtractionStats>, Admitted)> {
+    let (mut outcome, admitted) =
+        extract_gates_in(design, &config.extraction, tags, store, known, None)?;
     if !config.wires {
-        return Ok((outcome, None));
+        return Ok((outcome, None, admitted));
     }
     let mut nets: Vec<NetId> = Vec::new();
     for gate in tags.sorted() {
@@ -194,7 +205,7 @@ pub(crate) fn extract_step(
     nets.sort_unstable();
     nets.dedup();
     let stats = extract_wires(design, &config.extraction, &nets, &mut outcome.annotation)?;
-    Ok((outcome, Some(stats)))
+    Ok((outcome, Some(stats), admitted))
 }
 
 /// Why a [`serve`] invocation came up cold instead of warm — the rung of

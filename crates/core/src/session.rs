@@ -15,14 +15,16 @@
 //!
 //! Incremental ECO re-analysis rides the same state: an edit that
 //! dirties K gates re-images only the litho contexts the warm
-//! [`ContextStore`] has not seen (`stats.windows` counts exactly those)
-//! and re-propagates only the affected fanout cone through the compiled
-//! CSR graph ([`CompiledSta::evaluate_eco`]) — bit-identical to a full
+//! [`ContextStore`] has not seen (`stats.windows` counts exactly those),
+//! keys only the gates new to the session (the session remembers the
+//! store entry of every gate it has keyed into the store) and
+//! re-propagates only the affected fanout cone through the compiled CSR
+//! graph ([`CompiledSta::evaluate_eco`]) — bit-identical to a full
 //! recompile, by construction and by test.
 
 use crate::artifact::{content_hash, WarmArtifact};
 use crate::error::{FlowError, Result};
-use crate::extract::{ContextStore, ExtractionStats};
+use crate::extract::{ContextStore, ExtractionStats, GateEntries};
 use crate::flow::{extract_step, select_tags, FlowConfig};
 use crate::guardband::{GuardbandAnalysis, GuardbandConfig};
 use crate::tags::TagSet;
@@ -236,9 +238,14 @@ fn same_answer(a: &MonteCarloConfig, b: &MonteCarloConfig) -> bool {
 /// ([`TimingSession::apply_eco`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EcoOutcome {
-    /// Extraction statistics of the incremental pass. `stats.windows`
-    /// is the number of freshly-imaged (dirtied) litho contexts;
-    /// `stats.store_hits` the contexts served from the warm store.
+    /// Extraction statistics of the incremental pass, equal to those of
+    /// [`extract_gates_with_store`](crate::extract_gates_with_store) on
+    /// the store the ECO started from, although the session keys only the
+    /// gates new to it: every count is over context identities, and a
+    /// gate the session already placed in the store counts as that
+    /// store entry. `stats.windows` is the number of freshly-imaged
+    /// (dirtied) litho contexts; `stats.store_hits` the contexts served
+    /// from the warm store.
     pub stats: ExtractionStats,
     /// Timing under the new baseline (bit-identical to a full re-run).
     pub report: TimingReport,
@@ -274,6 +281,9 @@ pub struct TimingSession<'m> {
     compiled: CompiledSta<'m>,
     scratch: StaScratch,
     store: ContextStore,
+    /// The store entry holding each gate's context, for every gate a
+    /// committed pass keyed cleanly into the store. Never persisted.
+    gate_entries: GateEntries,
     tags: TagSet,
     annotation: CdAnnotation,
     baseline: TimingReport,
@@ -317,7 +327,8 @@ impl<'m> TimingSession<'m> {
         let drawn = compiled.evaluate(&mut scratch, None)?;
         let tags = select_tags(design, config, &drawn);
         let mut store = ContextStore::new();
-        let (outcome, _) = extract_step(design, config, &tags, Some(&mut store))?;
+        let (outcome, _, admitted) =
+            extract_step(design, config, &tags, &mut store, &GateEntries::new())?;
         let annotation = outcome.annotation;
         let baseline = compiled.evaluate(&mut scratch, Some(&annotation))?;
         Ok(TimingSession {
@@ -325,6 +336,7 @@ impl<'m> TimingSession<'m> {
             compiled,
             scratch,
             store,
+            gate_entries: admitted.into_iter().collect(),
             tags,
             annotation,
             baseline,
@@ -393,6 +405,7 @@ impl<'m> TimingSession<'m> {
             compiled,
             scratch,
             store: artifact.context_store,
+            gate_entries: GateEntries::new(),
             tags,
             annotation,
             baseline,
@@ -582,26 +595,34 @@ impl<'m> TimingSession<'m> {
     /// `tags` and store alone, and bit-identical to extracting on that
     /// store and evaluating from scratch.
     ///
+    /// The work is proportional to the gates new to the session: the
+    /// session remembers which store entry holds each gate's context, for
+    /// every gate an earlier committed pass keyed cleanly into the store,
+    /// so only the other gates are keyed and looked up. A restored session
+    /// starts without that map, and its first ECO keys every tag.
+    ///
     /// # Errors
     ///
-    /// Propagates extraction and timing errors. A failed ECO **rolls the
-    /// session back** to the last good baseline: the context store is
-    /// journaled before the pass and restored on any error (a half-filled
-    /// store must not leak into later answers), and the warm scratch is
-    /// re-established from the unchanged baseline annotation on the next
-    /// query.
+    /// Propagates extraction and timing errors; a tag that names no gate
+    /// of the design is refused before any work. A failed ECO **rolls the
+    /// session back** to the last good baseline: the store is insert-only,
+    /// so the pass's new contexts are cut off at the length it had before
+    /// the pass (a half-filled store must not leak into later answers),
+    /// the gate map only takes the pass's entries once the whole ECO has
+    /// succeeded, and the warm scratch is re-established from the
+    /// unchanged baseline annotation on the next query.
     pub fn apply_eco(&mut self, tags: &TagSet) -> Result<EcoOutcome> {
         self.ensure_baseline()?;
         // Every answer in the memo is of the baseline this ECO moves.
         self.memo.entries.clear();
-        // Journal everything an aborted pass can half-mutate. The
-        // annotation, tags and baseline only advance after the commit
-        // point below, so they need no journal entry.
-        let journal_store = self.store.clone();
+        // The store only grows during a pass, so its length is the whole
+        // journal. The annotation, tags, baseline and gate map only
+        // advance after the commit point below.
+        let stored = self.store.len();
         match self.apply_eco_inner(tags) {
             Ok(outcome) => Ok(outcome),
             Err(e) => {
-                self.store = journal_store;
+                self.store.truncate(stored);
                 // The scratch may hold a half-applied evaluation; flag it
                 // so the next query re-establishes the (unchanged)
                 // baseline before incrementing.
@@ -612,11 +633,12 @@ impl<'m> TimingSession<'m> {
     }
 
     fn apply_eco_inner(&mut self, tags: &TagSet) -> Result<EcoOutcome> {
-        let (outcome, _) = extract_step(
+        let (outcome, _, admitted) = extract_step(
             self.compiled.model().design(),
             &self.config,
             tags,
-            Some(&mut self.store),
+            &mut self.store,
+            &self.gate_entries,
         )?;
         let next = outcome.annotation;
         // As in the what-if path: a failing `evaluate_eco` leaves
@@ -627,6 +649,7 @@ impl<'m> TimingSession<'m> {
             self.compiled
                 .evaluate_eco(&mut self.scratch, Some(&self.annotation), Some(&next))?;
         self.scratch_dirty = false;
+        self.gate_entries.extend(admitted);
         self.tags = tags.clone();
         self.annotation = next;
         self.baseline = report.clone();
@@ -641,26 +664,15 @@ impl<'m> TimingSession<'m> {
 /// finger) in order, are not the gate's transistor sites: timing would
 /// otherwise run on whatever records are left, without an error.
 fn check_transistor_records(design: &Design, annotation: &CdAnnotation) -> Result<()> {
-    let sites = design.transistor_sites();
-    // Each gate's first site and number of sites.
-    let mut spans = vec![(0, 0); design.netlist().gate_count()];
-    for (i, site) in sites.iter().enumerate().rev() {
-        if let Some((first, count)) = spans.get_mut(site.gate.0 as usize) {
-            (*first, *count) = (i, *count + 1);
-        }
-    }
     for (gate, records) in annotation.gates() {
-        let (first, count) = spans.get(gate.0 as usize).copied().unwrap_or((0, 0));
-        let own = sites[first..]
-            .iter()
-            .filter(|s| s.gate == *gate)
-            .take(count);
+        let own = design.gate_sites(*gate);
         let held = records.transistors.iter().map(|t| (t.kind, t.finger));
-        if !held.eq(own.map(|s| (s.kind, s.finger))) {
+        if !held.eq(own.iter().map(|s| (s.kind, s.finger))) {
             return Err(crate::codec::corrupt(&format!(
-                "gate {} carries {} transistor records that are not its {count} sites",
+                "gate {} carries {} transistor records that are not its {} sites",
                 gate.0,
-                records.transistors.len()
+                records.transistors.len(),
+                own.len()
             )));
         }
     }
@@ -1082,6 +1094,51 @@ mod tests {
         let noop = session.apply_eco(&all).expect("noop eco");
         assert_eq!(noop.stats.windows, 0);
         assert_eq!(noop.report, full.comparison.annotated);
+    }
+
+    #[test]
+    fn an_eco_naming_no_gate_of_the_design_is_refused_before_any_work() {
+        let d = design();
+        let gates = d.netlist().gate_count();
+        let mut tags = TagSet::all(&d);
+        tags.insert(postopc_layout::GateId(gates as u32 + 5));
+        let unknown = FlowError::Layout(postopc_layout::LayoutError::UnknownId {
+            kind: "gate",
+            index: gates + 5,
+        });
+        let quarantine = crate::FaultPolicy::Quarantine { max_fraction: 1.0 };
+        // Under `Fail` the engine indexed past the netlist and came back
+        // as a worker panic; under `Quarantine` the ECO committed the
+        // unknown gate, and with the wire step as well its net loop
+        // panicked out of `apply_eco`.
+        for (policy, wires) in [
+            (crate::FaultPolicy::Fail, false),
+            (quarantine, false),
+            (quarantine, true),
+        ] {
+            let mut cfg = fast_config(Selection::Critical { paths: 2 });
+            cfg.extraction.fault_policy = policy;
+            cfg.wires = wires;
+            let case = format!("{policy:?}, wires {wires}");
+            let extracted = crate::extract_gates(&d, &cfg.extraction, &tags);
+            assert_eq!(extracted, Err(unknown.clone()), "{case}");
+            let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+            let mut session = TimingSession::new(&model, &cfg).expect("session");
+            let before = session.artifact().to_bytes();
+            let baseline = session.baseline().clone();
+            let err = session
+                .apply_eco(&tags)
+                .expect_err("an unknown gate is refused");
+            assert_eq!(err, unknown, "{case}");
+            assert!(session.artifact().to_bytes() == before, "{case}");
+            assert_eq!(session.baseline(), &baseline, "{case}");
+            // The session answers the next ECO as a fresh one does.
+            let all = TagSet::all(&d);
+            let mut fresh = TimingSession::new(&model, &cfg).expect("fresh session");
+            let expected = fresh.apply_eco(&all).expect("fresh eco");
+            assert_eq!(session.apply_eco(&all).expect("eco"), expected, "{case}");
+            assert!(session.artifact().to_bytes() == fresh.artifact().to_bytes());
+        }
     }
 
     #[test]

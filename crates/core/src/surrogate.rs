@@ -60,8 +60,8 @@
 use crate::codec::{corrupt, fnv1a, put_f64, put_u64, seal, Reader};
 use crate::error::{FlowError, Result};
 use crate::extract::{
-    extract_gates_in, run_novel_batch, ContextKey, ExtractionConfig, SiteKey, UniqueOutcome,
-    UniqueResult,
+    extract_gates_in, run_novel_batch, ContextKey, ContextStore, ExtractionConfig, GateEntries,
+    SiteKey, UniqueOutcome, UniqueResult,
 };
 use crate::tags::TagSet;
 use postopc_device::{EquivalentGate, GateSlice};
@@ -480,7 +480,14 @@ impl SurrogateModel {
     ) -> Result<SurrogateModel> {
         config.validate()?;
         let mut model = config.surrogate.start_model()?;
-        extract_gates_in(design, config, tags, None, Some(&mut model))?;
+        extract_gates_in(
+            design,
+            config,
+            tags,
+            &mut ContextStore::new(),
+            &GateEntries::new(),
+            Some(&mut model),
+        )?;
         if !model.is_fitted() {
             model.refit()?;
         }

@@ -12,7 +12,7 @@
 use postopc::durable::{lock_path, process_alive, tmp_path};
 use postopc::{
     extract_gates_with_store, serve_with, ArtifactErrorKind, ArtifactIo, ArtifactLock,
-    BudgetedOutcome, ColdReason, ContextStore, FaultInjection, FlowConfig, FlowError,
+    BudgetedOutcome, ColdReason, ContextStore, EcoOutcome, FaultInjection, FlowConfig, FlowError,
     InjectedFault, IoFaultInjection, OpcMode, PersistStatus, RetryPolicy, SampleBudget, Selection,
     ServeOptions, SessionQuery, TagSet, TimingSession, WarmArtifact, ARTIFACT_VERSION,
 };
@@ -579,5 +579,51 @@ fn failed_eco_rolls_the_session_back_to_its_baseline() {
         assert_eq!(*session.tags(), baseline_tags);
         let after = session.run(&query).expect("post-rollback query");
         assert_eq!(before, after);
+
+        // The next ECO, over every gate the schedule spares, is the extract
+        // step on a copy of the rolled-back store plus `evaluate_eco`. It
+        // keys again the gates whose contexts the failed pass stored, which
+        // the session must not have mapped to entries the rollback removed.
+        let mut spared = TagSet::new();
+        for gate in all_gates.sorted() {
+            if injection.fault_for(gate).is_none() {
+                spared.insert(gate);
+            }
+        }
+        let mut store = session.store().clone();
+        let next = extract_gates_with_store(&design, &cfg.extraction, &spared, Some(&mut store))
+            .expect("the spared gates extract");
+        let compiled = model.compile().expect("compile");
+        let mut scratch = compiled.scratch();
+        compiled
+            .evaluate(&mut scratch, Some(session.annotation()))
+            .expect("baseline");
+        let report = compiled
+            .evaluate_eco(
+                &mut scratch,
+                Some(session.annotation()),
+                Some(&next.annotation),
+            )
+            .expect("evaluate_eco");
+        let eco = session.apply_eco(&spared).expect("the next ECO succeeds");
+        assert!(eco.stats.windows > 0, "{kind:?}: the next ECO images");
+        assert_eq!(
+            eco,
+            EcoOutcome {
+                stats: next.stats,
+                report
+            },
+            "{kind:?}"
+        );
+        let expected = WarmArtifact {
+            content_hash: session.artifact().content_hash,
+            annotation: next.annotation,
+            tags: spared,
+            context_store: store,
+        };
+        assert!(
+            session.artifact().to_bytes() == expected.to_bytes(),
+            "{kind:?}: the next ECO's warm state is not the extract step's"
+        );
     }
 }

@@ -4,7 +4,7 @@
 use crate::error::Result;
 use crate::layer::Layer;
 use crate::library::CellLibrary;
-use crate::netlist::Netlist;
+use crate::netlist::{GateId, Netlist};
 use crate::place::{Placement, PlacementOptions};
 use crate::route::Routing;
 use crate::tech::TechRules;
@@ -31,6 +31,8 @@ pub struct Design {
     placement: Placement,
     routing: Routing,
     sites: Vec<TransistorSite>,
+    /// Each gate's sites as a `start..end` range of `sites`, by gate id.
+    gate_sites: Vec<(u32, u32)>,
     // Flattened chip-coordinate shapes per layer, with a spatial index over
     // shape bounding boxes for windowed queries.
     shapes: HashMap<Layer, Vec<Polygon>>,
@@ -62,6 +64,15 @@ impl Design {
         let placement = Placement::place_with(&netlist, &library, options)?;
         let routing = Routing::route(&netlist, &placement, &library)?;
         let sites = transistor_sites(&netlist, &placement, &library);
+        // Sites come one instance at a time, so each gate's are one run.
+        let mut gate_sites = vec![(0, 0); netlist.gate_count()];
+        for (i, site) in sites.iter().enumerate() {
+            let span = &mut gate_sites[site.gate.0 as usize];
+            if span.0 == span.1 {
+                *span = (i as u32, i as u32);
+            }
+            span.1 += 1;
+        }
 
         let mut shapes: HashMap<Layer, Vec<Polygon>> = HashMap::new();
         for inst in placement.instances() {
@@ -96,6 +107,7 @@ impl Design {
             placement,
             routing,
             sites,
+            gate_sites,
             shapes,
             indexes,
         })
@@ -129,6 +141,15 @@ impl Design {
     /// Every transistor channel in chip coordinates.
     pub fn transistor_sites(&self) -> &[TransistorSite] {
         &self.sites
+    }
+
+    /// The transistor channels of one gate, in cell transistor order
+    /// (empty for an id the netlist does not have).
+    pub fn gate_sites(&self, gate: GateId) -> &[TransistorSite] {
+        match self.gate_sites.get(gate.0 as usize) {
+            Some(&(start, end)) => &self.sites[start as usize..end as usize],
+            None => &[],
+        }
     }
 
     /// All flattened shapes on a layer (empty slice for unused layers).
@@ -171,6 +192,23 @@ mod tests {
         assert!(!d.shapes_on(Layer::Active).is_empty());
         assert!(!d.shapes_on(Layer::Metal1).is_empty());
         assert_eq!(d.shapes_on(Layer::Poly).len(), d.netlist().gate_count() * 2);
+    }
+
+    #[test]
+    fn gate_sites_are_each_gates_own_sites_in_order() {
+        let d = design();
+        for g in 0..d.netlist().gate_count() as u32 {
+            let gate = GateId(g);
+            let scanned: Vec<&TransistorSite> = d
+                .transistor_sites()
+                .iter()
+                .filter(|s| s.gate == gate)
+                .collect();
+            assert!(!scanned.is_empty());
+            assert!(d.gate_sites(gate).iter().eq(scanned));
+        }
+        let past = GateId(d.netlist().gate_count() as u32);
+        assert!(d.gate_sites(past).is_empty());
     }
 
     #[test]

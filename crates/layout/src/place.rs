@@ -49,6 +49,8 @@ pub struct PlacedGate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     instances: Vec<PlacedGate>,
+    /// Index into `instances` of each gate's instance, by gate id.
+    position: Vec<u32>,
     die: Rect,
     rows: usize,
 }
@@ -126,8 +128,13 @@ impl Placement {
             max_x = max_x.max(x);
         }
         let die = Rect::new(0, 0, max_x, (row as Coord + 1) * tech.cell_height)?;
+        let mut position = vec![u32::MAX; netlist.gate_count()];
+        for (i, inst) in instances.iter().enumerate() {
+            position[inst.gate.0 as usize] = i as u32;
+        }
         Ok(Placement {
             instances,
+            position,
             die,
             rows: row + 1,
         })
@@ -138,9 +145,11 @@ impl Placement {
         &self.instances
     }
 
-    /// The placed instance for a netlist gate.
+    /// The placed instance for a netlist gate (`None` for an id the
+    /// netlist does not have).
     pub fn instance(&self, gate: GateId) -> Option<&PlacedGate> {
-        self.instances.iter().find(|p| p.gate == gate)
+        let position = *self.position.get(gate.0 as usize)?;
+        self.instances.get(position as usize)
     }
 
     /// The die bounding box.
@@ -181,6 +190,12 @@ mod tests {
             seen[inst.gate.0 as usize] = true;
         }
         assert!(seen.into_iter().all(|s| s));
+        // The by-id lookup finds each gate's own instance; an id past the
+        // last gate has none.
+        for inst in p.instances() {
+            assert_eq!(p.instance(inst.gate), Some(inst));
+        }
+        assert_eq!(p.instance(GateId(nl.gate_count() as u32)), None);
     }
 
     #[test]

@@ -45,6 +45,9 @@
 #              set by config field. Among them: the durable serving
 #              layer's fault schedules (crates/core/tests/durable.rs), the
 #              fault-quarantine suite (crates/core/tests/quarantine.rs),
+#              the seeded random ECO sequences held to the extract step
+#              after every step (crates/core/tests/eco_sequences.rs,
+#              random_eco_sequences_*),
 #              the Monte Carlo engine-vs-oracle suite
 #              (crates/sta/tests/batched_parity.rs) and the learned CD
 #              surrogate with its model-file round trip
@@ -78,7 +81,11 @@
 #              of the crates' public API outside this workspace, so an
 #              API change that breaks the benchmark fails here. Both run
 #              with --locked, so a dependency change that would rewrite
-#              perfbench/Cargo.lock fails too
+#              perfbench/Cargo.lock fails too. Then a short traced
+#              eco-stream run (seed 11, 2 s): its traced ECOs replay
+#              through extract_gates_with_store and each session ECO must
+#              equal the replay bit for bit, so the stage fails unless the
+#              last line reads "correct": true and "failed": 0
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -293,6 +300,13 @@ stage paper paper_stage
 perfbench_stage() {
   cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
   cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
+  local last
+  last="$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
+    --workload eco-stream --seed 11 --seconds 2 --trace 1 | tail -n 1)"
+  if ! grep -q '"correct": true' <<<"$last" || ! grep -Eq '"failed": 0[,} ]' <<<"$last"; then
+    echo "check.sh: eco-stream lock-step run failed: ${last:0:200}" >&2
+    return 1
+  fi
 }
 stage perfbench perfbench_stage
 
