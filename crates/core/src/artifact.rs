@@ -47,6 +47,7 @@ use crate::tags::TagSet;
 use postopc_layout::{Design, GateId, NetId};
 use postopc_sta::{CdAnnotation, GateAnnotation, NetAnnotation, TransistorCd};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Magic bytes identifying a warm-timing artifact.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"POCWARM1";
@@ -104,8 +105,9 @@ pub struct WarmArtifact {
     /// The tagged gates the annotation covers (after an ECO, the ECO's
     /// tag set rather than the config's selection).
     pub tags: TagSet,
-    /// Retained distinct litho contexts for incremental re-extraction.
-    pub context_store: ContextStore,
+    /// Retained distinct litho contexts for incremental re-extraction,
+    /// shared with the session it was snapshot from.
+    pub context_store: Arc<ContextStore>,
 }
 
 impl WarmArtifact {
@@ -136,7 +138,7 @@ impl WarmArtifact {
         let content_hash = r.u64()?;
         let annotation = decode_annotation(&mut r)?;
         let tags = decode_tags(&mut r)?;
-        let context_store = ContextStore::decode_from(&mut r)?;
+        let context_store = Arc::new(ContextStore::decode_from(&mut r)?);
         r.finish()?;
         Ok(WarmArtifact {
             content_hash,
@@ -336,7 +338,7 @@ mod tests {
             content_hash: content_hash(&d, &cfg),
             annotation: out.annotation,
             tags,
-            context_store: store,
+            context_store: Arc::new(store),
         }
     }
 

@@ -1220,6 +1220,32 @@ mod tests {
     }
 
     #[test]
+    fn extraction_refuses_a_model_opc_config_correction_cannot_run_with() {
+        // A negative move cap used to panic in the clamp inside a worker,
+        // and a non-finite gain to overflow or to correct nothing; under
+        // the default `FaultPolicy::Fail` each is a typed OPC error.
+        use postopc_opc::OpcError;
+        let d = chain_design(3);
+        let tags = TagSet::all(&d);
+        let mut capped = fast_config(OpcMode::Model);
+        capped.model_opc.max_move = -5;
+        let mut configs = vec![(capped, OpcError::InvalidMaxMove { value: -5 })];
+        for gain in [f64::INFINITY, f64::NAN] {
+            let mut cfg = fast_config(OpcMode::Model);
+            cfg.model_opc.gain = gain;
+            configs.push((cfg, OpcError::InvalidGain { value: gain }));
+        }
+        for (cfg, expected) in configs {
+            assert_eq!(cfg.fault_policy, FaultPolicy::Fail);
+            let err = extract_gates(&d, &cfg, &tags).expect_err("refused");
+            let FlowError::Opc(got) = &err else {
+                panic!("{err} is not an OPC error");
+            };
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+        }
+    }
+
+    #[test]
     fn with_conditions_moves_only_the_imaging_conditions() {
         let base = ExtractionConfig::standard();
         let conditions = ProcessConditions {

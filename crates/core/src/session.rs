@@ -33,6 +33,7 @@ use postopc_sta::{
     analyze_corners_with, statistical, CdAnnotation, CompiledSta, Corner, MonteCarloConfig,
     MonteCarloResult, Sampling, StaScratch, TimingModel, TimingReport,
 };
+use std::sync::Arc;
 
 /// One request against a warm session.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,7 +281,9 @@ pub struct TimingSession<'m> {
     config: FlowConfig,
     compiled: CompiledSta<'m>,
     scratch: StaScratch,
-    store: ContextStore,
+    /// Shared with the artifacts [`Self::artifact`] snapshots: a pass
+    /// that changes it copies it first only while one of them is alive.
+    store: Arc<ContextStore>,
     /// The store entry holding each gate's context, for every gate a
     /// committed pass keyed cleanly into the store. Never persisted.
     gate_entries: GateEntries,
@@ -335,7 +338,7 @@ impl<'m> TimingSession<'m> {
             config: config.clone(),
             compiled,
             scratch,
-            store,
+            store: Arc::new(store),
             gate_entries: admitted.into_iter().collect(),
             tags,
             annotation,
@@ -417,13 +420,14 @@ impl<'m> TimingSession<'m> {
 
     /// Snapshots the session's warm state into a [`WarmArtifact`] for
     /// persistence; [`Self::restore`] of the result reproduces this
-    /// session's answers bit-identically.
+    /// session's answers bit-identically. The artifact shares the
+    /// session's context store rather than copying it.
     pub fn artifact(&self) -> WarmArtifact {
         WarmArtifact {
             content_hash: self.content_hash,
             annotation: self.annotation.clone(),
             tags: self.tags.clone(),
-            context_store: self.store.clone(),
+            context_store: Arc::clone(&self.store),
         }
     }
 
@@ -622,7 +626,9 @@ impl<'m> TimingSession<'m> {
         match self.apply_eco_inner(tags) {
             Ok(outcome) => Ok(outcome),
             Err(e) => {
-                self.store.truncate(stored);
+                if self.store.len() > stored {
+                    Arc::make_mut(&mut self.store).truncate(stored);
+                }
                 // The scratch may hold a half-applied evaluation; flag it
                 // so the next query re-establishes the (unchanged)
                 // baseline before incrementing.
@@ -637,7 +643,7 @@ impl<'m> TimingSession<'m> {
             self.compiled.model().design(),
             &self.config,
             tags,
-            &mut self.store,
+            Arc::make_mut(&mut self.store),
             &self.gate_entries,
         )?;
         let next = outcome.annotation;
@@ -1094,6 +1100,28 @@ mod tests {
         let noop = session.apply_eco(&all).expect("noop eco");
         assert_eq!(noop.stats.windows, 0);
         assert_eq!(noop.report, full.comparison.annotated);
+    }
+
+    #[test]
+    fn an_artifact_shares_the_store_and_keeps_its_snapshot_across_ecos() {
+        let d = design();
+        let cfg = fast_config(Selection::Critical { paths: 2 });
+        let model = TimingModel::new(&d, cfg.process.clone(), cfg.clock_ps).expect("model");
+        let mut session = TimingSession::new(&model, &cfg).expect("session");
+        let before = session.artifact();
+        assert!(std::ptr::eq(&*before.context_store, session.store()));
+        let bytes = before.to_bytes();
+        // An ECO while the snapshot is alive copies the store first; the
+        // snapshot still holds the state it was taken at.
+        let eco = session.apply_eco(&TagSet::all(&d)).expect("eco");
+        assert!(eco.stats.windows > 0);
+        assert!(session.store().len() > before.context_store.len());
+        assert!(before.to_bytes() == bytes);
+        // With no snapshot alive the session's store is its own again.
+        drop(before);
+        let after = session.artifact();
+        assert!(std::ptr::eq(&*after.context_store, session.store()));
+        assert_eq!(after.context_store.len(), session.store().len());
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn tiny_artifact() -> WarmArtifact {
         content_hash: 0x0123_4567_89ab_cdef,
         annotation,
         tags,
-        context_store: ContextStore::new(),
+        context_store: ContextStore::new().into(),
     }
 }
 
@@ -619,7 +619,7 @@ fn failed_eco_rolls_the_session_back_to_its_baseline() {
             content_hash: session.artifact().content_hash,
             annotation: next.annotation,
             tags: spared,
-            context_store: store,
+            context_store: store.into(),
         };
         assert!(
             session.artifact().to_bytes() == expected.to_bytes(),

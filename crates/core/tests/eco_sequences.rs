@@ -288,7 +288,7 @@ impl Reference<'_> {
                     content_hash: self.content_hash,
                     annotation: next.annotation,
                     tags: tags.clone(),
-                    context_store: store,
+                    context_store: store.into(),
                 };
                 assert!(
                     session.artifact().to_bytes() == artifact.to_bytes(),

@@ -18,8 +18,9 @@
 //!   separable convolution and bilinear sampling (mask transmission and
 //!   aerial-image fields);
 //! - [`RowClasses`] / [`RowField`]: the same coverage held one row per
-//!   run of identical rows, and one kernel's row pass over it, for an
-//!   image whose column pass runs on demand;
+//!   run of identical rows, and one kernel's row pass over it (one pass
+//!   per distinct row, reusing the passes of the rasterization before),
+//!   for an image whose column pass runs on demand;
 //! - [`GridIndex`]: a uniform-bucket spatial index for full-chip queries;
 //! - [`Transform`] / [`Orient`]: the eight Manhattan placement orientations.
 //!
@@ -53,6 +54,6 @@ pub use error::{GeomError, Result};
 pub use index::GridIndex;
 pub use point::{Coord, Point, Vector};
 pub use polygon::Polygon;
-pub use raster::{Grid, Lattice, PixelRect, RowClasses, RowField};
+pub use raster::{Grid, Lattice, PixelRect, RowClasses, RowField, RowPasses};
 pub use rect::Rect;
 pub use transform::{Orient, Transform};

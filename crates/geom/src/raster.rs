@@ -11,6 +11,7 @@ use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::rect::Rect;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The pixel lattice of a [`Grid`]: where pixel `(0, 0)` sits, the pixel
 /// pitch and the pixel counts.
@@ -354,20 +355,36 @@ impl Grid {
     /// pixel the taps accumulate from zero in ascending order with
     /// out-of-grid taps skipped, as in [`Grid::convolve_separable`]; the
     /// imaging engine builds the same field from [`RowClasses`], one row
-    /// pass per run of identical rows.
+    /// pass per distinct class row.
     ///
     /// # Panics
     ///
     /// Panics if `kernel` has even length or `out` is empty or reaches
     /// past the grid.
     pub fn row_field(&self, kernel: &[f64], out: PixelRect) -> RowField {
+        let (width, reach) = field_shape(kernel, out, &self.lattice);
         let nx = self.nx();
-        let rows = self
-            .data
-            .chunks_exact(nx)
-            .enumerate()
-            .map(|(iy, row)| (iy..iy + 1, row));
-        RowField::from_runs(kernel, out, &self.lattice, rows)
+        let mut rows = vec![0.0; reach.len() * width];
+        for (iy, dst) in reach.clone().zip(rows.chunks_exact_mut(width)) {
+            convolve_row(
+                &self.data[iy * nx..(iy + 1) * nx],
+                kernel,
+                out.x0..out.x1,
+                dst,
+            );
+        }
+        RowField {
+            kernel: kernel.to_vec(),
+            out,
+            first: reach.start,
+            index: (0..reach.len()).collect(),
+            rows,
+            source: 0,
+            passes: RowPasses {
+                requested: reach.len() as u64,
+                computed: reach.len() as u64,
+            },
+        }
     }
 
     /// Returns a grid with identical shape whose pixels are
@@ -428,15 +445,28 @@ pub struct PixelRect {
 /// Every row is bit for bit the row `add_rect` gives the same rectangles
 /// on a zeroed [`Grid`] over the same lattice.
 ///
+/// Each run's row is hashed once, so [`RowClasses::row_field`] finds the
+/// runs, of this rasterization or the one before it, that hold the same
+/// bits; a full bit compare then decides.
+///
 /// The buffers are kept across calls, so a loop that rasterizes many
 /// windows allocates only when a window needs more than any before it.
 #[derive(Debug)]
 pub struct RowClasses {
     lattice: Lattice,
+    /// Unique to the last rasterization (0 before the first): the
+    /// [`RowField::source`] of the fields built over it.
+    stamp: u64,
     /// The lattice rows of each run, ascending and covering `0..ny`.
     runs: Vec<Range<usize>>,
     /// One `nx`-wide coverage row per run, row-major.
     rows: Vec<f64>,
+    /// The hash of each run's row.
+    hashes: Vec<u64>,
+    /// `(hash, run)` for every run, ascending.
+    by_hash: Vec<(u64, usize)>,
+    /// Each run's nearest earlier run with a bit-identical row.
+    twins: Vec<Option<usize>>,
     /// Largest coverage of any pixel (coverage is never negative).
     max: f64,
     /// Scratch: the rectangles in pixel space with the rows they touch,
@@ -444,6 +474,10 @@ pub struct RowClasses {
     spans: Vec<(PixelSpan, Range<usize>)>,
     cuts: Vec<usize>,
 }
+
+/// The source of stamps for [`RowClasses::rasterize`]: every
+/// rasterization takes the next one, so no two share a stamp.
+static RASTERIZATIONS: AtomicU64 = AtomicU64::new(1);
 
 impl Default for RowClasses {
     fn default() -> RowClasses {
@@ -454,8 +488,12 @@ impl Default for RowClasses {
                 nx: 0,
                 ny: 0,
             },
+            stamp: 0,
             runs: Vec::new(),
             rows: Vec::new(),
+            hashes: Vec::new(),
+            by_hash: Vec::new(),
+            twins: Vec::new(),
             max: 0.0,
             spans: Vec::new(),
             cuts: Vec::new(),
@@ -529,7 +567,32 @@ impl RowClasses {
                 }
             }
         }
+        self.stamp = RASTERIZATIONS.fetch_add(1, Ordering::Relaxed);
+        self.hashes.clear();
+        self.hashes.extend(self.rows.chunks_exact(nx).map(row_hash));
+        self.find_twins();
         Ok(())
+    }
+
+    /// Sorts the runs by hash and links each run to its nearest earlier
+    /// run with a bit-identical row, comparing bits within each group of
+    /// equal hashes.
+    fn find_twins(&mut self) {
+        self.by_hash.clear();
+        self.by_hash.extend(self.hashes.iter().copied().zip(0..));
+        self.by_hash.sort_unstable();
+        self.twins.clear();
+        self.twins.resize(self.runs.len(), None);
+        for group in self.by_hash.chunk_by(|a, b| a.0 == b.0) {
+            for (i, &(_, run)) in group.iter().enumerate() {
+                let row = self.class_row(run);
+                self.twins[run] = group[..i]
+                    .iter()
+                    .rev()
+                    .map(|&(_, earlier)| earlier)
+                    .find(|&earlier| bits_eq(self.class_row(earlier), row));
+            }
+        }
     }
 
     /// The lattice of the last rasterization.
@@ -543,9 +606,14 @@ impl RowClasses {
     ///
     /// Panics if `iy` is not a row of the lattice.
     pub fn row(&self, iy: usize) -> &[f64] {
-        let nx = self.lattice.nx;
         let run = self.runs.partition_point(|run| run.end <= iy);
         assert!(run < self.runs.len(), "row {iy} outside the lattice");
+        self.class_row(run)
+    }
+
+    /// The row of run `run`.
+    fn class_row(&self, run: usize) -> &[f64] {
+        let nx = self.lattice.nx;
         &self.rows[run * nx..(run + 1) * nx]
     }
 
@@ -555,19 +623,76 @@ impl RowClasses {
     }
 
     /// [`Grid::row_field`] of the rasterized coverage, with one row pass
-    /// per run that the column taps of `out` reach.
+    /// per distinct class row that the column taps of `out` reach.
+    ///
+    /// A run whose row holds the bits of an earlier run's row points at
+    /// that run's pass. A row whose pass one of the `earlier` fields holds
+    /// — a field built over `previous`, the rasterization before this one,
+    /// with the same taps (bit for bit) and output columns — gets a copy
+    /// of that pass; a pass is a function of those three, so the copy is
+    /// the pass this row would compute. Only the remaining rows are
+    /// convolved ([`RowField::passes`] counts them). Fields built over
+    /// other rasterizations are ignored, and the first field that matches
+    /// is the one used. The field's layout does not depend on `earlier`,
+    /// so it equals the field built without one.
     ///
     /// # Panics
     ///
     /// Panics if `kernel` has even length or `out` is empty or reaches
     /// past the lattice.
-    pub fn row_field(&self, kernel: &[f64], out: PixelRect) -> RowField {
-        let rows = self
-            .runs
-            .iter()
-            .cloned()
-            .zip(self.rows.chunks_exact(self.lattice.nx));
-        RowField::from_runs(kernel, out, &self.lattice, rows)
+    pub fn row_field<'a>(
+        &self,
+        kernel: &[f64],
+        out: PixelRect,
+        previous: &RowClasses,
+        earlier: impl IntoIterator<Item = &'a RowField>,
+    ) -> RowField {
+        let (width, reach) = field_shape(kernel, out, &self.lattice);
+        let earlier = earlier.into_iter().find(|field| {
+            field.source == previous.stamp
+                && (field.out.x0, field.out.x1) == (out.x0, out.x1)
+                && bits_eq(&field.kernel, kernel)
+        });
+        let mut index: Vec<usize> = Vec::with_capacity(reach.len());
+        let mut rows: Vec<f64> = Vec::new();
+        let mut passes = RowPasses::default();
+        for (r, run) in self.runs.iter().enumerate() {
+            let held = run.start.max(reach.start)..run.end.min(reach.end);
+            if held.is_empty() {
+                continue;
+            }
+            passes.requested += 1;
+            let twin = self.twins[r].filter(|&t| self.runs[t].end > reach.start);
+            let pass = match twin {
+                Some(t) => index[self.runs[t].start.max(reach.start) - reach.start],
+                None => {
+                    let row = self.class_row(r);
+                    let start = rows.len();
+                    let held_earlier =
+                        earlier.and_then(|field| field.pass_of(previous, self.hashes[r], row));
+                    match held_earlier {
+                        Some(pass) => rows.extend_from_slice(pass),
+                        None => {
+                            rows.resize(start + width, 0.0);
+                            convolve_row(row, kernel, out.x0..out.x1, &mut rows[start..]);
+                            passes.computed += 1;
+                        }
+                    }
+                    start / width
+                }
+            };
+            index.extend(std::iter::repeat_n(pass, held.len()));
+        }
+        debug_assert_eq!(index.len(), reach.len(), "runs cover every row");
+        RowField {
+            kernel: kernel.to_vec(),
+            out,
+            first: reach.start,
+            index,
+            rows,
+            source: self.stamp,
+            passes,
+        }
     }
 }
 
@@ -619,9 +744,10 @@ impl PixelSpan {
 /// One kernel's row pass of a separable convolution over an output
 /// rectangle, built by [`Grid::row_field`] or [`RowClasses::row_field`]:
 /// the input of a column pass evaluated on demand
-/// ([`RowField::column_cell`]). Each run of identical rows holds one
-/// row-pass result.
-#[derive(Debug, Clone, PartialEq)]
+/// ([`RowField::column_cell`]). Rows with the same bits share one
+/// row-pass result; a field built by [`RowClasses::row_field`] may hold
+/// results copied from the fields of the rasterization before it.
+#[derive(Debug, Clone)]
 pub struct RowField {
     kernel: Vec<f64>,
     out: PixelRect,
@@ -631,56 +757,69 @@ pub struct RowField {
     index: Vec<usize>,
     /// The distinct row-pass rows, `out`-wide, row-major.
     rows: Vec<f64>,
+    /// The stamp of the [`RowClasses`] rasterization the field was built
+    /// over (0 for a [`Grid`]'s): a later field reuses its passes only
+    /// against that rasterization's rows.
+    source: u64,
+    passes: RowPasses,
+}
+
+impl PartialEq for RowField {
+    /// Two fields are equal when they hold the same passes in the same
+    /// layout; where the passes came from does not matter.
+    fn eq(&self, other: &RowField) -> bool {
+        (&self.kernel, self.out, self.first, &self.index, &self.rows)
+            == (
+                &other.kernel,
+                other.out,
+                other.first,
+                &other.index,
+                &other.rows,
+            )
+    }
+}
+
+/// The row passes of [`RowField`]s: how many they asked for (one per run
+/// of identical rows their column taps reach) and how many of those they
+/// convolved rather than took from another row's pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowPasses {
+    /// Row passes asked for.
+    pub requested: u64,
+    /// Row passes convolved.
+    pub computed: u64,
 }
 
 impl RowField {
-    /// The row pass over `out` of a lattice given as runs of identical
-    /// rows (ascending, covering every lattice row, each with its
-    /// `nx`-wide source row): one pass per run the column taps of `out`
-    /// reach.
-    fn from_runs<'a>(
-        kernel: &[f64],
-        out: PixelRect,
-        lattice: &Lattice,
-        runs: impl Iterator<Item = (Range<usize>, &'a [f64])>,
-    ) -> RowField {
-        assert!(
-            kernel.len() % 2 == 1,
-            "separable kernel must have odd length"
-        );
-        let (nx, ny) = (lattice.nx, lattice.ny);
-        assert!(
-            out.x0 < out.x1 && out.x1 <= nx && out.y0 < out.y1 && out.y1 <= ny,
-            "output rectangle {out:?} not a non-empty part of the {nx}x{ny} grid"
-        );
-        let half = kernel.len() / 2;
-        let width = out.x1 - out.x0;
-        let reach = out.y0.saturating_sub(half)..(out.y1 + half).min(ny);
-        let mut index = Vec::with_capacity(reach.len());
-        let mut distinct: Vec<f64> = Vec::new();
-        for (run, src_row) in runs {
-            let held = run.start.max(reach.start)..run.end.min(reach.end);
-            if held.is_empty() {
-                continue;
-            }
-            let start = distinct.len();
-            distinct.resize(start + width, 0.0);
-            convolve_row(src_row, kernel, out.x0..out.x1, &mut distinct[start..]);
-            index.extend(std::iter::repeat_n(start / width, held.len()));
-        }
-        assert_eq!(index.len(), reach.len(), "runs must cover every row");
-        RowField {
-            kernel: kernel.to_vec(),
-            out,
-            first: reach.start,
-            index,
-            rows: distinct,
-        }
-    }
-
     /// The kernel taps of the pass.
     pub fn kernel(&self) -> &[f64] {
         &self.kernel
+    }
+
+    /// How many row passes building the field asked for and computed.
+    pub fn passes(&self) -> RowPasses {
+        self.passes
+    }
+
+    /// The pass this field holds for a run of `previous` (the
+    /// rasterization it was built over) whose row has `row`'s bits, if
+    /// it holds one; `hash` is the row's hash.
+    fn pass_of(&self, previous: &RowClasses, hash: u64, row: &[f64]) -> Option<&[f64]> {
+        let width = self.out.x1 - self.out.x0;
+        let end = self.first + self.index.len();
+        let at = previous.by_hash.partition_point(|&(h, _)| h < hash);
+        previous.by_hash[at..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .filter(|&&(_, run)| bits_eq(previous.class_row(run), row))
+            .find_map(|&(_, run)| {
+                let rows = &previous.runs[run];
+                let start = rows.start.max(self.first);
+                (start < rows.end.min(end)).then(|| {
+                    let pass = self.index[start - self.first] * width;
+                    &self.rows[pass..pass + width]
+                })
+            })
     }
 
     /// The column pass at the corners of a cell: columns `xs` of rows
@@ -688,8 +827,14 @@ impl RowField {
     /// coincide. Per pixel, the kernel taps times the row-pass values of
     /// the rows they reach accumulate from zero in ascending tap order,
     /// with taps reaching rows outside the grid skipped — bit for bit the
-    /// column loop of [`Grid::convolve_separable`]. A row's two sums run
-    /// in one tap loop.
+    /// column loop of [`Grid::convolve_separable`].
+    ///
+    /// Both rows run in one loop over the held rows their taps reach, in
+    /// ascending order: the rows only the lower one reaches, the rows
+    /// both reach, then the rows only the upper one reaches. Each row's
+    /// sums still add its taps in ascending order from zero, so the loop
+    /// is the per-row loop with each held row's pass read once. A cell
+    /// whose two rows are one row runs the loop for that row alone.
     ///
     /// # Panics
     ///
@@ -701,25 +846,90 @@ impl RowField {
                 && ys.iter().all(|y| (out.y0..out.y1).contains(y)),
             "cell {xs:?} x {ys:?} outside the output rectangle {out:?}"
         );
-        let width = out.x1 - out.x0;
-        let [c0, c1] = xs.map(|x| x - out.x0);
+        let cols = xs.map(|x| x - out.x0);
         let half = self.kernel.len() / 2;
-        ys.map(|iy| {
-            // Tap `k` reaches held row `iy + k - half - first`. The held rows
-            // are exactly the in-grid rows the taps of `out` reach, so the
-            // taps that are not skipped are one run, `k0..k1`.
-            let k0 = (half + self.first).saturating_sub(iy);
-            let k1 = (self.first + self.index.len() + half - iy).min(self.kernel.len());
-            let held = &self.index[iy + k0 - half - self.first..];
-            let mut acc = [0.0; 2];
-            for (&w, &distinct) in self.kernel[k0..k1].iter().zip(held) {
-                let row = distinct * width;
-                acc[0] += w * self.rows[row + c0];
-                acc[1] += w * self.rows[row + c1];
-            }
-            acc
-        })
+        let end = self.first + self.index.len();
+        // Row `y`'s taps reach rows `y - half ..= y + half`; the held rows
+        // are exactly the in-grid rows the taps of `out` reach, so the
+        // taps that are not skipped reach `reach(y)`.
+        let reach = |y: usize| y.saturating_sub(half).max(self.first)..(y + half + 1).min(end);
+        let (low, high) = (ys[0].min(ys[1]), ys[0].max(ys[1]));
+        let below = reach(low);
+        let above = if high == low {
+            below.end..below.end
+        } else {
+            reach(high)
+        };
+        let (mut at_low, mut at_high) = ([0.0; 2], [0.0; 2]);
+        let only_low = below.start..below.end.min(above.start);
+        self.accumulate(only_low, [low], cols, [&mut at_low]);
+        let both = above.start..below.end.max(above.start);
+        self.accumulate(both, [low, high], cols, [&mut at_low, &mut at_high]);
+        let only_high = below.end.max(above.start)..above.end;
+        self.accumulate(only_high, [high], cols, [&mut at_high]);
+        if high == low {
+            at_high = at_low;
+        }
+        if ys[0] <= ys[1] {
+            [at_low, at_high]
+        } else {
+            [at_high, at_low]
+        }
     }
+
+    /// Adds, for each held row of `rows` in ascending order, row `ys[n]`'s
+    /// tap reaching it times its pass at columns `cols` (offsets into
+    /// `out`) to `sums[n]`. Every row of `rows` must be within reach of
+    /// every row of `ys`.
+    fn accumulate<const N: usize>(
+        &self,
+        rows: Range<usize>,
+        ys: [usize; N],
+        [c0, c1]: [usize; 2],
+        mut sums: [&mut [f64; 2]; N],
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let half = self.kernel.len() / 2;
+        let width = self.out.x1 - self.out.x0;
+        let held = &self.index[rows.start - self.first..rows.end - self.first];
+        let taps = ys.map(|y| &self.kernel[rows.start + half - y..rows.end + half - y]);
+        for (i, &pass) in held.iter().enumerate() {
+            let at = pass * width;
+            let (v0, v1) = (self.rows[at + c0], self.rows[at + c1]);
+            for (sum, taps) in sums.iter_mut().zip(&taps) {
+                let w = taps[i];
+                sum[0] += w * v0;
+                sum[1] += w * v1;
+            }
+        }
+    }
+}
+
+/// The output width of a row pass of `kernel` over `out` on `lattice`,
+/// and the lattice rows its column taps reach (`out` ± the kernel
+/// half-width, clipped to the lattice).
+///
+/// # Panics
+///
+/// Panics if `kernel` has even length or `out` is empty or reaches past
+/// the lattice.
+fn field_shape(kernel: &[f64], out: PixelRect, lattice: &Lattice) -> (usize, Range<usize>) {
+    assert!(
+        kernel.len() % 2 == 1,
+        "separable kernel must have odd length"
+    );
+    let (nx, ny) = (lattice.nx, lattice.ny);
+    assert!(
+        out.x0 < out.x1 && out.x1 <= nx && out.y0 < out.y1 && out.y1 <= ny,
+        "output rectangle {out:?} not a non-empty part of the {nx}x{ny} grid"
+    );
+    let half = kernel.len() / 2;
+    (
+        out.x1 - out.x0,
+        out.y0.saturating_sub(half)..(out.y1 + half).min(ny),
+    )
 }
 
 /// The lattice covering `window` expanded by `margin` at `pixel` nm:
@@ -747,6 +957,26 @@ fn lattice_of(window: Rect, margin: i64, pixel: f64) -> Result<Lattice> {
 /// Whether two rows hold the same bits.
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A hash of a row's bits and length: a multiply-rotate mix over four
+/// interleaved lanes, so the lanes' multiplies overlap. Rows with equal
+/// bits hash equal; equal hashes only nominate rows for [`bits_eq`].
+fn row_hash(row: &[f64]) -> u64 {
+    const MIX: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(MIX);
+    let mut lanes = [row.len() as u64, 1, 2, 3];
+    let chunks = row.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = mix(*lane, v.to_bits());
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(tail) {
+        *lane = mix(*lane, v.to_bits());
+    }
+    lanes.into_iter().fold(0, mix)
 }
 
 /// Convolves `src_row` along x with `kernel` at the output columns `cols`
@@ -1231,7 +1461,7 @@ mod tests {
                 y1: ny,
             };
             let (from_classes, from_grid) = (
-                classes.row_field(&kernel, out),
+                classes.row_field(&kernel, out, &RowClasses::new(), []),
                 grid.row_field(&kernel, out),
             );
             assert!(from_classes.rows.len() <= from_grid.rows.len(), "{label}");
@@ -1276,6 +1506,245 @@ mod tests {
                 classes.rows.clone()
             )
         );
+    }
+
+    /// The column pass one row at a time: per row, the taps that reach
+    /// held rows, ascending from zero — the loop the fused pass replaced.
+    fn column_cell_per_row(field: &RowField, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
+        let width = field.out.x1 - field.out.x0;
+        let [c0, c1] = xs.map(|x| x - field.out.x0);
+        let half = field.kernel.len() / 2;
+        ys.map(|iy| {
+            let k0 = (half + field.first).saturating_sub(iy);
+            let k1 = (field.first + field.index.len() + half - iy).min(field.kernel.len());
+            let held = &field.index[iy + k0 - half - field.first..];
+            let mut acc = [0.0; 2];
+            for (&w, &pass) in field.kernel[k0..k1].iter().zip(held) {
+                acc[0] += w * field.rows[pass * width + c0];
+                acc[1] += w * field.rows[pass * width + c1];
+            }
+            acc
+        })
+    }
+
+    #[test]
+    fn fused_column_cell_equals_the_per_row_loop_on_random_fields() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(31);
+        let mut classes = RowClasses::new();
+        let mut checked = 0;
+        for round in 0..24 {
+            let half = rng.random_range(0usize..=25);
+            let kernel = random_kernel(&mut rng, half);
+            let window = Rect::new(
+                0,
+                0,
+                rng.random_range(10i64..400),
+                rng.random_range(10i64..400),
+            )
+            .expect("window");
+            let (grid, out) = if round % 2 == 0 {
+                let g = repeated_row_grid(&mut rng, window.width(), window.height(), 10.0);
+                let (nx, ny) = (g.nx(), g.ny());
+                // Output rows inside the grid, so the held rows stop short of
+                // its edges, or reaching them.
+                let y0 = rng.random_range(0..ny);
+                let y1 = rng.random_range(y0 + 1..=ny);
+                let x0 = rng.random_range(0..nx);
+                (
+                    g,
+                    PixelRect {
+                        x0,
+                        x1: rng.random_range(x0 + 1..=nx),
+                        y0,
+                        y1,
+                    },
+                )
+            } else {
+                let rects = random_rects(&mut rng, window);
+                classes
+                    .rasterize(window, 30, 5.0, rects.iter().copied())
+                    .expect("classes");
+                let lattice = classes.lattice();
+                let mut g = Grid::new(window, 30, 5.0).expect("grid");
+                for &r in &rects {
+                    g.add_rect(r, 1.0);
+                }
+                (g, lattice.sample_footprint(window))
+            };
+            let fields = if round % 2 == 0 {
+                vec![grid.row_field(&kernel, out)]
+            } else {
+                vec![
+                    grid.row_field(&kernel, out),
+                    classes.row_field(&kernel, out, &RowClasses::new(), []),
+                ]
+            };
+            // Cells of neighbouring rows over every output row (the edge
+            // ones reach the first and last held rows), clamped one-row
+            // cells, and random pairs in either order, near and far apart.
+            let rows = (out.y0..out.y1).flat_map(|y| [[y, (y + 1).min(out.y1 - 1)], [y, y]]);
+            let random: Vec<[usize; 2]> = (0..60)
+                .map(|_| {
+                    [
+                        rng.random_range(out.y0..out.y1),
+                        rng.random_range(out.y0..out.y1),
+                    ]
+                })
+                .collect();
+            for ys in rows.chain(random) {
+                let xs = [
+                    rng.random_range(out.x0..out.x1),
+                    rng.random_range(out.x0..out.x1),
+                ];
+                for field in &fields {
+                    let (fused, per_row) = (
+                        field.column_cell(xs, ys),
+                        column_cell_per_row(field, xs, ys),
+                    );
+                    assert!(
+                        bits_eq(fused.as_flattened(), per_row.as_flattened()),
+                        "{xs:?} {ys:?}, half {half}, {out:?} of {}x{}",
+                        grid.nx(),
+                        grid.ny()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 2000, "{checked} cells");
+    }
+
+    /// Rectangles whose rows repeat (equal lines stacked at several
+    /// heights) and whose class rows differ between two calls only where
+    /// `moved` shifts one line's edge.
+    fn stacked_lines(moved: i64) -> Vec<Rect> {
+        let rect = |x0, y0, x1, y1| Rect::new(x0, y0, x1, y1).expect("rect");
+        vec![
+            rect(0, 0, 90, 100),
+            rect(200, 0, 290, 100),
+            rect(0, 200, 90, 300),
+            rect(200, 200, 290 + moved, 300),
+            rect(0, 400, 90, 500),
+            rect(200, 400, 290, 500),
+            rect(100, 600, 180, 640),
+        ]
+    }
+
+    /// Every cell of `field` against the pixel-outer oracle on `grid`.
+    fn assert_field_matches_grid(field: &RowField, grid: &Grid, kernel: &[f64], label: &str) {
+        let mut oracle = grid.clone();
+        oracle.convolve_separable(kernel);
+        let out = field.out;
+        for y in out.y0..out.y1 {
+            for x in out.x0..out.x1 {
+                let cell = field.column_cell([x, x], [y, y]);
+                assert_eq!(
+                    cell[0][0].to_bits(),
+                    oracle.at(x, y).to_bits(),
+                    "({x},{y}), {label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_passes_are_reused_only_for_equal_bits_taps_and_columns_of_the_previous_rasterization() {
+        let window = Rect::new(0, 0, 300, 650).expect("window");
+        let kernel = random_kernel(&mut postopc_rng::SeedableRng::seed_from_u64(5), 6);
+        let other = random_kernel(&mut postopc_rng::SeedableRng::seed_from_u64(6), 6);
+        let raster = |moved: i64| {
+            let mut classes = RowClasses::new();
+            classes
+                .rasterize(window, 40, 5.0, stacked_lines(moved))
+                .expect("classes");
+            let mut grid = Grid::new(window, 40, 5.0).expect("grid");
+            for r in stacked_lines(moved) {
+                grid.add_rect(r, 1.0);
+            }
+            (classes, grid)
+        };
+        let (previous, _) = raster(0);
+        let (current, grid) = raster(3);
+        let out = current.lattice().sample_footprint(window);
+        let none = RowClasses::new();
+        let earlier = previous.row_field(&kernel, out, &none, []);
+        // Equal lines at three heights: one pass serves all three.
+        let fresh = current.row_field(&kernel, out, &none, []);
+        assert!(
+            fresh.passes().computed < fresh.passes().requested,
+            "{:?}",
+            fresh.passes()
+        );
+        assert_field_matches_grid(&fresh, &grid, &kernel, "fresh");
+        // After the previous rasterization only the moved line's rows are
+        // convolved, and the field is the fresh one.
+        let reused = current.row_field(&kernel, out, &previous, [&earlier]);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.passes().requested, fresh.passes().requested);
+        assert_eq!(reused.passes().computed, 1, "{:?}", reused.passes());
+        // Other taps, other output columns, or passes of another
+        // rasterization than `previous`: nothing is reused.
+        let other_taps = current.row_field(&other, out, &previous, [&earlier]);
+        assert_eq!(other_taps, current.row_field(&other, out, &none, []));
+        assert_eq!(other_taps.passes().computed, fresh.passes().computed);
+        let narrower = PixelRect {
+            x1: out.x1 - 1,
+            ..out
+        };
+        let shifted = current.row_field(&kernel, narrower, &previous, [&earlier]);
+        assert_eq!(shifted, current.row_field(&kernel, narrower, &none, []));
+        assert_eq!(shifted.passes().computed, fresh.passes().computed);
+        let (stale, _) = raster(0);
+        let unmatched = current.row_field(&kernel, out, &stale, [&earlier]);
+        assert_eq!(unmatched.passes().computed, fresh.passes().computed);
+        // The first matching field is used; a non-matching one before it
+        // is skipped.
+        let other_earlier = previous.row_field(&other, out, &none, []);
+        let second = current.row_field(&kernel, out, &previous, [&other_earlier, &earlier]);
+        assert_eq!((second.passes().computed, &second), (1, &fresh));
+    }
+
+    #[test]
+    fn a_row_sharing_a_hash_with_a_different_row_is_computed() {
+        let window = Rect::new(0, 0, 300, 650).expect("window");
+        let kernel = random_kernel(&mut postopc_rng::SeedableRng::seed_from_u64(8), 5);
+        let mut previous = RowClasses::new();
+        previous
+            .rasterize(window, 40, 5.0, stacked_lines(0))
+            .expect("classes");
+        let mut current = RowClasses::new();
+        current
+            .rasterize(window, 40, 5.0, stacked_lines(3))
+            .expect("classes");
+        let mut grid = Grid::new(window, 40, 5.0).expect("grid");
+        for r in stacked_lines(3) {
+            grid.add_rect(r, 1.0);
+        }
+        let out = current.lattice().sample_footprint(window);
+        let none = RowClasses::new();
+        let earlier = previous.row_field(&kernel, out, &none, []);
+        // Across rasterizations: every current row takes the hash of the
+        // previous rasterization's first run, which holds other bits than
+        // all but the empty rows.
+        let forced = previous.hashes[0];
+        current.hashes.iter_mut().for_each(|h| *h = forced);
+        current.find_twins();
+        let field = current.row_field(&kernel, out, &previous, [&earlier]);
+        assert_field_matches_grid(&field, &grid, &kernel, "across");
+        let distinct = field.rows.len() / (out.x1 - out.x0);
+        assert_eq!(
+            field.passes().computed as usize,
+            distinct - 1,
+            "{:?}",
+            field.passes()
+        );
+        // Within one rasterization: all rows share one hash, and only rows
+        // with equal bits share a pass.
+        let fresh = current.row_field(&kernel, out, &none, []);
+        assert_field_matches_grid(&fresh, &grid, &kernel, "within");
+        assert_eq!(fresh.passes().computed as usize, distinct);
+        assert!(distinct > 3, "{distinct} distinct rows");
     }
 
     #[test]

@@ -4,8 +4,9 @@ use crate::error::Result;
 use crate::kernels::KernelStack;
 use crate::optics::{OpticsParams, ProcessConditions};
 use crate::workspace::{self, SimWorkspace};
-use postopc_geom::{Grid, Lattice, PixelRect, Polygon, Rect, RowField};
+use postopc_geom::{Grid, Lattice, PixelRect, Polygon, Rect, RowField, RowPasses};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// The corners of an interpolation cell and their dose-free intensities.
 type EvaluatedCell = ([usize; 2], [usize; 2], [[f64; 2]; 2]);
@@ -77,11 +78,14 @@ impl Default for SimulationSpec {
 /// window: reads outside it clamp to the window's edge pixels.
 ///
 /// The image is lazy. Simulation rasterizes the mask and runs each
-/// kernel's row pass; a read runs the column pass of the four pixels of
-/// the interpolation cell it falls in, and the last cell evaluated is
-/// kept for the next read. Every pixel is the same computation in the
-/// same floating-point order whenever it runs, so an image reads the same
-/// bits whatever was read before. The memo makes the image `!Sync`.
+/// kernel's row pass, once per distinct class row, taking from the
+/// previous image on the same thread the passes of rows it shares with
+/// that image; a read runs the column pass of the four pixels of the
+/// interpolation cell it falls in, both rows in one loop, and the last
+/// cell evaluated is kept for the next read. Every pixel is the same
+/// computation in the same floating-point order whenever it runs, so an
+/// image reads the same bits whatever was imaged or read before. The
+/// kept cell makes the image `!Sync`.
 ///
 /// ```
 /// use postopc_litho::{AerialImage, SimulationSpec};
@@ -102,8 +106,10 @@ pub struct AerialImage {
     /// only pixels the image evaluates.
     defined: PixelRect,
     dose: f64,
-    /// Each kernel's weight and row pass over `defined`, in stack order.
-    fields: Vec<(f64, RowField)>,
+    /// Each kernel's weight and row pass over `defined`, in stack order,
+    /// shared with the workspace that imaged it while it is the last
+    /// image there.
+    fields: Arc<[(f64, RowField)]>,
     /// A bound on how fast a read changes per nm moved along either axis
     /// (see [`AerialImage::new`]).
     slope: f64,
@@ -149,11 +155,14 @@ impl AerialImage {
     /// Rasterizes `mask` into the workspace's row classes (one row per
     /// run of identical rows of the ambit-padded raster, buffers reused
     /// across calls) and runs each kernel's row pass over the window's
-    /// pixels once per run; the column pass is left to the reads. The
-    /// workspace's tap cache persists, so a loop that images many windows
-    /// (model OPC, extraction) discretizes each kernel once. Results are
-    /// bit-identical to [`AerialImage::simulate`] — both run this engine,
-    /// `simulate` merely borrows a per-thread workspace.
+    /// pixels once per distinct class row, copying the pass of a row the
+    /// workspace's last image computed with the same taps and output
+    /// columns (see [`SimWorkspace`]); the column pass is left to the
+    /// reads. The workspace's tap cache persists, so a loop that images
+    /// many windows (model OPC, extraction) discretizes each kernel once.
+    /// Results are bit-identical to [`AerialImage::simulate`] — both run
+    /// this engine, `simulate` merely borrows a per-thread workspace —
+    /// and to imaging on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -168,23 +177,36 @@ impl AerialImage {
         spec.conditions.validate()?;
         let stack = spec.kernel_stack();
         let margin = stack.ambit_nm().ceil() as i64;
-        let SimWorkspace { classes, taps } = workspace;
-        classes.rasterize(
+        let SimWorkspace {
+            classes,
+            spare,
+            last,
+            taps,
+            passes,
+        } = workspace;
+        spare.rasterize(
             window,
             margin,
             spec.pixel_nm,
             mask.iter().flat_map(Polygon::to_rects),
         )?;
-        let lattice = classes.lattice();
+        let lattice = spare.lattice();
         let defined = lattice.sample_footprint(window);
-        let fields = stack
+        let fields: Arc<[(f64, RowField)]> = stack
             .kernels()
             .iter()
             .map(|kernel| {
                 let kernel_taps = taps.taps(kernel, spec.pixel_nm);
-                (kernel.weight, classes.row_field(kernel_taps, defined))
+                let earlier = last.iter().map(|(_, field)| field);
+                let field = spare.row_field(kernel_taps, defined, classes, earlier);
+                passes.requested += field.passes().requested;
+                passes.computed += field.passes().computed;
+                (kernel.weight, field)
             })
             .collect();
+        // This image becomes the memo.
+        std::mem::swap(classes, spare);
+        *last = Arc::clone(&fields);
         Ok(AerialImage::new(
             lattice,
             defined,
@@ -192,6 +214,15 @@ impl AerialImage {
             fields,
             classes.max_coverage(),
         ))
+    }
+
+    /// The row passes the images simulated through
+    /// [`AerialImage::simulate`] on this thread have asked for (one per
+    /// kernel and run of identical mask rows the column taps reach) and
+    /// computed rather than reused, since the thread started: a count of
+    /// the engine's work, off the results path.
+    pub fn thread_row_passes() -> RowPasses {
+        workspace::thread_row_passes()
     }
 
     /// An image with no pixel evaluated yet, over row passes whose source
@@ -213,7 +244,7 @@ impl AerialImage {
         lattice: Lattice,
         defined: PixelRect,
         dose: f64,
-        fields: Vec<(f64, RowField)>,
+        fields: Arc<[(f64, RowField)]>,
         source_span: f64,
     ) -> AerialImage {
         let rise = |taps: &[f64]| {
@@ -297,7 +328,7 @@ impl AerialImage {
     /// order.
     fn evaluate(&self, xs: [usize; 2], ys: [usize; 2]) -> [[f64; 2]; 2] {
         let mut acc = [[0.0; 2]; 2];
-        for (weight, field) in &self.fields {
+        for (weight, field) in self.fields.iter() {
             let column = field.column_cell(xs, ys);
             for (a, c) in acc.iter_mut().flatten().zip(column.iter().flatten()) {
                 *a += weight * c;
@@ -504,7 +535,7 @@ pub(crate) mod tests {
             grid.lattice(),
             grid.extent(),
             spec.conditions.dose,
-            vec![(1.0, identity)],
+            Arc::new([(1.0, identity)]),
             hi - lo,
         );
         let passed = image.grid();
@@ -976,6 +1007,229 @@ pub(crate) mod tests {
             "{crossed} crossed, {missed} missed, {compared} against the oracle"
         );
         assert!(deepest > 1.0, "coverage never above 1: {deepest}");
+    }
+
+    /// Images `steps` one after another on one workspace and checks each
+    /// image, bit for bit, against the same image on a fresh workspace
+    /// (`==` and every pixel of `grid()`) and against the oracle (the
+    /// defined pixels, and reads over the window). Returns the row passes
+    /// each step asked for and computed on the shared workspace, and the
+    /// number it computed on the fresh one.
+    fn check_sequence(steps: &[(SimulationSpec, Vec<Polygon>, Rect)]) -> Vec<(RowPasses, u64)> {
+        let mut shared = SimWorkspace::new();
+        let mut passes = Vec::new();
+        for (i, (spec, mask, window)) in steps.iter().enumerate() {
+            let before = shared.passes;
+            let image =
+                AerialImage::simulate_with(&mut shared, spec, mask, *window).expect("image");
+            let mut alone = SimWorkspace::new();
+            let fresh = AerialImage::simulate_with(&mut alone, spec, mask, *window).expect("image");
+            let step = RowPasses {
+                requested: shared.passes.requested - before.requested,
+                computed: shared.passes.computed - before.computed,
+            };
+            assert_eq!(step.requested, alone.passes.requested);
+            passes.push((step, alone.passes.computed));
+            let label = format!(
+                "step {i}: {:?} at {} nm, window {window:?}",
+                spec.conditions, spec.pixel_nm
+            );
+            assert_eq!(image, fresh, "{label}");
+            let (grid, fresh_grid) = (image.grid(), fresh.grid());
+            assert_eq!(grid.lattice(), fresh_grid.lattice(), "{label}");
+            assert!(
+                grid.data()
+                    .iter()
+                    .zip(fresh_grid.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "grid, {label}"
+            );
+            let oracle = simulate_reference(spec, mask, *window);
+            let oracle_grid = oracle.grid();
+            let d = image.defined;
+            for iy in d.y0..d.y1 {
+                for ix in d.x0..d.x1 {
+                    assert_eq!(
+                        grid.at(ix, iy).to_bits(),
+                        oracle_grid.at(ix, iy).to_bits(),
+                        "pixel ({ix},{iy}), {label}"
+                    );
+                }
+            }
+            let n = 37;
+            for u in 0..=n {
+                for v in 0..=n {
+                    let x = window.left() as f64 + window.width() as f64 * u as f64 / n as f64;
+                    let y = window.bottom() as f64 + window.height() as f64 * v as f64 / n as f64;
+                    assert_eq!(
+                        image.intensity_at(x, y).to_bits(),
+                        oracle.intensity_at(x, y).to_bits(),
+                        "read ({x}, {y}), {label}"
+                    );
+                }
+            }
+        }
+        passes
+    }
+
+    /// The lines of a farm-like mask cut into fragments about 100 nm tall,
+    /// each its own rectangle with its left and right edges moved by its
+    /// offsets: the mask a model-OPC loop images.
+    fn fragmented(fragments: &[(Rect, Coord, Coord)]) -> Vec<Polygon> {
+        fragments
+            .iter()
+            .map(|&(r, left, right)| {
+                Polygon::from(
+                    Rect::new(r.left() - left, r.bottom(), r.right() + right, r.top())
+                        .expect("fragment"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn opc_like_moves_between_images_match_fresh_workspaces_and_the_oracle() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(31);
+        let mut fragments: Vec<(Rect, Coord, Coord)> = seeded_farm_mask(5)
+            .iter()
+            .flat_map(|line| {
+                let r = line.bbox();
+                (r.bottom()..r.top())
+                    .step_by(100)
+                    .map(move |y| {
+                        let top = (y + 100).min(r.top());
+                        (
+                            Rect::new(r.left(), y, r.right(), top).expect("fragment"),
+                            0,
+                            0,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let window = Rect::new(-450, -350, 450, 350).expect("rect");
+        let mut steps = Vec::new();
+        // Per mille of the fragments that move after each image: fewer as
+        // the loop settles, none after the last but one.
+        for moving in [300, 150, 60, 20, 0, 0] {
+            steps.push((SimulationSpec::nominal(), fragmented(&fragments), window));
+            for fragment in &mut fragments {
+                if rng.random_range(0u32..1000) < moving {
+                    fragment.1 += rng.random_range(-3i64..=3);
+                    fragment.2 += rng.random_range(-3i64..=3);
+                }
+            }
+        }
+        let passes = check_sequence(&steps);
+        // Once few fragments move, most rows repeat the previous image and
+        // reuse its passes; an image of an unmoved mask computes none.
+        assert!(
+            passes[2..5]
+                .iter()
+                .all(|&(p, alone)| p.computed * 2 < alone),
+            "{passes:?}"
+        );
+        assert_eq!(passes[5].0.computed, 0, "{passes:?}");
+    }
+
+    #[test]
+    fn windows_of_other_widths_and_translated_windows_match_fresh_workspaces() {
+        let mask = seeded_farm_mask(19);
+        let window = Rect::new(-500, -400, 500, 400).expect("rect");
+        let (dx, dy) = (37, -55);
+        let translated: Vec<Polygon> = mask
+            .iter()
+            .map(|p| p.translate(postopc_geom::Vector::new(dx, dy)))
+            .collect();
+        let moved = window.translate(postopc_geom::Vector::new(dx, dy));
+        let spec = SimulationSpec::nominal();
+        let steps = [
+            (spec.clone(), mask.clone(), window),
+            (
+                spec.clone(),
+                mask.clone(),
+                Rect::new(-500, -400, 430, 400).expect("rect"),
+            ),
+            (
+                spec.clone(),
+                mask.clone(),
+                Rect::new(-260, -400, 500, 300).expect("rect"),
+            ),
+            (spec.clone(), mask.clone(), window),
+            (spec.clone(), translated.clone(), moved),
+        ];
+        let passes = check_sequence(&steps);
+        // Other output columns reuse nothing; the translated window, on a
+        // lattice translated with it, computes no row pass at all.
+        for step in [1, 2] {
+            assert_eq!(passes[step].0.computed, passes[step].1, "{passes:?}");
+        }
+        assert_eq!(passes[3].0.computed, passes[3].1, "{passes:?}");
+        assert_eq!(passes[4].0.computed, 0, "{passes:?}");
+        // And reads the same bits at the translated points.
+        let image = AerialImage::simulate(&spec, &mask, window).expect("image");
+        let shifted = AerialImage::simulate(&spec, &translated, moved).expect("image");
+        for i in 0..=200 {
+            let x = window.left() as f64 + i as f64 * 5.0;
+            let y = window.bottom() as f64 + i as f64 * 4.0 + 0.25;
+            assert_eq!(
+                shifted.intensity_at(x + dx as f64, y + dy as f64).to_bits(),
+                image.intensity_at(x, y).to_bits(),
+                "({x}, {y})"
+            );
+        }
+    }
+
+    #[test]
+    fn other_conditions_kernels_and_pixels_match_fresh_workspaces_and_the_oracle() {
+        let mask = seeded_farm_mask(29);
+        let window = Rect::new(-400, -300, 400, 300).expect("rect");
+        let nominal = SimulationSpec::nominal();
+        let conditions =
+            |focus_nm, dose| nominal.with_conditions(ProcessConditions { focus_nm, dose });
+        let single = SimulationSpec {
+            kernel_mode: KernelMode::SingleGaussian,
+            ..nominal.clone()
+        };
+        let reweighted = SimulationSpec {
+            optics: OpticsParams {
+                surround_weight: nominal.optics.surround_weight * 0.8,
+                ..nominal.optics
+            },
+            ..nominal.clone()
+        };
+        let specs = [
+            nominal.clone(),
+            conditions(0.0, 1.05),
+            reweighted,
+            single.clone(),
+            single.with_conditions(ProcessConditions {
+                focus_nm: 0.0,
+                dose: 0.97,
+            }),
+            conditions(40.0, 1.0),
+            SimulationSpec {
+                pixel_nm: 2.5,
+                ..nominal.clone()
+            },
+            nominal.clone(),
+        ];
+        let steps: Vec<_> = specs
+            .iter()
+            .map(|spec| (spec.clone(), mask.clone(), window))
+            .collect();
+        let passes = check_sequence(&steps);
+        // Dose and kernel weight are not part of the key: another dose or
+        // another surround weight reuses every pass. The single-Gaussian
+        // stack pads its raster by its own, narrower ambit, so its rows
+        // are not the previous image's; a second one at another dose
+        // reuses every pass. Another focus widens both kernels and another
+        // pixel changes every row, so they reuse none.
+        for (step, &(shared, alone)) in passes.iter().enumerate() {
+            let expected = if [1, 2, 4].contains(&step) { 0 } else { alone };
+            assert_eq!(shared.computed, expected, "step {step}: {passes:?}");
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! discretized kernel taps. A [`SimWorkspace`] owns both so that repeated
 //! simulations — the OPC iteration loop, full-chip extraction — stop
 //! paying fresh raster buffers and a kernel re-discretization per window.
+//! It also keeps the last image's class rows and row passes, so the next
+//! image computes only the row passes of rows that moved.
 //!
 //! [`AerialImage::simulate`](crate::AerialImage::simulate) borrows a
 //! per-thread workspace transparently — worker-pool threads each get their
@@ -11,20 +13,41 @@
 //! tests name a workspace directly.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::kernels::TapCache;
-use postopc_geom::RowClasses;
+use postopc_geom::{RowClasses, RowField, RowPasses};
 
-/// Scratch state reused across imaging runs: the mask's row classes and
-/// the discretized-tap cache.
+/// Scratch state reused across imaging runs: the last image's row classes
+/// and row passes, spare class buffers, and the discretized-tap cache.
 ///
 /// The class buffers grow to the largest window simulated and are then
 /// reused allocation-free; the tap cache persists across windows so kernel
 /// discretization happens once per distinct `(σ, pixel)` condition.
+///
+/// The row-pass memo holds exactly the last image: its class rows
+/// (`classes`) and a shared handle on its fields, the same passes the
+/// image reads. The next image rasterizes into `spare`, takes from the
+/// memo the pass of every class row whose bits, kernel taps and output
+/// columns equal one the last image computed
+/// ([`RowClasses::row_field`]), and then becomes the memo itself, its
+/// buffers trading places with `spare`. A pass is a function of those
+/// three, so a reused pass is the one the row would compute: the memo
+/// changes no bit of any image. The lattice origin, the dose and the
+/// kernel weight are not part of the key, so a translated window, another
+/// dose or another kernel weight reuse passes too. A fresh workspace
+/// (the re-entrant fallback's) starts with an empty memo.
 #[derive(Debug, Default)]
 pub(crate) struct SimWorkspace {
+    /// The last image's class rows.
     pub(crate) classes: RowClasses,
+    /// Buffers the next image rasterizes into.
+    pub(crate) spare: RowClasses,
+    /// The last image's weighted row passes, built over `classes`.
+    pub(crate) last: Arc<[(f64, RowField)]>,
     pub(crate) taps: TapCache,
+    /// The row passes the workspace's images asked for and computed.
+    pub(crate) passes: RowPasses,
 }
 
 impl SimWorkspace {
@@ -46,6 +69,13 @@ pub(crate) fn with_thread_workspace<R>(f: impl FnOnce(&mut SimWorkspace) -> R) -
         Ok(mut workspace) => f(&mut workspace),
         Err(_) => f(&mut SimWorkspace::new()),
     })
+}
+
+/// The row passes this thread's shared workspace has asked for and
+/// computed since the thread started (a re-entrant fallback's are not
+/// counted).
+pub(crate) fn thread_row_passes() -> RowPasses {
+    THREAD_WORKSPACE.with(|cell| cell.try_borrow().map(|ws| ws.passes).unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -23,6 +23,16 @@ pub enum OpcError {
         /// The rejected range in nm.
         value: f64,
     },
+    /// A model-OPC move cap was negative.
+    InvalidMaxMove {
+        /// The rejected cap in nm.
+        value: i64,
+    },
+    /// A model-OPC feedback gain was not finite.
+    InvalidGain {
+        /// The rejected gain.
+        value: f64,
+    },
     /// Edge correction produced a degenerate polygon that could not be
     /// recovered by clamping.
     DegenerateCorrection {
@@ -44,6 +54,12 @@ impl fmt::Display for OpcError {
                     f,
                     "EPE search range must be finite and positive, got {value} nm"
                 )
+            }
+            OpcError::InvalidMaxMove { value } => {
+                write!(f, "model-OPC move cap must not be negative, got {value} nm")
+            }
+            OpcError::InvalidGain { value } => {
+                write!(f, "model-OPC gain must be finite, got {value}")
             }
             OpcError::DegenerateCorrection { polygon } => {
                 write!(f, "correction degenerated polygon {polygon}")

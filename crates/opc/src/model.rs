@@ -45,14 +45,26 @@ impl ModelOpcConfig {
         }
     }
 
-    /// Validates the EPE search range.
+    /// Validates the settings [`correct`] cannot run with.
     ///
     /// # Errors
     ///
     /// Returns [`OpcError::InvalidEpeSearch`] unless `epe_search` is finite
-    /// and positive.
+    /// and positive, [`OpcError::InvalidMaxMove`] for a negative
+    /// `max_move` (the move clamp would have no range) and
+    /// [`OpcError::InvalidGain`] for a non-finite `gain` (an infinite one
+    /// turns every measured EPE into a saturated move, NaN into none).
     pub fn validate(&self) -> Result<()> {
-        check_epe_search(self.epe_search)
+        check_epe_search(self.epe_search)?;
+        if self.max_move < 0 {
+            return Err(OpcError::InvalidMaxMove {
+                value: self.max_move,
+            });
+        }
+        if !self.gain.is_finite() {
+            return Err(OpcError::InvalidGain { value: self.gain });
+        }
+        Ok(())
     }
 }
 
@@ -104,10 +116,10 @@ pub struct ModelOpcResult {
 ///
 /// # Errors
 ///
-/// Returns [`OpcError::InvalidEpeSearch`] for an invalid `epe_search`,
-/// [`OpcError::DegenerateCorrection`] if a polygon cannot be rebuilt even
-/// after clamping (pathological fragmentation), or a litho error for
-/// invalid optics.
+/// Returns the [`ModelOpcConfig::validate`] errors for an invalid
+/// configuration, [`OpcError::DegenerateCorrection`] if a polygon cannot
+/// be rebuilt even after clamping (pathological fragmentation), or a
+/// litho error for invalid optics.
 pub fn correct(
     config: &ModelOpcConfig,
     targets: &[Polygon],
@@ -121,7 +133,9 @@ pub fn correct(
         .collect::<Result<_>>()?;
     let total_fragments: usize = fragmented.iter().map(|f| f.len()).sum();
     let mut offsets: Vec<Vec<Coord>> = fragmented.iter().map(|f| vec![0; f.len()]).collect();
-    let mut corrected: Vec<Polygon> = targets.to_vec();
+    // The mask the loop images: the corrected targets first, each replaced
+    // in place when rebuilt, then the frozen context.
+    let mut mask: Vec<Polygon> = targets.iter().chain(context).cloned().collect();
     let mut report = OpcReport {
         simulations: 0,
         fragment_moves: 0,
@@ -130,8 +144,6 @@ pub fn correct(
     };
 
     for _iter in 0..config.iterations {
-        // Image the current mask: corrected targets + frozen context.
-        let mask: Vec<Polygon> = corrected.iter().chain(context.iter()).cloned().collect();
         let image = AerialImage::simulate(&config.sim, &mask, window)?;
         report.simulations += 1;
         let mut max_epe = 0.0_f64;
@@ -152,18 +164,25 @@ pub fn correct(
                 max_epe = max_epe.max(epe.abs());
                 let delta = (-config.gain * epe).round() as Coord;
                 if delta != 0 {
-                    offsets[pi][fi] =
-                        (offsets[pi][fi] + delta).clamp(-config.max_move, config.max_move);
+                    // The cast saturates and so does the sum, so no finite
+                    // gain overflows before the clamp.
+                    offsets[pi][fi] = offsets[pi][fi]
+                        .saturating_add(delta)
+                        .clamp(-config.max_move, config.max_move);
                     report.fragment_moves += 1;
                 }
             }
             // Rebuild; on degeneracy, progressively halve this polygon's
             // offsets until the contour is valid again.
-            corrected[pi] = rebuild_with_backoff(frag, &mut offsets[pi], pi)?;
+            mask[pi] = rebuild_with_backoff(frag, &mut offsets[pi], pi)?;
         }
         report.max_epe_history.push(max_epe);
     }
-    Ok(ModelOpcResult { corrected, report })
+    mask.truncate(targets.len());
+    Ok(ModelOpcResult {
+        corrected: mask,
+        report,
+    })
 }
 
 /// Rebuilds a polygon from offsets, halving the offsets up to 4 times if
@@ -244,6 +263,105 @@ mod tests {
             assert!(cfg.validate().is_err());
         }
         assert!(ModelOpcConfig::standard().validate().is_ok());
+    }
+
+    #[test]
+    fn a_negative_move_cap_or_a_non_finite_gain_is_rejected() {
+        let targets = [line(-45, 45, -300, 300)];
+        let capped = ModelOpcConfig {
+            max_move: -5,
+            ..ModelOpcConfig::standard()
+        };
+        let err = correct(&capped, &targets, &[], window()).expect_err("rejected");
+        assert_eq!(err, OpcError::InvalidMaxMove { value: -5 });
+        for gain in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let cfg = ModelOpcConfig {
+                gain,
+                ..ModelOpcConfig::standard()
+            };
+            let err = correct(&cfg, &targets, &[], window()).expect_err("rejected");
+            assert!(
+                matches!(err, OpcError::InvalidGain { value } if value.to_bits() == gain.to_bits()),
+                "{err}"
+            );
+        }
+        // A zero cap freezes the mask; it is valid.
+        let frozen = ModelOpcConfig {
+            max_move: 0,
+            ..ModelOpcConfig::standard()
+        };
+        let result = correct(&frozen, &targets, &[], window()).expect("opc");
+        assert_eq!(result.corrected[0].bbox(), targets[0].bbox());
+        assert_eq!(result.corrected[0].area(), targets[0].area());
+    }
+
+    #[test]
+    fn a_huge_finite_gain_saturates_at_the_move_cap() {
+        // Every nonzero EPE becomes a move past `i64`'s range, which the
+        // update saturates and the cap clamps.
+        let cfg = ModelOpcConfig {
+            gain: 1e300,
+            ..ModelOpcConfig::standard()
+        };
+        let targets = vec![line(-45, 45, -300, 300)];
+        let result = correct(&cfg, &targets, &[], window()).expect("opc");
+        assert!(result.report.fragment_moves > 0);
+        let (t, c) = (targets[0].bbox(), result.corrected[0].bbox());
+        for (a, b) in [
+            (c.left(), t.left()),
+            (c.right(), t.right()),
+            (c.bottom(), t.bottom()),
+            (c.top(), t.top()),
+        ] {
+            assert!((a - b).abs() <= cfg.max_move, "{c:?} vs {t:?}");
+        }
+    }
+
+    /// A seeded farm-like window: parallel lines at jittered pitches, some
+    /// of them ending inside the window.
+    fn seeded_farm_mask(seed: u64) -> Vec<Polygon> {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(seed);
+        let mut mask = Vec::new();
+        let mut x = -600i64;
+        while x < 600 {
+            let width = rng.random_range(70i64..=110);
+            let (y0, y1) = if rng.random_range(0u32..4) == 0 {
+                (
+                    -rng.random_range(100i64..=300),
+                    rng.random_range(100i64..=300),
+                )
+            } else {
+                (-600, 600)
+            };
+            mask.push(line(x, x + width, y0, y1));
+            x += width + rng.random_range(120i64..=260);
+        }
+        mask
+    }
+
+    #[test]
+    fn model_opc_computes_at_most_55_percent_of_the_row_passes_it_asks_for() {
+        // The imaging engine takes the pass of a row an image shares with
+        // the previous image on the thread (or with another row of its
+        // own) instead of convolving it. Over a correction loop, where
+        // most fragments settle after the first moves, most rows repeat.
+        let mask = seeded_farm_mask(11);
+        let (targets, context) = mask.split_at(mask.len() / 2);
+        let window = Rect::new(-500, -400, 500, 400).expect("rect");
+        let before = AerialImage::thread_row_passes();
+        let result = correct(&ModelOpcConfig::standard(), targets, context, window).expect("opc");
+        let after = AerialImage::thread_row_passes();
+        let (requested, computed) = (
+            after.requested - before.requested,
+            after.computed - before.computed,
+        );
+        assert_eq!(result.report.simulations, 6);
+        assert!(result.report.fragment_moves > 0);
+        assert!(
+            requested > 0 && computed * 100 <= requested * 55,
+            "{computed} of {requested} row passes computed"
+        );
     }
 
     #[test]

@@ -364,7 +364,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// bit-identical to a serial run for any thread count. A panicking item
 /// may leave state that `f` shares across items (through interior
 /// mutability) half-updated, so share only state that stays valid that
-/// way — scratch rebuilt on next use, as the imaging workspace is.
+/// way — scratch rebuilt on next use, or a memo a half-run item leaves
+/// as it was, as the imaging workspace's buffers and row-pass memo are.
 pub fn par_map_caught<T, R, E, C, F>(
     threads: usize,
     items: &[T],

@@ -47,7 +47,15 @@
 #              fault-quarantine suite (crates/core/tests/quarantine.rs),
 #              the seeded random ECO sequences held to the extract step
 #              after every step (crates/core/tests/eco_sequences.rs,
-#              random_eco_sequences_*),
+#              random_eco_sequences_*), the imaging engine's row-pass
+#              memo held to fresh workspaces and the oracle over seeded
+#              image sequences (crates/litho/src/image.rs,
+#              opc_like_moves_between_images_*, windows_of_other_widths_*,
+#              other_conditions_kernels_and_pixels_*; crates/geom/src/
+#              raster.rs, row_passes_are_reused_only_*,
+#              a_row_sharing_a_hash_*, fused_column_cell_*) with its count
+#              gate (crates/opc/src/model.rs,
+#              model_opc_computes_at_most_55_percent_*),
 #              the Monte Carlo engine-vs-oracle suite
 #              (crates/sta/tests/batched_parity.rs) and the learned CD
 #              surrogate with its model-file round trip
@@ -81,11 +89,16 @@
 #              of the crates' public API outside this workspace, so an
 #              API change that breaks the benchmark fails here. Both run
 #              with --locked, so a dependency change that would rewrite
-#              perfbench/Cargo.lock fails too. Then a short traced
-#              eco-stream run (seed 11, 2 s): its traced ECOs replay
-#              through extract_gates_with_store and each session ECO must
-#              equal the replay bit for bit, so the stage fails unless the
-#              last line reads "correct": true and "failed": 0
+#              perfbench/Cargo.lock fails too. Then two short runs,
+#              each failing the stage unless its last line reads
+#              "correct": true and "failed": 0: a traced eco-stream run
+#              (seed 11, 2 s), whose traced ECOs replay through
+#              extract_gates_with_store and each session ECO must equal
+#              the replay bit for bit, and an untraced flow-cold run
+#              (seed 11, 2 s), whose annotation must hold the committed
+#              seed-11 reference and every op equal the warm-up's bit for
+#              bit, so a change to the imaging engine that moves a CD
+#              fails here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -300,13 +313,16 @@ stage paper paper_stage
 perfbench_stage() {
   cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
   cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
-  local last
-  last="$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
-    --workload eco-stream --seed 11 --seconds 2 --trace 1 | tail -n 1)"
-  if ! grep -q '"correct": true' <<<"$last" || ! grep -Eq '"failed": 0[,} ]' <<<"$last"; then
-    echo "check.sh: eco-stream lock-step run failed: ${last:0:200}" >&2
-    return 1
-  fi
+  local run workload trace last
+  for run in "eco-stream 1" "flow-cold 0"; do
+    read -r workload trace <<<"$run"
+    last="$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 11 --seconds 2 --trace "$trace" | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$last" || ! grep -Eq '"failed": 0[,} ]' <<<"$last"; then
+      echo "check.sh: $workload run failed: ${last:0:200}" >&2
+      return 1
+    fi
+  done
 }
 stage perfbench perfbench_stage
 
