@@ -1115,13 +1115,17 @@ fn run_unique(config: &ExtractionConfig, key: &ContextKey) -> Result<UniqueOutco
     let mut opc_simulations = 0;
     let mut opc_fragment_moves = 0;
 
-    // Correct the mask.
-    let (mask_targets, mask_context) = match config.opc_mode {
-        OpcMode::None => (targets.clone(), context.clone()),
+    // Correct the mask: the corrected targets, then the corrected context.
+    let joined = |mut targets: Vec<Polygon>, context: Vec<Polygon>| {
+        targets.extend(context);
+        targets
+    };
+    let mask: Vec<Polygon> = match config.opc_mode {
+        OpcMode::None => targets.iter().chain(context).cloned().collect(),
         OpcMode::Rule => {
             let t = rules::correct(&config.rule_opc, targets, context)?;
             let c = rules::correct(&config.rule_opc, context, targets)?;
-            (t.corrected, c.corrected)
+            joined(t.corrected, c.corrected)
         }
         OpcMode::Model => {
             // Model OPC on the targets against the rule-corrected context.
@@ -1129,17 +1133,12 @@ fn run_unique(config: &ExtractionConfig, key: &ContextKey) -> Result<UniqueOutco
             let m = selective::correct(model_opc, rule_opc, targets, context, window)?;
             opc_simulations = m.model_report.simulations;
             opc_fragment_moves = m.model_report.fragment_moves;
-            (m.corrected_tagged, m.corrected_untagged)
+            joined(m.corrected_tagged, m.corrected_untagged)
         }
     };
 
     // Image the corrected mask at the key's (possibly quantised local
     // across-chip) conditions.
-    let mask: Vec<Polygon> = mask_targets
-        .iter()
-        .chain(mask_context.iter())
-        .cloned()
-        .collect();
     let sim = config.sim.with_conditions(ProcessConditions {
         focus_nm: f64::from_bits(key.focus_bits),
         dose: f64::from_bits(key.dose_bits),

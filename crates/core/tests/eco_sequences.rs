@@ -9,20 +9,22 @@
 //!
 //! The sequences add and drop gates, re-add dropped gates, add gates
 //! that print alike with a tagged gate (and so almost always share its
-//! context), and add gates an injected fault hits, on `rand:` and `farm:`
-//! designs at 1 and 2 threads, with the context cache on and off, the
-//! surrogate on, a NaN schedule under `Quarantine` whose budget some
-//! steps overrun, and a worker-panic schedule under `Fail`.
+//! context), and add gates an injected fault hits, on `rand:`, `farm:`
+//! and `regfarm:` designs at 1 and 2 threads, with the context cache on
+//! and off, the surrogate on, a NaN schedule under `Quarantine` whose
+//! budget some steps overrun, and a worker-panic schedule under `Fail`.
+//! On `regfarm:` designs what-if queries run between the ECOs, and each
+//! must equal a fresh evaluation of its edit.
 
 use postopc::{
     content_hash, extract_gates_with_store, margin_clock, ContextStore, EcoOutcome,
-    ExtractionConfig, FaultInjection, FaultPolicy, FlowConfig, FlowError, OpcMode, Selection,
-    SurrogateConfig, TagSet, TimingSession, WarmArtifact,
+    ExtractionConfig, FaultInjection, FaultPolicy, FlowConfig, FlowError, OpcMode, QueryOutcome,
+    Selection, SessionQuery, SurrogateConfig, TagSet, TimingSession, WarmArtifact,
 };
 use postopc_layout::generate::{self, RandomLogicSpec};
 use postopc_layout::{Design, GateId, TechRules};
 use postopc_rng::{RngExt, SeedableRng, StdRng};
-use postopc_sta::{CompiledSta, StaScratch, TimingModel};
+use postopc_sta::{CdAnnotation, CompiledSta, StaScratch, TimingModel};
 use std::collections::HashMap;
 
 /// ECOs per sequence; the restored session joins after half of them.
@@ -48,6 +50,16 @@ fn farm_design(paths: usize, depth: usize) -> Design {
     .expect("design")
 }
 
+/// A `regfarm:` design: registered speed-path chains, so timing runs
+/// register to register.
+fn regfarm_design(paths: usize, depth: usize) -> Design {
+    Design::compile(
+        generate::registered_farm(paths, depth, 7).expect("netlist"),
+        TechRules::n90(),
+    )
+    .expect("design")
+}
+
 /// Rule OPC on `threads` workers.
 fn rule(threads: usize) -> ExtractionConfig {
     let mut cfg = ExtractionConfig::standard();
@@ -68,6 +80,8 @@ struct Scenario {
     edit: usize,
     /// Steps that add gates an injected fault hits: how many to add.
     poison_steps: Vec<(usize, usize)>,
+    /// What-if queries after each ECO.
+    whatifs: usize,
     seed: u64,
 }
 
@@ -255,6 +269,28 @@ struct Reference<'m> {
 }
 
 impl Reference<'_> {
+    /// Runs `edit` as a what-if on `session` and checks it against a
+    /// fresh evaluation of the edit; the restored `twin`, if any, must
+    /// answer alike.
+    fn what_if(
+        &self,
+        session: &mut TimingSession<'_>,
+        twin: Option<&mut TimingSession<'_>>,
+        edit: CdAnnotation,
+        what: &str,
+    ) {
+        let fresh = self
+            .compiled
+            .evaluate(&mut self.compiled.scratch(), Some(&edit))
+            .expect("fresh evaluation");
+        let query = SessionQuery::WhatIf(edit);
+        let got = session.run(&query).expect("what-if");
+        assert_eq!(got, QueryOutcome::WhatIf(fresh), "{what}");
+        if let Some(twin) = twin {
+            assert_eq!(twin.run(&query).expect("what-if"), got, "{what}: twin");
+        }
+    }
+
     /// Applies `tags` to `session` and checks the answer against the
     /// extract step on a copy of the store it starts from plus
     /// `evaluate_eco`; a failed ECO must fail alike and change nothing.
@@ -325,6 +361,25 @@ struct Tally {
     cache_hits: usize,
     /// Gates the script added for sharing a tagged gate's context.
     shared: usize,
+    /// What-ifs checked against a fresh evaluation.
+    whatifs: usize,
+}
+
+/// A what-if edit of `annotation`: 1–3 nm added to every channel length
+/// of one seeded annotated gate.
+fn what_if_edit(annotation: &CdAnnotation, rng: &mut StdRng) -> CdAnnotation {
+    let mut gates: Vec<GateId> = annotation.gates().map(|(&g, _)| g).collect();
+    gates.sort_unstable();
+    let mut next = annotation.clone();
+    let gate = gates[rng.random_range(0..gates.len())];
+    let delta = rng.random_range(1.0..3.0);
+    let mut edited = annotation.gate(gate).expect("annotated").clone();
+    for t in &mut edited.transistors {
+        t.l_delay_nm += delta;
+        t.l_leakage_nm += delta;
+    }
+    next.set_gate(gate, edited);
+    next
 }
 
 fn run(scenario: &Scenario, policy: FaultPolicy, injection: Option<FaultInjection>) -> Tally {
@@ -369,6 +424,7 @@ fn run(scenario: &Scenario, policy: FaultPolicy, injection: Option<FaultInjectio
     let mut restored: Option<TimingSession<'_>> = None;
     let mut tally = Tally::default();
     let mut last_failed = false;
+    let mut edits = StdRng::seed_from_u64(scenario.seed ^ 0x5eed);
     for step in 0..STEPS {
         let poison = scenario
             .poison_steps
@@ -397,6 +453,12 @@ fn run(scenario: &Scenario, policy: FaultPolicy, injection: Option<FaultInjectio
         }
         last_failed = got.is_err();
         tally.shared = script.shared;
+        for w in 0..scenario.whatifs {
+            let edit = what_if_edit(live.annotation(), &mut edits);
+            let what = format!("{what}, what-if {w}");
+            reference.what_if(&mut live, restored.as_mut(), edit, &what);
+            tally.whatifs += 1;
+        }
         if step + 1 == STEPS / 2 {
             let bytes = live.artifact().to_bytes();
             let artifact = WarmArtifact::from_bytes(&bytes).expect("artifact");
@@ -445,6 +507,7 @@ fn random_eco_sequences_on_one_thread_with_the_cache_equal_the_extract_step() {
         extraction: rule(1),
         edit: 4,
         poison_steps: Vec::new(),
+        whatifs: 0,
         seed: 101,
     };
     let tally = run(&scenario, FaultPolicy::Fail, None);
@@ -465,6 +528,7 @@ fn random_eco_sequences_on_two_threads_without_the_cache_equal_the_extract_step(
         extraction,
         edit: 4,
         poison_steps: Vec::new(),
+        whatifs: 0,
         seed: 202,
     };
     let tally = run(&scenario, FaultPolicy::Fail, None);
@@ -486,6 +550,7 @@ fn random_eco_sequences_with_the_surrogate_equal_the_extract_step() {
         extraction,
         edit: 12,
         poison_steps: Vec::new(),
+        whatifs: 0,
         seed: 303,
     };
     let tally = run(&scenario, FaultPolicy::Fail, None);
@@ -504,6 +569,7 @@ fn random_eco_sequences_under_quarantine_with_injected_nans_equal_the_extract_st
         extraction: rule(2),
         edit: 3,
         poison_steps: vec![(2, 1), (5, 10), (8, 1)],
+        whatifs: 0,
         seed: 404,
     };
     let injection = sparing(&scenario, 0.2, 12, |inj| FaultInjection {
@@ -527,6 +593,7 @@ fn random_eco_sequences_with_an_injected_panic_equal_the_extract_step() {
         extraction: rule(2),
         edit: 4,
         poison_steps: vec![(3, 1), (7, 2)],
+        whatifs: 0,
         seed: 505,
     };
     let injection = sparing(&scenario, 0.05, 3, |inj| FaultInjection {
@@ -537,4 +604,33 @@ fn random_eco_sequences_with_an_injected_panic_equal_the_extract_step() {
     let tally = run(&scenario, FaultPolicy::Fail, Some(injection));
     assert!(tally.failed >= 2, "the faulting gates must fail their ECOs");
     assert!(tally.recovered > 0, "no ECO followed a failed one");
+}
+
+/// ECOs on a registered farm with what-ifs between them, on `threads`
+/// workers.
+fn regfarm_sequence(threads: usize, seed: u64) {
+    let scenario = Scenario {
+        name: "regfarm:8x10",
+        design: regfarm_design(8, 10),
+        paths: 2,
+        extraction: rule(threads),
+        edit: 4,
+        poison_steps: Vec::new(),
+        whatifs: 3,
+        seed,
+    };
+    let tally = run(&scenario, FaultPolicy::Fail, None);
+    assert_eq!(tally.failed, 0);
+    assert!(tally.windows > 0, "the sequence images new contexts");
+    assert_eq!(tally.whatifs, 3 * STEPS);
+}
+
+#[test]
+fn random_eco_sequences_on_a_registered_farm_with_what_ifs_on_one_thread() {
+    regfarm_sequence(1, 606);
+}
+
+#[test]
+fn random_eco_sequences_on_a_registered_farm_with_what_ifs_on_two_threads() {
+    regfarm_sequence(2, 707);
 }

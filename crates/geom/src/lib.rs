@@ -53,7 +53,7 @@ pub use edge::{Edge, Orientation};
 pub use error::{GeomError, Result};
 pub use index::GridIndex;
 pub use point::{Coord, Point, Vector};
-pub use polygon::Polygon;
+pub use polygon::{Polygon, RectScratch};
 pub use raster::{Grid, Lattice, PixelRect, RowClasses, RowField, RowPasses};
 pub use rect::Rect;
 pub use transform::{Orient, Transform};

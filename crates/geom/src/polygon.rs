@@ -183,6 +183,57 @@ impl Polygon {
     /// Works for any simple rectilinear polygon, including those with
     /// pseudo-vertices. The result is ordered bottom-to-top, left-to-right.
     pub fn to_rects(&self) -> Vec<Rect> {
+        let mut rects = Vec::new();
+        self.push_rects(&mut RectScratch::default(), &mut rects);
+        rects
+    }
+
+    /// Appends [`Polygon::to_rects`] to `rects`, working in `scratch`'s
+    /// buffers: a caller that decomposes polygon after polygon (a mask per
+    /// image) reuses both and allocates nothing once they have grown.
+    ///
+    /// The vertical edges are collected once and sorted by x. Each band
+    /// between consecutive vertex heights takes, in that order, the edges
+    /// spanning it, and pairs them left to right into rectangles: the
+    /// abscissae a per-band sort of those edges would give, so the same
+    /// rectangles in the same order.
+    pub fn push_rects(&self, scratch: &mut RectScratch, rects: &mut Vec<Rect>) {
+        let RectScratch { ys, edges } = scratch;
+        ys.clear();
+        ys.extend(self.vertices.iter().map(|p| p.y));
+        ys.sort_unstable();
+        ys.dedup();
+        edges.clear();
+        let n = self.vertices.len();
+        for (i, &a) in self.vertices.iter().enumerate() {
+            let b = self.vertices[(i + 1) % n];
+            if a.y != b.y {
+                edges.push((a.x, a.y.min(b.y), a.y.max(b.y)));
+            }
+        }
+        edges.sort_unstable_by_key(|&(x, _, _)| x);
+        for band in ys.windows(2) {
+            let (y0, y1) = (band[0], band[1]);
+            let mut left = None;
+            for &(x, lo, hi) in edges.iter() {
+                if lo <= y0 && hi >= y1 {
+                    match left.take() {
+                        None => left = Some(x),
+                        Some(x0) => {
+                            if let Ok(r) = Rect::new(x0, y0, x, y1) {
+                                rects.push(r);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Polygon::to_rects`] as a scan of every edge per band, with a
+    /// per-band sort: the decomposition the single sort replaced.
+    #[cfg(test)]
+    fn to_rects_band_scan(&self) -> Vec<Rect> {
         let mut ys: Vec<Coord> = self.vertices.iter().map(|p| p.y).collect();
         ys.sort_unstable();
         ys.dedup();
@@ -411,6 +462,14 @@ impl fmt::Display for Polygon {
     }
 }
 
+/// The buffers [`Polygon::push_rects`] works in: the distinct vertex
+/// heights, and the vertical edges as `(x, low y, high y)`.
+#[derive(Debug, Default)]
+pub struct RectScratch {
+    ys: Vec<Coord>,
+    edges: Vec<(Coord, Coord, Coord)>,
+}
+
 /// Twice the signed area (positive for CCW winding).
 fn signed_area2(vertices: &[Point]) -> i128 {
     let n = vertices.len();
@@ -525,6 +584,115 @@ mod tests {
                 assert!(!rects[i].intersects(&rects[j]));
             }
         }
+    }
+
+    /// Model OPC's fragment cuts of an edge `len` long: 60 nm corner
+    /// fragments at both ends, the rest in pieces of at most 140 nm, and
+    /// no cut on an edge shorter than 160 nm.
+    fn fragment_cuts(len: Coord) -> Vec<Coord> {
+        let (corner, max) = (60, 140);
+        if len < 2 * corner + 40 {
+            return Vec::new();
+        }
+        let pieces = (len - 2 * corner + max - 1) / max;
+        let piece = (len - 2 * corner) / pieces;
+        let mut cuts: Vec<Coord> = (0..pieces).map(|p| corner + p * piece).collect();
+        cuts.push(len - corner);
+        cuts
+    }
+
+    /// Seeded rectilinear polygons: lines, L and U shapes, with random
+    /// pseudo-vertices or jogged as model OPC jogs them
+    /// (`FragmentedPolygon::apply_offsets` is `with_cuts` at the fragment
+    /// boundaries, then `with_edge_offsets`), anywhere from far negative
+    /// to positive coordinates. Each comes with whether it is jogged.
+    fn seeded_polygons(rng: &mut postopc_rng::StdRng, count: usize) -> Vec<(Polygon, bool)> {
+        use postopc_rng::RngExt;
+        let mut polygons = Vec::new();
+        while polygons.len() < count {
+            let (w, h) = (rng.random_range(90i64..700), rng.random_range(90i64..900));
+            let (a, b) = (rng.random_range(20..=w / 3), rng.random_range(20..=h / 2));
+            let shape = match rng.random_range(0u32..3) {
+                0 => vec![(0, 0), (w, 0), (w, h), (0, h)],
+                1 => vec![(0, 0), (w, 0), (w, b), (a, b), (a, h), (0, h)],
+                _ => vec![
+                    (0, 0),
+                    (w, 0),
+                    (w, h),
+                    (w - a, h),
+                    (w - a, b),
+                    (a, b),
+                    (a, h),
+                    (0, h),
+                ],
+            };
+            let base = Polygon::new(shape.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+                .expect("shape");
+            let edges: Vec<Edge> = base.edges().collect();
+            let kind = rng.random_range(0u32..3);
+            let polygon = match kind {
+                0 => base,
+                1 => {
+                    let cuts: Vec<Vec<Coord>> = edges
+                        .iter()
+                        .map(|e| {
+                            (0..rng.random_range(0..3))
+                                .map(|_| rng.random_range(1..e.length()))
+                                .collect::<Vec<_>>()
+                        })
+                        .map(|mut c| {
+                            c.sort_unstable();
+                            c.dedup();
+                            c
+                        })
+                        .collect();
+                    base.with_cuts(&cuts).expect("pseudo-vertices")
+                }
+                _ => {
+                    let cuts: Vec<Vec<Coord>> =
+                        edges.iter().map(|e| fragment_cuts(e.length())).collect();
+                    let fragmented = base.with_cuts(&cuts).expect("fragments");
+                    let offsets: Vec<Coord> = (0..fragmented.edge_count())
+                        .map(|_| rng.random_range(-9i64..=9))
+                        .collect();
+                    match fragmented.with_edge_offsets(&offsets) {
+                        Ok(jogged) => jogged,
+                        Err(_) => continue,
+                    }
+                }
+            };
+            let shift = Vector::new(
+                rng.random_range(-50_000i64..2_000),
+                rng.random_range(-50_000i64..2_000),
+            );
+            polygons.push((polygon.translate(shift), kind == 2));
+        }
+        polygons
+    }
+
+    #[test]
+    fn to_rects_equals_the_band_scan_on_seeded_polygons() {
+        use postopc_rng::SeedableRng;
+        let mut rng = postopc_rng::StdRng::seed_from_u64(32);
+        let polygons = seeded_polygons(&mut rng, 600);
+        let (mut jogged, mut negative) = (0, 0);
+        // One scratch and one output across every polygon, as an image
+        // decomposes its mask.
+        let (mut scratch, mut mask_rects, mut oracle) = (RectScratch::default(), vec![], vec![]);
+        for (p, jog) in &polygons {
+            let rects = p.to_rects();
+            assert_eq!(rects, p.to_rects_band_scan(), "{p}");
+            assert_eq!(rects.iter().map(Rect::area).sum::<i128>(), p.area(), "{p}");
+            p.push_rects(&mut scratch, &mut mask_rects);
+            oracle.extend(rects);
+            jogged += usize::from(*jog);
+            negative += usize::from(p.bbox().left() < 0 && p.bbox().bottom() < 0);
+        }
+        assert_eq!(mask_rects, oracle);
+        assert!(
+            jogged > 150 && negative > 500,
+            "{jogged} jogged, {negative} negative"
+        );
     }
 
     #[test]

@@ -441,7 +441,10 @@ pub struct PixelRect {
 /// rectangle, so every row of such a class gets the same coverage: the
 /// class's first row is rasterized with [`Grid::add_rect`]'s per-pixel
 /// arithmetic, rectangles in input order, and stands for the whole
-/// class. Consecutive classes with bit-identical rows merge into one run.
+/// class. The cuts are marked in a per-row bitmap, and each rectangle is
+/// listed once per rasterization under the classes it covers, so a class
+/// adds only its own rectangles, still in input order. Consecutive
+/// classes with bit-identical rows merge into one run.
 /// Every row is bit for bit the row `add_rect` gives the same rectangles
 /// on a zeroed [`Grid`] over the same lattice.
 ///
@@ -469,10 +472,18 @@ pub struct RowClasses {
     twins: Vec<Option<usize>>,
     /// Largest coverage of any pixel (coverage is never negative).
     max: f64,
-    /// Scratch: the rectangles in pixel space with the rows they touch,
-    /// and the sorted row cuts.
+    /// Scratch: the rectangles in pixel space with the rows they touch;
+    /// which of the rows `0..=ny` are cuts, the cuts in ascending order
+    /// (class `k` is rows `cuts[k]..cuts[k + 1]`) and the class starting
+    /// at each cut; and, as compressed rows, the rectangles covering each
+    /// class: class `k`'s are `members[starts[k]..starts[k + 1]]`, in
+    /// input order.
     spans: Vec<(PixelSpan, Range<usize>)>,
+    marks: Vec<bool>,
     cuts: Vec<usize>,
+    class_at: Vec<usize>,
+    starts: Vec<usize>,
+    members: Vec<usize>,
 }
 
 /// The source of stamps for [`RowClasses::rasterize`]: every
@@ -496,7 +507,11 @@ impl Default for RowClasses {
             twins: Vec::new(),
             max: 0.0,
             spans: Vec::new(),
+            marks: Vec::new(),
             cuts: Vec::new(),
+            class_at: Vec::new(),
+            starts: Vec::new(),
+            members: Vec::new(),
         }
     }
 }
@@ -523,54 +538,143 @@ impl RowClasses {
         rects: impl IntoIterator<Item = Rect>,
     ) -> Result<()> {
         let lattice = lattice_of(window, margin, pixel)?;
-        let (nx, ny) = (lattice.nx, lattice.ny);
+        let ny = lattice.ny;
+        self.lattice = lattice;
+        self.spans.clear();
+        self.marks.clear();
+        self.marks.resize(ny + 1, false);
+        self.marks[0] = true;
+        self.marks[ny] = true;
+        for rect in rects {
+            let span = PixelSpan::of(rect, &lattice);
+            for cut in span.cuts(ny) {
+                self.marks[cut] = true;
+            }
+            self.spans.push((span, span.rows(ny)));
+        }
+        self.cuts.clear();
+        self.class_at.clear();
+        self.class_at.resize(ny + 1, 0);
+        for (row, _) in self.marks.iter().enumerate().filter(|&(_, &cut)| cut) {
+            self.class_at[row] = self.cuts.len();
+            self.cuts.push(row);
+        }
+        self.list_members();
+        let RowClasses {
+            lattice,
+            runs,
+            rows,
+            max,
+            spans,
+            cuts,
+            starts,
+            members,
+            ..
+        } = self;
+        fill_runs(lattice.nx, cuts, runs, rows, max, |class, first, row| {
+            for &i in &members[starts[class]..starts[class + 1]] {
+                spans[i].0.add_to_row(row, first, 1.0);
+            }
+        });
+        self.finish();
+        Ok(())
+    }
+
+    /// Lists the rectangles covering each class, in input order: a
+    /// rectangle reaching rows `r0..r1` covers the classes from the one
+    /// starting at `r0` up to the one starting at `r1` (both rows are
+    /// cuts), and only those are visited.
+    fn list_members(&mut self) {
+        let classes = self.cuts.len() - 1;
+        let RowClasses {
+            spans,
+            class_at,
+            starts,
+            members,
+            ..
+        } = self;
+        let covered = |rows: &Range<usize>| {
+            if rows.is_empty() {
+                0..0
+            } else {
+                class_at[rows.start]..class_at[rows.end]
+            }
+        };
+        starts.clear();
+        starts.resize(classes + 1, 0);
+        for (_, rows) in spans.iter() {
+            for class in covered(rows) {
+                starts[class] += 1;
+            }
+        }
+        // Running sums: `starts[k]` is where class `k`'s members end.
+        let mut total = 0;
+        for start in starts.iter_mut() {
+            total += *start;
+            *start = total;
+        }
+        // Filled back to front, each class's members keep input order,
+        // and `starts[k]` steps back to where class `k`'s begin.
+        members.clear();
+        members.resize(total, 0);
+        for (i, (_, rows)) in spans.iter().enumerate().rev() {
+            for class in covered(rows) {
+                starts[class] -= 1;
+                members[starts[class]] = i;
+            }
+        }
+    }
+
+    /// Stamps the rasterization, hashes its runs' rows and links twins.
+    fn finish(&mut self) {
+        self.stamp = RASTERIZATIONS.fetch_add(1, Ordering::Relaxed);
+        self.hashes.clear();
+        let nx = self.lattice.nx;
+        self.hashes.extend(self.rows.chunks_exact(nx).map(row_hash));
+        self.find_twins();
+    }
+
+    /// [`RowClasses::rasterize`] with sorted, deduplicated row cuts and
+    /// every rectangle tested against every class: the rasterization the
+    /// cut bitmap and per-class rectangle lists replaced.
+    #[cfg(test)]
+    fn rasterize_by_class_scan(
+        &mut self,
+        window: Rect,
+        margin: i64,
+        pixel: f64,
+        rects: impl IntoIterator<Item = Rect>,
+    ) -> Result<()> {
+        let lattice = lattice_of(window, margin, pixel)?;
+        let ny = lattice.ny;
         self.lattice = lattice;
         self.spans.clear();
         self.cuts.clear();
         self.cuts.extend([0, ny]);
         for rect in rects {
             let span = PixelSpan::of(rect, &lattice);
-            for edge in [
-                span.y0.floor(),
-                span.y0.ceil(),
-                span.y1.floor(),
-                span.y1.ceil(),
-            ] {
-                self.cuts.push(edge.clamp(0.0, ny as f64) as usize);
-            }
+            self.cuts.extend(span.cuts(ny));
             self.spans.push((span, span.rows(ny)));
         }
         self.cuts.sort_unstable();
         self.cuts.dedup();
-        self.runs.clear();
-        self.rows.clear();
-        self.max = 0.0;
-        for cut in self.cuts.windows(2) {
-            let (first, end) = (cut[0], cut[1]);
-            let at = self.rows.len();
-            self.rows.resize(at + nx, 0.0);
-            let (held, row) = self.rows.split_at_mut(at);
-            for (span, rows) in &self.spans {
+        let RowClasses {
+            lattice,
+            runs,
+            rows,
+            max,
+            spans,
+            cuts,
+            ..
+        } = self;
+        fill_runs(lattice.nx, cuts, runs, rows, max, |_, first, row| {
+            for (span, rows) in spans.iter() {
                 if rows.contains(&first) {
                     span.add_to_row(row, first, 1.0);
                 }
             }
-            let previous = &held[held.len().saturating_sub(nx)..];
-            match self.runs.last_mut() {
-                Some(run) if bits_eq(previous, row) => {
-                    run.end = end;
-                    self.rows.truncate(at);
-                }
-                _ => {
-                    self.max = row.iter().fold(self.max, |m, &v| m.max(v));
-                    self.runs.push(first..end);
-                }
-            }
-        }
-        self.stamp = RASTERIZATIONS.fetch_add(1, Ordering::Relaxed);
-        self.hashes.clear();
-        self.hashes.extend(self.rows.chunks_exact(nx).map(row_hash));
-        self.find_twins();
+        });
+        self.finish();
         Ok(())
     }
 
@@ -721,6 +825,20 @@ impl PixelSpan {
     /// The rows of an `ny`-row lattice the rectangle reaches.
     fn rows(&self, ny: usize) -> Range<usize> {
         self.y0.floor().max(0.0) as usize..(self.y1.ceil() as usize).min(ny)
+    }
+
+    /// The rows of an `ny`-row lattice where the rectangle's coverage of
+    /// a row may change: the floor and the ceiling of its bottom and top
+    /// edge, clamped to `0..=ny`. Both ends of [`PixelSpan::rows`] are
+    /// among them when it is not empty.
+    fn cuts(&self, ny: usize) -> [usize; 4] {
+        [
+            self.y0.floor(),
+            self.y0.ceil(),
+            self.y1.floor(),
+            self.y1.ceil(),
+        ]
+        .map(|edge| edge.clamp(0.0, ny as f64) as usize)
     }
 
     /// Accumulates `weight` × (covered area fraction) into every pixel of
@@ -881,28 +999,38 @@ impl RowField {
     /// tap reaching it times its pass at columns `cols` (offsets into
     /// `out`) to `sums[n]`. Every row of `rows` must be within reach of
     /// every row of `ys`.
+    ///
+    /// The sums stay in locals over the loop and are written back at its
+    /// end; each held row is one `width`-long slice whose two columns
+    /// were checked once, before the loop. The multiplies and adds are
+    /// the same, in the same order.
     fn accumulate<const N: usize>(
         &self,
         rows: Range<usize>,
         ys: [usize; N],
         [c0, c1]: [usize; 2],
-        mut sums: [&mut [f64; 2]; N],
+        sums: [&mut [f64; 2]; N],
     ) {
         if rows.is_empty() {
             return;
         }
         let half = self.kernel.len() / 2;
         let width = self.out.x1 - self.out.x0;
+        assert!(c0 < width && c1 < width, "columns outside the pass");
         let held = &self.index[rows.start - self.first..rows.end - self.first];
         let taps = ys.map(|y| &self.kernel[rows.start + half - y..rows.end + half - y]);
+        let mut acc = sums.each_ref().map(|sum| **sum);
         for (i, &pass) in held.iter().enumerate() {
-            let at = pass * width;
-            let (v0, v1) = (self.rows[at + c0], self.rows[at + c1]);
-            for (sum, taps) in sums.iter_mut().zip(&taps) {
+            let row = &self.rows[pass * width..][..width];
+            let (v0, v1) = (row[c0], row[c1]);
+            for (sum, taps) in acc.iter_mut().zip(&taps) {
                 let w = taps[i];
                 sum[0] += w * v0;
                 sum[1] += w * v1;
             }
+        }
+        for (sum, acc) in sums.into_iter().zip(acc) {
+            *sum = acc;
         }
     }
 }
@@ -952,6 +1080,42 @@ fn lattice_of(window: Rect, margin: i64, pixel: f64) -> Result<Lattice> {
         nx,
         ny,
     })
+}
+
+/// Rasterizes the classes between consecutive `cuts` into `rows`, one
+/// `nx`-wide row each, and merges neighbours with bit-identical rows into
+/// one run; `max` becomes the largest value of any row. `add(k, first,
+/// row)` adds class `k`'s rectangles to `row`, its first lattice row
+/// `first`, zeroed.
+fn fill_runs(
+    nx: usize,
+    cuts: &[usize],
+    runs: &mut Vec<Range<usize>>,
+    rows: &mut Vec<f64>,
+    max: &mut f64,
+    mut add: impl FnMut(usize, usize, &mut [f64]),
+) {
+    runs.clear();
+    rows.clear();
+    *max = 0.0;
+    for (class, cut) in cuts.windows(2).enumerate() {
+        let (first, end) = (cut[0], cut[1]);
+        let at = rows.len();
+        rows.resize(at + nx, 0.0);
+        let (held, row) = rows.split_at_mut(at);
+        add(class, first, row);
+        let previous = &held[held.len().saturating_sub(nx)..];
+        match runs.last_mut() {
+            Some(run) if bits_eq(previous, row) => {
+                run.end = end;
+                rows.truncate(at);
+            }
+            _ => {
+                *max = row.iter().fold(*max, |m, &v| m.max(v));
+                runs.push(first..end);
+            }
+        }
+    }
 }
 
 /// Whether two rows hold the same bits.
@@ -1506,6 +1670,129 @@ mod tests {
                 classes.rows.clone()
             )
         );
+    }
+
+    /// [`random_rects`] with coincident and stacked edges added, in a
+    /// seeded order: rectangles whose corners come from a few shared
+    /// abscissae and ordinates, and stacks of three to five small
+    /// rectangles around one point, on and off the pixel lattice, whose
+    /// shared pixels sum three or more fractional coverages.
+    fn coincident_and_stacked_rects(rng: &mut postopc_rng::StdRng, window: Rect) -> Vec<Rect> {
+        use postopc_rng::RngExt;
+        let mut rects = random_rects(rng, window);
+        let (w, h) = (window.width(), window.height());
+        let mut pick = |lo: i64, hi: i64| rng.random_range(lo..=hi);
+        let xs: Vec<i64> = (0..5)
+            .map(|_| window.left() + pick(-w / 4, w + w / 4))
+            .collect();
+        let ys: Vec<i64> = (0..5)
+            .map(|_| window.bottom() + pick(-h / 4, h + h / 4))
+            .collect();
+        for _ in 0..pick(2, 10) {
+            let (x0, x1) = (xs[pick(0, 4) as usize], xs[pick(0, 4) as usize]);
+            let (y0, y1) = (ys[pick(0, 4) as usize], ys[pick(0, 4) as usize]);
+            if let Ok(r) = Rect::new(x0, y0, x1, y1) {
+                rects.push(r);
+            }
+        }
+        for _ in 0..pick(1, 3) {
+            let (x, y) = (window.left() + pick(0, w), window.bottom() + pick(0, h));
+            for _ in 0..pick(3, 5) {
+                let rect = Rect::new(
+                    x - pick(1, 30),
+                    y - pick(1, 30),
+                    x + pick(1, 30),
+                    y + pick(1, 30),
+                );
+                rects.push(rect.expect("stacked"));
+            }
+        }
+        for i in (1..rects.len()).rev() {
+            rects.swap(i, pick(0, i as i64) as usize);
+        }
+        rects
+    }
+
+    /// How many pixels of `lattice` three or more of `rects` cover only
+    /// in part.
+    fn pixels_under_three_fractions(lattice: &Lattice, rects: &[Rect]) -> usize {
+        let (nx, ny) = (lattice.nx, lattice.ny);
+        let mut fractions = vec![0u8; nx * ny];
+        for &rect in rects {
+            let span = PixelSpan::of(rect, lattice);
+            for iy in span.rows(ny) {
+                let cov_y = span.y1.min((iy + 1) as f64) - span.y0.max(iy as f64);
+                let ix0 = span.x0.floor().max(0.0) as usize;
+                for ix in ix0..(span.x1.ceil() as usize).min(nx) {
+                    let cov_x = span.x1.min((ix + 1) as f64) - span.x0.max(ix as f64);
+                    if cov_x * cov_y < 1.0 {
+                        fractions[iy * nx + ix] += 1;
+                    }
+                }
+            }
+        }
+        fractions.iter().filter(|&&n| n >= 3).count()
+    }
+
+    #[test]
+    fn rasterize_equals_the_class_scan_and_add_rect_rows() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(32);
+        let (mut classes, mut scan) = (RowClasses::new(), RowClasses::new());
+        let (mut stacked, mut outside) = (0, 0);
+        for round in 0..90 {
+            let pixel = [5.0, 2.5, 7.3][round % 3];
+            let margin = rng.random_range(0i64..=120);
+            let (x, y) = (
+                rng.random_range(-300i64..300),
+                rng.random_range(-300i64..300),
+            );
+            let window = Rect::new(
+                x,
+                y,
+                x + rng.random_range(1i64..400),
+                y + rng.random_range(1i64..400),
+            )
+            .expect("window");
+            let rects = coincident_and_stacked_rects(&mut rng, window);
+            // Both buffers are reused across rounds.
+            classes
+                .rasterize(window, margin, pixel, rects.iter().copied())
+                .expect("classes");
+            scan.rasterize_by_class_scan(window, margin, pixel, rects.iter().copied())
+                .expect("scan");
+            let label = format!("round {round}, {window:?} + {margin} at {pixel} nm");
+            let lattice = classes.lattice();
+            assert_eq!(lattice, scan.lattice(), "{label}");
+            assert_eq!(classes.cuts, scan.cuts, "{label}");
+            assert_eq!(classes.runs, scan.runs, "{label}");
+            assert!(bits_eq(&classes.rows, &scan.rows), "{label}");
+            assert_eq!(classes.max.to_bits(), scan.max.to_bits(), "{label}");
+            assert_eq!(classes.hashes, scan.hashes, "{label}");
+            assert_eq!(classes.twins, scan.twins, "{label}");
+            let mut grid = Grid::new(window, margin, pixel).expect("grid");
+            for &r in &rects {
+                grid.add_rect(r, 1.0);
+            }
+            let nx = grid.nx();
+            for (iy, row) in grid.data().chunks_exact(nx).enumerate() {
+                assert!(bits_eq(classes.row(iy), row), "row {iy}, {label}");
+            }
+            stacked += pixels_under_three_fractions(&lattice, &rects);
+            let raster = Rect::new(
+                lattice.origin.x,
+                lattice.origin.y,
+                lattice.origin.x + (lattice.nx as f64 * pixel) as i64,
+                lattice.origin.y + (lattice.ny as f64 * pixel) as i64,
+            )
+            .expect("raster");
+            outside += rects
+                .iter()
+                .filter(|r| r.intersection(&raster) != Some(**r))
+                .count();
+        }
+        assert!(stacked > 2000, "{stacked} pixels under three fractions");
+        assert!(outside > 400, "{outside} rectangles reach off the raster");
     }
 
     /// The column pass one row at a time: per row, the taps that reach

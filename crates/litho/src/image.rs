@@ -152,9 +152,10 @@ impl AerialImage {
 
     /// [`AerialImage::simulate`] with caller-owned scratch state.
     ///
-    /// Rasterizes `mask` into the workspace's row classes (one row per
-    /// run of identical rows of the ambit-padded raster, buffers reused
-    /// across calls) and runs each kernel's row pass over the window's
+    /// Decomposes `mask` into rectangles, rasterizes them into the
+    /// workspace's row classes (one row per run of identical rows of the
+    /// ambit-padded raster, buffers reused across calls) and runs each
+    /// kernel's row pass over the window's
     /// pixels once per distinct class row, copying the pass of a row the
     /// workspace's last image computed with the same taps and output
     /// columns (see [`SimWorkspace`]); the column pass is left to the
@@ -178,18 +179,19 @@ impl AerialImage {
         let stack = spec.kernel_stack();
         let margin = stack.ambit_nm().ceil() as i64;
         let SimWorkspace {
+            rects,
+            rect_scratch,
             classes,
             spare,
             last,
             taps,
             passes,
         } = workspace;
-        spare.rasterize(
-            window,
-            margin,
-            spec.pixel_nm,
-            mask.iter().flat_map(Polygon::to_rects),
-        )?;
+        rects.clear();
+        for polygon in mask {
+            polygon.push_rects(rect_scratch, rects);
+        }
+        spare.rasterize(window, margin, spec.pixel_nm, rects.iter().copied())?;
         let lattice = spare.lattice();
         let defined = lattice.sample_footprint(window);
         let fields: Arc<[(f64, RowField)]> = stack
@@ -1131,6 +1133,82 @@ pub(crate) mod tests {
             "{passes:?}"
         );
         assert_eq!(passes[5].0.computed, 0, "{passes:?}");
+    }
+
+    #[test]
+    fn masks_that_keep_move_and_swap_polygons_match_fresh_workspaces_and_the_oracle() {
+        use postopc_rng::{RngExt, SeedableRng};
+        let mut rng = postopc_rng::StdRng::seed_from_u64(32);
+        // Lines with pseudo-vertices every 100 nm up their long edges, as
+        // OPC fragments them, and the same lines with fragments moved.
+        let cut: Vec<Polygon> = seeded_farm_mask(13)
+            .iter()
+            .map(|line| {
+                let cuts: Vec<Vec<Coord>> = line
+                    .edges()
+                    .map(|e| match e.start.x == e.end.x {
+                        true => (100..e.length()).step_by(100).collect(),
+                        false => Vec::new(),
+                    })
+                    .collect();
+                line.with_cuts(&cuts).expect("fragments")
+            })
+            .collect();
+        let mut jog = |line: &Polygon| {
+            let offsets: Vec<Coord> = (0..line.edge_count())
+                .map(|_| match rng.random_range(0u32..3) {
+                    0 => rng.random_range(-4i64..=4),
+                    _ => 0,
+                })
+                .collect();
+            line.with_edge_offsets(&offsets).expect("jogged")
+        };
+        let mut mask: Vec<Polygon> = cut.iter().map(&mut jog).collect();
+        let context = mask.split_off(mask.len() / 2);
+        let targets = mask.len();
+        mask.extend(context.iter().map(|p| Polygon::from(p.bbox())));
+        let window = Rect::new(-450, -350, 450, 350).expect("rect");
+        let spec = SimulationSpec::nominal();
+        let mut masks = vec![mask.clone()];
+        // One target's middle fragment moves in, inside its bounding box;
+        // another target moves its fragments anywhere.
+        let mut inner = vec![0; cut[1].edge_count()];
+        let middle = (0..inner.len())
+            .filter(|&i| {
+                let e = cut[1].edge(i);
+                e.start.x == e.end.x && e.start.y.min(e.end.y) > -250
+            })
+            .nth(1)
+            .expect("a middle fragment");
+        inner[middle] = -3;
+        let moved_in = cut[1].with_edge_offsets(&inner).expect("moved in");
+        assert_eq!(moved_in.bbox(), cut[1].bbox());
+        mask[1] = cut[1].clone();
+        masks.push(mask.clone());
+        mask[1] = moved_in;
+        mask[3] = jog(&cut[3]);
+        masks.push(mask.clone());
+        // Targets and context swap places.
+        mask.swap(0, 2);
+        mask.swap(targets, targets + 1);
+        masks.push(mask.clone());
+        // The mask grows, shrinks, repeats, moves one polygon by 1 nm, and
+        // returns to the first mask.
+        mask.push(jog(&cut[0]));
+        masks.push(mask.clone());
+        mask.truncate(mask.len() - 3);
+        masks.push(mask.clone());
+        masks.push(mask.clone());
+        mask[targets - 1] = mask[targets - 1].translate(postopc_geom::Vector::new(1, 0));
+        masks.push(mask.clone());
+        masks.push(masks[0].clone());
+        let steps: Vec<_> = masks
+            .into_iter()
+            .map(|mask| (spec.clone(), mask, window))
+            .collect();
+        let passes = check_sequence(&steps);
+        // An unchanged mask reuses every row pass.
+        assert_eq!(passes[6].0.computed, 0, "{passes:?}");
     }
 
     #[test]

@@ -16,14 +16,16 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::kernels::TapCache;
-use postopc_geom::{RowClasses, RowField, RowPasses};
+use postopc_geom::{Rect, RectScratch, RowClasses, RowField, RowPasses};
 
-/// Scratch state reused across imaging runs: the last image's row classes
-/// and row passes, spare class buffers, and the discretized-tap cache.
+/// Scratch state reused across imaging runs: the mask's rectangles and
+/// their decomposition buffers, the last image's row classes and row
+/// passes, spare class buffers, and the discretized-tap cache.
 ///
-/// The class buffers grow to the largest window simulated and are then
-/// reused allocation-free; the tap cache persists across windows so kernel
-/// discretization happens once per distinct `(σ, pixel)` condition.
+/// The rectangle and class buffers grow to the largest mask and window
+/// simulated and are then reused allocation-free; the tap cache persists
+/// across windows so kernel discretization happens once per distinct
+/// `(σ, pixel)` condition.
 ///
 /// The row-pass memo holds exactly the last image: its class rows
 /// (`classes`) and a shared handle on its fields, the same passes the
@@ -39,6 +41,9 @@ use postopc_geom::{RowClasses, RowField, RowPasses};
 /// (the re-entrant fallback's) starts with an empty memo.
 #[derive(Debug, Default)]
 pub(crate) struct SimWorkspace {
+    /// The rectangles of the mask being imaged.
+    pub(crate) rects: Vec<Rect>,
+    pub(crate) rect_scratch: RectScratch,
     /// The last image's class rows.
     pub(crate) classes: RowClasses,
     /// Buffers the next image rasterizes into.

@@ -198,6 +198,14 @@ where
 /// The shared engine behind every map variant: cost-aware contiguous
 /// chunking, one atomic claim per chunk, per-worker init state, and an
 /// input-ordered merge.
+///
+/// The calling thread is the first worker: a map with `workers` workers
+/// spawns `workers − 1` threads and claims chunks alongside them instead
+/// of idling until they join. That saves a thread start per fan-out and
+/// runs part of every batch against the caller's warm thread-local state
+/// (the imaging workspace's tap cache and row-pass memo), where a spawned
+/// worker starts cold. The merge is input-ordered, so which worker ran an
+/// item never shows in the results.
 fn par_map_chunked<T, R, S, C, I, F>(threads: usize, items: &[T], cost: C, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -221,32 +229,24 @@ where
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
+    let work = || {
+        let mut state = init();
+        let mut local = Vec::new();
+        while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            for i in chunk.clone() {
+                local.push((i, f(&mut state, i, &items[i])));
+            }
+        }
+        local
+    };
     let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(c) else {
-                            break;
-                        };
-                        for i in chunk.clone() {
-                            local.push((i, f(&mut state, i, &items[i])));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut collected = vec![work()];
+        collected.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(v) => v,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }));
+        collected
     });
     for (i, r) in collected.into_iter().flatten() {
         slots[i] = Some(r);
@@ -430,6 +430,28 @@ mod tests {
         let shared = vec![10, 20, 30];
         let out = par_map(3, &[0usize, 1, 2], |_, &i| shared[i]);
         assert_eq!(out, shared);
+    }
+
+    #[test]
+    fn the_calling_thread_works_alongside_the_spawned_workers() {
+        // Each item waits until every item has started, so each of the
+        // `threads` workers holds exactly one: the caller runs one item,
+        // `threads - 1` spawned threads run the others, and the results
+        // still come back in input order.
+        let caller = std::thread::current().id();
+        for threads in [2usize, 3, 5] {
+            let barrier = std::sync::Barrier::new(threads);
+            let items: Vec<usize> = (0..threads).collect();
+            let ran = par_map(threads, &items, |_, &x| {
+                barrier.wait();
+                (x, std::thread::current().id())
+            });
+            let (values, ids): (Vec<usize>, Vec<_>) = ran.into_iter().unzip();
+            assert_eq!(values, items);
+            assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1);
+            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+            assert_eq!(distinct.len(), threads, "threads = {threads}");
+        }
     }
 
     #[test]

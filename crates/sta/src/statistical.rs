@@ -1190,8 +1190,11 @@ mod tests {
             Sampling::Antithetic,
             Sampling::TailIs { tilt: 1.0 },
         ] {
+            // Four LANES-wide batches per worker at the widest count, so
+            // the partition has batches to split among the workers, and a
+            // lane remainder.
             let base = MonteCarloConfig {
-                samples: 24,
+                samples: 4 * 7 * LANES + 5,
                 sigma_nm: 2.0,
                 seed: 5,
                 threads: Some(1),

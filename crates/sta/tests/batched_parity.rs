@@ -101,7 +101,8 @@ fn variance_reduced_samplers_are_thread_count_invariant() {
     // Plain streams, antithetic pair streams and tilted streams are
     // derived from the config alone (seed splitting per sample), so the
     // worker partition must never show up in the results — across an
-    // uneven thread matrix.
+    // uneven thread matrix, with four LANES-wide batches per worker at
+    // the widest count and a lane remainder.
     let design = registered_design();
     let model = TimingModel::new(&design, ProcessParams::n90(), 900.0).expect("model");
     for sampling in [
@@ -110,7 +111,7 @@ fn variance_reduced_samplers_are_thread_count_invariant() {
         Sampling::TailIs { tilt: 1.2 },
     ] {
         let base = MonteCarloConfig {
-            samples: 3 * LANES + 5,
+            samples: 4 * 7 * LANES + 5,
             sigma_nm: 2.0,
             seed: 31,
             threads: Some(1),

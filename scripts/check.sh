@@ -55,7 +55,14 @@
 #              raster.rs, row_passes_are_reused_only_*,
 #              a_row_sharing_a_hash_*, fused_column_cell_*) with its count
 #              gate (crates/opc/src/model.rs,
-#              model_opc_computes_at_most_55_percent_*),
+#              model_opc_computes_at_most_55_percent_*), image sequences
+#              whose polygons keep, move and swap places
+#              (masks_that_keep_move_and_swap_polygons_*), decomposition
+#              and rasterization held to their oracles
+#              (crates/geom/src/polygon.rs, to_rects_equals_the_band_scan_*;
+#              raster.rs, rasterize_equals_the_class_scan_*), the pool's
+#              calling thread working as one of its workers
+#              (crates/parallel, the_calling_thread_works_alongside_*),
 #              the Monte Carlo engine-vs-oracle suite
 #              (crates/sta/tests/batched_parity.rs) and the learned CD
 #              surrogate with its model-file round trip
@@ -89,16 +96,18 @@
 #              of the crates' public API outside this workspace, so an
 #              API change that breaks the benchmark fails here. Both run
 #              with --locked, so a dependency change that would rewrite
-#              perfbench/Cargo.lock fails too. Then two short runs,
+#              perfbench/Cargo.lock fails too. Then three short runs,
 #              each failing the stage unless its last line reads
 #              "correct": true and "failed": 0: a traced eco-stream run
 #              (seed 11, 2 s), whose traced ECOs replay through
 #              extract_gates_with_store and each session ECO must equal
-#              the replay bit for bit, and an untraced flow-cold run
+#              the replay bit for bit; an untraced flow-cold run
 #              (seed 11, 2 s), whose annotation must hold the committed
 #              seed-11 reference and every op equal the warm-up's bit for
 #              bit, so a change to the imaging engine that moves a CD
-#              fails here
+#              fails here; and an untraced serve-warm run (seed 11, 2 s),
+#              whose every op must be warm, with no cold reason, and
+#              answer exactly as the set-up cold serve did
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -314,7 +323,7 @@ perfbench_stage() {
   cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
   cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
   local run workload trace last
-  for run in "eco-stream 1" "flow-cold 0"; do
+  for run in "eco-stream 1" "flow-cold 0" "serve-warm 0"; do
     read -r workload trace <<<"$run"
     last="$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
       --workload "$workload" --seed 11 --seconds 2 --trace "$trace" | tail -n 1)"
